@@ -22,7 +22,7 @@
 #include "src/distance/simd/dispatch.h"
 #include "src/distance/weighted_l1.h"
 #include "src/retrieval/filter_refine.h"
-#include "src/serving/sharded_retrieval_engine.h"
+#include "src/retrieval/retrieval_engine.h"
 #include "src/util/logging.h"
 #include "src/util/random.h"
 #include "src/util/top_k.h"
@@ -310,7 +310,7 @@ void BM_RetrieveShardedSingleQuery(benchmark::State& state) {
   L2Scorer scorer;
   ShardedEngineOptions options;
   options.num_shards = num_shards;
-  ShardedRetrievalEngine sharded(&embedder, &scorer, db, db_ids, options);
+  RetrievalEngine sharded(&embedder, &scorer, db, db_ids, options);
   DxToDatabaseFn dx = [](size_t) { return 0.0; };
   for (auto _ : state) {
     auto r = sharded.Retrieve({dx, RetrievalOptions(kShardedK, kShardedP)});

@@ -72,7 +72,6 @@
 #include "src/retrieval/filter_refine.h"
 #include "src/retrieval/retrieval_engine.h"
 #include "src/server/async_retrieval_server.h"
-#include "src/serving/sharded_retrieval_engine.h"
 #include "src/util/logging.h"
 #include "src/util/parallel.h"
 #include "src/util/random.h"
@@ -93,7 +92,7 @@ struct LoadStack {
   L2Scorer scorer;
   EmbeddedDatabase db;
   std::unique_ptr<RetrievalEngine> mono;
-  std::unique_ptr<ShardedRetrievalEngine> sharded;
+  std::unique_ptr<RetrievalEngine> sharded;
   std::vector<DxToDatabaseFn> queries;
 
   LoadStack(size_t n, size_t num_queries, size_t dims, uint64_t seed)
@@ -104,8 +103,8 @@ struct LoadStack {
     mono = std::make_unique<RetrievalEngine>(&model, &scorer, &db, db_ids);
     ShardedEngineOptions options;
     options.num_shards = std::max<size_t>(DefaultParallelism(), 2);
-    sharded = std::make_unique<ShardedRetrievalEngine>(&model, &scorer, db,
-                                                       db_ids, options);
+    sharded = std::make_unique<RetrievalEngine>(&model, &scorer, db, db_ids,
+                                                options);
     for (size_t q = n; q < n + num_queries; ++q) {
       queries.push_back(
           [this, q](size_t id) { return oracle.Distance(q, id); });
@@ -404,7 +403,7 @@ struct DriftStack {
   L2Scorer scorer;
   EmbeddedDatabase db;
   std::unique_ptr<RetrievalEngine> mono;
-  std::unique_ptr<ShardedRetrievalEngine> sharded;
+  std::unique_ptr<RetrievalEngine> sharded;
   std::vector<DxToDatabaseFn> queries;
 
   DriftStack(size_t n, size_t num_queries, size_t dims,
@@ -421,8 +420,8 @@ struct DriftStack {
     mono = std::make_unique<RetrievalEngine>(&model, &scorer, &db, db_ids);
     ShardedEngineOptions options;
     options.num_shards = 4;
-    sharded = std::make_unique<ShardedRetrievalEngine>(&model, &scorer, db,
-                                                       db_ids, options);
+    sharded = std::make_unique<RetrievalEngine>(&model, &scorer, db, db_ids,
+                                                options);
     for (size_t q = n; q < n + num_queries; ++q) {
       queries.push_back(
           [this, q](size_t id) { return oracle.Distance(q, id); });
@@ -743,7 +742,7 @@ int main(int argc, char** argv) {
   //
   // Four child processes (fork/exec of this binary in --shard_server
   // mode) serve the hash-partitioned database over TCP; the parent
-  // composes ShardedRetrievalEngine over two HedgedReplicaBackends,
+  // composes RetrievalEngine over two HedgedReplicaBackends,
   // each over two RemoteRetrievalBackends.  Replica (shard 0, replica
   // 1) injects a 40ms delay on every 32nd scan it serves — rare enough
   // (~3% of that server's scans) to keep its latency-quantile hedge
@@ -799,8 +798,8 @@ int main(int argc, char** argv) {
       nohedge_shards.push_back(std::make_shared<net::HedgedReplicaBackend>(
           std::move(replicas), hedge_off));
     }
-    ShardedRetrievalEngine hedged_cluster(&stack.model, hedged_shards);
-    ShardedRetrievalEngine nohedge_cluster(&stack.model, nohedge_shards);
+    RetrievalEngine hedged_cluster(&stack.model, hedged_shards);
+    RetrievalEngine nohedge_cluster(&stack.model, nohedge_shards);
 
     // Parity against an in-process engine with the same shard count
     // (and therefore, via the shared hash partition, the same shards).
@@ -813,8 +812,8 @@ int main(int argc, char** argv) {
         EmbedDatabase(stack.model, stack.oracle, stack.db_ids);
     ShardedEngineOptions ref_options;
     ref_options.num_shards = kRemoteShards;
-    ShardedRetrievalEngine reference(&stack.model, &stack.scorer, pristine_db,
-                                     stack.db_ids, ref_options);
+    RetrievalEngine reference(&stack.model, &stack.scorer, pristine_db,
+                              stack.db_ids, ref_options);
     size_t mismatches = 0;
     for (size_t q = 0; q < parity_queries; ++q) {
       auto want = reference.Retrieve({stack.queries[q], base_options});

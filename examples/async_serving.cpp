@@ -26,8 +26,8 @@
 #include "src/distance/lp.h"
 #include "src/embedding/fastmap.h"
 #include "src/retrieval/filter_refine.h"
+#include "src/retrieval/retrieval_engine.h"
 #include "src/server/async_retrieval_server.h"
-#include "src/serving/sharded_retrieval_engine.h"
 #include "src/util/random.h"
 
 int main() {
@@ -51,7 +51,7 @@ int main() {
   FastMapModel model = BuildFastMap(oracle, db_ids, fm);
   EmbeddedDatabase embedded = EmbedDatabase(model, oracle, db_ids);
   L2Scorer scorer;
-  ShardedRetrievalEngine backend(&model, &scorer, embedded, db_ids, {});
+  RetrievalEngine backend(&model, &scorer, embedded, db_ids, {});
 
   auto query_dx = [&oracle, n](size_t q) -> DxToDatabaseFn {
     size_t query_id = n + q;

@@ -41,17 +41,17 @@ double TripleError(const qse::QuerySensitiveEmbedding& model,
   std::vector<qse::ScoredIndex> ranked;
   for (int t = 0; t < trials; ++t) {
     size_t qrow = rng->Index(n);
-    size_t q = engine.db_id_of(qrow);
+    size_t q = engine.db().id_of(qrow);
     std::vector<double> dist(n);
     for (size_t row = 0; row < n; ++row) {
       dist[row] =
-          row == qrow ? 1e300 : oracle.Distance(q, engine.db_id_of(row));
+          row == qrow ? 1e300 : oracle.Distance(q, engine.db().id_of(row));
     }
     ranked = qse::SmallestK(dist, 50);
     size_t arow = ranked[rng->Index(5)].index;
     size_t brow = ranked[5 + rng->Index(45)].index;
-    double da = oracle.Distance(q, engine.db_id_of(arow));
-    double db = oracle.Distance(q, engine.db_id_of(brow));
+    double da = oracle.Distance(q, engine.db().id_of(arow));
+    double db = oracle.Distance(q, engine.db().id_of(brow));
     if (da == db) continue;
     double margin = model.TripleMargin(engine.db().RowVector(qrow),
                                        engine.db().RowVector(arow),

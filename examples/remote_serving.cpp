@@ -1,6 +1,6 @@
 // Multi-node serving: a 2-shard x 2-replica cluster over TCP.
 //
-// The sharded engine composes over any RetrievalBackend, and
+// RetrievalEngine's shards may be any RetrievalBackend, and
 // RemoteRetrievalBackend is a backend whose filter scan happens in
 // another process: the embedded query ships over a length-prefixed
 // binary protocol, the server scans its shard and returns the sorted
@@ -36,7 +36,6 @@
 #include "src/obs/metric_registry.h"
 #include "src/retrieval/filter_refine.h"
 #include "src/retrieval/retrieval_engine.h"
-#include "src/serving/sharded_retrieval_engine.h"
 #include "src/util/random.h"
 
 int main() {
@@ -104,14 +103,14 @@ int main() {
 
   // --- The router: the same sharded engine used for in-process
   // serving, composed over remote shards instead of local ones.
-  ShardedRetrievalEngine cluster(&model, shards);
+  RetrievalEngine cluster(&model, shards);
 
   // --- Parity: the cluster answers bit-identically to an in-process
   // sharded engine over the same data at equal p.
   EmbeddedDatabase full = EmbedDatabase(model, oracle, db_ids);
   ShardedEngineOptions ref_options;
   ref_options.num_shards = kShards;
-  ShardedRetrievalEngine reference(&model, &scorer, full, db_ids, ref_options);
+  RetrievalEngine reference(&model, &scorer, full, db_ids, ref_options);
 
   auto& registry = obs::MetricRegistry::Global();
   uint64_t fired0 = registry.GetCounter("qse_hedged_fired_total")->Value();

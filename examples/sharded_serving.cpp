@@ -1,15 +1,15 @@
-// Sharded serving: scatter/gather retrieval over per-shard engines.
+// Sharded serving: one RetrievalEngine scattered over S shards.
 //
-// One RetrievalEngine scans all n embedded vectors serially, so
-// single-query latency grows with the database.  The serving layer
-// partitions the database across S shards, fans one query's filter step
-// out across them in parallel, merges the per-shard top-p lists with a
+// A single-shard engine scans all n embedded vectors serially, so
+// single-query latency grows with the database.  Over S shards the
+// engine partitions the database, fans one query's filter step out
+// across them in parallel, merges the per-shard top-p lists with a
 // k-way heap merge, and refines the merged candidates once — bit-identical
-// results to the monolithic engine at equal p, at a fraction of the
+// results to the single-shard engine at equal p, at a fraction of the
 // single-query latency on multi-core hardware.
 //
-// Both engines implement RetrievalBackend, so serving code is written
-// once and the engine is swapped behind the interface.
+// Both implement RetrievalBackend, so serving code is written once and
+// the shard count is swapped behind the interface.
 //
 // Build: cmake --build build && ./build/examples/sharded_serving
 #include <cstdio>
@@ -20,7 +20,7 @@
 #include "src/distance/lp.h"
 #include "src/embedding/fastmap.h"
 #include "src/retrieval/filter_refine.h"
-#include "src/serving/sharded_retrieval_engine.h"
+#include "src/retrieval/retrieval_engine.h"
 #include "src/util/random.h"
 #include "src/util/timer.h"
 
@@ -40,7 +40,7 @@ std::pair<std::vector<size_t>, size_t> Serve(
   std::vector<size_t> best;
   size_t cost = 0;
   for (const qse::RetrievalResponse& r : *batch) {
-    best.push_back(backend.db_id_of(r.neighbors[0].index));
+    best.push_back(r.neighbors[0].index);
     cost += r.exact_distances;
   }
   return {std::move(best), cost};
@@ -82,7 +82,7 @@ int main() {
   // hash (deterministic: any process sharding these ids agrees).
   ShardedEngineOptions options;
   options.num_shards = 8;
-  ShardedRetrievalEngine sharded(&model, &scorer, embedded, db_ids, options);
+  RetrievalEngine sharded(&model, &scorer, embedded, db_ids, options);
 
   std::printf("database: n=%zu, d=%zu, %zu shards, sizes:", n,
               embedded.dims(), sharded.num_shards());

@@ -123,10 +123,12 @@ StatusOr<T> HedgedReplicaBackend::HedgedCall(
       }
       state->cv.notify_all();
       {
+        // Notify under the lock: once it is released the destructor may
+        // return and destroy the condition variable.
         std::lock_guard<std::mutex> lock(inflight_mu_);
         --inflight_;
+        inflight_cv_.notify_all();
       }
-      inflight_cv_.notify_all();
     }).detach();
   };
 

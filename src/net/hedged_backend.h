@@ -86,10 +86,6 @@ class HedgedReplicaBackend : public RetrievalBackend {
   /// a healthy set look empty.
   size_t size() const override;
 
-  size_t db_id_of(size_t neighbor_index) const override {
-    return replicas_[0]->db_id_of(neighbor_index);
-  }
-
   size_t num_replicas() const { return replicas_.size(); }
 
  private:

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/obs/trace.h"
-#include "src/util/parallel.h"
 #include "src/util/timer.h"
 
 namespace qse {
@@ -49,7 +48,14 @@ RemoteRetrievalBackend::RemoteRetrievalBackend(const Embedder* embedder,
       reconnects_total_(obs::MetricRegistry::Global().GetCounter(
           "qse_remote_reconnects_total")),
       rpc_latency_ns_(obs::MetricRegistry::Global().GetHistogram(
-          "qse_remote_rpc_latency_ns", obs::DefaultLatencyBoundariesNs())) {}
+          "qse_remote_rpc_latency_ns", obs::DefaultLatencyBoundariesNs())) {
+  // This backend as the single shard of an engine: non-owning, since the
+  // engine is a member and never outlives it.
+  pipeline_ = std::make_unique<RetrievalEngine>(
+      embedder_, std::vector<std::shared_ptr<RetrievalBackend>>{
+                     std::shared_ptr<RetrievalBackend>(
+                         std::shared_ptr<RetrievalBackend>(), this)});
+}
 
 StatusOr<Socket> RemoteRetrievalBackend::Dial(uint64_t deadline_budget_ns)
     const {
@@ -185,52 +191,30 @@ StatusOr<WireResponse> RemoteRetrievalBackend::Call(WireRequest request) const {
 
 StatusOr<ScanCandidatesResult> RemoteRetrievalBackend::ScanCandidates(
     const Vector& embedded_query, const RetrievalOptions& options) const {
+  return TracedScanCandidates(embedded_query, options, /*trace=*/nullptr);
+}
+
+StatusOr<ScanCandidatesResult> RemoteRetrievalBackend::TracedScanCandidates(
+    const Vector& embedded_query, const RetrievalOptions& options,
+    obs::RequestTrace* trace) const {
   QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
   WireRequest request;
   request.op = WireOp::kScan;
   request.options = options;
   request.options.audit_monitor = nullptr;  // client-side only
+  request.want_trace = trace != nullptr;
   request.query = embedded_query;
-  auto response = Call(std::move(request));
-  QSE_RETURN_IF_ERROR(response.status());
-  ScanCandidatesResult result;
-  result.candidates = std::move(response.value().neighbors);
-  result.rows = static_cast<size_t>(response.value().rows);
-  result.rows_pruned = static_cast<size_t>(response.value().rows_pruned);
-  return result;
-}
-
-StatusOr<RetrievalResponse> RemoteRetrievalBackend::Retrieve(
-    const RetrievalRequest& request) const {
-  QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(request.options));
-  obs::RequestTrace* trace = request.trace.get();
-
-  // Embed client-side (the dx closure stays home), exactly the
-  // monolithic engine's first step.
-  size_t embed_cost = 0;
   uint64_t span_start = obs::TraceNowNs(trace);
-  Vector fq = embedder_->Embed(request.dx, &embed_cost);
-  obs::TraceMark(trace, "embed", span_start);
-
-  WireRequest rpc;
-  rpc.op = WireOp::kScan;
-  rpc.options = request.options;
-  rpc.options.audit_monitor = nullptr;
-  rpc.want_trace = trace != nullptr;
-  rpc.query = std::move(fq);
-
-  span_start = obs::TraceNowNs(trace);
-  auto call = Call(std::move(rpc));
+  auto call = Call(std::move(request));
   obs::TraceMark(trace, "rpc_scan", span_start);
   QSE_RETURN_IF_ERROR(call.status());
-  WireResponse& scan = call.value();
-
+  WireResponse& response = call.value();
   if (trace != nullptr) {
     // Graft server-side spans: their times are relative to the server's
     // receipt of the request, which from this trace's view is no earlier
     // than the RPC span's start.  Clocks of two processes are never
     // compared — only the server's own durations ride on our anchor.
-    for (const WireSpan& span : scan.spans) {
+    for (const WireSpan& span : response.spans) {
       obs::TraceSpan grafted;
       grafted.name = obs::InternString("remote:" + span.name);
       grafted.start_ns = span_start + span.start_ns;
@@ -239,66 +223,22 @@ StatusOr<RetrievalResponse> RemoteRetrievalBackend::Retrieve(
       trace->AddSpan(std::move(grafted));
     }
   }
-
-  if (scan.rows == 0 && scan.neighbors.empty()) {
-    // The remote scan contract is OK-empty (a shard in a scatter must
-    // not fail the query); a STANDALONE retrieval against an empty
-    // database keeps the engines' FailedPrecondition contract.
-    return Status::FailedPrecondition("embedded database is empty");
-  }
-
-  // Refine with the caller's dx — identical to the engines' refine step.
-  RetrievalResponse result;
-  span_start = obs::TraceNowNs(trace);
-  std::vector<ScoredIndex>& candidates = scan.neighbors;
-  std::vector<ScoredIndex> refined;
-  refined.reserve(candidates.size());
-  for (const ScoredIndex& c : candidates) {
-    refined.push_back({c.index, request.dx(c.index)});
-  }
-  std::sort(refined.begin(), refined.end());
-  if (refined.size() > request.options.k) refined.resize(request.options.k);
-  obs::TraceMark(trace, "refine", span_start,
-                 {obs::TraceArg{"candidates",
-                                static_cast<int64_t>(candidates.size()),
-                                nullptr}});
-  result.exact_distances = embed_cost + candidates.size();
-  result.embedding_distances = embed_cost;
-  if (request.options.want_stats) {
-    // The remote database is one pseudo-shard, mirroring the monolithic
-    // engine's want_stats shape.
-    result.shard_stats = {
-        {static_cast<size_t>(scan.rows), candidates.size()}};
-  }
-  result.neighbors = std::move(refined);
-  result.trace = request.trace;
+  ScanCandidatesResult result;
+  result.candidates = std::move(response.neighbors);
+  result.rows = static_cast<size_t>(response.rows);
+  result.rows_pruned = static_cast<size_t>(response.rows_pruned);
   return result;
+}
+
+StatusOr<RetrievalResponse> RemoteRetrievalBackend::Retrieve(
+    const RetrievalRequest& request) const {
+  return pipeline_->Retrieve(request);
 }
 
 StatusOr<std::vector<RetrievalResponse>> RemoteRetrievalBackend::RetrieveBatch(
     const std::vector<DxToDatabaseFn>& queries,
     const RetrievalOptions& options) const {
-  QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
-  std::vector<RetrievalResponse> results(queries.size());
-  std::mutex error_mu;
-  Status first_error = Status::OK();
-  ParallelForGrain(
-      0, queries.size(), 2,
-      [&](size_t i) {
-        RetrievalRequest one;
-        one.dx = queries[i];
-        one.options = options;
-        StatusOr<RetrievalResponse> r = Retrieve(one);
-        if (!r.ok()) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (first_error.ok()) first_error = r.status();
-          return;
-        }
-        results[i] = std::move(r).value();
-      },
-      options.num_threads);
-  QSE_RETURN_IF_ERROR(first_error);
-  return results;
+  return pipeline_->RetrieveBatch(queries, options);
 }
 
 StatusOr<RetrievalResponse> RemoteRetrievalBackend::RetrieveRaw(

@@ -13,6 +13,7 @@
 #include "src/net/wire_codec.h"
 #include "src/obs/metric_registry.h"
 #include "src/retrieval/retrieval_backend.h"
+#include "src/retrieval/retrieval_engine.h"
 #include "src/util/status.h"
 #include "src/util/statusor.h"
 
@@ -39,18 +40,16 @@ struct RemoteBackendOptions {
 };
 
 /// A RetrievalBackend whose data lives in another process, behind a
-/// RetrievalServer.  Drop-in for local engines: ShardedRetrievalEngine's
-/// composed constructor or HedgedReplicaBackend stack on it with zero
-/// scatter/gather changes.
+/// RetrievalServer.  Drop-in for local shards: RetrievalEngine's composed
+/// constructor or HedgedReplicaBackend stack on it unchanged.
 ///
 /// Division of labor (the paper's pipeline, cut at the only seam that
 /// survives a process boundary): the EMBEDDING step runs client-side —
 /// `dx` is an opaque closure — and only the embedded vector crosses the
 /// wire (kScan).  The server runs the filter scan; the client refines
-/// the returned candidates with its own dx.  For a single remote backend
-/// this reproduces RetrievalEngine bit for bit; under the sharded
-/// engine, the composed ScatterScan merges remote candidate lists
-/// exactly as local ones.
+/// the returned candidates with its own dx.  Retrieve is a
+/// RetrievalEngine composed over this backend as its single shard, so
+/// it reproduces a local engine bit for bit.
 ///
 /// Deadlines cross the wire as REMAINING budget: each RPC computes
 /// options.deadline - now at send time, the server re-anchors against
@@ -78,6 +77,11 @@ class RemoteRetrievalBackend : public RetrievalBackend {
   StatusOr<ScanCandidatesResult> ScanCandidates(
       const Vector& embedded_query,
       const RetrievalOptions& options) const override;
+  /// Same, recording an rpc_scan span and grafting the server's spans
+  /// (prefixed "remote:") into `trace`.
+  StatusOr<ScanCandidatesResult> TracedScanCandidates(
+      const Vector& embedded_query, const RetrievalOptions& options,
+      obs::RequestTrace* trace) const override;
 
   /// Embeds client-side, ships the row (kInsert).
   Status Insert(size_t db_id, const DxToDatabaseFn& dx) override;
@@ -95,11 +99,6 @@ class RemoteRetrievalBackend : public RetrievalBackend {
   /// Remote size via kInfo; 0 when the peer is unreachable (size() has
   /// no error channel — used for load hints, not correctness).
   size_t size() const override;
-
-  /// Remote responses already carry database ids.
-  size_t db_id_of(size_t neighbor_index) const override {
-    return neighbor_index;
-  }
 
   const std::string& host() const { return host_; }
   uint16_t port() const { return port_; }
@@ -119,6 +118,9 @@ class RemoteRetrievalBackend : public RetrievalBackend {
   std::string host_;
   uint16_t port_;
   RemoteBackendOptions options_;
+
+  /// The read pipeline: an engine whose only shard is this backend.
+  std::unique_ptr<RetrievalEngine> pipeline_;
 
   mutable std::mutex pool_mu_;
   mutable std::vector<Socket> pool_;

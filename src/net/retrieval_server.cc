@@ -190,13 +190,7 @@ WireResponse RetrievalServer::Handle(const WireRequest& request) {
       auto retrieved = backend_->Retrieve(rpc);
       if (retrieved.ok()) {
         RetrievalResponse result = std::move(retrieved).value();
-        response.neighbors.reserve(result.neighbors.size());
-        for (const ScoredIndex& nb : result.neighbors) {
-          // Backend-local neighbor indices mean nothing in another
-          // process; ship database ids.
-          response.neighbors.push_back(
-              {backend_->db_id_of(nb.index), nb.score});
-        }
+        response.neighbors = std::move(result.neighbors);
         response.exact_distances = result.exact_distances;
         response.embedding_distances = result.embedding_distances;
         response.shard_stats = std::move(result.shard_stats);

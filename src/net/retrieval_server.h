@@ -50,9 +50,7 @@ struct RetrievalServerOptions {
 /// Request handling:
 ///  * kScan     -> backend->ScanCandidates (candidates already carry
 ///                 database ids).
-///  * kRetrieve -> options.raw_query_resolver + backend->Retrieve;
-///                 neighbor indices are translated to database ids via
-///                 backend->db_id_of before encoding.
+///  * kRetrieve -> options.raw_query_resolver + backend->Retrieve.
 ///  * kInsert   -> backend->InsertEmbedded (the row was embedded
 ///                 client-side).
 ///  * kRemove   -> backend->Remove.

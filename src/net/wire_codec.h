@@ -58,7 +58,7 @@ enum class WireOp : uint16_t {
   /// query, the response carries the backend's top-p as (db id, filter
   /// score).  The client refines with its own dx — the closure that
   /// cannot cross the wire — so a scatter over kScan shards is
-  /// bit-identical to the in-process sharded engine.
+  /// bit-identical to an in-process engine over the same shards.
   kScan = 1,
   /// Full server-side retrieval: `query` is a RAW query vector the
   /// server resolves to a dx via its configured RawQueryResolver.
@@ -110,9 +110,8 @@ struct WireSpan {
 };
 
 /// One response envelope: a Status plus whichever result fields the op
-/// fills.  `neighbors.index` values are always DATABASE IDS — the server
-/// translates via its backend's db_id_of before encoding, because
-/// shard-local row numbers are meaningless in another process.
+/// fills.  `neighbors.index` values are database ids, as on every
+/// backend.
 struct WireResponse {
   StatusCode code = StatusCode::kOk;
   std::string message;

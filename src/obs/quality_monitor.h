@@ -92,10 +92,9 @@ struct AuditTask {
   size_t k = 0;
   /// Neighbors the serving path returned, in served order.
   std::vector<AuditNeighbor> served;
-  /// The pinned views the serving path used: one for the monolithic
-  /// engine, one per shard for the sharded engine.  Holding them delays
-  /// version reclamation, which is why the audit queue is bounded and
-  /// sheds instead of growing.
+  /// The pinned views the serving path used, one per engine shard.
+  /// Holding them delays version reclamation, which is why the audit
+  /// queue is bounded and sheds instead of growing.
   std::vector<EmbeddedDatabase::Snapshot> snapshots;
   /// The request's trace when it carried one; the drift alarm stamps a
   /// mark into it.

@@ -71,8 +71,7 @@ struct RecoveryInfo {
 ///
 ///   1. Open(options)                    — scan WAL, read snapshot.
 ///   2. InstallSnapshot({db, ...})       — RestoreVersion into the dbs.
-///   3. engine->RebuildIdIndex() /
-///      sharded->RebuildAfterRestore()   — re-point the id indexes.
+///   3. engine->RebuildIdIndex()         — re-point the id indexes.
 ///   4. Replay(backend)                  — apply the WAL tail.
 ///
 /// After step 4 the backend is bit-identical to the crashed process at

@@ -5,10 +5,10 @@
 namespace qse {
 namespace persist {
 
-DurableBackend::DurableBackend(RetrievalBackend* inner,
-                               const Embedder* embedder,
-                               DurabilityManager* manager,
-                               std::vector<const EmbeddedDatabase*> snapshot_dbs)
+DurableBackend::DurableBackend(
+    RetrievalBackend* inner, const Embedder* embedder,
+    DurabilityManager* manager,
+    std::vector<const EmbeddedDatabase*> snapshot_dbs)
     : inner_(inner),
       embedder_(embedder),
       manager_(manager),

@@ -38,9 +38,8 @@ class DurableBackend : public RetrievalBackend {
  public:
   /// All pointers are borrowed and must outlive the backend.
   /// `snapshot_dbs` are the databases a snapshot serializes, in a FIXED
-  /// order that recovery must reproduce when installing: the monolithic
-  /// engine's single db, or the sharded engine's shard dbs in shard
-  /// order.
+  /// order that recovery must reproduce when installing: the engine's
+  /// shard databases in shard order.
   DurableBackend(RetrievalBackend* inner, const Embedder* embedder,
                  DurabilityManager* manager,
                  std::vector<const EmbeddedDatabase*> snapshot_dbs);
@@ -65,9 +64,6 @@ class DurableBackend : public RetrievalBackend {
   Status Remove(size_t db_id) override;
 
   size_t size() const override { return inner_->size(); }
-  size_t db_id_of(size_t neighbor_index) const override {
-    return inner_->db_id_of(neighbor_index);
-  }
 
   /// Takes a compacted snapshot now, at cut point last_seq().  Serialized
   /// against mutations; safe concurrently with retrievals.

@@ -11,16 +11,26 @@
 namespace qse {
 namespace {
 
+/// Offers row i's completed (or abandoned) score to `top` under its
+/// database id; returns whether the row was kept.  A score strictly
+/// above the threshold loses whatever its id, so the id column is read
+/// only for rows that can still enter the top p.
+inline bool OfferRow(BoundedTopK* top, const EmbeddedDatabase::View& db,
+                     size_t i, double score) {
+  if (score > top->threshold()) return false;
+  return top->Offer({db.id_of(i), score});
+}
+
 /// One streaming pass over the flat float64 buffer keeping the p
 /// smallest rows.  `row_score(x, d, threshold)` scores one row with the
 /// scorer's kernel and may stop early — returning any value strictly
 /// greater than `threshold` — once its running partial sum provably
 /// exceeds it.  Partial sums are monotone non-decreasing (non-negative
 /// terms), so an abandoned row's true score also exceeds the threshold
-/// and Offer() rejects it; completed rows return scores bit-identical
-/// to Score()'s (the dispatched kernels hold the span kernels' lane
+/// and is rejected; completed rows return scores bit-identical to
+/// Score()'s (the dispatched kernels hold the span kernels' lane
 /// discipline, see src/distance/simd/kernels.h), and BoundedTopK breaks
-/// ties by row index exactly like SmallestK.
+/// ties by database id.
 template <typename RowScoreFn>
 std::vector<ScoredIndex> TopPScan(const EmbeddedDatabase::View& db, size_t p,
                                   const RowScoreFn& row_score,
@@ -30,7 +40,7 @@ std::vector<ScoredIndex> TopPScan(const EmbeddedDatabase::View& db, size_t p,
   BoundedTopK top(std::min(p, n));
   size_t pruned = 0;
   for (size_t i = 0; i < n; ++i) {
-    pruned += !top.Offer({i, row_score(db.row(i), d, top.threshold())});
+    pruned += !OfferRow(&top, db, i, row_score(db.row(i), d, top.threshold()));
   }
   if (scan_stats != nullptr) *scan_stats = FilterScanStats{n, pruned};
   return top.TakeSortedAscending();
@@ -62,9 +72,26 @@ std::vector<ScoredIndex> TopPScanReduced(const EmbeddedDatabase::View& db,
       cached_threshold = t;
       widened = FloatAtLeast(WidenedAbandonThreshold(t, bound));
     }
-    pruned += !top.Offer({i, static_cast<double>(row_score(i, widened))});
+    pruned +=
+        !OfferRow(&top, db, i, static_cast<double>(row_score(i, widened)));
   }
   if (scan_stats != nullptr) *scan_stats = FilterScanStats{n, pruned};
+  return top.TakeSortedAscending();
+}
+
+/// The unpruned fallback's selection: the p best of a full score vector,
+/// by (score, database id).
+std::vector<ScoredIndex> TopPOfScores(const std::vector<double>& scores,
+                                      const EmbeddedDatabase::View& db,
+                                      size_t p, FilterScanStats* scan_stats) {
+  BoundedTopK top(std::min(p, scores.size()));
+  size_t pruned = 0;
+  for (size_t i = 0; i < scores.size(); ++i) {
+    pruned += !OfferRow(&top, db, i, scores[i]);
+  }
+  if (scan_stats != nullptr) {
+    *scan_stats = FilterScanStats{scores.size(), pruned};
+  }
   return top.TakeSortedAscending();
 }
 
@@ -106,11 +133,7 @@ std::vector<ScoredIndex> FilterScorer::ScoreTopP(
                 "with reduced-precision support override it");
   std::vector<double> scores;
   Score(embedded_query, db, &scores);
-  std::vector<ScoredIndex> best = SmallestK(scores, p);
-  if (scan_stats != nullptr) {
-    *scan_stats = FilterScanStats{db.size(), db.size() - best.size()};
-  }
-  return best;
+  return TopPOfScores(scores, db, p, scan_stats);
 }
 
 void QuerySensitiveScorer::ScoreWithWeights(const Vector& weights,
@@ -155,11 +178,7 @@ std::vector<ScoredIndex> QuerySensitiveScorer::ScoreTopP(
     // paying a second A_i(q) evaluation inside Score().
     std::vector<double> scores;
     ScoreWithWeights(weights, embedded_query, db, &scores);
-    std::vector<ScoredIndex> best = SmallestK(scores, p);
-    if (scan_stats != nullptr) {
-      *scan_stats = FilterScanStats{db.size(), db.size() - best.size()};
-    }
-    return best;
+    return TopPOfScores(scores, db, p, scan_stats);
   }
   const double* q = embedded_query.data();
   const double* w = weights.data();

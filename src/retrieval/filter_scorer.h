@@ -41,10 +41,13 @@ class FilterScorer {
                      const EmbeddedDatabase::View& db,
                      std::vector<double>* scores) const = 0;
 
-  /// The p best rows, ascending by (score, row) — under kExact64 exactly
-  /// SmallestK(Score(...), p), but computed as one blocked streaming pass
-  /// over the flat buffer with early-abandon pruning: a row is dropped as
-  /// soon as its partial sum exceeds the running p-th-best threshold.
+  /// The p best rows as (database id, score), ascending by (score, id):
+  /// ids come from the view's id column, so ties break the same way
+  /// whichever shard or row holds a candidate (a quiescent database's
+  /// ids default to its rows).  Under kExact64 the scores are exactly
+  /// Score(...)'s, but computed as one blocked streaming pass over the
+  /// flat buffer with early-abandon pruning: a row is dropped as soon as
+  /// its partial sum exceeds the running p-th-best threshold.
   /// Valid for kernels with non-negative per-dimension terms (all three
   /// here; the query-sensitive scorer verifies its weights and falls back
   /// to a full scan if any are negative).
@@ -61,7 +64,7 @@ class FilterScorer {
   /// float64 rows of the same snapshot either way.
   ///
   /// The base implementation is the unpruned exact fallback (full Score
-  /// + SmallestK, kExact64 only); subclasses override with the fused
+  /// then selection, kExact64 only); subclasses override with the fused
   /// dispatched kernels.
   ///
   /// A non-null `scan_stats` is filled with the scan's row counters

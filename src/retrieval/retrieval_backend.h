@@ -57,9 +57,8 @@ struct RetrievalOptions {
   /// substitutes its own retrieve_threads policy: a request does not get
   /// to choose the server's parallelism.
   size_t num_threads = 0;
-  /// When true the response's shard_stats is filled: per-shard scan and
-  /// candidate counters from the sharded engine, or the whole database
-  /// reported as a single pseudo-shard by the monolithic engine.
+  /// When true the response's shard_stats is filled with per-shard scan
+  /// and candidate counters.
   bool want_stats = false;
   /// Admission lane in the async server; ignored by direct engine calls.
   RequestPriority priority = RequestPriority::kNormal;
@@ -146,10 +145,8 @@ struct ShardScanStats {
 
 /// Result of one filter-and-refine retrieval.
 struct RetrievalResponse {
-  /// Top-k neighbors by exact distance among the refined candidates.
-  /// `index` is backend-specific — db rows for RetrievalEngine, database
-  /// ids for ShardedRetrievalEngine — and always resolves to a database
-  /// id through the owning backend's db_id_of().
+  /// Top-k neighbors by exact distance among the refined candidates,
+  /// ascending by (score, database id); `index` is the database id.
   std::vector<ScoredIndex> neighbors;
   /// Exact DX evaluations spent: embedding step + refine step.  This is
   /// the paper's per-query cost measure.
@@ -157,8 +154,7 @@ struct RetrievalResponse {
   /// Of which, spent embedding the query.
   size_t embedding_distances = 0;
   /// Filled iff the request set want_stats: shard_stats[s] covers shard
-  /// s of the sharded engine; the monolithic engine reports its whole
-  /// database as shard_stats[0].  Empty otherwise.
+  /// s of the engine.  Empty otherwise.
   std::vector<ShardScanStats> shard_stats;
   /// The request's trace, passed through when the request carried one
   /// (sampled requests in the async server); null otherwise.  By the
@@ -168,10 +164,10 @@ struct RetrievalResponse {
 
 /// Result of a filter-only candidate scan (ScanCandidates): the
 /// backend's local top-p under the filter metric, before any exact
-/// refine.  Candidate `index` fields are DATABASE IDS, not rows, and the
-/// list is sorted by (score, id) — exactly the per-shard lists the
-/// sharded engine's k-way merge consumes, so a remote shard's scan can
-/// be merged interchangeably with local ones.
+/// refine.  Candidate `index` fields are database ids and the list is
+/// sorted by (score, id) — exactly the per-shard lists the engine's k-way
+/// merge consumes, so a remote shard's scan merges interchangeably with
+/// local ones.
 struct ScanCandidatesResult {
   std::vector<ScoredIndex> candidates;
   /// Rows the backend held at scan time (the shard size a want_stats
@@ -182,9 +178,9 @@ struct ScanCandidatesResult {
 };
 
 /// The serving-facing face of a retrieval engine: the filter-and-refine
-/// query API plus incremental mutation, shared by the monolithic
-/// RetrievalEngine and the sharded scatter/gather engine so examples,
-/// evaluation drivers and the serving layer can swap one for the other
+/// query API plus incremental mutation, shared by RetrievalEngine and
+/// the decorators stacked on it (remote, hedged, durable) so examples,
+/// evaluation drivers and the serving layer swap one for the other
 /// behind a single interface.
 ///
 /// Contract, identical across implementations:
@@ -227,36 +223,37 @@ class RetrievalBackend {
   /// an already-embedded query, as (database id, filter score) sorted by
   /// (score, id) — the distributable half of the pipeline.  The exact
   /// refine (which needs the caller's `dx` closure and so cannot cross a
-  /// process boundary) stays with the caller: embed once, scatter scans,
-  /// merge, refine the merged top-p — byte-identical to what the sharded
-  /// engine does in-process.  Honors k/p/filter_precision/want_stats
-  /// semantics of Retrieve; `options.k` is ignored (no refine here).
-  /// Default: Unimplemented, for backends that only serve full
-  /// retrievals.
+  /// process boundary) stays with the caller: embed once, scan every
+  /// shard, merge, refine the merged top p.  Honors the
+  /// p/filter_precision semantics of Retrieve; `options.k` is ignored
+  /// (no refine here).
   virtual StatusOr<ScanCandidatesResult> ScanCandidates(
-      const Vector& embedded_query, const RetrievalOptions& options) const {
-    (void)embedded_query;
-    (void)options;
-    return Status::Unimplemented(
-        "this backend does not serve filter-only candidate scans");
+      const Vector& embedded_query, const RetrievalOptions& options) const = 0;
+
+  /// ScanCandidates for a traced request.  A backend whose scan runs in
+  /// another process overrides it to graft that process's spans into
+  /// `trace` (may be null); the default ignores the trace.
+  virtual StatusOr<ScanCandidatesResult> TracedScanCandidates(
+      const Vector& embedded_query, const RetrievalOptions& options,
+      obs::RequestTrace* trace) const {
+    (void)trace;
+    return ScanCandidates(embedded_query, options);
   }
 
   /// Adds an object whose embedding was already computed (the remote
   /// path: the client embeds with its own `dx`, the row crosses the wire
   /// pre-embedded).  Same duplicate-id contract as Insert; the row must
-  /// have the backend's dimensionality.  Default: Unimplemented.
-  virtual Status InsertEmbedded(size_t db_id, const Vector& embedded_row) {
-    (void)db_id;
-    (void)embedded_row;
-    return Status::Unimplemented(
-        "this backend does not accept pre-embedded rows");
-  }
+  /// have the backend's dimensionality.
+  virtual Status InsertEmbedded(size_t db_id, const Vector& embedded_row) = 0;
 
   /// Number of database objects currently live.
   virtual size_t size() const = 0;
 
-  /// Database id behind a RetrievalResponse neighbor index.
-  virtual size_t db_id_of(size_t neighbor_index) const = 0;
+  /// Database id behind a RetrievalResponse neighbor index: the
+  /// identity, since neighbors are database ids on every backend.
+  virtual size_t db_id_of(size_t neighbor_index) const {
+    return neighbor_index;
+  }
 };
 
 }  // namespace qse

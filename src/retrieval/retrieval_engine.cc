@@ -1,6 +1,7 @@
 #include "src/retrieval/retrieval_engine.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/distance/simd/dispatch.h"
 #include "src/obs/quality_monitor.h"
@@ -20,15 +21,43 @@ double NsSince(MonotonicClock::time_point start) {
           .count());
 }
 
+/// splitmix64 finalizer: full avalanche, so the sequential ids most
+/// callers use spread evenly instead of striping shards modulo S.
+uint64_t Mix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+obs::Histogram* StageHistogram(const char* name) {
+  return obs::MetricRegistry::Global().GetHistogram(
+      name, obs::DefaultLatencyBoundariesNs());
+}
+
+/// Moves the candidate lists out of `scans` for the k-way merge.
+std::vector<std::vector<ScoredIndex>> TakeCandidateLists(
+    std::vector<ScanCandidatesResult>* scans) {
+  std::vector<std::vector<ScoredIndex>> lists;
+  lists.reserve(scans->size());
+  for (ScanCandidatesResult& scan : *scans) {
+    lists.push_back(std::move(scan.candidates));
+  }
+  return lists;
+}
+
 }  // namespace
+
+size_t HashShardOf(size_t db_id, size_t num_shards) {
+  return static_cast<size_t>(Mix64(db_id) % num_shards);
+}
 
 RetrievalEngine::RetrievalEngine(const Embedder* embedder,
                                  const FilterScorer* scorer,
-                                 EmbeddedDatabase* db,
-                                 std::vector<size_t> db_ids)
+                                 size_t scatter_threads)
     : embedder_(embedder),
       scorer_(scorer),
-      db_(db),
+      scatter_threads_(scatter_threads),
       retrievals_total_(obs::MetricRegistry::Global().GetCounter(
           "qse_engine_retrievals_total")),
       exact_distances_total_(obs::MetricRegistry::Global().GetCounter(
@@ -37,44 +66,229 @@ RetrievalEngine::RetrievalEngine(const Embedder* embedder,
           "qse_engine_filter_rows_visited_total")),
       filter_rows_pruned_total_(obs::MetricRegistry::Global().GetCounter(
           "qse_engine_filter_rows_pruned_total")),
-      embed_ns_(obs::MetricRegistry::Global().GetHistogram(
-          "qse_engine_embed_latency_ns", obs::DefaultLatencyBoundariesNs())),
-      filter_ns_(obs::MetricRegistry::Global().GetHistogram(
-          "qse_engine_filter_latency_ns", obs::DefaultLatencyBoundariesNs())),
-      refine_ns_(obs::MetricRegistry::Global().GetHistogram(
-          "qse_engine_refine_latency_ns", obs::DefaultLatencyBoundariesNs())) {
-  QSE_CHECK(db_->size() == db_ids.size());
-  db_->AssignIds(db_ids);
-  row_of_.reserve(db_ids.size());
-  for (size_t row = 0; row < db_ids.size(); ++row) {
-    bool inserted = row_of_.emplace(db_ids[row], row).second;
-    QSE_CHECK_MSG(inserted, "duplicate database id " << db_ids[row]);
+      embed_ns_(StageHistogram("qse_engine_embed_latency_ns")),
+      scan_ns_(StageHistogram("qse_engine_scan_latency_ns")),
+      merge_ns_(StageHistogram("qse_engine_merge_latency_ns")),
+      refine_ns_(StageHistogram("qse_engine_refine_latency_ns")) {}
+
+RetrievalEngine::RetrievalEngine(const Embedder* embedder,
+                                 const FilterScorer* scorer,
+                                 EmbeddedDatabase* db,
+                                 std::vector<size_t> db_ids)
+    : RetrievalEngine(embedder, scorer, /*scatter_threads=*/1) {
+  QSE_CHECK(db->size() == db_ids.size());
+  shards_.resize(1);
+  shards_[0].db = db;
+  db->AssignIds(db_ids);
+  RebuildIdIndex();
+}
+
+RetrievalEngine::RetrievalEngine(const Embedder* embedder,
+                                 const FilterScorer* scorer,
+                                 ShardedEngineOptions options)
+    : RetrievalEngine(embedder, scorer, options.scatter_threads) {
+  AddOwnedShards(options.num_shards, embedder_->dims());
+  for (Shard& shard : shards_) {
+    if (options.filter_shadows != 0) {
+      shard.db->EnableFilterShadows(options.filter_shadows);
+    }
   }
 }
 
-StatusOr<RetrievalResponse> RetrievalEngine::Retrieve(
-    const RetrievalRequest& request) const {
-  StatusOr<RetrievalResponse> result =
-      RetrieveOne(request.dx, request.options, request.trace);
-  if (result.ok()) result.value().trace = request.trace;
-  return result;
+RetrievalEngine::RetrievalEngine(const Embedder* embedder,
+                                 const FilterScorer* scorer,
+                                 const EmbeddedDatabase& db,
+                                 const std::vector<size_t>& db_ids,
+                                 ShardedEngineOptions options)
+    : RetrievalEngine(embedder, scorer, options.scatter_threads) {
+  QSE_CHECK_MSG(db.size() == db_ids.size(),
+                "db has " << db.size() << " rows but " << db_ids.size()
+                          << " ids");
+  AddOwnedShards(options.num_shards,
+                 db.empty() ? embedder_->dims() : db.dims());
+  const size_t num_shards = shards_.size();
+  for (Shard& shard : shards_) shard.db->Reserve(db.size() / num_shards + 1);
+  for (size_t row = 0; row < db.size(); ++row) {
+    // Borrowed row view: no temporary.
+    shards_[ShardOf(db_ids[row])].db->Append(db.row(row), db_ids[row]);
+  }
+  // Shadows build after the bulk fill: one pass per shard instead of
+  // per-Append maintenance during partitioning.
+  for (Shard& shard : shards_) {
+    if (options.filter_shadows != 0) {
+      shard.db->EnableFilterShadows(options.filter_shadows);
+    }
+  }
+  RebuildIdIndex();
+}
+
+RetrievalEngine::RetrievalEngine(
+    const Embedder* embedder,
+    std::vector<std::shared_ptr<RetrievalBackend>> shard_backends,
+    ShardedEngineOptions options)
+    : RetrievalEngine(embedder, nullptr, options.scatter_threads) {
+  QSE_CHECK_MSG(!shard_backends.empty(),
+                "a composed engine needs at least one shard backend");
+  shards_.resize(shard_backends.size());
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    QSE_CHECK_MSG(shard_backends[s] != nullptr, "null shard backend");
+    shards_[s].backend = std::move(shard_backends[s]);
+  }
+  local_ = false;
+}
+
+void RetrievalEngine::AddOwnedShards(size_t num_shards, size_t dims) {
+  shards_.resize(num_shards == 0 ? DefaultParallelism() : num_shards);
+  for (Shard& shard : shards_) {
+    shard.owned = std::make_unique<EmbeddedDatabase>(dims);
+    shard.db = shard.owned.get();
+  }
+}
+
+size_t RetrievalEngine::size() const {
+  size_t total = 0;
+  for (const Shard& shard : shards_) {
+    total += shard.backend != nullptr ? shard.backend->size()
+                                      : shard.db->size();
+  }
+  return total;
+}
+
+std::vector<size_t> RetrievalEngine::shard_sizes() const {
+  std::vector<size_t> sizes;
+  sizes.reserve(shards_.size());
+  for (const Shard& shard : shards_) {
+    sizes.push_back(shard.backend != nullptr ? shard.backend->size()
+                                             : shard.db->size());
+  }
+  return sizes;
+}
+
+std::vector<size_t> RetrievalEngine::db_ids() const {
+  std::vector<size_t> ids;
+  for (const Shard& shard : shards_) {
+    if (shard.db == nullptr) continue;
+    std::vector<size_t> part = shard.db->ids();
+    ids.insert(ids.end(), part.begin(), part.end());
+  }
+  return ids;
+}
+
+void RetrievalEngine::RebuildIdIndex() {
+  std::lock_guard<std::mutex> lock(mutation_mu_);
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    Shard& shard = shards_[s];
+    QSE_CHECK_MSG(shard.db != nullptr,
+                  "RebuildIdIndex needs locally held shards");
+    std::vector<size_t> ids = shard.db->ids();
+    shard.row_of.clear();
+    shard.row_of.reserve(ids.size());
+    for (size_t row = 0; row < ids.size(); ++row) {
+      QSE_CHECK_MSG(ShardOf(ids[row]) == s,
+                    "database id " << ids[row] << " stored in shard " << s
+                                   << " routes to shard "
+                                   << ShardOf(ids[row]));
+      bool inserted = shard.row_of.emplace(ids[row], row).second;
+      QSE_CHECK_MSG(inserted, "duplicate database id " << ids[row]);
+    }
+  }
+}
+
+Status RetrievalEngine::Scan(
+    const Vector& fq, const RetrievalOptions& options, size_t scatter_threads,
+    obs::RequestTrace* trace, std::vector<ScanCandidatesResult>* scans,
+    std::vector<EmbeddedDatabase::Snapshot>* pins) const {
+  const size_t num_shards = shards_.size();
+  const uint32_t needed_shadows = ShadowMaskFor(options.filter_precision);
+  scans->assign(num_shards, {});
+  std::vector<std::optional<EmbeddedDatabase::Snapshot>> pinned(
+      pins != nullptr ? num_shards : 0);
+  // Shard scans can fail (a missing shadow, a remote peer down mid
+  // fan-out); collect the first failure and fail the query honestly.
+  std::mutex error_mu;
+  Status first_error = Status::OK();
+  auto fail = [&](Status status) {
+    std::lock_guard<std::mutex> lock(error_mu);
+    if (first_error.ok()) first_error = std::move(status);
+  };
+  // Grain 2: one item is a whole shard scan; a single shard stays
+  // serial.
+  ParallelForGrain(
+      0, num_shards, 2,
+      [&](size_t s) {
+        const Shard& shard = shards_[s];
+        ScanCandidatesResult& scan = (*scans)[s];
+        uint64_t span_start = obs::TraceNowNs(trace);
+        if (shard.backend != nullptr) {
+          // The backend counts the rows it scans where its scan runs.
+          StatusOr<ScanCandidatesResult> remote =
+              shard.backend->TracedScanCandidates(fq, options, trace);
+          if (!remote.ok()) return fail(remote.status());
+          scan = std::move(remote).value();
+        } else {
+          // Local shard: scan one pinned epoch snapshot so a concurrent
+          // mutation of the shard never tears the scan.
+          EmbeddedDatabase::Snapshot snap = shard.db->snapshot();
+          const EmbeddedDatabase::View& view = snap.view();
+          if ((view.shadows() & needed_shadows) != needed_shadows) {
+            return fail(Status::FailedPrecondition(
+                std::string("filter precision ") +
+                FilterPrecisionName(options.filter_precision) +
+                " needs a shadow matrix the database does not carry; call "
+                "EnableFilterShadows on it or construct the engine with "
+                "ShardedEngineOptions::filter_shadows"));
+          }
+          FilterScanStats stats;
+          if (!view.empty()) {
+            scan.candidates = scorer_->ScoreTopP(
+                fq, view, options.p, options.filter_precision, &stats);
+          }
+          scan.rows = view.size();
+          scan.rows_pruned = stats.rows_pruned;
+          filter_rows_visited_total_->Add(stats.rows_visited);
+          filter_rows_pruned_total_->Add(stats.rows_pruned);
+          // `view` stays valid: moving a Snapshot moves its pin, not the
+          // View it exposes.
+          if (pins != nullptr) pinned[s].emplace(std::move(snap));
+        }
+        obs::TraceMark(
+            trace, "shard_scan", span_start,
+            {obs::TraceArg{"shard", static_cast<int64_t>(s), nullptr},
+             obs::TraceArg{"rows", static_cast<int64_t>(scan.rows), nullptr},
+             obs::TraceArg{"rows_pruned",
+                           static_cast<int64_t>(scan.rows_pruned), nullptr},
+             obs::TraceArg{"simd", 0,
+                           simd::SimdLevelName(simd::ActiveSimdLevel())},
+             obs::TraceArg{"precision", 0,
+                           FilterPrecisionName(options.filter_precision)},
+             obs::TraceArg{"composed", shard.backend != nullptr, nullptr}});
+      },
+      scatter_threads);
+  QSE_RETURN_IF_ERROR(first_error);
+  for (std::optional<EmbeddedDatabase::Snapshot>& snap : pinned) {
+    pins->push_back(std::move(*snap));
+  }
+  return Status::OK();
 }
 
 StatusOr<RetrievalResponse> RetrievalEngine::RetrieveOne(
     const DxToDatabaseFn& dx, const RetrievalOptions& options,
+    size_t scatter_threads,
     const std::shared_ptr<obs::RequestTrace>& trace_ptr) const {
   obs::RequestTrace* trace = trace_ptr.get();
   QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
-  // Fast-fail on an empty database before spending embedding distances
-  // on `dx` (cheap atomic peek; the pinned snapshot below re-checks
-  // authoritatively under concurrent mutation).
-  if (db_->empty()) {
+  // Fast-fail on an empty local database before spending embedding
+  // distances on `dx` (cheap atomic peeks; the pinned snapshots re-check
+  // authoritatively under concurrent mutation).  Composed shards are
+  // only asked by the scan itself.
+  if (local_ && size() == 0) {
     return Status::FailedPrecondition("embedded database is empty");
   }
 
   RetrievalResponse response;
-  // Embedding step: before the snapshot pin — it only talks to `dx`,
-  // and shorter pins let mutations reclaim retired versions sooner.
+  // Embedding step: once per query, shared by every shard's scan, and
+  // before any snapshot pin — it only talks to `dx`, and shorter pins
+  // let mutations reclaim retired versions sooner.
   size_t embed_cost = 0;
   uint64_t span_start = obs::TraceNowNs(trace);
   MonotonicClock::time_point stage_start = MonotonicClock::now();
@@ -83,67 +297,59 @@ StatusOr<RetrievalResponse> RetrievalEngine::RetrieveOne(
   obs::TraceMark(trace, "embed", span_start);
   response.embedding_distances = embed_cost;
 
-  // Pin one consistent (rows, ids, count) snapshot for the whole query:
-  // filter and refine see the same database state however many
-  // mutations land meanwhile.
-  EmbeddedDatabase::Snapshot snap = db_->snapshot();
-  const EmbeddedDatabase::View& view = snap.view();
-  if (view.empty()) {
+  // Scan: each shard keeps its local top p (the global top p could in
+  // the worst case live entirely in one shard).  An attached monitor
+  // keeps the pinned snapshots: an audit must score the exact views
+  // this response was served from, not the live shards.
+  const bool keep_pins = local_ && options.audit_monitor != nullptr;
+  std::vector<ScanCandidatesResult> scans;
+  std::vector<EmbeddedDatabase::Snapshot> pins;
+  stage_start = MonotonicClock::now();
+  Status scanned = Scan(fq, options, scatter_threads, trace, &scans,
+                        keep_pins ? &pins : nullptr);
+  scan_ns_->Record(NsSince(stage_start));
+  QSE_RETURN_IF_ERROR(scanned);
+  size_t total_rows = 0;
+  for (const ScanCandidatesResult& scan : scans) total_rows += scan.rows;
+  if (total_rows == 0) {
     return Status::FailedPrecondition("embedded database is empty");
   }
-  const size_t k = options.k;
-  const size_t p = std::min(options.p, view.size());
+  std::vector<std::vector<ScoredIndex>> per_shard = TakeCandidateLists(&scans);
 
-  // Reduced-precision scans need the matching shadow matrix in the
-  // pinned view; fail the request cleanly instead of tripping the
-  // scorer's internal contract check.
-  uint32_t needed = ShadowMaskFor(options.filter_precision);
-  if ((view.shadows() & needed) != needed) {
-    return Status::FailedPrecondition(
-        std::string("filter precision ") +
-        FilterPrecisionName(options.filter_precision) +
-        " needs a shadow matrix this database does not carry; call "
-        "EnableFilterShadows on it first");
-  }
-
-  // Filter step: one streaming early-abandon scan keeping the top p.
-  FilterScanStats scan_stats;
+  // Merge: k-way heap merge down to the global top p under (score, id).
   span_start = obs::TraceNowNs(trace);
   stage_start = MonotonicClock::now();
-  std::vector<ScoredIndex> candidates =
-      scorer_->ScoreTopP(fq, view, p, options.filter_precision, &scan_stats);
-  filter_ns_->Record(NsSince(stage_start));
-  filter_rows_visited_total_->Add(scan_stats.rows_visited);
-  filter_rows_pruned_total_->Add(scan_stats.rows_pruned);
-  obs::TraceMark(
-      trace, "filter_scan", span_start,
-      {obs::TraceArg{"rows", static_cast<int64_t>(scan_stats.rows_visited),
-                     nullptr},
-       obs::TraceArg{"rows_pruned",
-                     static_cast<int64_t>(scan_stats.rows_pruned), nullptr},
-       obs::TraceArg{"simd", 0,
-                     simd::SimdLevelName(simd::ActiveSimdLevel())},
-       obs::TraceArg{"precision", 0,
-                     FilterPrecisionName(options.filter_precision)}});
+  std::vector<ScoredIndex> candidates = MergeSortedTopK(per_shard, options.p);
+  merge_ns_->Record(NsSince(stage_start));
+  obs::TraceMark(trace, "merge", span_start,
+                 {obs::TraceArg{"candidates",
+                                static_cast<int64_t>(candidates.size()),
+                                nullptr}});
 
-  // The monolithic engine is one pseudo-shard: every row scanned, every
-  // candidate contributed — the same shape the sharded engine reports,
-  // so stats consumers need no backend-specific cases.
   if (options.want_stats) {
-    response.shard_stats = {{view.size(), candidates.size()}};
+    // The merged top p is a prefix of the (score, id) order and ids are
+    // disjoint across shards, so shard s contributed exactly the entries
+    // of its sorted list that do not sort after the last merged one.
+    response.shard_stats.assign(per_shard.size(), ShardScanStats{});
+    for (size_t s = 0; s < per_shard.size(); ++s) {
+      response.shard_stats[s].rows = scans[s].rows;
+      for (const ScoredIndex& c : per_shard[s]) {
+        if (candidates.empty() || candidates.back() < c) break;
+        ++response.shard_stats[s].candidates;
+      }
+    }
   }
 
-  // Refine step: exact distances on the p candidates only, resolving
-  // rows to database ids through the pinned snapshot's id column.
+  // Refine: exact distances on the merged p only.
   span_start = obs::TraceNowNs(trace);
   stage_start = MonotonicClock::now();
   std::vector<ScoredIndex> refined;
   refined.reserve(candidates.size());
   for (const ScoredIndex& c : candidates) {
-    refined.push_back({c.index, dx(view.id_of(c.index))});
+    refined.push_back({c.index, dx(c.index)});
   }
   std::sort(refined.begin(), refined.end());
-  if (refined.size() > k) refined.resize(k);
+  if (refined.size() > options.k) refined.resize(options.k);
   refine_ns_->Record(NsSince(stage_start));
   obs::TraceMark(trace, "refine", span_start,
                  {obs::TraceArg{"candidates",
@@ -155,25 +361,30 @@ StatusOr<RetrievalResponse> RetrievalEngine::RetrieveOne(
   exact_distances_total_->Add(response.exact_distances);
 
   // Quality audit hook: offer 1-in-N completed responses to the
-  // monitor, handing it the SAME pinned snapshot this response was
-  // served from so the background exact re-scan scores identical rows
-  // under concurrent mutation.  Costs one atomic tick when a monitor is
-  // attached; sampled responses additionally move the pin instead of
-  // dropping it here.
-  if (options.audit_monitor != nullptr &&
-      options.audit_monitor->ShouldSample()) {
+  // monitor with the snapshots this response was served from, so the
+  // background exact re-scan scores identical rows under concurrent
+  // mutation.
+  if (keep_pins && options.audit_monitor->ShouldSample()) {
     obs::AuditTask audit;
     audit.dx = dx;
-    audit.k = k;
+    audit.k = options.k;
     audit.served.reserve(response.neighbors.size());
     for (const ScoredIndex& nb : response.neighbors) {
-      audit.served.push_back({view.id_of(nb.index), nb.score});
+      audit.served.push_back({nb.index, nb.score});
     }
-    audit.snapshots.push_back(std::move(snap));
+    audit.snapshots = std::move(pins);
     audit.trace = trace_ptr;
     options.audit_monitor->SubmitAudit(std::move(audit));
   }
   return response;
+}
+
+StatusOr<RetrievalResponse> RetrievalEngine::Retrieve(
+    const RetrievalRequest& request) const {
+  StatusOr<RetrievalResponse> result = RetrieveOne(
+      request.dx, request.options, scatter_threads_, request.trace);
+  if (result.ok()) result.value().trace = request.trace;
+  return result;
 }
 
 StatusOr<std::vector<RetrievalResponse>> RetrievalEngine::RetrieveBatch(
@@ -182,7 +393,7 @@ StatusOr<std::vector<RetrievalResponse>> RetrievalEngine::RetrieveBatch(
   // Validate once up front so a bad parameter fails the whole batch
   // instead of every entry failing identically in parallel.
   QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
-  if (db_->empty()) {
+  if (local_ && size() == 0) {
     return Status::FailedPrecondition("embedded database is empty");
   }
 
@@ -192,13 +403,14 @@ StatusOr<std::vector<RetrievalResponse>> RetrievalEngine::RetrieveBatch(
   // failure and fail the batch honestly instead of crashing.
   std::mutex error_mu;
   Status first_error = Status::OK();
-  // Grain 2: one item is a whole filter-and-refine retrieval, expensive
-  // enough to parallelize even a handful of queries.
+  // Grain 2: one item is a whole retrieval, expensive enough to
+  // parallelize even a handful of queries.  Each query scans its shards
+  // serially: one level of parallelism, never nested.
   ParallelForGrain(
       0, queries.size(), 2,
       [&](size_t i) {
-        StatusOr<RetrievalResponse> r =
-            RetrieveOne(queries[i], options, /*trace=*/{});
+        StatusOr<RetrievalResponse> r = RetrieveOne(
+            queries[i], options, /*scatter_threads=*/1, /*trace=*/{});
         if (!r.ok()) {
           std::lock_guard<std::mutex> lock(error_mu);
           if (first_error.ok()) first_error = r.status();
@@ -214,108 +426,82 @@ StatusOr<std::vector<RetrievalResponse>> RetrievalEngine::RetrieveBatch(
 StatusOr<ScanCandidatesResult> RetrievalEngine::ScanCandidates(
     const Vector& embedded_query, const RetrievalOptions& options) const {
   QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
-  if (embedded_query.size() != db_->dims()) {
+  const size_t dims = local_ ? shards_[0].db->dims() : embedder_->dims();
+  if (embedded_query.size() != dims) {
     return Status::InvalidArgument(
         "embedded query has " + std::to_string(embedded_query.size()) +
-        " dims, database holds " + std::to_string(db_->dims()));
+        " dims, engine holds " + std::to_string(dims));
   }
-  EmbeddedDatabase::Snapshot snap = db_->snapshot();
-  const EmbeddedDatabase::View& view = snap.view();
-  // Unlike Retrieve, an empty backend is NOT an error here: a scan
+  // Unlike Retrieve, an empty engine is NOT an error here: a scan
   // contributes nothing, and the gathering caller — who can see every
   // shard — decides whether overall emptiness is FailedPrecondition.
-  if (view.empty()) return ScanCandidatesResult{};
-  uint32_t needed = ShadowMaskFor(options.filter_precision);
-  if ((view.shadows() & needed) != needed) {
-    return Status::FailedPrecondition(
-        std::string("filter precision ") +
-        FilterPrecisionName(options.filter_precision) +
-        " needs a shadow matrix this database does not carry; call "
-        "EnableFilterShadows on it first");
-  }
-  const size_t p = std::min(options.p, view.size());
-
-  FilterScanStats scan_stats;
+  std::vector<ScanCandidatesResult> scans;
   MonotonicClock::time_point stage_start = MonotonicClock::now();
-  std::vector<ScoredIndex> local = scorer_->ScoreTopP(
-      embedded_query, view, p, options.filter_precision, &scan_stats);
-  filter_ns_->Record(NsSince(stage_start));
-  filter_rows_visited_total_->Add(scan_stats.rows_visited);
-  filter_rows_pruned_total_->Add(scan_stats.rows_pruned);
-
-  // Rows -> database ids through the same snapshot, then re-sort into
-  // the (score, id) total order the k-way merge requires — exactly the
-  // per-shard translation ShardedRetrievalEngine::ScatterGather does.
-  for (ScoredIndex& c : local) c.index = view.id_of(c.index);
-  std::sort(local.begin(), local.end());
+  QSE_RETURN_IF_ERROR(Scan(embedded_query, options, scatter_threads_,
+                           /*trace=*/nullptr, &scans, /*pins=*/nullptr));
+  scan_ns_->Record(NsSince(stage_start));
 
   ScanCandidatesResult result;
-  result.candidates = std::move(local);
-  result.rows = view.size();
-  result.rows_pruned = scan_stats.rows_pruned;
+  for (const ScanCandidatesResult& scan : scans) {
+    result.rows += scan.rows;
+    result.rows_pruned += scan.rows_pruned;
+  }
+  result.candidates = MergeSortedTopK(TakeCandidateLists(&scans), options.p);
   return result;
+}
+
+Status RetrievalEngine::AppendLocked(Shard& shard, size_t db_id,
+                                     const Vector& row) {
+  if (shard.row_of.count(db_id) != 0) {
+    return Status::InvalidArgument("database id already present: " +
+                                   std::to_string(db_id));
+  }
+  if (row.size() != shard.db->dims()) {
+    return Status::InvalidArgument(
+        "embedded row has " + std::to_string(row.size()) +
+        " dims, database holds " + std::to_string(shard.db->dims()));
+  }
+  shard.row_of.emplace(db_id, shard.db->Append(row, db_id));
+  return Status::OK();
 }
 
 Status RetrievalEngine::InsertEmbedded(size_t db_id,
                                        const Vector& embedded_row) {
+  Shard& shard = shards_[ShardOf(db_id)];
+  if (shard.backend != nullptr) {
+    return shard.backend->InsertEmbedded(db_id, embedded_row);
+  }
   std::lock_guard<std::mutex> lock(mutation_mu_);
-  if (row_of_.count(db_id) != 0) {
-    return Status::InvalidArgument("database id already present: " +
-                                   std::to_string(db_id));
-  }
-  if (embedded_row.size() != db_->dims()) {
-    return Status::InvalidArgument(
-        "embedded row has " + std::to_string(embedded_row.size()) +
-        " dims, database holds " + std::to_string(db_->dims()));
-  }
-  size_t row = db_->Append(embedded_row, db_id);
-  row_of_.emplace(db_id, row);
-  return Status::OK();
+  return AppendLocked(shard, db_id, embedded_row);
 }
 
 Status RetrievalEngine::Insert(size_t db_id, const DxToDatabaseFn& dx) {
+  Shard& shard = shards_[ShardOf(db_id)];
+  if (shard.backend != nullptr) return shard.backend->Insert(db_id, dx);
   std::lock_guard<std::mutex> lock(mutation_mu_);
-  if (row_of_.count(db_id) != 0) {
+  // Check before embedding: a duplicate must not cost 2d distances.
+  if (shard.row_of.count(db_id) != 0) {
     return Status::InvalidArgument("database id already present: " +
                                    std::to_string(db_id));
   }
-  Vector embedded = embedder_->Embed(dx, nullptr);
-  if (embedded.size() != db_->dims()) {
-    return Status::Internal("embedder produced " +
-                            std::to_string(embedded.size()) +
-                            " dims, database holds " +
-                            std::to_string(db_->dims()));
-  }
-  size_t row = db_->Append(embedded, db_id);
-  row_of_.emplace(db_id, row);
-  return Status::OK();
-}
-
-void RetrievalEngine::RebuildIdIndex() {
-  std::lock_guard<std::mutex> lock(mutation_mu_);
-  std::vector<size_t> ids = db_->ids();
-  row_of_.clear();
-  row_of_.reserve(ids.size());
-  for (size_t row = 0; row < ids.size(); ++row) {
-    bool inserted = row_of_.emplace(ids[row], row).second;
-    QSE_CHECK_MSG(inserted, "duplicate database id " << ids[row]);
-  }
+  return AppendLocked(shard, db_id, embedder_->Embed(dx, nullptr));
 }
 
 Status RetrievalEngine::Remove(size_t db_id) {
+  Shard& shard = shards_[ShardOf(db_id)];
+  if (shard.backend != nullptr) return shard.backend->Remove(db_id);
   std::lock_guard<std::mutex> lock(mutation_mu_);
-  auto it = row_of_.find(db_id);
-  if (it == row_of_.end()) {
+  auto it = shard.row_of.find(db_id);
+  if (it == shard.row_of.end()) {
     return Status::NotFound("database id not present: " +
                             std::to_string(db_id));
   }
   size_t row = it->second;
-  row_of_.erase(it);
-  size_t moved_from = db_->SwapRemove(row);
-  if (moved_from != row) {
+  shard.row_of.erase(it);
+  if (shard.db->SwapRemove(row) != row) {
     // The former last row now lives at `row`; the database already
     // swapped its id column, so read the moved id back from it.
-    row_of_[db_->id_of(row)] = row;
+    shard.row_of[shard.db->id_of(row)] = row;
   }
   return Status::OK();
 }

@@ -149,8 +149,9 @@ struct ServerStats {
 /// debug build QSE_DCHECKs it at the end of Shutdown.
 bool CheckServerStatsInvariant(const ServerStats& stats);
 
-/// The async serving front end: owns any RetrievalBackend (monolithic or
-/// sharded) behind a Submit -> Future pipeline.
+/// The async serving front end: owns any RetrievalBackend (an engine
+/// over any number of shards, or a decorator on one) behind a
+/// Submit -> Future pipeline.
 ///
 ///   submitters -> bounded multi-lane admission queue -> batcher thread
 ///   -> bounded batch queue -> worker pool -> RetrieveBatch -> promise

@@ -24,7 +24,6 @@
 #include "src/embedding/fastmap.h"
 #include "src/retrieval/filter_refine.h"
 #include "src/retrieval/retrieval_engine.h"
-#include "src/serving/sharded_retrieval_engine.h"
 #include "src/util/random.h"
 #include "tests/test_util.h"
 
@@ -43,7 +42,7 @@ struct ServingStack {
   L2Scorer scorer;
   EmbeddedDatabase db;
   RetrievalEngine mono;
-  ShardedRetrievalEngine sharded;
+  RetrievalEngine sharded;
 
   static FastMapModel BuildModel(const ObjectOracle<Vector>& oracle,
                                  const std::vector<size_t>& db_ids) {
@@ -81,13 +80,7 @@ void ExpectSameResult(const RetrievalResponse& want,
                       const std::string& context) {
   EXPECT_EQ(want.exact_distances, got.exact_distances) << context;
   EXPECT_EQ(want.embedding_distances, got.embedding_distances) << context;
-  ASSERT_EQ(want.neighbors.size(), got.neighbors.size()) << context;
-  for (size_t i = 0; i < want.neighbors.size(); ++i) {
-    EXPECT_EQ(want.neighbors[i].index, got.neighbors[i].index)
-        << context << " i=" << i;
-    EXPECT_EQ(want.neighbors[i].score, got.neighbors[i].score)
-        << context << " i=" << i;
-  }
+  EXPECT_EQ(want.neighbors, got.neighbors) << context;
 }
 
 /// A dx wrapper that blocks inside the backend until released — pins a
@@ -772,7 +765,7 @@ TEST(AsyncServerTest, BackendErrorsPropagateAsCompleted) {
   ServingStack s;
   ShardedEngineOptions shard_options;
   shard_options.num_shards = 2;
-  ShardedRetrievalEngine empty(&s.model, &s.scorer, shard_options);
+  RetrievalEngine empty(&s.model, &s.scorer, shard_options);
   AsyncRetrievalServer server(&empty);
   auto got =
       server.Retrieve({s.QueryDx(s.query_ids[0]), RetrievalOptions(1, 5)});

@@ -1,6 +1,6 @@
 // Randomized stress suite for epoch-based concurrent mutation: mutator
-// threads Insert/Remove while retriever threads query — over both
-// engines, batched and single-query, and through the async server — and
+// threads Insert/Remove while retriever threads query — over one shard
+// and three, batched and single-query, and through the async server — and
 // every response is checked for consistency with *some* serializable
 // snapshot of the applied mutations.  A golden-parity half additionally
 // verifies that a quiescent post-mutation database is bit-identical to
@@ -32,13 +32,12 @@
 //   QSE_STRESS_SEED   pins the master seed (logged on every run so any
 //                     failure is reproducible)
 #include <gtest/gtest.h>
-#include <sys/stat.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -55,9 +54,9 @@
 #include "src/retrieval/filter_scorer.h"
 #include "src/retrieval/retrieval_engine.h"
 #include "src/server/async_retrieval_server.h"
-#include "src/serving/sharded_retrieval_engine.h"
 #include "src/util/random.h"
 #include "tests/line_universe.h"
+#include "tests/test_util.h"
 
 namespace qse {
 namespace {
@@ -170,12 +169,10 @@ class FailureLog {
 };
 
 /// The snapshot-consistency oracle described in the file comment.
-/// `indices_are_ids` distinguishes the sharded engine (neighbor index =
-/// database id, checked directly) from the monolithic one (neighbor
-/// index = snapshot row, checked through the returned exact score).
+/// Neighbor indices are database ids.
 void CheckSnapshotConsistent(const History& h, const QueryWindow& w,
                              double xq, const RetrievalResponse& r, size_t k,
-                             bool indices_are_ids, FailureLog* log) {
+                             FailureLog* log) {
   if (r.neighbors.size() != k) {
     std::ostringstream os;
     os << "expected " << k << " neighbors, got " << r.neighbors.size();
@@ -190,32 +187,17 @@ void CheckSnapshotConsistent(const History& h, const QueryWindow& w,
   }
   const double kth = r.neighbors.back().score;
 
-  // (a) Every returned entry must correspond to a possibly-visible
-  // object at exactly the claimed distance.
+  // (a) Every returned id must be a possibly-visible object at exactly
+  // the claimed distance.
   for (const ScoredIndex& nb : r.neighbors) {
-    if (indices_are_ids) {
-      if (nb.index >= h.timelines.size() ||
-          !PossiblyVisible(h.timelines[nb.index], w) ||
-          nb.score != Dist(xq, nb.index)) {
-        std::ostringstream os;
-        os << "returned id " << nb.index << " (score " << nb.score
-           << ") was not visible in any state of window [" << w.begin
-           << ", " << w.end << "] at that distance";
-        log->Add(os.str());
-      }
-    } else {
-      bool matched = false;
-      for (size_t id = 0; id < h.timelines.size() && !matched; ++id) {
-        matched = Dist(xq, id) == nb.score &&
-                  PossiblyVisible(h.timelines[id], w);
-      }
-      if (!matched) {
-        std::ostringstream os;
-        os << "returned score " << nb.score << " matches no object "
-           << "possibly visible in window [" << w.begin << ", " << w.end
-           << "]";
-        log->Add(os.str());
-      }
+    if (nb.index >= h.timelines.size() ||
+        !PossiblyVisible(h.timelines[nb.index], w) ||
+        nb.score != Dist(xq, nb.index)) {
+      std::ostringstream os;
+      os << "returned id " << nb.index << " (score " << nb.score
+         << ") was not visible in any state of window [" << w.begin << ", "
+         << w.end << "] at that distance";
+      log->Add(os.str());
     }
   }
 
@@ -227,7 +209,7 @@ void CheckSnapshotConsistent(const History& h, const QueryWindow& w,
     if (d >= kth) continue;
     bool found = false;
     for (const ScoredIndex& nb : r.neighbors) {
-      if (indices_are_ids ? nb.index == id : nb.score == d) {
+      if (nb.index == id) {
         found = true;
         break;
       }
@@ -252,18 +234,6 @@ RetrievalOptions StressOptions() {
   // p = n: the filter keeps everything, so retrieval is exact k-NN of
   // the served snapshot and the oracle above is airtight.
   return RetrievalOptions(kNeighbors, kAllCandidates);
-}
-
-/// Serially inserts `ids` (stamping the history) — initial population.
-void Populate(RetrievalBackend* backend, History* h,
-              const std::vector<size_t>& ids) {
-  for (size_t id : ids) {
-    IdTimeline& t = h->timelines[id];
-    t.insert_begin.store(h->Stamp(), std::memory_order_seq_cst);
-    Status s = backend->Insert(id, DxOfObject(id));
-    ASSERT_TRUE(s.ok()) << s;
-    t.insert_end.store(h->Stamp(), std::memory_order_seq_cst);
-  }
 }
 
 struct MutatorPlan {
@@ -341,8 +311,6 @@ void RunMutator(const MutatorPlan& plan, History* h, StressProgress* progress,
 
 // --- the consistency stress core -----------------------------------------
 
-enum class QueryMode { kSingle, kBatch };
-
 struct StressConfig {
   size_t mutators = 2;
   size_t retrievers = 3;
@@ -361,10 +329,52 @@ StressConfig ScaledConfig() {
   return c;
 }
 
-/// Mutators × retrievers against one backend; every response checked
+/// What the stress drives: mutations and queries through a backend or
+/// through the async server.
+struct StressSurface {
+  std::function<Status(size_t)> insert;
+  std::function<Status(size_t)> remove;
+  /// Answers a batch of queries (one entry for single-query surfaces).
+  std::function<StatusOr<std::vector<RetrievalResponse>>(
+      const std::vector<DxToDatabaseFn>&)>
+      retrieve;
+  size_t batch_size = 1;
+};
+
+StressSurface BackendSurface(RetrievalBackend* backend, bool batched) {
+  StressSurface surface;
+  surface.insert = [backend](size_t id) {
+    return backend->Insert(id, DxOfObject(id));
+  };
+  surface.remove = [backend](size_t id) { return backend->Remove(id); };
+  surface.retrieve = [backend, batched](
+                         const std::vector<DxToDatabaseFn>& queries)
+      -> StatusOr<std::vector<RetrievalResponse>> {
+    if (batched) return backend->RetrieveBatch(queries, StressOptions());
+    StatusOr<RetrievalResponse> one =
+        backend->Retrieve({queries[0], StressOptions()});
+    QSE_RETURN_IF_ERROR(one.status());
+    return std::vector<RetrievalResponse>{std::move(one).value()};
+  };
+  surface.batch_size = batched ? ScaledConfig().batch_size : 1;
+  return surface;
+}
+
+/// Serially inserts `ids` (stamping the history) — initial population.
+void Populate(const StressSurface& surface, History* h,
+              const std::vector<size_t>& ids) {
+  for (size_t id : ids) {
+    IdTimeline& t = h->timelines[id];
+    t.insert_begin.store(h->Stamp(), std::memory_order_seq_cst);
+    Status s = surface.insert(id);
+    ASSERT_TRUE(s.ok()) << s;
+    t.insert_end.store(h->Stamp(), std::memory_order_seq_cst);
+  }
+}
+
+/// Mutators x retrievers against one surface; every response checked
 /// against the history oracle.
-void RunConsistencyStress(RetrievalBackend* backend, bool indices_are_ids,
-                          QueryMode mode, uint64_t seed,
+void RunConsistencyStress(const StressSurface& surface, uint64_t seed,
                           const StressConfig& config) {
   History history(config.mutators * config.ids_per_mutator);
   FailureLog log;
@@ -374,7 +384,7 @@ void RunConsistencyStress(RetrievalBackend* backend, bool indices_are_ids,
     for (size_t i = 0; i < config.initial_live; ++i) {
       initial.push_back(m * config.ids_per_mutator + i);
     }
-    Populate(backend, &history, initial);
+    Populate(surface, &history, initial);
   }
   if (::testing::Test::HasFatalFailure()) return;
 
@@ -390,19 +400,17 @@ void RunConsistencyStress(RetrievalBackend* backend, bool indices_are_ids,
     plan.ops = config.ops_per_mutator;
     plan.min_live = config.min_live;
     plan.seed = Mix64(seed + m);
-    threads.emplace_back([backend, plan, &history, &log, &progress,
+    threads.emplace_back([&surface, plan, &history, &log, &progress,
                           &mutators_running] {
-      RunMutator(
-          plan, &history, &progress, &log,
-          [backend](size_t id) { return backend->Insert(id, DxOfObject(id)); },
-          [backend](size_t id) { return backend->Remove(id); });
+      RunMutator(plan, &history, &progress, &log, surface.insert,
+                 surface.remove);
       mutators_running.fetch_sub(1, std::memory_order_release);
     });
   }
 
   for (size_t r = 0; r < config.retrievers; ++r) {
-    threads.emplace_back([backend, r, seed, mode, indices_are_ids, &history,
-                          &log, &progress, &mutators_running, &config] {
+    threads.emplace_back([&surface, r, seed, &history, &log, &progress,
+                          &mutators_running, &config] {
       Rng rng(Mix64(seed + 1000 + r));
       size_t done = 0;
       // Keep querying while mutations are in flight (that is the whole
@@ -413,45 +421,28 @@ void RunConsistencyStress(RetrievalBackend* backend, bool indices_are_ids,
              done < config.min_queries_per_thread * 50) {
         size_t ops_before =
             progress.mutation_ops.load(std::memory_order_acquire);
-        if (mode == QueryMode::kSingle) {
-          double xq = rng.Uniform(0, 1);
-          QueryWindow w;
-          w.begin = history.Stamp();
-          StatusOr<RetrievalResponse> resp =
-              backend->Retrieve({MakeDx(xq), StressOptions()});
-          w.end = history.Stamp();
-          if (!resp.ok()) {
-            log.Add("Retrieve failed: " + resp.status().ToString());
-            return;
-          }
-          CheckSnapshotConsistent(history, w, xq, *resp, kNeighbors,
-                                  indices_are_ids, &log);
-          ++done;
-          progress.queries_done.fetch_add(1, std::memory_order_acq_rel);
-        } else {
-          std::vector<double> xs;
-          std::vector<DxToDatabaseFn> queries;
-          for (size_t b = 0; b < config.batch_size; ++b) {
-            xs.push_back(rng.Uniform(0, 1));
-            queries.push_back(MakeDx(xs.back()));
-          }
-          QueryWindow w;
-          w.begin = history.Stamp();
-          StatusOr<std::vector<RetrievalResponse>> resp =
-              backend->RetrieveBatch(queries, StressOptions());
-          w.end = history.Stamp();
-          if (!resp.ok()) {
-            log.Add("RetrieveBatch failed: " + resp.status().ToString());
-            return;
-          }
-          for (size_t b = 0; b < resp->size(); ++b) {
-            CheckSnapshotConsistent(history, w, xs[b], (*resp)[b],
-                                    kNeighbors, indices_are_ids, &log);
-          }
-          done += config.batch_size;
-          progress.queries_done.fetch_add(config.batch_size,
-                                          std::memory_order_acq_rel);
+        std::vector<double> xs;
+        std::vector<DxToDatabaseFn> queries;
+        for (size_t b = 0; b < surface.batch_size; ++b) {
+          xs.push_back(rng.Uniform(0, 1));
+          queries.push_back(MakeDx(xs.back()));
         }
+        QueryWindow w;
+        w.begin = history.Stamp();
+        StatusOr<std::vector<RetrievalResponse>> resp =
+            surface.retrieve(queries);
+        w.end = history.Stamp();
+        if (!resp.ok()) {
+          log.Add("retrieval failed: " + resp.status().ToString());
+          return;
+        }
+        for (size_t b = 0; b < resp->size(); ++b) {
+          CheckSnapshotConsistent(history, w, xs[b], (*resp)[b], kNeighbors,
+                                  &log);
+        }
+        done += surface.batch_size;
+        progress.queries_done.fetch_add(surface.batch_size,
+                                        std::memory_order_acq_rel);
         if (progress.mutation_ops.load(std::memory_order_acquire) !=
             ops_before) {
           progress.overlapped_queries.fetch_add(
@@ -475,55 +466,40 @@ void RunConsistencyStress(RetrievalBackend* backend, bool indices_are_ids,
   }
 }
 
-struct MonoStack {
+/// An engine over `shards` owned shards of the line universe.
+struct Stack {
+  explicit Stack(size_t shards)
+      : engine(&embedder, &scorer, ShardedEngineOptions{shards, 0, 0}) {}
+
+  std::vector<EmbeddedDatabase*> dbs() { return test::ShardDbs(&engine); }
+
   LineEmbedder embedder;
   L2Scorer scorer;
-  EmbeddedDatabase db{kLineDims};
-  RetrievalEngine engine{&embedder, &scorer, &db, {}};
+  RetrievalEngine engine;
 };
 
-struct ShardedStack {
-  explicit ShardedStack(size_t num_shards) {
-    ShardedEngineOptions options;
-    options.num_shards = num_shards;
-    engine = std::make_unique<ShardedRetrievalEngine>(&embedder, &scorer,
-                                                      options);
-  }
-  LineEmbedder embedder;
-  L2Scorer scorer;
-  std::unique_ptr<ShardedRetrievalEngine> engine;
-};
-
-TEST(ConcurrentMutationStress, MonoEngineSingleQueries) {
+void RunEngineStress(size_t shards, bool batched) {
   const uint64_t seed = StressSeed();
   QSE_LOG_STRESS_SEED(seed);
-  MonoStack stack;
-  RunConsistencyStress(&stack.engine, /*indices_are_ids=*/false,
-                       QueryMode::kSingle, seed, ScaledConfig());
+  Stack stack(shards);
+  RunConsistencyStress(BackendSurface(&stack.engine, batched), seed,
+                       ScaledConfig());
+}
+
+TEST(ConcurrentMutationStress, MonoEngineSingleQueries) {
+  RunEngineStress(1, /*batched=*/false);
 }
 
 TEST(ConcurrentMutationStress, MonoEngineBatchedQueries) {
-  const uint64_t seed = StressSeed();
-  QSE_LOG_STRESS_SEED(seed);
-  MonoStack stack;
-  RunConsistencyStress(&stack.engine, /*indices_are_ids=*/false,
-                       QueryMode::kBatch, seed, ScaledConfig());
+  RunEngineStress(1, /*batched=*/true);
 }
 
 TEST(ConcurrentMutationStress, ShardedEngineSingleQueries) {
-  const uint64_t seed = StressSeed();
-  QSE_LOG_STRESS_SEED(seed);
-  ShardedStack stack(3);
-  RunConsistencyStress(stack.engine.get(), /*indices_are_ids=*/true,
-                       QueryMode::kSingle, seed, ScaledConfig());
+  RunEngineStress(3, /*batched=*/false);
 }
 
 TEST(ConcurrentMutationStress, ShardedEngineBatchedQueries) {
-  const uint64_t seed = StressSeed();
-  QSE_LOG_STRESS_SEED(seed);
-  ShardedStack stack(3);
-  RunConsistencyStress(stack.engine.get(), /*indices_are_ids=*/true,
-                       QueryMode::kBatch, seed, ScaledConfig());
+  RunEngineStress(3, /*batched=*/true);
 }
 
 // --- mutation through the async server -----------------------------------
@@ -531,98 +507,35 @@ TEST(ConcurrentMutationStress, ShardedEngineBatchedQueries) {
 /// Submitters drive the server while mutators mutate THROUGH the server's
 /// Insert/Remove surface; every future must resolve OK and every response
 /// must pass the same snapshot oracle.
-void RunServerStress(RetrievalBackend* backend, bool indices_are_ids,
-                     uint64_t seed) {
-  StressConfig config = ScaledConfig();
-  config.retrievers = 2;
-  History history(config.mutators * config.ids_per_mutator);
-  FailureLog log;
-
-  for (size_t m = 0; m < config.mutators; ++m) {
-    std::vector<size_t> initial;
-    for (size_t i = 0; i < config.initial_live; ++i) {
-      initial.push_back(m * config.ids_per_mutator + i);
-    }
-    Populate(backend, &history, initial);
-  }
-  if (::testing::Test::HasFatalFailure()) return;
-
+void RunServerStress(size_t shards) {
+  const uint64_t seed = StressSeed();
+  QSE_LOG_STRESS_SEED(seed);
+  Stack stack(shards);
   AsyncServerOptions options;
   options.queue_capacity = 1024;
   options.max_batch = 16;
   options.num_workers = 2;
   options.retrieve_threads = 2;
-  AsyncRetrievalServer server(backend, options);
+  AsyncRetrievalServer server(&stack.engine, options);
 
-  StressProgress progress;
-  progress.query_goal = config.retrievers * config.min_queries_per_thread;
-  std::atomic<size_t> mutators_running{config.mutators};
-  std::vector<std::thread> threads;
-  for (size_t m = 0; m < config.mutators; ++m) {
-    MutatorPlan plan;
-    plan.id_begin = m * config.ids_per_mutator;
-    plan.id_end = plan.id_begin + config.ids_per_mutator;
-    plan.initial_live = config.initial_live;
-    plan.ops = config.ops_per_mutator;
-    plan.min_live = config.min_live;
-    plan.seed = Mix64(seed + m);
-    threads.emplace_back([&server, plan, &history, &log, &progress,
-                          &mutators_running] {
-      RunMutator(
-          plan, &history, &progress, &log,
-          [&server](size_t id) { return server.Insert(id, DxOfObject(id)); },
-          [&server](size_t id) { return server.Remove(id); });
-      mutators_running.fetch_sub(1, std::memory_order_release);
-    });
-  }
-  for (size_t r = 0; r < config.retrievers; ++r) {
-    threads.emplace_back([&server, r, seed, indices_are_ids, &history, &log,
-                          &progress, &mutators_running, &config] {
-      Rng rng(Mix64(seed + 2000 + r));
-      size_t done = 0;
-      while ((done < config.min_queries_per_thread ||
-              mutators_running.load(std::memory_order_acquire) > 0) &&
-             done < config.min_queries_per_thread * 50) {
-        size_t ops_before =
-            progress.mutation_ops.load(std::memory_order_acquire);
-        double xq = rng.Uniform(0, 1);
-        QueryWindow w;
-        w.begin = history.Stamp();
-        Future<StatusOr<RetrievalResponse>> future =
-            server.Submit({MakeDx(xq), StressOptions()});
-        const StatusOr<RetrievalResponse>& resp = future.Get();
-        w.end = history.Stamp();
-        if (!resp.ok()) {
-          // Two blocking submitters can never overflow a 1024-entry
-          // queue and no deadline is set: any failure is a real bug.
-          log.Add("Submit resolved with error: " + resp.status().ToString());
-          return;
-        }
-        CheckSnapshotConsistent(history, w, xq, *resp, kNeighbors,
-                                indices_are_ids, &log);
-        ++done;
-        progress.queries_done.fetch_add(1, std::memory_order_acq_rel);
-        if (progress.mutation_ops.load(std::memory_order_acquire) !=
-            ops_before) {
-          progress.overlapped_queries.fetch_add(
-              1, std::memory_order_acq_rel);
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
+  StressSurface surface;
+  surface.insert = [&server](size_t id) {
+    return server.Insert(id, DxOfObject(id));
+  };
+  surface.remove = [&server](size_t id) { return server.Remove(id); };
+  // Two blocking submitters can never overflow a 1024-entry queue and no
+  // deadline is set: any failed future is a real bug.
+  surface.retrieve = [&server](const std::vector<DxToDatabaseFn>& queries)
+      -> StatusOr<std::vector<RetrievalResponse>> {
+    StatusOr<RetrievalResponse> one =
+        server.Submit({queries[0], StressOptions()}).Get();
+    QSE_RETURN_IF_ERROR(one.status());
+    return std::vector<RetrievalResponse>{std::move(one).value()};
+  };
+  StressConfig config = ScaledConfig();
+  config.retrievers = 2;
+  RunConsistencyStress(surface, seed, config);
   server.Shutdown(AsyncRetrievalServer::DrainMode::kDrain);
-  log.ReportAll();
-
-  std::printf("[ stress ] %zu mutation ops through the server, %zu "
-              "submits, %zu windows overlapped a mutation\n",
-              progress.mutation_ops.load(), progress.queries_done.load(),
-              progress.overlapped_queries.load());
-  if (std::thread::hardware_concurrency() >= 2) {
-    EXPECT_GT(progress.overlapped_queries.load(), 0u)
-        << "no submit window overlapped a mutation — the stress schedule "
-           "degenerated to quiescent checks";
-  }
 
   ServerStats stats = server.stats();
   EXPECT_EQ(stats.submitted, stats.admitted + stats.rejected);
@@ -632,21 +545,15 @@ void RunServerStress(RetrievalBackend* backend, bool indices_are_ids,
 }
 
 TEST(ConcurrentMutationStress, AsyncServerOverMonoEngine) {
-  const uint64_t seed = StressSeed();
-  QSE_LOG_STRESS_SEED(seed);
-  MonoStack stack;
-  RunServerStress(&stack.engine, /*indices_are_ids=*/false, seed);
+  RunServerStress(1);
 }
 
 TEST(ConcurrentMutationStress, AsyncServerOverShardedEngine) {
-  const uint64_t seed = StressSeed();
-  QSE_LOG_STRESS_SEED(seed);
-  ShardedStack stack(3);
-  RunServerStress(stack.engine.get(), /*indices_are_ids=*/true, seed);
+  RunServerStress(3);
 }
 
 TEST(ConcurrentMutationStress, ReadOnlyServerRefusesMutation) {
-  MonoStack stack;
+  Stack stack(1);
   ASSERT_TRUE(stack.engine.Insert(0, DxOfObject(0)).ok());
   const RetrievalBackend* read_only = &stack.engine;
   AsyncRetrievalServer server(read_only, AsyncServerOptions{});
@@ -739,71 +646,52 @@ void ApplyOpsUnderLoad(RetrievalBackend* backend,
   log.ReportAll();
 }
 
-/// Bit-identity of two databases: same ids in the same rows, same bytes
-/// in the flat buffer.
-void ExpectBitIdentical(const EmbeddedDatabase& a, const EmbeddedDatabase& b,
-                        const std::string& what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  ASSERT_EQ(a.dims(), b.dims()) << what;
-  EXPECT_EQ(a.ids(), b.ids()) << what;
-  ASSERT_EQ(a.data().size(), b.data().size()) << what;
-  EXPECT_EQ(std::memcmp(a.data().data(), b.data().data(),
-                        a.data().size() * sizeof(double)),
-            0)
-      << what << ": quiescent buffers differ bitwise";
-}
-
-/// Quiescent retrieval parity between the concurrently mutated backend
-/// and its serial replay.
-void ExpectSameAnswers(const RetrievalBackend& a, const RetrievalBackend& b,
-                       uint64_t seed) {
+/// Bit-identity of two engines: every shard database, then quiescent
+/// retrieval answers.
+void ExpectSameEngines(Stack* a, Stack* b, uint64_t seed) {
+  ASSERT_EQ(a->engine.num_shards(), b->engine.num_shards());
+  for (size_t s = 0; s < a->engine.num_shards(); ++s) {
+    test::ExpectDbsIdentical(a->engine.db(s), b->engine.db(s),
+                             "shard " + std::to_string(s));
+  }
   Rng rng(Mix64(seed + 4000));
   for (size_t q = 0; q < 20; ++q) {
     DxToDatabaseFn dx = MakeDx(rng.Uniform(0, 1));
-    StatusOr<RetrievalResponse> ra = a.Retrieve({dx, StressOptions()});
-    StatusOr<RetrievalResponse> rb = b.Retrieve({dx, StressOptions()});
+    StatusOr<RetrievalResponse> ra = a->engine.Retrieve({dx, StressOptions()});
+    StatusOr<RetrievalResponse> rb = b->engine.Retrieve({dx, StressOptions()});
     ASSERT_TRUE(ra.ok());
     ASSERT_TRUE(rb.ok());
-    ASSERT_EQ(ra->neighbors.size(), rb->neighbors.size());
-    for (size_t i = 0; i < ra->neighbors.size(); ++i) {
-      EXPECT_EQ(ra->neighbors[i].index, rb->neighbors[i].index) << q;
-      EXPECT_EQ(ra->neighbors[i].score, rb->neighbors[i].score) << q;
-    }
+    EXPECT_EQ(ra->neighbors, rb->neighbors) << q;
   }
 }
 
-TEST(GoldenParity, MonoQuiescentStateMatchesSerialReplay) {
+void RunSerialReplayParity(size_t shards) {
   const uint64_t seed = StressSeed();
   QSE_LOG_STRESS_SEED(seed);
   std::vector<MutationOp> ops = MakeOpSequence(seed, 500 * StressScale());
 
-  MonoStack concurrent;
+  Stack concurrent(shards);
   PopulateInitial(&concurrent.engine);
   if (::testing::Test::HasFatalFailure()) return;
   ApplyOpsUnderLoad(&concurrent.engine, ops, seed);
 
-  MonoStack serial;
+  Stack serial(shards);
   PopulateInitial(&serial.engine);
   for (const MutationOp& op : ops) {
     ASSERT_TRUE(ApplyOp(&serial.engine, op).ok());
   }
+  ExpectSameEngines(&concurrent, &serial, seed);
+}
 
-  ExpectBitIdentical(concurrent.db, serial.db, "mono database");
-  ExpectSameAnswers(concurrent.engine, serial.engine, seed);
+TEST(GoldenParity, MonoQuiescentStateMatchesSerialReplay) {
+  RunSerialReplayParity(1);
+}
+
+TEST(GoldenParity, ShardedQuiescentStateMatchesSerialReplay) {
+  RunSerialReplayParity(3);
 }
 
 // --- WAL-on stress: durability under live retrieval, then recovery -------
-
-/// Fresh durability directory under gtest's temp dir (stale files from a
-/// previous run removed).
-std::string FreshDurabilityDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/" + name;
-  ::mkdir(dir.c_str(), 0755);
-  std::remove((dir + "/wal.qse").c_str());
-  std::remove((dir + "/snapshot.qse").c_str());
-  std::remove((dir + "/snapshot.qse.tmp").c_str());
-  return dir;
-}
 
 persist::DurabilityOptions StressDurabilityOptions(const std::string& dir) {
   persist::DurabilityOptions options;
@@ -823,8 +711,7 @@ persist::DurabilityOptions StressDurabilityOptions(const std::string& dir) {
 /// since before any query, nothing else ever existed, so each retrieval
 /// must be the exact top-k of exactly that set.
 void RerunOracleQuiescent(RetrievalBackend* backend,
-                          const std::vector<size_t>& live_ids,
-                          size_t universe, bool indices_are_ids,
+                          const std::vector<size_t>& live_ids, size_t universe,
                           uint64_t seed) {
   History history(universe);
   for (size_t id : live_ids) {
@@ -844,37 +731,38 @@ void RerunOracleQuiescent(RetrievalBackend* backend,
         backend->Retrieve({MakeDx(xq), StressOptions()});
     w.end = history.Stamp();
     ASSERT_TRUE(resp.ok()) << resp.status();
-    CheckSnapshotConsistent(history, w, xq, *resp, kNeighbors,
-                            indices_are_ids, &log);
+    CheckSnapshotConsistent(history, w, xq, *resp, kNeighbors, &log);
   }
   log.ReportAll();
 }
 
-TEST(DurableConcurrentMutationStress, MonoWalOnStressThenRecover) {
+void RunWalStressThenRecover(size_t shards) {
   const uint64_t seed = StressSeed();
   QSE_LOG_STRESS_SEED(seed);
-  const std::string dir = FreshDurabilityDir("qse_stress_durability_mono");
-  const persist::DurabilityOptions dopts = StressDurabilityOptions(dir);
+  const persist::DurabilityOptions dopts =
+      StressDurabilityOptions(test::FreshDir("stress_durability"));
 
-  MonoStack live;
+  Stack live(shards);
   StatusOr<std::unique_ptr<persist::DurabilityManager>> manager =
       persist::DurabilityManager::Open(dopts);
   ASSERT_TRUE(manager.ok()) << manager.status();
+  std::vector<EmbeddedDatabase*> dbs = live.dbs();
   persist::DurableBackend durable(&live.engine, &live.embedder,
-                                  manager.value().get(), {&live.db});
+                                  manager.value().get(),
+                                  {dbs.begin(), dbs.end()});
 
   const StressConfig config = ScaledConfig();
-  RunConsistencyStress(&durable, /*indices_are_ids=*/false,
-                       QueryMode::kSingle, seed, config);
-  if (::testing::Test::HasFatalFailure() || HasFailure()) return;
+  RunConsistencyStress(BackendSurface(&durable, /*batched=*/false), seed,
+                       config);
+  if (::testing::Test::HasFailure()) return;
 
   // Recover into a fresh stack: snapshot + WAL tail must reproduce the
   // live quiescent database bit for bit.
-  MonoStack recovered;
+  Stack recovered(shards);
   StatusOr<std::unique_ptr<persist::DurabilityManager>> rec =
       persist::DurabilityManager::Open(dopts);
   ASSERT_TRUE(rec.ok()) << rec.status();
-  Status installed = rec.value()->InstallSnapshot({&recovered.db});
+  Status installed = rec.value()->InstallSnapshot(recovered.dbs());
   ASSERT_TRUE(installed.ok()) << installed;
   recovered.engine.RebuildIdIndex();
   StatusOr<uint64_t> replayed = rec.value()->Replay(&recovered.engine);
@@ -882,88 +770,17 @@ TEST(DurableConcurrentMutationStress, MonoWalOnStressThenRecover) {
   std::printf("[ stress ] recovery replayed %llu WAL records\n",
               static_cast<unsigned long long>(replayed.value()));
 
-  ExpectBitIdentical(live.db, recovered.db, "recovered mono database");
-  ExpectSameAnswers(live.engine, recovered.engine, seed);
-  RerunOracleQuiescent(&recovered.engine, recovered.db.ids(),
-                       config.mutators * config.ids_per_mutator,
-                       /*indices_are_ids=*/false, seed);
+  ExpectSameEngines(&live, &recovered, seed);
+  RerunOracleQuiescent(&recovered.engine, recovered.engine.db_ids(),
+                       config.mutators * config.ids_per_mutator, seed);
+}
+
+TEST(DurableConcurrentMutationStress, MonoWalOnStressThenRecover) {
+  RunWalStressThenRecover(1);
 }
 
 TEST(DurableConcurrentMutationStress, ShardedWalOnStressThenRecover) {
-  const uint64_t seed = StressSeed();
-  QSE_LOG_STRESS_SEED(seed);
-  const std::string dir = FreshDurabilityDir("qse_stress_durability_sharded");
-  const persist::DurabilityOptions dopts = StressDurabilityOptions(dir);
-  constexpr size_t kShards = 3;
-
-  ShardedStack live(kShards);
-  StatusOr<std::unique_ptr<persist::DurabilityManager>> manager =
-      persist::DurabilityManager::Open(dopts);
-  ASSERT_TRUE(manager.ok()) << manager.status();
-  std::vector<const EmbeddedDatabase*> snapshot_dbs;
-  for (size_t s = 0; s < kShards; ++s) {
-    snapshot_dbs.push_back(live.engine->mutable_shard_db(s));
-  }
-  persist::DurableBackend durable(live.engine.get(), &live.embedder,
-                                  manager.value().get(), snapshot_dbs);
-
-  const StressConfig config = ScaledConfig();
-  RunConsistencyStress(&durable, /*indices_are_ids=*/true,
-                       QueryMode::kSingle, seed, config);
-  if (::testing::Test::HasFatalFailure() || HasFailure()) return;
-
-  ShardedStack recovered(kShards);
-  StatusOr<std::unique_ptr<persist::DurabilityManager>> rec =
-      persist::DurabilityManager::Open(dopts);
-  ASSERT_TRUE(rec.ok()) << rec.status();
-  std::vector<EmbeddedDatabase*> restore_dbs;
-  for (size_t s = 0; s < kShards; ++s) {
-    restore_dbs.push_back(recovered.engine->mutable_shard_db(s));
-  }
-  Status installed = rec.value()->InstallSnapshot(restore_dbs);
-  ASSERT_TRUE(installed.ok()) << installed;
-  recovered.engine->RebuildAfterRestore();
-  StatusOr<uint64_t> replayed = rec.value()->Replay(recovered.engine.get());
-  ASSERT_TRUE(replayed.ok()) << replayed.status();
-
-  std::vector<size_t> live_ids;
-  for (size_t s = 0; s < kShards; ++s) {
-    ExpectBitIdentical(live.engine->shard(s).db(),
-                       recovered.engine->shard(s).db(),
-                       "recovered shard " + std::to_string(s));
-    for (size_t id : recovered.engine->shard(s).db().ids()) {
-      live_ids.push_back(id);
-    }
-  }
-  ExpectSameAnswers(*live.engine, *recovered.engine, seed);
-  RerunOracleQuiescent(recovered.engine.get(), live_ids,
-                       config.mutators * config.ids_per_mutator,
-                       /*indices_are_ids=*/true, seed);
-}
-
-TEST(GoldenParity, ShardedQuiescentStateMatchesSerialReplay) {
-  const uint64_t seed = StressSeed();
-  QSE_LOG_STRESS_SEED(seed);
-  std::vector<MutationOp> ops = MakeOpSequence(seed, 500 * StressScale());
-
-  ShardedStack concurrent(3);
-  PopulateInitial(concurrent.engine.get());
-  if (::testing::Test::HasFatalFailure()) return;
-  ApplyOpsUnderLoad(concurrent.engine.get(), ops, seed);
-
-  ShardedStack serial(3);
-  PopulateInitial(serial.engine.get());
-  for (const MutationOp& op : ops) {
-    ASSERT_TRUE(ApplyOp(serial.engine.get(), op).ok());
-  }
-
-  ASSERT_EQ(concurrent.engine->num_shards(), serial.engine->num_shards());
-  for (size_t s = 0; s < concurrent.engine->num_shards(); ++s) {
-    ExpectBitIdentical(concurrent.engine->shard(s).db(),
-                       serial.engine->shard(s).db(),
-                       "shard " + std::to_string(s));
-  }
-  ExpectSameAnswers(*concurrent.engine, *serial.engine, seed);
+  RunWalStressThenRecover(3);
 }
 
 }  // namespace

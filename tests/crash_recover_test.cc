@@ -5,7 +5,7 @@
 // the crashed process's durable history — from scratch.
 //
 // Mechanism: this binary is both the gtest suite and the crash child.
-// Invoked with --crash_child=<dir> --mode=mono|sharded it recovers
+// Invoked with --crash_child=<dir> --shards=<S> it recovers
 // whatever the directory holds, then applies a DETERMINISTIC op sequence
 // (fixed seed; op k gets WAL seq k+1 because every op succeeds by
 // construction) through a DurableBackend until it is killed.  The parent
@@ -13,7 +13,8 @@
 // grown past it, SIGKILLs the child mid-stream, recovers, reads
 // last_seq() = L, and replays ops[0..L) serially into the reference.
 // A second generation (kill, restart the child so IT recovers, kill
-// again, recover) checks that recovery composes with itself.
+// again, recover) checks that recovery composes with itself.  Each case
+// runs over one shard (the "Mono" tests) and over three.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -35,9 +36,9 @@
 #include "src/retrieval/filter_precision.h"
 #include "src/retrieval/filter_scorer.h"
 #include "src/retrieval/retrieval_engine.h"
-#include "src/serving/sharded_retrieval_engine.h"
 #include "src/util/logging.h"
 #include "tests/line_universe.h"
+#include "tests/test_util.h"
 
 namespace qse {
 namespace persist {
@@ -53,7 +54,6 @@ namespace {
 constexpr uint64_t kCrashSeed = 0x9a7e5c0ffeeull;
 constexpr size_t kMaxOps = 500000;
 constexpr uint32_t kShadows = kShadowFloat32 | kShadowInt8;
-constexpr size_t kShards = 3;
 
 struct CrashOp {
   bool insert;
@@ -93,34 +93,40 @@ std::vector<CrashOp> MakeCrashOps(uint64_t seed, size_t count) {
   return ops;
 }
 
-DurabilityOptions CrashOptions(const std::string& dir, bool sharded) {
+DurabilityOptions CrashOptions(const std::string& dir, size_t shards) {
   DurabilityOptions options;
   options.dir = dir;
   options.fsync = FsyncPolicy::kEveryN;
   options.fsync_every_n = 8;
-  // Different cadences so the two modes cut snapshots at different seqs.
-  options.snapshot_every_records = sharded ? 97 : 64;
+  // Different cadences so the shard counts cut snapshots at different
+  // seqs.
+  options.snapshot_every_records = shards > 1 ? 97 : 64;
   return options;
 }
 
-struct MonoStack {
-  LineEmbedder embedder;
-  L2Scorer scorer;
-  EmbeddedDatabase db{kLineDims};
-  RetrievalEngine engine{&embedder, &scorer, &db, {}};
-};
+/// The op stream of one shard count.
+std::vector<CrashOp> CrashOpsFor(size_t shards) {
+  return MakeCrashOps(kCrashSeed + (shards > 1 ? 1 : 0), kMaxOps);
+}
 
-struct ShardedStack {
-  ShardedStack() {
-    ShardedEngineOptions options;
-    options.num_shards = kShards;
-    options.filter_shadows = kShadows;
-    engine = std::make_unique<ShardedRetrievalEngine>(&embedder, &scorer,
-                                                      options);
+/// An engine over `shards` owned shards, every one carrying both filter
+/// shadows.
+struct Stack {
+  explicit Stack(size_t shards)
+      : engine(&embedder, &scorer, ShardedEngineOptions{shards, 1, kShadows}) {}
+
+  std::vector<EmbeddedDatabase*> dbs() { return test::ShardDbs(&engine); }
+
+  /// Installs the recovered snapshot and replays the WAL tail.
+  Status Recover(DurabilityManager* manager) {
+    QSE_RETURN_IF_ERROR(manager->InstallSnapshot(dbs()));
+    engine.RebuildIdIndex();
+    return manager->Replay(&engine).status();
   }
+
   LineEmbedder embedder;
   L2Scorer scorer;
-  std::unique_ptr<ShardedRetrievalEngine> engine;
+  RetrievalEngine engine;
 };
 
 Status ApplyOp(RetrievalBackend* backend, const CrashOp& op) {
@@ -134,49 +140,20 @@ Status ApplyOp(RetrievalBackend* backend, const CrashOp& op) {
 /// op stream from wherever the durable history ends, until killed.
 /// Returns nonzero only on a genuine failure (the parent expects to
 /// SIGKILL us, never to see a clean exit).
-int RunCrashChild(const std::string& dir, const std::string& mode) {
-  const bool sharded = (mode == "sharded");
-  const DurabilityOptions options = CrashOptions(dir, sharded);
+int RunCrashChild(const std::string& dir, size_t shards) {
+  const DurabilityOptions options = CrashOptions(dir, shards);
   StatusOr<std::unique_ptr<DurabilityManager>> opened =
       DurabilityManager::Open(options);
   QSE_CHECK_MSG(opened.ok(), "child open failed: " << opened.status());
   DurabilityManager* manager = opened.value().get();
 
-  MonoStack mono;
-  ShardedStack shard_stack;
-  RetrievalBackend* inner = nullptr;
-  const Embedder* embedder = nullptr;
-  std::vector<const EmbeddedDatabase*> snapshot_dbs;
-  std::vector<EmbeddedDatabase*> restore_dbs;
-  if (sharded) {
-    inner = shard_stack.engine.get();
-    embedder = &shard_stack.embedder;
-    for (size_t s = 0; s < kShards; ++s) {
-      EmbeddedDatabase* db = shard_stack.engine->mutable_shard_db(s);
-      snapshot_dbs.push_back(db);
-      restore_dbs.push_back(db);
-    }
-  } else {
-    mono.db.EnableFilterShadows(kShadows);
-    inner = &mono.engine;
-    embedder = &mono.embedder;
-    snapshot_dbs.push_back(&mono.db);
-    restore_dbs.push_back(&mono.db);
-  }
-
-  Status installed = manager->InstallSnapshot(restore_dbs);
-  QSE_CHECK_MSG(installed.ok(), "child install failed: " << installed);
-  if (sharded) {
-    shard_stack.engine->RebuildAfterRestore();
-  } else {
-    mono.engine.RebuildIdIndex();
-  }
-  StatusOr<uint64_t> replayed = manager->Replay(inner);
-  QSE_CHECK_MSG(replayed.ok(), "child replay failed: " << replayed.status());
-
-  DurableBackend durable(inner, embedder, manager, snapshot_dbs);
-  const std::vector<CrashOp> ops =
-      MakeCrashOps(kCrashSeed + (sharded ? 1 : 0), kMaxOps);
+  Stack stack(shards);
+  Status recovered = stack.Recover(manager);
+  QSE_CHECK_MSG(recovered.ok(), "child recovery failed: " << recovered);
+  std::vector<EmbeddedDatabase*> dbs = stack.dbs();
+  DurableBackend durable(&stack.engine, &stack.embedder, manager,
+                         {dbs.begin(), dbs.end()});
+  const std::vector<CrashOp> ops = CrashOpsFor(shards);
   const uint64_t start = manager->last_seq();
   QSE_CHECK(start <= ops.size());
 
@@ -203,17 +180,7 @@ bool FileExists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0;
 }
 
-std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/" + name;
-  ::mkdir(dir.c_str(), 0755);
-  std::remove((dir + "/wal.qse").c_str());
-  std::remove((dir + "/snapshot.qse").c_str());
-  std::remove((dir + "/snapshot.qse.tmp").c_str());
-  std::remove((dir + "/ready").c_str());
-  return dir;
-}
-
-pid_t SpawnChild(const std::string& dir, const std::string& mode) {
+pid_t SpawnChild(const std::string& dir, size_t shards) {
   std::remove((dir + "/ready").c_str());
   char exe[4096];
   const ssize_t n = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
@@ -223,8 +190,8 @@ pid_t SpawnChild(const std::string& dir, const std::string& mode) {
   QSE_CHECK_MSG(pid >= 0, "fork failed");
   if (pid == 0) {
     std::string child_flag = "--crash_child=" + dir;
-    std::string mode_flag = "--mode=" + mode;
-    char* argv[] = {exe, child_flag.data(), mode_flag.data(), nullptr};
+    std::string shards_flag = "--shards=" + std::to_string(shards);
+    char* argv[] = {exe, child_flag.data(), shards_flag.data(), nullptr};
     ::execv(exe, argv);
     _exit(127);  // execv only returns on failure.
   }
@@ -259,30 +226,6 @@ void KillAndReap(pid_t pid) {
       << "child did not die by SIGKILL: status " << wstatus;
 }
 
-void ExpectDbsIdentical(const EmbeddedDatabase& a, const EmbeddedDatabase& b,
-                        const std::string& what) {
-  SCOPED_TRACE(what);
-  EmbeddedDatabase::Snapshot sa = a.snapshot();
-  EmbeddedDatabase::Snapshot sb = b.snapshot();
-  const EmbeddedDatabase::View& va = sa.view();
-  const EmbeddedDatabase::View& vb = sb.view();
-  ASSERT_EQ(va.size(), vb.size());
-  ASSERT_EQ(va.dims(), vb.dims());
-  const size_t cells = va.size() * va.dims();
-  EXPECT_EQ(0, std::memcmp(va.data(), vb.data(), cells * sizeof(double)));
-  EXPECT_EQ(0, std::memcmp(va.ids(), vb.ids(), va.size() * sizeof(size_t)));
-  ASSERT_EQ(va.shadows(), vb.shadows());
-  if (va.has_f32()) {
-    EXPECT_EQ(0, std::memcmp(va.data_f32(), vb.data_f32(),
-                             cells * sizeof(float)));
-  }
-  if (va.has_i8()) {
-    EXPECT_EQ(0, std::memcmp(va.data_i8(), vb.data_i8(), cells));
-    EXPECT_EQ(0, std::memcmp(va.i8_scales(), vb.i8_scales(),
-                             va.dims() * sizeof(float)));
-  }
-}
-
 /// Exact answer parity between two same-shaped backends.
 void ExpectSameAnswers(const RetrievalBackend& a, const RetrievalBackend& b) {
   for (size_t q = 0; q < 24; ++q) {
@@ -293,11 +236,7 @@ void ExpectSameAnswers(const RetrievalBackend& a, const RetrievalBackend& b) {
     StatusOr<RetrievalResponse> rb = b.Retrieve({MakeDx(xq), options});
     ASSERT_TRUE(ra.ok()) << ra.status();
     ASSERT_TRUE(rb.ok()) << rb.status();
-    ASSERT_EQ(ra->neighbors.size(), rb->neighbors.size());
-    for (size_t i = 0; i < ra->neighbors.size(); ++i) {
-      EXPECT_EQ(ra->neighbors[i].index, rb->neighbors[i].index);
-      EXPECT_EQ(ra->neighbors[i].score, rb->neighbors[i].score);
-    }
+    EXPECT_EQ(ra->neighbors, rb->neighbors);
   }
 }
 
@@ -318,16 +257,15 @@ void KillAfterSnapshotAndTail(pid_t pid, const std::string& dir,
   KillAndReap(pid);
 }
 
-/// Recovery + golden-parity assertion for one mode.  `generations` is
-/// how many kill cycles to run; each restart makes the CHILD recover
-/// before continuing the op stream.
-void RunCrashRecoverTest(const std::string& mode, int generations) {
-  const bool sharded = (mode == "sharded");
-  const std::string dir = FreshDir("crash_recover_" + mode);
-  const DurabilityOptions options = CrashOptions(dir, sharded);
+/// Recovery + golden-parity assertion for one shard count.
+/// `generations` is how many kill cycles to run; each restart makes the
+/// CHILD recover before continuing the op stream.
+void RunCrashRecoverTest(size_t shards, int generations) {
+  const std::string dir = test::FreshDir("crash_recover");
+  const DurabilityOptions options = CrashOptions(dir, shards);
 
   for (int gen = 0; gen < generations; ++gen) {
-    const pid_t pid = SpawnChild(dir, mode);
+    const pid_t pid = SpawnChild(dir, shards);
     if (gen == 0) {
       KillAfterSnapshotAndTail(pid, dir, 5 + 4 * static_cast<unsigned>(gen));
     } else {
@@ -355,81 +293,49 @@ void RunCrashRecoverTest(const std::string& mode, int generations) {
   DurabilityManager* manager = opened.value().get();
   EXPECT_TRUE(manager->recovery().loaded_snapshot);
   const uint64_t kills_left_torn_tail = manager->recovery().repaired_bytes;
-  std::printf("[ crash ] %s: snapshot cut %llu, wal tail %llu records, "
+  std::printf("[ crash ] S=%zu: snapshot cut %llu, wal tail %llu records, "
               "repaired %llu torn bytes\n",
-              mode.c_str(),
+              shards,
               static_cast<unsigned long long>(
                   manager->recovery().snapshot_cut_seq),
               static_cast<unsigned long long>(manager->recovery().wal_records),
               static_cast<unsigned long long>(kills_left_torn_tail));
 
-  MonoStack mono;
-  ShardedStack shard_stack;
-  RetrievalBackend* recovered = nullptr;
-  if (sharded) {
-    std::vector<EmbeddedDatabase*> dbs;
-    for (size_t s = 0; s < kShards; ++s) {
-      dbs.push_back(shard_stack.engine->mutable_shard_db(s));
-    }
-    ASSERT_TRUE(manager->InstallSnapshot(dbs).ok());
-    shard_stack.engine->RebuildAfterRestore();
-    recovered = shard_stack.engine.get();
-  } else {
-    mono.db.EnableFilterShadows(kShadows);
-    ASSERT_TRUE(manager->InstallSnapshot({&mono.db}).ok());
-    mono.engine.RebuildIdIndex();
-    recovered = &mono.engine;
-  }
-  StatusOr<uint64_t> replayed = manager->Replay(recovered);
-  ASSERT_TRUE(replayed.ok()) << replayed.status();
+  Stack recovered(shards);
+  Status status = recovered.Recover(manager);
+  ASSERT_TRUE(status.ok()) << status;
 
   // The durable history is exactly ops[0..L): rebuild it serially.
   const uint64_t L = manager->last_seq();
   ASSERT_GT(L, 0u);
-  const std::vector<CrashOp> ops =
-      MakeCrashOps(kCrashSeed + (sharded ? 1 : 0), kMaxOps);
+  const std::vector<CrashOp> ops = CrashOpsFor(shards);
   ASSERT_LE(L, ops.size());
-
-  MonoStack ref_mono;
-  ShardedStack ref_shard;
-  RetrievalBackend* reference = nullptr;
-  if (sharded) {
-    reference = ref_shard.engine.get();
-  } else {
-    ref_mono.db.EnableFilterShadows(kShadows);
-    reference = &ref_mono.engine;
-  }
+  Stack reference(shards);
   for (uint64_t i = 0; i < L; ++i) {
-    Status status = ApplyOp(reference, ops[static_cast<size_t>(i)]);
+    status = ApplyOp(&reference.engine, ops[static_cast<size_t>(i)]);
     ASSERT_TRUE(status.ok()) << "reference op " << i << ": " << status;
   }
-
-  if (sharded) {
-    for (size_t s = 0; s < kShards; ++s) {
-      ExpectDbsIdentical(ref_shard.engine->shard(s).db(),
-                         shard_stack.engine->shard(s).db(),
-                         mode + " shard " + std::to_string(s));
-    }
-  } else {
-    ExpectDbsIdentical(ref_mono.db, mono.db, "mono recovered db");
+  for (size_t s = 0; s < shards; ++s) {
+    test::ExpectDbsIdentical(reference.engine.db(s), recovered.engine.db(s),
+                             "recovered shard " + std::to_string(s));
   }
-  ExpectSameAnswers(*reference, *recovered);
+  ExpectSameAnswers(reference.engine, recovered.engine);
 }
 
 TEST(CrashRecover, MonoKillRecoverBitIdentical) {
-  RunCrashRecoverTest("mono", 1);
+  RunCrashRecoverTest(1, 1);
 }
 
 TEST(CrashRecover, ShardedKillRecoverBitIdentical) {
-  RunCrashRecoverTest("sharded", 1);
+  RunCrashRecoverTest(3, 1);
 }
 
 TEST(CrashRecover, MonoTwoGenerationsOfKills) {
-  RunCrashRecoverTest("mono", 2);
+  RunCrashRecoverTest(1, 2);
 }
 
 TEST(CrashRecover, ShardedTwoGenerationsOfKills) {
-  RunCrashRecoverTest("sharded", 2);
+  RunCrashRecoverTest(3, 2);
 }
 
 }  // namespace
@@ -437,15 +343,16 @@ TEST(CrashRecover, ShardedTwoGenerationsOfKills) {
 }  // namespace qse
 
 int main(int argc, char** argv) {
-  std::string dir, mode;
+  std::string dir;
+  size_t shards = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--crash_child=", 14) == 0) {
       dir = argv[i] + 14;
-    } else if (std::strncmp(argv[i], "--mode=", 7) == 0) {
-      mode = argv[i] + 7;
+    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
+      shards = std::strtoul(argv[i] + 9, nullptr, 10);
     }
   }
-  if (!dir.empty()) return qse::persist::RunCrashChild(dir, mode);
+  if (!dir.empty()) return qse::persist::RunCrashChild(dir, shards);
   ::testing::InitGoogleTest(&argc, argv);
   return RUN_ALL_TESTS();
 }

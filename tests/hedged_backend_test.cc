@@ -83,9 +83,6 @@ class FakeReplica : public RetrievalBackend {
   }
 
   size_t size() const override { return fail.load() ? 0 : 10 + id_; }
-  size_t db_id_of(size_t neighbor_index) const override {
-    return neighbor_index;
-  }
 
  private:
   size_t id_;

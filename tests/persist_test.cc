@@ -21,27 +21,21 @@
 #include "src/retrieval/filter_precision.h"
 #include "src/retrieval/filter_scorer.h"
 #include "src/retrieval/retrieval_engine.h"
-#include "src/serving/sharded_retrieval_engine.h"
 #include "tests/line_universe.h"
+#include "tests/test_util.h"
 
 namespace qse {
 namespace persist {
 namespace {
 
 using test::DxOfObject;
+using test::ExpectDbsIdentical;
+using test::FreshDir;
 using test::kLineDims;
 using test::LineEmbedder;
 using test::MakeDx;
+using test::ShardDbs;
 using test::XOf;
-
-std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/" + name;
-  ::mkdir(dir.c_str(), 0755);
-  std::remove((dir + "/wal.qse").c_str());
-  std::remove((dir + "/snapshot.qse").c_str());
-  std::remove((dir + "/snapshot.qse.tmp").c_str());
-  return dir;
-}
 
 uint64_t FileSize(const std::string& path) {
   struct stat st;
@@ -61,32 +55,6 @@ void ExpectRecordsEqual(const WalRecord& want, const WalRecord& got) {
   if (!want.row.empty()) {
     EXPECT_EQ(0, std::memcmp(want.row.data(), got.row.data(),
                              want.row.size() * sizeof(double)));
-  }
-}
-
-/// Full bit-identity between two databases: float64 matrix, id column,
-/// and — when present — both shadow matrices and the int8 scales.
-void ExpectDbsIdentical(const EmbeddedDatabase& a, const EmbeddedDatabase& b,
-                        const std::string& what) {
-  SCOPED_TRACE(what);
-  EmbeddedDatabase::Snapshot sa = a.snapshot();
-  EmbeddedDatabase::Snapshot sb = b.snapshot();
-  const EmbeddedDatabase::View& va = sa.view();
-  const EmbeddedDatabase::View& vb = sb.view();
-  ASSERT_EQ(va.size(), vb.size());
-  ASSERT_EQ(va.dims(), vb.dims());
-  const size_t cells = va.size() * va.dims();
-  EXPECT_EQ(0, std::memcmp(va.data(), vb.data(), cells * sizeof(double)));
-  EXPECT_EQ(0, std::memcmp(va.ids(), vb.ids(), va.size() * sizeof(size_t)));
-  ASSERT_EQ(va.shadows(), vb.shadows());
-  if (va.has_f32()) {
-    EXPECT_EQ(0, std::memcmp(va.data_f32(), vb.data_f32(),
-                             cells * sizeof(float)));
-  }
-  if (va.has_i8()) {
-    EXPECT_EQ(0, std::memcmp(va.data_i8(), vb.data_i8(), cells));
-    EXPECT_EQ(0, std::memcmp(va.i8_scales(), vb.i8_scales(),
-                             va.dims() * sizeof(float)));
   }
 }
 
@@ -358,15 +326,21 @@ TEST(Persist, AutoSnapshotCompactsWalAndRecovers) {
   ExpectDbsIdentical(live.db, recovered.db, "snapshot + tail recovery");
 }
 
-TEST(Persist, ExplicitSnapshotThenTailRecovers) {
+/// An explicit snapshot, then a WAL tail past it, recovered into a fresh
+/// engine of `shards` shards.
+void ExpectSnapshotThenTailRecovers(size_t shards) {
   const DurabilityOptions opts = Opts(FreshDir("persist_explicit_snapshot"));
-  MonoStack live;
+  LineEmbedder embedder;
+  L2Scorer scorer;
+  const ShardedEngineOptions layout{shards, 1, 0};
+  RetrievalEngine live(&embedder, &scorer, layout);
   {
     StatusOr<std::unique_ptr<DurabilityManager>> manager =
         DurabilityManager::Open(opts);
     ASSERT_TRUE(manager.ok());
-    DurableBackend durable(&live.engine, &live.embedder,
-                           manager.value().get(), {&live.db});
+    std::vector<EmbeddedDatabase*> dbs = ShardDbs(&live);
+    DurableBackend durable(&live, &embedder, manager.value().get(),
+                           {dbs.begin(), dbs.end()});
     for (size_t id = 0; id < 20; ++id) {
       ASSERT_TRUE(durable.Insert(id, DxOfObject(id)).ok());
     }
@@ -376,14 +350,27 @@ TEST(Persist, ExplicitSnapshotThenTailRecovers) {
     }
     ASSERT_TRUE(durable.Remove(0).ok());
   }
-  MonoStack recovered;
-  uint64_t replayed = 0;
-  auto manager = RecoverMono(opts, &recovered, &replayed);
-  ASSERT_NE(nullptr, manager);
-  EXPECT_EQ(20u, manager->recovery().snapshot_cut_seq);
-  EXPECT_EQ(10u, replayed);  // 9 inserts + 1 remove past the cut.
-  ExpectDbsIdentical(live.db, recovered.db, "explicit snapshot + tail");
+  RetrievalEngine recovered(&embedder, &scorer, layout);
+  StatusOr<std::unique_ptr<DurabilityManager>> manager =
+      DurabilityManager::Open(opts);
+  ASSERT_TRUE(manager.ok());
+  ASSERT_TRUE(manager.value()->InstallSnapshot(ShardDbs(&recovered)).ok());
+  recovered.RebuildIdIndex();
+  StatusOr<uint64_t> replayed = manager.value()->Replay(&recovered);
+  ASSERT_TRUE(replayed.ok()) << replayed.status();
+  EXPECT_EQ(20u, manager.value()->recovery().snapshot_cut_seq);
+  EXPECT_EQ(10u, replayed.value());  // 9 inserts + 1 remove past the cut.
+  for (size_t s = 0; s < shards; ++s) {
+    ExpectDbsIdentical(live.db(s), recovered.db(s),
+                       "shard " + std::to_string(s));
+  }
 }
+
+TEST(Persist, ExplicitSnapshotThenTailRecovers) {
+  ExpectSnapshotThenTailRecovers(1);
+}
+
+TEST(Persist, ShardedRecoveryRoundTrip) { ExpectSnapshotThenTailRecovers(3); }
 
 TEST(Persist, RecoveryIsRepeatable) {
   const DurabilityOptions opts = Opts(FreshDir("persist_repeatable"));
@@ -463,53 +450,6 @@ TEST(Persist, ModelBlobRoundTripsThroughSnapshot) {
   EXPECT_EQ(opts.model_blob, manager.value()->recovery().model_blob);
 }
 
-TEST(Persist, ShardedRecoveryRoundTrip) {
-  const DurabilityOptions opts = Opts(FreshDir("persist_sharded"));
-  constexpr size_t kShards = 3;
-  LineEmbedder embedder;
-  L2Scorer scorer;
-  ShardedEngineOptions shard_opts;
-  shard_opts.num_shards = kShards;
-
-  ShardedRetrievalEngine live(&embedder, &scorer, shard_opts);
-  {
-    StatusOr<std::unique_ptr<DurabilityManager>> manager =
-        DurabilityManager::Open(opts);
-    ASSERT_TRUE(manager.ok());
-    std::vector<const EmbeddedDatabase*> dbs;
-    for (size_t s = 0; s < kShards; ++s) {
-      dbs.push_back(live.mutable_shard_db(s));
-    }
-    DurableBackend durable(&live, &embedder, manager.value().get(), dbs);
-    for (size_t id = 0; id < 30; ++id) {
-      ASSERT_TRUE(durable.Insert(id, DxOfObject(id)).ok());
-    }
-    for (size_t id = 0; id < 30; id += 7) {
-      ASSERT_TRUE(durable.Remove(id).ok());
-    }
-    ASSERT_TRUE(durable.WriteSnapshotNow().ok());
-    ASSERT_TRUE(durable.Insert(100, DxOfObject(100)).ok());
-  }
-
-  ShardedRetrievalEngine recovered(&embedder, &scorer, shard_opts);
-  StatusOr<std::unique_ptr<DurabilityManager>> manager =
-      DurabilityManager::Open(opts);
-  ASSERT_TRUE(manager.ok());
-  std::vector<EmbeddedDatabase*> dbs;
-  for (size_t s = 0; s < kShards; ++s) {
-    dbs.push_back(recovered.mutable_shard_db(s));
-  }
-  ASSERT_TRUE(manager.value()->InstallSnapshot(dbs).ok());
-  recovered.RebuildAfterRestore();
-  StatusOr<uint64_t> replayed = manager.value()->Replay(&recovered);
-  ASSERT_TRUE(replayed.ok()) << replayed.status();
-  EXPECT_EQ(1u, replayed.value());
-  for (size_t s = 0; s < kShards; ++s) {
-    ExpectDbsIdentical(live.shard(s).db(), recovered.shard(s).db(),
-                       "shard " + std::to_string(s));
-  }
-}
-
 TEST(Persist, InstallSnapshotRejectsShardCountMismatch) {
   const DurabilityOptions opts = Opts(FreshDir("persist_shard_mismatch"));
   {
@@ -565,11 +505,7 @@ TEST(DurableBackendTest, RetrievalsPassThrough) {
       live.engine.Retrieve({MakeDx(XOf(5)), options});
   ASSERT_TRUE(through.ok());
   ASSERT_TRUE(direct.ok());
-  ASSERT_EQ(direct->neighbors.size(), through->neighbors.size());
-  for (size_t i = 0; i < direct->neighbors.size(); ++i) {
-    EXPECT_EQ(direct->neighbors[i].index, through->neighbors[i].index);
-    EXPECT_EQ(direct->neighbors[i].score, through->neighbors[i].score);
-  }
+  EXPECT_EQ(direct->neighbors, through->neighbors);
 }
 
 }  // namespace

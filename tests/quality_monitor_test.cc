@@ -18,7 +18,6 @@
 #include "src/retrieval/filter_refine.h"
 #include "src/retrieval/retrieval_engine.h"
 #include "src/server/async_retrieval_server.h"
-#include "src/serving/sharded_retrieval_engine.h"
 #include "tests/test_util.h"
 
 namespace qse {
@@ -124,7 +123,7 @@ struct MonitorStack {
   L2Scorer scorer;
   EmbeddedDatabase db;
   std::unique_ptr<RetrievalEngine> mono;
-  std::unique_ptr<ShardedRetrievalEngine> sharded;
+  std::unique_ptr<RetrievalEngine> sharded;
 
   MonitorStack(size_t n, size_t num_queries, size_t dims, uint64_t seed)
       : oracle(test::MakePlaneOracle(n + num_queries, seed)),
@@ -139,8 +138,8 @@ struct MonitorStack {
     mono = std::make_unique<RetrievalEngine>(&model, &scorer, &db, db_ids);
     ShardedEngineOptions options;
     options.num_shards = 3;
-    sharded = std::make_unique<ShardedRetrievalEngine>(&model, &scorer, db,
-                                                       db_ids, options);
+    sharded = std::make_unique<RetrievalEngine>(&model, &scorer, db, db_ids,
+                                                options);
   }
 
   DxToDatabaseFn Query(size_t q) {
@@ -161,27 +160,29 @@ TEST(QualityMonitorTest, ShouldSampleHonorsCadence) {
   }
 }
 
-TEST(QualityMonitorTest, ExactServingAuditsPerfectlyAtPEqualsN) {
-  // p = n degenerates filter-and-refine to exact brute force, so every
-  // audit must find recall 1, zero displacement, zero score error, and —
-  // the bit-identity acceptance — zero mismatches.
-  constexpr size_t kN = 60;
-  MonitorStack stack(kN, 10, 4, 11);
+/// p = n degenerates filter-and-refine to exact brute force, so every
+/// audit must find recall 1, zero displacement, zero score error, and —
+/// the bit-identity acceptance — zero mismatches, over one shard or
+/// three.
+void ExpectPerfectAuditsAtPEqualsN(size_t shards, size_t n, size_t queries,
+                                   uint64_t seed) {
+  MonitorStack stack(n, queries, 4, seed);
+  const RetrievalEngine& engine = shards == 1 ? *stack.mono : *stack.sharded;
   MetricRegistry registry;
   QualityMonitorOptions qopts;
   qopts.sample_every_n = 1;
   qopts.registry = &registry;
   QualityMonitor monitor(qopts);
-  RetrievalOptions options = test::Opts(5, kN);
+  RetrievalOptions options = test::Opts(5, n);
   options.audit_monitor = &monitor;
-  for (size_t q = kN; q < kN + 10; ++q) {
-    auto r = stack.mono->Retrieve({stack.Query(q), options});
+  for (size_t q = n; q < n + queries; ++q) {
+    auto r = engine.Retrieve({stack.Query(q), options});
     ASSERT_TRUE(r.ok()) << r.status().ToString();
   }
   monitor.Flush();
   QualityMonitorStats stats = monitor.stats();
-  EXPECT_EQ(stats.sampled, 10u);
-  EXPECT_EQ(stats.completed, 10u);
+  EXPECT_EQ(stats.sampled, queries);
+  EXPECT_EQ(stats.completed, queries);
   EXPECT_EQ(stats.shed, 0u);
   EXPECT_EQ(stats.mismatches, 0u);
   EXPECT_EQ(stats.alarms, 0u);
@@ -191,26 +192,12 @@ TEST(QualityMonitorTest, ExactServingAuditsPerfectlyAtPEqualsN) {
   EXPECT_DOUBLE_EQ(stats.score_error, 0.0);
 }
 
+TEST(QualityMonitorTest, ExactServingAuditsPerfectlyAtPEqualsN) {
+  ExpectPerfectAuditsAtPEqualsN(1, 60, 10, 11);
+}
+
 TEST(QualityMonitorTest, ShardedEngineAuditsPerfectlyAtPEqualsN) {
-  constexpr size_t kN = 90;
-  MonitorStack stack(kN, 8, 4, 13);
-  MetricRegistry registry;
-  QualityMonitorOptions qopts;
-  qopts.sample_every_n = 1;
-  qopts.registry = &registry;
-  QualityMonitor monitor(qopts);
-  RetrievalOptions options = test::Opts(5, kN);
-  options.audit_monitor = &monitor;
-  for (size_t q = kN; q < kN + 8; ++q) {
-    auto r = stack.sharded->Retrieve({stack.Query(q), options});
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-  }
-  monitor.Flush();
-  QualityMonitorStats stats = monitor.stats();
-  EXPECT_EQ(stats.completed, 8u);
-  EXPECT_EQ(stats.mismatches, 0u);
-  EXPECT_DOUBLE_EQ(stats.recall_at_k, 1.0);
-  EXPECT_DOUBLE_EQ(stats.score_error, 0.0);
+  ExpectPerfectAuditsAtPEqualsN(3, 90, 8, 13);
 }
 
 TEST(QualityMonitorTest, AttachingMonitorDoesNotChangeResults) {
@@ -228,11 +215,7 @@ TEST(QualityMonitorTest, AttachingMonitorDoesNotChangeResults) {
     auto a = stack.mono->Retrieve({stack.Query(q), plain});
     auto b = stack.mono->Retrieve({stack.Query(q), audited});
     ASSERT_TRUE(a.ok() && b.ok());
-    ASSERT_EQ(a.value().neighbors.size(), b.value().neighbors.size());
-    for (size_t i = 0; i < a.value().neighbors.size(); ++i) {
-      EXPECT_EQ(a.value().neighbors[i].index, b.value().neighbors[i].index);
-      EXPECT_EQ(a.value().neighbors[i].score, b.value().neighbors[i].score);
-    }
+    EXPECT_EQ(a.value().neighbors, b.value().neighbors);
   }
   monitor.Flush();
   EXPECT_EQ(monitor.stats().completed, 6u);

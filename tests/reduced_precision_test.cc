@@ -7,9 +7,9 @@
 //  * At p = n the filter step cannot drop anything, so EVERY precision
 //    returns results identical to exact64 (reduced precision only
 //    perturbs which top-p candidates survive a p < n cut).
-//  * kFilter32 is deterministic across engines: the monolithic and
-//    sharded engines see identical float32 shadows and bit-identical
-//    kernels, so their responses match at any p.  (kFilter8 has
+//  * kFilter32 is deterministic across shard counts: one shard and
+//    three see identical float32 shadows and bit-identical kernels, so
+//    their responses match at any p.  (kFilter8 has
 //    per-shard quantization scales, so its cross-engine guarantee is
 //    the p = n one above.)
 //  * Shadow maintenance is live: inserts after construction keep serving
@@ -23,7 +23,6 @@
 #include "src/embedding/fastmap.h"
 #include "src/retrieval/filter_refine.h"
 #include "src/retrieval/retrieval_engine.h"
-#include "src/serving/sharded_retrieval_engine.h"
 #include "tests/test_util.h"
 
 namespace qse {
@@ -39,7 +38,7 @@ struct PrecisionStack {
   L2Scorer scorer;
   EmbeddedDatabase db;
   RetrievalEngine mono;
-  ShardedRetrievalEngine sharded;
+  RetrievalEngine sharded;
 
   static ShardedEngineOptions ShardOptions() {
     ShardedEngineOptions o;
@@ -51,10 +50,7 @@ struct PrecisionStack {
 
   PrecisionStack()
       : oracle(test::MakePlaneOracle(kDb + kQueries, 7)),
-        db_ids([] {
-          std::vector<size_t> ids = test::Iota(kDb);
-          return ids;
-        }()),
+        db_ids(test::Iota(kDb)),
         model([this] {
           FastMapOptions o;
           o.dims = 4;
@@ -74,18 +70,6 @@ struct PrecisionStack {
   }
 };
 
-void ExpectSameResponses(const RetrievalResponse& a,
-                         const RetrievalResponse& b,
-                         const std::string& context) {
-  ASSERT_EQ(a.neighbors.size(), b.neighbors.size()) << context;
-  for (size_t i = 0; i < a.neighbors.size(); ++i) {
-    EXPECT_EQ(a.neighbors[i].index, b.neighbors[i].index)
-        << context << " i=" << i;
-    EXPECT_EQ(a.neighbors[i].score, b.neighbors[i].score)
-        << context << " i=" << i;
-  }
-}
-
 TEST(ReducedPrecisionTest, NeighborScoresAreExactWhateverThePrecision) {
   PrecisionStack s;
   for (FilterPrecision precision :
@@ -98,8 +82,7 @@ TEST(ReducedPrecisionTest, NeighborScoresAreExactWhateverThePrecision) {
       ASSERT_TRUE(r.ok()) << r.status();
       ASSERT_FALSE(r->neighbors.empty());
       for (const ScoredIndex& n : r->neighbors) {
-        size_t id = s.mono.db_id_of(n.index);
-        EXPECT_EQ(n.score, s.oracle.Distance(q, id))
+        EXPECT_EQ(n.score, s.oracle.Distance(q, n.index))
             << FilterPrecisionName(precision) << " q=" << q;
       }
     }
@@ -108,24 +91,20 @@ TEST(ReducedPrecisionTest, NeighborScoresAreExactWhateverThePrecision) {
 
 TEST(ReducedPrecisionTest, FullScanPEqualsNMatchesExactOnBothEngines) {
   PrecisionStack s;
-  for (size_t q = kDb; q < kDb + kQueries; ++q) {
-    RetrievalOptions exact(3, kDb);
-    exact.filter_precision = FilterPrecision::kExact64;
-    auto want_mono = s.mono.Retrieve({s.QueryDx(q), exact});
-    auto want_sharded = s.sharded.Retrieve({s.QueryDx(q), exact});
-    ASSERT_TRUE(want_mono.ok() && want_sharded.ok());
-    for (FilterPrecision precision :
-         {FilterPrecision::kFilter32, FilterPrecision::kFilter8}) {
-      RetrievalOptions ro(3, kDb);
-      ro.filter_precision = precision;
-      std::string context = std::string(FilterPrecisionName(precision)) +
-                            " q=" + std::to_string(q);
-      auto mono = s.mono.Retrieve({s.QueryDx(q), ro});
-      ASSERT_TRUE(mono.ok()) << mono.status();
-      ExpectSameResponses(*mono, *want_mono, "mono " + context);
-      auto sharded = s.sharded.Retrieve({s.QueryDx(q), ro});
-      ASSERT_TRUE(sharded.ok()) << sharded.status();
-      ExpectSameResponses(*sharded, *want_sharded, "sharded " + context);
+  for (const RetrievalEngine* engine : {&s.mono, &s.sharded}) {
+    for (size_t q = kDb; q < kDb + kQueries; ++q) {
+      auto want = engine->Retrieve({s.QueryDx(q), RetrievalOptions(3, kDb)});
+      ASSERT_TRUE(want.ok());
+      for (FilterPrecision precision :
+           {FilterPrecision::kFilter32, FilterPrecision::kFilter8}) {
+        RetrievalOptions ro(3, kDb);
+        ro.filter_precision = precision;
+        auto got = engine->Retrieve({s.QueryDx(q), ro});
+        ASSERT_TRUE(got.ok()) << got.status();
+        EXPECT_EQ(got->neighbors, want->neighbors)
+            << "S=" << engine->num_shards() << " "
+            << FilterPrecisionName(precision) << " q=" << q;
+      }
     }
   }
 }
@@ -139,16 +118,7 @@ TEST(ReducedPrecisionTest, Filter32AgreesAcrossEnginesAtAnyP) {
       auto mono = s.mono.Retrieve({s.QueryDx(q), ro});
       auto sharded = s.sharded.Retrieve({s.QueryDx(q), ro});
       ASSERT_TRUE(mono.ok() && sharded.ok());
-      // Neighbor indices are already database ids on the sharded engine;
-      // translate the mono ones before comparing.
-      ASSERT_EQ(mono->neighbors.size(), sharded->neighbors.size());
-      for (size_t i = 0; i < mono->neighbors.size(); ++i) {
-        EXPECT_EQ(s.mono.db_id_of(mono->neighbors[i].index),
-                  sharded->neighbors[i].index)
-            << "p=" << p << " q=" << q << " i=" << i;
-        EXPECT_EQ(mono->neighbors[i].score, sharded->neighbors[i].score)
-            << "p=" << p << " q=" << q << " i=" << i;
-      }
+      EXPECT_EQ(mono->neighbors, sharded->neighbors) << "p=" << p << " q=" << q;
     }
   }
 }
@@ -157,30 +127,26 @@ TEST(ReducedPrecisionTest, InsertsKeepShadowsServingOnBothEngines) {
   PrecisionStack s;
   // Half the database again, inserted online after construction — the
   // shadow matrices must follow every append (including forced
-  // re-quantizations) on the mono engine and on whichever shard each
-  // insert lands in.
-  for (size_t id = kDb; id < kDb + kQueries; ++id) {
-    ASSERT_TRUE(s.mono.Insert(id, s.QueryDx(id)).ok());
-    ASSERT_TRUE(s.sharded.Insert(id, s.QueryDx(id)).ok());
-  }
+  // re-quantizations) in whichever shard each insert lands in.
   const size_t n = kDb + kQueries;
-  for (FilterPrecision precision :
-       {FilterPrecision::kFilter32, FilterPrecision::kFilter8}) {
-    RetrievalOptions ro(1, n);
-    ro.filter_precision = precision;
-    // Query each inserted object for itself: distance 0 is unbeatable,
-    // so the top neighbor must be the fresh row — through the shadows.
+  for (RetrievalEngine* engine : {&s.mono, &s.sharded}) {
     for (size_t id = kDb; id < n; ++id) {
-      auto mono = s.mono.Retrieve({s.QueryDx(id), ro});
-      ASSERT_TRUE(mono.ok()) << mono.status();
-      EXPECT_EQ(s.mono.db_id_of(mono->neighbors[0].index), id)
-          << FilterPrecisionName(precision);
-      EXPECT_EQ(mono->neighbors[0].score, 0.0);
-      auto sharded = s.sharded.Retrieve({s.QueryDx(id), ro});
-      ASSERT_TRUE(sharded.ok()) << sharded.status();
-      EXPECT_EQ(sharded->neighbors[0].index, id)
-          << FilterPrecisionName(precision);
-      EXPECT_EQ(sharded->neighbors[0].score, 0.0);
+      ASSERT_TRUE(engine->Insert(id, s.QueryDx(id)).ok());
+    }
+    for (FilterPrecision precision :
+         {FilterPrecision::kFilter32, FilterPrecision::kFilter8}) {
+      RetrievalOptions ro(1, n);
+      ro.filter_precision = precision;
+      // Query each inserted object for itself: distance 0 is unbeatable,
+      // so the top neighbor must be the fresh row — through the shadows.
+      for (size_t id = kDb; id < n; ++id) {
+        auto got = engine->Retrieve({s.QueryDx(id), ro});
+        ASSERT_TRUE(got.ok()) << got.status();
+        EXPECT_EQ(got->neighbors[0].index, id)
+            << "S=" << engine->num_shards() << " "
+            << FilterPrecisionName(precision);
+        EXPECT_EQ(got->neighbors[0].score, 0.0);
+      }
     }
   }
 }
@@ -199,8 +165,7 @@ TEST(ReducedPrecisionTest, ShardedConstructionWithoutShadowsRejectsReduced) {
   ShardedEngineOptions no_shadows;
   no_shadows.num_shards = 2;
   no_shadows.scatter_threads = 1;
-  ShardedRetrievalEngine bare(&s.model, &s.scorer, s.db, s.db_ids,
-                              no_shadows);
+  RetrievalEngine bare(&s.model, &s.scorer, s.db, s.db_ids, no_shadows);
   RetrievalOptions ro(1, 5);
   ro.filter_precision = FilterPrecision::kFilter8;
   auto r = bare.Retrieve({s.QueryDx(kDb), ro});

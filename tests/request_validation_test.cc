@@ -1,5 +1,5 @@
 // One parameterized option-validation suite for every query surface —
-// the monolithic engine, the sharded engine, and the async server over
+// the engine over one shard and over three, and the async server over
 // both (with and without tenant quotas) — replacing the per-class copies
 // that used to drift.  Every surface must agree: k = 0, p = 0 and an
 // out-of-range priority are InvalidArgument; an empty database is
@@ -15,7 +15,6 @@
 #include "src/retrieval/filter_refine.h"
 #include "src/retrieval/retrieval_engine.h"
 #include "src/server/async_retrieval_server.h"
-#include "src/serving/sharded_retrieval_engine.h"
 #include "tests/test_util.h"
 
 namespace qse {
@@ -114,19 +113,39 @@ class RequestValidationTest : public ::testing::TestWithParam<Surface> {
     return Status::Internal("unreachable");
   }
 
-  bool IsEngineSurface() const {
-    return GetParam() == Surface::kMono || GetParam() == Surface::kSharded;
-  }
-
-  /// RetrieveBatch on the engine surfaces (the server has no batch
-  /// entry point; its batching is internal).
+  /// A batch through the parameterized surface: RetrieveBatch on the
+  /// engines; on the servers, one burst of submits (which the server
+  /// batches internally) failing like a batch on the first error.
   StatusOr<std::vector<RetrievalResponse>> CallBatch(
       const std::vector<DxToDatabaseFn>& queries,
       const RetrievalOptions& options) {
-    if (GetParam() == Surface::kMono) {
-      return mono_.RetrieveBatch(queries, options);
+    AsyncRetrievalServer* server = nullptr;
+    switch (GetParam()) {
+      case Surface::kMono:
+        return mono_.RetrieveBatch(queries, options);
+      case Surface::kSharded:
+        return sharded_.RetrieveBatch(queries, options);
+      case Surface::kServerMono:
+        server = server_mono_.get();
+        break;
+      case Surface::kServerSharded:
+        server = server_sharded_.get();
+        break;
+      case Surface::kServerWithQuotas:
+        server = server_quotas_.get();
+        break;
     }
-    return sharded_.RetrieveBatch(queries, options);
+    std::vector<Future<StatusOr<RetrievalResponse>>> futures;
+    for (const DxToDatabaseFn& dx : queries) {
+      futures.push_back(server->Submit({dx, options}));
+    }
+    std::vector<RetrievalResponse> responses;
+    for (Future<StatusOr<RetrievalResponse>>& future : futures) {
+      const StatusOr<RetrievalResponse>& r = future.Get();
+      QSE_RETURN_IF_ERROR(r.status());
+      responses.push_back(r.value());
+    }
+    return responses;
   }
 
   ObjectOracle<Vector> s_;
@@ -137,8 +156,8 @@ class RequestValidationTest : public ::testing::TestWithParam<Surface> {
   EmbeddedDatabase empty_db_;
   RetrievalEngine mono_;
   RetrievalEngine empty_mono_;
-  ShardedRetrievalEngine sharded_;
-  ShardedRetrievalEngine empty_sharded_;
+  RetrievalEngine sharded_;
+  RetrievalEngine empty_sharded_;
   std::unique_ptr<AsyncRetrievalServer> server_mono_;
   std::unique_ptr<AsyncRetrievalServer> server_sharded_;
   std::unique_ptr<AsyncRetrievalServer> server_quotas_;
@@ -204,18 +223,27 @@ TEST_P(RequestValidationTest, KnownTenantAdmitsUnderQuotas) {
 }
 
 TEST_P(RequestValidationTest, BatchValidationMatchesSingle) {
-  if (!IsEngineSurface()) GTEST_SKIP() << "engines only";
-  auto bad_k = CallBatch({QueryDx(40)}, RetrievalOptions(0, 5));
+  const std::vector<DxToDatabaseFn> burst = {QueryDx(40), QueryDx(41),
+                                             QueryDx(42)};
+  auto bad_k = CallBatch(burst, RetrievalOptions(0, 5));
   ASSERT_FALSE(bad_k.ok());
   EXPECT_EQ(bad_k.status().code(), StatusCode::kInvalidArgument);
-  auto bad_p = CallBatch({QueryDx(40)}, RetrievalOptions(1, 0));
+  auto bad_p = CallBatch(burst, RetrievalOptions(1, 0));
   ASSERT_FALSE(bad_p.ok());
   EXPECT_EQ(bad_p.status().code(), StatusCode::kInvalidArgument);
   RetrievalOptions bad_priority(1, 5);
   bad_priority.priority = static_cast<RequestPriority>(9);
-  auto bad = CallBatch({QueryDx(40)}, bad_priority);
+  auto bad = CallBatch(burst, bad_priority);
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  auto good = CallBatch(burst, RetrievalOptions(2, 10));
+  ASSERT_TRUE(good.ok()) << good.status();
+  ASSERT_EQ(good->size(), burst.size());
+  for (size_t i = 0; i < burst.size(); ++i) {
+    auto single = Call({burst[i], RetrievalOptions(2, 10)});
+    ASSERT_TRUE(single.ok()) << single.status();
+    EXPECT_EQ((*good)[i].neighbors, single->neighbors) << i;
+  }
 }
 
 TEST_P(RequestValidationTest, InvalidFilterPrecisionIsInvalidArgument) {
@@ -247,8 +275,7 @@ TEST_P(RequestValidationTest, ReducedPrecisionWithoutShadowsFailsCleanly) {
 TEST_P(RequestValidationTest, WantStatsReportsIdenticalTotalsEverywhere) {
   // Satellite of the redesign: stats are a response field with one shape
   // — shard_stats rows sum to the database size and candidates sum to
-  // the clamped p on every surface (the monolithic engine is one
-  // pseudo-shard).
+  // the clamped p on every surface.
   RetrievalOptions ro(2, 15);
   ro.want_stats = true;
   auto r = Call({QueryDx(42), ro});

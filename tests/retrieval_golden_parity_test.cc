@@ -1,9 +1,9 @@
 // Golden parity: the RetrievalRequest/RetrievalResponse redesign must
 // not move a single bit of any result.  tests/golden_retrieval.inc holds
 // results recorded from the PRE-redesign Retrieve(dx, k, p) API over a
-// deterministic workload; every post-redesign surface — monolithic
-// engine, sharded engine, RetrieveBatch on both, and the async server —
-// must reproduce them exactly: same database ids, same IEEE-754 score
+// deterministic workload; every post-redesign surface — the engine over
+// one shard and over three, RetrieveBatch on both, and the async server
+// — must reproduce them exactly: same database ids, same IEEE-754 score
 // bit patterns, same cost accounting.
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include "src/retrieval/filter_refine.h"
 #include "src/retrieval/retrieval_engine.h"
 #include "src/server/async_retrieval_server.h"
-#include "src/serving/sharded_retrieval_engine.h"
 #include "src/util/random.h"
 
 namespace qse {
@@ -61,7 +60,7 @@ struct GoldenStack {
   L2Scorer scorer;
   EmbeddedDatabase db;
   RetrievalEngine mono;
-  ShardedRetrievalEngine sharded;
+  RetrievalEngine sharded;
 
   static ObjectOracle<Vector> MakeOracle() {
     Rng rng(kSeed);
@@ -108,17 +107,14 @@ struct GoldenStack {
   }
 };
 
-/// Compares one response (with backend-specific neighbor indices) to one
-/// golden record, translating indices through db_id_of.
-void ExpectMatchesGolden(const RetrievalBackend& backend,
-                         const RetrievalResponse& got, const GoldenCase& want,
+/// Compares one response to one golden record.
+void ExpectMatchesGolden(const RetrievalResponse& got, const GoldenCase& want,
                          const std::string& context) {
   EXPECT_EQ(got.exact_distances, want.exact_distances) << context;
   EXPECT_EQ(got.embedding_distances, want.embedding_distances) << context;
   ASSERT_EQ(got.neighbors.size(), want.num_neighbors) << context;
   for (size_t i = 0; i < want.num_neighbors; ++i) {
-    EXPECT_EQ(backend.db_id_of(got.neighbors[i].index),
-              want.neighbors[i].db_id)
+    EXPECT_EQ(got.neighbors[i].index, want.neighbors[i].db_id)
         << context << " i=" << i;
     EXPECT_EQ(Bits(got.neighbors[i].score), want.neighbors[i].score_bits)
         << context << " i=" << i;
@@ -135,10 +131,10 @@ TEST(GoldenParityTest, SingleRetrieveMatchesPreRedesignOnBothEngines) {
                           " p=" + std::to_string(c.p);
     auto mono = s.mono.Retrieve(request);
     ASSERT_TRUE(mono.ok()) << mono.status();
-    ExpectMatchesGolden(s.mono, *mono, c, "mono " + context);
+    ExpectMatchesGolden(*mono, c, "mono " + context);
     auto sharded = s.sharded.Retrieve(request);
     ASSERT_TRUE(sharded.ok()) << sharded.status();
-    ExpectMatchesGolden(s.sharded, *sharded, c, "sharded " + context);
+    ExpectMatchesGolden(*sharded, c, "sharded " + context);
   }
 }
 
@@ -165,9 +161,8 @@ TEST(GoldenParityTest, RetrieveBatchMatchesPreRedesignOnBothEngines) {
         for (size_t i = 0; i < expected.size(); ++i) {
           std::string context = "batch threads=" + std::to_string(threads) +
                                 " q=" + std::to_string(expected[i]->query_id);
-          ExpectMatchesGolden(s.mono, (*mono)[i], *expected[i],
-                              "mono " + context);
-          ExpectMatchesGolden(s.sharded, (*sharded)[i], *expected[i],
+          ExpectMatchesGolden((*mono)[i], *expected[i], "mono " + context);
+          ExpectMatchesGolden((*sharded)[i], *expected[i],
                               "sharded " + context);
         }
       }
@@ -192,10 +187,10 @@ TEST(GoldenParityTest, ExplicitExact64PrecisionMatchesPreRedesign) {
                           " p=" + std::to_string(c.p);
     auto got = mono.Retrieve(request);
     ASSERT_TRUE(got.ok()) << got.status();
-    ExpectMatchesGolden(mono, *got, c, context);
+    ExpectMatchesGolden(*got, c, context);
     auto sharded = s.sharded.Retrieve(request);
     ASSERT_TRUE(sharded.ok()) << sharded.status();
-    ExpectMatchesGolden(s.sharded, *sharded, c, "sharded " + context);
+    ExpectMatchesGolden(*sharded, c, "sharded " + context);
   }
 }
 
@@ -220,7 +215,7 @@ TEST(GoldenParityTest, AsyncServerMatchesPreRedesignOnBothEngines) {
     for (const GoldenCase& c : kGoldenCases) {
       const auto& got = futures[i++].Get();
       ASSERT_TRUE(got.ok()) << got.status();
-      ExpectMatchesGolden(*backend, *got, c,
+      ExpectMatchesGolden(*got, c,
                           "server q=" + std::to_string(c.query_id) +
                               " k=" + std::to_string(c.k) +
                               " p=" + std::to_string(c.p));

@@ -1,6 +1,6 @@
 // End-to-end tests of the multi-node serving tier: a RetrievalServer
 // over a real engine, a RemoteRetrievalBackend speaking to it over
-// loopback TCP, and the composed ShardedRetrievalEngine scattering over
+// loopback TCP, and the composed RetrievalEngine scattering over
 // remote shards.  The headline contract: remote results are
 // bit-identical to in-process results at equal p.
 #include "src/net/retrieval_server.h"
@@ -15,7 +15,7 @@
 #include "src/net/remote_backend.h"
 #include "src/net/wire_codec.h"
 #include "src/retrieval/filter_refine.h"
-#include "src/serving/sharded_retrieval_engine.h"
+#include "src/retrieval/retrieval_engine.h"
 #include "src/util/random.h"
 #include "tests/test_util.h"
 
@@ -90,13 +90,7 @@ TEST(RetrievalServerTest, RemoteRetrieveMatchesLocalBitForBit) {
       auto got = remote.Retrieve({stack.QueryDx(query_id), options});
       ASSERT_TRUE(want.ok() && got.ok())
           << want.status().message() << got.status().message();
-      ASSERT_EQ(want->neighbors.size(), got->neighbors.size());
-      for (size_t i = 0; i < want->neighbors.size(); ++i) {
-        // Local indices are rows; remote are database ids.
-        EXPECT_EQ(stack.engine->db_id_of(want->neighbors[i].index),
-                  got->neighbors[i].index);
-        EXPECT_EQ(want->neighbors[i].score, got->neighbors[i].score);
-      }
+      EXPECT_EQ(want->neighbors, got->neighbors);
       EXPECT_EQ(want->exact_distances, got->exact_distances);
       EXPECT_EQ(want->embedding_distances, got->embedding_distances);
       ASSERT_EQ(got->shard_stats.size(), 1u);
@@ -138,9 +132,9 @@ TEST(RetrievalServerTest, ComposedShardedEngineMatchesInProcessSharded) {
 
   ShardedEngineOptions in_process_options;
   in_process_options.num_shards = kShards;
-  ShardedRetrievalEngine in_process(&stack.model, &stack.scorer, stack.db,
-                                    stack.db_ids, in_process_options);
-  ShardedRetrievalEngine composed(&stack.model, remotes);
+  RetrievalEngine in_process(&stack.model, &stack.scorer, stack.db,
+                             stack.db_ids, in_process_options);
+  RetrievalEngine composed(&stack.model, remotes);
   ASSERT_EQ(composed.size(), in_process.size());
 
   for (size_t p : {size_t{1}, size_t{7}, size_t{80}}) {
@@ -151,11 +145,7 @@ TEST(RetrievalServerTest, ComposedShardedEngineMatchesInProcessSharded) {
       auto got = composed.Retrieve({stack.QueryDx(query_id), options});
       ASSERT_TRUE(want.ok() && got.ok())
           << want.status().message() << got.status().message();
-      ASSERT_EQ(want->neighbors.size(), got->neighbors.size());
-      for (size_t i = 0; i < want->neighbors.size(); ++i) {
-        EXPECT_EQ(want->neighbors[i].index, got->neighbors[i].index);
-        EXPECT_EQ(want->neighbors[i].score, got->neighbors[i].score);
-      }
+      EXPECT_EQ(want->neighbors, got->neighbors);
       EXPECT_EQ(want->exact_distances, got->exact_distances);
       ASSERT_EQ(want->shard_stats.size(), got->shard_stats.size());
       for (size_t s = 0; s < kShards; ++s) {
@@ -180,11 +170,7 @@ TEST(RetrievalServerTest, ComposedShardedEngineMatchesInProcessSharded) {
   auto got = composed.Retrieve({stack.QueryDx(stack.query_ids[0]),
                                 RetrievalOptions(2, 20)});
   ASSERT_TRUE(want.ok() && got.ok());
-  ASSERT_EQ(want->neighbors.size(), got->neighbors.size());
-  for (size_t i = 0; i < want->neighbors.size(); ++i) {
-    EXPECT_EQ(want->neighbors[i].index, got->neighbors[i].index);
-    EXPECT_EQ(want->neighbors[i].score, got->neighbors[i].score);
-  }
+  EXPECT_EQ(want->neighbors, got->neighbors);
   ASSERT_TRUE(composed.Remove(new_id).ok());
   ASSERT_TRUE(in_process.Remove(new_id).ok());
   EXPECT_EQ(composed.size(), in_process.size());
@@ -302,12 +288,7 @@ TEST(RetrievalServerTest, RetrieveRawUsesServerSideResolver) {
   auto got = remote.RetrieveRaw(raw, ropts);
   ASSERT_TRUE(want.ok() && got.ok())
       << want.status().message() << got.status().message();
-  ASSERT_EQ(want->neighbors.size(), got->neighbors.size());
-  for (size_t i = 0; i < want->neighbors.size(); ++i) {
-    EXPECT_EQ(stack.engine->db_id_of(want->neighbors[i].index),
-              got->neighbors[i].index);
-    EXPECT_EQ(want->neighbors[i].score, got->neighbors[i].score);
-  }
+  EXPECT_EQ(want->neighbors, got->neighbors);
 
   // Without a resolver the op is a FailedPrecondition, not a crash.
   RetrievalServer bare_server(stack.engine.get(), ServerOptions());

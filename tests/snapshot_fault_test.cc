@@ -7,8 +7,6 @@
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
-#include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,12 +18,15 @@
 #include "src/retrieval/filter_scorer.h"
 #include "src/retrieval/retrieval_engine.h"
 #include "tests/line_universe.h"
+#include "tests/test_util.h"
 
 namespace qse {
 namespace persist {
 namespace {
 
 using test::DxOfObject;
+using test::ExpectDbsIdentical;
+using test::FreshDir;
 using test::kLineDims;
 using test::LineEmbedder;
 
@@ -35,29 +36,6 @@ struct MonoStack {
   EmbeddedDatabase db{kLineDims};
   RetrievalEngine engine{&embedder, &scorer, &db, {}};
 };
-
-std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/" + name;
-  ::mkdir(dir.c_str(), 0755);
-  std::remove((dir + "/wal.qse").c_str());
-  std::remove((dir + "/snapshot.qse").c_str());
-  std::remove((dir + "/snapshot.qse.tmp").c_str());
-  return dir;
-}
-
-void ExpectDbsIdentical(const EmbeddedDatabase& a, const EmbeddedDatabase& b,
-                        const std::string& what) {
-  SCOPED_TRACE(what);
-  EmbeddedDatabase::Snapshot sa = a.snapshot();
-  EmbeddedDatabase::Snapshot sb = b.snapshot();
-  const EmbeddedDatabase::View& va = sa.view();
-  const EmbeddedDatabase::View& vb = sb.view();
-  ASSERT_EQ(va.size(), vb.size());
-  ASSERT_EQ(va.dims(), vb.dims());
-  EXPECT_EQ(0, std::memcmp(va.data(), vb.data(),
-                           va.size() * va.dims() * sizeof(double)));
-  EXPECT_EQ(0, std::memcmp(va.ids(), vb.ids(), va.size() * sizeof(size_t)));
-}
 
 /// Recovers the durability directory into a fresh stack and asserts bit
 /// identity with `live`.

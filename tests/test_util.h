@@ -1,12 +1,22 @@
 #ifndef QSE_TESTS_TEST_UTIL_H_
 #define QSE_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cstring>
+#include <filesystem>
+#include <mutex>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "src/data/dataset.h"
 #include "src/distance/lp.h"
+#include "src/retrieval/embedded_database.h"
 #include "src/retrieval/retrieval_backend.h"
+#include "src/retrieval/retrieval_engine.h"
 #include "src/util/random.h"
 
 namespace qse {
@@ -36,6 +46,70 @@ inline std::vector<size_t> Iota(size_t n, size_t start = 0) {
   std::vector<size_t> ids(n);
   std::iota(ids.begin(), ids.end(), start);
   return ids;
+}
+
+/// A new empty directory for durability files, unique per call and
+/// process — concurrent `ctest -j` processes never share one — and
+/// removed when the process exits.
+inline std::string FreshDir(const std::string& name) {
+  struct Registry {
+    std::mutex mu;
+    std::vector<std::string> dirs;
+    ~Registry() {
+      for (const std::string& dir : dirs) std::filesystem::remove_all(dir);
+    }
+  };
+  static Registry registry;
+  static std::atomic<size_t> next{0};
+  std::string dir = ::testing::TempDir() + "/" + name + "." +
+                    std::to_string(::getpid()) + "." +
+                    std::to_string(next.fetch_add(1));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::lock_guard<std::mutex> lock(registry.mu);
+  registry.dirs.push_back(dir);
+  return dir;
+}
+
+/// The databases of every shard of `engine` in shard order: the
+/// durability layer's snapshot and restore targets.
+inline std::vector<EmbeddedDatabase*> ShardDbs(RetrievalEngine* engine) {
+  std::vector<EmbeddedDatabase*> dbs;
+  for (size_t s = 0; s < engine->num_shards(); ++s) {
+    dbs.push_back(engine->mutable_db(s));
+  }
+  return dbs;
+}
+
+/// memcmp that tolerates empty ranges (whose pointers may be null).
+inline bool SameBytes(const void* a, const void* b, size_t bytes) {
+  return bytes == 0 || std::memcmp(a, b, bytes) == 0;
+}
+
+/// Full bit-identity between two databases: float64 matrix, id column,
+/// and — when present — both shadow matrices and the int8 scales.
+inline void ExpectDbsIdentical(const EmbeddedDatabase& a,
+                               const EmbeddedDatabase& b,
+                               const std::string& what) {
+  SCOPED_TRACE(what);
+  EmbeddedDatabase::Snapshot sa = a.snapshot();
+  EmbeddedDatabase::Snapshot sb = b.snapshot();
+  const EmbeddedDatabase::View& va = sa.view();
+  const EmbeddedDatabase::View& vb = sb.view();
+  ASSERT_EQ(va.size(), vb.size());
+  ASSERT_EQ(va.dims(), vb.dims());
+  const size_t cells = va.size() * va.dims();
+  EXPECT_TRUE(SameBytes(va.data(), vb.data(), cells * sizeof(double)));
+  EXPECT_TRUE(SameBytes(va.ids(), vb.ids(), va.size() * sizeof(size_t)));
+  ASSERT_EQ(va.shadows(), vb.shadows());
+  if (va.has_f32()) {
+    EXPECT_TRUE(SameBytes(va.data_f32(), vb.data_f32(), cells * sizeof(float)));
+  }
+  if (va.has_i8()) {
+    EXPECT_TRUE(SameBytes(va.data_i8(), vb.data_i8(), cells));
+    EXPECT_TRUE(SameBytes(va.i8_scales(), vb.i8_scales(),
+                          va.dims() * sizeof(float)));
+  }
 }
 
 }  // namespace test

@@ -15,8 +15,8 @@
 
 #include "src/embedding/fastmap.h"
 #include "src/retrieval/filter_refine.h"
+#include "src/retrieval/retrieval_engine.h"
 #include "src/server/async_retrieval_server.h"
-#include "src/serving/sharded_retrieval_engine.h"
 #include "src/util/timer.h"
 #include "tests/test_util.h"
 
@@ -184,7 +184,7 @@ struct TraceStack {
   FastMapModel model;
   L2Scorer scorer;
   EmbeddedDatabase db;
-  ShardedRetrievalEngine sharded;
+  RetrievalEngine sharded;
 
   static FastMapModel BuildModel(const ObjectOracle<Vector>& oracle,
                                  const std::vector<size_t>& db_ids) {

@@ -9,9 +9,7 @@
 // Everything is deterministic (fixed seeds, fixed sampling strides), so
 // a failure reproduces exactly.
 #include <gtest/gtest.h>
-#include <sys/stat.h>
 
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -27,23 +25,16 @@
 #include "src/retrieval/retrieval_engine.h"
 #include "src/util/logging.h"
 #include "tests/line_universe.h"
+#include "tests/test_util.h"
 
 namespace qse {
 namespace persist {
 namespace {
 
+using test::FreshDir;
 using test::kLineDims;
 using test::LineEmbedder;
 using test::XOf;
-
-std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/" + name;
-  ::mkdir(dir.c_str(), 0755);
-  std::remove((dir + "/wal.qse").c_str());
-  std::remove((dir + "/snapshot.qse").c_str());
-  std::remove((dir + "/snapshot.qse.tmp").c_str());
-  return dir;
-}
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

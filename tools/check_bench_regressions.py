@@ -573,23 +573,19 @@ CEILING_RULES = [
 # commit in qse_build_info).
 METRIC_FLOORS = [
     ("counters", "qse_engine_retrievals_total", 1,
-     "monolithic engine retrievals recorded"),
+     "engine retrievals recorded"),
     ("counters", "qse_engine_filter_rows_visited_total", 1,
-     "monolithic filter scan row accounting"),
-    ("counters", "qse_sharded_retrievals_total", 1,
-     "sharded engine retrievals recorded"),
-    ("counters", "qse_sharded_filter_rows_visited_total", 1,
-     "sharded filter scan row accounting"),
+     "filter scan row accounting"),
     ("counters", "qse_server_submitted_total", 1,
      "server admission accounting (submitted)"),
     ("counters", "qse_server_completed_total", 1,
      "server admission accounting (completed)"),
     ("histograms", "qse_server_batch_size", 1,
      "server batch-size histogram populated"),
-    ("histograms", "qse_sharded_scatter_latency_ns", 1,
-     "sharded scatter stage latency recorded"),
-    ("histograms", "qse_engine_filter_latency_ns", 1,
-     "monolithic filter stage latency recorded"),
+    ("histograms", "qse_engine_scan_latency_ns", 1,
+     "scan stage latency recorded"),
+    ("histograms", "qse_engine_merge_latency_ns", 1,
+     "merge stage latency recorded"),
     # The quality monitor's instruments, bumped by the control run.
     ("counters", "qse_quality_audits_sampled_total", 1,
      "quality audits sampled off the hot path"),
