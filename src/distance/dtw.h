@@ -20,11 +20,13 @@ namespace qse {
 ///   it obeys symmetry but NOT the triangle inequality — cDTW is
 ///   non-metric, which is exactly the regime the paper targets.
 ///
-/// Returns +infinity only if either series is empty.
+/// Returns +infinity only if either series is empty.  Aborts if the two
+/// series differ in dims.
 double ConstrainedDtw(const Series& a, const Series& b,
                       double band_fraction = 0.1);
 
-/// Same, with an absolute window half-width `window` (in samples).
+/// Same, with an absolute window half-width `window` (in samples).  A
+/// window of at least max(len(a), len(b)) is unconstrained DTW.
 double ConstrainedDtwWindow(const Series& a, const Series& b, long window);
 
 /// Unconstrained DTW (window = max length); provided for tests and for
@@ -46,7 +48,8 @@ struct DtwEnvelope {
 DtwEnvelope BuildEnvelope(const Series& s, long window);
 
 /// LB_Keogh lower bound: sum over aligned samples of the L1 distance from
-/// c to the envelope tube of the query.  Requires equal length and dims.
+/// c to the envelope tube of the query.  Aborts unless the length and
+/// dims are equal.
 /// For any series c of the same length, LbKeogh(env(q, w), c) <=
 /// ConstrainedDtwWindow(q, c, w); the property suite verifies this.
 double LbKeogh(const DtwEnvelope& query_envelope, const Series& c);

@@ -1,6 +1,12 @@
 #include "src/distance/dtw.h"
 
+#include <algorithm>
+#include <climits>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +17,77 @@ namespace qse {
 namespace {
 
 Series S(std::vector<double> v) { return Series::FromValues(std::move(v)); }
+
+Series RandomSeries(Rng* rng, size_t dims, size_t length) {
+  std::vector<double> v(dims * length);
+  for (double& x : v) x = rng->Uniform(-2, 2);
+  return Series(dims, std::move(v));
+}
+
+bool SameBits(double x, double y) {
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+/// The straightforward full-row cDTW DP the band-only kernel replaced:
+/// two heap rows of m + 1 cells, each refilled with +inf per row.  Kept
+/// as the oracle the kernel must match bit for bit.
+double ReferenceCdtw(const Series& a, const Series& b, long window) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (a.empty() || b.empty()) return kInf;
+  const long n = static_cast<long>(a.length());
+  const long m = static_cast<long>(b.length());
+  const size_t dims = a.dims();
+  if (window < 0) window = 0;
+  const double slope = static_cast<double>(m) / static_cast<double>(n);
+  const long w = window + 1;
+  std::vector<double> prev(static_cast<size_t>(m) + 1, kInf);
+  std::vector<double> curr(static_cast<size_t>(m) + 1, kInf);
+  prev[0] = 0.0;
+  for (long i = 1; i <= n; ++i) {
+    std::fill(curr.begin(), curr.end(), kInf);
+    long centre = static_cast<long>(std::llround(slope * (i - 1))) + 1;
+    long jlo = std::max<long>(1, centre - w);
+    long jhi = std::min<long>(m, centre + w);
+    for (long j = jlo; j <= jhi; ++j) {
+      double best = prev[static_cast<size_t>(j - 1)];
+      best = std::min(best, prev[static_cast<size_t>(j)]);
+      best = std::min(best, curr[static_cast<size_t>(j - 1)]);
+      if (best == kInf) continue;
+      const double* pa = a.values().data() + static_cast<size_t>(i - 1) * dims;
+      const double* pb = b.values().data() + static_cast<size_t>(j - 1) * dims;
+      double c = 0.0;
+      for (size_t d = 0; d < dims; ++d) c += std::fabs(pa[d] - pb[d]);
+      curr[static_cast<size_t>(j)] = best + c;
+    }
+    std::swap(prev, curr);
+  }
+  return prev[static_cast<size_t>(m)];
+}
+
+/// Per-dimension min/max scan through the bounds-checked accessor; the
+/// oracle for BuildEnvelope.
+DtwEnvelope NaiveEnvelope(const Series& s, long window) {
+  DtwEnvelope env;
+  env.dims = s.dims();
+  env.lower.assign(s.values().size(), 0.0);
+  env.upper.assign(s.values().size(), 0.0);
+  const long n = static_cast<long>(s.length());
+  const long w = window + 1;
+  for (long t = 0; t < n; ++t) {
+    for (size_t d = 0; d < s.dims(); ++d) {
+      double mn = std::numeric_limits<double>::infinity();
+      double mx = -mn;
+      for (long u = std::max<long>(0, t - w);
+           u <= std::min<long>(n - 1, t + w); ++u) {
+        mn = std::min(mn, s.at(static_cast<size_t>(u), d));
+        mx = std::max(mx, s.at(static_cast<size_t>(u), d));
+      }
+      env.lower[static_cast<size_t>(t) * s.dims() + d] = mn;
+      env.upper[static_cast<size_t>(t) * s.dims() + d] = mx;
+    }
+  }
+  return env;
+}
 
 TEST(SeriesTest, LayoutAndAccess) {
   Series s(2, {1, 2, 3, 4, 5, 6});
@@ -132,6 +209,165 @@ TEST(DtwTest, TriangleInequalityViolationExists) {
   Series c = S({2, 2, 2, 2});
   double ab = Dtw(a, b), bc = Dtw(b, c), ac = Dtw(a, c);
   EXPECT_GT(ac, ab + bc);
+}
+
+TEST(DtwTest, KernelMatchesReferenceBitForBit) {
+  // Random pairs over several dims, equal and unequal lengths, and
+  // windows from 0 to past the longer length.  Consecutive calls differ
+  // in length, so stale per-thread scratch would surface as a mismatch.
+  Rng rng(2024);
+  const std::vector<std::pair<size_t, size_t>> shapes = {
+      {1, 50}, {50, 1}, {30, 30}, {7, 19}, {1, 1}, {64, 41},
+      {2, 3},  {41, 64}, {50, 50}, {19, 7}, {96, 96}, {5, 80},
+      {30, 600}, {600, 30}};
+  size_t checks = 0, mismatches = 0;
+  for (size_t dims : {1, 2, 3, 5}) {
+    for (int rep = 0; rep < 4; ++rep) {
+      for (const auto& [n, m] : shapes) {
+        Series a = RandomSeries(&rng, dims, n);
+        Series b = RandomSeries(&rng, dims, m);
+        long tenth = static_cast<long>(
+            std::ceil(0.1 * static_cast<double>(std::min(n, m))));
+        long longest = static_cast<long>(std::max(n, m));
+        for (long window : {0L, 1L, tenth, longest, longest + 7}) {
+          ++checks;
+          if (!SameBits(ConstrainedDtwWindow(a, b, window),
+                        ReferenceCdtw(a, b, window))) {
+            ++mismatches;
+            ADD_FAILURE() << dims << "-D " << n << " vs " << m
+                          << ", window " << window;
+          }
+        }
+      }
+    }
+  }
+  // Non-finite samples make the min order and the "+inf stays +inf"
+  // rule observable: inf - inf is NaN, and where a NaN lands in the
+  // min chain decides whether it propagates.
+  const double kNonFinite[] = {std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN()};
+  for (size_t dims : {1, 2, 3}) {
+    for (int rep = 0; rep < 30; ++rep) {
+      size_t n = 2 + rng.Index(20), m = 2 + rng.Index(20);
+      Series a = RandomSeries(&rng, dims, n);
+      Series b = RandomSeries(&rng, dims, m);
+      for (int k = 0; k < 2; ++k) {
+        a.values()[rng.Index(a.values().size())] = kNonFinite[rng.Index(3)];
+        b.values()[rng.Index(b.values().size())] = kNonFinite[rng.Index(3)];
+      }
+      for (long window : {0L, 2L, 30L}) {
+        ++checks;
+        if (!SameBits(ConstrainedDtwWindow(a, b, window),
+                      ReferenceCdtw(a, b, window))) {
+          ++mismatches;
+          ADD_FAILURE() << "non-finite " << dims << "-D " << n << " vs " << m
+                        << ", window " << window;
+        }
+      }
+    }
+  }
+  // The refine workload's shape: 96 samples x 2 dims, fixed and variable
+  // length, at the 10% band ConstrainedDtw uses and a few absolute ones.
+  for (bool fixed : {true, false}) {
+    TimeSeriesGeneratorParams params;
+    params.fixed_length = fixed;
+    TimeSeriesGenerator gen(params, fixed ? 31 : 32);
+    std::vector<Series> series = gen.Generate(24);
+    for (size_t i = 0; i < series.size(); ++i) {
+      for (size_t j = 0; j < series.size(); ++j) {
+        const Series& a = series[i];
+        const Series& b = series[j];
+        long tenth = static_cast<long>(std::ceil(
+            0.1 * static_cast<double>(std::min(a.length(), b.length()))));
+        for (long window : {tenth, 0L, 3L, 40L, 200L}) {
+          ++checks;
+          double want = ReferenceCdtw(a, b, window);
+          if (!SameBits(ConstrainedDtwWindow(a, b, window), want) ||
+              (window == tenth && !SameBits(ConstrainedDtw(a, b), want))) {
+            ++mismatches;
+            ADD_FAILURE() << "generated pair " << i << ", " << j
+                          << ", window " << window;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << checks << " checks";
+}
+
+TEST(DtwTest, ConcurrentCallsMatchSerial) {
+  // Each call owns its DP rows; four threads scoring the same
+  // mixed-length set, each in its own order, must equal a serial pass.
+  TimeSeriesGeneratorParams params;
+  params.length_jitter = 0.5;
+  TimeSeriesGenerator gen(params, 9);
+  std::vector<Series> series = gen.Generate(12);
+  Rng rng(10);
+  series.push_back(RandomSeries(&rng, 2, 1));
+  series.push_back(RandomSeries(&rng, 2, 300));
+  const size_t k = series.size();
+  std::vector<double> serial(k * k);
+  for (size_t p = 0; p < k * k; ++p) {
+    serial[p] = ConstrainedDtw(series[p / k], series[p % k]);
+  }
+  constexpr int kThreads = 4;
+  std::vector<std::vector<double>> got(kThreads, std::vector<double>(k * k));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Rotated by thread, and reversed on odd threads.
+      for (int rep = 0; rep < 5; ++rep) {
+        for (size_t q = 0; q < k * k; ++q) {
+          size_t p = (q + static_cast<size_t>(t + rep) * k) % (k * k);
+          if (t % 2 == 1) p = k * k - 1 - p;
+          got[t][p] = ConstrainedDtw(series[p / k], series[p % k]);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (size_t p = 0; p < k * k; ++p) {
+      EXPECT_TRUE(SameBits(got[t][p], serial[p]))
+          << "thread " << t << ", pair " << p / k << ", " << p % k;
+    }
+  }
+}
+
+TEST(DtwTest, HugeWindowEqualsUnconstrained) {
+  Rng rng(12);
+  Series a = RandomSeries(&rng, 2, 40);
+  Series b = RandomSeries(&rng, 2, 23);
+  EXPECT_EQ(ConstrainedDtwWindow(a, b, LONG_MAX), Dtw(a, b));
+  EXPECT_EQ(ConstrainedDtwWindow(b, a, LONG_MAX), Dtw(b, a));
+}
+
+TEST(DtwDeathTest, MismatchedDimsAbort) {
+  Series a(2, {0, 0, 1, 1});
+  Series b = S({0, 1, 2, 3});
+  EXPECT_DEATH(ConstrainedDtwWindow(a, b, 3), "dims");
+  DtwEnvelope env = BuildEnvelope(b, 1);
+  Series c(2, {0, 0, 1, 1, 2, 2, 3, 3});
+  EXPECT_DEATH(LbKeogh(env, c), "dims");
+}
+
+TEST(EnvelopeTest, MatchesNaivePerDimensionScan) {
+  Rng rng(13);
+  for (size_t dims : {1, 2, 3}) {
+    for (size_t length : {1, 9, 96}) {
+      Series s = RandomSeries(&rng, dims, length);
+      for (long window : {0L, 1L, 10L, 200L}) {
+        DtwEnvelope got = BuildEnvelope(s, window);
+        DtwEnvelope want = NaiveEnvelope(s, window);
+        EXPECT_EQ(got.dims, want.dims);
+        EXPECT_EQ(got.lower, want.lower) << dims << "x" << length << " w"
+                                         << window;
+        EXPECT_EQ(got.upper, want.upper) << dims << "x" << length << " w"
+                                         << window;
+      }
+    }
+  }
 }
 
 TEST(EnvelopeTest, ContainsTheSeries) {
