@@ -26,7 +26,8 @@ double ConstrainedDtw(const Series& a, const Series& b,
                       double band_fraction = 0.1);
 
 /// Same, with an absolute window half-width `window` (in samples).  A
-/// window of at least max(len(a), len(b)) is unconstrained DTW.
+/// window of at least max(len(a), len(b)) is unconstrained DTW.  Runs on
+/// the active SIMD tier (simd/kernels.h), bit-identically on every tier.
 double ConstrainedDtwWindow(const Series& a, const Series& b, long window);
 
 /// Unconstrained DTW (window = max length); provided for tests and for

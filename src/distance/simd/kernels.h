@@ -14,7 +14,8 @@ namespace simd {
 /// vector step, so the blocked loop never splits a vector iteration.
 inline constexpr size_t kAbandonBlock = 64;
 
-/// One ISA's set of filter-scan kernels.  Every kernel streams one
+/// One ISA's set of filter-scan kernels, plus its cDTW kernel (the last
+/// entry, under its own contract).  Every filter kernel streams one
 /// database row against a query, accumulating non-negative per-dimension
 /// terms, and may stop early — returning any partial sum strictly
 /// greater than `abandon` — once its running sum provably exceeds it
@@ -64,6 +65,33 @@ struct KernelTable {
                   size_t d, float abandon);
   float (*wl2_i8)(const int8_t* q, const int8_t* x, const float* c,
                   size_t d, float abandon);
+
+  /// Constrained DTW under an L1 ground cost between point-major series
+  /// a (n points) and b (m points) of `dims` coordinates each, n, m >= 1,
+  /// `window` in [0, max(n, m)]; ConstrainedDtwWindow (dtw.h) documents
+  /// the band.  The scalar entry is the row-by-row band DP
+  /// (cdtw_rows.h).  The vector tiers run an anti-diagonal wavefront
+  /// when n == m and the band fits their registers, and the row DP
+  /// otherwise.
+  ///
+  /// Determinism contract: the result is BIT-IDENTICAL on every tier,
+  /// NaN and infinities included, because every in-band cell (i, j)
+  /// performs the row DP's operations in its order:
+  ///
+  ///  * best = min(min(diag, up), left) with std::min's operand order —
+  ///    std::min(x, y) returns x unless y < x, which is the vector
+  ///    min(y, x) — so a NaN neighbour propagates exactly where it does
+  ///    in the row DP;
+  ///  * +inf stays +inf: best == +inf yields +inf without adding the
+  ///    cost (a NaN cost must not turn an unreachable cell into NaN);
+  ///  * otherwise best + cost, the cost being |a_i,0 - b_j,0| +
+  ///    |a_i,1 - b_j,1| + ... summed left to right over the dims;
+  ///  * cells outside the band, and row 0 / column 0 except the start
+  ///    (0, 0) = 0, are +inf;
+  ///  * no FMA (there is no multiply to contract, and the kernel TUs
+  ///    compile with -ffp-contract=off regardless).
+  double (*cdtw_f64)(const double* a, size_t n, const double* b, size_t m,
+                     size_t dims, long window);
 };
 
 /// The portable reference implementation (plain C++, the bit-exactness

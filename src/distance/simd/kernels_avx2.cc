@@ -12,6 +12,9 @@
 // registers on the hot paths (ReduceF64Acc/ReduceF32Acc), never through
 // hadd or permute-based shortcuts with different rounding orders; the
 // shared scalar helpers run only when a tail folds into lane 0.
+//
+// The cDTW entry is the shared anti-diagonal wavefront (wavefront.h)
+// over ymm lanes.
 #include "src/distance/simd/kernels.h"
 
 #if defined(QSE_BUILD_AVX2)
@@ -21,6 +24,7 @@
 #include <cmath>
 
 #include "src/distance/simd/lanes.h"
+#include "src/distance/simd/wavefront.h"
 
 namespace qse {
 namespace simd {
@@ -269,8 +273,40 @@ float Wl2I8(const int8_t* q, const int8_t* x, const float* c, size_t d,
       });
 }
 
+/// The wavefront's lane operations (wavefront.h): one ymm holds four
+/// cells of a diagonal, and three ymm hold windows of up to 10 samples.
+struct Avx2Wave {
+  using Vec = __m256d;
+  static constexpr int kLanes = 4;
+  static constexpr int kMaxRegs = 3;
+
+  static Vec Splat(double x) { return _mm256_set1_pd(x); }
+  static Vec Load(const double* p) { return _mm256_loadu_pd(p); }
+  static void Store(double* p, Vec v) { _mm256_storeu_pd(p, v); }
+  static Vec AbsDiff(Vec x, Vec y) { return AbsPd(_mm256_sub_pd(x, y)); }
+  static Vec Add(Vec x, Vec y) { return _mm256_add_pd(x, y); }
+  static Vec Min(Vec x, Vec y) { return _mm256_min_pd(x, y); }
+  // [below[3], v[0], v[1], v[2]]
+  static Vec FromBelow(Vec below, Vec v) {
+    return _mm256_shuffle_pd(_mm256_permute2f128_pd(below, v, 0x21), v, 0x5);
+  }
+  // [v[1], v[2], v[3], above[0]]
+  static Vec FromAbove(Vec v, Vec above) {
+    return _mm256_shuffle_pd(v, _mm256_permute2f128_pd(v, above, 0x21), 0x5);
+  }
+  static Vec Finish(Vec best, Vec cost, unsigned valid, Vec inf) {
+    const __m256i bits = _mm256_set_epi64x(8, 4, 2, 1);
+    const __m256i in_band = _mm256_cmpeq_epi64(
+        _mm256_and_si256(_mm256_set1_epi64x(valid), bits), bits);
+    const Vec keep = _mm256_and_pd(_mm256_castsi256_pd(in_band),
+                                   _mm256_cmp_pd(best, inf, _CMP_NEQ_UQ));
+    return _mm256_blendv_pd(inf, _mm256_add_pd(best, cost), keep);
+  }
+};
+
 const KernelTable kAvx2Table = {
     L1F64, L2F64, Wl1F64, L1F32, L2F32, Wl1F32, Wl1I8, Wl2I8,
+    Wavefront<Avx2Wave>::Cdtw,
 };
 
 }  // namespace

@@ -11,6 +11,9 @@
 // perform the lanes.h trees' additions verbatim — in registers on the
 // hot paths (ReduceF64Acc/ReduceF32Acc), through the shared scalar
 // helpers only when a d % 4 / d % 16 tail folds into lane 0.
+//
+// The cDTW entry is the shared anti-diagonal wavefront (wavefront.h)
+// over zmm lanes.
 #include "src/distance/simd/kernels.h"
 
 #if defined(QSE_BUILD_AVX512)
@@ -20,6 +23,7 @@
 #include <cmath>
 
 #include "src/distance/simd/lanes.h"
+#include "src/distance/simd/wavefront.h"
 
 namespace qse {
 namespace simd {
@@ -282,8 +286,37 @@ float Wl2I8(const int8_t* q, const int8_t* x, const float* c, size_t d,
       });
 }
 
+/// The wavefront's lane operations (wavefront.h): one zmm holds eight
+/// cells of a diagonal, and four zmm hold windows of up to 30 samples.
+struct Avx512Wave {
+  using Vec = __m512d;
+  static constexpr int kLanes = 8;
+  static constexpr int kMaxRegs = 4;
+
+  static Vec Splat(double x) { return _mm512_set1_pd(x); }
+  static Vec Load(const double* p) { return _mm512_loadu_pd(p); }
+  static void Store(double* p, Vec v) { _mm512_storeu_pd(p, v); }
+  static Vec AbsDiff(Vec x, Vec y) { return AbsPd512(_mm512_sub_pd(x, y)); }
+  static Vec Add(Vec x, Vec y) { return _mm512_add_pd(x, y); }
+  static Vec Min(Vec x, Vec y) { return _mm512_min_pd(x, y); }
+  static Vec FromBelow(Vec below, Vec v) {
+    return _mm512_permutex2var_pd(
+        below, _mm512_set_epi64(14, 13, 12, 11, 10, 9, 8, 7), v);
+  }
+  static Vec FromAbove(Vec v, Vec above) {
+    return _mm512_permutex2var_pd(v, _mm512_set_epi64(8, 7, 6, 5, 4, 3, 2, 1),
+                                  above);
+  }
+  static Vec Finish(Vec best, Vec cost, unsigned valid, Vec inf) {
+    const __mmask8 keep = static_cast<__mmask8>(valid) &
+                          _mm512_cmp_pd_mask(best, inf, _CMP_NEQ_UQ);
+    return _mm512_mask_blend_pd(keep, inf, _mm512_add_pd(best, cost));
+  }
+};
+
 const KernelTable kAvx512Table = {
     L1F64, L2F64, Wl1F64, L1F32, L2F32, Wl1F32, Wl1I8, Wl2I8,
+    Wavefront<Avx512Wave>::Cdtw,
 };
 
 }  // namespace

@@ -23,8 +23,13 @@ double Rng::Uniform(double lo, double hi) {
 }
 
 double Rng::Gaussian(double mean, double stddev) {
-  std::normal_distribution<double> dist(mean, stddev);
-  return dist(engine_);
+  // std::normal_distribution requires stddev > 0, so draw N(0, 1) and
+  // scale.  libstdc++ returns exactly z * stddev + mean from the same
+  // draw, so every stddev > 0 stream is unchanged; stddev == 0 yields
+  // the mean.
+  std::normal_distribution<double> dist(0.0, 1.0);
+  const double z = dist(engine_);
+  return z * stddev + mean;
 }
 
 bool Rng::Bernoulli(double p) {

@@ -25,7 +25,8 @@ class Rng {
   /// Uniform double in [lo, hi).
   double Uniform(double lo = 0.0, double hi = 1.0);
 
-  /// Normal deviate with the given mean and standard deviation.
+  /// Normal deviate with the given mean and standard deviation
+  /// (stddev == 0 returns the mean).
   double Gaussian(double mean = 0.0, double stddev = 1.0);
 
   /// Bernoulli trial with success probability p.

@@ -5,11 +5,15 @@
 // envelope for reduced-precision paths.  This TU compiles baseline
 // x86-64 (no FMA instructions exist there), so the hand-written
 // pre-dispatch reference below cannot be contracted away from the
-// four-lane discipline it pins.
+// four-lane discipline it pins.  Every tier's cDTW entry is checked bit
+// for bit against the full-row DP oracle (tests/cdtw_reference.h).
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +22,7 @@
 #include "src/distance/simd/kernels.h"
 #include "src/retrieval/filter_precision.h"
 #include "src/util/random.h"
+#include "tests/cdtw_reference.h"
 
 namespace qse {
 namespace simd {
@@ -393,6 +398,78 @@ TEST(KernelParityTest, AbandonNeverFiresBelowThresholdAndCompletesExactly) {
         float r8 =
             k->wl1_i8(in.qq.data(), in.xq.data(), c.data(), d, full8 * 0.5f);
         EXPECT_GT(r8, full8 * 0.5f) << SimdLevelName(tier.level) << " d=" << d;
+      }
+    }
+  }
+}
+
+// --- cDTW -----------------------------------------------------------------
+
+/// Runs `table`'s cDTW entry the way ConstrainedDtwWindow does (window
+/// clamped to [0, max(n, m)]) and compares it with the full-row oracle.
+bool CdtwMatchesReference(const KernelTable* table, const Series& a,
+                          const Series& b, long window) {
+  const long longest = static_cast<long>(std::max(a.length(), b.length()));
+  window = std::clamp<long>(window, 0, longest);
+  double got = table->cdtw_f64(a.values().data(), a.length(),
+                               b.values().data(), b.length(), a.dims(),
+                               window);
+  return test::SameBits(got, test::ReferenceCdtw(a, b, window));
+}
+
+// Windows 8R - 2 and 4R - 2 are the widest an R-register wavefront holds
+// on AVX-512 (R <= 4) and AVX2 (R <= 3); each one past it needs another
+// register or, past the cap, falls back to the row DP.
+const long kWindows[] = {0, 1, 2, 3, 6, 7, 10, 11, 14, 15, 22, 23, 30, 31};
+
+TEST(KernelParityTest, CdtwBitIdenticalToReferenceOnEveryTier) {
+  // Equal lengths take the wavefront where the band fits; 140 vs 141
+  // samples at 5 dims straddle the AVX-512 planar-copy cap, and unequal
+  // lengths pin the row-DP fallback.
+  std::vector<std::pair<size_t, size_t>> shapes = {{96, 80}, {3, 17}};
+  for (size_t n : {1, 2, 3, 17, 96, 130, 140, 141}) shapes.push_back({n, n});
+  for (const Tier& tier : RunnableTiers()) {
+    SCOPED_TRACE(SimdLevelName(tier.level));
+    Rng rng(0x4000);
+    for (size_t dims : {1, 2, 3, 5}) {
+      for (const auto& [n, m] : shapes) {
+        Series a = test::RandomSeries(&rng, dims, n);
+        Series b = test::RandomSeries(&rng, dims, m);
+        std::vector<long> windows(std::begin(kWindows), std::end(kWindows));
+        windows.push_back(static_cast<long>(
+            std::ceil(0.1 * static_cast<double>(std::min(n, m)))));
+        for (long window : windows) {
+          EXPECT_TRUE(CdtwMatchesReference(tier.table, a, b, window))
+              << dims << "-D " << n << " vs " << m << ", window " << window;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelParityTest, CdtwNonFiniteSamplesBitIdenticalOnEveryTier) {
+  // Equal lengths, so the samples reach the wavefront: inf - inf is NaN,
+  // and where a NaN or +inf lands in the min chain decides what
+  // propagates, which pins the min operand order and the +inf rule.
+  const double kNonFinite[] = {std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN()};
+  for (const Tier& tier : RunnableTiers()) {
+    SCOPED_TRACE(SimdLevelName(tier.level));
+    Rng rng(0x5000);
+    for (size_t dims : {1, 2, 3, 5}) {
+      for (int rep = 0; rep < 40; ++rep) {
+        const size_t n = 1 + rng.Index(40);
+        Series a = test::RandomSeries(&rng, dims, n);
+        Series b = test::RandomSeries(&rng, dims, n);
+        for (size_t k = 1 + rng.Index(3); k > 0; --k) {
+          a.values()[rng.Index(a.values().size())] = kNonFinite[rng.Index(3)];
+          b.values()[rng.Index(b.values().size())] = kNonFinite[rng.Index(3)];
+        }
+        for (long window : {0L, 2L, 6L, 14L, 30L}) {
+          EXPECT_TRUE(CdtwMatchesReference(tier.table, a, b, window))
+              << dims << "-D, length " << n << ", window " << window;
+        }
       }
     }
   }

@@ -1,6 +1,7 @@
 #include "src/util/random.h"
 
 #include <algorithm>
+#include <random>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -65,6 +66,27 @@ TEST(RngTest, GaussianMomentsRoughlyCorrect) {
   double var = sum2 / n - mean * mean;
   EXPECT_NEAR(mean, 1.0, 0.1);
   EXPECT_NEAR(var, 4.0, 0.3);
+}
+
+TEST(RngTest, GaussianStreamMatchesStdNormalDistribution) {
+  // The draw that keeps stddev == 0 legal must not move any stream with
+  // stddev > 0: a fresh std::normal_distribution per call, as before.
+  Rng rng(17);
+  std::mt19937_64 engine(17);
+  for (int i = 0; i < 1000; ++i) {
+    const double mean = 0.25 * (i % 7) - 0.5;
+    const double stddev = 0.01 + 0.5 * (i % 5);
+    std::normal_distribution<double> dist(mean, stddev);
+    const double want = dist(engine);
+    EXPECT_EQ(rng.Gaussian(mean, stddev), want) << "draw " << i;
+  }
+}
+
+TEST(RngTest, GaussianZeroStddevReturnsMean) {
+  Rng rng(19);
+  for (double mean : {0.0, 1.5, -3.0}) {
+    EXPECT_EQ(rng.Gaussian(mean, 0.0), mean);
+  }
 }
 
 TEST(RngTest, BernoulliFrequency) {
