@@ -13,8 +13,11 @@
 //   * the monolithic single-query scan vs the sharded scatter/gather
 //     engine (S shards x 1 query): does sharding speed up ONE query, not
 //     just a batch?
+//   * the exact scan with and without its int8 prescreen across matrix
+//     sizes: the sweep behind kPrescreenMinBytes.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -437,6 +440,87 @@ void BM_FilterScanPrecision_Filter8(benchmark::State& state) {
   RunPrecisionScan(state, FilterPrecision::kFilter8);
 }
 BENCHMARK(BM_FilterScanPrecision_Filter8)->Unit(benchmark::kMillisecond);
+
+// --- Int8 prescreen of the exact scan: where kPrescreenMinBytes sits. --
+//
+// One query scans kSweepMatrices matrices in turn, like the shards of
+// perfbench scan_sharded, each holding `mib` MiB of float64 rows, with
+// the int8 prescreen on or off, at d = 16, 24 and 55.  Weights are
+// signed (every sixth negative, like the trained models' A_i(q)) and
+// p = n / 500 per matrix, scan_sharded's 100 of 50k rows, so the share
+// of rows the prescreen dismisses stays about the same across sizes and
+// the sweep isolates where the float64 rows stop fitting in cache.
+// Args: {d, mib, prescreen}.  prescreened_frac counts dismissed rows.
+
+constexpr size_t kSweepMatrices = 4;
+
+struct SweepFixture {
+  size_t d = 0;
+  size_t mib = 0;
+  size_t p = 0;
+  std::vector<EmbeddedDatabase> dbs;
+  Vector q, w;
+
+  /// The fixture for (d, mib), rebuilt only when the pair changes:
+  /// consecutive benchmarks share it, and only one size is resident.
+  static const SweepFixture& Get(size_t d, size_t mib) {
+    static SweepFixture f;
+    if (f.d == d && f.mib == mib) return f;
+    f.dbs.clear();
+    f.d = d;
+    f.mib = mib;
+    const size_t n = (mib << 20) / (d * sizeof(double));
+    f.p = std::max<size_t>(1, n / 500);
+    for (size_t m = 0; m < kSweepMatrices; ++m) {
+      f.dbs.push_back(MakeSoaDb(n, d, 10 + m));
+      f.dbs.back().EnableFilterShadows(kShadowInt8);
+    }
+    Rng rng(9);
+    f.q = f.dbs[0].RowVector(n / 2);
+    f.w.resize(d);
+    for (size_t j = 0; j < d; ++j) {
+      f.q[j] += rng.Uniform(-0.05, 0.05);
+      f.w[j] = j % 6 == 5 ? -rng.Uniform(0.1, 0.5) : rng.Uniform(0.2, 1.5);
+    }
+    return f;
+  }
+};
+
+void BM_PrescreenSweep(benchmark::State& state) {
+  const size_t d = static_cast<size_t>(state.range(0));
+  const size_t mib = static_cast<size_t>(state.range(1));
+  const bool prescreen = state.range(2) != 0;
+  const SweepFixture& f = SweepFixture::Get(d, mib);
+  const simd::KernelTable* k = simd::ActiveKernels();
+  size_t rows = 0;
+  size_t prescreened = 0;
+  for (auto _ : state) {
+    for (const EmbeddedDatabase& db : f.dbs) {
+      FilterScanStats stats;
+      std::vector<ScoredIndex> top =
+          WeightedL1TopP(f.q, f.w, db, f.p, FilterPrecision::kExact64,
+                         prescreen, k, &stats);
+      benchmark::DoNotOptimize(top.data());
+      rows += stats.rows_visited;
+      prescreened += stats.rows_prescreened;
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(rows));
+  state.counters["prescreened_frac"] =
+      rows == 0 ? 0.0
+                : static_cast<double>(prescreened) / static_cast<double>(rows);
+}
+
+void PrescreenSweepArgs(benchmark::internal::Benchmark* b) {
+  for (int64_t d : {16, 24, 55}) {
+    for (int64_t mib : {1, 2, 4, 8, 16, 32, 64}) {
+      for (int64_t prescreen : {0, 1}) b->Args({d, mib, prescreen});
+    }
+  }
+}
+BENCHMARK(BM_PrescreenSweep)
+    ->Apply(PrescreenSweepArgs)
+    ->Unit(benchmark::kMillisecond);
 
 // --- A_i(q) evaluation cost (unchanged from the seed). ------------------
 

@@ -66,6 +66,23 @@ struct KernelTable {
   float (*wl2_i8)(const int8_t* q, const int8_t* x, const float* c,
                   size_t d, float abandon);
 
+  /// The int8 prescreen of an exact weighted-L1 scan: wl1_i8's sum
+  /// sum_j c[j] * |q[j] - x[j]| under the same abandon contract (with
+  /// non-negative c), but WITHOUT the cross-tier bit-identity.  The
+  /// scalar and AVX2 entries are wl1_i8 itself; the AVX-512 entry sums a
+  /// d % 64 tail through one masked zmm load, term j into lane j % 16,
+  /// instead of wl1_i8's stack-reloaded lane-0 chain.  Error bound, on
+  /// every tier: each term pays one rounding of c[j] * |q[j] - x[j]|
+  /// (the integer difference is exact), each of the sixteen lanes adds
+  /// at most d / 16 + 15 terms in sequence, and the four-level
+  /// fold-halves tree adds four more roundings.  So the result is
+  /// within eps32 * (d / 16 + 16) * sum_j |c[j]| * |q[j] - x[j]| (eps32
+  /// = FLT_EPSILON), plus FLT_TRUE_MIN per operation for subnormal
+  /// results, of the real sum.  I8PrescreenMargin (filter_precision.h)
+  /// budgets exactly that.
+  float (*prescreen_i8)(const int8_t* q, const int8_t* x, const float* c,
+                        size_t d, float abandon);
+
   /// Constrained DTW under an L1 ground cost between point-major series
   /// a (n points) and b (m points) of `dims` coordinates each, n, m >= 1,
   /// `window` in [0, max(n, m)]; ConstrainedDtwWindow (dtw.h) documents

@@ -306,7 +306,7 @@ struct Avx2Wave {
 
 const KernelTable kAvx2Table = {
     L1F64, L2F64, Wl1F64, L1F32, L2F32, Wl1F32, Wl1I8, Wl2I8,
-    Wavefront<Avx2Wave>::Cdtw,
+    /*prescreen_i8=*/Wl1I8, Wavefront<Avx2Wave>::Cdtw,
 };
 
 }  // namespace

@@ -286,6 +286,45 @@ float Wl2I8(const int8_t* q, const int8_t* x, const float* c, size_t d,
       });
 }
 
+/// Accumulates group G (dims i+16G..i+16G+15) of a 64-dim block's
+/// absolute differences, weighted by the matching coefficients.  `mask`
+/// bit j of the block admits dim i+j: a masked-out coefficient loads as
+/// 0 and is never read, and its difference is 0 too, so it adds +0.
+template <int G>
+inline __m512 AddWeightedGroup(__m512 acc, __m512i diff, const float* c,
+                               size_t i, uint64_t mask) {
+  __m512 cg = _mm512_maskz_loadu_ps(static_cast<__mmask16>(mask >> (16 * G)),
+                                    c + i + 16 * G);
+  return _mm512_add_ps(acc, _mm512_mul_ps(cg, WidenU8Group<G>(diff)));
+}
+
+/// The prescreen entry: Wl1I8's terms with every block — the d % 64
+/// tail included — one (masked) byte load and at most four widened
+/// groups, reduced in registers.  Tail term j lands in lane j % 16
+/// rather than lane 0, so results may differ from Wl1I8 in the last
+/// bits (kernels.h documents the bound).
+float PrescreenI8(const int8_t* q, const int8_t* x, const float* c, size_t d,
+                  float abandon) {
+  __m512 acc = _mm512_setzero_ps();
+  for (size_t i = 0; i < d; i += kAbandonBlock) {
+    const size_t rem = d - i;
+    const uint64_t mask = rem >= 64 ? ~uint64_t{0} : (uint64_t{1} << rem) - 1;
+    __m512i qb = _mm512_maskz_loadu_epi8(mask, q + i);
+    __m512i xb = _mm512_maskz_loadu_epi8(mask, x + i);
+    __m512i diff = _mm512_sub_epi8(_mm512_max_epi8(qb, xb),
+                                   _mm512_min_epi8(qb, xb));
+    acc = AddWeightedGroup<0>(acc, diff, c, i, mask);
+    if (rem > 16) acc = AddWeightedGroup<1>(acc, diff, c, i, mask);
+    if (rem > 32) acc = AddWeightedGroup<2>(acc, diff, c, i, mask);
+    if (rem > 48) acc = AddWeightedGroup<3>(acc, diff, c, i, mask);
+    if (rem > 64) {
+      float partial = ReduceF32Acc(acc);
+      if (partial > abandon) return partial;
+    }
+  }
+  return ReduceF32Acc(acc);
+}
+
 /// The wavefront's lane operations (wavefront.h): one zmm holds eight
 /// cells of a diagonal, and four zmm hold windows of up to 30 samples.
 struct Avx512Wave {
@@ -315,7 +354,7 @@ struct Avx512Wave {
 };
 
 const KernelTable kAvx512Table = {
-    L1F64, L2F64, Wl1F64, L1F32, L2F32, Wl1F32, Wl1I8, Wl2I8,
+    L1F64, L2F64, Wl1F64, L1F32, L2F32, Wl1F32, Wl1I8, Wl2I8, PrescreenI8,
     Wavefront<Avx512Wave>::Cdtw,
 };
 

@@ -209,7 +209,8 @@ float Wl2I8(const int8_t* q, const int8_t* x, const float* c, size_t d,
 }
 
 const KernelTable kScalarTable = {
-    L1F64, L2F64, Wl1F64, L1F32, L2F32, Wl1F32, Wl1I8, Wl2I8, CdtwRows,
+    L1F64, L2F64, Wl1F64, L1F32, L2F32, Wl1F32, Wl1I8, Wl2I8,
+    /*prescreen_i8=*/Wl1I8, CdtwRows,
 };
 
 }  // namespace

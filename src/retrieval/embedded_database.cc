@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #ifdef __linux__
 #include <sys/mman.h>
@@ -211,16 +212,24 @@ void EmbeddedDatabase::RequantizeI8(Version* v, size_t n,
     const double* r = v->data.data() + i * dims_;
     for (size_t j = 0; j < dims_; ++j) {
       double a = std::fabs(r[j]);
-      if (a > maxabs[j]) maxabs[j] = a;
+      // NaN is sticky, so a dimension holding one gets a NaN scale.
+      if (a > maxabs[j] || std::isnan(a)) maxabs[j] = a;
     }
   }
   v->i8_scale.assign(dims_, 0.0f);
   for (size_t j = 0; j < dims_; ++j) {
-    if (maxabs[j] > 0.0) {
-      // maxabs/127 as float can round below the real quotient, but the
-      // half-step slack of FitsInt8 (127.5 vs 127) dwarfs that half-ulp.
-      v->i8_scale[j] = static_cast<float>(maxabs[j] * headroom / 127.0);
+    if (maxabs[j] == 0.0) continue;
+    // ±inf and NaN give a non-finite scale, which bounds nothing: the
+    // prescreen margin comes out +inf and kFilter8 never abandons.
+    float scale = static_cast<float>(maxabs[j] * headroom / 127.0);
+    // The float can round below the real quotient.  For normal floats
+    // the half-step slack of FitsInt8 (127.5 vs 127) dwarfs that
+    // half-ulp; a subnormal quotient rounds coarsely enough to need the
+    // next float up.
+    if (!(maxabs[j] <= 127.5 * static_cast<double>(scale))) {
+      scale = std::nextafterf(scale, std::numeric_limits<float>::infinity());
     }
+    v->i8_scale[j] = scale;
   }
   v->i8.resize(n * dims_);
   for (size_t i = 0; i < n; ++i) {

@@ -65,8 +65,18 @@ namespace qse {
 /// value would not quantize within the half-step bound (FitsInt8) forces
 /// a copy-on-write re-quantization of the whole matrix with 1.25x
 /// headroom, so `|stored| <= 127.5 * scale` holds for every published
-/// row and the scorer's error envelope stays sound.  All row buffers
-/// (float64 included) start on 64-byte boundaries via AlignedAllocator.
+/// row and the scorer's error envelope stays sound.  A dimension holding
+/// ±inf or NaN gets a non-finite scale instead (NaN is sticky through
+/// re-quantization), which bounds nothing: every value fits it and the
+/// prescreen margin built from it is +inf.  All row buffers (float64
+/// included) start on 64-byte boundaries via AlignedAllocator.
+///
+/// Besides explicit EnableFilterShadows calls, RetrievalEngine enables
+/// the int8 shadow on a local shard at construction (the borrowing and
+/// the partitioning constructors) when the shard's float64 rows reach
+/// kPrescreenMinBytes (filter_scorer.h): the exact query-sensitive scan
+/// of such a shard prescreens on it.  Smaller shards carry no shadow
+/// unless asked for one.
 ///
 /// Enable shadows AFTER bulk-loading: mutable_row() hands out raw
 /// float64 storage and cannot maintain them.  EnableFilterShadows

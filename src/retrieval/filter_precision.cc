@@ -20,6 +20,16 @@ double F32RelativeEnvelope(size_t d) {
   return kEps32 * (static_cast<double>(d) / 16.0 + 16.0);
 }
 
+/// The float64 counterpart for the four-lane wl1_f64 kernel: d/4
+/// additions per lane, a d % 4 tail and the depth-2 reduction, plus the
+/// subtract and multiply roundings of each term.
+double F64RelativeEnvelope(size_t d) {
+  return DBL_EPSILON * (static_cast<double>(d) / 4.0 + 16.0);
+}
+
+/// Largest |qq_j - rq_j| between two int8 values clamped to ±127.
+constexpr double kMaxI8Diff = 254.0;
+
 }  // namespace
 
 const char* FilterPrecisionName(FilterPrecision p) {
@@ -47,7 +57,7 @@ uint32_t ShadowMaskFor(FilterPrecision p) {
 }
 
 int8_t QuantizeToInt8(double x, float scale) {
-  if (!(scale > 0.0f)) return 0;
+  if (!(scale > 0.0f) || std::isinf(scale)) return 0;
   long q = std::lround(x / static_cast<double>(scale));
   if (q > 127) q = 127;
   if (q < -127) q = -127;
@@ -55,6 +65,7 @@ int8_t QuantizeToInt8(double x, float scale) {
 }
 
 bool FitsInt8(double x, float scale) {
+  if (!std::isfinite(scale)) return true;
   if (!(scale > 0.0f)) return x == 0.0;
   return std::fabs(x) <= 127.5 * static_cast<double>(scale);
 }
@@ -93,6 +104,38 @@ ReducedPrecisionBound I8BoundWeightedL1(const double* w, const double* q,
     add += (w != nullptr ? w[j] : 1.0) * resid;
   }
   return {add, F32RelativeEnvelope(d)};
+}
+
+double I8PrescreenMargin(const double* w, const double* q, const int8_t* qq,
+                         const float* scales, size_t d) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double resid = 0.0;  // sum_j |w_j| (|q_j - s_j qq_j| + 0.5 s_j)
+  double mag32 = 0.0;  // bounds sum_j |c_j (qq_j - rq_j)|
+  double mag64 = 0.0;  // bounds sum_j |w_j (q_j - x_j)|
+  for (size_t j = 0; j < d; ++j) {
+    double aw = std::fabs(w[j]);
+    double s = scales[j];
+    resid += aw * (std::fabs(q[j] - s * qq[j]) + 0.5 * s);
+    mag32 += aw * s * kMaxI8Diff;
+    mag64 += aw * (std::fabs(q[j]) + 127.5 * s);
+  }
+  // Every partial sum either kernel forms stays below twice its term
+  // magnitude bound; keeping that finite rules out an overflow turning
+  // a score into inf.  A NaN anywhere fails these comparisons too.
+  if (!(2.0 * mag32 <= FLT_MAX) || !(2.0 * mag64 <= DBL_MAX) ||
+      !(resid <= DBL_MAX)) {
+    return kInf;
+  }
+  double dd = static_cast<double>(d);
+  // Subnormal results round absolutely, at most FLT_TRUE_MIN per float32
+  // operation (2d + 32 of them bound both kernels' chains).
+  double margin = resid + F32RelativeEnvelope(d) * mag32 +
+                  F64RelativeEnvelope(d) * mag64 +
+                  (2.0 * dd + 32.0) * FLT_TRUE_MIN;
+  // The sums above round too, and a row's own half step is 0.5 * s_j
+  // only up to the rounding of x_j / s_j inside QuantizeToInt8 (at most
+  // 127.5 * 2^-53 of a step); one relative factor covers both.
+  return margin * (1.0 + DBL_EPSILON * (dd + 260.0));
 }
 
 ReducedPrecisionBound I8BoundSquaredL2(const double* q, const int8_t* qq,

@@ -12,6 +12,11 @@ namespace qse {
 /// never the final reported distances.
 enum class FilterPrecision : int {
   /// Scan the float64 rows.  Bit-identical to the pre-dispatch engine.
+  /// A query-sensitive scan over a view large enough to stream from
+  /// DRAM that carries an int8 matrix first scores each row's int8
+  /// shadow and reads the float64 row only when I8PrescreenMargin cannot
+  /// rule it out (FilterScorer::ScoreTopP); candidates and scores stay
+  /// bit-identical.
   kExact64 = 0,
   /// Scan the float32 shadow matrix: half the bytes.
   kFilter32 = 1,
@@ -32,12 +37,14 @@ inline constexpr uint32_t kShadowInt8 = 1u << 1;
 uint32_t ShadowMaskFor(FilterPrecision p);
 
 /// Symmetric int8 quantization: round(x / scale) clamped to ±127.
-/// A non-positive scale marks an all-zero dimension; anything lands on 0.
+/// A non-positive scale marks an all-zero dimension and a non-finite one
+/// a dimension holding ±inf or NaN; either way anything lands on 0.
 int8_t QuantizeToInt8(double x, float scale);
 
 /// Whether `x` quantizes under `scale` without clamping error beyond
 /// the half-step bound, i.e. |x| <= 127.5 * scale (or x == 0 for a dead
-/// dimension).  The database keeps this true for every stored value by
+/// dimension).  A non-finite scale bounds nothing, so every value fits
+/// it.  The database keeps this true for every stored value by
 /// re-quantizing the whole version when an insert would violate it.
 bool FitsInt8(double x, float scale);
 
@@ -85,6 +92,29 @@ ReducedPrecisionBound F32BoundSquaredL2(const double* q, size_t d);
 ReducedPrecisionBound I8BoundWeightedL1(const double* w, const double* q,
                                         const int8_t* qq, const float* scales,
                                         size_t d);
+
+/// Margin of the int8 prescreen in front of an exact weighted-L1 scan.
+/// For every row x whose int8 shadow rq holds the database's invariant
+/// under `scales` (|x_j - s_j * rq_j| <= 0.5 * s_j and |x_j| <= 127.5 *
+/// s_j, see EmbeddedDatabase), with `approx` the float32 score an int8
+/// kernel returns for c_j = (float)(w_j * s_j) and `exact` the float64
+/// score wl1_f64 returns,
+///
+///     |exact - approx| <= margin
+///
+/// whatever the sign of each w_j.  The margin sums three parts: the
+/// quantization residual sum_j |w_j| * (|q_j - s_j * qq_j| + 0.5 * s_j),
+/// the float32 rounding of the int8 score and the float64 rounding of
+/// the exact one.  Both rounding parts are bounded through |qq_j - rq_j|
+/// <= 254 and |x_j| <= 127.5 * s_j, so one margin serves every row.  A
+/// row with approx - margin > t therefore has exact > t.
+///
+/// Returns +infinity, which prescreens nothing, when no finite margin
+/// exists: a non-finite query value, weight or scale (a dimension
+/// holding ±inf or NaN carries a non-finite scale), or magnitudes large
+/// enough that either kernel could overflow.
+double I8PrescreenMargin(const double* w, const double* q, const int8_t* qq,
+                         const float* scales, size_t d);
 
 /// Envelope for the int8 squared-L2 scan (kernel term (c_j * fd) * fd
 /// with c_j = s_j^2).  Per dimension, with e_j the combined query + row

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/distance/lp.h"
 #include "src/distance/simd/dispatch.h"
@@ -10,6 +11,9 @@
 
 namespace qse {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr float kInf32 = std::numeric_limits<float>::infinity();
 
 /// Offers row i's completed (or abandoned) score to `top` under its
 /// database id; returns whether the row was kept.  A score strictly
@@ -25,12 +29,13 @@ inline bool OfferRow(BoundedTopK* top, const EmbeddedDatabase::View& db,
 /// smallest rows.  `row_score(x, d, threshold)` scores one row with the
 /// scorer's kernel and may stop early — returning any value strictly
 /// greater than `threshold` — once its running partial sum provably
-/// exceeds it.  Partial sums are monotone non-decreasing (non-negative
-/// terms), so an abandoned row's true score also exceeds the threshold
-/// and is rejected; completed rows return scores bit-identical to
-/// Score()'s (the dispatched kernels hold the span kernels' lane
-/// discipline, see src/distance/simd/kernels.h), and BoundedTopK breaks
-/// ties by database id.
+/// exceeds it.  With non-negative terms partial sums are monotone
+/// non-decreasing, so an abandoned row's true score also exceeds the
+/// threshold and is rejected (signed terms must never stop early);
+/// completed rows return scores bit-identical to Score()'s (the
+/// dispatched kernels hold the span kernels' lane discipline, see
+/// src/distance/simd/kernels.h), and BoundedTopK breaks ties by
+/// database id.
 template <typename RowScoreFn>
 std::vector<ScoredIndex> TopPScan(const EmbeddedDatabase::View& db, size_t p,
                                   const RowScoreFn& row_score,
@@ -79,6 +84,53 @@ std::vector<ScoredIndex> TopPScanReduced(const EmbeddedDatabase::View& db,
   return top.TakeSortedAscending();
 }
 
+/// The float a prescreened row's int8 score must exceed: the smallest
+/// float at or above the real t + margin (the double sum rounds to
+/// nearest, so step past it first).  +inf while the heap fills.
+float PrescreenCut(double threshold, double margin) {
+  return FloatAtLeast(std::nextafter(threshold + margin, kInf));
+}
+
+/// A kExact64 scan with an int8 prescreen: `approx_row(i, cut)` scores
+/// row i's int8 shadow, and a score above `cut` — the running threshold
+/// t plus `margin`, rounded up — dismisses the row unread, since its
+/// exact score then exceeds t and TopPScan would reject it too.  Every
+/// other row goes through `exact_row` exactly as in TopPScan, so the
+/// heap sees the same offers in the same order and the result is
+/// bit-identical.  `margin` must be finite (I8PrescreenMargin).
+template <typename ApproxFn, typename ExactFn>
+std::vector<ScoredIndex> PrescreenedTopPScan(const EmbeddedDatabase::View& db,
+                                             size_t p, double margin,
+                                             const ApproxFn& approx_row,
+                                             const ExactFn& exact_row,
+                                             FilterScanStats* scan_stats) {
+  const size_t n = db.size();
+  const size_t d = db.dims();
+  BoundedTopK top(std::min(p, n));
+  size_t pruned = 0;
+  size_t prescreened = 0;
+  // The cut only moves when an Offer is accepted; cache it like
+  // TopPScanReduced caches its widened threshold.
+  double cached_threshold = top.threshold();
+  float cut = PrescreenCut(cached_threshold, margin);
+  for (size_t i = 0; i < n; ++i) {
+    double t = top.threshold();
+    if (t != cached_threshold) {
+      cached_threshold = t;
+      cut = PrescreenCut(t, margin);
+    }
+    if (approx_row(i, cut) > cut) {
+      ++prescreened;
+      continue;
+    }
+    pruned += !OfferRow(&top, db, i, exact_row(db.row(i), d, t));
+  }
+  if (scan_stats != nullptr) {
+    *scan_stats = FilterScanStats{n, pruned + prescreened, prescreened};
+  }
+  return top.TakeSortedAscending();
+}
+
 /// The unpruned fallback's selection: the p best of a full score vector,
 /// by (score, database id).
 std::vector<ScoredIndex> TopPOfScores(const std::vector<double>& scores,
@@ -123,6 +175,18 @@ std::vector<int8_t> QuantizeQuery(const double* q, const float* scales,
   return out;
 }
 
+/// The int8 weighted-L1 coefficients: weight and dequantization scale
+/// folded, so the kernel's c_j * |qq_j - rq_j| approximates
+/// w_j * |q_j - r_j|.
+std::vector<float> I8WeightedL1Coeffs(const double* w, const float* scales,
+                                      size_t d) {
+  std::vector<float> c(d);
+  for (size_t j = 0; j < d; ++j) {
+    c[j] = static_cast<float>(w[j] * static_cast<double>(scales[j]));
+  }
+  return c;
+}
+
 }  // namespace
 
 std::vector<ScoredIndex> FilterScorer::ScoreTopP(
@@ -136,10 +200,10 @@ std::vector<ScoredIndex> FilterScorer::ScoreTopP(
   return TopPOfScores(scores, db, p, scan_stats);
 }
 
-void QuerySensitiveScorer::ScoreWithWeights(const Vector& weights,
-                                            const Vector& embedded_query,
-                                            const EmbeddedDatabase::View& db,
-                                            std::vector<double>* scores) {
+void QuerySensitiveScorer::Score(const Vector& embedded_query,
+                                 const EmbeddedDatabase::View& db,
+                                 std::vector<double>* scores) const {
+  Vector weights = model_->QueryWeights(embedded_query);
   const size_t d = db.dims();
   QSE_CHECK(embedded_query.size() == d);
   scores->resize(db.size());
@@ -149,40 +213,34 @@ void QuerySensitiveScorer::ScoreWithWeights(const Vector& weights,
   }
 }
 
-void QuerySensitiveScorer::Score(const Vector& embedded_query,
-                                 const EmbeddedDatabase::View& db,
-                                 std::vector<double>* scores) const {
-  ScoreWithWeights(model_->QueryWeights(embedded_query), embedded_query, db,
-                   scores);
-}
-
 std::vector<ScoredIndex> QuerySensitiveScorer::ScoreTopP(
     const Vector& embedded_query, const EmbeddedDatabase::View& db, size_t p,
     FilterPrecision precision, FilterScanStats* scan_stats) const {
-  Vector weights = model_->QueryWeights(embedded_query);
+  const bool prescreen = precision == FilterPrecision::kExact64 &&
+                         db.has_i8() && PrescreenPays(db.size(), db.dims());
+  return WeightedL1TopP(embedded_query, model_->QueryWeights(embedded_query),
+                        db, p, precision, prescreen, simd::ActiveKernels(),
+                        scan_stats);
+}
+
+std::vector<ScoredIndex> WeightedL1TopP(const Vector& embedded_query,
+                                        const Vector& weights,
+                                        const EmbeddedDatabase::View& db,
+                                        size_t p, FilterPrecision precision,
+                                        bool prescreen,
+                                        const simd::KernelTable* k,
+                                        FilterScanStats* scan_stats) {
   const size_t d = db.dims();
-  QSE_CHECK(embedded_query.size() == d);
-  // A_i(q) sums AdaBoost alphas, which MinimizeZ may in principle drive
-  // negative; early abandon (and the reduced-precision envelopes) are
-  // only sound for non-negative terms, so verify once per query and
-  // fall back to the unpruned exact scan otherwise.
-  bool nonnegative = true;
-  for (double w : weights) {
-    if (w < 0.0) {
-      nonnegative = false;
-      break;
-    }
-  }
-  if (!nonnegative) {
-    // Unpruned fallback, reusing the weights computed above instead of
-    // paying a second A_i(q) evaluation inside Score().
-    std::vector<double> scores;
-    ScoreWithWeights(weights, embedded_query, db, &scores);
-    return TopPOfScores(scores, db, p, scan_stats);
-  }
+  QSE_CHECK(embedded_query.size() == d && weights.size() == d);
   const double* q = embedded_query.data();
   const double* w = weights.data();
-  const simd::KernelTable* k = simd::ActiveKernels();
+  // A_i(q) sums AdaBoost alphas, and the trained models here give most
+  // queries a few negative ones.  Partial sums are then not monotone,
+  // so no kernel may abandon a row early: every row is scored in full
+  // (abandon = +inf), the threshold comparison alone selects.
+  const bool nonnegative =
+      std::none_of(weights.begin(), weights.end(),
+                   [](double v) { return v < 0.0; });
   if (precision == FilterPrecision::kFilter32) {
     QSE_CHECK_MSG(db.has_f32(), "kFilter32 scan on a view without a float32 "
                                 "shadow (EnableFilterShadows)");
@@ -190,7 +248,8 @@ std::vector<ScoredIndex> QuerySensitiveScorer::ScoreTopP(
     std::vector<float> wf = ToFloat(w, d);
     ReducedPrecisionBound bound = F32BoundWeightedL1(w, q, d);
     return TopPScanReduced(db, p, bound, [&](size_t i, float widened) {
-      return k->wl1_f32(qf.data(), db.row_f32(i), wf.data(), d, widened);
+      return k->wl1_f32(qf.data(), db.row_f32(i), wf.data(), d,
+                        nonnegative ? widened : kInf32);
     }, scan_stats);
   }
   if (precision == FilterPrecision::kFilter8) {
@@ -198,23 +257,35 @@ std::vector<ScoredIndex> QuerySensitiveScorer::ScoreTopP(
                                "shadow (EnableFilterShadows)");
     const float* s = db.i8_scales();
     std::vector<int8_t> qq = QuantizeQuery(q, s, d);
-    // Coefficients fold weight and dequantization scale: the kernel's
-    // c_j * |qq_j - rq_j| then approximates w_j * |q_j - r_j|.
-    std::vector<float> c(d);
-    for (size_t j = 0; j < d; ++j) {
-      c[j] = static_cast<float>(w[j] * static_cast<double>(s[j]));
-    }
+    std::vector<float> c = I8WeightedL1Coeffs(w, s, d);
     ReducedPrecisionBound bound = I8BoundWeightedL1(w, q, qq.data(), s, d);
     return TopPScanReduced(db, p, bound, [&](size_t i, float widened) {
       if (i + kI8PrefetchRowsAhead < db.size()) {
         PrefetchI8Row(db.row_i8(i + kI8PrefetchRowsAhead), d);
       }
-      return k->wl1_i8(qq.data(), db.row_i8(i), c.data(), d, widened);
+      return k->wl1_i8(qq.data(), db.row_i8(i), c.data(), d,
+                       nonnegative ? widened : kInf32);
     }, scan_stats);
   }
-  return TopPScan(db, p, [q, w, k](const double* x, size_t dd, double t) {
-    return k->wl1_f64(q, x, w, dd, t);
-  }, scan_stats);
+  auto exact_row = [q, w, k, nonnegative](const double* x, size_t dd,
+                                          double t) {
+    return k->wl1_f64(q, x, w, dd, nonnegative ? t : kInf);
+  };
+  if (prescreen) {
+    QSE_CHECK_MSG(db.has_i8(), "prescreened scan on a view without an int8 "
+                               "matrix (EnableFilterShadows)");
+    const float* s = db.i8_scales();
+    std::vector<int8_t> qq = QuantizeQuery(q, s, d);
+    std::vector<float> c = I8WeightedL1Coeffs(w, s, d);
+    double margin = I8PrescreenMargin(w, q, qq.data(), s, d);
+    if (margin < kInf) {
+      return PrescreenedTopPScan(db, p, margin, [&](size_t i, float cut) {
+        return k->prescreen_i8(qq.data(), db.row_i8(i), c.data(), d,
+                               nonnegative ? cut : kInf32);
+      }, exact_row, scan_stats);
+    }
+  }
+  return TopPScan(db, p, exact_row, scan_stats);
 }
 
 void L2Scorer::Score(const Vector& embedded_query,

@@ -9,17 +9,42 @@
 #include "src/util/top_k.h"
 
 namespace qse {
+namespace simd {
+struct KernelTable;
+}  // namespace simd
 
 /// Counters from one ScoreTopP scan, for trace spans and engine metrics.
 struct FilterScanStats {
   /// Rows the scan streamed over (the view's size).
   size_t rows_visited = 0;
   /// Rows that never entered the running top-p: early-abandoned by the
-  /// pruning threshold or completed with a worse score.  The complement
-  /// (rows_visited - rows_pruned) is how many times the top-p heap
-  /// accepted a row.
+  /// pruning threshold, dismissed by the int8 prescreen or completed
+  /// with a worse score.  The complement (rows_visited - rows_pruned) is
+  /// how many times the top-p heap accepted a row.
   size_t rows_pruned = 0;
+  /// Rows of a prescreened kExact64 scan dismissed on their int8 shadow
+  /// alone, without reading the float64 row.  Counted in rows_pruned
+  /// too.
+  size_t rows_prescreened = 0;
 };
+
+/// Float64 bytes (rows x dims x 8) from which an exact query-sensitive
+/// scan prescreens on the view's int8 matrix, and from which
+/// RetrievalEngine builds that matrix for a local shard at
+/// construction.  From the micro_filter_step BM_PrescreenSweep sweep
+/// (four matrices scanned in turn, d = 16 / 24 / 55, 4-vCPU Xeon with
+/// AVX-512): the float64 scan's row rate halves between 4 and 8 MiB per
+/// matrix, where it starts streaming from DRAM, and from 8 MiB up the
+/// prescreen wins on every tier and d (AVX2 at d = 24 only breaks
+/// even) while below it the AVX2 tier loses up to 1.6x.  Smaller shards
+/// also skip the int8 matrix's extra eighth of memory.
+inline constexpr size_t kPrescreenMinBytes = size_t{8} << 20;
+
+/// Whether `rows` float64 rows of `dims` doubles reach
+/// kPrescreenMinBytes.
+inline bool PrescreenPays(size_t rows, size_t dims) {
+  return rows * dims * sizeof(double) >= kPrescreenMinBytes;
+}
 
 /// Scores an embedded query against every database row; the filter step's
 /// ranking function.  Implementations: the query-sensitive D_out for
@@ -47,10 +72,21 @@ class FilterScorer {
   /// ids default to its rows).  Under kExact64 the scores are exactly
   /// Score(...)'s, but computed as one blocked streaming pass over the
   /// flat buffer with early-abandon pruning: a row is dropped as soon as
-  /// its partial sum exceeds the running p-th-best threshold.
-  /// Valid for kernels with non-negative per-dimension terms (all three
-  /// here; the query-sensitive scorer verifies its weights and falls back
-  /// to a full scan if any are negative).
+  /// its partial sum exceeds the running p-th-best threshold.  Abandon
+  /// needs non-negative per-dimension terms.  The L1 and L2 terms always
+  /// are; the query-sensitive scorer checks A_i(q) once per query and,
+  /// when any weight is negative, scores every row in full instead (the
+  /// same streaming pass with abandon off).
+  ///
+  /// The query-sensitive kExact64 scan of a view whose float64 rows
+  /// reach kPrescreenMinBytes and that carries an int8 matrix
+  /// prescreens each row on its int8 shadow first: a row whose int8
+  /// score minus I8PrescreenMargin (filter_precision.h) exceeds the
+  /// running threshold is skipped without reading its float64 row.  Its
+  /// exact score provably exceeds the threshold, for either sign of the
+  /// weights, so the plain scan rejects it too: candidates, scores and
+  /// ids stay bit-identical.  Non-finite query values, weights or stored
+  /// values make the margin +inf and the scan plain.
   ///
   /// Reduced precisions scan the view's shadow matrix instead (the view
   /// must carry it — the engines verify availability and fail the
@@ -60,7 +96,8 @@ class FilterScorer {
   /// envelope (filter_precision.h) — a row whose EXACT score is within
   /// the current threshold is never abandoned, so pruning cannot lose
   /// candidates beyond what quantized RANKING itself loses (which the
-  /// benches measure as recall@k).  Refine re-scores candidates from the
+  /// benches measure as recall@k).  With a negative weight the shadow
+  /// rows are scored in full.  Refine re-scores candidates from the
   /// float64 rows of the same snapshot either way.
   ///
   /// The base implementation is the unpruned exact fallback (full Score
@@ -89,15 +126,22 @@ class QuerySensitiveScorer : public FilterScorer {
       FilterScanStats* scan_stats = nullptr) const override;
 
  private:
-  /// The scan with A_i(q) already evaluated; both public entry points
-  /// funnel here so the weights are computed exactly once per query.
-  static void ScoreWithWeights(const Vector& weights,
-                               const Vector& embedded_query,
-                               const EmbeddedDatabase::View& db,
-                               std::vector<double>* scores);
-
   const QuerySensitiveEmbedding* model_;
 };
+
+/// QuerySensitiveScorer::ScoreTopP with A_i(q) already evaluated
+/// (`weights`, any signs) and the kernel tier explicit.  `prescreen`
+/// asks a kExact64 scan to prescreen on the view's int8 matrix, which
+/// the view must carry; the scorer passes it for views that reach
+/// kPrescreenMinBytes, the benches and tests pass it at any size.  The
+/// result does not depend on it.
+std::vector<ScoredIndex> WeightedL1TopP(const Vector& embedded_query,
+                                        const Vector& weights,
+                                        const EmbeddedDatabase::View& db,
+                                        size_t p, FilterPrecision precision,
+                                        bool prescreen,
+                                        const simd::KernelTable* kernels,
+                                        FilterScanStats* scan_stats);
 
 /// Unweighted L2 scorer (FastMap's native metric); scores are squared
 /// Euclidean distances (monotone in L2, sqrt-free).

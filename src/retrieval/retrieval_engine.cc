@@ -35,6 +35,16 @@ obs::Histogram* StageHistogram(const char* name) {
       name, obs::DefaultLatencyBoundariesNs());
 }
 
+/// Builds the int8 matrix the exact query-sensitive scan prescreens on
+/// (FilterScorer::ScoreTopP) for a local shard whose float64 rows reach
+/// kPrescreenMinBytes, unless the shard already carries one.
+void AddPrescreenMatrix(EmbeddedDatabase* db) {
+  if (PrescreenPays(db->size(), db->dims()) &&
+      (db->filter_shadows() & kShadowInt8) == 0) {
+    db->EnableFilterShadows(kShadowInt8);
+  }
+}
+
 /// Moves the candidate lists out of `scans` for the k-way merge.
 std::vector<std::vector<ScoredIndex>> TakeCandidateLists(
     std::vector<ScanCandidatesResult>* scans) {
@@ -66,6 +76,8 @@ RetrievalEngine::RetrievalEngine(const Embedder* embedder,
           "qse_engine_filter_rows_visited_total")),
       filter_rows_pruned_total_(obs::MetricRegistry::Global().GetCounter(
           "qse_engine_filter_rows_pruned_total")),
+      filter_rows_prescreened_total_(obs::MetricRegistry::Global().GetCounter(
+          "qse_engine_filter_rows_prescreened_total")),
       embed_ns_(StageHistogram("qse_engine_embed_latency_ns")),
       scan_ns_(StageHistogram("qse_engine_scan_latency_ns")),
       merge_ns_(StageHistogram("qse_engine_merge_latency_ns")),
@@ -80,6 +92,7 @@ RetrievalEngine::RetrievalEngine(const Embedder* embedder,
   shards_.resize(1);
   shards_[0].db = db;
   db->AssignIds(db_ids);
+  AddPrescreenMatrix(db);
   RebuildIdIndex();
 }
 
@@ -118,6 +131,7 @@ RetrievalEngine::RetrievalEngine(const Embedder* embedder,
     if (options.filter_shadows != 0) {
       shard.db->EnableFilterShadows(options.filter_shadows);
     }
+    AddPrescreenMatrix(shard.db);
   }
   RebuildIdIndex();
 }
@@ -218,6 +232,7 @@ Status RetrievalEngine::Scan(
       [&](size_t s) {
         const Shard& shard = shards_[s];
         ScanCandidatesResult& scan = (*scans)[s];
+        size_t prescreened = 0;
         uint64_t span_start = obs::TraceNowNs(trace);
         if (shard.backend != nullptr) {
           // The backend counts the rows it scans where its scan runs.
@@ -245,8 +260,10 @@ Status RetrievalEngine::Scan(
           }
           scan.rows = view.size();
           scan.rows_pruned = stats.rows_pruned;
+          prescreened = stats.rows_prescreened;
           filter_rows_visited_total_->Add(stats.rows_visited);
           filter_rows_pruned_total_->Add(stats.rows_pruned);
+          filter_rows_prescreened_total_->Add(stats.rows_prescreened);
           // `view` stays valid: moving a Snapshot moves its pin, not the
           // View it exposes.
           if (pins != nullptr) pinned[s].emplace(std::move(snap));
@@ -257,6 +274,8 @@ Status RetrievalEngine::Scan(
              obs::TraceArg{"rows", static_cast<int64_t>(scan.rows), nullptr},
              obs::TraceArg{"rows_pruned",
                            static_cast<int64_t>(scan.rows_pruned), nullptr},
+             obs::TraceArg{"prescreened", static_cast<int64_t>(prescreened),
+                           nullptr},
              obs::TraceArg{"simd", 0,
                            simd::SimdLevelName(simd::ActiveSimdLevel())},
              obs::TraceArg{"precision", 0,

@@ -73,7 +73,9 @@ class RetrievalEngine : public RetrievalBackend {
  public:
   /// One shard over a borrowed `db`; `db_ids[i]` is the database id of
   /// row i (installed into the database's id column).  The engine
-  /// mutates `db` only through Insert/Remove.
+  /// mutates `db` only through Insert/Remove, and by enabling its int8
+  /// shadow when the float64 rows reach kPrescreenMinBytes
+  /// (filter_scorer.h) so exact scans can prescreen on it.
   RetrievalEngine(const Embedder* embedder, const FilterScorer* scorer,
                   EmbeddedDatabase* db, std::vector<size_t> db_ids);
 
@@ -85,7 +87,9 @@ class RetrievalEngine : public RetrievalBackend {
   /// Partitions an already-embedded database across S owned shards by
   /// HashShardOf, copying rows — no re-embedding.  `db_ids[i]` is the
   /// database id of row i of `db`; ids must be unique.  `db` is only
-  /// read during construction and not retained.
+  /// read during construction and not retained.  Each shard whose
+  /// float64 rows reach kPrescreenMinBytes also gets an int8 shadow,
+  /// whatever options.filter_shadows asks for.
   RetrievalEngine(const Embedder* embedder, const FilterScorer* scorer,
                   const EmbeddedDatabase& db, const std::vector<size_t>& db_ids,
                   ShardedEngineOptions options = {});
@@ -221,6 +225,7 @@ class RetrievalEngine : public RetrievalBackend {
   obs::Counter* exact_distances_total_;
   obs::Counter* filter_rows_visited_total_;
   obs::Counter* filter_rows_pruned_total_;
+  obs::Counter* filter_rows_prescreened_total_;
   obs::Histogram* embed_ns_;
   obs::Histogram* scan_ns_;
   obs::Histogram* merge_ns_;

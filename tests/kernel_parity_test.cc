@@ -23,6 +23,7 @@
 #include "src/retrieval/filter_precision.h"
 #include "src/util/random.h"
 #include "tests/cdtw_reference.h"
+#include "tests/simd_tiers.h"
 
 namespace qse {
 namespace simd {
@@ -46,42 +47,6 @@ uint32_t Bits(float v) {
   uint32_t b;
   std::memcpy(&b, &v, sizeof(b));
   return b;
-}
-
-/// Whether this CPU can actually execute a tier's kernels.  KernelsFor
-/// answers whether the BUILD has them; both must hold to run one here.
-bool CpuSupports(SimdLevel level) {
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-  switch (level) {
-    case SimdLevel::kScalar:
-      return true;
-    case SimdLevel::kAvx2:
-      return __builtin_cpu_supports("avx2");
-    case SimdLevel::kAvx512:
-      return __builtin_cpu_supports("avx512f") &&
-             __builtin_cpu_supports("avx512dq") &&
-             __builtin_cpu_supports("avx512bw") &&
-             __builtin_cpu_supports("avx512vl");
-  }
-#endif
-  return level == SimdLevel::kScalar;
-}
-
-struct Tier {
-  SimdLevel level;
-  const KernelTable* table;
-};
-
-/// All tiers this binary compiled AND this machine can execute.  Always
-/// contains at least the scalar tier.
-std::vector<Tier> RunnableTiers() {
-  std::vector<Tier> tiers;
-  for (SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
-    const KernelTable* table = KernelsFor(level);
-    if (table != nullptr && CpuSupports(level)) tiers.push_back({level, table});
-  }
-  return tiers;
 }
 
 /// One dimension count's worth of inputs in every precision the kernels

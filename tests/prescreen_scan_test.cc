@@ -1,0 +1,491 @@
+// Differential suite for the int8 prescreen of the exact query-sensitive
+// filter scan.  The prescreened scan (WeightedL1TopP with prescreen on)
+// must return exactly what the plain float64 scan returns over the same
+// rows — ids and score bits — on every SIMD tier, for signed and
+// non-negative weights, at p = 1 through p = n, with ties at the p-th
+// value, with ±inf / NaN in rows, query or weights, and while another
+// thread appends rows.  The PrescreenEngineTest cases check when
+// RetrievalEngine builds the int8 matrix and how the prescreen shows in
+// its metric and trace span.
+#include <algorithm>
+#include <atomic>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "src/obs/metric_registry.h"
+#include "src/obs/trace.h"
+#include "src/retrieval/embedder_adapters.h"
+#include "src/retrieval/filter_scorer.h"
+#include "src/retrieval/retrieval_engine.h"
+#include "src/util/random.h"
+#include "tests/simd_tiers.h"
+#include "tests/test_util.h"
+
+namespace qse {
+namespace {
+
+using simd::RunnableTiers;
+using simd::Tier;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+const size_t kDims[] = {1, 7, 16, 17, 55, 64, 65};
+
+/// `n` rows of uniform values in [-1, 1), each repeated `copies` times
+/// in a row (copies > 1 makes exact ties), with an int8 matrix.
+EmbeddedDatabase MakeDb(size_t n, size_t d, uint64_t seed,
+                        size_t copies = 1) {
+  Rng rng(seed);
+  EmbeddedDatabase db(d);
+  db.Reserve(n * copies);
+  Vector row(d);
+  for (size_t i = 0; i < n; ++i) {
+    for (double& v : row) v = rng.Uniform(-1.0, 1.0);
+    for (size_t c = 0; c < copies; ++c) db.Append(row);
+  }
+  db.EnableFilterShadows(kShadowInt8);
+  return db;
+}
+
+/// Query weights: uniform in [0, 1), or for `signed_weights` in
+/// [-0.5, 1) with weight 0 forced negative.
+Vector MakeWeights(size_t d, bool signed_weights, uint64_t seed) {
+  Rng rng(seed);
+  Vector w(d);
+  for (double& v : w) v = rng.Uniform(signed_weights ? -0.5 : 0.0, 1.0);
+  if (signed_weights) w[0] = -std::fabs(w[0]) - 0.1;
+  return w;
+}
+
+/// Row `i` of `db` with a little noise: a query with near neighbours.
+Vector QueryNear(const EmbeddedDatabase& db, size_t i, uint64_t seed) {
+  Rng rng(seed);
+  Vector q = db.RowVector(i);
+  for (double& v : q) v += rng.Uniform(-0.05, 0.05);
+  return q;
+}
+
+struct ScanResult {
+  std::vector<ScoredIndex> top;
+  FilterScanStats stats;
+};
+
+ScanResult Scan(const Vector& q, const Vector& w,
+                const EmbeddedDatabase::View& view, size_t p, bool prescreen,
+                const simd::KernelTable* k) {
+  ScanResult r;
+  r.top = WeightedL1TopP(q, w, view, p, FilterPrecision::kExact64, prescreen,
+                         k, &r.stats);
+  return r;
+}
+
+/// Ids, score bits (NaN included) and the shared row counters match.
+void ExpectSameScan(const ScanResult& plain, const ScanResult& pre,
+                    const std::string& where) {
+  ASSERT_EQ(plain.top.size(), pre.top.size()) << where;
+  for (size_t i = 0; i < plain.top.size(); ++i) {
+    EXPECT_EQ(plain.top[i].index, pre.top[i].index) << where << " rank " << i;
+    EXPECT_EQ(std::memcmp(&plain.top[i].score, &pre.top[i].score,
+                          sizeof(double)),
+              0)
+        << where << " rank " << i << ": " << plain.top[i].score << " vs "
+        << pre.top[i].score;
+  }
+  EXPECT_EQ(plain.stats.rows_visited, pre.stats.rows_visited) << where;
+  EXPECT_EQ(plain.stats.rows_pruned, pre.stats.rows_pruned) << where;
+  EXPECT_EQ(plain.stats.rows_prescreened, 0u) << where;
+  EXPECT_LE(pre.stats.rows_prescreened, pre.stats.rows_pruned) << where;
+}
+
+std::string Where(const Tier& tier, size_t d, bool signed_weights, size_t p) {
+  return std::string(simd::SimdLevelName(tier.level)) +
+         " d=" + std::to_string(d) +
+         (signed_weights ? " signed" : " nonnegative") +
+         " p=" + std::to_string(p);
+}
+
+TEST(PrescreenScanTest, BitIdenticalToPlainScanOnEveryTier) {
+  constexpr size_t kN = 1500;
+  for (const Tier& tier : RunnableTiers()) {
+    for (size_t d : kDims) {
+      EmbeddedDatabase db = MakeDb(kN, d, 100 + d);
+      const EmbeddedDatabase::View view = db;
+      for (bool signed_weights : {false, true}) {
+        Vector w = MakeWeights(d, signed_weights, 200 + d);
+        for (size_t p : {size_t{1}, size_t{10}, kN}) {
+          for (size_t probe : {size_t{3}, size_t{700}}) {
+            Vector q = QueryNear(db, probe, 300 + d + probe);
+            std::string where = Where(tier, d, signed_weights, p);
+            ScanResult plain = Scan(q, w, view, p, false, tier.table);
+            ScanResult pre = Scan(q, w, view, p, true, tier.table);
+            ExpectSameScan(plain, pre, where);
+            if (p == kN) {
+              // The threshold stays +inf until the last row: nothing to
+              // dismiss.
+              EXPECT_EQ(pre.stats.rows_prescreened, 0u) << where;
+            } else if (p == 1) {
+              // The prescreen must actually fire, or the test proves
+              // nothing.
+              EXPECT_GT(pre.stats.rows_prescreened, kN / 2) << where;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PrescreenScanTest, TiesAtThePthValueBreakTheSameWay) {
+  // Every row three times under consecutive ids: exact scores tie in
+  // threes, and p = 2, 4, 5 cut inside a tie group, where the id decides.
+  constexpr size_t kDistinct = 400;
+  for (const Tier& tier : RunnableTiers()) {
+    for (size_t d : {size_t{7}, size_t{55}}) {
+      EmbeddedDatabase db = MakeDb(kDistinct, d, 400 + d, /*copies=*/3);
+      const EmbeddedDatabase::View view = db;
+      for (bool signed_weights : {false, true}) {
+        Vector w = MakeWeights(d, signed_weights, 500 + d);
+        for (size_t p : {size_t{2}, size_t{4}, size_t{5}}) {
+          // An exact row as the query: its three copies tie at the top
+          // for non-negative weights.
+          for (Vector q : {db.RowVector(30), QueryNear(db, 90, 600 + d)}) {
+            ScanResult plain = Scan(q, w, view, p, false, tier.table);
+            ScanResult pre = Scan(q, w, view, p, true, tier.table);
+            ExpectSameScan(plain, pre, Where(tier, d, signed_weights, p));
+            ASSERT_EQ(plain.top.size(), p);
+            EXPECT_EQ(plain.top[p - 1].score,
+                      plain.top[p - 1 - (p - 1) % 3].score)
+                << "the p-th value is tied";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PrescreenScanTest, SignedWeightsNeverAbandonMidRow) {
+  // Positive weights on the first abandon block and negative ones on the
+  // second: after 64 dims a row's partial sum is far above its final
+  // score, so a kernel that abandoned on it would drop the best rows.
+  // Both scans must match a brute-force ranking of full scores.
+  constexpr size_t kN = 1000;
+  constexpr size_t kD = 130;
+  EmbeddedDatabase db = MakeDb(kN, kD, 1000);
+  const EmbeddedDatabase::View view = db;
+  Vector w(kD, 1.0);
+  for (size_t j = 64; j < 128; ++j) w[j] = -1.0;
+  const Vector q(kD, 0.0);
+  for (const Tier& tier : RunnableTiers()) {
+    std::vector<double> full(kN);
+    for (size_t i = 0; i < kN; ++i) {
+      full[i] = tier.table->wl1_f64(q.data(), view.row(i), w.data(), kD, kInf);
+    }
+    for (size_t p : {size_t{1}, size_t{10}}) {
+      std::string where = Where(tier, kD, true, p);
+      ScanResult plain = Scan(q, w, view, p, false, tier.table);
+      ScanResult pre = Scan(q, w, view, p, true, tier.table);
+      EXPECT_EQ(plain.top, SmallestK(full, p)) << where;
+      ExpectSameScan(plain, pre, where);
+    }
+  }
+}
+
+TEST(PrescreenScanTest, NonFiniteRowsQueryOrWeightsNeverPruneWrongly) {
+  constexpr size_t kN = 600;
+  constexpr size_t kD = 17;
+  for (const Tier& tier : RunnableTiers()) {
+    for (double bad : {kInf, -kInf, kNaN}) {
+      for (bool signed_weights : {false, true}) {
+        Vector w = MakeWeights(kD, signed_weights, 700);
+        for (size_t p : {size_t{1}, size_t{10}}) {
+          std::string where = Where(tier, kD, signed_weights, p) +
+                              " value=" + std::to_string(bad);
+          // A non-finite value in a few rows: bulk-loaded, then one more
+          // appended after the int8 matrix exists (the re-quantizing
+          // maintenance path).
+          EmbeddedDatabase rows = MakeDb(kN, kD, 800);
+          Vector row = rows.RowVector(5);
+          row[3] = bad;
+          rows.SetRow(5, row);
+          row = rows.RowVector(9);
+          row[kD - 1] = bad;
+          rows.Append(row, kN);
+          const EmbeddedDatabase::View rows_view = rows;
+          EXPECT_FALSE(std::isfinite(rows_view.i8_scales()[3])) << where;
+          EXPECT_FALSE(std::isfinite(rows_view.i8_scales()[kD - 1]))
+              << where;
+          Vector q = QueryNear(rows, 100, 900);
+          ScanResult plain = Scan(q, w, rows_view, p, false, tier.table);
+          ScanResult pre = Scan(q, w, rows_view, p, true, tier.table);
+          ExpectSameScan(plain, pre, where + " in rows");
+          EXPECT_EQ(pre.stats.rows_prescreened, 0u) << where;
+
+          // A non-finite query value, then a non-finite weight, over
+          // finite rows.
+          EmbeddedDatabase db = MakeDb(kN, kD, 810);
+          const EmbeddedDatabase::View view = db;
+          Vector bad_q = QueryNear(db, 100, 910);
+          bad_q[4] = bad;
+          plain = Scan(bad_q, w, view, p, false, tier.table);
+          pre = Scan(bad_q, w, view, p, true, tier.table);
+          ExpectSameScan(plain, pre, where + " in query");
+          EXPECT_EQ(pre.stats.rows_prescreened, 0u) << where;
+          Vector bad_w = w;
+          bad_w[2] = bad;
+          Vector good_q = QueryNear(db, 100, 920);
+          plain = Scan(good_q, bad_w, view, p, false, tier.table);
+          pre = Scan(good_q, bad_w, view, p, true, tier.table);
+          ExpectSameScan(plain, pre, where + " in weights");
+          EXPECT_EQ(pre.stats.rows_prescreened, 0u) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(PrescreenScanTest, MarginBoundsExactMinusApproxOnEveryTier) {
+  // Rows at the edges of the quantization range, queries beyond it (so
+  // clamped) and weights of both signs and mixed magnitudes.
+  for (const Tier& tier : RunnableTiers()) {
+    for (size_t d : {size_t{1}, size_t{3}, size_t{16}, size_t{17},
+                     size_t{55}, size_t{63}, size_t{64}, size_t{65},
+                     size_t{129}, size_t{257}}) {
+      Rng rng(1000 + d);
+      std::vector<float> scales(d);
+      std::vector<double> q(d), w(d);
+      std::vector<int8_t> qq(d);
+      std::vector<float> c(d);
+      for (size_t j = 0; j < d; ++j) {
+        scales[j] = static_cast<float>(rng.Uniform(0.001, 2.0));
+        q[j] = rng.Uniform(-160.0, 160.0) * scales[j];
+        w[j] = rng.Uniform(-3.0, 3.0) * (j % 5 == 0 ? 100.0 : 1.0);
+        qq[j] = QuantizeToInt8(q[j], scales[j]);
+        c[j] = static_cast<float>(w[j] * static_cast<double>(scales[j]));
+      }
+      const double margin =
+          I8PrescreenMargin(w.data(), q.data(), qq.data(), scales.data(), d);
+      ASSERT_TRUE(std::isfinite(margin));
+      std::vector<double> x(d);
+      std::vector<int8_t> xq(d);
+      for (int trial = 0; trial < 200; ++trial) {
+        for (size_t j = 0; j < d; ++j) {
+          double edge = 127.5 * scales[j];
+          x[j] = trial % 4 == 0 ? (rng.Uniform(0, 1) < 0.5 ? edge : -edge)
+                                : rng.Uniform(-edge, edge);
+          ASSERT_TRUE(FitsInt8(x[j], scales[j]));
+          xq[j] = QuantizeToInt8(x[j], scales[j]);
+        }
+        double exact =
+            tier.table->wl1_f64(q.data(), x.data(), w.data(), d, kInf);
+        for (float approx :
+             {tier.table->prescreen_i8(qq.data(), xq.data(), c.data(), d,
+                                       std::numeric_limits<float>::infinity()),
+              tier.table->wl1_i8(qq.data(), xq.data(), c.data(), d,
+                                 std::numeric_limits<float>::infinity())}) {
+          EXPECT_LE(std::fabs(exact - static_cast<double>(approx)), margin)
+              << simd::SimdLevelName(tier.level) << " d=" << d;
+        }
+      }
+    }
+  }
+}
+
+TEST(PrescreenScanTest, PrescreenKernelAbandonsOnlyAboveTheCut) {
+  // Non-negative coefficients: an early return exceeds the abandon
+  // value, and a completed score is the full sum however it is cut.
+  for (const Tier& tier : RunnableTiers()) {
+    for (size_t d : {size_t{16}, size_t{64}, size_t{65}, size_t{200}}) {
+      Rng rng(1100 + d);
+      std::vector<int8_t> q(d), x(d);
+      std::vector<float> c(d);
+      for (size_t j = 0; j < d; ++j) {
+        q[j] = static_cast<int8_t>(static_cast<int>(rng.Index(255)) - 127);
+        x[j] = static_cast<int8_t>(static_cast<int>(rng.Index(255)) - 127);
+        c[j] = static_cast<float>(rng.Uniform(0.0, 1.0));
+      }
+      const float full = tier.table->prescreen_i8(
+          q.data(), x.data(), c.data(), d,
+          std::numeric_limits<float>::infinity());
+      for (float cut : {0.0f, full / 4, full / 2, full, full * 2}) {
+        float got =
+            tier.table->prescreen_i8(q.data(), x.data(), c.data(), d, cut);
+        if (got != full) {
+          EXPECT_GT(got, cut) << simd::SimdLevelName(tier.level)
+                              << " d=" << d;
+        }
+        if (cut >= full) {
+          EXPECT_EQ(got, full);
+        }
+      }
+    }
+  }
+}
+
+TEST(PrescreenScanTest, ConcurrentAppendsDuringPrescreenedScans) {
+  // A writer appends rows — every 50th far outside the current scales,
+  // forcing a copy-on-write re-quantization — while readers compare the
+  // prescreened and plain scans of the same pinned snapshot.
+  constexpr size_t kD = 24;
+  constexpr size_t kAppends = 600;
+  EmbeddedDatabase db = MakeDb(800, kD, 1200);
+  const Vector w = MakeWeights(kD, /*signed_weights=*/true, 1201);
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    Rng rng(1202);
+    Vector row(kD);
+    for (size_t i = 0; i < kAppends; ++i) {
+      double spread = i % 50 == 49 ? 4.0 + static_cast<double>(i) / 50 : 1.0;
+      for (double& v : row) v = rng.Uniform(-spread, spread);
+      db.Append(row, 800 + i);
+    }
+    done.store(true);
+  });
+  const simd::KernelTable* k = simd::ActiveKernels();
+  auto reader = [&](uint64_t seed) {
+    Rng rng(seed);
+    size_t scans = 0;
+    while (!done.load() || scans < 3) {
+      EmbeddedDatabase::Snapshot snap = db.snapshot();
+      const EmbeddedDatabase::View& view = snap.view();
+      Vector q(kD);
+      for (double& v : q) v = rng.Uniform(-1.0, 1.0);
+      size_t p = 1 + rng.Index(20);
+      ExpectSameScan(Scan(q, w, view, p, false, k),
+                     Scan(q, w, view, p, true, k),
+                     "rows=" + std::to_string(view.size()));
+      ++scans;
+    }
+  };
+  std::thread r1(reader, 1203);
+  std::thread r2(reader, 1204);
+  writer.join();
+  r1.join();
+  r2.join();
+  EXPECT_EQ(db.size(), 800 + kAppends);
+}
+
+// --- The engine side: who builds the int8 matrix, and what it reports. -
+
+/// Database ids the fixed-weight model's coordinates refer to.
+constexpr size_t kModelDims = 32;
+/// Float64 rows of kModelDims filling exactly kPrescreenMinBytes.
+constexpr size_t kLargeRows = kPrescreenMinBytes / (kModelDims * 8);
+
+struct EngineFixture {
+  ObjectOracle<Vector> oracle = test::MakePlaneOracle(kModelDims + 4, 1300);
+  QuerySensitiveEmbedding model = test::MakeFixedWeightModel(oracle, [] {
+    std::vector<double> alphas(kModelDims);
+    for (size_t i = 0; i < kModelDims; ++i) {
+      alphas[i] = i % 6 == 5 ? -0.3 : 1.0 + 0.1 * static_cast<double>(i % 4);
+    }
+    return alphas;
+  }());
+  QseEmbedderAdapter embedder{&model};
+  QuerySensitiveScorer scorer{&model};
+
+  /// `n` rows of plausible coordinate values (plane distances).
+  static EmbeddedDatabase Rows(size_t n, uint64_t seed) {
+    Rng rng(seed);
+    EmbeddedDatabase db(kModelDims);
+    db.Resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      double* row = db.mutable_row(i);
+      for (size_t j = 0; j < kModelDims; ++j) row[j] = rng.Uniform(0.0, 1.4);
+    }
+    return db;
+  }
+
+  /// Object kModelDims + 1 of the oracle as the query; refine sees a
+  /// cheap made-up distance for the synthetic rows.
+  DxToDatabaseFn QueryDx() const {
+    return [this](size_t id) {
+      return id < kModelDims ? oracle.Distance(kModelDims + 1, id)
+                             : static_cast<double>(id % 97);
+    };
+  }
+};
+
+TEST(PrescreenEngineTest, BuildsInt8MatrixOnlyForShardsThatStreamFromMemory) {
+  EngineFixture f;
+  EmbeddedDatabase small = EngineFixture::Rows(1000, 1);
+  RetrievalEngine small_engine(&f.embedder, &f.scorer, &small,
+                               test::Iota(1000));
+  EXPECT_EQ(small.filter_shadows(), 0u);
+
+  EmbeddedDatabase large = EngineFixture::Rows(kLargeRows, 2);
+  EmbeddedDatabase source = large;  // Copied before any int8 matrix.
+  RetrievalEngine large_engine(&f.embedder, &f.scorer, &large,
+                               test::Iota(kLargeRows));
+  EXPECT_EQ(large.filter_shadows(), kShadowInt8);
+
+  // Partitioned: one shard holds every row; two shards hold half each.
+  ShardedEngineOptions one;
+  one.num_shards = 1;
+  RetrievalEngine one_shard(&f.embedder, &f.scorer, source,
+                            test::Iota(kLargeRows), one);
+  EXPECT_EQ(one_shard.db(0).filter_shadows(), kShadowInt8);
+  ShardedEngineOptions two;
+  two.num_shards = 2;
+  two.filter_shadows = kShadowFloat32;
+  RetrievalEngine two_shards(&f.embedder, &f.scorer, source,
+                             test::Iota(kLargeRows), two);
+  EXPECT_EQ(two_shards.db(0).filter_shadows(), kShadowFloat32);
+  EXPECT_EQ(two_shards.db(1).filter_shadows(), kShadowFloat32);
+}
+
+TEST(PrescreenEngineTest, ReportsPrescreenedRowsInMetricAndSpan) {
+  EngineFixture f;
+  EmbeddedDatabase large = EngineFixture::Rows(kLargeRows, 3);
+  RetrievalEngine engine(&f.embedder, &f.scorer, &large,
+                         test::Iota(kLargeRows));
+  obs::Counter* counter = obs::MetricRegistry::Global().GetCounter(
+      "qse_engine_filter_rows_prescreened_total");
+  const uint64_t before = counter->Value();
+  RetrievalRequest request{f.QueryDx(), RetrievalOptions(3, 10),
+                           std::make_shared<obs::RequestTrace>()};
+  auto response = engine.Retrieve(request);
+  ASSERT_TRUE(response.ok()) << response.status();
+  const uint64_t counted = counter->Value() - before;
+  // Counters are process-global: other suites may add concurrently, so
+  // the span's own arg is the exact check.
+  int64_t span_prescreened = -1;
+  int64_t span_pruned = -1;
+  for (const obs::TraceSpan& span : request.trace->spans()) {
+    if (std::string(span.name) != "shard_scan") continue;
+    for (const obs::TraceArg& arg : span.args) {
+      if (std::string(arg.key) == "prescreened") {
+        span_prescreened = arg.int_value;
+      }
+      if (std::string(arg.key) == "rows_pruned") span_pruned = arg.int_value;
+    }
+  }
+  EXPECT_GT(span_prescreened, static_cast<int64_t>(kLargeRows / 2));
+  EXPECT_LE(span_prescreened, span_pruned);
+  EXPECT_GE(counted, static_cast<uint64_t>(span_prescreened));
+
+  // Below the size rule the same query prescreens nothing.
+  EmbeddedDatabase small = EngineFixture::Rows(1000, 4);
+  RetrievalEngine small_engine(&f.embedder, &f.scorer, &small,
+                               test::Iota(1000));
+  RetrievalRequest small_request{f.QueryDx(), RetrievalOptions(3, 10),
+                                 std::make_shared<obs::RequestTrace>()};
+  ASSERT_TRUE(small_engine.Retrieve(small_request).ok());
+  for (const obs::TraceSpan& span : small_request.trace->spans()) {
+    if (std::string(span.name) != "shard_scan") continue;
+    for (const obs::TraceArg& arg : span.args) {
+      if (std::string(arg.key) == "prescreened") {
+        EXPECT_EQ(arg.int_value, 0);
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace qse

@@ -17,10 +17,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "src/distance/simd/dispatch.h"
 #include "src/embedding/fastmap.h"
+#include "src/retrieval/embedder_adapters.h"
 #include "src/retrieval/filter_refine.h"
 #include "src/retrieval/retrieval_engine.h"
 #include "tests/test_util.h"
@@ -173,6 +176,52 @@ TEST(ReducedPrecisionTest, ShardedConstructionWithoutShadowsRejectsReduced) {
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(r.status().message().find("filter_shadows"), std::string::npos)
       << r.status();
+}
+
+// A query with a negative A_i(q) must still scan the shadow it asked
+// for: the returned scores are the shadow kernel's, and the list is the
+// unpruned shadow scan's top p.
+TEST(ReducedPrecisionTest, SignedWeightsScanTheShadowMatrices) {
+  constexpr size_t kP = 10;
+  ObjectOracle<Vector> oracle = test::MakePlaneOracle(kDb + kQueries, 21);
+  QuerySensitiveEmbedding model = test::MakeFixedWeightModel(
+      oracle, {1.0, -0.5, 0.75, 1.25, -0.25, 0.5, 2.0});
+  QseEmbedderAdapter embedder(&model);
+  EmbeddedDatabase db = EmbedDatabase(embedder, oracle, test::Iota(kDb));
+  db.EnableFilterShadows(kShadowFloat32 | kShadowInt8);
+  const EmbeddedDatabase::View view = db;
+  const size_t d = view.dims();
+  const simd::KernelTable* k = simd::ActiveKernels();
+  QuerySensitiveScorer scorer(&model);
+  for (size_t q = kDb; q < kDb + kQueries; ++q) {
+    Vector fq = model.Embed(
+        [&](size_t id) { return oracle.Distance(q, id); });
+    Vector w = model.QueryWeights(fq);
+    ASSERT_TRUE(std::any_of(w.begin(), w.end(),
+                            [](double v) { return v < 0.0; }));
+    // The shadow scores the scorer's kernels produce for every row.
+    std::vector<float> qf(fq.begin(), fq.end()), wf(w.begin(), w.end());
+    std::vector<int8_t> qq(d);
+    std::vector<float> c(d);
+    for (size_t j = 0; j < d; ++j) {
+      qq[j] = QuantizeToInt8(fq[j], view.i8_scales()[j]);
+      c[j] = static_cast<float>(w[j] *
+                                static_cast<double>(view.i8_scales()[j]));
+    }
+    std::vector<double> f32_scores(kDb), i8_scores(kDb);
+    for (size_t i = 0; i < kDb; ++i) {
+      f32_scores[i] = k->wl1_f32(qf.data(), view.row_f32(i), wf.data(), d,
+                                 std::numeric_limits<float>::infinity());
+      i8_scores[i] = k->wl1_i8(qq.data(), view.row_i8(i), c.data(), d,
+                               std::numeric_limits<float>::infinity());
+    }
+    EXPECT_EQ(scorer.ScoreTopP(fq, view, kP, FilterPrecision::kFilter32),
+              SmallestK(f32_scores, kP))
+        << "q=" << q;
+    EXPECT_EQ(scorer.ScoreTopP(fq, view, kP, FilterPrecision::kFilter8),
+              SmallestK(i8_scores, kP))
+        << "q=" << q;
+  }
 }
 
 }  // namespace

@@ -12,6 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "src/core/qs_embedding.h"
+#include "src/core/training_context.h"
+#include "src/core/weak_classifier.h"
 #include "src/data/dataset.h"
 #include "src/distance/lp.h"
 #include "src/retrieval/embedded_database.h"
@@ -46,6 +49,24 @@ inline std::vector<size_t> Iota(size_t n, size_t start = 0) {
   std::vector<size_t> ids(n);
   std::iota(ids.begin(), ids.end(), start);
   return ids;
+}
+
+/// A query-insensitive model whose coordinate i is the distance to
+/// database object i of `oracle` and whose A_i(q) is alphas[i] for every
+/// query: a fixed weight vector, negative entries included, like the
+/// signed A_i(q) trained Se-QS models give most queries.  `oracle` must
+/// hold more than alphas.size() objects.
+inline QuerySensitiveEmbedding MakeFixedWeightModel(
+    const DistanceOracle& oracle, const std::vector<double>& alphas) {
+  const size_t d = alphas.size();
+  TrainingContext ctx = TrainingContext::Build(oracle, Iota(d), Iota(1, d));
+  std::vector<WeakClassifier> rounds(d);
+  for (size_t i = 0; i < d; ++i) {
+    rounds[i].spec.c1 = static_cast<uint32_t>(i);
+    rounds[i].alpha = alphas[i];
+  }
+  return QuerySensitiveEmbedding::FromTraining(ctx, rounds,
+                                               /*query_sensitive=*/false);
 }
 
 /// A new empty directory for durability files, unique per call and
