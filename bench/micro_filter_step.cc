@@ -15,6 +15,7 @@
 //     just a batch?
 //   * the exact scan with and without its int8 prescreen across matrix
 //     sizes: the sweep behind kPrescreenMinBytes.
+//   * the prescreen's integer block kernel alone, in ns per row.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -521,6 +522,47 @@ void PrescreenSweepArgs(benchmark::internal::Benchmark* b) {
 BENCHMARK(BM_PrescreenSweep)
     ->Apply(PrescreenSweepArgs)
     ->Unit(benchmark::kMillisecond);
+
+// --- The prescreen's integer block kernel alone. ------------------------
+//
+// Time per row of KernelTable::prescreen_i8 on the active tier, one
+// kPrescreenBlockRows block per call over a 512 KiB int8 matrix: small
+// enough to stay in L2, so the figure is the kernel's compute cost, not
+// the memory bandwidth a DRAM-resident shard adds.  Clamp the tier with
+// QSE_SIMD_LEVEL.  Arg: d.
+
+void BM_PrescreenKernel(benchmark::State& state) {
+  const size_t d = static_cast<size_t>(state.range(0));
+  const size_t n = (size_t{512} << 10) / d;
+  Rng rng(12);
+  std::vector<int8_t> rows(n * d), q(d);
+  std::vector<int16_t> c(d);
+  auto byte = [&rng] {
+    return static_cast<int8_t>(static_cast<int>(rng.Index(255)) - 127);
+  };
+  for (int8_t& v : rows) v = byte();
+  for (int8_t& v : q) v = byte();
+  for (int16_t& v : c) {
+    v = static_cast<int16_t>(static_cast<int>(rng.Index(2001)) - 1000);
+  }
+  std::vector<int32_t> out(kPrescreenBlockRows);
+  const simd::KernelTable* k = simd::ActiveKernels();
+  for (auto _ : state) {
+    for (size_t first = 0; first < n; first += kPrescreenBlockRows) {
+      const size_t rows_here = std::min(kPrescreenBlockRows, n - first);
+      k->prescreen_i8(q.data(), rows.data() + first * d, rows_here, c.data(),
+                      d, out.data());
+      benchmark::DoNotOptimize(out.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
+  // Seconds per row (shown with an SI prefix: "1.5n" is 1.5 ns).
+  state.counters["per_row"] = benchmark::Counter(
+      static_cast<double>(n), benchmark::Counter::kIsIterationInvariantRate |
+                                  benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_PrescreenKernel)->Arg(16)->Arg(24)->Arg(55)->Arg(130);
 
 // --- A_i(q) evaluation cost (unchanged from the seed). ------------------
 

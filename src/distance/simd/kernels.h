@@ -21,6 +21,8 @@ inline constexpr size_t kAbandonBlock = 64;
 /// greater than `abandon` — once its running sum provably exceeds it
 /// (partial sums of non-negative terms are monotone, so the true score
 /// also exceeds `abandon`).  Pass +infinity for an exact full-row score.
+/// The int8 prescreen entry is the exception: it scores a block of rows
+/// in exact integer arithmetic and never stops early.
 ///
 /// Determinism contract (the reason these signatures exist instead of
 /// letting the compiler autovectorize freely):
@@ -66,22 +68,20 @@ struct KernelTable {
   float (*wl2_i8)(const int8_t* q, const int8_t* x, const float* c,
                   size_t d, float abandon);
 
-  /// The int8 prescreen of an exact weighted-L1 scan: wl1_i8's sum
-  /// sum_j c[j] * |q[j] - x[j]| under the same abandon contract (with
-  /// non-negative c), but WITHOUT the cross-tier bit-identity.  The
-  /// scalar and AVX2 entries are wl1_i8 itself; the AVX-512 entry sums a
-  /// d % 64 tail through one masked zmm load, term j into lane j % 16,
-  /// instead of wl1_i8's stack-reloaded lane-0 chain.  Error bound, on
-  /// every tier: each term pays one rounding of c[j] * |q[j] - x[j]|
-  /// (the integer difference is exact), each of the sixteen lanes adds
-  /// at most d / 16 + 15 terms in sequence, and the four-level
-  /// fold-halves tree adds four more roundings.  So the result is
-  /// within eps32 * (d / 16 + 16) * sum_j |c[j]| * |q[j] - x[j]| (eps32
-  /// = FLT_EPSILON), plus FLT_TRUE_MIN per operation for subnormal
-  /// results, of the real sum.  I8PrescreenMargin (filter_precision.h)
-  /// budgets exactly that.
-  float (*prescreen_i8)(const int8_t* q, const int8_t* x, const float* c,
-                        size_t d, float abandon);
+  /// The int8 prescreen of an exact weighted-L1 scan, one block of rows
+  /// per call: for the n contiguous rows of d bytes at `rows`,
+  ///
+  ///     out[r] = sum_j c[j] * |q[j] - rows[r * d + j]|
+  ///
+  /// in integer arithmetic, so the result is EXACT and identical on
+  /// every tier (the scalar entry is a plain integer loop, the vector
+  /// entries sum the same products with vpmaddwd in whatever order).
+  /// Precondition: every q and row byte lies in [-127, 127] (the int8
+  /// matrix's range) and sum_j |c[j]| * 254 <= INT32_MAX, so no partial
+  /// sum in any order can overflow int32.  QuantizeI8Prescreen
+  /// (filter_precision.h) quantizes coefficients under that cap.
+  void (*prescreen_i8)(const int8_t* q, const int8_t* rows, size_t n,
+                       const int16_t* c, size_t d, int32_t* out);
 
   /// Constrained DTW under an L1 ground cost between point-major series
   /// a (n points) and b (m points) of `dims` coordinates each, n, m >= 1,

@@ -21,9 +21,11 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/distance/simd/lanes.h"
+#include "src/distance/simd/prescreen_operands.h"
 #include "src/distance/simd/wavefront.h"
 
 namespace qse {
@@ -273,6 +275,79 @@ float Wl2I8(const int8_t* q, const int8_t* x, const float* c, size_t d,
       });
 }
 
+/// The prescreen sums of kRows rows `d` bytes apart, over 32-byte
+/// chunks: |q - x| as unsigned bytes (one max/min/sub), split into its
+/// even and odd bytes by a mask and a shift so each lands zero-extended
+/// in a 16-bit lane, then two vpmaddwd against the matching
+/// coefficients.  The query and coefficient loads serve all kRows rows,
+/// and four rows share one horizontal reduction.  The integer sums are
+/// exact whatever the lane order.
+template <int kRows>
+inline void PrescreenRows(const PrescreenOperands<32>& ops, const int8_t* x,
+                          size_t d, int32_t* out) {
+  static_assert(kRows == 1 || kRows == 4, "one row or a group of four");
+  const __m256i low_bytes = _mm256_set1_epi16(0x00ff);
+  __m256i acc[kRows];
+  for (int r = 0; r < kRows; ++r) acc[r] = _mm256_setzero_si256();
+  for (size_t k = 0; k < ops.chunks(); ++k) {
+    const __m256i qb = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(ops.q() + 32 * k));
+    const __m256i* c =
+        reinterpret_cast<const __m256i*>(ops.coeffs() + 32 * k);
+    const __m256i c_even = _mm256_loadu_si256(c);
+    const __m256i c_odd = _mm256_loadu_si256(c + 1);
+    for (int r = 0; r < kRows; ++r) {
+      const __m256i xb = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(x + r * d + 32 * k));
+      const __m256i diff =
+          _mm256_sub_epi8(_mm256_max_epi8(qb, xb), _mm256_min_epi8(qb, xb));
+      acc[r] = _mm256_add_epi32(
+          acc[r],
+          _mm256_madd_epi16(_mm256_and_si256(diff, low_bytes), c_even));
+      acc[r] = _mm256_add_epi32(
+          acc[r], _mm256_madd_epi16(_mm256_srli_epi16(diff, 8), c_odd));
+    }
+  }
+  if constexpr (kRows == 1) {
+    __m128i v = _mm_add_epi32(_mm256_castsi256_si128(acc[0]),
+                              _mm256_extracti128_si256(acc[0], 1));
+    v = _mm_add_epi32(v, _mm_shuffle_epi32(v, _MM_SHUFFLE(1, 0, 3, 2)));
+    v = _mm_add_epi32(v, _mm_shuffle_epi32(v, _MM_SHUFFLE(2, 3, 0, 1)));
+    out[0] = _mm_cvtsi128_si32(v);
+  } else {
+    // Lane i of `sums` holds half of row i % 4's sum, so its two 128-bit
+    // halves add up to the four rows' totals.
+    const __m256i sums =
+        _mm256_hadd_epi32(_mm256_hadd_epi32(acc[0], acc[1]),
+                          _mm256_hadd_epi32(acc[2], acc[3]));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
+                     _mm_add_epi32(_mm256_castsi256_si128(sums),
+                                   _mm256_extracti128_si256(sums, 1)));
+  }
+}
+
+/// The prescreen block entry.  Rows are read in whole 32-byte chunks,
+/// running up to 31 bytes into the next row (zero coefficients there);
+/// the last rows of the block, whose chunks would run past its end, are
+/// scored from a zero-padded copy.
+void PrescreenI8(const int8_t* q, const int8_t* rows, size_t n,
+                 const int16_t* c, size_t d, int32_t* out) {
+  PrescreenOperands<32> ops(q, c, d);
+  const size_t bytes = n * d;
+  size_t direct = 0;  // rows r with r * d + padded <= bytes
+  if (d > 0 && bytes >= ops.padded()) {
+    direct = std::min(n, (bytes - ops.padded()) / d + 1);
+  }
+  size_t r = 0;
+  for (; r + 4 <= direct; r += 4) {
+    PrescreenRows<4>(ops, rows + r * d, d, out + r);
+  }
+  for (; r < direct; ++r) PrescreenRows<1>(ops, rows + r * d, d, out + r);
+  for (; r < n; ++r) {
+    PrescreenRows<1>(ops, ops.PaddedCopy(rows + r * d), d, out + r);
+  }
+}
+
 /// The wavefront's lane operations (wavefront.h): one ymm holds four
 /// cells of a diagonal, and three ymm hold windows of up to 10 samples.
 struct Avx2Wave {
@@ -305,8 +380,8 @@ struct Avx2Wave {
 };
 
 const KernelTable kAvx2Table = {
-    L1F64, L2F64, Wl1F64, L1F32, L2F32, Wl1F32, Wl1I8, Wl2I8,
-    /*prescreen_i8=*/Wl1I8, Wavefront<Avx2Wave>::Cdtw,
+    L1F64, L2F64, Wl1F64, L1F32, L2F32, Wl1F32, Wl1I8, Wl2I8, PrescreenI8,
+    Wavefront<Avx2Wave>::Cdtw,
 };
 
 }  // namespace

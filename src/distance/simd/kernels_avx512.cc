@@ -20,9 +20,11 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/distance/simd/lanes.h"
+#include "src/distance/simd/prescreen_operands.h"
 #include "src/distance/simd/wavefront.h"
 
 namespace qse {
@@ -286,43 +288,74 @@ float Wl2I8(const int8_t* q, const int8_t* x, const float* c, size_t d,
       });
 }
 
-/// Accumulates group G (dims i+16G..i+16G+15) of a 64-dim block's
-/// absolute differences, weighted by the matching coefficients.  `mask`
-/// bit j of the block admits dim i+j: a masked-out coefficient loads as
-/// 0 and is never read, and its difference is 0 too, so it adds +0.
-template <int G>
-inline __m512 AddWeightedGroup(__m512 acc, __m512i diff, const float* c,
-                               size_t i, uint64_t mask) {
-  __m512 cg = _mm512_maskz_loadu_ps(static_cast<__mmask16>(mask >> (16 * G)),
-                                    c + i + 16 * G);
-  return _mm512_add_ps(acc, _mm512_mul_ps(cg, WidenU8Group<G>(diff)));
-}
-
-/// The prescreen entry: Wl1I8's terms with every block — the d % 64
-/// tail included — one (masked) byte load and at most four widened
-/// groups, reduced in registers.  Tail term j lands in lane j % 16
-/// rather than lane 0, so results may differ from Wl1I8 in the last
-/// bits (kernels.h documents the bound).
-float PrescreenI8(const int8_t* q, const int8_t* x, const float* c, size_t d,
-                  float abandon) {
-  __m512 acc = _mm512_setzero_ps();
-  for (size_t i = 0; i < d; i += kAbandonBlock) {
-    const size_t rem = d - i;
-    const uint64_t mask = rem >= 64 ? ~uint64_t{0} : (uint64_t{1} << rem) - 1;
-    __m512i qb = _mm512_maskz_loadu_epi8(mask, q + i);
-    __m512i xb = _mm512_maskz_loadu_epi8(mask, x + i);
-    __m512i diff = _mm512_sub_epi8(_mm512_max_epi8(qb, xb),
-                                   _mm512_min_epi8(qb, xb));
-    acc = AddWeightedGroup<0>(acc, diff, c, i, mask);
-    if (rem > 16) acc = AddWeightedGroup<1>(acc, diff, c, i, mask);
-    if (rem > 32) acc = AddWeightedGroup<2>(acc, diff, c, i, mask);
-    if (rem > 48) acc = AddWeightedGroup<3>(acc, diff, c, i, mask);
-    if (rem > 64) {
-      float partial = ReduceF32Acc(acc);
-      if (partial > abandon) return partial;
+/// The prescreen sums of kRows rows `d` bytes apart, over 64-byte
+/// chunks, the last one a masked load of each row's remaining bytes
+/// (nothing is read past a row): |q - x| as unsigned bytes, split into
+/// the even and odd bytes of its 16-bit lanes by a mask and a shift,
+/// then two vpmaddwd against the matching coefficients.  The query and
+/// coefficient loads serve all kRows rows, and four rows share one
+/// horizontal reduction.  The integer sums are exact whatever the lane
+/// order.
+template <int kRows>
+inline void PrescreenRows(const PrescreenOperands<64>& ops, const int8_t* x,
+                          size_t d, __mmask64 tail, int32_t* out) {
+  static_assert(kRows == 1 || kRows == 4, "one row or a group of four");
+  const __m512i low_bytes = _mm512_set1_epi16(0x00ff);
+  __m512i acc[kRows];
+  for (int r = 0; r < kRows; ++r) acc[r] = _mm512_setzero_si512();
+  const size_t last = ops.chunks() - 1;
+  for (size_t k = 0; k <= last; ++k) {
+    const __m512i qb = _mm512_loadu_si512(ops.q() + 64 * k);
+    const __m512i c_even = _mm512_loadu_si512(ops.coeffs() + 64 * k);
+    const __m512i c_odd = _mm512_loadu_si512(ops.coeffs() + 64 * k + 32);
+    for (int r = 0; r < kRows; ++r) {
+      const int8_t* xk = x + r * d + 64 * k;
+      const __m512i xb = k < last ? _mm512_loadu_si512(xk)
+                                  : _mm512_maskz_loadu_epi8(tail, xk);
+      const __m512i diff =
+          _mm512_sub_epi8(_mm512_max_epi8(qb, xb), _mm512_min_epi8(qb, xb));
+      acc[r] = _mm512_add_epi32(
+          acc[r],
+          _mm512_madd_epi16(_mm512_and_si512(diff, low_bytes), c_even));
+      acc[r] = _mm512_add_epi32(
+          acc[r], _mm512_madd_epi16(_mm512_srli_epi16(diff, 8), c_odd));
     }
   }
-  return ReduceF32Acc(acc);
+  if constexpr (kRows == 1) {
+    out[0] = _mm512_reduce_add_epi32(acc[0]);
+  } else {
+    __m256i half[4];
+    for (int r = 0; r < 4; ++r) {
+      half[r] = _mm256_add_epi32(_mm512_castsi512_si256(acc[r]),
+                                 _mm512_extracti64x4_epi64(acc[r], 1));
+    }
+    // Lane i of `sums` holds half of row i % 4's sum, so its two 128-bit
+    // halves add up to the four rows' totals.
+    const __m256i sums =
+        _mm256_hadd_epi32(_mm256_hadd_epi32(half[0], half[1]),
+                          _mm256_hadd_epi32(half[2], half[3]));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
+                     _mm_add_epi32(_mm256_castsi256_si128(sums),
+                                   _mm256_extracti128_si256(sums, 1)));
+  }
+}
+
+/// The prescreen block entry.
+void PrescreenI8(const int8_t* q, const int8_t* rows, size_t n,
+                 const int16_t* c, size_t d, int32_t* out) {
+  if (d == 0) {
+    std::fill(out, out + n, 0);
+    return;
+  }
+  PrescreenOperands<64> ops(q, c, d);
+  const size_t rem = d - 64 * (ops.chunks() - 1);  // 1..64
+  const __mmask64 tail =
+      rem == 64 ? ~__mmask64{0} : (__mmask64{1} << rem) - 1;
+  size_t r = 0;
+  for (; r + 4 <= n; r += 4) {
+    PrescreenRows<4>(ops, rows + r * d, d, tail, out + r);
+  }
+  for (; r < n; ++r) PrescreenRows<1>(ops, rows + r * d, d, tail, out + r);
 }
 
 /// The wavefront's lane operations (wavefront.h): one zmm holds eight

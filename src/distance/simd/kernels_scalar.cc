@@ -4,9 +4,10 @@
 // weighted_l1.cc history) operation for operation — they ARE the
 // bit-exactness baseline every SIMD backend is tested against — and the
 // float32/int8 kernels define the sixteen-lane reference the reduced
-// precision backends must match.  The cDTW entry is the row-by-row band
-// DP, which the vector tiers' wavefronts must match bit for bit.  See
-// kernels.h for the full contract.
+// precision backends must match.  The int8 prescreen entry is an exact
+// integer sum, which every tier reproduces in any order.  The cDTW
+// entry is the row-by-row band DP, which the vector tiers' wavefronts
+// must match bit for bit.  See kernels.h for the full contract.
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
@@ -208,9 +209,23 @@ float Wl2I8(const int8_t* q, const int8_t* x, const float* c, size_t d,
   });
 }
 
+/// The prescreen block entry: one int32 sum per row.  The caller's cap
+/// on sum_j |c[j]| * 254 keeps every partial sum inside int32.
+void PrescreenI8(const int8_t* q, const int8_t* rows, size_t n,
+                 const int16_t* c, size_t d, int32_t* out) {
+  for (size_t r = 0; r < n; ++r, rows += d) {
+    int32_t sum = 0;
+    for (size_t j = 0; j < d; ++j) {
+      int32_t diff = static_cast<int32_t>(q[j]) - rows[j];
+      sum += c[j] * (diff < 0 ? -diff : diff);
+    }
+    out[r] = sum;
+  }
+}
+
 const KernelTable kScalarTable = {
-    L1F64, L2F64, Wl1F64, L1F32, L2F32, Wl1F32, Wl1I8, Wl2I8,
-    /*prescreen_i8=*/Wl1I8, CdtwRows,
+    L1F64, L2F64, Wl1F64, L1F32, L2F32, Wl1F32, Wl1I8, Wl2I8, PrescreenI8,
+    CdtwRows,
 };
 
 }  // namespace

@@ -227,6 +227,7 @@ StatusOr<ScanCandidatesResult> RemoteRetrievalBackend::TracedScanCandidates(
   result.candidates = std::move(response.neighbors);
   result.rows = static_cast<size_t>(response.rows);
   result.rows_pruned = static_cast<size_t>(response.rows_pruned);
+  result.rows_prescreened = static_cast<size_t>(response.rows_prescreened);
   return result;
 }
 

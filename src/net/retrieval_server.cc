@@ -167,6 +167,7 @@ WireResponse RetrievalServer::Handle(const WireRequest& request) {
         response.neighbors = std::move(result.candidates);
         response.rows = result.rows;
         response.rows_pruned = result.rows_pruned;
+        response.rows_prescreened = result.rows_prescreened;
         obs::TraceMark(trace.get(), "server_scan", span_start,
                        {obs::TraceArg{
                            "candidates",

@@ -120,6 +120,7 @@ std::string EncodeResponse(const WireResponse& response) {
   w.WriteU64(response.embedding_distances);
   w.WriteU64(response.rows);
   w.WriteU64(response.rows_pruned);
+  w.WriteU64(response.rows_prescreened);
   w.WriteU64(response.db_size);
   w.WriteU64(response.neighbors.size());
   for (const ScoredIndex& n : response.neighbors) {
@@ -161,6 +162,7 @@ Status DecodeResponse(const std::string& payload, WireResponse* out) {
   QSE_RETURN_IF_ERROR(r.ReadU64(&out->embedding_distances));
   QSE_RETURN_IF_ERROR(r.ReadU64(&out->rows));
   QSE_RETURN_IF_ERROR(r.ReadU64(&out->rows_pruned));
+  QSE_RETURN_IF_ERROR(r.ReadU64(&out->rows_prescreened));
   QSE_RETURN_IF_ERROR(r.ReadU64(&out->db_size));
 
   // Repeated groups: validate each count against both its plausibility

@@ -12,7 +12,8 @@
 namespace qse {
 namespace net {
 
-/// The QSE wire protocol, version 1.
+/// The QSE wire protocol, version 2 (version 2 added the kScan
+/// response's rows_prescreened counter).
 ///
 /// Every message travels as one length-prefixed frame
 /// (`[u32 length][payload]`, Socket::SendFrame/RecvFrame) whose payload
@@ -35,7 +36,7 @@ namespace net {
 /// enums) is kInvalidArgument.  A decoder never crashes and never
 /// allocates more than the frame it was handed.
 inline constexpr uint32_t kWireMagic = 0x57455351u;  // "QSEW" little-endian
-inline constexpr uint16_t kWireVersion = 1;
+inline constexpr uint16_t kWireVersion = 2;
 
 /// Frames a conforming peer may send; anything larger is a framing error
 /// (kDataLoss) and the connection is dropped without allocating.
@@ -121,9 +122,11 @@ struct WireResponse {
   uint64_t embedding_distances = 0;
   /// kRetrieve with want_stats.
   std::vector<ShardScanStats> shard_stats;
-  /// kScan accounting (ScanCandidatesResult::rows / rows_pruned).
+  /// kScan accounting (ScanCandidatesResult::rows / rows_pruned /
+  /// rows_prescreened).
   uint64_t rows = 0;
   uint64_t rows_pruned = 0;
+  uint64_t rows_prescreened = 0;
   /// kInfo, and piggybacked on successful mutations.
   uint64_t db_size = 0;
   /// Server-side spans for want_trace requests.

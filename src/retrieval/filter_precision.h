@@ -3,6 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <vector>
 
 namespace qse {
 
@@ -13,10 +15,10 @@ namespace qse {
 enum class FilterPrecision : int {
   /// Scan the float64 rows.  Bit-identical to the pre-dispatch engine.
   /// A query-sensitive scan over a view large enough to stream from
-  /// DRAM that carries an int8 matrix first scores each row's int8
-  /// shadow and reads the float64 row only when I8PrescreenMargin cannot
-  /// rule it out (FilterScorer::ScoreTopP); candidates and scores stay
-  /// bit-identical.
+  /// DRAM that carries an int8 matrix first scores every row's int8
+  /// shadow exactly in integers and reads the float64 row only when the
+  /// I8Prescreen margin cannot rule it out (FilterScorer::ScoreTopP);
+  /// candidates and scores stay bit-identical.
   kExact64 = 0,
   /// Scan the float32 shadow matrix: half the bytes.
   kFilter32 = 1,
@@ -93,28 +95,59 @@ ReducedPrecisionBound I8BoundWeightedL1(const double* w, const double* q,
                                         const int8_t* qq, const float* scales,
                                         size_t d);
 
-/// Margin of the int8 prescreen in front of an exact weighted-L1 scan.
-/// For every row x whose int8 shadow rq holds the database's invariant
-/// under `scales` (|x_j - s_j * rq_j| <= 0.5 * s_j and |x_j| <= 127.5 *
-/// s_j, see EmbeddedDatabase), with `approx` the float32 score an int8
-/// kernel returns for c_j = (float)(w_j * s_j) and `exact` the float64
-/// score wl1_f64 returns,
+/// The int8 prescreen in front of an exact weighted-L1 scan, quantized
+/// for one query: integer coefficients `coeffs` (cq_j) for the kernel's
+/// exact block entry (KernelTable::prescreen_i8), which gives each row
+/// the integer score S = sum_j cq_j * |qq_j - rq_j|, a scale σ that
+/// maps S back to the weighted-L1 scale, and a margin m.  For every row
+/// x whose int8 shadow rq holds the database's invariant under `scales`
+/// (|x_j - s_j * rq_j| <= 0.5 * s_j and |x_j| <= 127.5 * s_j, see
+/// EmbeddedDatabase), with `exact` the float64 score wl1_f64 returns,
 ///
-///     |exact - approx| <= margin
+///     |exact - σ * S| <= m
 ///
-/// whatever the sign of each w_j.  The margin sums three parts: the
-/// quantization residual sum_j |w_j| * (|q_j - s_j * qq_j| + 0.5 * s_j),
-/// the float32 rounding of the int8 score and the float64 rounding of
-/// the exact one.  Both rounding parts are bounded through |qq_j - rq_j|
-/// <= 254 and |x_j| <= 127.5 * s_j, so one margin serves every row.  A
-/// row with approx - margin > t therefore has exact > t.
-///
-/// Returns +infinity, which prescreens nothing, when no finite margin
-/// exists: a non-finite query value, weight or scale (a dimension
-/// holding ±inf or NaN carries a non-finite scale), or magnitudes large
-/// enough that either kernel could overflow.
-double I8PrescreenMargin(const double* w, const double* q, const int8_t* qq,
-                         const float* scales, size_t d);
+/// in real arithmetic, whatever the sign of each w_j.
+struct I8Prescreen {
+  /// cq_j = round(c_j / σ) for c_j = w_j * s_j (in double), so
+  /// |cq_j| <= C = min(32767, floor(INT32_MAX / (254 * d))) and
+  /// sum_j |cq_j| * 254 <= INT32_MAX: the kernel's overflow
+  /// precondition.
+  std::vector<int16_t> coeffs;
+  /// σ = max_j |c_j| / C.
+  double scale = 0.0;
+  /// m sums four parts: the quantization residual sum_j |w_j| *
+  /// (|q_j - s_j * qq_j| + 0.5 * s_j), the coefficient rounding
+  /// sum_j |c_j - σ * cq_j| * 254 (|qq_j - rq_j| <= 254), the float64
+  /// rounding of the exact score (bounded through |x_j| <= 127.5 * s_j),
+  /// and the rounding of m's own double arithmetic.  One margin serves
+  /// every row.
+  ///
+  /// +infinity, which prescreens nothing, when no finite margin exists:
+  /// a non-finite query value, weight or scale (a dimension holding ±inf
+  /// or NaN carries a non-finite scale), magnitudes large enough that
+  /// the float64 kernel could overflow, or a σ that is not finite and
+  /// positive (all-zero weights, say).
+  double margin = std::numeric_limits<double>::infinity();
+
+  /// Largest integer score a row can have and still score at most
+  /// `threshold` exactly: S > Cut(t) implies σ * S - m > t, so the exact
+  /// score exceeds t.  Rounded up soundly; INT64_MAX (dismisses nothing)
+  /// when t is +inf or the quotient leaves the int64 range.
+  int64_t Cut(double threshold) const;
+
+  /// ceil(2m / σ), rounded up soundly: with S_p the p-th smallest S of a
+  /// set of rows, the p rows holding the smallest S all score at most
+  /// σ * S_p + m exactly, so a row with S > S_p + Slack() scores more
+  /// than the p-th best exact score of the whole set.  INT64_MAX when
+  /// the quotient leaves the int53 range.
+  int64_t Slack() const;
+};
+
+/// Quantizes the int8 prescreen for the weighted-L1 query (`w`, `q`),
+/// its quantized form `qq` and the per-dimension `scales`.
+I8Prescreen QuantizeI8Prescreen(const double* w, const double* q,
+                                const int8_t* qq, const float* scales,
+                                size_t d);
 
 /// Envelope for the int8 squared-L2 scan (kernel term (c_j * fd) * fd
 /// with c_j = s_j^2).  Per dimension, with e_j the combined query + row

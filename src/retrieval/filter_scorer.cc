@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "src/distance/lp.h"
 #include "src/distance/simd/dispatch.h"
@@ -84,49 +86,117 @@ std::vector<ScoredIndex> TopPScanReduced(const EmbeddedDatabase::View& db,
   return top.TakeSortedAscending();
 }
 
-/// The float a prescreened row's int8 score must exceed: the smallest
-/// float at or above the real t + margin (the double sum rounds to
-/// nearest, so step past it first).  +inf while the heap fills.
-float PrescreenCut(double threshold, double margin) {
-  return FloatAtLeast(std::nextafter(threshold + margin, kInf));
+/// The prescreened scan's second pass reads a few hundred float64 rows
+/// scattered over a DRAM-resident matrix, each a cold miss; its reading
+/// order is known before the first read, so rows are fetched this many
+/// reads ahead.
+constexpr size_t kF64PrefetchRowsAhead = 4;
+
+inline void PrefetchF64Row(const double* row, size_t d) {
+  const char* bytes = reinterpret_cast<const char*>(row);
+  const size_t len = d * sizeof(double);
+  for (size_t b = 0; b < len; b += 64) __builtin_prefetch(bytes + b, 0, 0);
+  if (len > 0) __builtin_prefetch(bytes + len - 1, 0, 0);
 }
 
-/// A kExact64 scan with an int8 prescreen: `approx_row(i, cut)` scores
-/// row i's int8 shadow, and a score above `cut` — the running threshold
-/// t plus `margin`, rounded up — dismisses the row unread, since its
-/// exact score then exceeds t and TopPScan would reject it too.  Every
-/// other row goes through `exact_row` exactly as in TopPScan, so the
-/// heap sees the same offers in the same order and the result is
-/// bit-identical.  `margin` must be finite (I8PrescreenMargin).
-template <typename ApproxFn, typename ExactFn>
-std::vector<ScoredIndex> PrescreenedTopPScan(const EmbeddedDatabase::View& db,
-                                             size_t p, double margin,
-                                             const ApproxFn& approx_row,
-                                             const ExactFn& exact_row,
-                                             FilterScanStats* scan_stats) {
+/// A kExact64 scan in two passes over the view's int8 matrix, scored
+/// exactly in integers by `k->prescreen_i8` (S_i for row i) under the
+/// query's `pre` (QuantizeI8Prescreen, finite margin).
+///
+/// Pass 1 streams the int8 matrix one kPrescreenBlockRows block per
+/// kernel call, keeps the p smallest S (ties by row) and collects every
+/// row with S <= S_p + Slack(), S_p the running p-th smallest S.  The p
+/// rows with the smallest S all score at most σ * S_p + m exactly, so
+/// every row left out scores strictly more than the final p-th best
+/// exact score, whatever its id.
+///
+/// Pass 2 reads float64 rows only for collected rows: the p best-S rows
+/// first, so the running threshold t starts near its final value, then
+/// the others in row order, each dismissed unread when S > Cut(t) (its
+/// exact score then exceeds t).  Every row the plain scan would keep is
+/// offered, and the top p by (score, id) of a set does not depend on
+/// offer order, so ids and score bits match TopPScan's.
+template <typename ExactFn>
+std::vector<ScoredIndex> PrescreenedTopPScan(
+    const EmbeddedDatabase::View& db, size_t p, const int8_t* qq,
+    const I8Prescreen& pre, const simd::KernelTable* k,
+    const ExactFn& exact_row, FilterScanStats* scan_stats) {
   const size_t n = db.size();
   const size_t d = db.dims();
-  BoundedTopK top(std::min(p, n));
-  size_t pruned = 0;
-  size_t prescreened = 0;
-  // The cut only moves when an Offer is accepted; cache it like
-  // TopPScanReduced caches its widened threshold.
+  const size_t keep = std::min(p, n);
+  if (keep == 0) {
+    if (scan_stats != nullptr) *scan_stats = FilterScanStats{n, n, n};
+    return {};
+  }
+  using RowScore = std::pair<int32_t, size_t>;  // (S, row)
+  const int64_t slack = pre.Slack();
+  auto bound_above = [slack](int32_t s) {
+    return slack == INT64_MAX ? INT64_MAX : s + slack;
+  };
+
+  // Pass 1: a max-heap of the `keep` smallest (S, row), and every row
+  // within the running bound, in row order.
+  std::vector<RowScore> best;
+  best.reserve(keep);
+  std::vector<RowScore> collected;
+  std::vector<int32_t> block(std::min(n, kPrescreenBlockRows));
+  int64_t bound = INT64_MAX;
+  for (size_t first = 0; first < n; first += kPrescreenBlockRows) {
+    const size_t rows = std::min(kPrescreenBlockRows, n - first);
+    k->prescreen_i8(qq, db.row_i8(first), rows, pre.coeffs.data(), d,
+                    block.data());
+    for (size_t r = 0; r < rows; ++r) {
+      const int32_t s = block[r];
+      if (s > bound) continue;
+      const RowScore row{s, first + r};
+      collected.push_back(row);
+      if (best.size() < keep) {
+        best.push_back(row);
+        std::push_heap(best.begin(), best.end());
+      } else if (row < best.front()) {
+        std::pop_heap(best.begin(), best.end());
+        best.back() = row;
+        std::push_heap(best.begin(), best.end());
+      }
+      if (best.size() == keep) bound = bound_above(best.front().first);
+    }
+  }
+
+  // Pass 2, in reading order: the `keep` best-S rows (never dismissed:
+  // the threshold stays +inf until they fill the heap), then the other
+  // collected rows within the final bound.  The order is known up front,
+  // so each float64 row is prefetched a few reads ahead.
+  const RowScore pth = best.front();
+  std::vector<RowScore> order;
+  order.reserve(collected.size());
+  for (const RowScore& row : collected) {
+    if (!(pth < row)) order.push_back(row);
+  }
+  for (const RowScore& row : collected) {
+    if (pth < row && row.first <= bound) order.push_back(row);
+  }
+  BoundedTopK top(keep);
+  size_t read = 0;
+  size_t accepted = 0;
+  // The cut only moves when an Offer is accepted; cache it.
   double cached_threshold = top.threshold();
-  float cut = PrescreenCut(cached_threshold, margin);
-  for (size_t i = 0; i < n; ++i) {
-    double t = top.threshold();
+  int64_t cut = pre.Cut(cached_threshold);
+  for (size_t i = 0; i < order.size(); ++i) {
+    if (i + kF64PrefetchRowsAhead < order.size()) {
+      PrefetchF64Row(db.row(order[i + kF64PrefetchRowsAhead].second), d);
+    }
+    const double t = top.threshold();
     if (t != cached_threshold) {
       cached_threshold = t;
-      cut = PrescreenCut(t, margin);
+      cut = pre.Cut(t);
     }
-    if (approx_row(i, cut) > cut) {
-      ++prescreened;
-      continue;
-    }
-    pruned += !OfferRow(&top, db, i, exact_row(db.row(i), d, t));
+    if (order[i].first > cut) continue;
+    const size_t row = order[i].second;
+    ++read;
+    accepted += OfferRow(&top, db, row, exact_row(db.row(row), d, t));
   }
   if (scan_stats != nullptr) {
-    *scan_stats = FilterScanStats{n, pruned + prescreened, prescreened};
+    *scan_stats = FilterScanStats{n, n - accepted, n - read};
   }
   return top.TakeSortedAscending();
 }
@@ -276,13 +346,10 @@ std::vector<ScoredIndex> WeightedL1TopP(const Vector& embedded_query,
                                "matrix (EnableFilterShadows)");
     const float* s = db.i8_scales();
     std::vector<int8_t> qq = QuantizeQuery(q, s, d);
-    std::vector<float> c = I8WeightedL1Coeffs(w, s, d);
-    double margin = I8PrescreenMargin(w, q, qq.data(), s, d);
-    if (margin < kInf) {
-      return PrescreenedTopPScan(db, p, margin, [&](size_t i, float cut) {
-        return k->prescreen_i8(qq.data(), db.row_i8(i), c.data(), d,
-                               nonnegative ? cut : kInf32);
-      }, exact_row, scan_stats);
+    I8Prescreen pre = QuantizeI8Prescreen(w, q, qq.data(), s, d);
+    if (pre.margin < kInf) {
+      return PrescreenedTopPScan(db, p, qq.data(), pre, k, exact_row,
+                                 scan_stats);
     }
   }
   return TopPScan(db, p, exact_row, scan_stats);

@@ -17,27 +17,33 @@ struct KernelTable;
 struct FilterScanStats {
   /// Rows the scan streamed over (the view's size).
   size_t rows_visited = 0;
-  /// Rows that never entered the running top-p: early-abandoned by the
-  /// pruning threshold, dismissed by the int8 prescreen or completed
-  /// with a worse score.  The complement (rows_visited - rows_pruned) is
-  /// how many times the top-p heap accepted a row.
+  /// rows_visited minus the number of times the top-p heap accepted a
+  /// row: rows early-abandoned by the pruning threshold, dismissed by
+  /// the int8 prescreen or completed with a worse score.  A prescreened
+  /// scan offers rows in another order than the plain scan, so its
+  /// count differs from the plain scan's (never below rows_prescreened,
+  /// and at least min(p, rows) rows are accepted either way).
   size_t rows_pruned = 0;
-  /// Rows of a prescreened kExact64 scan dismissed on their int8 shadow
-  /// alone, without reading the float64 row.  Counted in rows_pruned
-  /// too.
+  /// Rows of a prescreened kExact64 scan whose float64 row was never
+  /// read: dismissed on their exact int8 score alone.  Counted in
+  /// rows_pruned too.
   size_t rows_prescreened = 0;
 };
+
+/// Rows per prescreen kernel call in the prescreened scan's first pass
+/// (d = 55: 14 KB of int8 rows and 1 KB of scores per block).
+inline constexpr size_t kPrescreenBlockRows = 256;
 
 /// Float64 bytes (rows x dims x 8) from which an exact query-sensitive
 /// scan prescreens on the view's int8 matrix, and from which
 /// RetrievalEngine builds that matrix for a local shard at
-/// construction.  From the micro_filter_step BM_PrescreenSweep sweep
-/// (four matrices scanned in turn, d = 16 / 24 / 55, 4-vCPU Xeon with
-/// AVX-512): the float64 scan's row rate halves between 4 and 8 MiB per
-/// matrix, where it starts streaming from DRAM, and from 8 MiB up the
-/// prescreen wins on every tier and d (AVX2 at d = 24 only breaks
-/// even) while below it the AVX2 tier loses up to 1.6x.  Smaller shards
-/// also skip the int8 matrix's extra eighth of memory.
+/// construction: where the float64 scan starts streaming from DRAM (in
+/// micro_filter_step's BM_PrescreenSweep, four matrices scanned in
+/// turn, d = 16 / 24 / 55, 4-vCPU Xeon with AVX-512, its row rate
+/// halves between 4 and 8 MiB per matrix).  The same sweep has the
+/// two-pass prescreen winning at least 2x at every size from 1 MiB up,
+/// on every tier, so the threshold is not where the prescreen starts to
+/// pay; smaller shards skip the int8 matrix's extra eighth of memory.
 inline constexpr size_t kPrescreenMinBytes = size_t{8} << 20;
 
 /// Whether `rows` float64 rows of `dims` doubles reach
@@ -79,14 +85,23 @@ class FilterScorer {
   /// same streaming pass with abandon off).
   ///
   /// The query-sensitive kExact64 scan of a view whose float64 rows
-  /// reach kPrescreenMinBytes and that carries an int8 matrix
-  /// prescreens each row on its int8 shadow first: a row whose int8
-  /// score minus I8PrescreenMargin (filter_precision.h) exceeds the
-  /// running threshold is skipped without reading its float64 row.  Its
-  /// exact score provably exceeds the threshold, for either sign of the
-  /// weights, so the plain scan rejects it too: candidates, scores and
-  /// ids stay bit-identical.  Non-finite query values, weights or stored
-  /// values make the margin +inf and the scan plain.
+  /// reach kPrescreenMinBytes and that carries an int8 matrix runs in
+  /// two passes, the VA-file's near-optimal search (Weber, Schek & Blott,
+  /// VLDB 1998).  Pass 1 scores every row's int8 shadow exactly in
+  /// integers (KernelTable::prescreen_i8 under QuantizeI8Prescreen's
+  /// coefficients, filter_precision.h), one block of rows per kernel
+  /// call, and keeps only rows whose int8 score lies within the margin
+  /// of the p-th smallest one.  Pass 2 reads float64 rows for those
+  /// alone: the p best int8 rows first, then the rest, each skipped
+  /// unread when its int8 score minus the margin exceeds the running
+  /// threshold.  Every skipped row's exact score provably exceeds the
+  /// final p-th best, for either sign of the weights, so candidates,
+  /// scores and ids stay bit-identical to the plain scan's.  The stats
+  /// count rows whose float64 row was never read as rows_prescreened;
+  /// rows_pruned stays rows_visited minus heap accepts, a different
+  /// number than the plain scan's because the offer order differs.
+  /// Non-finite query values, weights or stored values, or all-zero
+  /// weights, make the margin +inf and the scan plain.
   ///
   /// Reduced precisions scan the view's shadow matrix instead (the view
   /// must carry it — the engines verify availability and fail the

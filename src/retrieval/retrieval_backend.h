@@ -173,8 +173,14 @@ struct ScanCandidatesResult {
   /// Rows the backend held at scan time (the shard size a want_stats
   /// response reports for this backend).
   size_t rows = 0;
-  /// Rows whose scan the early-abandon filter cut short.
+  /// Rows the scan did not keep in its running top p: rows scanned
+  /// minus heap accepts (FilterScanStats::rows_pruned, summed over the
+  /// backend's shards).
   size_t rows_pruned = 0;
+  /// Rows the int8 prescreen dismissed without reading their float64
+  /// row (FilterScanStats::rows_prescreened, summed); a subset of
+  /// rows_pruned.
+  size_t rows_prescreened = 0;
 };
 
 /// The serving-facing face of a retrieval engine: the filter-and-refine

@@ -232,7 +232,6 @@ Status RetrievalEngine::Scan(
       [&](size_t s) {
         const Shard& shard = shards_[s];
         ScanCandidatesResult& scan = (*scans)[s];
-        size_t prescreened = 0;
         uint64_t span_start = obs::TraceNowNs(trace);
         if (shard.backend != nullptr) {
           // The backend counts the rows it scans where its scan runs.
@@ -260,7 +259,7 @@ Status RetrievalEngine::Scan(
           }
           scan.rows = view.size();
           scan.rows_pruned = stats.rows_pruned;
-          prescreened = stats.rows_prescreened;
+          scan.rows_prescreened = stats.rows_prescreened;
           filter_rows_visited_total_->Add(stats.rows_visited);
           filter_rows_pruned_total_->Add(stats.rows_pruned);
           filter_rows_prescreened_total_->Add(stats.rows_prescreened);
@@ -274,7 +273,8 @@ Status RetrievalEngine::Scan(
              obs::TraceArg{"rows", static_cast<int64_t>(scan.rows), nullptr},
              obs::TraceArg{"rows_pruned",
                            static_cast<int64_t>(scan.rows_pruned), nullptr},
-             obs::TraceArg{"prescreened", static_cast<int64_t>(prescreened),
+             obs::TraceArg{"prescreened",
+                           static_cast<int64_t>(scan.rows_prescreened),
                            nullptr},
              obs::TraceArg{"simd", 0,
                            simd::SimdLevelName(simd::ActiveSimdLevel())},
@@ -464,6 +464,7 @@ StatusOr<ScanCandidatesResult> RetrievalEngine::ScanCandidates(
   for (const ScanCandidatesResult& scan : scans) {
     result.rows += scan.rows;
     result.rows_pruned += scan.rows_pruned;
+    result.rows_prescreened += scan.rows_prescreened;
   }
   result.candidates = MergeSortedTopK(TakeCandidateLists(&scans), options.p);
   return result;

@@ -4,12 +4,17 @@
 // rows — ids and score bits — on every SIMD tier, for signed and
 // non-negative weights, at p = 1 through p = n, with ties at the p-th
 // value, with ±inf / NaN in rows, query or weights, and while another
-// thread appends rows.  The PrescreenEngineTest cases check when
+// thread appends rows, around the first pass's block and bound.  The
+// PrescreenKernelTest cases pin the integer block kernel to an int64
+// reference on every tier.  The PrescreenEngineTest cases check when
 // RetrievalEngine builds the int8 matrix and how the prescreen shows in
-// its metric and trace span.
+// its metric and trace span, and in composed and remote scans.
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -18,6 +23,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/net/remote_backend.h"
+#include "src/net/retrieval_server.h"
 #include "src/obs/metric_registry.h"
 #include "src/obs/trace.h"
 #include "src/retrieval/embedder_adapters.h"
@@ -98,10 +105,17 @@ void ExpectSameScan(const ScanResult& plain, const ScanResult& pre,
         << where << " rank " << i << ": " << plain.top[i].score << " vs "
         << pre.top[i].score;
   }
+  // The two passes offer rows in another order than the plain scan, so
+  // rows_pruned (rows_visited - heap accepts) differs; both scans accept
+  // at least their min(p, n) results.
   EXPECT_EQ(plain.stats.rows_visited, pre.stats.rows_visited) << where;
-  EXPECT_EQ(plain.stats.rows_pruned, pre.stats.rows_pruned) << where;
   EXPECT_EQ(plain.stats.rows_prescreened, 0u) << where;
   EXPECT_LE(pre.stats.rows_prescreened, pre.stats.rows_pruned) << where;
+  for (const ScanResult* scan : {&plain, &pre}) {
+    EXPECT_GE(scan->stats.rows_visited - scan->stats.rows_pruned,
+              plain.top.size())
+        << where;
+  }
 }
 
 std::string Where(const Tier& tier, size_t d, bool signed_weights, size_t p) {
@@ -252,7 +266,8 @@ TEST(PrescreenScanTest, NonFiniteRowsQueryOrWeightsNeverPruneWrongly) {
 
 TEST(PrescreenScanTest, MarginBoundsExactMinusApproxOnEveryTier) {
   // Rows at the edges of the quantization range, queries beyond it (so
-  // clamped) and weights of both signs and mixed magnitudes.
+  // clamped) and weights of both signs and mixed magnitudes: the float64
+  // score is within the margin of σ * S, S the exact integer score.
   for (const Tier& tier : RunnableTiers()) {
     for (size_t d : {size_t{1}, size_t{3}, size_t{16}, size_t{17},
                      size_t{55}, size_t{63}, size_t{64}, size_t{65},
@@ -261,17 +276,18 @@ TEST(PrescreenScanTest, MarginBoundsExactMinusApproxOnEveryTier) {
       std::vector<float> scales(d);
       std::vector<double> q(d), w(d);
       std::vector<int8_t> qq(d);
-      std::vector<float> c(d);
       for (size_t j = 0; j < d; ++j) {
         scales[j] = static_cast<float>(rng.Uniform(0.001, 2.0));
         q[j] = rng.Uniform(-160.0, 160.0) * scales[j];
         w[j] = rng.Uniform(-3.0, 3.0) * (j % 5 == 0 ? 100.0 : 1.0);
         qq[j] = QuantizeToInt8(q[j], scales[j]);
-        c[j] = static_cast<float>(w[j] * static_cast<double>(scales[j]));
       }
-      const double margin =
-          I8PrescreenMargin(w.data(), q.data(), qq.data(), scales.data(), d);
-      ASSERT_TRUE(std::isfinite(margin));
+      const I8Prescreen pre =
+          QuantizeI8Prescreen(w.data(), q.data(), qq.data(), scales.data(), d);
+      ASSERT_TRUE(std::isfinite(pre.margin));
+      int64_t coeff_mass = 0;
+      for (int16_t c : pre.coeffs) coeff_mass += std::abs(c);
+      EXPECT_LE(coeff_mass * 254, int64_t{INT32_MAX}) << "d=" << d;
       std::vector<double> x(d);
       std::vector<int8_t> xq(d);
       for (int trial = 0; trial < 200; ++trial) {
@@ -282,47 +298,280 @@ TEST(PrescreenScanTest, MarginBoundsExactMinusApproxOnEveryTier) {
           ASSERT_TRUE(FitsInt8(x[j], scales[j]));
           xq[j] = QuantizeToInt8(x[j], scales[j]);
         }
-        double exact =
+        const double exact =
             tier.table->wl1_f64(q.data(), x.data(), w.data(), d, kInf);
-        for (float approx :
-             {tier.table->prescreen_i8(qq.data(), xq.data(), c.data(), d,
-                                       std::numeric_limits<float>::infinity()),
-              tier.table->wl1_i8(qq.data(), xq.data(), c.data(), d,
-                                 std::numeric_limits<float>::infinity())}) {
-          EXPECT_LE(std::fabs(exact - static_cast<double>(approx)), margin)
-              << simd::SimdLevelName(tier.level) << " d=" << d;
+        int32_t score = 0;
+        tier.table->prescreen_i8(qq.data(), xq.data(), 1, pre.coeffs.data(),
+                                 d, &score);
+        const long double approx =
+            static_cast<long double>(pre.scale) * score;
+        EXPECT_LE(std::fabs(static_cast<long double>(exact) - approx),
+                  static_cast<long double>(pre.margin))
+            << simd::SimdLevelName(tier.level) << " d=" << d;
+      }
+    }
+
+    // Worst cases of two terms at once.  Dimension 0 (cq = C) holds a
+    // row value half a step off its shadow; dimension 1's weight is too
+    // small for any coefficient (cq = 0), so its whole term, at the
+    // largest difference, is coefficient rounding.  |exact - σ * S| is
+    // then within a fraction of the quantization residual of the margin.
+    {
+      const double cap = 32767.0;  // min(32767, INT32_MAX / (254 * 2))
+      const std::vector<double> w2{1.0, -0.49 / cap}, q2{0.0, 127.0};
+      const std::vector<float> unit(2, 1.0f);
+      const std::vector<int8_t> qq2{0, 127};
+      const std::vector<double> x2{0.5, -127.0};
+      const std::vector<int8_t> xq2{QuantizeToInt8(x2[0], 1.0f),
+                                    QuantizeToInt8(x2[1], 1.0f)};
+      const I8Prescreen pre =
+          QuantizeI8Prescreen(w2.data(), q2.data(), qq2.data(), unit.data(), 2);
+      ASSERT_EQ(pre.coeffs, (std::vector<int16_t>{32767, 0}));
+      const double exact =
+          tier.table->wl1_f64(q2.data(), x2.data(), w2.data(), 2, kInf);
+      int32_t score = 0;
+      tier.table->prescreen_i8(qq2.data(), xq2.data(), 1, pre.coeffs.data(), 2,
+                               &score);
+      const long double gap =
+          static_cast<long double>(pre.scale) * score - exact;
+      EXPECT_GT(gap, 0.5L + 124.0L / cap);
+      EXPECT_LE(gap, static_cast<long double>(pre.margin));
+    }
+
+    // Equal coefficient magnitudes put every |cq_j| at the cap, the most
+    // the int32 sums admit: the kernel's largest score stays exact.
+    for (size_t d : {size_t{258}, size_t{259}, size_t{1000}}) {
+      std::vector<double> w(d), q(d, 127.0);
+      std::vector<float> unit(d, 1.0f);
+      std::vector<int8_t> qq(d, 127), xq(d, -127);
+      for (size_t j = 0; j < d; ++j) w[j] = j % 7 == 3 ? -1.0 : 1.0;
+      const I8Prescreen pre =
+          QuantizeI8Prescreen(w.data(), q.data(), qq.data(), unit.data(), d);
+      int64_t coeff_mass = 0;
+      int64_t want = 0;
+      for (int16_t c : pre.coeffs) {
+        coeff_mass += std::abs(c);
+        want += 254 * int64_t{c};
+      }
+      EXPECT_LE(coeff_mass * 254, int64_t{INT32_MAX}) << "d=" << d;
+      int32_t score = 0;
+      tier.table->prescreen_i8(qq.data(), xq.data(), 1, pre.coeffs.data(), d,
+                               &score);
+      EXPECT_EQ(score, want) << simd::SimdLevelName(tier.level) << " d=" << d;
+    }
+  }
+}
+
+TEST(PrescreenScanTest, TwoPassBoundaryShapesMatchThePlainScan) {
+  // Around the first pass's block: n below one block, at it, one past
+  // it and not a multiple of it; p from 1 to past n; d past one 64-byte
+  // chunk.
+  const size_t kB = kPrescreenBlockRows;
+  for (const Tier& tier : RunnableTiers()) {
+    for (size_t d : {size_t{7}, size_t{55}, size_t{130}, size_t{259}}) {
+      for (size_t n : {size_t{1}, size_t{5}, kB - 1, kB, kB + 1,
+                       2 * kB + 37}) {
+        EmbeddedDatabase db = MakeDb(n, d, 1400 + d + n);
+        const EmbeddedDatabase::View view = db;
+        for (bool signed_weights : {false, true}) {
+          Vector w = MakeWeights(d, signed_weights, 1500 + d);
+          Vector q = QueryNear(db, n / 2, 1600 + d + n);
+          for (size_t p : {size_t{1}, size_t{3}, n - 1, n, n + 5}) {
+            if (p == 0) continue;
+            std::string where =
+                Where(tier, d, signed_weights, p) + " n=" + std::to_string(n);
+            ScanResult plain = Scan(q, w, view, p, false, tier.table);
+            ScanResult pre = Scan(q, w, view, p, true, tier.table);
+            ExpectSameScan(plain, pre, where);
+            if (p >= n) {
+              EXPECT_EQ(pre.stats.rows_prescreened, 0u) << where;
+            }
+          }
         }
       }
     }
   }
 }
 
-TEST(PrescreenScanTest, PrescreenKernelAbandonsOnlyAboveTheCut) {
-  // Non-negative coefficients: an early return exceeds the abandon
-  // value, and a completed score is the full sum however it is cut.
+TEST(PrescreenScanTest, AllZeroWeightsScanPlain) {
+  // σ = 0: no finite margin, so the scan runs plain; every score is 0
+  // and the ids decide.  One zero weight among others still prescreens.
+  constexpr size_t kN = 700;
+  constexpr size_t kD = 17;
+  EmbeddedDatabase db = MakeDb(kN, kD, 1700);
+  const EmbeddedDatabase::View view = db;
+  const Vector q = QueryNear(db, 40, 1701);
   for (const Tier& tier : RunnableTiers()) {
-    for (size_t d : {size_t{16}, size_t{64}, size_t{65}, size_t{200}}) {
-      Rng rng(1100 + d);
-      std::vector<int8_t> q(d), x(d);
-      std::vector<float> c(d);
-      for (size_t j = 0; j < d; ++j) {
-        q[j] = static_cast<int8_t>(static_cast<int>(rng.Index(255)) - 127);
-        x[j] = static_cast<int8_t>(static_cast<int>(rng.Index(255)) - 127);
-        c[j] = static_cast<float>(rng.Uniform(0.0, 1.0));
+    for (size_t p : {size_t{1}, size_t{10}}) {
+      std::string where = Where(tier, kD, false, p);
+      Vector zero(kD, 0.0);
+      ScanResult plain = Scan(q, zero, view, p, false, tier.table);
+      ScanResult pre = Scan(q, zero, view, p, true, tier.table);
+      ExpectSameScan(plain, pre, where + " all zero");
+      EXPECT_EQ(pre.stats.rows_prescreened, 0u) << where;
+      ASSERT_EQ(pre.top.size(), p);
+      EXPECT_EQ(pre.top.back().index, p - 1) << where;
+
+      Vector w = MakeWeights(kD, false, 1702);
+      w[3] = 0.0;
+      plain = Scan(q, w, view, p, false, tier.table);
+      pre = Scan(q, w, view, p, true, tier.table);
+      ExpectSameScan(plain, pre, where + " one zero");
+      EXPECT_GT(pre.stats.rows_prescreened, kN / 2) << where;
+    }
+  }
+}
+
+TEST(PrescreenScanTest, RowOnTheFirstPassBoundIsKeptSound) {
+  // Integer-valued rows with one at ±127 per dimension give unit scales,
+  // so every stored value is its own int8 shadow.  Weights (1, 1 / C)
+  // quantize to cq = (C, 1) with σ = 1 / C, and the query (0, 0) sits on
+  // the grid, so a row (a, b) has S = a * C + b.  With p = 1 the row
+  // (0, 0) gives S_p = 0, the first pass's bound is Slack(), and rows at
+  // S = Slack() and Slack() + 1 straddle it.
+  constexpr size_t kD = 2;
+  const double cap = 32767.0;  // min(32767, INT32_MAX / (254 * 2))
+  EmbeddedDatabase db(kD);
+  db.Append(Vector{127.0, 127.0});
+  db.Append(Vector{-127.0, -127.0});
+  for (size_t i = 0; i < 2 * kPrescreenBlockRows; ++i) {
+    db.Append(Vector{static_cast<double>(40 + i % 80),
+                     static_cast<double>(i % 120)});
+  }
+  db.Append(Vector{0.0, 0.0});
+  db.EnableFilterShadows(kShadowInt8);
+  const Vector q(kD, 0.0);
+  const Vector w{1.0, 1.0 / cap};
+  {
+    const EmbeddedDatabase::View view = db;
+    ASSERT_EQ(view.i8_scales()[0], 1.0f);
+    ASSERT_EQ(view.i8_scales()[1], 1.0f);
+  }
+  const std::vector<int8_t> qq(kD, 0);
+  const std::vector<float> unit(kD, 1.0f);
+  const I8Prescreen pre =
+      QuantizeI8Prescreen(w.data(), q.data(), qq.data(), unit.data(), kD);
+  ASSERT_EQ(pre.coeffs, (std::vector<int16_t>{32767, 1}));
+  const int64_t slack = pre.Slack();
+  const int64_t a = slack / 32767;
+  const int64_t b = slack % 32767;
+  ASSERT_LE(a, 127);
+  ASSERT_LT(b, 127);
+  db.Append(Vector{static_cast<double>(a), static_cast<double>(b)});
+  db.Append(Vector{static_cast<double>(-a), static_cast<double>(b + 1)});
+  const EmbeddedDatabase::View view = db;
+  ASSERT_EQ(view.i8_scales()[0], 1.0f);
+  for (const Tier& tier : RunnableTiers()) {
+    std::vector<int32_t> scores(view.size());
+    tier.table->prescreen_i8(qq.data(), view.row_i8(0), view.size(),
+                             pre.coeffs.data(), kD, scores.data());
+    EXPECT_EQ(scores[view.size() - 2], slack);
+    EXPECT_EQ(scores[view.size() - 1], slack + 1);
+    for (size_t p : {size_t{1}, size_t{2}, size_t{3}}) {
+      std::string where = Where(tier, kD, false, p);
+      ScanResult plain = Scan(q, w, view, p, false, tier.table);
+      ScanResult pre_scan = Scan(q, w, view, p, true, tier.table);
+      ExpectSameScan(plain, pre_scan, where);
+      EXPECT_GT(pre_scan.stats.rows_prescreened, view.size() / 2) << where;
+    }
+  }
+}
+
+// --- The block kernel: exact integer sums on every tier. ---------------
+
+/// Per-row sum_j c[j] * |q[j] - x[j]| in int64: the reference every
+/// tier's prescreen_i8 must equal.
+std::vector<int64_t> ReferenceScores(const std::vector<int8_t>& q,
+                                     const std::vector<int8_t>& rows,
+                                     const std::vector<int16_t>& c,
+                                     size_t n) {
+  const size_t d = q.size();
+  std::vector<int64_t> out(n, 0);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t j = 0; j < d; ++j) {
+      int64_t diff = static_cast<int64_t>(q[j]) - rows[r * d + j];
+      out[r] += c[j] * (diff < 0 ? -diff : diff);
+    }
+  }
+  return out;
+}
+
+/// The coefficient cap that keeps sum_j |c_j| * 254 within int32.
+int16_t CoeffCap(size_t d) {
+  return static_cast<int16_t>(
+      std::min<int64_t>(32767, int64_t{INT32_MAX} / (254 * int64_t(d))));
+}
+
+/// Runs every tier's block entry over exactly n * d bytes (so a read
+/// past the block shows under AddressSanitizer) and compares each
+/// score with the reference.
+void ExpectExactOnEveryTier(const std::vector<int8_t>& q,
+                            const std::vector<int8_t>& rows,
+                            const std::vector<int16_t>& c, size_t n,
+                            const std::string& where) {
+  const std::vector<int64_t> want = ReferenceScores(q, rows, c, n);
+  for (const Tier& tier : RunnableTiers()) {
+    std::vector<int32_t> got(n, -1);
+    tier.table->prescreen_i8(q.data(), rows.data(), n, c.data(), q.size(),
+                             got.data());
+    for (size_t r = 0; r < n; ++r) {
+      ASSERT_EQ(got[r], want[r]) << simd::SimdLevelName(tier.level) << " "
+                                 << where << " row " << r;
+    }
+  }
+}
+
+const size_t kKernelDims[] = {1,  7,  16, 17, 31,  32,  33,
+                              55, 63, 64, 65, 130, 258, 259};
+
+TEST(PrescreenKernelTest, BlockEntryMatchesInt64ReferenceOnEveryTier) {
+  const size_t kB = kPrescreenBlockRows;
+  for (size_t d : kKernelDims) {
+    const int16_t cap = CoeffCap(d);
+    for (size_t n : {size_t{1}, size_t{2}, size_t{3}, size_t{4}, size_t{5},
+                     size_t{8}, size_t{31}, size_t{33}, kB - 1, kB, kB + 1,
+                     kB + 77}) {
+      Rng rng(1800 + 31 * d + n);
+      std::vector<int8_t> q(d), rows(n * d);
+      std::vector<int16_t> c(d);
+      for (int8_t& v : q) {
+        v = static_cast<int8_t>(static_cast<int>(rng.Index(255)) - 127);
       }
-      const float full = tier.table->prescreen_i8(
-          q.data(), x.data(), c.data(), d,
-          std::numeric_limits<float>::infinity());
-      for (float cut : {0.0f, full / 4, full / 2, full, full * 2}) {
-        float got =
-            tier.table->prescreen_i8(q.data(), x.data(), c.data(), d, cut);
-        if (got != full) {
-          EXPECT_GT(got, cut) << simd::SimdLevelName(tier.level)
-                              << " d=" << d;
-        }
-        if (cut >= full) {
-          EXPECT_EQ(got, full);
-        }
+      for (int8_t& v : rows) {
+        v = static_cast<int8_t>(static_cast<int>(rng.Index(255)) - 127);
+      }
+      for (int16_t& v : c) {
+        v = static_cast<int16_t>(static_cast<int>(rng.Index(2 * cap + 1)) -
+                                 cap);
+      }
+      ExpectExactOnEveryTier(q, rows, c,
+                             n, "d=" + std::to_string(d) +
+                                    " n=" + std::to_string(n));
+    }
+  }
+}
+
+TEST(PrescreenKernelTest, Int32EdgeIsExactOnEveryTier) {
+  // Every coefficient at ±C and every difference at 254: the largest
+  // sums the overflow precondition admits, and sign mixes of them.
+  for (size_t d : kKernelDims) {
+    const int16_t cap = CoeffCap(d);
+    constexpr size_t kN = 5;
+    std::vector<int8_t> q(d, 127), rows(kN * d, -127);
+    for (size_t j = 0; j < d; ++j) rows[2 * d + j] = j % 2 == 0 ? -127 : 127;
+    std::vector<int8_t> q_low(d, -127), rows_high(kN * d, 127);
+    for (int sign : {1, -1, 0}) {
+      std::vector<int16_t> c(d);
+      for (size_t j = 0; j < d; ++j) {
+        c[j] = static_cast<int16_t>(sign != 0 ? sign * cap
+                                              : (j % 3 == 0 ? -cap : cap));
+      }
+      const std::string where =
+          "d=" + std::to_string(d) + " sign=" + std::to_string(sign);
+      ExpectExactOnEveryTier(q, rows, c, kN, where);
+      ExpectExactOnEveryTier(q_low, rows_high, c, kN, where + " mirrored");
+      if (sign == 1) {
+        EXPECT_LE(ReferenceScores(q, rows, c, 1)[0], int64_t{INT32_MAX});
       }
     }
   }
@@ -469,6 +718,41 @@ TEST(PrescreenEngineTest, ReportsPrescreenedRowsInMetricAndSpan) {
   EXPECT_GT(span_prescreened, static_cast<int64_t>(kLargeRows / 2));
   EXPECT_LE(span_prescreened, span_pruned);
   EXPECT_GE(counted, static_cast<uint64_t>(span_prescreened));
+
+  // A composed shard reports the count its backend's scan returns.
+  RetrievalEngine composed(
+      &f.embedder, {std::shared_ptr<RetrievalBackend>(
+                       &engine, [](RetrievalBackend*) {})});
+  RetrievalRequest composed_request{f.QueryDx(), RetrievalOptions(3, 10),
+                                    std::make_shared<obs::RequestTrace>()};
+  ASSERT_TRUE(composed.Retrieve(composed_request).ok());
+  int64_t composed_prescreened = -1;
+  for (const obs::TraceSpan& span : composed_request.trace->spans()) {
+    if (std::string(span.name) != "shard_scan") continue;
+    for (const obs::TraceArg& arg : span.args) {
+      if (std::string(arg.key) == "prescreened") {
+        composed_prescreened = arg.int_value;
+      }
+    }
+  }
+  EXPECT_EQ(composed_prescreened, span_prescreened);
+  auto scan = composed.ScanCandidates(f.embedder.Embed(f.QueryDx()),
+                                      RetrievalOptions(3, 10));
+  ASSERT_TRUE(scan.ok()) << scan.status();
+  EXPECT_EQ(scan->rows_prescreened, static_cast<size_t>(span_prescreened));
+  EXPECT_LE(scan->rows_prescreened, scan->rows_pruned);
+
+  // So does a remote shard, through the kScan response.
+  net::RetrievalServer server(&engine, net::RetrievalServerOptions());
+  ASSERT_TRUE(server.Start(0).ok());
+  net::RemoteRetrievalBackend remote(&f.embedder, "127.0.0.1", server.port(),
+                                     net::RemoteBackendOptions());
+  auto remote_scan = remote.ScanCandidates(f.embedder.Embed(f.QueryDx()),
+                                           RetrievalOptions(3, 10));
+  ASSERT_TRUE(remote_scan.ok()) << remote_scan.status();
+  EXPECT_EQ(remote_scan->rows_prescreened,
+            static_cast<size_t>(span_prescreened));
+  server.Stop();
 
   // Below the size rule the same query prescreens nothing.
   EmbeddedDatabase small = EngineFixture::Rows(1000, 4);

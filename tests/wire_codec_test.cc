@@ -48,6 +48,7 @@ WireResponse MakeResponse() {
   response.shard_stats = {{100, 3}, {50, 0}};
   response.rows = 150;
   response.rows_pruned = 31;
+  response.rows_prescreened = 29;
   response.db_size = 150;
   response.spans = {{"server_scan", 100, 2000, 1}, {"filter", 150, 800, 2}};
   return response;
@@ -103,6 +104,7 @@ TEST(WireCodecTest, ResponseRoundTripIsExact) {
   }
   EXPECT_EQ(got.rows, want.rows);
   EXPECT_EQ(got.rows_pruned, want.rows_pruned);
+  EXPECT_EQ(got.rows_prescreened, want.rows_prescreened);
   EXPECT_EQ(got.db_size, want.db_size);
   ASSERT_EQ(got.spans.size(), want.spans.size());
   for (size_t i = 0; i < want.spans.size(); ++i) {
@@ -261,7 +263,7 @@ TEST(WireCodecTest, OversizedLengthPrefixesNeverAllocate) {
   rw.WriteU16(kResponseTag);
   rw.WriteU8(0);  // kOk
   rw.WriteString("");
-  for (int i = 0; i < 5; ++i) rw.WriteU64(0);  // counters
+  for (int i = 0; i < 6; ++i) rw.WriteU64(0);  // counters
   rw.WriteU64(1ull << 59);                     // neighbor count
   WireResponse wr;
   EXPECT_EQ(DecodeResponse(resp.str(), &wr).code(), StatusCode::kDataLoss);
