@@ -13,8 +13,8 @@
 //   * the monolithic single-query scan vs the sharded scatter/gather
 //     engine (S shards x 1 query): does sharding speed up ONE query, not
 //     just a batch?
-//   * the exact scan with and without its int8 prescreen across matrix
-//     sizes: the sweep behind kPrescreenMinBytes.
+//   * the seed's scalar scan against the dispatched exact scan and the
+//     int8-prescreened weighted-L1 scan at n = 1M, d = 256.
 //   * the prescreen's integer block kernel alone, in ns per row.
 #include <benchmark/benchmark.h>
 
@@ -332,17 +332,17 @@ BENCHMARK(BM_RetrieveShardedSingleQuery)
     ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
 
-// --- Mixed-precision filter scan: the SIMD-dispatch PR's gate. ----------
+// --- Exact filter scans at n = 1M: the CI throughput gates. ----------
 //
-// One fixed workload — n = 1M rows, d = 256, top p = 500 — scanned four
-// ways: the seed's scalar float64 path (via the scalar kernel table,
+// One fixed workload — n = 1M rows, d = 256, top p = 500 — scanned three
+// ways: the seed's scalar float64 L2 path (via the scalar kernel table,
 // which is bit-identical to the pre-dispatch code), the dispatched
-// float64 path, and the float32 / int8 shadow paths.  The CI threshold
-// check (tools/check_bench_regressions.py) gates int8 at >= 3x the
-// scalar seed throughput, and gates each reduced mode's recall counters:
-// recall_at_k = |true top-k  (by exact float64 filter score)  kept by
-// the reduced top-p cut| / k, the only quantity reduced precision can
-// degrade (refine re-scores exactly).
+// float64 L2 path, and the two-pass int8-prescreened weighted-L1 scan
+// the query-sensitive scorer runs.  tools/check_bench_regressions.py
+// gates both of the latter on throughput against the seed scan.  Every
+// scan is exact; that the prescreened scan's candidates are
+// bit-identical to the plain scan's at this shape is a ctest
+// (PrescreenScanTest.GateShapeCandidatesBitIdentical).
 
 constexpr size_t kPrecN = 1000000;
 constexpr size_t kPrecD = 256;
@@ -352,8 +352,6 @@ struct PrecisionFixture {
   EmbeddedDatabase db;
   Vector q, w;
   L2Scorer scorer;
-  // True top-100 rows by exact float64 filter score, ascending.
-  std::vector<ScoredIndex> truth;
 
   static const PrecisionFixture& Get() {
     static PrecisionFixture f;
@@ -362,165 +360,60 @@ struct PrecisionFixture {
 
   PrecisionFixture() : db(MakeSoaDb(kPrecN, kPrecD, 1)) {
     FillQueryAndWeights(kPrecD, &q, &w);
-    db.EnableFilterShadows(kShadowFloat32 | kShadowInt8);
-    std::vector<double> scores;
-    scorer.Score(q, db, &scores);
-    truth = SmallestK(scores, 100);
-  }
-
-  /// Fraction of the true top-k that survives this candidate cut.
-  double RecallAtK(const std::vector<ScoredIndex>& candidates,
-                   size_t k) const {
-    size_t hit = 0;
-    for (size_t i = 0; i < k; ++i) {
-      for (const ScoredIndex& c : candidates) {
-        if (c.index == truth[i].index) {
-          ++hit;
-          break;
-        }
-      }
-    }
-    return static_cast<double>(hit) / static_cast<double>(k);
+    db.RebuildPrescreenMatrix();
   }
 };
 
-void ReportRecall(benchmark::State& state, const PrecisionFixture& f,
-                  const std::vector<ScoredIndex>& candidates) {
-  state.counters["recall_at_1"] = f.RecallAtK(candidates, 1);
-  state.counters["recall_at_10"] = f.RecallAtK(candidates, 10);
-  state.counters["recall_at_100"] = f.RecallAtK(candidates, 100);
-}
-
 /// The seed's filter scan, reproduced through the scalar kernel table
 /// (bit-identical to the pre-dispatch four-lane code): the denominator
-/// of the PR's speedup gate.
+/// of the throughput gates.
 void BM_FilterScanPrecision_SeedScalar(benchmark::State& state) {
   const PrecisionFixture& f = PrecisionFixture::Get();
   const EmbeddedDatabase::View view = f.db;
   const simd::KernelTable* k = simd::ScalarKernels();
-  std::vector<ScoredIndex> out;
   for (auto _ : state) {
     BoundedTopK top(kPrecP);
     for (size_t i = 0; i < view.size(); ++i) {
       top.Offer({i, k->l2_f64(f.q.data(), view.row(i), kPrecD,
                               top.threshold())});
     }
-    out = top.TakeSortedAscending();
+    std::vector<ScoredIndex> out = top.TakeSortedAscending();
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kPrecN));
-  ReportRecall(state, f, out);
 }
 BENCHMARK(BM_FilterScanPrecision_SeedScalar)->Unit(benchmark::kMillisecond);
 
-void RunPrecisionScan(benchmark::State& state, FilterPrecision precision) {
+void BM_FilterScanPrecision_Exact64(benchmark::State& state) {
   const PrecisionFixture& f = PrecisionFixture::Get();
   const EmbeddedDatabase::View view = f.db;
-  std::vector<ScoredIndex> out;
   for (auto _ : state) {
-    out = f.scorer.ScoreTopP(f.q, view, kPrecP, precision);
+    std::vector<ScoredIndex> out = f.scorer.ScoreTopP(f.q, view, kPrecP);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kPrecN));
-  ReportRecall(state, f, out);
-}
-
-void BM_FilterScanPrecision_Exact64(benchmark::State& state) {
-  RunPrecisionScan(state, FilterPrecision::kExact64);
 }
 BENCHMARK(BM_FilterScanPrecision_Exact64)->Unit(benchmark::kMillisecond);
 
-void BM_FilterScanPrecision_Filter32(benchmark::State& state) {
-  RunPrecisionScan(state, FilterPrecision::kFilter32);
-}
-BENCHMARK(BM_FilterScanPrecision_Filter32)->Unit(benchmark::kMillisecond);
-
-void BM_FilterScanPrecision_Filter8(benchmark::State& state) {
-  RunPrecisionScan(state, FilterPrecision::kFilter8);
-}
-BENCHMARK(BM_FilterScanPrecision_Filter8)->Unit(benchmark::kMillisecond);
-
-// --- Int8 prescreen of the exact scan: where kPrescreenMinBytes sits. --
-//
-// One query scans kSweepMatrices matrices in turn, like the shards of
-// perfbench scan_sharded, each holding `mib` MiB of float64 rows, with
-// the int8 prescreen on or off, at d = 16, 24 and 55.  Weights are
-// signed (every sixth negative, like the trained models' A_i(q)) and
-// p = n / 500 per matrix, scan_sharded's 100 of 50k rows, so the share
-// of rows the prescreen dismisses stays about the same across sizes and
-// the sweep isolates where the float64 rows stop fitting in cache.
-// Args: {d, mib, prescreen}.  prescreened_frac counts dismissed rows.
-
-constexpr size_t kSweepMatrices = 4;
-
-struct SweepFixture {
-  size_t d = 0;
-  size_t mib = 0;
-  size_t p = 0;
-  std::vector<EmbeddedDatabase> dbs;
-  Vector q, w;
-
-  /// The fixture for (d, mib), rebuilt only when the pair changes:
-  /// consecutive benchmarks share it, and only one size is resident.
-  static const SweepFixture& Get(size_t d, size_t mib) {
-    static SweepFixture f;
-    if (f.d == d && f.mib == mib) return f;
-    f.dbs.clear();
-    f.d = d;
-    f.mib = mib;
-    const size_t n = (mib << 20) / (d * sizeof(double));
-    f.p = std::max<size_t>(1, n / 500);
-    for (size_t m = 0; m < kSweepMatrices; ++m) {
-      f.dbs.push_back(MakeSoaDb(n, d, 10 + m));
-      f.dbs.back().EnableFilterShadows(kShadowInt8);
-    }
-    Rng rng(9);
-    f.q = f.dbs[0].RowVector(n / 2);
-    f.w.resize(d);
-    for (size_t j = 0; j < d; ++j) {
-      f.q[j] += rng.Uniform(-0.05, 0.05);
-      f.w[j] = j % 6 == 5 ? -rng.Uniform(0.1, 0.5) : rng.Uniform(0.2, 1.5);
-    }
-    return f;
-  }
-};
-
-void BM_PrescreenSweep(benchmark::State& state) {
-  const size_t d = static_cast<size_t>(state.range(0));
-  const size_t mib = static_cast<size_t>(state.range(1));
-  const bool prescreen = state.range(2) != 0;
-  const SweepFixture& f = SweepFixture::Get(d, mib);
+void BM_FilterScanPrecision_Prescreened(benchmark::State& state) {
+  const PrecisionFixture& f = PrecisionFixture::Get();
+  const EmbeddedDatabase::View view = f.db;
   const simd::KernelTable* k = simd::ActiveKernels();
-  size_t rows = 0;
-  size_t prescreened = 0;
+  FilterScanStats stats;
   for (auto _ : state) {
-    for (const EmbeddedDatabase& db : f.dbs) {
-      FilterScanStats stats;
-      std::vector<ScoredIndex> top =
-          WeightedL1TopP(f.q, f.w, db, f.p, FilterPrecision::kExact64,
-                         prescreen, k, &stats);
-      benchmark::DoNotOptimize(top.data());
-      rows += stats.rows_visited;
-      prescreened += stats.rows_prescreened;
-    }
+    std::vector<ScoredIndex> out =
+        WeightedL1TopP(f.q, f.w, view, kPrecP, /*prescreen=*/true, k, &stats);
+    benchmark::DoNotOptimize(out.data());
   }
-  state.SetItemsProcessed(static_cast<int64_t>(rows));
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kPrecN));
   state.counters["prescreened_frac"] =
-      rows == 0 ? 0.0
-                : static_cast<double>(prescreened) / static_cast<double>(rows);
+      static_cast<double>(stats.rows_prescreened) /
+      static_cast<double>(kPrecN);
 }
-
-void PrescreenSweepArgs(benchmark::internal::Benchmark* b) {
-  for (int64_t d : {16, 24, 55}) {
-    for (int64_t mib : {1, 2, 4, 8, 16, 32, 64}) {
-      for (int64_t prescreen : {0, 1}) b->Args({d, mib, prescreen});
-    }
-  }
-}
-BENCHMARK(BM_PrescreenSweep)
-    ->Apply(PrescreenSweepArgs)
+BENCHMARK(BM_FilterScanPrecision_Prescreened)
     ->Unit(benchmark::kMillisecond);
 
 // --- The prescreen's integer block kernel alone. ------------------------

@@ -14,42 +14,32 @@ namespace simd {
 /// vector step, so the blocked loop never splits a vector iteration.
 inline constexpr size_t kAbandonBlock = 64;
 
-/// One ISA's set of filter-scan kernels, plus its cDTW kernel (the last
-/// entry, under its own contract).  Every filter kernel streams one
-/// database row against a query, accumulating non-negative per-dimension
-/// terms, and may stop early — returning any partial sum strictly
-/// greater than `abandon` — once its running sum provably exceeds it
-/// (partial sums of non-negative terms are monotone, so the true score
-/// also exceeds `abandon`).  Pass +infinity for an exact full-row score.
-/// The int8 prescreen entry is the exception: it scores a block of rows
-/// in exact integer arithmetic and never stops early.
+/// One ISA's kernel table: three float64 filter-scan kernels, the int8
+/// prescreen block kernel of the exact weighted-L1 scan, and the cDTW
+/// kernel, each under its own contract below.  The float64 kernels
+/// stream one database row against a query, accumulating non-negative
+/// per-dimension terms, and may stop early — returning any partial sum
+/// strictly greater than `abandon` — once the running sum provably
+/// exceeds it (partial sums of non-negative terms are monotone, so the
+/// true score also exceeds `abandon`).  Pass +infinity for an exact
+/// full-row score.
 ///
-/// Determinism contract (the reason these signatures exist instead of
-/// letting the compiler autovectorize freely):
+/// Determinism contract of the float64 kernels (the reason these
+/// signatures exist instead of letting the compiler autovectorize
+/// freely):
 ///
-///  * float64 kernels accumulate in the four-lane discipline of the
-///    original scalar code — lane j sums terms j, j+4, j+8, ... in
-///    sequence — and reduce as (l0+l1)+(l2+l3), with the d%4 tail folded
-///    into lane 0.  Completed scores are BIT-IDENTICAL across scalar,
-///    AVX2 and AVX-512, and to the pre-dispatch code, on any machine.
-///  * float32 and int8 kernels use a sixteen-lane discipline (lane j
-///    sums terms j, j+16, ...; tail into lane 0) reduced by the
-///    fold-halves tree r[j] = l[j] + l[j+8], then + r[j+4], + r[j+2],
-///    + r[1].  Again bit-identical across ISAs for the same inputs.
-///  * No FMA contraction anywhere (the kernel translation units compile
+///  * they accumulate in the four-lane discipline of the original
+///    scalar code — lane j sums terms j, j+4, j+8, ... in sequence — and
+///    reduce as (l0+l1)+(l2+l3), with the d%4 tail folded into lane 0.
+///    Completed scores are BIT-IDENTICAL across scalar, AVX2 and
+///    AVX-512, and to the pre-dispatch code, on any machine;
+///  * no FMA contraction anywhere (the kernel translation units compile
 ///    with -ffp-contract=off): a multiply feeding an add is two
 ///    roundings on every path.
 ///
 /// Abandoned rows may return different partials on different ISAs (the
 /// check runs every kAbandonBlock dims on whatever the lanes hold), but
 /// every such return exceeds `abandon`, which is all callers use it for.
-///
-/// int8 kernels score symmetric-quantized rows: `wl1_i8` computes
-/// sum_j c[j] * |q[j] - x[j]| and `wl2_i8` computes
-/// sum_j (c[j] * d) * d with d = (float)|q[j] - x[j]|, where callers
-/// fold dequantization scales (and weights) into the float32
-/// coefficient array c.  Integer differences are exact; each term pays
-/// only the coefficient multiply roundings, identically on every ISA.
 struct KernelTable {
   double (*l1_f64)(const double* q, const double* x, size_t d,
                    double abandon);
@@ -57,16 +47,6 @@ struct KernelTable {
                    double abandon);
   double (*wl1_f64)(const double* q, const double* x, const double* w,
                     size_t d, double abandon);
-
-  float (*l1_f32)(const float* q, const float* x, size_t d, float abandon);
-  float (*l2_f32)(const float* q, const float* x, size_t d, float abandon);
-  float (*wl1_f32)(const float* q, const float* x, const float* w, size_t d,
-                   float abandon);
-
-  float (*wl1_i8)(const int8_t* q, const int8_t* x, const float* c,
-                  size_t d, float abandon);
-  float (*wl2_i8)(const int8_t* q, const int8_t* x, const float* c,
-                  size_t d, float abandon);
 
   /// The int8 prescreen of an exact weighted-L1 scan, one block of rows
   /// per call: for the n contiguous rows of d bytes at `rows`,

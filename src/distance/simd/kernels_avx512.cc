@@ -6,11 +6,10 @@
 // reference despite consuming eight dims per step: each 8-term vector is
 // folded into a single 4-wide accumulator low half first, high half
 // second, so accumulator lane j receives terms i+j then i+4+j — exactly
-// the order scalar lane j sees them.  float32/int8 kernels hold the
-// sixteen-lane discipline in one zmm register directly.  All reductions
-// perform the lanes.h trees' additions verbatim — in registers on the
-// hot paths (ReduceF64Acc/ReduceF32Acc), through the shared scalar
-// helpers only when a d % 4 / d % 16 tail folds into lane 0.
+// the order scalar lane j sees them.  Reductions perform the lanes.h
+// tree's additions verbatim — in registers on the hot paths
+// (ReduceF64Acc), through the shared scalar helper only when a d % 4
+// tail folds into lane 0.
 //
 // The cDTW entry is the shared anti-diagonal wavefront (wavefront.h)
 // over zmm lanes.
@@ -51,17 +50,6 @@ inline double ReduceF64Acc(__m256d acc) {
   return _mm_cvtsd_f64(_mm_add_sd(pairs, _mm_unpackhi_pd(pairs, pairs)));
 }
 
-/// In-register ReduceF32Lanes: the identical 16->8->4->2->1 fold-halves
-/// tree, one vector add per level.
-inline float ReduceF32Acc(__m512 acc) {
-  __m256 r8 = _mm256_add_ps(_mm512_castps512_ps256(acc),
-                            _mm512_extractf32x8_ps(acc, 1));
-  __m128 r4 = _mm_add_ps(_mm256_castps256_ps128(r8),
-                         _mm256_extractf128_ps(r8, 1));
-  __m128 r2 = _mm_add_ps(r4, _mm_movehl_ps(r4, r4));
-  return _mm_cvtss_f32(_mm_add_ss(r2, _mm_movehdup_ps(r2)));
-}
-
 /// Four-lane float64 driver, eight dims per step.  `vterm8(i)` yields
 /// terms i..i+7; `vterm4(i)` terms i..i+3 for the post-block 4-step
 /// loop; `sterm(i)` the scalar tail term.
@@ -92,90 +80,6 @@ double RunF64(size_t d, double abandon, const VecTerm8& vterm8,
   _mm256_store_pd(l, acc);
   for (; i < d; ++i) l[0] += sterm(i);
   return ReduceF64Lanes(l);
-}
-
-/// Sixteen-lane float32 driver: one zmm accumulator IS the sixteen
-/// lanes.  `vterm(i)` yields terms i..i+15.
-template <typename VecTerm, typename ScalTerm>
-float RunF32(size_t d, float abandon, const VecTerm& vterm,
-             const ScalTerm& sterm) {
-  __m512 acc = _mm512_setzero_ps();
-  size_t i = 0;
-  while (i + kAbandonBlock <= d) {
-    for (size_t hi = i + kAbandonBlock; i < hi; i += 16) {
-      acc = _mm512_add_ps(acc, vterm(i));
-    }
-    float partial = ReduceF32Acc(acc);
-    if (partial > abandon) return partial;
-  }
-  for (; i + 16 <= d; i += 16) {
-    acc = _mm512_add_ps(acc, vterm(i));
-  }
-  if (i == d) return ReduceF32Acc(acc);
-  alignas(64) float l[kF32Lanes];
-  _mm512_store_ps(l, acc);
-  for (; i < d; ++i) l[0] += sterm(i);
-  return ReduceF32Lanes(l);
-}
-
-/// Sixteen int8 dims starting at i as exact float32 absolute
-/// differences.
-inline __m512 AbsDiffI8x16(const int8_t* q, const int8_t* x, size_t i) {
-  __m128i qb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(q + i));
-  __m128i xb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i));
-  __m512i diff = _mm512_sub_epi32(_mm512_cvtepi8_epi32(qb),
-                                  _mm512_cvtepi8_epi32(xb));
-  return _mm512_cvtepi32_ps(_mm512_abs_epi32(diff));
-}
-
-inline float AbsDiffI8(int8_t a, int8_t b) {
-  int diff = static_cast<int>(a) - static_cast<int>(b);
-  return static_cast<float>(diff < 0 ? -diff : diff);
-}
-
-/// Group G (dims 16*G..16*G+15) of a vector of 64 unsigned-byte absolute
-/// differences, widened to exact float32.
-template <int G>
-inline __m512 WidenU8Group(__m512i diff) {
-  return _mm512_cvtepi32_ps(
-      _mm512_cvtepu8_epi32(_mm512_extracti32x4_epi32(diff, G)));
-}
-
-/// int8 driver holding the sixteen-lane float32 discipline while
-/// computing one abandon block's 64 absolute differences in a single
-/// byte-wide max/min/sub (|a-b| on signed bytes is exact as an unsigned
-/// byte, range 0..255).  The four sixteen-dim groups are widened and
-/// accumulated in dim order, so lane j still receives terms i+j,
-/// i+16+j, ... exactly like AbsDiffI8x16 and the scalar reference.
-/// `term(fd, i)` maps the exact float differences for dims i..i+15 to
-/// terms; `sterm(i)` is the scalar tail term.
-template <typename Term, typename ScalTerm>
-float RunI8(const int8_t* q, const int8_t* x, size_t d, float abandon,
-            const Term& term, const ScalTerm& sterm) {
-  static_assert(kAbandonBlock == 64, "one zmm of int8 dims per block");
-  __m512 acc = _mm512_setzero_ps();
-  size_t i = 0;
-  while (i + kAbandonBlock <= d) {
-    __m512i qb = _mm512_loadu_si512(q + i);
-    __m512i xb = _mm512_loadu_si512(x + i);
-    __m512i diff = _mm512_sub_epi8(_mm512_max_epi8(qb, xb),
-                                   _mm512_min_epi8(qb, xb));
-    acc = _mm512_add_ps(acc, term(WidenU8Group<0>(diff), i));
-    acc = _mm512_add_ps(acc, term(WidenU8Group<1>(diff), i + 16));
-    acc = _mm512_add_ps(acc, term(WidenU8Group<2>(diff), i + 32));
-    acc = _mm512_add_ps(acc, term(WidenU8Group<3>(diff), i + 48));
-    i += kAbandonBlock;
-    float partial = ReduceF32Acc(acc);
-    if (partial > abandon) return partial;
-  }
-  for (; i + 16 <= d; i += 16) {
-    acc = _mm512_add_ps(acc, term(AbsDiffI8x16(q, x, i), i));
-  }
-  if (i == d) return ReduceF32Acc(acc);
-  alignas(64) float l[kF32Lanes];
-  _mm512_store_ps(l, acc);
-  for (; i < d; ++i) l[0] += sterm(i);
-  return ReduceF32Lanes(l);
 }
 
 double L1F64(const double* q, const double* x, size_t d, double abandon) {
@@ -226,66 +130,6 @@ double Wl1F64(const double* q, const double* x, const double* w, size_t d,
                                                  _mm256_loadu_pd(x + i))));
       },
       [&](size_t i) { return w[i] * std::fabs(q[i] - x[i]); });
-}
-
-float L1F32(const float* q, const float* x, size_t d, float abandon) {
-  return RunF32(
-      d, abandon,
-      [&](size_t i) {
-        return _mm512_abs_ps(_mm512_sub_ps(_mm512_loadu_ps(q + i),
-                                           _mm512_loadu_ps(x + i)));
-      },
-      [&](size_t i) { return std::fabs(q[i] - x[i]); });
-}
-
-float L2F32(const float* q, const float* x, size_t d, float abandon) {
-  return RunF32(
-      d, abandon,
-      [&](size_t i) {
-        __m512 diff =
-            _mm512_sub_ps(_mm512_loadu_ps(q + i), _mm512_loadu_ps(x + i));
-        return _mm512_mul_ps(diff, diff);
-      },
-      [&](size_t i) {
-        float diff = q[i] - x[i];
-        return diff * diff;
-      });
-}
-
-float Wl1F32(const float* q, const float* x, const float* w, size_t d,
-             float abandon) {
-  return RunF32(
-      d, abandon,
-      [&](size_t i) {
-        return _mm512_mul_ps(
-            _mm512_loadu_ps(w + i),
-            _mm512_abs_ps(_mm512_sub_ps(_mm512_loadu_ps(q + i),
-                                        _mm512_loadu_ps(x + i))));
-      },
-      [&](size_t i) { return w[i] * std::fabs(q[i] - x[i]); });
-}
-
-float Wl1I8(const int8_t* q, const int8_t* x, const float* c, size_t d,
-            float abandon) {
-  return RunI8(
-      q, x, d, abandon,
-      [&](__m512 fd, size_t i) {
-        return _mm512_mul_ps(_mm512_loadu_ps(c + i), fd);
-      },
-      [&](size_t i) { return c[i] * AbsDiffI8(q[i], x[i]); });
-}
-
-float Wl2I8(const int8_t* q, const int8_t* x, const float* c, size_t d,
-            float abandon) {
-  return RunI8(
-      q, x, d, abandon,
-      [&](__m512 fd, size_t i) {
-        return _mm512_mul_ps(_mm512_mul_ps(_mm512_loadu_ps(c + i), fd), fd);
-      },
-      [&](size_t i) {
-        float fd = AbsDiffI8(q[i], x[i]);
-        return (c[i] * fd) * fd;
-      });
 }
 
 /// The prescreen sums of kRows rows `d` bytes apart, over 64-byte
@@ -387,8 +231,7 @@ struct Avx512Wave {
 };
 
 const KernelTable kAvx512Table = {
-    L1F64, L2F64, Wl1F64, L1F32, L2F32, Wl1F32, Wl1I8, Wl2I8, PrescreenI8,
-    Wavefront<Avx512Wave>::Cdtw,
+    L1F64, L2F64, Wl1F64, PrescreenI8, Wavefront<Avx512Wave>::Cdtw,
 };
 
 }  // namespace

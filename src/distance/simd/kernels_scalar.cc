@@ -2,10 +2,9 @@
 // with -ffp-contract=off wherever the compiler supports it.  The float64
 // kernels reproduce the original four-lane span kernels (lp.cc /
 // weighted_l1.cc history) operation for operation — they ARE the
-// bit-exactness baseline every SIMD backend is tested against — and the
-// float32/int8 kernels define the sixteen-lane reference the reduced
-// precision backends must match.  The int8 prescreen entry is an exact
-// integer sum, which every tier reproduces in any order.  The cDTW
+// bit-exactness baseline every SIMD backend is tested against.  The int8
+// prescreen entry is an exact integer sum, which every tier reproduces
+// in any order.  The cDTW
 // entry is the row-by-row band DP, which the vector tiers' wavefronts
 // must match bit for bit.  See kernels.h for the full contract.
 #include <algorithm>
@@ -133,25 +132,6 @@ double RunF64(size_t d, double abandon, const TermFn& term) {
   return ReduceF64Lanes(l);
 }
 
-/// Blocked sixteen-lane float32 scan, same shape one level wider.
-template <typename TermFn>
-float RunF32(size_t d, float abandon, const TermFn& term) {
-  float l[kF32Lanes] = {};
-  size_t i = 0;
-  while (i + kAbandonBlock <= d) {
-    for (size_t hi = i + kAbandonBlock; i < hi; i += 16) {
-      for (size_t j = 0; j < 16; ++j) l[j] += term(i + j);
-    }
-    float partial = ReduceF32Lanes(l);
-    if (partial > abandon) return partial;
-  }
-  for (; i + 16 <= d; i += 16) {
-    for (size_t j = 0; j < 16; ++j) l[j] += term(i + j);
-  }
-  for (; i < d; ++i) l[0] += term(i);
-  return ReduceF32Lanes(l);
-}
-
 double L1F64(const double* q, const double* x, size_t d, double abandon) {
   return RunF64(d, abandon,
                 [&](size_t i) { return std::fabs(q[i] - x[i]); });
@@ -170,45 +150,6 @@ double Wl1F64(const double* q, const double* x, const double* w, size_t d,
                 [&](size_t i) { return w[i] * std::fabs(q[i] - x[i]); });
 }
 
-float L1F32(const float* q, const float* x, size_t d, float abandon) {
-  return RunF32(d, abandon,
-                [&](size_t i) { return std::fabs(q[i] - x[i]); });
-}
-
-float L2F32(const float* q, const float* x, size_t d, float abandon) {
-  return RunF32(d, abandon, [&](size_t i) {
-    float diff = q[i] - x[i];
-    return diff * diff;
-  });
-}
-
-float Wl1F32(const float* q, const float* x, const float* w, size_t d,
-             float abandon) {
-  return RunF32(d, abandon,
-                [&](size_t i) { return w[i] * std::fabs(q[i] - x[i]); });
-}
-
-/// Exact integer |q - x| (range [0, 254]) as a float32 — the shared
-/// first half of both int8 terms.
-inline float AbsDiffI8(int8_t a, int8_t b) {
-  int diff = static_cast<int>(a) - static_cast<int>(b);
-  return static_cast<float>(diff < 0 ? -diff : diff);
-}
-
-float Wl1I8(const int8_t* q, const int8_t* x, const float* c, size_t d,
-            float abandon) {
-  return RunF32(d, abandon,
-                [&](size_t i) { return c[i] * AbsDiffI8(q[i], x[i]); });
-}
-
-float Wl2I8(const int8_t* q, const int8_t* x, const float* c, size_t d,
-            float abandon) {
-  return RunF32(d, abandon, [&](size_t i) {
-    float fd = AbsDiffI8(q[i], x[i]);
-    return (c[i] * fd) * fd;
-  });
-}
-
 /// The prescreen block entry: one int32 sum per row.  The caller's cap
 /// on sum_j |c[j]| * 254 keeps every partial sum inside int32.
 void PrescreenI8(const int8_t* q, const int8_t* rows, size_t n,
@@ -224,8 +165,7 @@ void PrescreenI8(const int8_t* q, const int8_t* rows, size_t n,
 }
 
 const KernelTable kScalarTable = {
-    L1F64, L2F64, Wl1F64, L1F32, L2F32, Wl1F32, Wl1I8, Wl2I8, PrescreenI8,
-    CdtwRows,
+    L1F64, L2F64, Wl1F64, PrescreenI8, CdtwRows,
 };
 
 }  // namespace

@@ -1,38 +1,23 @@
 #ifndef QSE_DISTANCE_SIMD_LANES_H_
 #define QSE_DISTANCE_SIMD_LANES_H_
 
-// Internal to the kernel translation units: the two fixed lane-reduction
-// trees of the determinism contract (kernels.h).  Every ISA materializes
-// its accumulator lanes into a plain array and reduces through exactly
-// these expressions, so the final rounding sequence cannot differ
-// between scalar, AVX2 and AVX-512 builds.
+// Internal to the kernel translation units: the fixed float64
+// lane-reduction tree of the determinism contract (kernels.h).  Every
+// ISA materializes its accumulator lanes into a plain array and reduces
+// through exactly this expression, so the final rounding sequence cannot
+// differ between scalar, AVX2 and AVX-512 builds.
 
 #include <cstddef>
 
 namespace qse {
 namespace simd {
 
-/// Lane counts of the two disciplines.
+/// Lanes of the float64 discipline.
 inline constexpr size_t kF64Lanes = 4;
-inline constexpr size_t kF32Lanes = 16;
 
 /// The float64 reduction, verbatim from the pre-dispatch scalar kernels.
 inline double ReduceF64Lanes(const double* l) {
   return (l[0] + l[1]) + (l[2] + l[3]);
-}
-
-/// The float32 fold-halves tree: 16 -> 8 -> 4 -> 2 -> 1, pairing lane j
-/// with lane j + half.  This is the natural shape of a SIMD horizontal
-/// reduction (add the extracted upper half, repeat), spelled out so the
-/// scalar reference performs the identical rounding sequence.
-inline float ReduceF32Lanes(const float* l) {
-  float r8[8];
-  for (size_t j = 0; j < 8; ++j) r8[j] = l[j] + l[j + 8];
-  float r4[4];
-  for (size_t j = 0; j < 4; ++j) r4[j] = r8[j] + r8[j + 4];
-  float r2[2];
-  for (size_t j = 0; j < 2; ++j) r2[j] = r4[j] + r4[j + 2];
-  return r2[0] + r2[1];
 }
 
 }  // namespace simd

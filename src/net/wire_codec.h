@@ -12,8 +12,13 @@
 namespace qse {
 namespace net {
 
-/// The QSE wire protocol, version 2 (version 2 added the kScan
-/// response's rows_prescreened counter).
+/// The QSE wire protocol, version 3.  Version 2 added the kScan
+/// response's rows_prescreened counter; version 3 dropped the request's
+/// filter-precision byte, because the exact scan is the only one: a
+/// decoded request is always kExact64, a sender validates its options
+/// first (RemoteRetrievalBackend rejects a reduced precision as
+/// InvalidArgument before anything is sent), and a version-2 frame,
+/// which could still name one, is refused as an unsupported version.
 ///
 /// Every message travels as one length-prefixed frame
 /// (`[u32 length][payload]`, Socket::SendFrame/RecvFrame) whose payload
@@ -36,7 +41,7 @@ namespace net {
 /// enums) is kInvalidArgument.  A decoder never crashes and never
 /// allocates more than the frame it was handed.
 inline constexpr uint32_t kWireMagic = 0x57455351u;  // "QSEW" little-endian
-inline constexpr uint16_t kWireVersion = 2;
+inline constexpr uint16_t kWireVersion = 3;
 
 /// Frames a conforming peer may send; anything larger is a framing error
 /// (kDataLoss) and the connection is dropped without allocating.
@@ -80,7 +85,8 @@ inline constexpr uint16_t kResponseTag = 0x8000;
 /// (absolute monotonic times mean nothing to another process); the
 /// REMAINING budget does, and the decoder re-anchors it: DecodeRequest
 /// leaves options.deadline untouched, and RetrievalServer sets it to
-/// arrival + deadline_budget_ns.  options.audit_monitor never crosses
+/// arrival + deadline_budget_ns.  options.filter_precision does not cross
+/// either (always kExact64).  options.audit_monitor never crosses
 /// (client-side only).
 struct WireRequest {
   WireOp op = WireOp::kScan;

@@ -11,7 +11,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "src/retrieval/filter_precision.h"
 #include "src/util/crc32.h"
 #include "src/util/serialize.h"
 
@@ -60,10 +59,6 @@ Status ValidateDb(const SnapshotContents::Db& db) {
     return Status::DataLoss("snapshot dims " + std::to_string(db.dims) +
                             " exceeds plausibility cap");
   }
-  constexpr uint32_t kKnownShadows = kShadowFloat32 | kShadowInt8;
-  if ((db.shadow_mask & ~kKnownShadows) != 0) {
-    return Status::DataLoss("snapshot shadow mask has unknown bits");
-  }
   const uint64_t cells = db.rows * db.dims;
   if (db.dims != 0 && db.rows != cells / db.dims) {
     return Status::DataLoss("snapshot rows*dims overflows");
@@ -73,17 +68,6 @@ Status ValidateDb(const SnapshotContents::Db& db) {
   }
   if (db.ids.size() != db.rows) {
     return Status::DataLoss("snapshot id count contradicts rows");
-  }
-  if ((db.shadow_mask & kShadowFloat32) != 0 && db.f32.size() != cells) {
-    return Status::DataLoss("snapshot f32 shadow count contradicts rows*dims");
-  }
-  if ((db.shadow_mask & kShadowInt8) != 0) {
-    if (db.i8.size() != cells) {
-      return Status::DataLoss("snapshot i8 shadow count contradicts rows*dims");
-    }
-    if (db.i8_scale.size() != db.dims) {
-      return Status::DataLoss("snapshot i8 scale count contradicts dims");
-    }
   }
   return Status::OK();
 }
@@ -106,7 +90,6 @@ std::string EncodeSnapshot(uint64_t cut_seq, const std::string& model_blob,
     const uint64_t cells = rows * dims;
     writer.WriteU64(dims);
     writer.WriteU64(rows);
-    writer.WriteU32(view.shadows());
     // Vector fields are written as (u64 count + raw bytes) directly from
     // the pinned buffers — the exact frame WriteDoubleVec/ReadDoubleVec
     // use, without materializing an owning copy first.
@@ -114,16 +97,6 @@ std::string EncodeSnapshot(uint64_t cut_seq, const std::string& model_blob,
     writer.WriteBytes(view.data(), cells * sizeof(double));
     writer.WriteU64(rows);
     writer.WriteBytes(view.ids(), rows * sizeof(uint64_t));
-    if (view.has_f32()) {
-      writer.WriteU64(cells);
-      writer.WriteBytes(view.data_f32(), cells * sizeof(float));
-    }
-    if (view.has_i8()) {
-      writer.WriteU64(cells);
-      writer.WriteBytes(view.data_i8(), cells);
-      writer.WriteU64(dims);
-      writer.WriteBytes(view.i8_scales(), dims * sizeof(float));
-    }
   }
   std::string payload = body.str();
   const uint32_t crc = Crc32(payload);
@@ -175,16 +148,8 @@ StatusOr<SnapshotContents> DecodeSnapshot(const std::string& bytes) {
     SnapshotContents::Db db;
     QSE_RETURN_IF_ERROR(reader.ReadU64(&db.dims));
     QSE_RETURN_IF_ERROR(reader.ReadU64(&db.rows));
-    QSE_RETURN_IF_ERROR(reader.ReadU32(&db.shadow_mask));
     QSE_RETURN_IF_ERROR(reader.ReadDoubleVec(&db.data));
     QSE_RETURN_IF_ERROR(reader.ReadU64Vec(&db.ids));
-    if ((db.shadow_mask & kShadowFloat32) != 0) {
-      QSE_RETURN_IF_ERROR(reader.ReadFloatVec(&db.f32));
-    }
-    if ((db.shadow_mask & kShadowInt8) != 0) {
-      QSE_RETURN_IF_ERROR(reader.ReadString(&db.i8));
-      QSE_RETURN_IF_ERROR(reader.ReadFloatVec(&db.i8_scale));
-    }
     QSE_RETURN_IF_ERROR(ValidateDb(db));
     contents.dbs.push_back(std::move(db));
   }
@@ -198,21 +163,14 @@ Status InstallSnapshotDb(const SnapshotContents::Db& db,
                          EmbeddedDatabase* out) {
   QSE_RETURN_IF_ERROR(ValidateDb(db));
   // Dimensionalities must agree except for the one harmless case: an
-  // empty, shadowless image clears any database.  An empty image WITH
-  // shadows still carries per-dimension i8 scales that must line up.
-  if (db.dims != out->dims() && !(db.rows == 0 && db.shadow_mask == 0)) {
+  // empty image clears any database.
+  if (db.dims != out->dims() && db.rows != 0) {
     return Status::FailedPrecondition(
         "snapshot dims " + std::to_string(db.dims) +
         " do not match database dims " + std::to_string(out->dims()));
   }
-  const bool has_f32 = (db.shadow_mask & kShadowFloat32) != 0;
-  const bool has_i8 = (db.shadow_mask & kShadowInt8) != 0;
-  out->RestoreVersion(
-      db.rows, db.data.data(),
-      reinterpret_cast<const size_t*>(db.ids.data()), db.shadow_mask,
-      has_f32 ? db.f32.data() : nullptr,
-      has_i8 ? reinterpret_cast<const int8_t*>(db.i8.data()) : nullptr,
-      has_i8 ? db.i8_scale.data() : nullptr);
+  out->RestoreVersion(db.rows, db.data.data(),
+                      reinterpret_cast<const size_t*>(db.ids.data()));
   return Status::OK();
 }
 

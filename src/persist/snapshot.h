@@ -13,22 +13,23 @@ namespace qse {
 namespace persist {
 
 /// Compacted snapshots: a point-in-time image of the embedding model blob
-/// plus every shard's embedded matrix — float64 rows, ids, filter-shadow
-/// matrices and int8 scales, all VERBATIM — taken from epoch-pinned views
-/// at a WAL sequence cut-point.  Restoring a snapshot and replaying the
-/// WAL records with seq > cut_seq reproduces the crashed process
-/// bit-for-bit; shadows are serialized rather than rebuilt because int8
-/// scales are mutation-history-dependent (requant-on-overflow headroom).
+/// plus every shard's embedded matrix — float64 rows and ids, VERBATIM —
+/// taken from epoch-pinned views at a WAL sequence cut-point.  Restoring
+/// a snapshot and replaying the WAL records with seq > cut_seq
+/// reproduces the crashed process's answers bit-for-bit.  The int8
+/// matrix the scan prescreens on is a cache of the float64 rows and is
+/// not stored: RestoreVersion rebuilds it, and the prescreen is
+/// lossless, so no result depends on its scales.
 ///
 /// Payload layout (host-order little-endian, util/serialize contract):
 ///
 ///     u32 magic "QSES" | u16 version | u16 reserved | u64 cut_seq |
 ///     string model_blob | u64 num_dbs | num_dbs x {
-///       u64 dims | u64 rows | u32 shadow_mask |
-///       f64vec data (rows*dims) | u64vec ids (rows) |
-///       [f32 bit]  f32vec f32 (rows*dims) |
-///       [i8 bit]   string i8 (rows*dims bytes) | f32vec i8_scale (dims)
+///       u64 dims | u64 rows | f64vec data (rows*dims) | u64vec ids (rows)
 ///     }
+///
+/// Version 2 dropped version 1's per-db shadow mask and shadow matrices;
+/// a version-1 snapshot fails kDataLoss like any unknown version.
 ///
 /// followed by a trailing u32 CRC32 over the whole payload.  Decode runs
 /// through the bounds-checked ByteReader, validates every count against
@@ -41,7 +42,7 @@ namespace persist {
 /// point of the protocol leaves either the old snapshot or the new one
 /// visible — never a torn hybrid.
 inline constexpr uint32_t kSnapshotMagic = 0x53455351u;  // "QSES"
-inline constexpr uint16_t kSnapshotVersion = 1;
+inline constexpr uint16_t kSnapshotVersion = 2;
 /// Same dims plausibility cap as the WAL and the wire codec.
 inline constexpr uint64_t kMaxSnapshotDims = 1u << 20;
 
@@ -50,12 +51,8 @@ struct SnapshotContents {
   struct Db {
     uint64_t dims = 0;
     uint64_t rows = 0;
-    uint32_t shadow_mask = 0;
-    std::vector<double> data;       // rows * dims.
-    std::vector<uint64_t> ids;      // rows.
-    std::vector<float> f32;         // rows * dims when the f32 bit is set.
-    std::string i8;                 // rows * dims bytes when the i8 bit is set.
-    std::vector<float> i8_scale;    // dims when the i8 bit is set.
+    std::vector<double> data;   // rows * dims.
+    std::vector<uint64_t> ids;  // rows.
   };
 
   uint64_t cut_seq = 0;
@@ -76,7 +73,8 @@ std::string EncodeSnapshot(uint64_t cut_seq, const std::string& model_blob,
 /// contradicts the declared shape, trailing bytes).
 StatusOr<SnapshotContents> DecodeSnapshot(const std::string& bytes);
 
-/// Installs one decoded db image into `out` verbatim (RestoreVersion).
+/// Installs one decoded db image into `out` (RestoreVersion: rows and ids
+/// verbatim, the int8 matrix rebuilt).
 /// kFailedPrecondition when the dimensionalities disagree on a non-empty
 /// image; an empty image restores an empty database regardless.
 Status InstallSnapshotDb(const SnapshotContents::Db& db,

@@ -10,6 +10,7 @@
 #include <unistd.h>
 #endif
 
+#include "src/retrieval/filter_precision.h"
 #include "src/util/logging.h"
 
 namespace qse {
@@ -50,16 +51,14 @@ void MaybeAdviseHugePages(const void* p, size_t bytes) {
 }
 }  // namespace
 
-EmbeddedDatabase::Version::Version(size_t dims, size_t capacity,
-                                   uint32_t shadows)
-    : shadow_mask(shadows), capacity_rows(capacity) {
+EmbeddedDatabase::Version::Version(size_t dims, size_t capacity)
+    : capacity_rows(capacity) {
   // Capacity is reserved up front and never exceeded, so data()/ids()
   // pointers handed to pinned readers stay stable for the version's
-  // whole lifetime.  The shadow matrices follow the same discipline.
+  // whole lifetime.  The int8 matrix follows the same discipline.
   data.reserve(capacity * dims);
   ids.reserve(capacity);
-  if (shadow_mask & kShadowFloat32) f32.reserve(capacity * dims);
-  if (shadow_mask & kShadowInt8) i8.reserve(capacity * dims);
+  i8.reserve(capacity * dims);
 }
 
 EmbeddedDatabase::EmbeddedDatabase(size_t dims) : dims_(dims) {
@@ -73,24 +72,12 @@ EmbeddedDatabase::~EmbeddedDatabase() {
 }
 
 EmbeddedDatabase::EmbeddedDatabase(const EmbeddedDatabase& other)
-    : dims_(other.dims_), shadow_mask_(other.shadow_mask_) {
-  View view = other.PeekView();
-  size_t n = view.size();
-  Version* v = NewVersion(n);
-  v->data.assign(view.data(), view.data() + n * dims_);
-  v->ids.assign(view.ids_, view.ids_ + n);
-  // Shadows copy verbatim (scales included) so a copy scores reduced
-  // precision bit-identically to its source.
-  if (shadow_mask_ & kShadowFloat32) {
-    v->f32.assign(view.data_f32(), view.data_f32() + n * dims_);
-  }
-  if (shadow_mask_ & kShadowInt8) {
-    v->i8.assign(view.data_i8(), view.data_i8() + n * dims_);
-    v->i8_scale.assign(view.i8_scales(), view.i8_scales() + dims_);
-  }
-  v->size.store(n, std::memory_order_relaxed);
-  v->high_water = n;
-  current_.store(v, std::memory_order_relaxed);
+    : dims_(other.dims_) {
+  // The int8 matrix copies verbatim (scales included), so a copy
+  // prescreens exactly like its source.
+  const Version* src = other.current();
+  size_t n = src->size.load(std::memory_order_acquire);
+  current_.store(CopyVersion(src, n, n), std::memory_order_relaxed);
   rows_.store(n, std::memory_order_relaxed);
 }
 
@@ -101,7 +88,7 @@ EmbeddedDatabase& EmbeddedDatabase::operator=(const EmbeddedDatabase& other) {
 }
 
 EmbeddedDatabase::EmbeddedDatabase(EmbeddedDatabase&& other) noexcept
-    : dims_(other.dims_), shadow_mask_(other.shadow_mask_) {
+    : dims_(other.dims_) {
   current_.store(other.current_.load(std::memory_order_relaxed),
                  std::memory_order_relaxed);
   rows_.store(other.rows_.load(std::memory_order_relaxed),
@@ -116,7 +103,6 @@ EmbeddedDatabase& EmbeddedDatabase::operator=(
     EmbeddedDatabase&& other) noexcept {
   if (this == &other) return *this;
   dims_ = other.dims_;
-  shadow_mask_ = other.shadow_mask_;
   PublishAndRetire(other.current_.load(std::memory_order_relaxed));
   rows_.store(other.rows_.load(std::memory_order_relaxed),
               std::memory_order_relaxed);
@@ -144,21 +130,38 @@ EmbeddedDatabase::View EmbeddedDatabase::PeekView() const {
 EmbeddedDatabase::View EmbeddedDatabase::ViewOf(const Version* v,
                                                 size_t rows) const {
   View view(v->data.data(), v->ids.data(), rows, dims_);
-  view.shadow_mask_ = v->shadow_mask;
-  if (v->shadow_mask & kShadowFloat32) view.f32_ = v->f32.data();
-  if (v->shadow_mask & kShadowInt8) {
+  if (v->i8_valid.load(std::memory_order_relaxed)) {
     view.i8_ = v->i8.data();
     view.i8_scale_ = v->i8_scale.data();
+    view.has_i8_ = true;
   }
   return view;
 }
 
 EmbeddedDatabase::Version* EmbeddedDatabase::NewVersion(
     size_t capacity_rows) const {
-  Version* v = new Version(dims_, capacity_rows, shadow_mask_);
+  Version* v = new Version(dims_, capacity_rows);
+  // No rows yet: every dimension is dead.
+  v->i8_scale.assign(dims_, 0.0f);
   MaybeAdviseHugePages(v->data.data(),
                        capacity_rows * dims_ * sizeof(double));
   return v;
+}
+
+EmbeddedDatabase::Version* EmbeddedDatabase::CopyVersion(
+    const Version* v, size_t rows, size_t capacity_rows) const {
+  Version* next = NewVersion(capacity_rows);
+  next->data.assign(v->data.data(), v->data.data() + rows * dims_);
+  next->ids.assign(v->ids.begin(), v->ids.begin() + rows);
+  if (v->i8_valid.load(std::memory_order_relaxed)) {
+    next->i8.assign(v->i8.data(), v->i8.data() + rows * dims_);
+    next->i8_scale = v->i8_scale;
+  } else {
+    next->i8_valid.store(false, std::memory_order_relaxed);
+  }
+  next->size.store(rows, std::memory_order_relaxed);
+  next->high_water = rows;
+  return next;
 }
 
 void EmbeddedDatabase::PublishAndRetire(Version* next) {
@@ -184,24 +187,18 @@ std::vector<size_t> EmbeddedDatabase::ids() const {
 }
 
 bool EmbeddedDatabase::RowFitsI8(const Version* v, const double* row) const {
-  if ((v->shadow_mask & kShadowInt8) == 0) return true;
+  if (!v->i8_valid.load(std::memory_order_relaxed)) return true;
   for (size_t j = 0; j < dims_; ++j) {
     if (!FitsInt8(row[j], v->i8_scale[j])) return false;
   }
   return true;
 }
 
-void EmbeddedDatabase::FillShadowRow(Version* v, size_t i,
-                                     const double* row) const {
-  if (v->shadow_mask & kShadowFloat32) {
-    float* dst = v->f32.data() + i * dims_;
-    for (size_t j = 0; j < dims_; ++j) dst[j] = static_cast<float>(row[j]);
-  }
-  if (v->shadow_mask & kShadowInt8) {
-    int8_t* dst = v->i8.data() + i * dims_;
-    for (size_t j = 0; j < dims_; ++j) {
-      dst[j] = QuantizeToInt8(row[j], v->i8_scale[j]);
-    }
+void EmbeddedDatabase::FillI8Row(Version* v, size_t i) const {
+  const double* row = v->data.data() + i * dims_;
+  int8_t* dst = v->i8.data() + i * dims_;
+  for (size_t j = 0; j < dims_; ++j) {
+    dst[j] = QuantizeToInt8(row[j], v->i8_scale[j]);
   }
 }
 
@@ -220,7 +217,7 @@ void EmbeddedDatabase::RequantizeI8(Version* v, size_t n,
   for (size_t j = 0; j < dims_; ++j) {
     if (maxabs[j] == 0.0) continue;
     // ±inf and NaN give a non-finite scale, which bounds nothing: the
-    // prescreen margin comes out +inf and kFilter8 never abandons.
+    // prescreen margin comes out +inf.
     float scale = static_cast<float>(maxabs[j] * headroom / 127.0);
     // The float can round below the real quotient.  For normal floats
     // the half-step slack of FitsInt8 (127.5 vs 127) dwarfs that
@@ -232,77 +229,38 @@ void EmbeddedDatabase::RequantizeI8(Version* v, size_t n,
     v->i8_scale[j] = scale;
   }
   v->i8.resize(n * dims_);
-  for (size_t i = 0; i < n; ++i) {
-    const double* r = v->data.data() + i * dims_;
-    int8_t* dst = v->i8.data() + i * dims_;
-    for (size_t j = 0; j < dims_; ++j) {
-      dst[j] = QuantizeToInt8(r[j], v->i8_scale[j]);
-    }
-  }
+  for (size_t i = 0; i < n; ++i) FillI8Row(v, i);
+  v->i8_valid.store(true, std::memory_order_relaxed);
 }
 
-void EmbeddedDatabase::EnableFilterShadows(uint32_t mask) {
-  QSE_CHECK_MSG((mask & ~(kShadowFloat32 | kShadowInt8)) == 0,
-                "unknown shadow bits in mask " << mask);
-  shadow_mask_ |= mask;
+void EmbeddedDatabase::RebuildPrescreenMatrix() {
   Version* v = current();
-  size_t n = v->size.load(std::memory_order_relaxed);
   // Rebuild in place (quiescent): reserve to the version's capacity so
-  // subsequent in-place Appends never reallocate the shadow buffers.
-  if (shadow_mask_ & kShadowFloat32) {
-    v->f32.reserve(v->capacity_rows * dims_);
-    v->f32.resize(n * dims_);
-    for (size_t i = 0; i < n * dims_; ++i) {
-      v->f32[i] = static_cast<float>(v->data[i]);
-    }
-  }
-  if (shadow_mask_ & kShadowInt8) {
-    v->i8.reserve(v->capacity_rows * dims_);
-    RequantizeI8(v, n, 1.0);
-  }
-  v->shadow_mask = shadow_mask_;
+  // subsequent in-place Appends never reallocate the int8 buffer.
+  v->i8.reserve(v->capacity_rows * dims_);
+  RequantizeI8(v, v->size.load(std::memory_order_relaxed), 1.0);
 }
 
 void EmbeddedDatabase::Reserve(size_t rows) {
   if (dims_ == 0) return;
   Version* v = current();
   if (rows <= v->capacity_rows) return;
-  size_t n = v->size.load(std::memory_order_relaxed);
-  Version* next = NewVersion(rows);
-  next->data.assign(v->data.begin(), v->data.end());
-  next->ids.assign(v->ids.begin(), v->ids.end());
-  if (shadow_mask_ & kShadowFloat32) {
-    next->f32.assign(v->f32.begin(), v->f32.end());
-  }
-  if (shadow_mask_ & kShadowInt8) {
-    next->i8.assign(v->i8.begin(), v->i8.end());
-    next->i8_scale = v->i8_scale;
-  }
-  next->size.store(n, std::memory_order_relaxed);
-  next->high_water = n;
-  PublishAndRetire(next);
+  PublishAndRetire(
+      CopyVersion(v, v->size.load(std::memory_order_relaxed), rows));
 }
 
 void EmbeddedDatabase::Resize(size_t rows) {
   Version* v = current();
   size_t n = v->size.load(std::memory_order_relaxed);
   if (rows > v->capacity_rows) {
-    Version* next = NewVersion(rows);
-    next->data.assign(v->data.begin(), v->data.end());
+    Version* next = CopyVersion(v, n, rows);
+    // New rows are all-zero: they quantize to 0 under any scale, so
+    // extending the int8 matrix with zeros keeps it consistent without
+    // touching the scales.
     next->data.resize(rows * dims_, 0.0);
-    next->ids.assign(v->ids.begin(), v->ids.end());
     for (size_t i = n; i < rows; ++i) next->ids.push_back(i);
-    // New rows are all-zero: they convert to 0.0f and quantize to 0
-    // under any scale, so extending the shadows with zeros keeps them
-    // consistent without touching the scales.
-    if (shadow_mask_ & kShadowFloat32) {
-      next->f32.assign(v->f32.begin(), v->f32.end());
-      next->f32.resize(rows * dims_, 0.0f);
-    }
-    if (shadow_mask_ & kShadowInt8) {
-      next->i8.assign(v->i8.begin(), v->i8.end());
+    if (next->i8_valid.load(std::memory_order_relaxed)) {
       next->i8.resize(rows * dims_, 0);
-      next->i8_scale = v->i8_scale;
     }
     next->size.store(rows, std::memory_order_relaxed);
     next->high_water = rows;
@@ -316,8 +274,9 @@ void EmbeddedDatabase::Resize(size_t rows) {
   size_t old_ids = v->ids.size();
   v->ids.resize(rows);
   for (size_t i = old_ids; i < rows; ++i) v->ids[i] = i;
-  if (v->shadow_mask & kShadowFloat32) v->f32.resize(rows * dims_, 0.0f);
-  if (v->shadow_mask & kShadowInt8) v->i8.resize(rows * dims_, 0);
+  if (v->i8_valid.load(std::memory_order_relaxed)) {
+    v->i8.resize(rows * dims_, 0);
+  }
   v->size.store(rows, std::memory_order_release);
   v->high_water = std::max(v->high_water, rows);
   rows_.store(rows, std::memory_order_release);
@@ -342,6 +301,8 @@ size_t EmbeddedDatabase::Append(const double* row) {
 size_t EmbeddedDatabase::Append(const double* row, size_t id) {
   Version* v = current();
   size_t n = v->size.load(std::memory_order_relaxed);
+  const bool fits = RowFitsI8(v, row);
+  const bool i8 = v->i8_valid.load(std::memory_order_relaxed);
   // In-place fast path: the target slot has never been published from
   // this version (n == high_water) and capacity remains.  A slot below
   // high_water may still be visible to a reader pinned at the old count
@@ -349,14 +310,15 @@ size_t EmbeddedDatabase::Append(const double* row, size_t id) {
   // of overwriting under the reader.  A row the int8 scales cannot
   // absorb takes the copy-on-write path below instead, because scales
   // are immutable while a version is visible.
-  if (n < v->capacity_rows && n == v->high_water && RowFitsI8(v, row)) {
+  if (n < v->capacity_rows && n == v->high_water && fits) {
     v->data.resize((n + 1) * dims_);  // Within capacity: never moves.
     std::copy(row, row + dims_, v->data.data() + n * dims_);
-    if (v->shadow_mask & kShadowFloat32) v->f32.resize((n + 1) * dims_);
-    if (v->shadow_mask & kShadowInt8) v->i8.resize((n + 1) * dims_);
-    // Shadow rows land before the release below, so a reader that
-    // acquires the grown count sees them whole too.
-    FillShadowRow(v, n, v->data.data() + n * dims_);
+    if (i8) {
+      // The int8 row lands before the release below, so a reader that
+      // acquires the grown count sees it whole too.
+      v->i8.resize((n + 1) * dims_);
+      FillI8Row(v, n);
+    }
     v->ids.push_back(id);
     // Release: a reader that acquires the grown count sees the whole
     // row; one that reads the old count ignores the slot entirely.
@@ -365,40 +327,26 @@ size_t EmbeddedDatabase::Append(const double* row, size_t id) {
     rows_.store(n + 1, std::memory_order_release);
     return n;
   }
-  // Copy-on-write growth (amortized doubling).  `row` may point into
-  // the current version's own buffer (duplicating a row); that buffer
-  // stays intact until retirement, so the copy below is safe.
-  size_t capacity = std::max(
-      {v->capacity_rows * 2, n + 1, kMinCapacityRows});
-  Version* next = NewVersion(capacity);
+  // Copy-on-write: amortized doubling when full, the same capacity when
+  // only a re-quantization or a reused slot forces the copy.  `row` may
+  // point into the current version's own buffer (duplicating a row);
+  // that buffer stays intact until retirement, so the copy below is
+  // safe.
+  size_t capacity = n < v->capacity_rows
+                        ? v->capacity_rows
+                        : std::max({v->capacity_rows * 2, n + 1,
+                                    kMinCapacityRows});
+  Version* next = CopyVersion(v, n, capacity);
   next->data.resize((n + 1) * dims_);
-  std::copy(v->data.data(), v->data.data() + n * dims_, next->data.data());
   std::copy(row, row + dims_, next->data.data() + n * dims_);
-  next->ids.assign(v->ids.begin(), v->ids.begin() + n);
   next->ids.push_back(id);
-  if (shadow_mask_ & kShadowFloat32) {
-    next->f32.resize((n + 1) * dims_);
-    std::copy(v->f32.data(), v->f32.data() + n * dims_, next->f32.data());
-    const double* r = next->data.data() + n * dims_;
-    float* dst = next->f32.data() + n * dims_;
-    for (size_t j = 0; j < dims_; ++j) dst[j] = static_cast<float>(r[j]);
-  }
-  if (shadow_mask_ & kShadowInt8) {
-    if (RowFitsI8(v, next->data.data() + n * dims_)) {
-      next->i8_scale = v->i8_scale;
-      next->i8.resize((n + 1) * dims_);
-      std::copy(v->i8.data(), v->i8.data() + n * dims_, next->i8.data());
-      const double* r = next->data.data() + n * dims_;
-      int8_t* dst = next->i8.data() + n * dims_;
-      for (size_t j = 0; j < dims_; ++j) {
-        dst[j] = QuantizeToInt8(r[j], next->i8_scale[j]);
-      }
-    } else {
-      // The new row falls outside the quantization range: re-quantize
-      // the whole matrix into the unpublished version with headroom, so
-      // a drifting value distribution does not requant on every insert.
-      RequantizeI8(next, n + 1, 1.25);
-    }
+  if (!fits) {
+    // The new row falls outside the quantization range: re-quantize the
+    // whole matrix into the unpublished version with headroom.
+    RequantizeI8(next, n + 1, kRequantHeadroom);
+  } else if (i8) {
+    next->i8.resize((n + 1) * dims_);
+    FillI8Row(next, n);
   }
   next->size.store(n + 1, std::memory_order_relaxed);
   next->high_water = n + 1;
@@ -411,14 +359,17 @@ void EmbeddedDatabase::SetRow(size_t i, const Vector& row) {
   QSE_CHECK(i < size());
   QSE_CHECK_MSG(row.size() == dims_,
                 "row has " << row.size() << " dims, database has " << dims_);
-  std::copy(row.begin(), row.end(), mutable_row(i));
   Version* v = current();
-  if (v->shadow_mask == 0) return;
-  // Quiescent API, so rewriting shadows (and scales) in place is fine.
-  if ((v->shadow_mask & kShadowInt8) && !RowFitsI8(v, row.data())) {
-    RequantizeI8(v, v->size.load(std::memory_order_relaxed), 1.25);
+  std::copy(row.begin(), row.end(), v->data.data() + i * dims_);
+  if (!v->i8_valid.load(std::memory_order_relaxed)) return;
+  // Quiescent API, so rewriting the int8 matrix (and scales) in place is
+  // fine.
+  if (!RowFitsI8(v, row.data())) {
+    RequantizeI8(v, v->size.load(std::memory_order_relaxed),
+                 kRequantHeadroom);
+  } else {
+    FillI8Row(v, i);
   }
-  FillShadowRow(v, i, v->data.data() + i * dims_);
 }
 
 void EmbeddedDatabase::AssignIds(const std::vector<size_t>& ids) {
@@ -441,68 +392,36 @@ size_t EmbeddedDatabase::SwapRemove(size_t i) {
     v->size.store(last, std::memory_order_release);
     v->data.resize(last * dims_);
     v->ids.resize(last);
-    if (v->shadow_mask & kShadowFloat32) v->f32.resize(last * dims_);
-    if (v->shadow_mask & kShadowInt8) v->i8.resize(last * dims_);
+    if (v->i8_valid.load(std::memory_order_relaxed)) {
+      v->i8.resize(last * dims_);
+    }
     rows_.store(last, std::memory_order_release);
     return last;
   }
   // Interior removal: copy-on-write with the last row moved into the
   // gap — same layout an in-place swap would produce, but readers
-  // pinned on the old version keep scanning untouched memory.
-  Version* next = NewVersion(std::max(v->capacity_rows, last));
-  next->data.resize(last * dims_);
-  std::copy(v->data.data(), v->data.data() + last * dims_,
-            next->data.data());
+  // pinned on the old version keep scanning untouched memory.  Removal
+  // never violates the scale invariant; scales may merely end up looser
+  // than a fresh fit, which only widens the prescreen margin.
+  Version* next = CopyVersion(v, last, std::max(v->capacity_rows, last));
   std::copy(v->data.data() + last * dims_, v->data.data() + n * dims_,
             next->data.data() + i * dims_);
-  next->ids.assign(v->ids.begin(), v->ids.begin() + last);
   next->ids[i] = v->ids[last];
-  if (shadow_mask_ & kShadowFloat32) {
-    next->f32.resize(last * dims_);
-    std::copy(v->f32.data(), v->f32.data() + last * dims_,
-              next->f32.data());
-    std::copy(v->f32.data() + last * dims_, v->f32.data() + n * dims_,
-              next->f32.data() + i * dims_);
-  }
-  if (shadow_mask_ & kShadowInt8) {
-    // Removal never violates the scale invariant; scales may merely end
-    // up looser than a fresh fit, which only widens the error bound.
-    next->i8_scale = v->i8_scale;
-    next->i8.resize(last * dims_);
-    std::copy(v->i8.data(), v->i8.data() + last * dims_, next->i8.data());
+  if (next->i8_valid.load(std::memory_order_relaxed)) {
     std::copy(v->i8.data() + last * dims_, v->i8.data() + n * dims_,
               next->i8.data() + i * dims_);
   }
-  next->size.store(last, std::memory_order_relaxed);
-  next->high_water = last;
   PublishAndRetire(next);
   rows_.store(last, std::memory_order_release);
   return last;
 }
 
 void EmbeddedDatabase::RestoreVersion(size_t rows, const double* data,
-                                      const size_t* ids, uint32_t shadow_mask,
-                                      const float* f32, const int8_t* i8,
-                                      const float* i8_scale) {
-  QSE_CHECK_MSG((shadow_mask & ~(kShadowFloat32 | kShadowInt8)) == 0,
-                "unknown shadow bits in mask " << shadow_mask);
-  QSE_CHECK((shadow_mask & kShadowFloat32) == 0 || f32 != nullptr ||
-            rows == 0);
-  QSE_CHECK((shadow_mask & kShadowInt8) == 0 ||
-            ((i8 != nullptr || rows == 0) && i8_scale != nullptr) ||
-            dims_ == 0);
-  shadow_mask_ = shadow_mask;
+                                      const size_t* ids) {
   Version* next = NewVersion(rows);
-  next->shadow_mask = shadow_mask;
   next->data.assign(data, data + rows * dims_);
   next->ids.assign(ids, ids + rows);
-  if (shadow_mask & kShadowFloat32) {
-    next->f32.assign(f32, f32 + rows * dims_);
-  }
-  if (shadow_mask & kShadowInt8) {
-    next->i8.assign(i8, i8 + rows * dims_);
-    next->i8_scale.assign(i8_scale, i8_scale + dims_);
-  }
+  RequantizeI8(next, rows, kRequantHeadroom);
   next->size.store(rows, std::memory_order_relaxed);
   next->high_water = rows;
   PublishAndRetire(next);

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/distance/distance.h"
-#include "src/retrieval/filter_precision.h"
 #include "src/util/aligned.h"
 #include "src/util/epoch.h"
 
@@ -54,36 +53,37 @@ namespace qse {
 /// mutable_row, AssignIds, data(), row()) additionally requires that no
 /// reader is active, exactly like the pre-epoch contract.
 ///
-/// Mixed-precision filter shadows: after EnableFilterShadows(mask), each
-/// version additionally carries a 64-byte-aligned float32 copy of the
-/// rows (kShadowFloat32) and/or an int8 symmetric-quantized copy with
-/// per-dimension scales (kShadowInt8), maintained by every mutation path
-/// under the same publication rules as the float64 matrix — in-place
-/// Append writes the shadow rows before the release-store of the grown
-/// count, copy-on-write paths rebuild them into the new version.  The
-/// per-dimension scales are immutable within a version: an Append whose
-/// value would not quantize within the half-step bound (FitsInt8) forces
-/// a copy-on-write re-quantization of the whole matrix with 1.25x
-/// headroom, so `|stored| <= 127.5 * scale` holds for every published
-/// row and the scorer's error envelope stays sound.  A dimension holding
-/// ±inf or NaN gets a non-finite scale instead (NaN is sticky through
-/// re-quantization), which bounds nothing: every value fits it and the
-/// prescreen margin built from it is +inf.  All row buffers (float64
-/// included) start on 64-byte boundaries via AlignedAllocator.
+/// The int8 matrix: every version also carries a 64-byte-aligned int8
+/// symmetric-quantized copy of its rows with per-dimension scales, which
+/// the exact weighted-L1 scan prescreens on (FilterScorer::ScoreTopP).
+/// It is a pure cache of the float64 rows: the prescreen is lossless, so
+/// no result depends on its bytes or scales, and snapshots do not store
+/// it.  Every mutation path maintains it under the same publication rules
+/// as the float64 matrix — in-place Append writes the int8 row before the
+/// release-store of the grown count, copy-on-write paths carry it into
+/// the new version.  The scales are immutable within a version: an
+/// Append whose value would not quantize within the half-step bound
+/// (FitsInt8) forces a copy-on-write re-quantization of the whole matrix
+/// with kRequantHeadroom, so `|stored| <= 127.5 * scale` holds for every
+/// published row and the prescreen's margin stays sound.  A dimension
+/// holding ±inf or NaN gets a non-finite scale instead (NaN is sticky
+/// through re-quantization), which bounds nothing: every value fits it
+/// and the prescreen margin built from it is +inf.  All row buffers
+/// start on 64-byte boundaries via AlignedAllocator.
 ///
-/// Besides explicit EnableFilterShadows calls, RetrievalEngine enables
-/// the int8 shadow on a local shard at construction (the borrowing and
-/// the partitioning constructors) when the shard's float64 rows reach
-/// kPrescreenMinBytes (filter_scorer.h): the exact query-sensitive scan
-/// of such a shard prescreens on it.  Smaller shards carry no shadow
-/// unless asked for one.
-///
-/// Enable shadows AFTER bulk-loading: mutable_row() hands out raw
-/// float64 storage and cannot maintain them.  EnableFilterShadows
-/// rebuilds from the float64 rows, so calling it again refreshes
-/// shadows after a quiescent bulk mutation.
+/// The raw bulk-load writer mutable_row() cannot maintain the int8
+/// matrix, so it marks the current version's matrix stale: views of a
+/// stale version carry none (View::has_i8() is false) and scan the
+/// float64 rows alone, until RebuildPrescreenMatrix() requantizes it from
+/// the float64 rows.  RetrievalEngine rebuilds a borrowed stale database
+/// at construction, so every local shard prescreens.
 class EmbeddedDatabase {
  public:
+  /// Headroom an overflowing Append re-quantizes the int8 matrix with,
+  /// so a drifting value distribution does not re-quantize on every
+  /// insert.
+  static constexpr double kRequantHeadroom = 1.25;
+
   /// Borrowed, immutable view of one published version.  Valid while the
   /// originating Snapshot is alive, or — for unpinned peeks via the
   /// implicit conversion — while the database is quiescent.
@@ -103,19 +103,13 @@ class EmbeddedDatabase {
     /// The whole id column, size() entries (snapshot serialization).
     const size_t* ids() const { return ids_; }
 
-    /// Which filter shadows this view carries (kShadowFloat32 /
-    /// kShadowInt8 bits).  Shadows appear only after the database's
-    /// EnableFilterShadows; views taken before that have none.
-    uint32_t shadows() const { return shadow_mask_; }
-    bool has_f32() const { return (shadow_mask_ & kShadowFloat32) != 0; }
-    bool has_i8() const { return (shadow_mask_ & kShadowInt8) != 0; }
+    /// Whether this view carries the int8 matrix: false only for a
+    /// version whose matrix mutable_row() left stale.
+    bool has_i8() const { return has_i8_; }
 
-    /// The float32 shadow, row-major, same shape as data().
-    const float* data_f32() const { return f32_; }
-    const float* row_f32(size_t i) const { return f32_ + i * dims_; }
-
-    /// The int8 shadow and its per-dimension dequantization scales
-    /// (dims() floats; value ~= scale[j] * row_i8(i)[j]).
+    /// The int8 matrix, row-major, same shape as data(), and its
+    /// per-dimension dequantization scales (dims() floats; value ~=
+    /// scale[j] * row_i8(i)[j]).  Null unless has_i8().
     const int8_t* data_i8() const { return i8_; }
     const int8_t* row_i8(size_t i) const { return i8_ + i * dims_; }
     const float* i8_scales() const { return i8_scale_; }
@@ -129,10 +123,9 @@ class EmbeddedDatabase {
     const size_t* ids_ = nullptr;
     size_t rows_ = 0;
     size_t dims_ = 0;
-    const float* f32_ = nullptr;
     const int8_t* i8_ = nullptr;
     const float* i8_scale_ = nullptr;
-    uint32_t shadow_mask_ = 0;
+    bool has_i8_ = false;
   };
 
   /// An epoch-pinned View: the rows, ids and count it exposes stay valid
@@ -189,22 +182,24 @@ class EmbeddedDatabase {
   const double* row(size_t i) const {
     return current()->data.data() + i * dims_;
   }
-  double* mutable_row(size_t i) { return current()->data.data() + i * dims_; }
+  /// Writable row i of the current version, for filling a Resize()d
+  /// database in parallel.  Quiescent API.  Marks the current version's
+  /// int8 matrix stale until RebuildPrescreenMatrix().
+  double* mutable_row(size_t i) {
+    Version* v = current();
+    v->i8_valid.store(false, std::memory_order_relaxed);
+    return v->data.data() + i * dims_;
+  }
 
   /// The whole flat buffer of the current version, row-major,
   /// size() * dims() doubles, 64-byte aligned.  Quiescent API.
   const Aligned64Vector<double>& data() const { return current()->data; }
 
-  /// Builds the requested filter shadows (kShadowFloat32 | kShadowInt8)
-  /// from the current float64 rows and keeps them maintained through
-  /// every subsequent mutation.  Quiescent API (it rewrites the current
-  /// version in place); call after bulk-loading, and again to refresh
-  /// after quiescent mutable_row() edits.  Idempotent-and-rebuilding;
-  /// bits accumulate across calls.
-  void EnableFilterShadows(uint32_t mask);
-
-  /// The shadow bits every published version carries from now on.
-  uint32_t filter_shadows() const { return shadow_mask_; }
+  /// Requantizes the int8 matrix from the current float64 rows, scales
+  /// fitted to each dimension's largest magnitude (no headroom), and
+  /// marks it fresh.  Quiescent API (it rewrites the current version in
+  /// place); call after filling rows through mutable_row().
+  void RebuildPrescreenMatrix();
 
   /// Database id of row i of the current version.
   size_t id_of(size_t i) const;
@@ -267,19 +262,18 @@ class EmbeddedDatabase {
   /// The epoch manager guarding this database's versions (tests).
   EpochManager& epoch_manager() const { return epoch_; }
 
-  /// Installs a complete version VERBATIM — rows, ids, shadow matrices
-  /// and int8 scales all copied bit-for-bit — replacing whatever the
-  /// database held.  The durability subsystem's restore path: shadow
-  /// scales are mutation-history-dependent (requant-on-overflow applies
-  /// 1.25x headroom, EnableFilterShadows fits 1.0x), so a recovery that
-  /// rebuilt shadows from the float64 rows would NOT be bit-identical to
-  /// the database it is restoring; this installs the serialized state
-  /// exactly.  `shadow_mask` becomes the database's shadow policy for
-  /// all subsequent mutations; f32/i8/i8_scale may be null only when the
-  /// matching bit is clear.  Quiescent API.
-  void RestoreVersion(size_t rows, const double* data, const size_t* ids,
-                      uint32_t shadow_mask, const float* f32,
-                      const int8_t* i8, const float* i8_scale);
+  /// Installs a complete version — `rows` float64 rows and their ids —
+  /// replacing whatever the database held, and builds its int8 matrix
+  /// the way Append's re-quantization does (kRequantHeadroom).  The
+  /// durability subsystem's restore path.  Results never depend on the
+  /// int8 scales, so a restored database answers bit-identically to the
+  /// one that was snapshotted; its scales, and so its rows_prescreened
+  /// counts, match too when that database's last re-quantization saw the
+  /// same per-dimension maxima as the restored rows (scales are
+  /// mutation-history-dependent: a construction-time rebuild fits them
+  /// without headroom, an overflowing insert re-fits them with it).
+  /// Quiescent API.
+  void RestoreVersion(size_t rows, const double* data, const size_t* ids);
 
   /// Builds a flat database from rows-of-vectors (all rows must share one
   /// dimensionality); row i gets id i.  Bridge from AoS call sites and
@@ -294,20 +288,21 @@ class EmbeddedDatabase {
   /// ever published from this version: slots below it may be visible to
   /// pinned readers and are never rewritten in place.
   struct Version {
-    Version(size_t dims, size_t capacity_rows, uint32_t shadow_mask);
+    Version(size_t dims, size_t capacity_rows);
 
     // Row-major, exactly size * dims doubles, 64-byte-aligned base.
     Aligned64Vector<double> data;
     std::vector<size_t> ids;  // ids[i] = database id of row i.
-    // Filter shadows (empty unless the matching bit of shadow_mask is
-    // set): same row-major shape as `data`, same capacity discipline —
-    // reserved up front, never reallocated, slots below high_water never
-    // rewritten.  `i8_scale` (dims floats) is immutable once the version
-    // is visible to readers; re-quantization always copies-on-write.
-    Aligned64Vector<float> f32;
+    // The int8 matrix: same row-major shape as `data` while i8_valid,
+    // same capacity discipline — reserved up front, never reallocated,
+    // slots below high_water never rewritten.  `i8_scale` (dims floats)
+    // is immutable once the version is visible to readers;
+    // re-quantization always copies-on-write.  mutable_row() clears
+    // i8_valid (relaxed: parallel fillers store the same value), after
+    // which mutations stop maintaining the matrix until a rebuild.
     Aligned64Vector<int8_t> i8;
     std::vector<float> i8_scale;
-    uint32_t shadow_mask = 0;
+    std::atomic<bool> i8_valid{true};
     std::atomic<size_t> size{0};
     size_t high_water = 0;  // Mutator-only.
     size_t capacity_rows = 0;
@@ -317,31 +312,32 @@ class EmbeddedDatabase {
     return current_.load(std::memory_order_seq_cst);
   }
   View PeekView() const;
-  /// A View of `v` at `rows` rows, shadow pointers attached.
+  /// A View of `v` at `rows` rows, int8 pointers attached while fresh.
   View ViewOf(const Version* v, size_t rows) const;
 
-  /// Allocates a version (reserving shadow capacity per shadow_mask_)
-  /// and huge-page-advises its buffer when large.
+  /// Allocates a version and huge-page-advises its buffer when large.
   Version* NewVersion(size_t capacity_rows) const;
+  /// A version of `capacity_rows` holding the first `rows` rows and ids
+  /// of `v`, its int8 matrix and scales too while fresh (stale stays
+  /// stale); count and high water set to `rows`, unpublished.
+  Version* CopyVersion(const Version* v, size_t rows,
+                       size_t capacity_rows) const;
   /// Publishes `next` and retires the previous version to the epoch
   /// manager.
   void PublishAndRetire(Version* next);
 
   /// Whether `row` quantizes under v's scales within the half-step
-  /// bound on every dimension (trivially true without an int8 shadow).
+  /// bound on every dimension (trivially true for a stale matrix).
   bool RowFitsI8(const Version* v, const double* row) const;
-  /// Converts/quantizes float64 row i of `v` into its shadow matrices
-  /// (which must already have space for it).
-  void FillShadowRow(Version* v, size_t i, const double* row) const;
+  /// Quantizes float64 row i of `v` into its int8 matrix (which must
+  /// already have space for it).
+  void FillI8Row(Version* v, size_t i) const;
   /// Recomputes v's scales from its first n float64 rows (times
   /// `headroom`) and quantizes those rows.  Quiescent/unpublished `v`
   /// only.
   void RequantizeI8(Version* v, size_t n, double headroom) const;
 
   size_t dims_ = 0;
-  /// Shadow bits every version carries; set by EnableFilterShadows
-  /// (quiescent), read by mutators.
-  uint32_t shadow_mask_ = 0;
   std::atomic<Version*> current_{nullptr};
   /// Mirror of the current version's published row count, kept outside
   /// the versions so size()/empty() peeks are safe under concurrent

@@ -12,20 +12,7 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Machine epsilon of float32 arithmetic.  FLT_EPSILON is a full ulp of
-/// 1.0 — twice the worst-case rounding of any single operation — which
-/// is the 2x safety margin the envelope constants lean on.
-constexpr double kEps32 = FLT_EPSILON;
-
-/// Relative envelope of a sixteen-lane float32 sum of d terms, each
-/// term carrying a handful of input-rounding and mul/sub roundings:
-/// d/16 additions per lane plus the depth-4 reduction tree plus ~8
-/// per-term roundings, rounded up generously.
-double F32RelativeEnvelope(size_t d) {
-  return kEps32 * (static_cast<double>(d) / 16.0 + 16.0);
-}
-
-/// The float64 counterpart for the four-lane wl1_f64 kernel: d/4
+/// Relative rounding envelope of the four-lane wl1_f64 kernel: d/4
 /// additions per lane, a d % 4 tail and the depth-2 reduction, plus the
 /// subtract and multiply roundings of each term.
 double F64RelativeEnvelope(size_t d) {
@@ -49,18 +36,6 @@ const char* FilterPrecisionName(FilterPrecision p) {
   return "unknown";
 }
 
-uint32_t ShadowMaskFor(FilterPrecision p) {
-  switch (p) {
-    case FilterPrecision::kExact64:
-      return 0;
-    case FilterPrecision::kFilter32:
-      return kShadowFloat32;
-    case FilterPrecision::kFilter8:
-      return kShadowInt8;
-  }
-  return 0;
-}
-
 int8_t QuantizeToInt8(double x, float scale) {
   if (!(scale > 0.0f) || std::isinf(scale)) return 0;
   long q = std::lround(x / static_cast<double>(scale));
@@ -73,42 +48,6 @@ bool FitsInt8(double x, float scale) {
   if (!std::isfinite(scale)) return true;
   if (!(scale > 0.0f)) return x == 0.0;
   return std::fabs(x) <= 127.5 * static_cast<double>(scale);
-}
-
-double WidenedAbandonThreshold(double threshold,
-                               const ReducedPrecisionBound& bound) {
-  if (!(bound.relative < 1.0) || std::isinf(threshold)) {
-    return std::numeric_limits<double>::infinity();
-  }
-  return (threshold * (1.0 + bound.relative) + bound.additive) /
-         (1.0 - bound.relative);
-}
-
-ReducedPrecisionBound F32BoundWeightedL1(const double* w, const double* q,
-                                         size_t d) {
-  double wq = 0.0;
-  for (size_t j = 0; j < d; ++j) {
-    wq += (w != nullptr ? w[j] : 1.0) * std::fabs(q[j]);
-  }
-  return {4.0 * kEps32 * wq, F32RelativeEnvelope(d)};
-}
-
-ReducedPrecisionBound F32BoundSquaredL2(const double* q, size_t d) {
-  double qq = 0.0;
-  for (size_t j = 0; j < d; ++j) qq += q[j] * q[j];
-  return {4.0 * kEps32 * qq, F32RelativeEnvelope(d)};
-}
-
-ReducedPrecisionBound I8BoundWeightedL1(const double* w, const double* q,
-                                        const int8_t* qq, const float* scales,
-                                        size_t d) {
-  double add = 0.0;
-  for (size_t j = 0; j < d; ++j) {
-    double s = scales[j];
-    double resid = std::fabs(q[j] - s * qq[j]) + 0.5 * s;
-    add += (w != nullptr ? w[j] : 1.0) * resid;
-  }
-  return {add, F32RelativeEnvelope(d)};
 }
 
 I8Prescreen QuantizeI8Prescreen(const double* w, const double* q,
@@ -178,25 +117,6 @@ int64_t I8Prescreen::Slack() const {
   double y = std::nextafter((2.0 * margin) / scale, kInf);
   if (!(y < 0x1p53)) return INT64_MAX;
   return static_cast<int64_t>(std::ceil(y));
-}
-
-ReducedPrecisionBound I8BoundSquaredL2(const double* q, const int8_t* qq,
-                                       const float* scales, size_t d) {
-  double add = 0.0;
-  for (size_t j = 0; j < d; ++j) {
-    double s = scales[j];
-    double e = std::fabs(q[j] - s * qq[j]) + 0.5 * s;
-    add += e * (2.0 * (std::fabs(q[j]) + 127.5 * s) + e);
-  }
-  return {add, F32RelativeEnvelope(d)};
-}
-
-float FloatAtLeast(double x) {
-  float f = static_cast<float>(x);
-  if (static_cast<double>(f) < x) {
-    f = std::nextafterf(f, std::numeric_limits<float>::infinity());
-  }
-  return f;
 }
 
 }  // namespace qse

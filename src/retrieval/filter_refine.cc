@@ -1,5 +1,7 @@
 #include "src/retrieval/filter_refine.h"
 
+#include <algorithm>
+
 #include "src/util/parallel.h"
 
 namespace qse {
@@ -21,9 +23,10 @@ EmbeddedDatabase EmbedDatabase(const Embedder& embedder,
               return self == other ? 0.0 : oracle.Distance(self, other);
             },
             nullptr);
-        db.SetRow(i, row);
+        std::copy(row.begin(), row.end(), db.mutable_row(i));
       },
       num_threads);
+  db.RebuildPrescreenMatrix();
   return db;
 }
 

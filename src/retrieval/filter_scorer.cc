@@ -15,7 +15,6 @@ namespace qse {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr float kInf32 = std::numeric_limits<float>::infinity();
 
 /// Offers row i's completed (or abandoned) score to `top` under its
 /// database id; returns whether the row was kept.  A score strictly
@@ -53,39 +52,6 @@ std::vector<ScoredIndex> TopPScan(const EmbeddedDatabase::View& db, size_t p,
   return top.TakeSortedAscending();
 }
 
-/// The reduced-precision counterpart: `row_score(i, widened)` scans a
-/// shadow row against the threshold already widened by the quantization
-/// error envelope, so abandonment stays sound relative to the exact
-/// scores (see ScoreTopP's contract in the header).
-template <typename RowScoreFn>
-std::vector<ScoredIndex> TopPScanReduced(const EmbeddedDatabase::View& db,
-                                         size_t p,
-                                         const ReducedPrecisionBound& bound,
-                                         const RowScoreFn& row_score,
-                                         FilterScanStats* scan_stats) {
-  const size_t n = db.size();
-  BoundedTopK top(std::min(p, n));
-  size_t pruned = 0;
-  // Widening costs a divide; the threshold only moves when an Offer is
-  // accepted (at most p times once the heap is warm), so cache the
-  // widened value until it does.  +inf != +inf is false, so the initial
-  // unbounded threshold takes the cached path too.
-  double cached_threshold = top.threshold();
-  float widened =
-      FloatAtLeast(WidenedAbandonThreshold(cached_threshold, bound));
-  for (size_t i = 0; i < n; ++i) {
-    double t = top.threshold();
-    if (t != cached_threshold) {
-      cached_threshold = t;
-      widened = FloatAtLeast(WidenedAbandonThreshold(t, bound));
-    }
-    pruned +=
-        !OfferRow(&top, db, i, static_cast<double>(row_score(i, widened)));
-  }
-  if (scan_stats != nullptr) *scan_stats = FilterScanStats{n, pruned};
-  return top.TakeSortedAscending();
-}
-
 /// The prescreened scan's second pass reads a few hundred float64 rows
 /// scattered over a DRAM-resident matrix, each a cold miss; its reading
 /// order is known before the first read, so rows are fetched this many
@@ -99,7 +65,7 @@ inline void PrefetchF64Row(const double* row, size_t d) {
   if (len > 0) __builtin_prefetch(bytes + len - 1, 0, 0);
 }
 
-/// A kExact64 scan in two passes over the view's int8 matrix, scored
+/// An exact scan in two passes over the view's int8 matrix, scored
 /// exactly in integers by `k->prescreen_i8` (S_i for row i) under the
 /// query's `pre` (QuantizeI8Prescreen, finite margin).
 ///
@@ -201,6 +167,13 @@ std::vector<ScoredIndex> PrescreenedTopPScan(
   return top.TakeSortedAscending();
 }
 
+/// The only scan there is (FilterPrecision).
+void CheckExact(FilterPrecision precision) {
+  QSE_CHECK_MSG(precision == FilterPrecision::kExact64,
+                "filter precision " << FilterPrecisionName(precision)
+                                    << " is not a scan; only exact64 is");
+}
+
 /// The unpruned fallback's selection: the p best of a full score vector,
 /// by (score, database id).
 std::vector<ScoredIndex> TopPOfScores(const std::vector<double>& scores,
@@ -217,27 +190,6 @@ std::vector<ScoredIndex> TopPOfScores(const std::vector<double>& scores,
   return top.TakeSortedAscending();
 }
 
-/// int8 shadow rows are only d bytes — a few cachelines — and the scan
-/// touches just one or two of them before abandoning most rows, too
-/// little demand pressure to keep the hardware stream prefetcher ahead
-/// of a DRAM-resident matrix.  Fetching a handful of rows ahead
-/// explicitly recovers ~35% of scan time at n=1M, d=256 (measured; the
-/// float32/float64 paths stream whole kilobytes per row and need no
-/// help).
-constexpr size_t kI8PrefetchRowsAhead = 8;
-
-inline void PrefetchI8Row(const int8_t* row, size_t d) {
-  for (size_t b = 0; b < d; b += 64) {
-    __builtin_prefetch(row + b, /*rw=*/0, /*locality=*/0);
-  }
-}
-
-std::vector<float> ToFloat(const double* v, size_t d) {
-  std::vector<float> out(d);
-  for (size_t j = 0; j < d; ++j) out[j] = static_cast<float>(v[j]);
-  return out;
-}
-
 std::vector<int8_t> QuantizeQuery(const double* q, const float* scales,
                                   size_t d) {
   std::vector<int8_t> out(d);
@@ -245,26 +197,12 @@ std::vector<int8_t> QuantizeQuery(const double* q, const float* scales,
   return out;
 }
 
-/// The int8 weighted-L1 coefficients: weight and dequantization scale
-/// folded, so the kernel's c_j * |qq_j - rq_j| approximates
-/// w_j * |q_j - r_j|.
-std::vector<float> I8WeightedL1Coeffs(const double* w, const float* scales,
-                                      size_t d) {
-  std::vector<float> c(d);
-  for (size_t j = 0; j < d; ++j) {
-    c[j] = static_cast<float>(w[j] * static_cast<double>(scales[j]));
-  }
-  return c;
-}
-
 }  // namespace
 
 std::vector<ScoredIndex> FilterScorer::ScoreTopP(
     const Vector& embedded_query, const EmbeddedDatabase::View& db, size_t p,
     FilterPrecision precision, FilterScanStats* scan_stats) const {
-  QSE_CHECK_MSG(precision == FilterPrecision::kExact64,
-                "the fallback ScoreTopP only implements kExact64; scorers "
-                "with reduced-precision support override it");
+  CheckExact(precision);
   std::vector<double> scores;
   Score(embedded_query, db, &scores);
   return TopPOfScores(scores, db, p, scan_stats);
@@ -286,18 +224,15 @@ void QuerySensitiveScorer::Score(const Vector& embedded_query,
 std::vector<ScoredIndex> QuerySensitiveScorer::ScoreTopP(
     const Vector& embedded_query, const EmbeddedDatabase::View& db, size_t p,
     FilterPrecision precision, FilterScanStats* scan_stats) const {
-  const bool prescreen = precision == FilterPrecision::kExact64 &&
-                         db.has_i8() && PrescreenPays(db.size(), db.dims());
+  CheckExact(precision);
   return WeightedL1TopP(embedded_query, model_->QueryWeights(embedded_query),
-                        db, p, precision, prescreen, simd::ActiveKernels(),
-                        scan_stats);
+                        db, p, db.has_i8(), simd::ActiveKernels(), scan_stats);
 }
 
 std::vector<ScoredIndex> WeightedL1TopP(const Vector& embedded_query,
                                         const Vector& weights,
                                         const EmbeddedDatabase::View& db,
-                                        size_t p, FilterPrecision precision,
-                                        bool prescreen,
+                                        size_t p, bool prescreen,
                                         const simd::KernelTable* k,
                                         FilterScanStats* scan_stats) {
   const size_t d = db.dims();
@@ -311,39 +246,13 @@ std::vector<ScoredIndex> WeightedL1TopP(const Vector& embedded_query,
   const bool nonnegative =
       std::none_of(weights.begin(), weights.end(),
                    [](double v) { return v < 0.0; });
-  if (precision == FilterPrecision::kFilter32) {
-    QSE_CHECK_MSG(db.has_f32(), "kFilter32 scan on a view without a float32 "
-                                "shadow (EnableFilterShadows)");
-    std::vector<float> qf = ToFloat(q, d);
-    std::vector<float> wf = ToFloat(w, d);
-    ReducedPrecisionBound bound = F32BoundWeightedL1(w, q, d);
-    return TopPScanReduced(db, p, bound, [&](size_t i, float widened) {
-      return k->wl1_f32(qf.data(), db.row_f32(i), wf.data(), d,
-                        nonnegative ? widened : kInf32);
-    }, scan_stats);
-  }
-  if (precision == FilterPrecision::kFilter8) {
-    QSE_CHECK_MSG(db.has_i8(), "kFilter8 scan on a view without an int8 "
-                               "shadow (EnableFilterShadows)");
-    const float* s = db.i8_scales();
-    std::vector<int8_t> qq = QuantizeQuery(q, s, d);
-    std::vector<float> c = I8WeightedL1Coeffs(w, s, d);
-    ReducedPrecisionBound bound = I8BoundWeightedL1(w, q, qq.data(), s, d);
-    return TopPScanReduced(db, p, bound, [&](size_t i, float widened) {
-      if (i + kI8PrefetchRowsAhead < db.size()) {
-        PrefetchI8Row(db.row_i8(i + kI8PrefetchRowsAhead), d);
-      }
-      return k->wl1_i8(qq.data(), db.row_i8(i), c.data(), d,
-                       nonnegative ? widened : kInf32);
-    }, scan_stats);
-  }
   auto exact_row = [q, w, k, nonnegative](const double* x, size_t dd,
                                           double t) {
     return k->wl1_f64(q, x, w, dd, nonnegative ? t : kInf);
   };
   if (prescreen) {
     QSE_CHECK_MSG(db.has_i8(), "prescreened scan on a view without an int8 "
-                               "matrix (EnableFilterShadows)");
+                               "matrix (RebuildPrescreenMatrix)");
     const float* s = db.i8_scales();
     std::vector<int8_t> qq = QuantizeQuery(q, s, d);
     I8Prescreen pre = QuantizeI8Prescreen(w, q, qq.data(), s, d);
@@ -372,39 +281,10 @@ std::vector<ScoredIndex> L2Scorer::ScoreTopP(const Vector& embedded_query,
                                              FilterPrecision precision,
                                              FilterScanStats* scan_stats)
     const {
-  const size_t d = db.dims();
-  QSE_CHECK(embedded_query.size() == d);
+  CheckExact(precision);
+  QSE_CHECK(embedded_query.size() == db.dims());
   const double* q = embedded_query.data();
   const simd::KernelTable* k = simd::ActiveKernels();
-  if (precision == FilterPrecision::kFilter32) {
-    QSE_CHECK_MSG(db.has_f32(), "kFilter32 scan on a view without a float32 "
-                                "shadow (EnableFilterShadows)");
-    std::vector<float> qf = ToFloat(q, d);
-    ReducedPrecisionBound bound = F32BoundSquaredL2(q, d);
-    return TopPScanReduced(db, p, bound, [&](size_t i, float widened) {
-      return k->l2_f32(qf.data(), db.row_f32(i), d, widened);
-    }, scan_stats);
-  }
-  if (precision == FilterPrecision::kFilter8) {
-    QSE_CHECK_MSG(db.has_i8(), "kFilter8 scan on a view without an int8 "
-                               "shadow (EnableFilterShadows)");
-    const float* s = db.i8_scales();
-    std::vector<int8_t> qq = QuantizeQuery(q, s, d);
-    // c_j = s_j^2 turns the kernel's (c_j * fd) * fd into
-    // (s_j * (qq_j - rq_j))^2, the quantized squared difference.
-    std::vector<float> c(d);
-    for (size_t j = 0; j < d; ++j) {
-      double sd = static_cast<double>(s[j]);
-      c[j] = static_cast<float>(sd * sd);
-    }
-    ReducedPrecisionBound bound = I8BoundSquaredL2(q, qq.data(), s, d);
-    return TopPScanReduced(db, p, bound, [&](size_t i, float widened) {
-      if (i + kI8PrefetchRowsAhead < db.size()) {
-        PrefetchI8Row(db.row_i8(i + kI8PrefetchRowsAhead), d);
-      }
-      return k->wl2_i8(qq.data(), db.row_i8(i), c.data(), d, widened);
-    }, scan_stats);
-  }
   return TopPScan(db, p, [q, k](const double* x, size_t dd, double t) {
     return k->l2_f64(q, x, dd, t);
   }, scan_stats);
@@ -427,36 +307,11 @@ std::vector<ScoredIndex> L1Scorer::ScoreTopP(const Vector& embedded_query,
                                              FilterPrecision precision,
                                              FilterScanStats* scan_stats)
     const {
-  const size_t d = db.dims();
-  QSE_CHECK(embedded_query.size() == d);
-  const double* q = embedded_query.data();
-  const simd::KernelTable* k = simd::ActiveKernels();
-  if (precision == FilterPrecision::kFilter32) {
-    QSE_CHECK_MSG(db.has_f32(), "kFilter32 scan on a view without a float32 "
-                                "shadow (EnableFilterShadows)");
-    std::vector<float> qf = ToFloat(q, d);
-    ReducedPrecisionBound bound = F32BoundWeightedL1(nullptr, q, d);
-    return TopPScanReduced(db, p, bound, [&](size_t i, float widened) {
-      return k->l1_f32(qf.data(), db.row_f32(i), d, widened);
-    }, scan_stats);
-  }
-  if (precision == FilterPrecision::kFilter8) {
-    QSE_CHECK_MSG(db.has_i8(), "kFilter8 scan on a view without an int8 "
-                               "shadow (EnableFilterShadows)");
-    const float* s = db.i8_scales();
-    std::vector<int8_t> qq = QuantizeQuery(q, s, d);
-    ReducedPrecisionBound bound =
-        I8BoundWeightedL1(nullptr, q, qq.data(), s, d);
-    return TopPScanReduced(db, p, bound, [&](size_t i, float widened) {
-      if (i + kI8PrefetchRowsAhead < db.size()) {
-        PrefetchI8Row(db.row_i8(i + kI8PrefetchRowsAhead), d);
-      }
-      return k->wl1_i8(qq.data(), db.row_i8(i), s, d, widened);
-    }, scan_stats);
-  }
-  return TopPScan(db, p, [q, k](const double* x, size_t dd, double t) {
-    return k->l1_f64(q, x, dd, t);
-  }, scan_stats);
+  CheckExact(precision);
+  // Unit weights: 1.0 * |q_j - x_j| is exact, so wl1_f64 returns l1_f64's
+  // bits and the L1 scan is the weighted-L1 scan, prescreen included.
+  return WeightedL1TopP(embedded_query, Vector(db.dims(), 1.0), db, p,
+                        db.has_i8(), simd::ActiveKernels(), scan_stats);
 }
 
 }  // namespace qse

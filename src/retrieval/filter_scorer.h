@@ -24,33 +24,15 @@ struct FilterScanStats {
   /// count differs from the plain scan's (never below rows_prescreened,
   /// and at least min(p, rows) rows are accepted either way).
   size_t rows_pruned = 0;
-  /// Rows of a prescreened kExact64 scan whose float64 row was never
-  /// read: dismissed on their exact int8 score alone.  Counted in
-  /// rows_pruned too.
+  /// Rows of a prescreened scan whose float64 row was never read:
+  /// dismissed on their exact int8 score alone.  Counted in rows_pruned
+  /// too.
   size_t rows_prescreened = 0;
 };
 
 /// Rows per prescreen kernel call in the prescreened scan's first pass
 /// (d = 55: 14 KB of int8 rows and 1 KB of scores per block).
 inline constexpr size_t kPrescreenBlockRows = 256;
-
-/// Float64 bytes (rows x dims x 8) from which an exact query-sensitive
-/// scan prescreens on the view's int8 matrix, and from which
-/// RetrievalEngine builds that matrix for a local shard at
-/// construction: where the float64 scan starts streaming from DRAM (in
-/// micro_filter_step's BM_PrescreenSweep, four matrices scanned in
-/// turn, d = 16 / 24 / 55, 4-vCPU Xeon with AVX-512, its row rate
-/// halves between 4 and 8 MiB per matrix).  The same sweep has the
-/// two-pass prescreen winning at least 2x at every size from 1 MiB up,
-/// on every tier, so the threshold is not where the prescreen starts to
-/// pay; smaller shards skip the int8 matrix's extra eighth of memory.
-inline constexpr size_t kPrescreenMinBytes = size_t{8} << 20;
-
-/// Whether `rows` float64 rows of `dims` doubles reach
-/// kPrescreenMinBytes.
-inline bool PrescreenPays(size_t rows, size_t dims) {
-  return rows * dims * sizeof(double) >= kPrescreenMinBytes;
-}
 
 /// Scores an embedded query against every database row; the filter step's
 /// ranking function.  Implementations: the query-sensitive D_out for
@@ -75,20 +57,21 @@ class FilterScorer {
   /// The p best rows as (database id, score), ascending by (score, id):
   /// ids come from the view's id column, so ties break the same way
   /// whichever shard or row holds a candidate (a quiescent database's
-  /// ids default to its rows).  Under kExact64 the scores are exactly
-  /// Score(...)'s, but computed as one blocked streaming pass over the
-  /// flat buffer with early-abandon pruning: a row is dropped as soon as
-  /// its partial sum exceeds the running p-th-best threshold.  Abandon
-  /// needs non-negative per-dimension terms.  The L1 and L2 terms always
-  /// are; the query-sensitive scorer checks A_i(q) once per query and,
-  /// when any weight is negative, scores every row in full instead (the
-  /// same streaming pass with abandon off).
+  /// ids default to its rows).  The scores are exactly Score(...)'s, but
+  /// computed as one blocked streaming pass over the flat buffer with
+  /// early-abandon pruning: a row is dropped as soon as its partial sum
+  /// exceeds the running p-th-best threshold.  Abandon needs
+  /// non-negative per-dimension terms.  The L1 and L2 terms always are;
+  /// the query-sensitive scorer checks A_i(q) once per query and, when
+  /// any weight is negative, scores every row in full instead (the same
+  /// streaming pass with abandon off).
   ///
-  /// The query-sensitive kExact64 scan of a view whose float64 rows
-  /// reach kPrescreenMinBytes and that carries an int8 matrix runs in
-  /// two passes, the VA-file's near-optimal search (Weber, Schek & Blott,
-  /// VLDB 1998).  Pass 1 scores every row's int8 shadow exactly in
-  /// integers (KernelTable::prescreen_i8 under QuantizeI8Prescreen's
+  /// The weighted-L1 scans (the query-sensitive scorer, and the L1
+  /// scorer with unit weights) of a view that carries the int8 matrix —
+  /// every local database does, at any size — run in two passes, the
+  /// VA-file's near-optimal search (Weber, Schek & Blott, VLDB 1998).
+  /// Pass 1 scores every row's int8 row exactly in integers
+  /// (KernelTable::prescreen_i8 under QuantizeI8Prescreen's
   /// coefficients, filter_precision.h), one block of rows per kernel
   /// call, and keeps only rows whose int8 score lies within the margin
   /// of the p-th smallest one.  Pass 2 reads float64 rows for those
@@ -101,23 +84,15 @@ class FilterScorer {
   /// rows_pruned stays rows_visited minus heap accepts, a different
   /// number than the plain scan's because the offer order differs.
   /// Non-finite query values, weights or stored values, or all-zero
-  /// weights, make the margin +inf and the scan plain.
+  /// weights, make the margin +inf and the scan plain.  The L2 scorer
+  /// (FastMap, a baseline) always scans the float64 rows.
   ///
-  /// Reduced precisions scan the view's shadow matrix instead (the view
-  /// must carry it — the engines verify availability and fail the
-  /// request cleanly first): the returned scores are the shadow scores,
-  /// and the result equals an unpruned shadow scan's top p because the
-  /// abandon threshold is widened by the computable quantization error
-  /// envelope (filter_precision.h) — a row whose EXACT score is within
-  /// the current threshold is never abandoned, so pruning cannot lose
-  /// candidates beyond what quantized RANKING itself loses (which the
-  /// benches measure as recall@k).  With a negative weight the shadow
-  /// rows are scored in full.  Refine re-scores candidates from the
-  /// float64 rows of the same snapshot either way.
+  /// `precision` must be kExact64, the only scan there is (see
+  /// FilterPrecision); anything else aborts.  The engines reject other
+  /// values as InvalidArgument before they scan.
   ///
-  /// The base implementation is the unpruned exact fallback (full Score
-  /// then selection, kExact64 only); subclasses override with the fused
-  /// dispatched kernels.
+  /// The base implementation is the unpruned fallback (full Score then
+  /// selection); subclasses override with the fused dispatched kernels.
   ///
   /// A non-null `scan_stats` is filled with the scan's row counters
   /// (overwritten, not accumulated); null skips the bookkeeping.
@@ -144,17 +119,16 @@ class QuerySensitiveScorer : public FilterScorer {
   const QuerySensitiveEmbedding* model_;
 };
 
-/// QuerySensitiveScorer::ScoreTopP with A_i(q) already evaluated
+/// The weighted-L1 ScoreTopP with the weights already evaluated
 /// (`weights`, any signs) and the kernel tier explicit.  `prescreen`
-/// asks a kExact64 scan to prescreen on the view's int8 matrix, which
-/// the view must carry; the scorer passes it for views that reach
-/// kPrescreenMinBytes, the benches and tests pass it at any size.  The
-/// result does not depend on it.
+/// asks for the two-pass scan on the view's int8 matrix, which the view
+/// must carry; the scorers pass db.has_i8(), and the tests and benches
+/// pass false for the plain reference scan.  The result does not depend
+/// on it.
 std::vector<ScoredIndex> WeightedL1TopP(const Vector& embedded_query,
                                         const Vector& weights,
                                         const EmbeddedDatabase::View& db,
-                                        size_t p, FilterPrecision precision,
-                                        bool prescreen,
+                                        size_t p, bool prescreen,
                                         const simd::KernelTable* kernels,
                                         FilterScanStats* scan_stats);
 

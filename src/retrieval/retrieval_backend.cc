@@ -26,11 +26,15 @@ Status ValidateRetrievalOptions(const RetrievalOptions& options) {
         "invalid priority enumerator: " +
         std::to_string(static_cast<size_t>(options.priority)));
   }
-  if (static_cast<size_t>(options.filter_precision) >=
-      static_cast<size_t>(kNumFilterPrecisions)) {
+  if (options.filter_precision != FilterPrecision::kExact64) {
+    const int value = static_cast<int>(options.filter_precision);
     return Status::InvalidArgument(
-        "invalid filter_precision enumerator: " +
-        std::to_string(static_cast<size_t>(options.filter_precision)));
+        "filter_precision " +
+        std::string(value >= 0 && value < kNumFilterPrecisions
+                        ? FilterPrecisionName(options.filter_precision)
+                        : "enumerator " + std::to_string(value)) +
+        " is not a scan; only exact64 is (the int8 prescreen of the exact "
+        "scan is lossless)");
   }
   return Status::OK();
 }

@@ -71,12 +71,9 @@ struct RetrievalOptions {
   /// spends exact distances on it — never silently dropped or served
   /// late.  Direct engine calls do not check it.  Default: no deadline.
   RetrievalClock::time_point deadline = RetrievalClock::time_point::max();
-  /// What the filter scan streams: the exact float64 matrix (default,
-  /// bit-identical to the pre-dispatch engine) or a reduced-precision
-  /// shadow (2x / 8x fewer bytes; the backend's database must carry the
-  /// matching shadow — EnableFilterShadows — or the request fails with
-  /// FailedPrecondition).  Refine always re-scores with exact distances,
-  /// so this shifts top-p candidate recall, never final distances.
+  /// The filter scan's precision.  kExact64, the only scan there is, is
+  /// the one valid value: the reduced enumerators name removed lossy
+  /// scans and fail validation with InvalidArgument (FilterPrecision).
   FilterPrecision filter_precision = FilterPrecision::kExact64;
   /// When non-null, the backend offers 1-in-N completed responses to
   /// this monitor for background exact-kNN auditing (quality_monitor.h).
@@ -102,11 +99,9 @@ struct RetrievalOptions {
   /// the same dx, so a batcher may run them as one RetrieveBatch call.
   /// priority/tenant/deadline shape admission, num_threads shapes
   /// execution, audit_monitor only observes; none of them change
-  /// results.  filter_precision does — different precisions rank the
-  /// filter scan differently.
+  /// results.  filter_precision has one valid value.
   bool SameResultKey(const RetrievalOptions& other) const {
-    return k == other.k && p == other.p && want_stats == other.want_stats &&
-           filter_precision == other.filter_precision;
+    return k == other.k && p == other.p && want_stats == other.want_stats;
   }
 };
 
@@ -114,7 +109,8 @@ struct RetrievalOptions {
 /// server, so validation behavior cannot drift between surfaces:
 ///  * k == 0 or p == 0 is InvalidArgument (a filter that keeps nothing
 ///    is a caller bug, not a degenerate retrieval);
-///  * an out-of-range priority enumerator is InvalidArgument.
+///  * an out-of-range priority enumerator is InvalidArgument;
+///  * a filter_precision other than kExact64 is InvalidArgument.
 /// Database emptiness is a backend-state concern checked by the engines
 /// (FailedPrecondition), not here.
 Status ValidateRetrievalOptions(const RetrievalOptions& options);

@@ -35,16 +35,6 @@ obs::Histogram* StageHistogram(const char* name) {
       name, obs::DefaultLatencyBoundariesNs());
 }
 
-/// Builds the int8 matrix the exact query-sensitive scan prescreens on
-/// (FilterScorer::ScoreTopP) for a local shard whose float64 rows reach
-/// kPrescreenMinBytes, unless the shard already carries one.
-void AddPrescreenMatrix(EmbeddedDatabase* db) {
-  if (PrescreenPays(db->size(), db->dims()) &&
-      (db->filter_shadows() & kShadowInt8) == 0) {
-    db->EnableFilterShadows(kShadowInt8);
-  }
-}
-
 /// Moves the candidate lists out of `scans` for the k-way merge.
 std::vector<std::vector<ScoredIndex>> TakeCandidateLists(
     std::vector<ScanCandidatesResult>* scans) {
@@ -92,7 +82,9 @@ RetrievalEngine::RetrievalEngine(const Embedder* embedder,
   shards_.resize(1);
   shards_[0].db = db;
   db->AssignIds(db_ids);
-  AddPrescreenMatrix(db);
+  // Rows written through mutable_row() leave the int8 matrix stale; the
+  // exact scan prescreens on it, so rebuild it here.
+  if (!db->snapshot()->has_i8()) db->RebuildPrescreenMatrix();
   RebuildIdIndex();
 }
 
@@ -101,11 +93,6 @@ RetrievalEngine::RetrievalEngine(const Embedder* embedder,
                                  ShardedEngineOptions options)
     : RetrievalEngine(embedder, scorer, options.scatter_threads) {
   AddOwnedShards(options.num_shards, embedder_->dims());
-  for (Shard& shard : shards_) {
-    if (options.filter_shadows != 0) {
-      shard.db->EnableFilterShadows(options.filter_shadows);
-    }
-  }
 }
 
 RetrievalEngine::RetrievalEngine(const Embedder* embedder,
@@ -119,19 +106,25 @@ RetrievalEngine::RetrievalEngine(const Embedder* embedder,
                           << " ids");
   AddOwnedShards(options.num_shards,
                  db.empty() ? embedder_->dims() : db.dims());
-  const size_t num_shards = shards_.size();
-  for (Shard& shard : shards_) shard.db->Reserve(db.size() / num_shards + 1);
+  // Bulk load: size every shard, copy its rows in, then build each int8
+  // matrix in one pass instead of maintaining it row by row.
+  const size_t dims = shards_[0].db->dims();
+  std::vector<std::vector<size_t>> shard_ids(shards_.size());
   for (size_t row = 0; row < db.size(); ++row) {
-    // Borrowed row view: no temporary.
-    shards_[ShardOf(db_ids[row])].db->Append(db.row(row), db_ids[row]);
+    shard_ids[ShardOf(db_ids[row])].push_back(db_ids[row]);
   }
-  // Shadows build after the bulk fill: one pass per shard instead of
-  // per-Append maintenance during partitioning.
-  for (Shard& shard : shards_) {
-    if (options.filter_shadows != 0) {
-      shard.db->EnableFilterShadows(options.filter_shadows);
-    }
-    AddPrescreenMatrix(shard.db);
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    shards_[s].db->Resize(shard_ids[s].size());
+  }
+  std::vector<size_t> filled(shards_.size(), 0);
+  for (size_t row = 0; row < db.size(); ++row) {
+    const size_t s = ShardOf(db_ids[row]);
+    std::copy(db.row(row), db.row(row) + dims,
+              shards_[s].db->mutable_row(filled[s]++));
+  }
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    shards_[s].db->AssignIds(shard_ids[s]);
+    shards_[s].db->RebuildPrescreenMatrix();
   }
   RebuildIdIndex();
 }
@@ -213,12 +206,11 @@ Status RetrievalEngine::Scan(
     obs::RequestTrace* trace, std::vector<ScanCandidatesResult>* scans,
     std::vector<EmbeddedDatabase::Snapshot>* pins) const {
   const size_t num_shards = shards_.size();
-  const uint32_t needed_shadows = ShadowMaskFor(options.filter_precision);
   scans->assign(num_shards, {});
   std::vector<std::optional<EmbeddedDatabase::Snapshot>> pinned(
       pins != nullptr ? num_shards : 0);
-  // Shard scans can fail (a missing shadow, a remote peer down mid
-  // fan-out); collect the first failure and fail the query honestly.
+  // Shard scans can fail (a remote peer down mid fan-out); collect the
+  // first failure and fail the query honestly.
   std::mutex error_mu;
   Status first_error = Status::OK();
   auto fail = [&](Status status) {
@@ -244,14 +236,6 @@ Status RetrievalEngine::Scan(
           // mutation of the shard never tears the scan.
           EmbeddedDatabase::Snapshot snap = shard.db->snapshot();
           const EmbeddedDatabase::View& view = snap.view();
-          if ((view.shadows() & needed_shadows) != needed_shadows) {
-            return fail(Status::FailedPrecondition(
-                std::string("filter precision ") +
-                FilterPrecisionName(options.filter_precision) +
-                " needs a shadow matrix the database does not carry; call "
-                "EnableFilterShadows on it or construct the engine with "
-                "ShardedEngineOptions::filter_shadows"));
-          }
           FilterScanStats stats;
           if (!view.empty()) {
             scan.candidates = scorer_->ScoreTopP(
@@ -278,8 +262,6 @@ Status RetrievalEngine::Scan(
                            nullptr},
              obs::TraceArg{"simd", 0,
                            simd::SimdLevelName(simd::ActiveSimdLevel())},
-             obs::TraceArg{"precision", 0,
-                           FilterPrecisionName(options.filter_precision)},
              obs::TraceArg{"composed", shard.backend != nullptr, nullptr}});
       },
       scatter_threads);

@@ -26,11 +26,6 @@ struct ShardedEngineOptions {
   /// this and parallelizes across queries instead, scanning each query's
   /// shards serially — one level of parallelism, never nested.
   size_t scatter_threads = 0;
-  /// Filter shadow matrices (kShadowFloat32 | kShadowInt8) every owned
-  /// shard database carries, enabling reduced-precision requests
-  /// (RetrievalOptions::filter_precision).  0 = exact-only, no shadow
-  /// memory.
-  uint32_t filter_shadows = 0;
 };
 
 /// The shard database id `db_id` lives in: mix64(db_id) % num_shards.
@@ -73,23 +68,23 @@ class RetrievalEngine : public RetrievalBackend {
  public:
   /// One shard over a borrowed `db`; `db_ids[i]` is the database id of
   /// row i (installed into the database's id column).  The engine
-  /// mutates `db` only through Insert/Remove, and by enabling its int8
-  /// shadow when the float64 rows reach kPrescreenMinBytes
-  /// (filter_scorer.h) so exact scans can prescreen on it.
+  /// mutates `db` only through Insert/Remove, and by rebuilding its int8
+  /// matrix when mutable_row() left it stale, so the filter scan always
+  /// prescreens on it (FilterScorer::ScoreTopP).
   RetrievalEngine(const Embedder* embedder, const FilterScorer* scorer,
                   EmbeddedDatabase* db, std::vector<size_t> db_ids);
 
   /// S empty owned shards of dimensionality embedder->dims(); fill it
-  /// through Insert.
+  /// through Insert.  Each shard's int8 matrix is maintained from the
+  /// first insert on, so the scan prescreens at any size.
   RetrievalEngine(const Embedder* embedder, const FilterScorer* scorer,
                   ShardedEngineOptions options);
 
   /// Partitions an already-embedded database across S owned shards by
   /// HashShardOf, copying rows — no re-embedding.  `db_ids[i]` is the
   /// database id of row i of `db`; ids must be unique.  `db` is only
-  /// read during construction and not retained.  Each shard whose
-  /// float64 rows reach kPrescreenMinBytes also gets an int8 shadow,
-  /// whatever options.filter_shadows asks for.
+  /// read during construction and not retained.  Each shard builds its
+  /// int8 matrix once, after the rows are copied in.
   RetrievalEngine(const Embedder* embedder, const FilterScorer* scorer,
                   const EmbeddedDatabase& db, const std::vector<size_t>& db_ids,
                   ShardedEngineOptions options = {});
@@ -99,9 +94,8 @@ class RetrievalEngine : public RetrievalBackend {
   /// HedgedReplicaBackend over several) and the scan step calls its
   /// ScanCandidates.  shard_backends[s] serves shard s and must hold the
   /// ids HashShardOf routes to s.  options.num_shards is taken from the
-  /// backend count; options.filter_shadows is ignored (the backends own
-  /// their shadow setup).  Quality audits are skipped: the pinned
-  /// snapshots live in the backends.
+  /// backend count.  Quality audits are skipped: the pinned snapshots
+  /// live in the backends.
   RetrievalEngine(const Embedder* embedder,
                   std::vector<std::shared_ptr<RetrievalBackend>> shard_backends,
                   ShardedEngineOptions options = {});

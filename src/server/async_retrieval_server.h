@@ -169,8 +169,7 @@ bool CheckServerStatsInvariant(const ServerStats& stats);
 /// capped by the max_batch_delay window, so batch size tracks load — an
 /// idle server dispatches singletons immediately, a saturated one ships
 /// full batches.  Requests in one micro-batch that share a result key
-/// (RetrievalOptions::SameResultKey: equal k, p, want_stats and
-/// filter_precision) run as a
+/// (RetrievalOptions::SameResultKey: equal k, p and want_stats) run as a
 /// single RetrieveBatch call; each admitted, non-expired request's
 /// result is bit-identical to a direct RetrievalBackend::Retrieve.
 ///

@@ -469,7 +469,7 @@ void RunConsistencyStress(const StressSurface& surface, uint64_t seed,
 /// An engine over `shards` owned shards of the line universe.
 struct Stack {
   explicit Stack(size_t shards)
-      : engine(&embedder, &scorer, ShardedEngineOptions{shards, 0, 0}) {}
+      : engine(&embedder, &scorer, ShardedEngineOptions{shards, 0}) {}
 
   std::vector<EmbeddedDatabase*> dbs() { return test::ShardDbs(&engine); }
 

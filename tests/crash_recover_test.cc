@@ -1,6 +1,6 @@
 // The headline durability test: SIGKILL a process mid-mutation, recover
 // from snapshot + WAL, and assert the recovered database is BIT-IDENTICAL
-// (float64 matrix, id column, both filter shadows, int8 scales) to a
+// (float64 matrix and id column; the int8 matrix is a rebuilt cache) to a
 // reference built by serially replaying the same operation prefix —
 // the crashed process's durable history — from scratch.
 //
@@ -33,7 +33,6 @@
 #include "src/persist/durability.h"
 #include "src/persist/durable_backend.h"
 #include "src/retrieval/embedded_database.h"
-#include "src/retrieval/filter_precision.h"
 #include "src/retrieval/filter_scorer.h"
 #include "src/retrieval/retrieval_engine.h"
 #include "src/util/logging.h"
@@ -53,7 +52,6 @@ namespace {
 
 constexpr uint64_t kCrashSeed = 0x9a7e5c0ffeeull;
 constexpr size_t kMaxOps = 500000;
-constexpr uint32_t kShadows = kShadowFloat32 | kShadowInt8;
 
 struct CrashOp {
   bool insert;
@@ -109,11 +107,10 @@ std::vector<CrashOp> CrashOpsFor(size_t shards) {
   return MakeCrashOps(kCrashSeed + (shards > 1 ? 1 : 0), kMaxOps);
 }
 
-/// An engine over `shards` owned shards, every one carrying both filter
-/// shadows.
+/// An engine over `shards` owned shards.
 struct Stack {
   explicit Stack(size_t shards)
-      : engine(&embedder, &scorer, ShardedEngineOptions{shards, 1, kShadows}) {}
+      : engine(&embedder, &scorer, ShardedEngineOptions{shards, 1}) {}
 
   std::vector<EmbeddedDatabase*> dbs() { return test::ShardDbs(&engine); }
 

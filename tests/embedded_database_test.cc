@@ -1,10 +1,12 @@
 #include "src/retrieval/embedded_database.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
 #include <gtest/gtest.h>
 
+#include "src/retrieval/filter_precision.h"
 #include "src/util/random.h"
 
 namespace qse {
@@ -210,34 +212,29 @@ TEST(EmbeddedDatabaseTest, CopyIsDeepAndIndependent) {
   EXPECT_EQ(copy.id_of(1), 6u);
 }
 
-// --- 64-byte alignment and mixed-precision filter shadows ---------------
+// --- 64-byte alignment and the int8 matrix -----------------------------
 
 bool Aligned64(const void* p) {
   return reinterpret_cast<uintptr_t>(p) % 64 == 0;
 }
 
-/// Every invariant the scorer's error envelope leans on: the float32
-/// shadow is the narrowed float64 row, the int8 shadow round-trips
-/// within half a quantization step, and every stored value fits its
-/// dimension's scale (the re-quantization trigger keeps this true).
+/// Every invariant the prescreen's margin leans on: the view carries
+/// the int8 matrix, each int8 row round-trips within half a
+/// quantization step, and every stored value fits its dimension's scale
+/// (the re-quantization trigger keeps this true).
 void ExpectShadowsConsistent(const EmbeddedDatabase::View& view) {
+  ASSERT_TRUE(view.has_i8());
   for (size_t i = 0; i < view.size(); ++i) {
     const double* row = view.row(i);
     for (size_t j = 0; j < view.dims(); ++j) {
-      if (view.has_f32()) {
-        EXPECT_EQ(view.row_f32(i)[j], static_cast<float>(row[j]))
-            << "row " << i << " dim " << j;
-      }
-      if (view.has_i8()) {
-        float s = view.i8_scales()[j];
-        EXPECT_TRUE(FitsInt8(row[j], s))
-            << "row " << i << " dim " << j << " value " << row[j]
-            << " scale " << s;
-        EXPECT_LE(
-            std::fabs(row[j] - static_cast<double>(s) * view.row_i8(i)[j]),
-            0.5 * static_cast<double>(s) + 1e-12)
-            << "row " << i << " dim " << j;
-      }
+      float s = view.i8_scales()[j];
+      EXPECT_TRUE(FitsInt8(row[j], s))
+          << "row " << i << " dim " << j << " value " << row[j] << " scale "
+          << s;
+      EXPECT_LE(
+          std::fabs(row[j] - static_cast<double>(s) * view.row_i8(i)[j]),
+          0.5 * static_cast<double>(s) + 1e-12)
+          << "row " << i << " dim " << j;
     }
   }
 }
@@ -247,7 +244,6 @@ TEST(EmbeddedDatabaseTest, RowStorageStays64ByteAlignedAcrossGrowth) {
   // anyone "fixed" alignment by padding strides instead of the base —
   // the contract is an aligned BASE pointer with dense rows.
   EmbeddedDatabase db(7);
-  db.EnableFilterShadows(kShadowFloat32 | kShadowInt8);
   Rng rng(7);
   for (int i = 0; i < 300; ++i) {
     Vector row(7);
@@ -258,48 +254,55 @@ TEST(EmbeddedDatabaseTest, RowStorageStays64ByteAlignedAcrossGrowth) {
     // size, not just the first allocation.
     EXPECT_TRUE(Aligned64(db.data().data())) << "after append " << i;
     EmbeddedDatabase::Snapshot snap = db.snapshot();
-    EXPECT_TRUE(Aligned64(snap->data_f32())) << "after append " << i;
     EXPECT_TRUE(Aligned64(snap->data_i8())) << "after append " << i;
   }
   ExpectShadowsConsistent(db.snapshot().view());
 }
 
-TEST(EmbeddedDatabaseTest, ViewsBeforeEnableFilterShadowsCarryNone) {
+TEST(EmbeddedDatabaseTest, MutableRowLeavesInt8MatrixStale) {
   EmbeddedDatabase db = EmbeddedDatabase::FromRows({{1, 2}, {3, 4}});
-  EXPECT_EQ(db.filter_shadows(), 0u);
-  EmbeddedDatabase::Snapshot snap = db.snapshot();
-  EXPECT_EQ(snap->shadows(), 0u);
-  EXPECT_FALSE(snap->has_f32());
-  EXPECT_FALSE(snap->has_i8());
+  EmbeddedDatabase::Snapshot before = db.snapshot();
+  ASSERT_TRUE(before->has_i8());
+  db.mutable_row(1)[0] = 50.0;
+  // The raw write cannot be quantized: later views carry no int8 matrix
+  // (scans run plain), while a view pinned before keeps its own.
+  EXPECT_FALSE(db.snapshot()->has_i8());
+  EXPECT_TRUE(before->has_i8());
+  // Mutations do not maintain a stale matrix, nor revive it.
+  db.Append({5, 6});
+  db.SwapRemove(0);
+  EXPECT_FALSE(db.snapshot()->has_i8());
+  db.RebuildPrescreenMatrix();
+  ExpectShadowsConsistent(db.snapshot().view());
+  db.Append({500, 6});  // Maintained again, re-quantization included.
+  ExpectShadowsConsistent(db.snapshot().view());
 }
 
-TEST(EmbeddedDatabaseTest, EnableFilterShadowsBuildsBothCopies) {
+TEST(EmbeddedDatabaseTest, RebuildPrescreenMatrixFitsScalesToTheRows) {
   Rng rng(11);
-  std::vector<Vector> rows(17, Vector(5));
-  for (Vector& r : rows) {
-    for (double& v : r) v = rng.Uniform(-3.0, 3.0);
+  EmbeddedDatabase db(5);
+  db.Resize(17);
+  std::vector<double> maxabs(5, 0.0);
+  for (size_t i = 0; i < db.size(); ++i) {
+    for (size_t j = 0; j < 5; ++j) {
+      double v = rng.Uniform(-3.0, 3.0);
+      db.mutable_row(i)[j] = v;
+      maxabs[j] = std::max(maxabs[j], std::fabs(v));
+    }
   }
-  EmbeddedDatabase db = EmbeddedDatabase::FromRows(rows);
-  db.EnableFilterShadows(kShadowFloat32);
-  EXPECT_EQ(db.filter_shadows(), kShadowFloat32);
-  {
-    EmbeddedDatabase::Snapshot snap = db.snapshot();
-    EXPECT_TRUE(snap->has_f32());
-    EXPECT_FALSE(snap->has_i8());
-    ExpectShadowsConsistent(snap.view());
-  }
-  // Bits accumulate across calls.
-  db.EnableFilterShadows(kShadowInt8);
-  EXPECT_EQ(db.filter_shadows(), kShadowFloat32 | kShadowInt8);
+  ASSERT_FALSE(db.snapshot()->has_i8());
+  db.RebuildPrescreenMatrix();
   EmbeddedDatabase::Snapshot snap = db.snapshot();
-  EXPECT_TRUE(snap->has_f32());
-  EXPECT_TRUE(snap->has_i8());
   ExpectShadowsConsistent(snap.view());
+  // No headroom: each dimension's largest value lands on +-127.
+  for (size_t j = 0; j < 5; ++j) {
+    EXPECT_EQ(snap->i8_scales()[j], static_cast<float>(maxabs[j] / 127.0))
+        << "dim " << j;
+  }
 }
 
 TEST(EmbeddedDatabaseTest, AppendMaintainsShadowsThroughGrowth) {
   EmbeddedDatabase db(3);
-  db.EnableFilterShadows(kShadowFloat32 | kShadowInt8);
   Rng rng(13);
   for (int i = 0; i < 100; ++i) {
     Vector row(3);
@@ -313,7 +316,6 @@ TEST(EmbeddedDatabaseTest, AppendMaintainsShadowsThroughGrowth) {
 TEST(EmbeddedDatabaseTest, AppendOutOfRangeRequantizesWholeMatrix) {
   EmbeddedDatabase db = EmbeddedDatabase::FromRows(
       {{0.5, -0.25}, {0.125, 0.75}, {-0.5, 0.5}});
-  db.EnableFilterShadows(kShadowInt8);
   float scale_before;
   {
     EmbeddedDatabase::Snapshot snap = db.snapshot();
@@ -338,30 +340,27 @@ TEST(EmbeddedDatabaseTest, SwapRemoveMaintainsShadows) {
     for (double& v : r) v = rng.Uniform(-2.0, 2.0);
   }
   EmbeddedDatabase db = EmbeddedDatabase::FromRows(rows);
-  db.EnableFilterShadows(kShadowFloat32 | kShadowInt8);
-  db.SwapRemove(2);  // Interior: copy-on-write, shadows follow the swap.
+  db.SwapRemove(2);  // Interior: copy-on-write, int8 rows follow the swap.
   ASSERT_EQ(db.size(), 7u);
   ExpectShadowsConsistent(db.snapshot().view());
-  db.SwapRemove(db.size() - 1);  // Last row: O(1) shrink, shadows shrink.
+  db.SwapRemove(db.size() - 1);  // Last row: O(1) shrink, int8 shrinks.
   ASSERT_EQ(db.size(), 6u);
   ExpectShadowsConsistent(db.snapshot().view());
 }
 
 TEST(EmbeddedDatabaseTest, SetRowAndResizeMaintainShadows) {
   EmbeddedDatabase db = EmbeddedDatabase::FromRows({{0.5, 0.5}, {0.25, -0.5}});
-  db.EnableFilterShadows(kShadowFloat32 | kShadowInt8);
   db.SetRow(0, {0.125, 0.0625});
   ExpectShadowsConsistent(db.snapshot().view());
   db.SetRow(1, {50.0, 0.5});  // Out of range: requantization path.
   ExpectShadowsConsistent(db.snapshot().view());
-  db.Resize(5);  // Zero-filled rows must land in the shadows too.
+  db.Resize(5);  // Zero-filled rows must land in the int8 matrix too.
   ASSERT_EQ(db.size(), 5u);
   ExpectShadowsConsistent(db.snapshot().view());
 }
 
 TEST(EmbeddedDatabaseTest, PinnedShadowsAreImmuneToRequantization) {
   EmbeddedDatabase db = EmbeddedDatabase::FromRows({{0.5, -0.5}, {0.25, 0.5}});
-  db.EnableFilterShadows(kShadowInt8);
   EmbeddedDatabase::Snapshot snap = db.snapshot();
   float pinned_scale = snap->i8_scales()[0];
   int8_t pinned_q = snap->row_i8(0)[0];
@@ -383,9 +382,7 @@ TEST(EmbeddedDatabaseTest, CopyCarriesShadowsBitForBit) {
     for (double& v : r) v = rng.Uniform(-1.0, 1.0);
   }
   EmbeddedDatabase db = EmbeddedDatabase::FromRows(rows);
-  db.EnableFilterShadows(kShadowFloat32 | kShadowInt8);
   EmbeddedDatabase copy = db;
-  EXPECT_EQ(copy.filter_shadows(), kShadowFloat32 | kShadowInt8);
   EmbeddedDatabase::Snapshot a = db.snapshot();
   EmbeddedDatabase::Snapshot b = copy.snapshot();
   ASSERT_EQ(a->size(), b->size());
@@ -394,9 +391,33 @@ TEST(EmbeddedDatabaseTest, CopyCarriesShadowsBitForBit) {
   }
   for (size_t i = 0; i < a->size(); ++i) {
     for (size_t j = 0; j < a->dims(); ++j) {
-      EXPECT_EQ(a->row_f32(i)[j], b->row_f32(i)[j]);
       EXPECT_EQ(a->row_i8(i)[j], b->row_i8(i)[j]);
     }
+  }
+}
+
+TEST(AlignedAllocatorTest, SixtyFourByteAlignedBelowAndAtTheMappingThreshold) {
+  // Below kAlignedMmapMinBytes a buffer comes from aligned operator new,
+  // from it on from its own mapping; every size must start on a 64-byte
+  // boundary, be fully writable, and free cleanly (the ASan+UBSan CI leg
+  // checks the bounds).
+  const size_t threshold = kAlignedMmapMinBytes;
+  for (size_t bytes : {size_t{1}, size_t{64}, threshold - 64, threshold - 1,
+                       threshold, threshold + 1, 3 * threshold + 7}) {
+    Aligned64Vector<int8_t> bytes_vec(bytes, 1);
+    EXPECT_TRUE(Aligned64(bytes_vec.data())) << bytes << " bytes";
+    for (int8_t& b : bytes_vec) b = static_cast<int8_t>(b + 6);
+    EXPECT_EQ(std::count(bytes_vec.begin(), bytes_vec.end(), 7),
+              static_cast<std::ptrdiff_t>(bytes));
+    const size_t doubles = (bytes + sizeof(double) - 1) / sizeof(double);
+    Aligned64Vector<double> doubles_vec(doubles, 0.5);
+    EXPECT_TRUE(Aligned64(doubles_vec.data())) << doubles << " doubles";
+    doubles_vec.back() = 1.5;
+    // Growth reallocates across the threshold and copies the contents.
+    doubles_vec.resize(2 * doubles + 1, 2.5);
+    EXPECT_TRUE(Aligned64(doubles_vec.data()));
+    EXPECT_EQ(doubles_vec[doubles - 1], 1.5);
+    EXPECT_EQ(doubles_vec.back(), 2.5);
   }
 }
 

@@ -1,8 +1,8 @@
-// Parity suite for the runtime-dispatched filter kernels: every
-// (ISA x precision) kernel is run against the scalar reference across
-// dimension counts chosen to hit every remainder-loop edge, asserting
-// bit-identity for same-precision paths and the documented error
-// envelope for reduced-precision paths.  This TU compiles baseline
+// Parity suite for the runtime-dispatched filter kernels: every ISA's
+// float64 kernel is run against the scalar reference across dimension
+// counts chosen to hit every remainder-loop edge, asserting
+// bit-identity (the int8 prescreen kernel has its own differential
+// suite, prescreen_scan_test.cc).  This TU compiles baseline
 // x86-64 (no FMA instructions exist there), so the hand-written
 // pre-dispatch reference below cannot be contracted away from the
 // four-lane discipline it pins.  Every tier's cDTW entry is checked bit
@@ -29,13 +29,12 @@ namespace qse {
 namespace simd {
 namespace {
 
-// Every remainder edge: below/at/above one f64 vector step (4), one f32
-// step (16 via 63..65), one abandon block (64), and a multi-block scan
-// with tails (255..257).
+// Every remainder edge: below/at/above one f64 vector step (4, and 8
+// on AVX-512), one abandon block (64), and a multi-block scan with
+// tails (255..257).
 const size_t kDims[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 255, 256, 257};
 
 const double kInf64 = std::numeric_limits<double>::infinity();
-const float kInf32 = std::numeric_limits<float>::infinity();
 
 uint64_t Bits(double v) {
   uint64_t b;
@@ -43,23 +42,9 @@ uint64_t Bits(double v) {
   return b;
 }
 
-uint32_t Bits(float v) {
-  uint32_t b;
-  std::memcpy(&b, &v, sizeof(b));
-  return b;
-}
-
-/// One dimension count's worth of inputs in every precision the kernels
-/// consume, derived from the same float64 draw the way the engine does:
-/// float32 shadows by narrowing, int8 shadows by symmetric quantization
-/// under per-dimension scales with the query quantized under the row
-/// scales (and so possibly clamped — the bounds cover that via the exact
-/// query residual).
+/// One dimension count's worth of kernel inputs.
 struct KernelInputs {
   std::vector<double> q, x, w;
-  std::vector<float> qf, xf, wf;
-  std::vector<int8_t> qq, xq;
-  std::vector<float> scales;
 
   explicit KernelInputs(size_t d, uint64_t seed) {
     Rng rng(seed);
@@ -67,52 +52,12 @@ struct KernelInputs {
     x.resize(d);
     w.resize(d);
     for (size_t j = 0; j < d; ++j) {
-      q[j] = rng.Uniform(-2.0, 2.0);  // Wider than rows: exercises clamping.
+      q[j] = rng.Uniform(-2.0, 2.0);
       x[j] = rng.Uniform(-1.0, 1.0);
       w[j] = rng.Uniform(0.0, 3.0);
     }
-    qf.assign(q.begin(), q.end());
-    xf.assign(x.begin(), x.end());
-    wf.assign(w.begin(), w.end());
-    scales.resize(d);
-    qq.resize(d);
-    xq.resize(d);
-    for (size_t j = 0; j < d; ++j) {
-      scales[j] = static_cast<float>(std::fabs(x[j]) / 127.0);
-      qq[j] = QuantizeToInt8(q[j], scales[j]);
-      xq[j] = QuantizeToInt8(x[j], scales[j]);
-      EXPECT_TRUE(FitsInt8(x[j], scales[j])) << "dim " << j;
-    }
-  }
-
-  /// The int8 weighted-L1 coefficients the QuerySensitiveScorer builds:
-  /// c_j = w_j * s_j, multiplied in double then narrowed once.
-  std::vector<float> WeightedL1Coeffs() const {
-    std::vector<float> c(scales.size());
-    for (size_t j = 0; j < c.size(); ++j) {
-      c[j] = static_cast<float>(w[j] * static_cast<double>(scales[j]));
-    }
-    return c;
-  }
-
-  /// The int8 squared-L2 coefficients the L2 scorer builds: c_j = s_j^2.
-  std::vector<float> SquaredL2Coeffs() const {
-    std::vector<float> c(scales.size());
-    for (size_t j = 0; j < c.size(); ++j) {
-      double s = static_cast<double>(scales[j]);
-      c[j] = static_cast<float>(s * s);
-    }
-    return c;
   }
 };
-
-void ExpectEnvelope(double exact, double approx,
-                    const ReducedPrecisionBound& bound, const char* what,
-                    size_t d) {
-  EXPECT_LE(std::fabs(approx - exact),
-            bound.additive + bound.relative * (exact + approx))
-      << what << " d=" << d << " exact=" << exact << " approx=" << approx;
-}
 
 // --- Pre-dispatch reference: the original span-kernel discipline -------
 //
@@ -205,122 +150,6 @@ TEST(KernelParityTest, F64KernelsBitIdenticalAcrossIsas) {
   }
 }
 
-TEST(KernelParityTest, F32KernelsBitIdenticalAcrossIsas) {
-  const KernelTable* ref = ScalarKernels();
-  for (const Tier& tier : RunnableTiers()) {
-    for (size_t d : kDims) {
-      KernelInputs in(d, 0x3000 + d);
-      EXPECT_EQ(
-          Bits(tier.table->l1_f32(in.qf.data(), in.xf.data(), d, kInf32)),
-          Bits(ref->l1_f32(in.qf.data(), in.xf.data(), d, kInf32)))
-          << SimdLevelName(tier.level) << " l1 d=" << d;
-      EXPECT_EQ(
-          Bits(tier.table->l2_f32(in.qf.data(), in.xf.data(), d, kInf32)),
-          Bits(ref->l2_f32(in.qf.data(), in.xf.data(), d, kInf32)))
-          << SimdLevelName(tier.level) << " l2 d=" << d;
-      EXPECT_EQ(Bits(tier.table->wl1_f32(in.qf.data(), in.xf.data(),
-                                         in.wf.data(), d, kInf32)),
-                Bits(ref->wl1_f32(in.qf.data(), in.xf.data(), in.wf.data(), d,
-                                  kInf32)))
-          << SimdLevelName(tier.level) << " wl1 d=" << d;
-    }
-  }
-}
-
-TEST(KernelParityTest, I8KernelsBitIdenticalAcrossIsas) {
-  const KernelTable* ref = ScalarKernels();
-  for (const Tier& tier : RunnableTiers()) {
-    for (size_t d : kDims) {
-      KernelInputs in(d, 0x4000 + d);
-      std::vector<float> c1 = in.WeightedL1Coeffs();
-      std::vector<float> c2 = in.SquaredL2Coeffs();
-      EXPECT_EQ(Bits(tier.table->wl1_i8(in.qq.data(), in.xq.data(), c1.data(),
-                                        d, kInf32)),
-                Bits(ref->wl1_i8(in.qq.data(), in.xq.data(), c1.data(), d,
-                                 kInf32)))
-          << SimdLevelName(tier.level) << " wl1 d=" << d;
-      EXPECT_EQ(Bits(tier.table->wl2_i8(in.qq.data(), in.xq.data(), c2.data(),
-                                        d, kInf32)),
-                Bits(ref->wl2_i8(in.qq.data(), in.xq.data(), c2.data(), d,
-                                 kInf32)))
-          << SimdLevelName(tier.level) << " wl2 d=" << d;
-    }
-  }
-}
-
-TEST(KernelParityTest, F32KernelsWithinDocumentedEnvelope) {
-  const KernelTable* ref = ScalarKernels();
-  for (const Tier& tier : RunnableTiers()) {
-    for (size_t d : kDims) {
-      KernelInputs in(d, 0x5000 + d);
-      {
-        double exact =
-            ref->wl1_f64(in.q.data(), in.x.data(), in.w.data(), d, kInf64);
-        double approx = tier.table->wl1_f32(in.qf.data(), in.xf.data(),
-                                            in.wf.data(), d, kInf32);
-        ExpectEnvelope(exact, approx,
-                       F32BoundWeightedL1(in.w.data(), in.q.data(), d),
-                       "f32 wl1", d);
-      }
-      {
-        double exact = ref->l1_f64(in.q.data(), in.x.data(), d, kInf64);
-        double approx =
-            tier.table->l1_f32(in.qf.data(), in.xf.data(), d, kInf32);
-        ExpectEnvelope(exact, approx,
-                       F32BoundWeightedL1(nullptr, in.q.data(), d), "f32 l1",
-                       d);
-      }
-      {
-        double exact = ref->l2_f64(in.q.data(), in.x.data(), d, kInf64);
-        double approx =
-            tier.table->l2_f32(in.qf.data(), in.xf.data(), d, kInf32);
-        ExpectEnvelope(exact, approx, F32BoundSquaredL2(in.q.data(), d),
-                       "f32 l2", d);
-      }
-    }
-  }
-}
-
-TEST(KernelParityTest, I8KernelsWithinDocumentedEnvelope) {
-  const KernelTable* ref = ScalarKernels();
-  for (const Tier& tier : RunnableTiers()) {
-    for (size_t d : kDims) {
-      KernelInputs in(d, 0x6000 + d);
-      {
-        std::vector<float> c = in.WeightedL1Coeffs();
-        double exact =
-            ref->wl1_f64(in.q.data(), in.x.data(), in.w.data(), d, kInf64);
-        double approx =
-            tier.table->wl1_i8(in.qq.data(), in.xq.data(), c.data(), d, kInf32);
-        ExpectEnvelope(exact, approx,
-                       I8BoundWeightedL1(in.w.data(), in.q.data(), in.qq.data(),
-                                         in.scales.data(), d),
-                       "i8 wl1", d);
-      }
-      {
-        // Unweighted L1 routes through the same kernel with c = scales.
-        double exact = ref->l1_f64(in.q.data(), in.x.data(), d, kInf64);
-        double approx = tier.table->wl1_i8(in.qq.data(), in.xq.data(),
-                                           in.scales.data(), d, kInf32);
-        ExpectEnvelope(exact, approx,
-                       I8BoundWeightedL1(nullptr, in.q.data(), in.qq.data(),
-                                         in.scales.data(), d),
-                       "i8 l1", d);
-      }
-      {
-        std::vector<float> c = in.SquaredL2Coeffs();
-        double exact = ref->l2_f64(in.q.data(), in.x.data(), d, kInf64);
-        double approx =
-            tier.table->wl2_i8(in.qq.data(), in.xq.data(), c.data(), d, kInf32);
-        ExpectEnvelope(exact, approx,
-                       I8BoundSquaredL2(in.q.data(), in.qq.data(),
-                                        in.scales.data(), d),
-                       "i8 l2", d);
-      }
-    }
-  }
-}
-
 TEST(KernelParityTest, AbandonNeverFiresBelowThresholdAndCompletesExactly) {
   for (const Tier& tier : RunnableTiers()) {
     for (size_t d : kDims) {
@@ -341,29 +170,6 @@ TEST(KernelParityTest, AbandonNeverFiresBelowThresholdAndCompletesExactly) {
       double r64 =
           k->wl1_f64(in.q.data(), in.x.data(), in.w.data(), d, full64 * 0.5);
       EXPECT_GT(r64, full64 * 0.5) << SimdLevelName(tier.level) << " d=" << d;
-
-      float full32 =
-          k->wl1_f32(in.qf.data(), in.xf.data(), in.wf.data(), d, kInf32);
-      ASSERT_GT(full32, 0.0f);
-      EXPECT_EQ(Bits(k->wl1_f32(in.qf.data(), in.xf.data(), in.wf.data(), d,
-                                full32)),
-                Bits(full32))
-          << SimdLevelName(tier.level) << " d=" << d;
-      float r32 = k->wl1_f32(in.qf.data(), in.xf.data(), in.wf.data(), d,
-                             full32 * 0.5f);
-      EXPECT_GT(r32, full32 * 0.5f)
-          << SimdLevelName(tier.level) << " d=" << d;
-
-      std::vector<float> c = in.WeightedL1Coeffs();
-      float full8 = k->wl1_i8(in.qq.data(), in.xq.data(), c.data(), d, kInf32);
-      EXPECT_EQ(Bits(k->wl1_i8(in.qq.data(), in.xq.data(), c.data(), d, full8)),
-                Bits(full8))
-          << SimdLevelName(tier.level) << " d=" << d;
-      if (full8 > 0.0f) {
-        float r8 =
-            k->wl1_i8(in.qq.data(), in.xq.data(), c.data(), d, full8 * 0.5f);
-        EXPECT_GT(r8, full8 * 0.5f) << SimdLevelName(tier.level) << " d=" << d;
-      }
     }
   }
 }
@@ -482,38 +288,7 @@ TEST(SimdDispatchTest, TierNamesAreStable) {
   EXPECT_STREQ(SimdLevelName(SimdLevel::kAvx512), "avx512");
 }
 
-// --- Widening helpers ---------------------------------------------------
-
-TEST(FilterPrecisionTest, FloatAtLeastNeverRoundsBelow) {
-  for (double x : {0.0, 1.0, 1e-30, 3.14159, 1e30, 0.1, 1.0000000001}) {
-    float f = FloatAtLeast(x);
-    EXPECT_GE(static_cast<double>(f), x) << x;
-    // And it is the SMALLEST such float: one step down is below x
-    // (unless f == x exactly in float already).
-    if (static_cast<double>(f) > x) {
-      EXPECT_LT(static_cast<double>(std::nextafterf(
-                    f, -std::numeric_limits<float>::infinity())),
-                x)
-          << x;
-    }
-  }
-}
-
-TEST(FilterPrecisionTest, WidenedThresholdKeepsAbandonmentSound) {
-  ReducedPrecisionBound bound{0.125, 1e-3};
-  double t = 10.0;
-  double w = WidenedAbandonThreshold(t, bound);
-  EXPECT_GT(w, t);
-  // If approx > w then exact > t: check the algebra at the boundary.
-  // exact >= (approx * (1 - rel) - add) / (1 + rel); plug approx = w.
-  double exact_min = (w * (1.0 - bound.relative) - bound.additive) /
-                     (1.0 + bound.relative);
-  EXPECT_GE(exact_min, t - 1e-12);
-  // Degenerate envelopes disable abandonment instead of mis-widening.
-  EXPECT_TRUE(std::isinf(WidenedAbandonThreshold(t, {0.0, 1.0})));
-  EXPECT_TRUE(std::isinf(
-      WidenedAbandonThreshold(std::numeric_limits<double>::infinity(), bound)));
-}
+// --- Int8 quantization ---------------------------------------------------
 
 TEST(FilterPrecisionTest, QuantizeRoundTripsWithinHalfStep) {
   Rng rng(99);

@@ -18,7 +18,6 @@
 #include "src/persist/snapshot.h"
 #include "src/persist/wal.h"
 #include "src/retrieval/embedded_database.h"
-#include "src/retrieval/filter_precision.h"
 #include "src/retrieval/filter_scorer.h"
 #include "src/retrieval/retrieval_engine.h"
 #include "tests/line_universe.h"
@@ -292,7 +291,6 @@ TEST(Persist, AutoSnapshotCompactsWalAndRecovers) {
   DurabilityOptions opts = Opts(FreshDir("persist_auto_snapshot"));
   opts.snapshot_every_records = 10;
   MonoStack live;
-  live.db.EnableFilterShadows(kShadowFloat32 | kShadowInt8);
   {
     StatusOr<std::unique_ptr<DurabilityManager>> manager =
         DurabilityManager::Open(opts);
@@ -312,10 +310,6 @@ TEST(Persist, AutoSnapshotCompactsWalAndRecovers) {
   EXPECT_GT(tail->base_seq, 0u);
 
   MonoStack recovered;
-  // Shadow bits come from the snapshot image, but a WAL-tail insert must
-  // land in a database that maintains them, so recovery enables them
-  // before install (matching what the crashed process had).
-  recovered.db.EnableFilterShadows(kShadowFloat32 | kShadowInt8);
   uint64_t replayed = 0;
   auto manager = RecoverMono(opts, &recovered, &replayed);
   ASSERT_NE(nullptr, manager);
@@ -332,7 +326,7 @@ void ExpectSnapshotThenTailRecovers(size_t shards) {
   const DurabilityOptions opts = Opts(FreshDir("persist_explicit_snapshot"));
   LineEmbedder embedder;
   L2Scorer scorer;
-  const ShardedEngineOptions layout{shards, 1, 0};
+  const ShardedEngineOptions layout{shards, 1};
   RetrievalEngine live(&embedder, &scorer, layout);
   {
     StatusOr<std::unique_ptr<DurabilityManager>> manager =
@@ -364,6 +358,77 @@ void ExpectSnapshotThenTailRecovers(size_t shards) {
     ExpectDbsIdentical(live.db(s), recovered.db(s),
                        "shard " + std::to_string(s));
   }
+}
+
+TEST(Persist, RecoveryAfterRequantizingInsertMatchesLiveBitForBit) {
+  // Snapshots do not store the int8 matrix; recovery rebuilds it the way
+  // an overflowing insert re-quantizes.  Snapshotted right after such an
+  // insert, the recovered engine has the live one's scales and int8
+  // rows, so its answers AND its prescreen counts match bit for bit.
+  // The L1 scorer prescreens (unit weights); the L2 baseline does not.
+  const DurabilityOptions opts = Opts(FreshDir("persist_requant_parity"));
+  LineEmbedder embedder;
+  L1Scorer scorer;
+  EmbeddedDatabase live_db(kLineDims);
+  RetrievalEngine live(&embedder, &scorer, &live_db, {});
+  {
+    StatusOr<std::unique_ptr<DurabilityManager>> manager =
+        DurabilityManager::Open(opts);
+    ASSERT_TRUE(manager.ok());
+    DurableBackend durable(&live, &embedder, manager.value().get(),
+                           {&live_db});
+    for (size_t id = 0; id < 300; ++id) {
+      ASSERT_TRUE(durable.Insert(id, DxOfObject(id)).ok());
+    }
+    const float scale_before = live_db.snapshot()->i8_scales()[0];
+    // Far outside every coordinate so far: the insert re-quantizes.
+    ASSERT_TRUE(durable.Insert(1000, MakeDx(5.0)).ok());
+    ASSERT_GT(live_db.snapshot()->i8_scales()[0], scale_before);
+    ASSERT_TRUE(durable.WriteSnapshotNow().ok());
+  }
+  EmbeddedDatabase recovered_db(kLineDims);
+  RetrievalEngine recovered(&embedder, &scorer, &recovered_db, {});
+  {
+    StatusOr<std::unique_ptr<DurabilityManager>> manager =
+        DurabilityManager::Open(opts);
+    ASSERT_TRUE(manager.ok());
+    EXPECT_TRUE(manager.value()->recovery().loaded_snapshot);
+    ASSERT_TRUE(manager.value()->InstallSnapshot({&recovered_db}).ok());
+    recovered.RebuildIdIndex();
+    ASSERT_TRUE(manager.value()->Replay(&recovered).ok());
+  }
+  ExpectDbsIdentical(live_db, recovered_db, "requantized then recovered");
+  {
+    EmbeddedDatabase::Snapshot a = live_db.snapshot();
+    EmbeddedDatabase::Snapshot b = recovered_db.snapshot();
+    ASSERT_TRUE(a->has_i8() && b->has_i8());
+    EXPECT_TRUE(test::SameBytes(a->i8_scales(), b->i8_scales(),
+                                kLineDims * sizeof(float)));
+    EXPECT_TRUE(test::SameBytes(a->data_i8(), b->data_i8(),
+                                a->size() * kLineDims));
+  }
+  size_t prescreened = 0;
+  for (double x : {0.0, 0.1, 0.5, 0.93, 2.5, 4.9}) {
+    SCOPED_TRACE("x=" + std::to_string(x));
+    const RetrievalOptions options(3, 10);
+    auto want = live.Retrieve({MakeDx(x), options});
+    auto got = recovered.Retrieve({MakeDx(x), options});
+    ASSERT_TRUE(want.ok() && got.ok());
+    ASSERT_EQ(want->neighbors.size(), got->neighbors.size());
+    for (size_t i = 0; i < want->neighbors.size(); ++i) {
+      EXPECT_EQ(want->neighbors[i].index, got->neighbors[i].index);
+      EXPECT_TRUE(test::SameBytes(&want->neighbors[i].score,
+                                  &got->neighbors[i].score, sizeof(double)));
+    }
+    const Vector fq = embedder.Embed(MakeDx(x), nullptr);
+    auto want_scan = live.ScanCandidates(fq, options);
+    auto got_scan = recovered.ScanCandidates(fq, options);
+    ASSERT_TRUE(want_scan.ok() && got_scan.ok());
+    EXPECT_EQ(want_scan->rows_prescreened, got_scan->rows_prescreened);
+    EXPECT_EQ(want_scan->rows_pruned, got_scan->rows_pruned);
+    prescreened += got_scan->rows_prescreened;
+  }
+  EXPECT_GT(prescreened, 0u);
 }
 
 TEST(Persist, ExplicitSnapshotThenTailRecovers) {

@@ -6,9 +6,10 @@
 // value, with ±inf / NaN in rows, query or weights, and while another
 // thread appends rows, around the first pass's block and bound.  The
 // PrescreenKernelTest cases pin the integer block kernel to an int64
-// reference on every tier.  The PrescreenEngineTest cases check when
-// RetrievalEngine builds the int8 matrix and how the prescreen shows in
-// its metric and trace span, and in composed and remote scans.
+// reference on every tier.  The PrescreenEngineTest cases check that
+// every RetrievalEngine shard builds and keeps the int8 matrix, however
+// it was filled, and how the prescreen shows in the engine's metric and
+// trace span, and in composed and remote scans.
 #include <algorithm>
 #include <atomic>
 #include <climits>
@@ -57,7 +58,7 @@ EmbeddedDatabase MakeDb(size_t n, size_t d, uint64_t seed,
     for (double& v : row) v = rng.Uniform(-1.0, 1.0);
     for (size_t c = 0; c < copies; ++c) db.Append(row);
   }
-  db.EnableFilterShadows(kShadowInt8);
+  db.RebuildPrescreenMatrix();
   return db;
 }
 
@@ -88,8 +89,7 @@ ScanResult Scan(const Vector& q, const Vector& w,
                 const EmbeddedDatabase::View& view, size_t p, bool prescreen,
                 const simd::KernelTable* k) {
   ScanResult r;
-  r.top = WeightedL1TopP(q, w, view, p, FilterPrecision::kExact64, prescreen,
-                         k, &r.stats);
+  r.top = WeightedL1TopP(q, w, view, p, prescreen, k, &r.stats);
   return r;
 }
 
@@ -439,7 +439,7 @@ TEST(PrescreenScanTest, RowOnTheFirstPassBoundIsKeptSound) {
                      static_cast<double>(i % 120)});
   }
   db.Append(Vector{0.0, 0.0});
-  db.EnableFilterShadows(kShadowInt8);
+  db.RebuildPrescreenMatrix();
   const Vector q(kD, 0.0);
   const Vector w{1.0, 1.0 / cap};
   {
@@ -620,12 +620,44 @@ TEST(PrescreenScanTest, ConcurrentAppendsDuringPrescreenedScans) {
   EXPECT_EQ(db.size(), 800 + kAppends);
 }
 
+TEST(PrescreenScanTest, GateShapeCandidatesBitIdentical) {
+  // The shape micro_filter_step's throughput gate scans at n = 1M
+  // (BM_FilterScanPrecision_Prescreened): d = 256, p = 500, rows, query
+  // and non-negative weights uniform in [0, 1).  Fewer rows here keep it
+  // a unit test; the prescreened candidates must be the plain scan's,
+  // bit for bit, on every tier.
+  constexpr size_t kN = 25000;
+  constexpr size_t kD = 256;
+  constexpr size_t kP = 500;
+  Rng rng(1);
+  EmbeddedDatabase db(kD);
+  db.Resize(kN);
+  for (size_t i = 0; i < kN; ++i) {
+    double* row = db.mutable_row(i);
+    for (size_t j = 0; j < kD; ++j) row[j] = rng.Uniform(0, 1);
+  }
+  db.RebuildPrescreenMatrix();
+  Rng query_rng(2);
+  Vector q(kD), w(kD);
+  for (size_t j = 0; j < kD; ++j) {
+    q[j] = query_rng.Uniform(0, 1);
+    w[j] = query_rng.Uniform(0, 1);
+  }
+  const EmbeddedDatabase::View view = db;
+  for (const Tier& tier : RunnableTiers()) {
+    SCOPED_TRACE(simd::SimdLevelName(tier.level));
+    ScanResult pre = Scan(q, w, view, kP, true, tier.table);
+    ExpectSameScan(Scan(q, w, view, kP, false, tier.table), pre, "gate");
+    EXPECT_GT(pre.stats.rows_prescreened, kN / 2);
+  }
+}
+
 // --- The engine side: who builds the int8 matrix, and what it reports. -
 
 /// Database ids the fixed-weight model's coordinates refer to.
 constexpr size_t kModelDims = 32;
-/// Float64 rows of kModelDims filling exactly kPrescreenMinBytes.
-constexpr size_t kLargeRows = kPrescreenMinBytes / (kModelDims * 8);
+/// Rows of the engine tests' databases.
+constexpr size_t kLargeRows = 8192;
 
 struct EngineFixture {
   ObjectOracle<Vector> oracle = test::MakePlaneOracle(kModelDims + 4, 1300);
@@ -661,32 +693,85 @@ struct EngineFixture {
   }
 };
 
-TEST(PrescreenEngineTest, BuildsInt8MatrixOnlyForShardsThatStreamFromMemory) {
+/// The "prescreened" arg of every shard_scan span in `trace`.
+std::vector<int64_t> PrescreenedPerShard(const obs::RequestTrace& trace) {
+  std::vector<int64_t> out;
+  for (const obs::TraceSpan& span : trace.spans()) {
+    if (std::string(span.name) != "shard_scan") continue;
+    for (const obs::TraceArg& arg : span.args) {
+      if (std::string(arg.key) == "prescreened") out.push_back(arg.int_value);
+    }
+  }
+  return out;
+}
+
+TEST(PrescreenEngineTest, EveryLocalShardBuildsInt8Matrix) {
   EngineFixture f;
-  EmbeddedDatabase small = EngineFixture::Rows(1000, 1);
+  // Filled through mutable_row(), so the matrix starts stale: the
+  // borrowing engine rebuilds it whatever the size.
+  EmbeddedDatabase small = EngineFixture::Rows(100, 1);
+  EmbeddedDatabase source = small;
+  ASSERT_FALSE(small.snapshot()->has_i8());
   RetrievalEngine small_engine(&f.embedder, &f.scorer, &small,
-                               test::Iota(1000));
-  EXPECT_EQ(small.filter_shadows(), 0u);
+                               test::Iota(100));
+  EXPECT_TRUE(small.snapshot()->has_i8());
 
-  EmbeddedDatabase large = EngineFixture::Rows(kLargeRows, 2);
-  EmbeddedDatabase source = large;  // Copied before any int8 matrix.
-  RetrievalEngine large_engine(&f.embedder, &f.scorer, &large,
-                               test::Iota(kLargeRows));
-  EXPECT_EQ(large.filter_shadows(), kShadowInt8);
+  // Partitioned: every owned shard builds its own.
+  for (size_t shards : {1, 3}) {
+    ShardedEngineOptions options;
+    options.num_shards = shards;
+    RetrievalEngine engine(&f.embedder, &f.scorer, source, test::Iota(100),
+                           options);
+    for (size_t s = 0; s < shards; ++s) {
+      EXPECT_TRUE(engine.db(s).snapshot()->has_i8()) << shards << "/" << s;
+    }
+  }
+}
 
-  // Partitioned: one shard holds every row; two shards hold half each.
-  ShardedEngineOptions one;
-  one.num_shards = 1;
-  RetrievalEngine one_shard(&f.embedder, &f.scorer, source,
-                            test::Iota(kLargeRows), one);
-  EXPECT_EQ(one_shard.db(0).filter_shadows(), kShadowInt8);
-  ShardedEngineOptions two;
-  two.num_shards = 2;
-  two.filter_shadows = kShadowFloat32;
-  RetrievalEngine two_shards(&f.embedder, &f.scorer, source,
-                             test::Iota(kLargeRows), two);
-  EXPECT_EQ(two_shards.db(0).filter_shadows(), kShadowFloat32);
-  EXPECT_EQ(two_shards.db(1).filter_shadows(), kShadowFloat32);
+TEST(PrescreenEngineTest, InsertFilledEnginePrescreens) {
+  // Engines built empty and filled by Insert maintain the int8 matrix
+  // from the first row on (re-quantizing as the value range grows), so
+  // their scans prescreen and still match a rebuilt copy bit for bit.
+  EngineFixture f;
+  for (size_t shards : {1, 2}) {
+    ShardedEngineOptions options;
+    options.num_shards = shards;
+    options.scatter_threads = 1;
+    RetrievalEngine engine(&f.embedder, &f.scorer, options);
+    for (size_t id = 0; id < 2000; ++id) {
+      ASSERT_TRUE(engine
+                      .Insert(id,
+                              [id](size_t other) {
+                                return 0.05 * static_cast<double>(
+                                                  (id * 31 + other * 17) %
+                                                  29);
+                              })
+                      .ok());
+    }
+    RetrievalRequest request{f.QueryDx(), RetrievalOptions(3, 10),
+                             std::make_shared<obs::RequestTrace>()};
+    auto response = engine.Retrieve(request);
+    ASSERT_TRUE(response.ok()) << response.status();
+    std::vector<int64_t> prescreened = PrescreenedPerShard(*request.trace);
+    ASSERT_EQ(prescreened.size(), shards);
+    for (int64_t rows : prescreened) EXPECT_GT(rows, 0) << shards;
+
+    // The same rows partitioned afresh (int8 scales fitted without
+    // headroom) give the same answer.
+    EmbeddedDatabase all(kModelDims);
+    std::vector<size_t> ids;
+    for (size_t s = 0; s < shards; ++s) {
+      EmbeddedDatabase::Snapshot snap = engine.db(s).snapshot();
+      for (size_t i = 0; i < snap->size(); ++i) {
+        all.Append(snap->row(i), snap->id_of(i));
+        ids.push_back(snap->id_of(i));
+      }
+    }
+    RetrievalEngine rebuilt(&f.embedder, &f.scorer, all, ids, options);
+    auto expected = rebuilt.Retrieve({f.QueryDx(), RetrievalOptions(3, 10)});
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(response->neighbors, expected->neighbors);
+  }
 }
 
 TEST(PrescreenEngineTest, ReportsPrescreenedRowsInMetricAndSpan) {
@@ -754,21 +839,17 @@ TEST(PrescreenEngineTest, ReportsPrescreenedRowsInMetricAndSpan) {
             static_cast<size_t>(span_prescreened));
   server.Stop();
 
-  // Below the size rule the same query prescreens nothing.
+  // There is no size rule: a small shard prescreens too.
   EmbeddedDatabase small = EngineFixture::Rows(1000, 4);
   RetrievalEngine small_engine(&f.embedder, &f.scorer, &small,
                                test::Iota(1000));
   RetrievalRequest small_request{f.QueryDx(), RetrievalOptions(3, 10),
                                  std::make_shared<obs::RequestTrace>()};
   ASSERT_TRUE(small_engine.Retrieve(small_request).ok());
-  for (const obs::TraceSpan& span : small_request.trace->spans()) {
-    if (std::string(span.name) != "shard_scan") continue;
-    for (const obs::TraceArg& arg : span.args) {
-      if (std::string(arg.key) == "prescreened") {
-        EXPECT_EQ(arg.int_value, 0);
-      }
-    }
-  }
+  std::vector<int64_t> small_prescreened =
+      PrescreenedPerShard(*small_request.trace);
+  ASSERT_EQ(small_prescreened.size(), 1u);
+  EXPECT_GT(small_prescreened[0], 0);
 }
 
 }  // namespace

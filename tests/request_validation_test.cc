@@ -1,17 +1,22 @@
 // One parameterized option-validation suite for every query surface —
 // the engine over one shard and over three, and the async server over
 // both (with and without tenant quotas) — replacing the per-class copies
-// that used to drift.  Every surface must agree: k = 0, p = 0 and an
-// out-of-range priority are InvalidArgument; an empty database is
+// that used to drift.  Every surface must agree: k = 0, p = 0, an
+// out-of-range priority and any filter precision but exact64 are
+// InvalidArgument; an empty database is
 // FailedPrecondition; an oversized p is clamped to the database size;
 // tenant_id is ignored everywhere except a quota-configured server,
-// which rejects unknown tenants.
+// which rejects unknown tenants.  The remote client and the wire decoder
+// refuse reduced precisions too (RemoteSurfaceRejectsReducedPrecision,
+// and WireCodecTest for a version-2 frame).
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 
 #include "src/embedding/fastmap.h"
+#include "src/net/remote_backend.h"
+#include "src/net/retrieval_server.h"
 #include "src/retrieval/filter_refine.h"
 #include "src/retrieval/retrieval_engine.h"
 #include "src/server/async_retrieval_server.h"
@@ -256,19 +261,24 @@ TEST_P(RequestValidationTest, InvalidFilterPrecisionIsInvalidArgument) {
 }
 
 TEST_P(RequestValidationTest, ReducedPrecisionWithoutShadowsFailsCleanly) {
-  // The fixture's databases carry no shadow matrices, so a reduced
-  // precision request is a precondition failure (the data cannot serve
-  // it), not a validation error (the option itself is legal).
+  // No database carries a float32 or int8 shadow to scan lossily: the
+  // int8 matrix only prescreens the exact scan, which is lossless.  A
+  // reduced precision is not a scan at all, so it is a validation error
+  // on every surface, batched or not, before anything is embedded.
   for (FilterPrecision p :
        {FilterPrecision::kFilter32, FilterPrecision::kFilter8}) {
     RetrievalOptions ro(1, 5);
     ro.filter_precision = p;
     auto r = Call({QueryDx(40), ro});
     ASSERT_FALSE(r.ok()) << FilterPrecisionName(p);
-    EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition)
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
         << FilterPrecisionName(p);
-    EXPECT_NE(r.status().message().find("shadow"), std::string::npos)
+    EXPECT_NE(r.status().message().find(FilterPrecisionName(p)),
+              std::string::npos)
         << r.status();
+    auto batch = CallBatch({QueryDx(40), QueryDx(41)}, ro);
+    ASSERT_FALSE(batch.ok());
+    EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
   }
 }
 
@@ -293,6 +303,37 @@ TEST_P(RequestValidationTest, WantStatsReportsIdenticalTotalsEverywhere) {
   auto quiet = Call({QueryDx(42), RetrievalOptions(2, 15)});
   ASSERT_TRUE(quiet.ok());
   EXPECT_TRUE(quiet->shard_stats.empty());
+}
+
+TEST(RequestValidationWireTest, RemoteSurfaceRejectsReducedPrecision) {
+  // The remote client validates before it sends (the wire has no
+  // precision byte to carry one), for full retrievals and shard scans.
+  ObjectOracle<Vector> s = test::MakePlaneOracle(44, 21);
+  std::vector<size_t> ids = test::Iota(40);
+  FastMapOptions o;
+  o.dims = 2;
+  FastMapModel model = BuildFastMap(s, ids, o);
+  L2Scorer scorer;
+  EmbeddedDatabase db = EmbedDatabase(model, s, ids);
+  RetrievalEngine engine(&model, &scorer, &db, ids);
+  net::RetrievalServer server(&engine, net::RetrievalServerOptions());
+  ASSERT_TRUE(server.Start(0).ok());
+  net::RemoteRetrievalBackend remote(&model, "127.0.0.1", server.port(),
+                                     net::RemoteBackendOptions());
+  DxToDatabaseFn dx = [&s](size_t id) { return s.Distance(40, id); };
+  ASSERT_TRUE(remote.Retrieve({dx, RetrievalOptions(1, 5)}).ok());
+  for (FilterPrecision p :
+       {FilterPrecision::kFilter32, FilterPrecision::kFilter8}) {
+    RetrievalOptions ro(1, 5);
+    ro.filter_precision = p;
+    auto r = remote.Retrieve({dx, ro});
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    auto scan = remote.ScanCandidates(model.Embed(dx, nullptr), ro);
+    ASSERT_FALSE(scan.ok());
+    EXPECT_EQ(scan.status().code(), StatusCode::kInvalidArgument);
+  }
+  server.Stop();
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSurfaces, RequestValidationTest,

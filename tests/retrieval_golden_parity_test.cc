@@ -173,10 +173,9 @@ TEST(GoldenParityTest, RetrieveBatchMatchesPreRedesignOnBothEngines) {
 TEST(GoldenParityTest, ExplicitExact64PrecisionMatchesPreRedesign) {
   // The SIMD-dispatch PR's contract: FilterPrecision::kExact64 (the
   // default, here passed explicitly) is bit-identical to the pre-dispatch
-  // engine whatever ISA tier the process resolved — and enabling shadow
-  // matrices must not perturb the exact path either.
+  // engine whatever ISA tier the process resolved — and the int8
+  // prescreen every local shard runs does not perturb it either.
   GoldenStack s;
-  s.db.EnableFilterShadows(kShadowFloat32 | kShadowInt8);
   RetrievalEngine mono(&s.model, &s.scorer, &s.db, s.db_ids);
   for (const GoldenCase& c : kGoldenCases) {
     RetrievalOptions options(c.k, c.p);

@@ -1,9 +1,10 @@
 // Property tests for snapshot encode/decode/install at the edges of the
 // state space: dimensionless and empty databases, single-row databases
-// left over from removes, every filter-shadow combination, and the
+// left over from removes, a fresh and a stale int8 matrix, and the
 // requant-on-overflow state whose int8 scales are mutation-history-
-// dependent.  Every roundtrip asserts memcmp identity — a snapshot is a
-// bit-exact image, not an approximation.
+// dependent.  Every roundtrip asserts memcmp identity of the rows and
+// ids — a snapshot is a bit-exact image of them, not an approximation —
+// and that the restored database rebuilt its int8 matrix.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
@@ -31,7 +32,7 @@ using test::LineEmbedder;
 
 /// Encode -> decode -> install into `out`, asserting the decoded header
 /// fields survived too.  `out` must have matching dims (or the image
-/// must be empty and shadowless).
+/// must be empty).
 void RoundTripInto(const EmbeddedDatabase& source, EmbeddedDatabase* out,
                    const std::string& what) {
   SCOPED_TRACE(what);
@@ -44,7 +45,20 @@ void RoundTripInto(const EmbeddedDatabase& source, EmbeddedDatabase* out,
   ASSERT_EQ(1u, decoded->dbs.size());
   Status installed = InstallSnapshotDb(decoded->dbs[0], out);
   ASSERT_TRUE(installed.ok()) << installed;
-  ExpectDbsIdentical(source, *out, what);
+  EXPECT_TRUE(out->snapshot()->has_i8());
+  EmbeddedDatabase::Snapshot restored = out->snapshot();
+  for (size_t i = 0; i < restored->size(); ++i) {
+    for (size_t j = 0; j < restored->dims(); ++j) {
+      EXPECT_TRUE(FitsInt8(restored->row(i)[j], restored->i8_scales()[j]));
+    }
+  }
+  const EmbeddedDatabase::View source_view = pin.view();
+  EXPECT_EQ(source_view.size(), restored->size());
+  EXPECT_TRUE(test::SameBytes(source_view.data(), restored->data(),
+                              source_view.size() * source_view.dims() *
+                                  sizeof(double)));
+  EXPECT_TRUE(test::SameBytes(source_view.ids(), restored->ids(),
+                              source_view.size() * sizeof(size_t)));
 }
 
 TEST(SnapshotRoundTrip, DimensionlessEmptyDatabase) {
@@ -89,50 +103,56 @@ TEST(SnapshotRoundTrip, SingleRowAfterRemoves) {
 }
 
 TEST(SnapshotRoundTrip, EveryShadowCombination) {
-  const uint32_t masks[] = {0u, kShadowFloat32, kShadowInt8,
-                            kShadowFloat32 | kShadowInt8};
-  for (uint32_t mask : masks) {
+  // Version 1 stored a mask of float32 / int8 shadows; now the only
+  // shadow is the int8 matrix, which is never stored.  A database whose
+  // matrix is fresh and one whose matrix mutable_row() left stale encode
+  // to the same bytes, and both restore with a rebuilt matrix.
+  std::string images[2];
+  for (int stale = 0; stale < 2; ++stale) {
     EmbeddedDatabase source(kLineDims);
     for (size_t id = 0; id < 10; ++id) {
       source.Append(Vector(kLineDims, test::XOf(id)), id);
     }
-    if (mask != 0) source.EnableFilterShadows(mask);
+    if (stale) source.mutable_row(0)[0] = test::XOf(0);
+    ASSERT_EQ(stale == 0, source.snapshot()->has_i8());
+    EmbeddedDatabase::Snapshot pin = source.snapshot();
+    images[stale] = EncodeSnapshot(3, "", {pin.view()});
     EmbeddedDatabase restored(kLineDims);
-    RoundTripInto(source, &restored,
-                  "shadow mask " + std::to_string(mask));
-    EXPECT_EQ(mask, restored.snapshot().view().shadows());
+    RoundTripInto(source, &restored, stale ? "stale" : "fresh");
   }
+  EXPECT_EQ(images[0], images[1]);
+  // Rows and ids only: the header, then dims, rows and two vectors.
+  EXPECT_EQ(images[0].size(), 4 + 2 + 2 + 8 + 8 + 8 + 8 + 8 +
+                                  (8 + 10 * kLineDims * sizeof(double)) +
+                                  (8 + 10 * sizeof(uint64_t)) + 4);
 }
 
 TEST(SnapshotRoundTrip, RequantOnOverflowScalesRestoredVerbatim) {
-  // Build a database whose int8 scales could NOT be reproduced by
-  // rebuilding from the rows: an appended outlier forces the 1.25x
-  // headroom requant, while a fresh EnableFilterShadows fits at 1.0x.
+  // An appended outlier forces the 1.25x-headroom re-quantization.  The
+  // snapshot does not carry the scales, yet restore reproduces them and
+  // the int8 rows bit for bit: it rebuilds with the same headroom from
+  // the same rows.  A construction-time rebuild (no headroom) of those
+  // rows gets different scales — the history the scales depend on.
   constexpr size_t kDims = 4;
   EmbeddedDatabase source(kDims);
   for (size_t id = 0; id < 6; ++id) {
     source.Append(Vector(kDims, 0.25 + 0.05 * static_cast<double>(id)), id);
   }
-  source.EnableFilterShadows(kShadowInt8);
+  source.RebuildPrescreenMatrix();
   source.Append(Vector(kDims, 100.0), 99);  // Overflow: requant with headroom.
   ASSERT_EQ(7u, source.size());
 
   EmbeddedDatabase restored(kDims);
   RoundTripInto(source, &restored, "post-requant state");
+  EmbeddedDatabase::Snapshot a = source.snapshot();
+  EmbeddedDatabase::Snapshot b = restored.snapshot();
+  EXPECT_EQ(0, std::memcmp(a->i8_scales(), b->i8_scales(),
+                           kDims * sizeof(float)));
+  EXPECT_EQ(0, std::memcmp(a->data_i8(), b->data_i8(), 7 * kDims));
 
-  // The same rows quantized from scratch get DIFFERENT scales — which is
-  // exactly why restore must install the serialized ones, not rebuild.
-  EmbeddedDatabase rebuilt(kDims);
-  {
-    EmbeddedDatabase::Snapshot pin = source.snapshot();
-    const EmbeddedDatabase::View& view = pin.view();
-    for (size_t i = 0; i < view.size(); ++i) {
-      rebuilt.Append(view.row(i), view.id_of(i));
-    }
-  }
-  rebuilt.EnableFilterShadows(kShadowInt8);
-  EXPECT_NE(0, std::memcmp(restored.snapshot().view().i8_scales(),
-                           rebuilt.snapshot().view().i8_scales(),
+  EmbeddedDatabase rebuilt = source;
+  rebuilt.RebuildPrescreenMatrix();
+  EXPECT_NE(0, std::memcmp(a->i8_scales(), rebuilt.snapshot()->i8_scales(),
                            kDims * sizeof(float)));
 }
 
@@ -180,7 +200,6 @@ TEST(SnapshotRoundTrip, FileRoundTripAndMissingFile) {
   EXPECT_EQ(StatusCode::kNotFound, missing.status().code());
 
   EmbeddedDatabase source(kLineDims);
-  source.EnableFilterShadows(kShadowFloat32 | kShadowInt8);
   for (size_t id = 0; id < 12; ++id) {
     source.Append(Vector(kLineDims, test::XOf(id)), id);
   }

@@ -32,7 +32,6 @@ WireRequest MakeRequest() {
   request.options.want_stats = true;
   request.options.priority = RequestPriority::kLow;
   request.options.tenant_id = "tenant-42";
-  request.options.filter_precision = FilterPrecision::kFilter32;
   request.db_id = 0xDEADBEEFull;
   request.query = {0.1, -2.5, 1e300, -0.0,
                    std::numeric_limits<double>::denorm_min()};
@@ -67,7 +66,8 @@ TEST(WireCodecTest, RequestRoundTripIsExact) {
   EXPECT_EQ(got.options.num_threads, want.options.num_threads);
   EXPECT_EQ(got.options.want_stats, want.options.want_stats);
   EXPECT_EQ(got.options.priority, want.options.priority);
-  EXPECT_EQ(got.options.filter_precision, want.options.filter_precision);
+  // No precision crosses the wire: the exact scan is the only one.
+  EXPECT_EQ(got.options.filter_precision, FilterPrecision::kExact64);
   EXPECT_EQ(got.options.tenant_id, want.options.tenant_id);
   EXPECT_EQ(got.db_id, want.db_id);
   ASSERT_EQ(got.query.size(), want.query.size());
@@ -212,7 +212,7 @@ TEST(WireCodecTest, OutOfRangeEnumsAreInvalidArgument) {
   // Patch encoded enum bytes past their ranges; offsets derived by
   // re-encoding with a sentinel is brittle, so rebuild by hand instead:
   // preamble(8) + budget(8) + want_trace(1) + k/p/threads(24) = 41, then
-  // want_stats, priority, precision.
+  // want_stats, priority.
   std::string payload = EncodeRequest(MakeRequest());
   WireRequest out;
   std::string bad = payload;
@@ -221,15 +221,37 @@ TEST(WireCodecTest, OutOfRangeEnumsAreInvalidArgument) {
   bad = payload;
   bad[42] = static_cast<char>(kNumPriorityLanes);
   EXPECT_EQ(DecodeRequest(bad, &out).code(), StatusCode::kInvalidArgument);
-  bad = payload;
-  bad[43] = static_cast<char>(kNumFilterPrecisions);
-  EXPECT_EQ(DecodeRequest(bad, &out).code(), StatusCode::kInvalidArgument);
 
   std::string response = EncodeResponse(MakeResponse());
   WireResponse rout;
   response[8] = 121;  // status code byte right after the preamble
   EXPECT_EQ(DecodeResponse(response, &rout).code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(WireCodecTest, VersionTwoFrameNamingAReducedPrecisionIsInvalidArgument) {
+  // Version 2 carried a filter-precision byte after the priority; a peer
+  // still speaking it cannot smuggle kFilter8 into a version-3 server.
+  std::ostringstream out;
+  BinaryWriter w(&out);
+  w.WriteU32(kWireMagic);
+  w.WriteU16(2);
+  w.WriteU16(static_cast<uint16_t>(WireOp::kScan));
+  w.WriteU64(0);  // budget
+  w.WriteU8(0);   // want_trace
+  w.WriteU64(1);  // k
+  w.WriteU64(1);  // p
+  w.WriteU64(0);  // num_threads
+  w.WriteU8(0);   // want_stats
+  w.WriteU8(0);   // priority
+  w.WriteU8(static_cast<uint8_t>(FilterPrecision::kFilter8));
+  w.WriteString("");
+  w.WriteU64(0);  // db_id
+  w.WriteDoubleVec(std::vector<double>{0.5});
+  WireRequest req;
+  Status status = DecodeRequest(out.str(), &req);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("version"), std::string::npos) << status;
 }
 
 TEST(WireCodecTest, OversizedLengthPrefixesNeverAllocate) {
@@ -248,7 +270,6 @@ TEST(WireCodecTest, OversizedLengthPrefixesNeverAllocate) {
   w.WriteU64(0);  // num_threads
   w.WriteU8(0);   // want_stats
   w.WriteU8(0);   // priority
-  w.WriteU8(0);   // precision
   w.WriteString("");
   w.WriteU64(0);            // db_id
   w.WriteU64(1ull << 60);   // query length prefix, then nothing
