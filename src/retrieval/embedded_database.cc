@@ -16,20 +16,20 @@
 namespace qse {
 
 namespace {
-/// Versions whose float64 rows take less than this are not worth a
-/// madvise syscall.
+/// Buffers below this size are not worth a madvise syscall.
 constexpr size_t kHugePageAdviseBytes = 8u << 20;
 /// Smallest row capacity a copy-on-write growth allocates.
 constexpr size_t kMinCapacityRows = 4;
 
 /// Asks the kernel to back `bytes` at `p` with transparent huge pages
-/// (Linux, THP=madvise systems; no-op elsewhere).  A multi-hundred-MB
-/// scan through 4 KiB pages pays a TLB walk every two rows at d = 256 —
-/// measured ~8% of the whole filter step.  Version buffers never move
-/// after allocation, so advising once at construction covers their
-/// lifetime.
-void AdviseHugePages(const void* p, size_t bytes) {
+/// once the buffer is large enough to care (Linux, THP=madvise systems;
+/// no-op elsewhere).  A multi-hundred-MB scan through 4 KiB pages pays a
+/// TLB walk every two rows at d = 256 — measured ~8% of the whole filter
+/// step.  Version buffers never move after allocation, so advising once
+/// at construction covers their lifetime.
+void MaybeAdviseHugePages(const void* p, size_t bytes) {
 #ifdef __linux__
+  if (bytes < kHugePageAdviseBytes) return;
   // madvise wants page-aligned addresses; round the buffer inward.  Ask
   // the OS for the page size — arm64 kernels commonly run 16K/64K pages
   // and a hardcoded 4096 would make every madvise fail with EINVAL.
@@ -143,15 +143,8 @@ EmbeddedDatabase::Version* EmbeddedDatabase::NewVersion(
   Version* v = new Version(dims_, capacity_rows);
   // No rows yet: every dimension is dead.
   v->i8_scale.assign(dims_, 0.0f);
-  const size_t cells = capacity_rows * dims_;
-  if (cells * sizeof(double) >= kHugePageAdviseBytes) {
-    AdviseHugePages(v->data.data(), cells * sizeof(double));
-    // Pass 1 of every prescreened scan streams the whole int8 matrix.
-    // Mapped fresh (AlignedAllocator) through 4 KiB pages, it made the
-    // four-shard 50k x 55 scan ~10% slower on a loaded host than the
-    // parent's malloc-reused memory; with huge pages it is not.
-    AdviseHugePages(v->i8.data(), cells);
-  }
+  MaybeAdviseHugePages(v->data.data(),
+                       capacity_rows * dims_ * sizeof(double));
   return v;
 }
 
