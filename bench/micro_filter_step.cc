@@ -19,6 +19,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -419,16 +421,18 @@ BENCHMARK(BM_FilterScanPrecision_Prescreened)
 // --- The prescreen's integer block kernel alone. ------------------------
 //
 // Time per row of KernelTable::prescreen_i8 on the active tier, one
-// kPrescreenBlockRows block per call over a 512 KiB int8 matrix: small
-// enough to stay in L2, so the figure is the kernel's compute cost, not
-// the memory bandwidth a DRAM-resident shard adds.  Clamp the tier with
-// QSE_SIMD_LEVEL.  Arg: d.
+// kPrescreenBlockRows call at a time over a 512 KiB int8 matrix in the
+// blocked layout: small enough to stay in L2, so the figure is the
+// kernel's compute cost, not the memory bandwidth a DRAM-resident shard
+// adds.  The bound emits the 10% of rows with the smallest S, about what
+// the scan's first pass collects.  Clamp the tier with QSE_SIMD_LEVEL.
+// Arg: d.
 
 void BM_PrescreenKernel(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));
   const size_t n = (size_t{512} << 10) / d;
   Rng rng(12);
-  std::vector<int8_t> rows(n * d), q(d);
+  std::vector<int8_t> rows(EmbeddedDatabase::I8Bytes(n, d)), q(d);
   std::vector<int16_t> c(d);
   auto byte = [&rng] {
     return static_cast<int8_t>(static_cast<int>(rng.Index(255)) - 127);
@@ -438,14 +442,19 @@ void BM_PrescreenKernel(benchmark::State& state) {
   for (int16_t& v : c) {
     v = static_cast<int16_t>(static_cast<int>(rng.Index(2001)) - 1000);
   }
-  std::vector<int32_t> out(kPrescreenBlockRows);
   const simd::KernelTable* k = simd::ActiveKernels();
+  std::vector<uint32_t> emitted(n);
+  std::vector<int32_t> scores(n);
+  k->prescreen_i8(q.data(), rows.data(), n, c.data(), d, INT32_MAX,
+                  emitted.data(), scores.data());
+  std::nth_element(scores.begin(), scores.begin() + n / 10, scores.end());
+  const int32_t bound = scores[n / 10];
   for (auto _ : state) {
     for (size_t first = 0; first < n; first += kPrescreenBlockRows) {
       const size_t rows_here = std::min(kPrescreenBlockRows, n - first);
-      k->prescreen_i8(q.data(), rows.data() + first * d, rows_here, c.data(),
-                      d, out.data());
-      benchmark::DoNotOptimize(out.data());
+      benchmark::DoNotOptimize(k->prescreen_i8(
+          q.data(), rows.data() + EmbeddedDatabase::I8Offset(first, 0, d),
+          rows_here, c.data(), d, bound, emitted.data(), scores.data()));
     }
     benchmark::ClobberMemory();
   }

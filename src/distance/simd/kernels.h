@@ -14,6 +14,22 @@ namespace simd {
 /// vector step, so the blocked loop never splits a vector iteration.
 inline constexpr size_t kAbandonBlock = 64;
 
+/// The int8 prescreen matrix's blocked layout, one layout on every
+/// tier: rows in blocks of kI8BlockRows, each block d4 / 4 groups of 64
+/// bytes (d4 = d rounded up to a multiple of 4), group g holding dims
+/// 4g..4g+3 of each of the block's rows in turn.  Byte (row r, dim j)
+/// lives at
+///
+///     (r / 16) * 16 * d4 + (j / 4) * 64 + (r % 16) * 4 + j % 4,
+///
+/// so one 64-byte load holds four dims of 16 rows and the kernel scores
+/// a whole block per vector, with no horizontal reduction and no per-row
+/// tail (the blocked-transposed layout of FAISS's PQ fast scan, André et
+/// al., VLDB 2015, and of PDX, Kuffo et al., SIGMOD 2025).
+/// EmbeddedDatabase::I8Offset computes the offset.
+inline constexpr size_t kI8BlockRows = 16;
+inline constexpr size_t kI8GroupDims = 4;
+
 /// One ISA's kernel table: three float64 filter-scan kernels, the int8
 /// prescreen block kernel of the exact weighted-L1 scan, and the cDTW
 /// kernel, each under its own contract below.  The float64 kernels
@@ -48,20 +64,33 @@ struct KernelTable {
   double (*wl1_f64)(const double* q, const double* x, const double* w,
                     size_t d, double abandon);
 
-  /// The int8 prescreen of an exact weighted-L1 scan, one block of rows
-  /// per call: for the n contiguous rows of d bytes at `rows`,
+  /// The int8 prescreen of an exact weighted-L1 scan over the n rows of
+  /// d bytes stored at `blocks` in the blocked layout (kI8BlockRows):
+  /// for every row r < n the kernel computes
   ///
-  ///     out[r] = sum_j c[j] * |q[j] - rows[r * d + j]|
+  ///     S_r = sum_j c[j] * |q[j] - x_r[j]|
   ///
-  /// in integer arithmetic, so the result is EXACT and identical on
-  /// every tier (the scalar entry is a plain integer loop, the vector
-  /// entries sum the same products with vpmaddwd in whatever order).
+  /// in integer arithmetic, so S_r is EXACT and identical on every tier
+  /// (the scalar entry is a plain integer loop, the vector entries sum
+  /// the same products with vpmaddwd, 16 rows per zmm or 8 per ymm, in
+  /// whatever order).  It then emits, in row order, every row with
+  /// S_r <= bound: rows[k] = r and scores[k] = S_r for k below the
+  /// returned count.  `rows` and `scores` have room for n entries; those
+  /// past the count are unspecified.  INT32_MAX emits every row.
+  ///
+  /// Reads: the vector tiers load the last, partial block with row
+  /// masks, and the scalar tier loops over live rows, so no tier reads a
+  /// slot at or past n.  A writer may therefore fill those slots while
+  /// the kernel runs, and whatever they hold is never emitted.  Bytes of
+  /// the padding dims [d, d4) are read but weigh nothing.
+  ///
   /// Precondition: every q and row byte lies in [-127, 127] (the int8
   /// matrix's range) and sum_j |c[j]| * 254 <= INT32_MAX, so no partial
   /// sum in any order can overflow int32.  QuantizeI8Prescreen
   /// (filter_precision.h) quantizes coefficients under that cap.
-  void (*prescreen_i8)(const int8_t* q, const int8_t* rows, size_t n,
-                       const int16_t* c, size_t d, int32_t* out);
+  size_t (*prescreen_i8)(const int8_t* q, const int8_t* blocks, size_t n,
+                         const int16_t* c, size_t d, int32_t bound,
+                         uint32_t* rows, int32_t* scores);
 
   /// Constrained DTW under an L1 ground cost between point-major series
   /// a (n points) and b (m points) of `dims` coordinates each, n, m >= 1,

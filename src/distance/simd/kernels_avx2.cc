@@ -21,10 +21,11 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 
 #include "src/distance/simd/lanes.h"
-#include "src/distance/simd/prescreen_operands.h"
 #include "src/distance/simd/wavefront.h"
 
 namespace qse {
@@ -108,77 +109,120 @@ double Wl1F64(const double* q, const double* x, const double* w, size_t d,
       [&](size_t i) { return w[i] * std::fabs(q[i] - x[i]); });
 }
 
-/// The prescreen sums of kRows rows `d` bytes apart, over 32-byte
-/// chunks: |q - x| as unsigned bytes (one max/min/sub), split into its
-/// even and odd bytes by a mask and a shift so each lands zero-extended
-/// in a 16-bit lane, then two vpmaddwd against the matching
-/// coefficients.  The query and coefficient loads serve all kRows rows,
-/// and four rows share one horizontal reduction.  The integer sums are
-/// exact whatever the lane order.
-template <int kRows>
-inline void PrescreenRows(const PrescreenOperands<32>& ops, const int8_t* x,
-                          size_t d, int32_t* out) {
-  static_assert(kRows == 1 || kRows == 4, "one row or a group of four");
-  const __m256i low_bytes = _mm256_set1_epi16(0x00ff);
-  __m256i acc[kRows];
-  for (int r = 0; r < kRows; ++r) acc[r] = _mm256_setzero_si256();
-  for (size_t k = 0; k < ops.chunks(); ++k) {
-    const __m256i qb = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(ops.q() + 32 * k));
-    const __m256i* c =
-        reinterpret_cast<const __m256i*>(ops.coeffs() + 32 * k);
-    const __m256i c_even = _mm256_loadu_si256(c);
-    const __m256i c_odd = _mm256_loadu_si256(c + 1);
-    for (int r = 0; r < kRows; ++r) {
-      const __m256i xb = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(x + r * d + 32 * k));
-      const __m256i diff =
-          _mm256_sub_epi8(_mm256_max_epi8(qb, xb), _mm256_min_epi8(qb, xb));
-      acc[r] = _mm256_add_epi32(
-          acc[r],
-          _mm256_madd_epi16(_mm256_and_si256(diff, low_bytes), c_even));
-      acc[r] = _mm256_add_epi32(
-          acc[r], _mm256_madd_epi16(_mm256_srli_epi16(diff, 8), c_odd));
+/// kCompress[m] lists the lanes of the set bits of the 8-bit mask m in
+/// ascending order, one byte each: the permutation that moves an 8-row
+/// half's emitted rows to its front.
+constexpr std::array<std::array<uint8_t, 8>, 256> MakeCompressTable() {
+  std::array<std::array<uint8_t, 8>, 256> table{};
+  for (uint32_t m = 0; m < 256; ++m) {
+    uint8_t slot = 0;
+    for (uint8_t lane = 0; lane < 8; ++lane) {
+      if (m & (1u << lane)) table[m][slot++] = lane;
     }
   }
-  if constexpr (kRows == 1) {
-    __m128i v = _mm_add_epi32(_mm256_castsi256_si128(acc[0]),
-                              _mm256_extracti128_si256(acc[0], 1));
-    v = _mm_add_epi32(v, _mm_shuffle_epi32(v, _MM_SHUFFLE(1, 0, 3, 2)));
-    v = _mm_add_epi32(v, _mm_shuffle_epi32(v, _MM_SHUFFLE(2, 3, 0, 1)));
-    out[0] = _mm_cvtsi128_si32(v);
+  return table;
+}
+alignas(64) constexpr std::array<std::array<uint8_t, 8>, 256> kCompress =
+    MakeCompressTable();
+
+/// Emits the rows of one 8-row half whose sum in `acc` is within the
+/// bound, `live` masking slots at or past n: a compare and a movemask
+/// give the half's emit mask, and kCompress's permutation moves those
+/// rows to the front of the stored lanes.  kWhole stores all eight lanes
+/// (the caller guarantees room: at most `first` rows were emitted
+/// before, and first + 8 <= n); the last block's halves store exactly
+/// the emitted ones.  `row` holds the half's row numbers.
+template <bool kWhole>
+inline size_t EmitHalf(__m256i acc, __m256i bound_v, unsigned live,
+                       __m256i row, uint32_t* rows, int32_t* scores) {
+  const unsigned above = static_cast<unsigned>(_mm256_movemask_ps(
+      _mm256_castsi256_ps(_mm256_cmpgt_epi32(acc, bound_v))));
+  const unsigned keep = ~above & live;
+  const __m256i perm = _mm256_cvtepu8_epi32(_mm_loadl_epi64(
+      reinterpret_cast<const __m128i*>(kCompress[keep].data())));
+  const __m256i kept_rows = _mm256_permutevar8x32_epi32(row, perm);
+  const __m256i kept_scores = _mm256_permutevar8x32_epi32(acc, perm);
+  const int kept = __builtin_popcount(keep);
+  if constexpr (kWhole) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(rows), kept_rows);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(scores), kept_scores);
   } else {
-    // Lane i of `sums` holds half of row i % 4's sum, so its two 128-bit
-    // halves add up to the four rows' totals.
-    const __m256i sums =
-        _mm256_hadd_epi32(_mm256_hadd_epi32(acc[0], acc[1]),
-                          _mm256_hadd_epi32(acc[2], acc[3]));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
-                     _mm_add_epi32(_mm256_castsi256_si128(sums),
-                                   _mm256_extracti128_si256(sums, 1)));
+    const __m256i out = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(kept), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    _mm256_maskstore_epi32(reinterpret_cast<int*>(rows), out, kept_rows);
+    _mm256_maskstore_epi32(scores, out, kept_scores);
   }
+  return static_cast<size_t>(kept);
 }
 
-/// The prescreen block entry.  Rows are read in whole 32-byte chunks,
-/// running up to 31 bytes into the next row (zero coefficients there);
-/// the last rows of the block, whose chunks would run past its end, are
-/// scored from a zero-padded copy.
-void PrescreenI8(const int8_t* q, const int8_t* rows, size_t n,
-                 const int16_t* c, size_t d, int32_t* out) {
-  PrescreenOperands<32> ops(q, c, d);
-  const size_t bytes = n * d;
-  size_t direct = 0;  // rows r with r * d + padded <= bytes
-  if (d > 0 && bytes >= ops.padded()) {
-    direct = std::min(n, (bytes - ops.padded()) / d + 1);
+/// Adds group g's products to the half's per-row sums: |q - x| as
+/// unsigned bytes against the broadcast query dword, split into the
+/// even and odd bytes of its 16-bit lanes by a mask and a shift, then
+/// two vpmaddwd against the broadcast coefficient pairs.
+inline __m256i AddGroup(__m256i acc, __m256i xb, const PrescreenGroup& g) {
+  const __m256i qb = _mm256_set1_epi32(g.q);
+  const __m256i diff =
+      _mm256_sub_epi8(_mm256_max_epi8(qb, xb), _mm256_min_epi8(qb, xb));
+  acc = _mm256_add_epi32(
+      acc, _mm256_madd_epi16(_mm256_and_si256(diff, _mm256_set1_epi16(0xff)),
+                             _mm256_set1_epi32(g.c_even)));
+  return _mm256_add_epi32(acc, _mm256_madd_epi16(_mm256_srli_epi16(diff, 8),
+                                                 _mm256_set1_epi32(g.c_odd)));
+}
+
+/// The prescreen entry, a 16-row block as two 8-row halves of ymm
+/// lanes.  Whole blocks load plainly; the last, partial block loads
+/// each half with vpmaskmovd under its live rows, so no slot at or past
+/// n is read.
+size_t PrescreenI8(const int8_t* q, const int8_t* blocks, size_t n,
+                   const int16_t* c, size_t d, int32_t bound, uint32_t* rows,
+                   int32_t* scores) {
+  const PrescreenGroups ops(q, c, d);
+  const size_t block_bytes = kI8BlockRows * kI8GroupDims * ops.size();
+  const __m256i bound_v = _mm256_set1_epi32(bound);
+  const __m256i eight = _mm256_set1_epi32(8);
+  __m256i row = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  size_t count = 0;
+  size_t first = 0;
+  for (; first + kI8BlockRows <= n; first += kI8BlockRows) {
+    __m256i lo = _mm256_setzero_si256();
+    __m256i hi = _mm256_setzero_si256();
+    for (size_t g = 0; g < ops.size(); ++g) {
+      const __m256i* x = reinterpret_cast<const __m256i*>(blocks + 64 * g);
+      lo = AddGroup(lo, _mm256_loadu_si256(x), ops[g]);
+      hi = AddGroup(hi, _mm256_loadu_si256(x + 1), ops[g]);
+    }
+    count += EmitHalf<true>(lo, bound_v, 0xff, row, rows + count,
+                            scores + count);
+    row = _mm256_add_epi32(row, eight);
+    count += EmitHalf<true>(hi, bound_v, 0xff, row, rows + count,
+                            scores + count);
+    row = _mm256_add_epi32(row, eight);
+    blocks += block_bytes;
   }
-  size_t r = 0;
-  for (; r + 4 <= direct; r += 4) {
-    PrescreenRows<4>(ops, rows + r * d, d, out + r);
+  if (first < n) {
+    const int left = static_cast<int>(n - first);
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    const __m256i live_lo = _mm256_cmpgt_epi32(_mm256_set1_epi32(left), lane);
+    const __m256i live_hi =
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(left - 8), lane);
+    __m256i lo = _mm256_setzero_si256();
+    __m256i hi = _mm256_setzero_si256();
+    for (size_t g = 0; g < ops.size(); ++g) {
+      const int* x = reinterpret_cast<const int*>(blocks + 64 * g);
+      lo = AddGroup(lo, _mm256_maskload_epi32(x, live_lo), ops[g]);
+      if (left > 8) {
+        hi = AddGroup(hi, _mm256_maskload_epi32(x + 8, live_hi), ops[g]);
+      }
+    }
+    const unsigned live = (1u << left) - 1;
+    count += EmitHalf<false>(lo, bound_v, live & 0xff, row, rows + count,
+                             scores + count);
+    row = _mm256_add_epi32(row, eight);
+    count += EmitHalf<false>(hi, bound_v, live >> 8, row, rows + count,
+                             scores + count);
   }
-  for (; r < direct; ++r) PrescreenRows<1>(ops, rows + r * d, d, out + r);
-  for (; r < n; ++r) {
-    PrescreenRows<1>(ops, ops.PaddedCopy(rows + r * d), d, out + r);
-  }
+  return count;
 }
 
 /// The wavefront's lane operations (wavefront.h): one ymm holds four

@@ -23,7 +23,6 @@
 #include <cmath>
 
 #include "src/distance/simd/lanes.h"
-#include "src/distance/simd/prescreen_operands.h"
 #include "src/distance/simd/wavefront.h"
 
 namespace qse {
@@ -132,74 +131,55 @@ double Wl1F64(const double* q, const double* x, const double* w, size_t d,
       [&](size_t i) { return w[i] * std::fabs(q[i] - x[i]); });
 }
 
-/// The prescreen sums of kRows rows `d` bytes apart, over 64-byte
-/// chunks, the last one a masked load of each row's remaining bytes
-/// (nothing is read past a row): |q - x| as unsigned bytes, split into
-/// the even and odd bytes of its 16-bit lanes by a mask and a shift,
-/// then two vpmaddwd against the matching coefficients.  The query and
-/// coefficient loads serve all kRows rows, and four rows share one
-/// horizontal reduction.  The integer sums are exact whatever the lane
-/// order.
-template <int kRows>
-inline void PrescreenRows(const PrescreenOperands<64>& ops, const int8_t* x,
-                          size_t d, __mmask64 tail, int32_t* out) {
-  static_assert(kRows == 1 || kRows == 4, "one row or a group of four");
+/// The prescreen entry, one 16-row block per zmm: for each 4-dim group,
+/// |q - x| as unsigned bytes against the broadcast query dword, split
+/// into the even and odd bytes of its 16-bit lanes by a mask and a
+/// shift, then two vpmaddwd against the broadcast coefficient pairs,
+/// each adding one row's two products to that row's int32 lane.  Every
+/// load is row-masked, so the last block's slots at or past n are never
+/// read (and load as zeros, which the live mask then drops).  The rows
+/// within the bound leave through a compress and a masked store.
+size_t PrescreenI8(const int8_t* q, const int8_t* blocks, size_t n,
+                   const int16_t* c, size_t d, int32_t bound, uint32_t* rows,
+                   int32_t* scores) {
+  const PrescreenGroups ops(q, c, d);
+  const size_t block_bytes = kI8BlockRows * kI8GroupDims * ops.size();
   const __m512i low_bytes = _mm512_set1_epi16(0x00ff);
-  __m512i acc[kRows];
-  for (int r = 0; r < kRows; ++r) acc[r] = _mm512_setzero_si512();
-  const size_t last = ops.chunks() - 1;
-  for (size_t k = 0; k <= last; ++k) {
-    const __m512i qb = _mm512_loadu_si512(ops.q() + 64 * k);
-    const __m512i c_even = _mm512_loadu_si512(ops.coeffs() + 64 * k);
-    const __m512i c_odd = _mm512_loadu_si512(ops.coeffs() + 64 * k + 32);
-    for (int r = 0; r < kRows; ++r) {
-      const int8_t* xk = x + r * d + 64 * k;
-      const __m512i xb = k < last ? _mm512_loadu_si512(xk)
-                                  : _mm512_maskz_loadu_epi8(tail, xk);
+  const __m512i bound_v = _mm512_set1_epi32(bound);
+  const __m512i slot = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                         11, 12, 13, 14, 15);
+  size_t count = 0;
+  for (size_t first = 0; first < n; first += kI8BlockRows) {
+    const size_t left = n - first;
+    const __mmask16 live =
+        left >= kI8BlockRows ? __mmask16{0xffff}
+                             : static_cast<__mmask16>((1u << left) - 1);
+    __m512i acc = _mm512_setzero_si512();
+    for (size_t g = 0; g < ops.size(); ++g) {
+      const __m512i xb = _mm512_maskz_loadu_epi32(live, blocks + 64 * g);
+      const __m512i qb = _mm512_set1_epi32(ops[g].q);
       const __m512i diff =
           _mm512_sub_epi8(_mm512_max_epi8(qb, xb), _mm512_min_epi8(qb, xb));
-      acc[r] = _mm512_add_epi32(
-          acc[r],
-          _mm512_madd_epi16(_mm512_and_si512(diff, low_bytes), c_even));
-      acc[r] = _mm512_add_epi32(
-          acc[r], _mm512_madd_epi16(_mm512_srli_epi16(diff, 8), c_odd));
+      acc = _mm512_add_epi32(
+          acc, _mm512_madd_epi16(_mm512_and_si512(diff, low_bytes),
+                                 _mm512_set1_epi32(ops[g].c_even)));
+      acc = _mm512_add_epi32(
+          acc, _mm512_madd_epi16(_mm512_srli_epi16(diff, 8),
+                                 _mm512_set1_epi32(ops[g].c_odd)));
     }
+    const __mmask16 keep = _mm512_mask_cmple_epi32_mask(live, acc, bound_v);
+    const unsigned kept = static_cast<unsigned>(__builtin_popcount(keep));
+    const __mmask16 out = static_cast<__mmask16>((1u << kept) - 1);
+    const __m512i row = _mm512_add_epi32(
+        slot, _mm512_set1_epi32(static_cast<int32_t>(first)));
+    _mm512_mask_storeu_epi32(rows + count, out,
+                             _mm512_maskz_compress_epi32(keep, row));
+    _mm512_mask_storeu_epi32(scores + count, out,
+                             _mm512_maskz_compress_epi32(keep, acc));
+    count += kept;
+    blocks += block_bytes;
   }
-  if constexpr (kRows == 1) {
-    out[0] = _mm512_reduce_add_epi32(acc[0]);
-  } else {
-    __m256i half[4];
-    for (int r = 0; r < 4; ++r) {
-      half[r] = _mm256_add_epi32(_mm512_castsi512_si256(acc[r]),
-                                 _mm512_extracti64x4_epi64(acc[r], 1));
-    }
-    // Lane i of `sums` holds half of row i % 4's sum, so its two 128-bit
-    // halves add up to the four rows' totals.
-    const __m256i sums =
-        _mm256_hadd_epi32(_mm256_hadd_epi32(half[0], half[1]),
-                          _mm256_hadd_epi32(half[2], half[3]));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
-                     _mm_add_epi32(_mm256_castsi256_si128(sums),
-                                   _mm256_extracti128_si256(sums, 1)));
-  }
-}
-
-/// The prescreen block entry.
-void PrescreenI8(const int8_t* q, const int8_t* rows, size_t n,
-                 const int16_t* c, size_t d, int32_t* out) {
-  if (d == 0) {
-    std::fill(out, out + n, 0);
-    return;
-  }
-  PrescreenOperands<64> ops(q, c, d);
-  const size_t rem = d - 64 * (ops.chunks() - 1);  // 1..64
-  const __mmask64 tail =
-      rem == 64 ? ~__mmask64{0} : (__mmask64{1} << rem) - 1;
-  size_t r = 0;
-  for (; r + 4 <= n; r += 4) {
-    PrescreenRows<4>(ops, rows + r * d, d, tail, out + r);
-  }
-  for (; r < n; ++r) PrescreenRows<1>(ops, rows + r * d, d, tail, out + r);
+  return count;
 }
 
 /// The wavefront's lane operations (wavefront.h): one zmm holds eight

@@ -150,18 +150,48 @@ double Wl1F64(const double* q, const double* x, const double* w, size_t d,
                 [&](size_t i) { return w[i] * std::fabs(q[i] - x[i]); });
 }
 
-/// The prescreen block entry: one int32 sum per row.  The caller's cap
+/// The prescreen entry.  A block's sums build up in one int32 lane per
+/// byte of a 64-byte group (row b / 4, dim 4g + b % 4) against the
+/// group's query bytes and coefficients repeated for every row, so the
+/// loop runs straight along each group, over the bytes of live rows
+/// only; each row's four lanes then add up to its sum.  The caller's cap
 /// on sum_j |c[j]| * 254 keeps every partial sum inside int32.
-void PrescreenI8(const int8_t* q, const int8_t* rows, size_t n,
-                 const int16_t* c, size_t d, int32_t* out) {
-  for (size_t r = 0; r < n; ++r, rows += d) {
-    int32_t sum = 0;
-    for (size_t j = 0; j < d; ++j) {
-      int32_t diff = static_cast<int32_t>(q[j]) - rows[j];
-      sum += c[j] * (diff < 0 ? -diff : diff);
-    }
-    out[r] = sum;
+size_t PrescreenI8(const int8_t* q, const int8_t* blocks, size_t n,
+                   const int16_t* c, size_t d, int32_t bound, uint32_t* rows,
+                   int32_t* scores) {
+  constexpr size_t kGroupBytes = kI8BlockRows * kI8GroupDims;
+  const size_t groups = (d + kI8GroupDims - 1) / kI8GroupDims;
+  std::vector<int8_t> qx(groups * kGroupBytes);
+  std::vector<int16_t> cx(groups * kGroupBytes);
+  for (size_t b = 0; b < qx.size(); ++b) {
+    const size_t j = b / kGroupBytes * kI8GroupDims + b % kI8GroupDims;
+    qx[b] = j < d ? q[j] : int8_t{0};
+    cx[b] = j < d ? c[j] : int16_t{0};
   }
+  size_t count = 0;
+  for (size_t first = 0; first < n; first += kI8BlockRows) {
+    const size_t live_bytes =
+        std::min(kI8BlockRows, n - first) * kI8GroupDims;
+    int32_t lane[kGroupBytes] = {};
+    for (size_t g = 0; g < groups; ++g) {
+      const int8_t* x = blocks + g * kGroupBytes;
+      const int8_t* qg = qx.data() + g * kGroupBytes;
+      const int16_t* cg = cx.data() + g * kGroupBytes;
+      for (size_t b = 0; b < live_bytes; ++b) {
+        const int32_t diff = static_cast<int32_t>(qg[b]) - x[b];
+        lane[b] += cg[b] * (diff < 0 ? -diff : diff);
+      }
+    }
+    for (size_t b = 0; b < live_bytes; b += kI8GroupDims) {
+      const int32_t sum = (lane[b] + lane[b + 1]) + (lane[b + 2] + lane[b + 3]);
+      if (sum > bound) continue;
+      rows[count] = static_cast<uint32_t>(first + b / kI8GroupDims);
+      scores[count] = sum;
+      ++count;
+    }
+    blocks += groups * kGroupBytes;
+  }
+  return count;
 }
 
 const KernelTable kScalarTable = {

@@ -58,7 +58,7 @@ EmbeddedDatabase::Version::Version(size_t dims, size_t capacity)
   // whole lifetime.  The int8 matrix follows the same discipline.
   data.reserve(capacity * dims);
   ids.reserve(capacity);
-  i8.reserve(capacity * dims);
+  i8.reserve(I8Bytes(capacity, dims));
 }
 
 EmbeddedDatabase::EmbeddedDatabase(size_t dims) : dims_(dims) {
@@ -154,7 +154,7 @@ EmbeddedDatabase::Version* EmbeddedDatabase::CopyVersion(
   next->data.assign(v->data.data(), v->data.data() + rows * dims_);
   next->ids.assign(v->ids.begin(), v->ids.begin() + rows);
   if (v->i8_valid.load(std::memory_order_relaxed)) {
-    next->i8.assign(v->i8.data(), v->i8.data() + rows * dims_);
+    next->i8.assign(v->i8.data(), v->i8.data() + I8Bytes(rows, dims_));
     next->i8_scale = v->i8_scale;
   } else {
     next->i8_valid.store(false, std::memory_order_relaxed);
@@ -196,9 +196,10 @@ bool EmbeddedDatabase::RowFitsI8(const Version* v, const double* row) const {
 
 void EmbeddedDatabase::FillI8Row(Version* v, size_t i) const {
   const double* row = v->data.data() + i * dims_;
-  int8_t* dst = v->i8.data() + i * dims_;
-  for (size_t j = 0; j < dims_; ++j) {
-    dst[j] = QuantizeToInt8(row[j], v->i8_scale[j]);
+  int8_t* i8 = v->i8.data();
+  for (size_t j = 0; j < PaddedDims(); ++j) {
+    i8[I8Offset(i, j, dims_)] =
+        j < dims_ ? QuantizeToInt8(row[j], v->i8_scale[j]) : int8_t{0};
   }
 }
 
@@ -228,7 +229,7 @@ void EmbeddedDatabase::RequantizeI8(Version* v, size_t n,
     }
     v->i8_scale[j] = scale;
   }
-  v->i8.resize(n * dims_);
+  v->i8.resize(I8Bytes(n, dims_));
   for (size_t i = 0; i < n; ++i) FillI8Row(v, i);
   v->i8_valid.store(true, std::memory_order_relaxed);
 }
@@ -237,8 +238,19 @@ void EmbeddedDatabase::RebuildPrescreenMatrix() {
   Version* v = current();
   // Rebuild in place (quiescent): reserve to the version's capacity so
   // subsequent in-place Appends never reallocate the int8 buffer.
-  v->i8.reserve(v->capacity_rows * dims_);
+  v->i8.reserve(I8Bytes(v->capacity_rows, dims_));
   RequantizeI8(v, v->size.load(std::memory_order_relaxed), 1.0);
+}
+
+void EmbeddedDatabase::ResizeI8(Version* v, size_t n, size_t rows) const {
+  if (!v->i8_valid.load(std::memory_order_relaxed)) return;
+  // New rows are all-zero: they quantize to 0 under any scale, so the
+  // scales stay.  Resizing zero-fills whole new blocks; the slots of the
+  // old last block past n may hold a removed row, so rewrite those.
+  v->i8.resize(I8Bytes(rows, dims_), 0);
+  constexpr size_t kB = simd::kI8BlockRows;
+  const size_t stale_end = std::min(rows, (n + kB - 1) / kB * kB);
+  for (size_t i = n; i < stale_end; ++i) FillI8Row(v, i);
 }
 
 void EmbeddedDatabase::Reserve(size_t rows) {
@@ -254,14 +266,9 @@ void EmbeddedDatabase::Resize(size_t rows) {
   size_t n = v->size.load(std::memory_order_relaxed);
   if (rows > v->capacity_rows) {
     Version* next = CopyVersion(v, n, rows);
-    // New rows are all-zero: they quantize to 0 under any scale, so
-    // extending the int8 matrix with zeros keeps it consistent without
-    // touching the scales.
     next->data.resize(rows * dims_, 0.0);
     for (size_t i = n; i < rows; ++i) next->ids.push_back(i);
-    if (next->i8_valid.load(std::memory_order_relaxed)) {
-      next->i8.resize(rows * dims_, 0);
-    }
+    ResizeI8(next, n, rows);
     next->size.store(rows, std::memory_order_relaxed);
     next->high_water = rows;
     PublishAndRetire(next);
@@ -274,9 +281,7 @@ void EmbeddedDatabase::Resize(size_t rows) {
   size_t old_ids = v->ids.size();
   v->ids.resize(rows);
   for (size_t i = old_ids; i < rows; ++i) v->ids[i] = i;
-  if (v->i8_valid.load(std::memory_order_relaxed)) {
-    v->i8.resize(rows * dims_, 0);
-  }
+  ResizeI8(v, n, rows);
   v->size.store(rows, std::memory_order_release);
   v->high_water = std::max(v->high_water, rows);
   rows_.store(rows, std::memory_order_release);
@@ -316,7 +321,7 @@ size_t EmbeddedDatabase::Append(const double* row, size_t id) {
     if (i8) {
       // The int8 row lands before the release below, so a reader that
       // acquires the grown count sees it whole too.
-      v->i8.resize((n + 1) * dims_);
+      v->i8.resize(I8Bytes(n + 1, dims_));
       FillI8Row(v, n);
     }
     v->ids.push_back(id);
@@ -345,7 +350,7 @@ size_t EmbeddedDatabase::Append(const double* row, size_t id) {
     // whole matrix into the unpublished version with headroom.
     RequantizeI8(next, n + 1, kRequantHeadroom);
   } else if (i8) {
-    next->i8.resize((n + 1) * dims_);
+    next->i8.resize(I8Bytes(n + 1, dims_));
     FillI8Row(next, n);
   }
   next->size.store(n + 1, std::memory_order_relaxed);
@@ -393,7 +398,7 @@ size_t EmbeddedDatabase::SwapRemove(size_t i) {
     v->data.resize(last * dims_);
     v->ids.resize(last);
     if (v->i8_valid.load(std::memory_order_relaxed)) {
-      v->i8.resize(last * dims_);
+      v->i8.resize(I8Bytes(last, dims_));
     }
     rows_.store(last, std::memory_order_release);
     return last;
@@ -408,8 +413,13 @@ size_t EmbeddedDatabase::SwapRemove(size_t i) {
             next->data.data() + i * dims_);
   next->ids[i] = v->ids[last];
   if (next->i8_valid.load(std::memory_order_relaxed)) {
-    std::copy(v->i8.data() + last * dims_, v->i8.data() + n * dims_,
-              next->i8.data() + i * dims_);
+    // Row `last`'s slot may lie past the bytes CopyVersion carried (a
+    // block of its own), so read it from the old version.
+    for (size_t j = 0; j < PaddedDims(); j += simd::kI8GroupDims) {
+      std::copy_n(v->i8.data() + I8Offset(last, j, dims_),
+                  simd::kI8GroupDims,
+                  next->i8.data() + I8Offset(i, j, dims_));
+    }
   }
   PublishAndRetire(next);
   rows_.store(last, std::memory_order_release);

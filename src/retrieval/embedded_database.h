@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/distance/distance.h"
+#include "src/distance/simd/kernels.h"
 #include "src/util/aligned.h"
 #include "src/util/epoch.h"
 
@@ -56,20 +57,29 @@ namespace qse {
 /// The int8 matrix: every version also carries a 64-byte-aligned int8
 /// symmetric-quantized copy of its rows with per-dimension scales, which
 /// the exact weighted-L1 scan prescreens on (FilterScorer::ScoreTopP).
-/// It is a pure cache of the float64 rows: the prescreen is lossless, so
-/// no result depends on its bytes or scales, and snapshots do not store
-/// it.  Every mutation path maintains it under the same publication rules
-/// as the float64 matrix — in-place Append writes the int8 row before the
-/// release-store of the grown count, copy-on-write paths carry it into
-/// the new version.  The scales are immutable within a version: an
-/// Append whose value would not quantize within the half-step bound
-/// (FitsInt8) forces a copy-on-write re-quantization of the whole matrix
-/// with kRequantHeadroom, so `|stored| <= 127.5 * scale` holds for every
-/// published row and the prescreen's margin stays sound.  A dimension
-/// holding ±inf or NaN gets a non-finite scale instead (NaN is sticky
-/// through re-quantization), which bounds nothing: every value fits it
-/// and the prescreen margin built from it is +inf.  All row buffers
-/// start on 64-byte boundaries via AlignedAllocator.
+/// It is stored in the blocked layout of KernelTable::prescreen_i8,
+/// whatever the SIMD tier: 16-row blocks of 4-dim groups, byte (row i,
+/// dim j) at I8Offset(i, j, dims()), padding dims up to a multiple of 4
+/// zero, and the buffer always whole blocks (I8Bytes), so a row is 4-byte
+/// pieces 64 bytes apart and every write of one stays O(d).  It is a
+/// pure cache of the float64 rows: the prescreen is lossless, so no
+/// result depends on its bytes or scales, and snapshots do not store it.
+/// Every mutation path maintains it under the same publication rules as
+/// the float64 matrix — in-place Append writes the int8 row, into a slot
+/// of the last block that pinned readers never read (the kernel masks
+/// rows at or past a view's count), before the release-store of the
+/// grown count; copy-on-write paths carry it into the new version.  The
+/// slots of the last block past the count hold whatever they held
+/// (zeros, or a removed row) and are never emitted.  The scales are
+/// immutable within a version: an Append whose value would not quantize
+/// within the half-step bound (FitsInt8) forces a copy-on-write
+/// re-quantization of the whole matrix with kRequantHeadroom, so
+/// `|stored| <= 127.5 * scale` holds for every published row and the
+/// prescreen's margin stays sound.  A dimension holding ±inf or NaN gets
+/// a non-finite scale instead (NaN is sticky through re-quantization),
+/// which bounds nothing: every value fits it and the prescreen margin
+/// built from it is +inf.  All row buffers start on 64-byte boundaries
+/// via AlignedAllocator.
 ///
 /// The raw bulk-load writer mutable_row() cannot maintain the int8
 /// matrix, so it marks the current version's matrix stale: views of a
@@ -83,6 +93,22 @@ class EmbeddedDatabase {
   /// so a drifting value distribution does not re-quantize on every
   /// insert.
   static constexpr double kRequantHeadroom = 1.25;
+
+  /// Position of byte (row i, dim j) in the int8 matrix of a
+  /// d-dimensional database: the blocked layout of
+  /// KernelTable::prescreen_i8 (simd::kI8BlockRows), with d4 = d rounded
+  /// up to a multiple of 4.
+  static size_t I8Offset(size_t i, size_t j, size_t d) {
+    constexpr size_t kB = simd::kI8BlockRows;
+    constexpr size_t kG = simd::kI8GroupDims;
+    const size_t d4 = (d + kG - 1) / kG * kG;
+    return i / kB * kB * d4 + j / kG * kB * kG + i % kB * kG + j % kG;
+  }
+  /// Bytes of the int8 matrix of `rows` rows of d dims: whole blocks.
+  static size_t I8Bytes(size_t rows, size_t d) {
+    constexpr size_t kB = simd::kI8BlockRows;
+    return I8Offset((rows + kB - 1) / kB * kB, 0, d);
+  }
 
   /// Borrowed, immutable view of one published version.  Valid while the
   /// originating Snapshot is alive, or — for unpinned peeks via the
@@ -107,11 +133,11 @@ class EmbeddedDatabase {
     /// version whose matrix mutable_row() left stale.
     bool has_i8() const { return has_i8_; }
 
-    /// The int8 matrix, row-major, same shape as data(), and its
+    /// The int8 matrix in the blocked layout (byte (i, j) at
+    /// I8Offset(i, j, dims())), I8Bytes(size(), dims()) bytes, and its
     /// per-dimension dequantization scales (dims() floats; value ~=
-    /// scale[j] * row_i8(i)[j]).  Null unless has_i8().
+    /// scale[j] * byte (i, j)).  Null unless has_i8().
     const int8_t* data_i8() const { return i8_; }
-    const int8_t* row_i8(size_t i) const { return i8_ + i * dims_; }
     const float* i8_scales() const { return i8_scale_; }
 
    private:
@@ -293,9 +319,10 @@ class EmbeddedDatabase {
     // Row-major, exactly size * dims doubles, 64-byte-aligned base.
     Aligned64Vector<double> data;
     std::vector<size_t> ids;  // ids[i] = database id of row i.
-    // The int8 matrix: same row-major shape as `data` while i8_valid,
-    // same capacity discipline — reserved up front, never reallocated,
-    // slots below high_water never rewritten.  `i8_scale` (dims floats)
+    // The int8 matrix: I8Bytes(size, dims) bytes in the blocked layout
+    // while i8_valid, same capacity discipline — reserved up front to
+    // I8Bytes(capacity_rows, dims), never reallocated, slots below
+    // high_water never rewritten.  `i8_scale` (dims floats)
     // is immutable once the version is visible to readers;
     // re-quantization always copies-on-write.  mutable_row() clears
     // i8_valid (relaxed: parallel fillers store the same value), after
@@ -330,8 +357,16 @@ class EmbeddedDatabase {
   /// bound on every dimension (trivially true for a stale matrix).
   bool RowFitsI8(const Version* v, const double* row) const;
   /// Quantizes float64 row i of `v` into its int8 matrix (which must
-  /// already have space for it).
+  /// already have space for it), padding dims zeroed.
   void FillI8Row(Version* v, size_t i) const;
+  /// Grows or shrinks v's int8 matrix (while fresh) from n to `rows`
+  /// rows, the new rows all-zero.  Quiescent/unpublished `v` only.
+  void ResizeI8(Version* v, size_t n, size_t rows) const;
+  /// d rounded up to whole 4-dim groups: the bytes of one int8 row.
+  size_t PaddedDims() const {
+    return (dims_ + simd::kI8GroupDims - 1) / simd::kI8GroupDims *
+           simd::kI8GroupDims;
+  }
   /// Recomputes v's scales from its first n float64 rows (times
   /// `headroom`) and quantizes those rows.  Quiescent/unpublished `v`
   /// only.

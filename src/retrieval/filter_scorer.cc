@@ -69,19 +69,26 @@ inline void PrefetchF64Row(const double* row, size_t d) {
 /// exactly in integers by `k->prescreen_i8` (S_i for row i) under the
 /// query's `pre` (QuantizeI8Prescreen, finite margin).
 ///
-/// Pass 1 streams the int8 matrix one kPrescreenBlockRows block per
-/// kernel call, keeps the p smallest S (ties by row) and collects every
-/// row with S <= S_p + Slack(), S_p the running p-th smallest S.  The p
+/// Pass 1 streams the int8 matrix kPrescreenBlockRows rows per kernel
+/// call and collects, in row order, every row with S <= τ, τ = S_p +
+/// Slack() for S_p the p-th smallest S collected so far (no bound until
+/// the first selection).  Each call compares against τ as it stood when
+/// the call began; a stale τ only grows the set.  Once the set holds
+/// twice what the last selection left (at least 2p), nth_element finds
+/// S_p, τ tightens and the set drops the rows above it, so the final S_p
+/// and τ are exact: they are those of the whole matrix, because a row
+/// ever dropped scored above a τ no lower than the final one.  The p
 /// rows with the smallest S all score at most σ * S_p + m exactly, so
 /// every row left out scores strictly more than the final p-th best
 /// exact score, whatever its id.
 ///
-/// Pass 2 reads float64 rows only for collected rows: the p best-S rows
-/// first, so the running threshold t starts near its final value, then
-/// the others in row order, each dismissed unread when S > Cut(t) (its
-/// exact score then exceeds t).  Every row the plain scan would keep is
-/// offered, and the top p by (score, id) of a set does not depend on
-/// offer order, so ids and score bits match TopPScan's.
+/// Pass 2 reads float64 rows only for collected rows: the p best by
+/// (S, row) first, so the running threshold t starts near its final
+/// value, then the others in row order, each dismissed unread when
+/// S > Cut(t) (its exact score then exceeds t).  Every row the plain
+/// scan would keep is offered, and the top p by (score, id) of a set
+/// does not depend on offer order, so ids and score bits match
+/// TopPScan's.
 template <typename ExactFn>
 std::vector<ScoredIndex> PrescreenedTopPScan(
     const EmbeddedDatabase::View& db, size_t p, const int8_t* qq,
@@ -94,52 +101,75 @@ std::vector<ScoredIndex> PrescreenedTopPScan(
     if (scan_stats != nullptr) *scan_stats = FilterScanStats{n, n, n};
     return {};
   }
-  using RowScore = std::pair<int32_t, size_t>;  // (S, row)
+  QSE_CHECK_MSG(n <= UINT32_MAX, "prescreened scan of " << n << " rows");
   const int64_t slack = pre.Slack();
-  auto bound_above = [slack](int32_t s) {
-    return slack == INT64_MAX ? INT64_MAX : s + slack;
-  };
 
-  // Pass 1: a max-heap of the `keep` smallest (S, row), and every row
-  // within the running bound, in row order.
-  std::vector<RowScore> best;
-  best.reserve(keep);
-  std::vector<RowScore> collected;
-  std::vector<int32_t> block(std::min(n, kPrescreenBlockRows));
-  int64_t bound = INT64_MAX;
+  // Pass 1: the collected rows and their S, in row order, `count` of
+  // them; each call may append up to kPrescreenBlockRows.
+  std::vector<uint32_t> rows;
+  std::vector<int32_t> scores;
+  std::vector<int32_t> scratch;
+  size_t count = 0;
+  int32_t tau = INT32_MAX;
+  // Tightens τ to the set's p-th smallest S plus the slack, drops the
+  // rows above it, and returns that S.
+  auto select = [&]() {
+    scratch.assign(scores.begin(), scores.begin() + count);
+    std::nth_element(scratch.begin(), scratch.begin() + (keep - 1),
+                     scratch.end());
+    const int32_t s_p = scratch[keep - 1];
+    tau = static_cast<int32_t>(std::min<int64_t>(
+        INT32_MAX, slack == INT64_MAX ? INT64_MAX : s_p + slack));
+    size_t kept = 0;
+    for (size_t i = 0; i < count; ++i) {
+      rows[kept] = rows[i];
+      scores[kept] = scores[i];
+      kept += scores[i] <= tau;
+    }
+    count = kept;
+    return s_p;
+  };
+  size_t select_at = 2 * keep;
   for (size_t first = 0; first < n; first += kPrescreenBlockRows) {
-    const size_t rows = std::min(kPrescreenBlockRows, n - first);
-    k->prescreen_i8(qq, db.row_i8(first), rows, pre.coeffs.data(), d,
-                    block.data());
-    for (size_t r = 0; r < rows; ++r) {
-      const int32_t s = block[r];
-      if (s > bound) continue;
-      const RowScore row{s, first + r};
-      collected.push_back(row);
-      if (best.size() < keep) {
-        best.push_back(row);
-        std::push_heap(best.begin(), best.end());
-      } else if (row < best.front()) {
-        std::pop_heap(best.begin(), best.end());
-        best.back() = row;
-        std::push_heap(best.begin(), best.end());
-      }
-      if (best.size() == keep) bound = bound_above(best.front().first);
+    const size_t block = std::min(kPrescreenBlockRows, n - first);
+    if (rows.size() < count + block) {
+      rows.resize(count + block);
+      scores.resize(count + block);
+    }
+    const size_t got = k->prescreen_i8(
+        qq, db.data_i8() + EmbeddedDatabase::I8Offset(first, 0, d), block,
+        pre.coeffs.data(), d, tau, rows.data() + count, scores.data() + count);
+    for (size_t i = count; i < count + got; ++i) {
+      rows[i] += static_cast<uint32_t>(first);
+    }
+    count += got;
+    if (count >= select_at) {
+      select();
+      select_at = std::max(2 * keep, 2 * count);
     }
   }
+  // Every row of the final p best has S <= every τ, so count >= keep.
+  const int32_t s_p = select();
 
-  // Pass 2, in reading order: the `keep` best-S rows (never dismissed:
-  // the threshold stays +inf until they fill the heap), then the other
-  // collected rows within the final bound.  The order is known up front,
-  // so each float64 row is prefetched a few reads ahead.
-  const RowScore pth = best.front();
+  // Pass 2, in reading order: the `keep` best by (S, row) — every row
+  // below S_p, then the first rows at S_p — never dismissed (the
+  // threshold stays +inf until they fill the heap), then the other
+  // collected rows.  The order is known up front, so each float64 row is
+  // prefetched a few reads ahead.
+  using RowScore = std::pair<int32_t, size_t>;  // (S, row)
   std::vector<RowScore> order;
-  order.reserve(collected.size());
-  for (const RowScore& row : collected) {
-    if (!(pth < row)) order.push_back(row);
-  }
-  for (const RowScore& row : collected) {
-    if (pth < row && row.first <= bound) order.push_back(row);
+  order.reserve(count);
+  const size_t ties =
+      keep - static_cast<size_t>(std::count_if(
+                 scores.begin(), scores.begin() + count,
+                 [s_p](int32_t s) { return s < s_p; }));
+  for (bool best : {true, false}) {
+    size_t tied = 0;  // rows at S_p seen so far
+    for (size_t i = 0; i < count; ++i) {
+      const bool in_best =
+          scores[i] < s_p || (scores[i] == s_p && tied++ < ties);
+      if (in_best == best) order.push_back({scores[i], rows[i]});
+    }
   }
   BoundedTopK top(keep);
   size_t read = 0;

@@ -30,8 +30,9 @@ struct FilterScanStats {
   size_t rows_prescreened = 0;
 };
 
-/// Rows per prescreen kernel call in the prescreened scan's first pass
-/// (d = 55: 14 KB of int8 rows and 1 KB of scores per block).
+/// Rows per prescreen kernel call in the prescreened scan's first pass:
+/// 16 blocks of the int8 layout (d = 55: 14 KB of int8 rows per call).
+/// Each call compares against the bound as it stood when the call began.
 inline constexpr size_t kPrescreenBlockRows = 256;
 
 /// Scores an embedded query against every database row; the filter step's

@@ -218,12 +218,20 @@ bool Aligned64(const void* p) {
   return reinterpret_cast<uintptr_t>(p) % 64 == 0;
 }
 
+/// Byte (row i, dim j) of a view's int8 matrix.
+int8_t I8At(const EmbeddedDatabase::View& view, size_t i, size_t j) {
+  return view.data_i8()[EmbeddedDatabase::I8Offset(i, j, view.dims())];
+}
+
 /// Every invariant the prescreen's margin leans on: the view carries
-/// the int8 matrix, each int8 row round-trips within half a
-/// quantization step, and every stored value fits its dimension's scale
-/// (the re-quantization trigger keeps this true).
+/// the int8 matrix, each of its bytes, found through the blocked
+/// layout's offset, is QuantizeToInt8 of its float64 value (so it
+/// round-trips within half a quantization step) and each padding byte
+/// is zero, and every stored value fits its dimension's scale (the
+/// re-quantization trigger keeps this true).
 void ExpectShadowsConsistent(const EmbeddedDatabase::View& view) {
   ASSERT_TRUE(view.has_i8());
+  const size_t padded = (view.dims() + 3) / 4 * 4;
   for (size_t i = 0; i < view.size(); ++i) {
     const double* row = view.row(i);
     for (size_t j = 0; j < view.dims(); ++j) {
@@ -231,10 +239,14 @@ void ExpectShadowsConsistent(const EmbeddedDatabase::View& view) {
       EXPECT_TRUE(FitsInt8(row[j], s))
           << "row " << i << " dim " << j << " value " << row[j] << " scale "
           << s;
-      EXPECT_LE(
-          std::fabs(row[j] - static_cast<double>(s) * view.row_i8(i)[j]),
-          0.5 * static_cast<double>(s) + 1e-12)
+      ASSERT_EQ(I8At(view, i, j), QuantizeToInt8(row[j], s))
           << "row " << i << " dim " << j;
+      EXPECT_LE(std::fabs(row[j] - static_cast<double>(s) * I8At(view, i, j)),
+                0.5 * static_cast<double>(s) + 1e-12)
+          << "row " << i << " dim " << j;
+    }
+    for (size_t j = view.dims(); j < padded; ++j) {
+      EXPECT_EQ(I8At(view, i, j), 0) << "row " << i << " padding dim " << j;
     }
   }
 }
@@ -363,13 +375,13 @@ TEST(EmbeddedDatabaseTest, PinnedShadowsAreImmuneToRequantization) {
   EmbeddedDatabase db = EmbeddedDatabase::FromRows({{0.5, -0.5}, {0.25, 0.5}});
   EmbeddedDatabase::Snapshot snap = db.snapshot();
   float pinned_scale = snap->i8_scales()[0];
-  int8_t pinned_q = snap->row_i8(0)[0];
+  int8_t pinned_q = I8At(snap.view(), 0, 0);
   // Forces a copy-on-write re-quantization with grown scales.
   db.Append({100.0, 0.5});
   // The pinned version's scales and codes are untouched — a reader
   // halfway through a scan keeps consistent (scale, code) pairs.
   EXPECT_EQ(snap->i8_scales()[0], pinned_scale);
-  EXPECT_EQ(snap->row_i8(0)[0], pinned_q);
+  EXPECT_EQ(I8At(snap.view(), 0, 0), pinned_q);
   EXPECT_EQ(snap->size(), 2u);
   ExpectShadowsConsistent(snap.view());
   EXPECT_GT(db.snapshot()->i8_scales()[0], pinned_scale);
@@ -391,7 +403,82 @@ TEST(EmbeddedDatabaseTest, CopyCarriesShadowsBitForBit) {
   }
   for (size_t i = 0; i < a->size(); ++i) {
     for (size_t j = 0; j < a->dims(); ++j) {
-      EXPECT_EQ(a->row_i8(i)[j], b->row_i8(i)[j]);
+      EXPECT_EQ(I8At(a.view(), i, j), I8At(b.view(), i, j));
+    }
+  }
+}
+
+TEST(EmbeddedDatabaseTest, I8OffsetIsTheBlockedLayout) {
+  // 16-row blocks of 4-dim groups, d rounded up to whole groups.
+  EXPECT_EQ(EmbeddedDatabase::I8Offset(0, 0, 5), 0u);
+  EXPECT_EQ(EmbeddedDatabase::I8Offset(0, 3, 5), 3u);
+  EXPECT_EQ(EmbeddedDatabase::I8Offset(1, 0, 5), 4u);
+  EXPECT_EQ(EmbeddedDatabase::I8Offset(15, 2, 5), 62u);
+  EXPECT_EQ(EmbeddedDatabase::I8Offset(0, 4, 5), 64u);
+  EXPECT_EQ(EmbeddedDatabase::I8Offset(16, 0, 5), 128u);
+  EXPECT_EQ(EmbeddedDatabase::I8Offset(17, 6, 5), 128u + 64 + 4 + 2);
+  EXPECT_EQ(EmbeddedDatabase::I8Bytes(0, 5), 0u);
+  EXPECT_EQ(EmbeddedDatabase::I8Bytes(1, 5), 128u);
+  EXPECT_EQ(EmbeddedDatabase::I8Bytes(16, 5), 128u);
+  EXPECT_EQ(EmbeddedDatabase::I8Bytes(17, 16), 512u);
+}
+
+TEST(EmbeddedDatabaseTest, BlockedInt8MatrixTracksEveryMutation) {
+  // d = 5 (one padding dim short of two groups) and d = 8: every byte of
+  // every live row matches QuantizeToInt8 of its float64 value after
+  // each mutation path.
+  for (size_t d : {size_t{5}, size_t{8}}) {
+    Rng rng(29 + d);
+    auto random_row = [&](double spread) {
+      Vector row(d);
+      for (double& v : row) v = rng.Uniform(-spread, spread);
+      return row;
+    };
+    EmbeddedDatabase db(d);
+    db.Reserve(40);
+    // In-place Appends across the first block boundary (rows 15, 16, 17).
+    for (size_t i = 0; i < 18; ++i) {
+      db.Append(random_row(1.0));
+      ExpectShadowsConsistent(db.snapshot().view());
+    }
+    // Interior and last-row SwapRemove, in both blocks.
+    db.SwapRemove(3);
+    ExpectShadowsConsistent(db.snapshot().view());
+    db.SwapRemove(16);
+    ExpectShadowsConsistent(db.snapshot().view());
+    db.SwapRemove(db.size() - 1);
+    ExpectShadowsConsistent(db.snapshot().view());
+    db.SwapRemove(0);
+    ASSERT_EQ(db.size(), 14u);
+    ExpectShadowsConsistent(db.snapshot().view());
+    // Re-quantization (copy-on-write), then appends into the stale slots
+    // the removals left in the last block.
+    db.Append(random_row(50.0));
+    ExpectShadowsConsistent(db.snapshot().view());
+    db.Append(random_row(1.0));
+    db.Append(random_row(1.0));
+    ExpectShadowsConsistent(db.snapshot().view());
+    // Shrink, then grow in place over slots that held rows, then past
+    // capacity.
+    db.Resize(9);
+    ExpectShadowsConsistent(db.snapshot().view());
+    db.Resize(20);
+    ExpectShadowsConsistent(db.snapshot().view());
+    db.Resize(70);
+    ExpectShadowsConsistent(db.snapshot().view());
+    // Restore and copy.
+    const EmbeddedDatabase::View view = db;
+    EmbeddedDatabase restored(d);
+    restored.RestoreVersion(view.size(), view.data(), view.ids());
+    ExpectShadowsConsistent(restored.snapshot().view());
+    EmbeddedDatabase copy = db;
+    ExpectShadowsConsistent(copy.snapshot().view());
+    const EmbeddedDatabase::View copied = copy;
+    ASSERT_EQ(copied.size(), view.size());
+    for (size_t i = 0; i < view.size(); ++i) {
+      for (size_t j = 0; j < d; ++j) {
+        EXPECT_EQ(I8At(copied, i, j), I8At(view, i, j));
+      }
     }
   }
 }

@@ -24,6 +24,14 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__has_include) && __has_include(<sanitizer/asan_interface.h>)
+#include <sanitizer/asan_interface.h>
+#endif
+#ifndef ASAN_POISON_MEMORY_REGION
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
+
 #include "src/net/remote_backend.h"
 #include "src/net/retrieval_server.h"
 #include "src/obs/metric_registry.h"
@@ -123,6 +131,52 @@ std::string Where(const Tier& tier, size_t d, bool signed_weights, size_t p) {
          " d=" + std::to_string(d) +
          (signed_weights ? " signed" : " nonnegative") +
          " p=" + std::to_string(p);
+}
+
+/// `n` row-major rows of d bytes in the int8 matrix's blocked layout
+/// (EmbeddedDatabase::I8Offset), padding dims and slots past n zero.
+std::vector<int8_t> Blocked(const std::vector<int8_t>& rows, size_t n,
+                            size_t d) {
+  std::vector<int8_t> out(EmbeddedDatabase::I8Bytes(n, d), 0);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t j = 0; j < d; ++j) {
+      out[EmbeddedDatabase::I8Offset(r, j, d)] = rows[r * d + j];
+    }
+  }
+  return out;
+}
+
+/// What a tier's prescreen entry emits under `bound`: (row, S) pairs.
+struct Emitted {
+  std::vector<uint32_t> rows;
+  std::vector<int32_t> scores;
+};
+
+Emitted Emit(const simd::KernelTable* k, const int8_t* q,
+             const int8_t* blocks, size_t n, const int16_t* c, size_t d,
+             int32_t bound) {
+  Emitted out;
+  out.rows.assign(n, 0);
+  out.scores.assign(n, 0);
+  const size_t got = k->prescreen_i8(q, blocks, n, c, d, bound,
+                                     out.rows.data(), out.scores.data());
+  out.rows.resize(got);
+  out.scores.resize(got);
+  return out;
+}
+
+/// Every row's S through a tier's entry (bound INT32_MAX emits all rows,
+/// in row order), from row-major rows.
+std::vector<int32_t> AllScores(const simd::KernelTable* k,
+                               const std::vector<int8_t>& q,
+                               const std::vector<int8_t>& rows, size_t n,
+                               const std::vector<int16_t>& c) {
+  const size_t d = q.size();
+  const std::vector<int8_t> blocks = Blocked(rows, n, d);
+  Emitted all = Emit(k, q.data(), blocks.data(), n, c.data(), d, INT32_MAX);
+  EXPECT_EQ(all.rows.size(), n);
+  for (size_t r = 0; r < all.rows.size(); ++r) EXPECT_EQ(all.rows[r], r);
+  return all.scores;
 }
 
 TEST(PrescreenScanTest, BitIdenticalToPlainScanOnEveryTier) {
@@ -300,9 +354,8 @@ TEST(PrescreenScanTest, MarginBoundsExactMinusApproxOnEveryTier) {
         }
         const double exact =
             tier.table->wl1_f64(q.data(), x.data(), w.data(), d, kInf);
-        int32_t score = 0;
-        tier.table->prescreen_i8(qq.data(), xq.data(), 1, pre.coeffs.data(),
-                                 d, &score);
+        const int32_t score =
+            AllScores(tier.table, qq, xq, 1, pre.coeffs)[0];
         const long double approx =
             static_cast<long double>(pre.scale) * score;
         EXPECT_LE(std::fabs(static_cast<long double>(exact) - approx),
@@ -329,9 +382,7 @@ TEST(PrescreenScanTest, MarginBoundsExactMinusApproxOnEveryTier) {
       ASSERT_EQ(pre.coeffs, (std::vector<int16_t>{32767, 0}));
       const double exact =
           tier.table->wl1_f64(q2.data(), x2.data(), w2.data(), 2, kInf);
-      int32_t score = 0;
-      tier.table->prescreen_i8(qq2.data(), xq2.data(), 1, pre.coeffs.data(), 2,
-                               &score);
+      const int32_t score = AllScores(tier.table, qq2, xq2, 1, pre.coeffs)[0];
       const long double gap =
           static_cast<long double>(pre.scale) * score - exact;
       EXPECT_GT(gap, 0.5L + 124.0L / cap);
@@ -354,9 +405,7 @@ TEST(PrescreenScanTest, MarginBoundsExactMinusApproxOnEveryTier) {
         want += 254 * int64_t{c};
       }
       EXPECT_LE(coeff_mass * 254, int64_t{INT32_MAX}) << "d=" << d;
-      int32_t score = 0;
-      tier.table->prescreen_i8(qq.data(), xq.data(), 1, pre.coeffs.data(), d,
-                               &score);
+      const int32_t score = AllScores(tier.table, qq, xq, 1, pre.coeffs)[0];
       EXPECT_EQ(score, want) << simd::SimdLevelName(tier.level) << " d=" << d;
     }
   }
@@ -462,11 +511,11 @@ TEST(PrescreenScanTest, RowOnTheFirstPassBoundIsKeptSound) {
   const EmbeddedDatabase::View view = db;
   ASSERT_EQ(view.i8_scales()[0], 1.0f);
   for (const Tier& tier : RunnableTiers()) {
-    std::vector<int32_t> scores(view.size());
-    tier.table->prescreen_i8(qq.data(), view.row_i8(0), view.size(),
-                             pre.coeffs.data(), kD, scores.data());
-    EXPECT_EQ(scores[view.size() - 2], slack);
-    EXPECT_EQ(scores[view.size() - 1], slack + 1);
+    const Emitted all = Emit(tier.table, qq.data(), view.data_i8(),
+                             view.size(), pre.coeffs.data(), kD, INT32_MAX);
+    ASSERT_EQ(all.scores.size(), view.size());
+    EXPECT_EQ(all.scores[view.size() - 2], slack);
+    EXPECT_EQ(all.scores[view.size() - 1], slack + 1);
     for (size_t p : {size_t{1}, size_t{2}, size_t{3}}) {
       std::string where = Where(tier, kD, false, p);
       ScanResult plain = Scan(q, w, view, p, false, tier.table);
@@ -502,51 +551,81 @@ int16_t CoeffCap(size_t d) {
       std::min<int64_t>(32767, int64_t{INT32_MAX} / (254 * int64_t(d))));
 }
 
-/// Runs every tier's block entry over exactly n * d bytes (so a read
-/// past the block shows under AddressSanitizer) and compares each
-/// score with the reference.
+/// The rows `want` puts at or below `bound`, in row order.
+std::vector<uint32_t> RowsWithin(const std::vector<int64_t>& want,
+                                 int64_t bound) {
+  std::vector<uint32_t> rows;
+  for (size_t r = 0; r < want.size(); ++r) {
+    if (want[r] <= bound) rows.push_back(static_cast<uint32_t>(r));
+  }
+  return rows;
+}
+
+/// Runs every tier's entry over the blocked rows and compares it with
+/// the reference: under INT32_MAX every row in order with its exact S,
+/// and under the median S exactly the rows at or below it.
 void ExpectExactOnEveryTier(const std::vector<int8_t>& q,
                             const std::vector<int8_t>& rows,
                             const std::vector<int16_t>& c, size_t n,
                             const std::string& where) {
+  const size_t d = q.size();
   const std::vector<int64_t> want = ReferenceScores(q, rows, c, n);
+  std::vector<int64_t> sorted = want;
+  std::nth_element(sorted.begin(), sorted.begin() + n / 2, sorted.end());
+  const int32_t median = static_cast<int32_t>(sorted[n / 2]);
+  const std::vector<int8_t> blocks = Blocked(rows, n, d);
   for (const Tier& tier : RunnableTiers()) {
-    std::vector<int32_t> got(n, -1);
-    tier.table->prescreen_i8(q.data(), rows.data(), n, c.data(), q.size(),
-                             got.data());
+    const std::string at =
+        std::string(simd::SimdLevelName(tier.level)) + " " + where;
+    const std::vector<int32_t> got = AllScores(tier.table, q, rows, n, c);
+    ASSERT_EQ(got.size(), n) << at;
     for (size_t r = 0; r < n; ++r) {
-      ASSERT_EQ(got[r], want[r]) << simd::SimdLevelName(tier.level) << " "
-                                 << where << " row " << r;
+      ASSERT_EQ(got[r], want[r]) << at << " row " << r;
+    }
+    const Emitted half =
+        Emit(tier.table, q.data(), blocks.data(), n, c.data(), d, median);
+    EXPECT_EQ(half.rows, RowsWithin(want, median)) << at;
+    for (size_t k = 0; k < half.rows.size(); ++k) {
+      EXPECT_EQ(half.scores[k], want[half.rows[k]]) << at;
     }
   }
 }
 
-const size_t kKernelDims[] = {1,  7,  16, 17, 31,  32,  33,
-                              55, 63, 64, 65, 130, 258, 259};
+/// Bytes uniform in the int8 matrix's range [-127, 127].
+std::vector<int8_t> RandomBytes(size_t count, Rng* rng) {
+  std::vector<int8_t> out(count);
+  for (int8_t& v : out) {
+    v = static_cast<int8_t>(static_cast<int>(rng->Index(255)) - 127);
+  }
+  return out;
+}
+
+std::vector<int16_t> RandomCoeffs(size_t d, Rng* rng) {
+  const int16_t cap = CoeffCap(d);
+  std::vector<int16_t> c(d);
+  for (int16_t& v : c) {
+    v = static_cast<int16_t>(static_cast<int>(rng->Index(2 * cap + 1)) - cap);
+  }
+  return c;
+}
+
+const size_t kKernelDims[] = {1,  3,  5,  7,  16, 17,  24,  31,  32,
+                              33, 55, 63, 64, 65, 130, 258, 259};
 
 TEST(PrescreenKernelTest, BlockEntryMatchesInt64ReferenceOnEveryTier) {
-  const size_t kB = kPrescreenBlockRows;
+  // n % 16 in {0, 1, 15} and others, within one block and across the
+  // scan's 256-row calls.
   for (size_t d : kKernelDims) {
-    const int16_t cap = CoeffCap(d);
-    for (size_t n : {size_t{1}, size_t{2}, size_t{3}, size_t{4}, size_t{5},
-                     size_t{8}, size_t{31}, size_t{33}, kB - 1, kB, kB + 1,
-                     kB + 77}) {
+    for (size_t n : {size_t{1}, size_t{2}, size_t{8}, size_t{15}, size_t{16},
+                     size_t{17}, size_t{31}, size_t{33}, size_t{255},
+                     size_t{256}, size_t{257}, size_t{333}}) {
       Rng rng(1800 + 31 * d + n);
-      std::vector<int8_t> q(d), rows(n * d);
-      std::vector<int16_t> c(d);
-      for (int8_t& v : q) {
-        v = static_cast<int8_t>(static_cast<int>(rng.Index(255)) - 127);
-      }
-      for (int8_t& v : rows) {
-        v = static_cast<int8_t>(static_cast<int>(rng.Index(255)) - 127);
-      }
-      for (int16_t& v : c) {
-        v = static_cast<int16_t>(static_cast<int>(rng.Index(2 * cap + 1)) -
-                                 cap);
-      }
-      ExpectExactOnEveryTier(q, rows, c,
-                             n, "d=" + std::to_string(d) +
-                                    " n=" + std::to_string(n));
+      const std::vector<int8_t> q = RandomBytes(d, &rng);
+      const std::vector<int8_t> rows = RandomBytes(n * d, &rng);
+      const std::vector<int16_t> c = RandomCoeffs(d, &rng);
+      ExpectExactOnEveryTier(q, rows, c, n,
+                             "d=" + std::to_string(d) +
+                                 " n=" + std::to_string(n));
     }
   }
 }
@@ -556,23 +635,112 @@ TEST(PrescreenKernelTest, Int32EdgeIsExactOnEveryTier) {
   // sums the overflow precondition admits, and sign mixes of them.
   for (size_t d : kKernelDims) {
     const int16_t cap = CoeffCap(d);
-    constexpr size_t kN = 5;
-    std::vector<int8_t> q(d, 127), rows(kN * d, -127);
-    for (size_t j = 0; j < d; ++j) rows[2 * d + j] = j % 2 == 0 ? -127 : 127;
-    std::vector<int8_t> q_low(d, -127), rows_high(kN * d, 127);
-    for (int sign : {1, -1, 0}) {
-      std::vector<int16_t> c(d);
-      for (size_t j = 0; j < d; ++j) {
-        c[j] = static_cast<int16_t>(sign != 0 ? sign * cap
-                                              : (j % 3 == 0 ? -cap : cap));
+    for (size_t n : {size_t{15}, size_t{16}, size_t{17}}) {
+      std::vector<int8_t> q(d, 127), rows(n * d, -127);
+      for (size_t j = 0; j < d; ++j) rows[2 * d + j] = j % 2 == 0 ? -127 : 127;
+      std::vector<int8_t> q_low(d, -127), rows_high(n * d, 127);
+      for (int sign : {1, -1, 0}) {
+        std::vector<int16_t> c(d);
+        for (size_t j = 0; j < d; ++j) {
+          c[j] = static_cast<int16_t>(sign != 0 ? sign * cap
+                                                : (j % 3 == 0 ? -cap : cap));
+        }
+        const std::string where = "d=" + std::to_string(d) +
+                                  " n=" + std::to_string(n) +
+                                  " sign=" + std::to_string(sign);
+        ExpectExactOnEveryTier(q, rows, c, n, where);
+        ExpectExactOnEveryTier(q_low, rows_high, c, n, where + " mirrored");
+        if (sign == 1) {
+          EXPECT_LE(ReferenceScores(q, rows, c, 1)[0], int64_t{INT32_MAX});
+        }
       }
+    }
+  }
+}
+
+TEST(PrescreenKernelTest, BoundEdgesOnEveryTier) {
+  // A row at S == bound is emitted and one at S == bound + 1 is not, in
+  // every slot of a block; INT32_MAX emits every row and a bound below
+  // every S none.
+  for (size_t d : {size_t{3}, size_t{16}, size_t{55}}) {
+    constexpr size_t kN = 37;
+    Rng rng(2000 + d);
+    const std::vector<int8_t> q = RandomBytes(d, &rng);
+    const std::vector<int8_t> rows = RandomBytes(kN * d, &rng);
+    const std::vector<int16_t> c = RandomCoeffs(d, &rng);
+    const std::vector<int64_t> want = ReferenceScores(q, rows, c, kN);
+    const std::vector<int8_t> blocks = Blocked(rows, kN, d);
+    const int64_t lowest = *std::min_element(want.begin(), want.end());
+    for (const Tier& tier : RunnableTiers()) {
+      const std::string where = std::string(simd::SimdLevelName(tier.level)) +
+                                " d=" + std::to_string(d);
+      auto emit = [&](int64_t bound) {
+        return Emit(tier.table, q.data(), blocks.data(), kN, c.data(), d,
+                    static_cast<int32_t>(bound))
+            .rows;
+      };
+      for (size_t r = 0; r < kN; ++r) {
+        const std::vector<uint32_t> at = emit(want[r]);
+        EXPECT_EQ(at, RowsWithin(want, want[r])) << where << " row " << r;
+        EXPECT_TRUE(std::count(at.begin(), at.end(), r) == 1)
+            << where << " row " << r << " at S == bound";
+        const std::vector<uint32_t> below = emit(want[r] - 1);
+        EXPECT_EQ(below, RowsWithin(want, want[r] - 1))
+            << where << " row " << r;
+        EXPECT_TRUE(std::count(below.begin(), below.end(), r) == 0)
+            << where << " row " << r << " at S == bound + 1";
+      }
+      EXPECT_EQ(emit(INT32_MAX).size(), kN) << where;
+      EXPECT_TRUE(emit(lowest - 1).empty()) << where;
+    }
+  }
+}
+
+TEST(PrescreenKernelTest, NeverReadsSlotsPastTheLastRow) {
+  // The last block's slots at or past n hold bytes equal to the query
+  // (S = 0, within any bound) and, under AddressSanitizer, are poisoned:
+  // a tier that read one unmasked would fail there, and one that emitted
+  // one would fail everywhere.
+  for (size_t d : {size_t{3}, size_t{16}, size_t{24}, size_t{55},
+                   size_t{130}}) {
+    for (size_t n : {size_t{1}, size_t{5}, size_t{15}, size_t{17},
+                     size_t{47}}) {
       const std::string where =
-          "d=" + std::to_string(d) + " sign=" + std::to_string(sign);
-      ExpectExactOnEveryTier(q, rows, c, kN, where);
-      ExpectExactOnEveryTier(q_low, rows_high, c, kN, where + " mirrored");
-      if (sign == 1) {
-        EXPECT_LE(ReferenceScores(q, rows, c, 1)[0], int64_t{INT32_MAX});
+          "d=" + std::to_string(d) + " n=" + std::to_string(n);
+      Rng rng(2100 + 7 * d + n);
+      const std::vector<int8_t> q = RandomBytes(d, &rng);
+      const std::vector<int8_t> rows = RandomBytes(n * d, &rng);
+      const std::vector<int16_t> c = RandomCoeffs(d, &rng);
+      const std::vector<int64_t> want = ReferenceScores(q, rows, c, n);
+      std::vector<int8_t> blocks = Blocked(rows, n, d);
+      const size_t first_dead = n % simd::kI8BlockRows;
+      const size_t last_block = n - first_dead;
+      const size_t padded = (d + 3) / 4 * 4;
+      for (size_t r = n; r < last_block + simd::kI8BlockRows; ++r) {
+        for (size_t j = 0; j < d; ++j) {
+          blocks[EmbeddedDatabase::I8Offset(r, j, d)] = q[j];
+        }
       }
+      for (size_t j = 0; j < padded; j += simd::kI8GroupDims) {
+        ASAN_POISON_MEMORY_REGION(
+            blocks.data() + EmbeddedDatabase::I8Offset(n, j, d),
+            (simd::kI8BlockRows - first_dead) * simd::kI8GroupDims);
+      }
+      for (const Tier& tier : RunnableTiers()) {
+        const Emitted all = Emit(tier.table, q.data(), blocks.data(), n,
+                                 c.data(), d, INT32_MAX);
+        ASSERT_EQ(all.rows, RowsWithin(want, INT32_MAX))
+            << simd::SimdLevelName(tier.level) << " " << where;
+        for (size_t r = 0; r < n; ++r) {
+          EXPECT_EQ(all.scores[r], want[r])
+              << simd::SimdLevelName(tier.level) << " " << where;
+        }
+        EXPECT_TRUE(Emit(tier.table, q.data(), blocks.data(), n, c.data(), d,
+                         0)
+                        .rows == RowsWithin(want, 0))
+            << simd::SimdLevelName(tier.level) << " " << where;
+      }
+      ASAN_UNPOISON_MEMORY_REGION(blocks.data(), blocks.size());
     }
   }
 }
@@ -618,6 +786,91 @@ TEST(PrescreenScanTest, ConcurrentAppendsDuringPrescreenedScans) {
   r1.join();
   r2.join();
   EXPECT_EQ(db.size(), 800 + kAppends);
+}
+
+TEST(PrescreenScanTest, PinnedScanRacesInPlaceAppendsIntoPartialBlocks) {
+  // Room reserved and every appended value inside the scales: each
+  // Append writes its int8 row in place, into the slots of a partly
+  // filled last block that pinned readers' scans mask off, while those
+  // readers compare the prescreened and plain scans of their snapshot.
+  constexpr size_t kD = 16;
+  constexpr size_t kRows = 9;
+  constexpr size_t kAppends = 3000;
+  EmbeddedDatabase db(kD);
+  db.Reserve(kRows + kAppends);
+  Rng rng(1250);
+  Vector row(kD);
+  for (size_t i = 0; i < kRows; ++i) {
+    for (double& v : row) v = i == 0 ? 1.0 : rng.Uniform(-1.0, 1.0);
+    db.Append(row);
+  }
+  db.RebuildPrescreenMatrix();
+  const double* base = db.snapshot()->data();
+  const Vector w = MakeWeights(kD, /*signed_weights=*/true, 1251);
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    Rng wrng(1252);
+    Vector r(kD);
+    for (size_t i = 0; i < kAppends; ++i) {
+      for (double& v : r) v = wrng.Uniform(-1.0, 1.0);
+      db.Append(r, kRows + i);
+    }
+    done.store(true);
+  });
+  auto reader = [&](uint64_t seed) {
+    Rng qrng(seed);
+    size_t scans = 0;
+    while (!done.load() || scans < 3) {
+      EmbeddedDatabase::Snapshot snap = db.snapshot();
+      const EmbeddedDatabase::View& view = snap.view();
+      EXPECT_EQ(view.data(), base) << "an append copied the version";
+      Vector q(kD);
+      for (double& v : q) v = qrng.Uniform(-1.0, 1.0);
+      const size_t p = 1 + qrng.Index(8);
+      ExpectSameScan(Scan(q, w, view, p, false, simd::ActiveKernels()),
+                     Scan(q, w, view, p, true, simd::ActiveKernels()),
+                     "rows=" + std::to_string(view.size()));
+      ++scans;
+    }
+  };
+  std::thread r1(reader, 1253);
+  std::thread r2(reader, 1254);
+  writer.join();
+  r1.join();
+  r2.join();
+  EXPECT_EQ(db.size(), kRows + kAppends);
+}
+
+TEST(PrescreenScanTest, PinnedCountsOfFixedSignedScans) {
+  // rows_prescreened and rows_pruned of fixed signed-weight scans on
+  // every tier, pinned to the counts the first pass gave when it kept a
+  // heap of the p best S row by row: the blocked kernel and the buffered
+  // selection must hand pass 2 the same rows in the same order.  The
+  // last case cuts inside exact ties.
+  struct Case {
+    size_t n, d, p, copies;
+    uint64_t seed;
+    size_t pruned, prescreened;
+  };
+  const Case kCases[] = {{5000, 16, 100, 1, 2100, 4899, 4881},
+                         {3000, 24, 50, 1, 2200, 2950, 2942},
+                         {2000, 55, 20, 1, 2300, 1979, 1971},
+                         {1000, 130, 10, 1, 2400, 990, 983},
+                         {600, 17, 25, 3, 2500, 1775, 1770}};
+  for (const Case& c : kCases) {
+    EmbeddedDatabase db = MakeDb(c.n, c.d, c.seed, c.copies);
+    const EmbeddedDatabase::View view = db;
+    const Vector w = MakeWeights(c.d, /*signed_weights=*/true, c.seed + 1);
+    const Vector q = QueryNear(db, db.size() / 3, c.seed + 2);
+    for (const Tier& tier : RunnableTiers()) {
+      const std::string where = Where(tier, c.d, true, c.p);
+      const ScanResult pre = Scan(q, w, view, c.p, true, tier.table);
+      EXPECT_EQ(pre.stats.rows_visited, c.n * c.copies) << where;
+      EXPECT_EQ(pre.stats.rows_pruned, c.pruned) << where;
+      EXPECT_EQ(pre.stats.rows_prescreened, c.prescreened) << where;
+      ExpectSameScan(Scan(q, w, view, c.p, false, tier.table), pre, where);
+    }
+  }
 }
 
 TEST(PrescreenScanTest, GateShapeCandidatesBitIdentical) {

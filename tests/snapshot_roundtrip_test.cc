@@ -148,7 +148,13 @@ TEST(SnapshotRoundTrip, RequantOnOverflowScalesRestoredVerbatim) {
   EmbeddedDatabase::Snapshot b = restored.snapshot();
   EXPECT_EQ(0, std::memcmp(a->i8_scales(), b->i8_scales(),
                            kDims * sizeof(float)));
-  EXPECT_EQ(0, std::memcmp(a->data_i8(), b->data_i8(), 7 * kDims));
+  for (size_t i = 0; i < 7; ++i) {
+    for (size_t j = 0; j < kDims; ++j) {
+      const size_t at = EmbeddedDatabase::I8Offset(i, j, kDims);
+      EXPECT_EQ(a->data_i8()[at], b->data_i8()[at])
+          << "row " << i << " dim " << j;
+    }
+  }
 
   EmbeddedDatabase rebuilt = source;
   rebuilt.RebuildPrescreenMatrix();
