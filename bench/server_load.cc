@@ -1,10 +1,8 @@
 // Load generator for the async serving front end: how does adaptive
 // micro-batching behave under traffic, against one-request-per-call
-// serving and against the caller-batched ceiling — and how do the
-// strict-priority admission lanes and per-tenant quotas carve up an
-// overloaded queue?
+// serving and against the caller-batched ceiling?
 //
-// Three generators over both backends (monolithic + sharded):
+// Two generators over both backends (monolithic + sharded):
 //
 //  * Closed loop: C client threads, each submits one request and blocks
 //    on its future before the next (classic concurrency-limited load).
@@ -20,17 +18,11 @@
 //    capacity.  Reports achieved QPS, shed/expired counts, and sojourn
 //    percentiles.
 //
-//  * Priority lanes: a mixed-priority, multi-tenant burst saturates a
-//    small admission queue.  Strict priority must hand the high lane a
-//    far lower p99 sojourn with zero sheds while the low lane absorbs
-//    the shedding, and a tenant capped at a sliver of the queue must be
-//    refused (kResourceExhausted) while the others keep admitting.
-//
 // Output: a human table plus a google-benchmark-shaped JSON artifact
 // (bench_results/server_load.json by default, --out to override) with
 // p50/p95/p99 tail latency per configuration;
 // tools/check_bench_regressions.py gates on the adaptive-vs-b1 mean and
-// p99 ratios and on the high-vs-low lane p99 ratio.
+// p99 ratios, among others.
 //
 // Run: ./build/bench/server_load [--n=20000] [--clients=8]
 //        [--requests=2000] [--open_seconds=1.0] [--out=path.json]
@@ -41,7 +33,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -63,7 +54,6 @@
 #include "src/obs/trace.h"
 #include "src/distance/lp.h"
 #include "src/embedding/fastmap.h"
-#include "src/net/hedged_backend.h"
 #include "src/net/remote_backend.h"
 #include "src/net/retrieval_server.h"
 #include "src/net/socket_transport.h"
@@ -276,121 +266,6 @@ void Report(const std::string& name, const RunResult& r,
   json->push_back(std::move(entry));
 }
 
-/// The priority-lane / tenant-quota configuration: burst-submit a mixed
-/// workload from one thread per lane through a deliberately small
-/// admission queue over one worker, so the queue saturates and the
-/// admission policy — not the backend — decides who waits and who is
-/// shed.  A fourth thread floods a tenant capped at a sliver of the
-/// queue to exercise over-quota refusal.
-void RunPriorityLanes(const RetrievalBackend* backend, size_t k, size_t p,
-                      const std::vector<DxToDatabaseFn>& queries,
-                      size_t per_lane,
-                      std::vector<BenchJsonEntry>* json) {
-  AsyncServerOptions options;
-  options.queue_capacity = 128;
-  options.max_batch = 16;
-  options.num_workers = 1;
-  options.tenant_quotas = {
-      {"interactive", 0.75},  // The high/normal lanes' tenant.
-      {"analytics", 0.25},    // The low lane's tenant.
-      {"greedy", 0.02},       // Quota-capped flooder (~2 slots of 128).
-  };
-  AsyncRetrievalServer server(backend, options);
-
-  struct LaneCompletion {
-    std::mutex mu;
-    std::vector<double> latencies_ns;
-    std::atomic<size_t> shed_or_rejected{0};
-  };
-  std::array<LaneCompletion, kNumPriorityLanes> lanes;
-  std::atomic<size_t> outstanding{0};
-  std::atomic<size_t> greedy_rejected{0};
-
-  auto submit = [&](RequestPriority priority, const std::string& tenant,
-                    size_t i, std::atomic<size_t>* rejected_counter) {
-    RetrievalOptions ro(k, p);
-    ro.priority = priority;
-    ro.tenant_id = tenant;
-    size_t lane = static_cast<size_t>(priority);
-    auto submit_time = RetrievalClock::now();
-    outstanding.fetch_add(1);
-    server.Submit({queries[i % queries.size()], ro})
-        .OnReady([&, lane, submit_time,
-                  rejected_counter](const StatusOr<RetrievalResponse>& r) {
-          if (r.ok()) {
-            double ns = std::chrono::duration<double, std::nano>(
-                            RetrievalClock::now() - submit_time)
-                            .count();
-            std::lock_guard<std::mutex> lock(lanes[lane].mu);
-            lanes[lane].latencies_ns.push_back(ns);
-          } else if (r.status().code() == StatusCode::kResourceExhausted) {
-            lanes[lane].shed_or_rejected.fetch_add(1);
-            if (rejected_counter != nullptr) rejected_counter->fetch_add(1);
-          }
-          outstanding.fetch_sub(1);
-        });
-  };
-
-  Timer wall;
-  std::vector<std::thread> submitters;
-  const struct {
-    RequestPriority priority;
-    const char* tenant;
-  } lanes_cfg[] = {{RequestPriority::kHigh, "interactive"},
-                   {RequestPriority::kNormal, "interactive"},
-                   {RequestPriority::kLow, "analytics"}};
-  for (const auto& cfg : lanes_cfg) {
-    submitters.emplace_back([&, cfg] {
-      for (size_t i = 0; i < per_lane; ++i) {
-        submit(cfg.priority, cfg.tenant, i, nullptr);
-      }
-    });
-  }
-  submitters.emplace_back([&] {
-    for (size_t i = 0; i < per_lane; ++i) {
-      submit(RequestPriority::kNormal, "greedy", i, &greedy_rejected);
-    }
-  });
-  for (auto& t : submitters) t.join();
-  while (outstanding.load() > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  double seconds = wall.Seconds();
-  server.Shutdown(AsyncRetrievalServer::DrainMode::kDrain);
-  ServerStats stats = server.stats();
-
-  for (size_t l = 0; l < kNumPriorityLanes; ++l) {
-    RunResult r = Summarize(lanes[l].latencies_ns, seconds,
-                            lanes[l].shed_or_rejected.load(), 0);
-    std::string name = std::string("SL_Lanes/mono/") +
-                       RequestPriorityName(static_cast<RequestPriority>(l));
-    Report(name, r, json,
-           {{"lane_shed", static_cast<double>(stats.lanes[l].shed)},
-            {"lane_admitted", static_cast<double>(stats.lanes[l].admitted)}});
-  }
-  const TenantStats* greedy = nullptr;
-  for (const TenantStats& t : stats.tenants) {
-    if (t.tenant_id == "greedy") greedy = &t;
-  }
-  QSE_CHECK(greedy != nullptr);
-  std::printf("lanes: high shed %zu (must be 0), low shed %zu; greedy "
-              "tenant: %zu/%zu over-quota rejections (limit %zu slots)\n",
-              stats.lanes[0].shed, stats.lanes[2].shed, greedy->rejected,
-              greedy->submitted, greedy->limit);
-  BenchJsonEntry tenants;
-  tenants.name = "SL_Lanes/mono/tenants";
-  tenants.real_time_ns = 0;
-  tenants.extras.emplace_back("greedy_rejected",
-                              static_cast<double>(greedy->rejected));
-  tenants.extras.emplace_back("greedy_admitted",
-                              static_cast<double>(greedy->admitted));
-  tenants.extras.emplace_back("high_shed",
-                              static_cast<double>(stats.lanes[0].shed));
-  tenants.extras.emplace_back("low_shed",
-                              static_cast<double>(stats.lanes[2].shed));
-  json->push_back(std::move(tenants));
-}
-
 /// The drift workload: a small database whose TRUE distances drift on a
 /// schedule while its embeddings stay frozen at step 0 — the frozen-
 /// model staleness a production retrieval system actually suffers.
@@ -458,8 +333,6 @@ int RunShardServer(const bench::Flags& flags) {
   RetrievalEngine engine(&model, &scorer, &shard_db, shard_ids);
 
   net::RetrievalServerOptions options;
-  options.debug_delay_every_n = flags.GetSize("slow_every", 0);
-  options.debug_delay = std::chrono::milliseconds(flags.GetSize("slow_ms", 0));
   net::RetrievalServer server(&engine, options);
   Status s = server.Start(port);
   QSE_CHECK_MSG(s.ok(), s.ToString());
@@ -476,8 +349,7 @@ uint16_t PickFreePort() {
 
 pid_t SpawnShardServer(const char* self, size_t shard, size_t num_shards,
                        uint16_t port, size_t n, size_t dims,
-                       size_t num_queries, size_t slow_every,
-                       size_t slow_ms) {
+                       size_t num_queries) {
   std::vector<std::string> args = {
       self,
       "--shard_server=1",
@@ -487,8 +359,6 @@ pid_t SpawnShardServer(const char* self, size_t shard, size_t num_shards,
       "--n=" + std::to_string(n),
       "--dims=" + std::to_string(dims),
       "--queries=" + std::to_string(num_queries),
-      "--slow_every=" + std::to_string(slow_every),
-      "--slow_ms=" + std::to_string(slow_ms),
   };
   std::vector<char*> argv;
   argv.reserve(args.size() + 1);
@@ -677,11 +547,6 @@ int main(int argc, char** argv) {
     Report(name, res, &json, {{"offered_qps", offered}});
   }
 
-  // Priority lanes + tenant quotas under a saturating burst (mono).
-  std::printf("--- priority lanes (mono, queue 128, 1 worker) ---\n");
-  RunPriorityLanes(stack.mono.get(), k, p, stack.queries,
-                   std::max<size_t>(requests / 4, 64), &json);
-
   // Mutation under load: the same closed-loop adaptive configuration as
   // SL_Closed/mono/async_adaptive, with a background thread removing and
   // re-inserting database objects through the server at a fixed rate —
@@ -738,68 +603,42 @@ int main(int argc, char** argv) {
            {{"mutations", static_cast<double>(mutations.load())}});
   }
 
-  // --- SL_Remote: 2-shard x 2-replica multi-process serving ---------
+  // --- SL_Remote: 2-shard multi-process serving ----------------------
   //
-  // Four child processes (fork/exec of this binary in --shard_server
+  // Two child processes (fork/exec of this binary in --shard_server
   // mode) serve the hash-partitioned database over TCP; the parent
-  // composes RetrievalEngine over two HedgedReplicaBackends,
-  // each over two RemoteRetrievalBackends.  Replica (shard 0, replica
-  // 1) injects a 40ms delay on every 32nd scan it serves — rare enough
-  // (~3% of that server's scans) to keep its latency-quantile hedge
-  // estimate fast, frequent enough (~1.6% of caller requests) to own
-  // the no-hedging p99.
+  // composes RetrievalEngine over one RemoteRetrievalBackend per shard.
   //
   // Phases, each gated by tools/check_bench_regressions.py:
   //  * parity: the cluster answers bit-identically to the in-process
   //    2-shard engine (zero mismatches);
-  //  * nohedge/hedged closed loops: hedging must cut the p99 the slow
-  //    replica inflates, and win at least one race;
-  //  * killed: SIGKILL the slow replica mid-cluster; failover must
-  //    leave zero caller-visible failures.
+  //  * cluster: a closed loop whose p99 must stay within a bounded
+  //    multiple of in-process sharded serving.
   {
     constexpr size_t kRemoteShards = 2;
-    constexpr size_t kReplicas = 2;
     const size_t remote_requests = flags.GetSize("remote_requests", 600);
     const size_t parity_queries = std::min<size_t>(64, stack.queries.size());
-    std::printf("--- remote cluster (%zu shards x %zu replicas, "
-                "multi-process) ---\n",
-                kRemoteShards, kReplicas);
+    std::printf("--- remote cluster (%zu shards, multi-process) ---\n",
+                kRemoteShards);
 
-    uint16_t ports[kRemoteShards][kReplicas];
-    pid_t pids[kRemoteShards][kReplicas];
+    uint16_t ports[kRemoteShards];
+    pid_t pids[kRemoteShards];
     for (size_t s = 0; s < kRemoteShards; ++s) {
-      for (size_t r = 0; r < kReplicas; ++r) {
-        ports[s][r] = PickFreePort();
-        const bool slow = s == 0 && r == 1;
-        pids[s][r] =
-            SpawnShardServer(argv[0], s, kRemoteShards, ports[s][r], n, dims,
-                             num_queries, slow ? 32 : 0, slow ? 40 : 0);
-      }
+      ports[s] = PickFreePort();
+      pids[s] = SpawnShardServer(argv[0], s, kRemoteShards, ports[s], n, dims,
+                                 num_queries);
     }
     for (size_t s = 0; s < kRemoteShards; ++s) {
-      for (size_t r = 0; r < kReplicas; ++r) {
-        QSE_CHECK_MSG(WaitForServer(ports[s][r], 120.0),
-                      "shard server did not come up");
-      }
+      QSE_CHECK_MSG(WaitForServer(ports[s], 120.0),
+                    "shard server did not come up");
     }
 
-    std::vector<std::shared_ptr<RetrievalBackend>> hedged_shards;
-    std::vector<std::shared_ptr<RetrievalBackend>> nohedge_shards;
+    std::vector<std::shared_ptr<RetrievalBackend>> shards;
     for (size_t s = 0; s < kRemoteShards; ++s) {
-      std::vector<std::shared_ptr<RetrievalBackend>> replicas;
-      for (size_t r = 0; r < kReplicas; ++r) {
-        replicas.push_back(std::make_shared<net::RemoteRetrievalBackend>(
-            &stack.model, "127.0.0.1", ports[s][r]));
-      }
-      hedged_shards.push_back(std::make_shared<net::HedgedReplicaBackend>(
-          replicas, net::HedgedBackendOptions{}));
-      net::HedgedBackendOptions hedge_off;
-      hedge_off.enable_hedging = false;
-      nohedge_shards.push_back(std::make_shared<net::HedgedReplicaBackend>(
-          std::move(replicas), hedge_off));
+      shards.push_back(std::make_shared<net::RemoteRetrievalBackend>(
+          &stack.model, "127.0.0.1", ports[s]));
     }
-    RetrievalEngine hedged_cluster(&stack.model, hedged_shards);
-    RetrievalEngine nohedge_cluster(&stack.model, nohedge_shards);
+    RetrievalEngine cluster(&stack.model, shards);
 
     // Parity against an in-process engine with the same shard count
     // (and therefore, via the shared hash partition, the same shards).
@@ -817,7 +656,7 @@ int main(int argc, char** argv) {
     size_t mismatches = 0;
     for (size_t q = 0; q < parity_queries; ++q) {
       auto want = reference.Retrieve({stack.queries[q], base_options});
-      auto got = hedged_cluster.Retrieve({stack.queries[q], base_options});
+      auto got = cluster.Retrieve({stack.queries[q], base_options});
       QSE_CHECK_MSG(want.ok(), want.status().ToString());
       QSE_CHECK_MSG(got.ok(), got.status().ToString());
       bool same = want->neighbors.size() == got->neighbors.size();
@@ -839,61 +678,18 @@ int main(int argc, char** argv) {
                                static_cast<double>(mismatches));
     json.push_back(std::move(parity));
 
-    // Closed loops: no-hedging first — it doubles as the warmup that
-    // populates the replica latency histograms the hedge timer
-    // estimates its delays from.
-    RunResult nohedge =
+    RunResult res =
         RunClosedLoop(clients, remote_requests, stack.queries,
                       [&](const DxToDatabaseFn& dx) {
-                        auto r = nohedge_cluster.Retrieve({dx, base_options});
+                        auto r = cluster.Retrieve({dx, base_options});
                         QSE_CHECK_MSG(r.ok(), r.status().ToString());
                       });
-    Report("SL_Remote/cluster/nohedge", nohedge, &json);
+    Report("SL_Remote/cluster", res, &json);
 
-    auto& registry = obs::MetricRegistry::Global();
-    obs::Counter* fired = registry.GetCounter("qse_hedged_fired_total");
-    obs::Counter* wins = registry.GetCounter("qse_hedged_wins_total");
-    const uint64_t fired_before = fired->Value();
-    const uint64_t wins_before = wins->Value();
-    RunResult hedged =
-        RunClosedLoop(clients, remote_requests, stack.queries,
-                      [&](const DxToDatabaseFn& dx) {
-                        auto r = hedged_cluster.Retrieve({dx, base_options});
-                        QSE_CHECK_MSG(r.ok(), r.status().ToString());
-                      });
-    const double hedges_fired =
-        static_cast<double>(fired->Value() - fired_before);
-    const double hedge_wins = static_cast<double>(wins->Value() - wins_before);
-    Report("SL_Remote/cluster/hedged", hedged, &json,
-           {{"hedges_fired", hedges_fired}, {"hedge_wins", hedge_wins}});
-    std::printf("hedging: %.0f fired, %.0f won their race\n", hedges_fired,
-                hedge_wins);
-
-    // Kill the slow replica outright.  Failover (immediate on error, no
-    // hedge delay spent) must keep every request succeeding; the cost is
-    // at most one refused reconnect per affected call.
-    QSE_CHECK(kill(pids[0][1], SIGKILL) == 0);
-    int wstatus = 0;
-    waitpid(pids[0][1], &wstatus, 0);
-    std::atomic<size_t> failed{0};
-    RunResult killed =
-        RunClosedLoop(clients, remote_requests, stack.queries,
-                      [&](const DxToDatabaseFn& dx) {
-                        auto r = hedged_cluster.Retrieve({dx, base_options});
-                        if (!r.ok()) failed.fetch_add(1);
-                      });
-    Report("SL_Remote/cluster/killed", killed, &json,
-           {{"failed_requests", static_cast<double>(failed.load())}});
-    std::printf("killed replica (shard 0, replica 1): %zu/%zu requests "
-                "failed (must be 0)\n",
-                failed.load(), remote_requests);
-
-    for (size_t s = 0; s < kRemoteShards; ++s) {
-      for (size_t r = 0; r < kReplicas; ++r) {
-        if (s == 0 && r == 1) continue;  // already reaped
-        kill(pids[s][r], SIGKILL);
-        waitpid(pids[s][r], &wstatus, 0);
-      }
+    for (pid_t pid : pids) {
+      kill(pid, SIGKILL);
+      int wstatus = 0;
+      waitpid(pid, &wstatus, 0);
     }
   }
 

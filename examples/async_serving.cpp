@@ -2,17 +2,16 @@
 //
 // The engines answer caller-driven batches; nothing shapes *traffic*.
 // AsyncRetrievalServer owns a backend behind Submit -> Future: a bounded
-// multi-lane admission queue sheds overload with kResourceExhausted
-// (lowest priority first), per-tenant quotas cap any one tenant's share
-// of the queue, per-request deadlines turn late answers into
-// kDeadlineExceeded (checked at dequeue and again before the refine step
-// — never silently dropped), and a batcher thread coalesces concurrent
+// FIFO admission queue refuses overload with kResourceExhausted,
+// per-request deadlines turn late answers into kDeadlineExceeded
+// (checked at dequeue and again before the refine step — never silently
+// dropped), and a batcher thread coalesces concurrent
 // submitters into adaptive micro-batches that RetrieveBatch spreads
 // across cores.  Results for admitted, non-expired requests are
 // bit-identical to calling the backend directly.
 //
 // Everything rides on one envelope: RetrievalRequest{dx,
-// RetrievalOptions{k, p, priority, tenant_id, deadline, want_stats}}.
+// RetrievalOptions{k, p, deadline, want_stats}}.
 //
 // Build: cmake --build build && ./build/examples/async_serving
 #include <atomic>
@@ -61,12 +60,10 @@ int main() {
   };
 
   // --- The server: bounded admission, micro-batches up to 32, one
-  // worker driving RetrieveBatch across all cores.  Two tenants share
-  // the queue: "web" may hold up to half of it, "batch" a quarter.
+  // worker driving RetrieveBatch across all cores.
   AsyncServerOptions options;
   options.queue_capacity = 256;
   options.max_batch = 32;
-  options.tenant_quotas = {{"web", 0.5}, {"batch", 0.25}};
   AsyncRetrievalServer server(&backend, options);
 
   // --- A burst of concurrent submitters; futures resolve as batches
@@ -79,9 +76,6 @@ int main() {
     submitters.emplace_back([&, t] {
       for (size_t q = t; q < num_queries; q += 4) {
         RetrievalOptions ro(k, p);
-        ro.tenant_id = q % 3 == 0 ? "batch" : "web";
-        ro.priority = q % 3 == 0 ? RequestPriority::kLow
-                                 : RequestPriority::kNormal;
         ro.deadline = RetrievalOptions::DeadlineIn(500ms);
         futures[q] = server.Submit({query_dx(q), ro});
         futures[q].OnReady(
@@ -111,41 +105,19 @@ int main() {
   // --- Deadlines: a request that cannot be answered in time comes back
   // kDeadlineExceeded (here: already expired on arrival).
   RetrievalOptions tight(k, p);
-  tight.tenant_id = "web";
   tight.deadline = RetrievalClock::now() - 1ms;
   auto late = server.Submit({query_dx(0), tight});
   std::printf("expired request -> %s\n",
               late.Get().status().ToString().c_str());
 
-  // --- Tenancy: an unknown tenant is refused outright; a known tenant
-  // is only refused once it holds its full share of the queue.
-  RetrievalOptions unknown(k, p);
-  unknown.tenant_id = "free-rider";
-  auto rejected = server.Submit({query_dx(0), unknown});
-  std::printf("unknown tenant -> %s\n",
-              rejected.Get().status().ToString().c_str());
-
-  // --- Stats: admission counters, per-lane and per-tenant breakdowns,
-  // and the micro-batch size histogram (the adaptivity signal: idle
-  // traffic batches at 1, bursts coalesce).
+  // --- Stats: admission counters and the micro-batch size histogram
+  // (the adaptivity signal: idle traffic batches at 1, bursts
+  // coalesce).
   ServerStats stats = server.stats();
   std::printf("stats: submitted %zu, admitted %zu, completed %zu, "
-              "rejected %zu, shed %zu, expired %zu\n",
+              "rejected %zu, expired %zu\n",
               stats.submitted, stats.admitted, stats.completed,
-              stats.rejected, stats.shed, stats.expired);
-  for (size_t l = 0; l < kNumPriorityLanes; ++l) {
-    std::printf("  lane %-6s: submitted %3zu admitted %3zu shed %3zu "
-                "completed %3zu\n",
-                RequestPriorityName(static_cast<RequestPriority>(l)),
-                stats.lanes[l].submitted, stats.lanes[l].admitted,
-                stats.lanes[l].shed, stats.lanes[l].completed);
-  }
-  for (const TenantStats& t : stats.tenants) {
-    std::printf("  tenant %-6s: limit %3zu submitted %3zu admitted %3zu "
-                "rejected %3zu\n",
-                t.tenant_id.c_str(), t.limit, t.submitted, t.admitted,
-                t.rejected);
-  }
+              stats.rejected, stats.expired);
   std::printf("batch sizes:");
   for (size_t i = 0; i < stats.batch_size_histogram.size(); ++i) {
     if (stats.batch_size_histogram[i] > 0) {

@@ -41,7 +41,7 @@ struct RemoteBackendOptions {
 
 /// A RetrievalBackend whose data lives in another process, behind a
 /// RetrievalServer.  Drop-in for local shards: RetrievalEngine's composed
-/// constructor or HedgedReplicaBackend stack on it unchanged.
+/// constructor stacks on it unchanged, one backend per shard.
 ///
 /// Division of labor (the paper's pipeline, cut at the only seam that
 /// survives a process boundary): the EMBEDDING step runs client-side —

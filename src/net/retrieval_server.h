@@ -34,9 +34,9 @@ struct RetrievalServerOptions {
   /// Resolves kRetrieve raw queries; kRetrieve fails with
   /// FailedPrecondition when unset.
   RawQueryResolver raw_query_resolver;
-  /// Fault injection for tests and the bench harness: every Nth kScan
-  /// (per server, 0 = never) sleeps debug_delay before scanning —
-  /// deterministic tail latency that hedged reads must win against.
+  /// Fault injection for tests and examples: every Nth kScan (per
+  /// server, 0 = never) sleeps debug_delay before scanning — a
+  /// deterministic slow server for the wire deadline tests.
   size_t debug_delay_every_n = 0;
   std::chrono::milliseconds debug_delay{0};
 };

@@ -183,7 +183,7 @@ Status Socket::SendAll(const void* data, size_t n) {
   size_t sent = 0;
   while (sent < n) {
     // MSG_NOSIGNAL: a dead peer yields EPIPE, not a process-killing
-    // SIGPIPE — mandatory in a multi-replica client where peers die.
+    // SIGPIPE — mandatory in a multi-shard client where peers die.
     ssize_t r = send(fd_, p + sent, n - sent, MSG_NOSIGNAL);
     if (r < 0) {
       if (errno == EINTR) continue;

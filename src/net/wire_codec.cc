@@ -55,8 +55,6 @@ std::string EncodeRequest(const WireRequest& request) {
   w.WriteU64(request.options.p);
   w.WriteU64(request.options.num_threads);
   w.WriteU8(request.options.want_stats ? 1 : 0);
-  w.WriteU8(static_cast<uint8_t>(request.options.priority));
-  w.WriteString(request.options.tenant_id);
   w.WriteU64(request.db_id);
   w.WriteDoubleVec(request.query);
   return out.str();
@@ -85,19 +83,12 @@ Status DecodeRequest(const std::string& payload, WireRequest* out) {
   out->options.k = static_cast<size_t>(k);
   out->options.p = static_cast<size_t>(p);
   out->options.num_threads = static_cast<size_t>(num_threads);
-  uint8_t want_stats = 0, priority = 0;
+  uint8_t want_stats = 0;
   QSE_RETURN_IF_ERROR(r.ReadU8(&want_stats));
   if (want_stats > 1) {
     return Status::InvalidArgument("want_stats flag out of range");
   }
   out->options.want_stats = want_stats != 0;
-  QSE_RETURN_IF_ERROR(r.ReadU8(&priority));
-  if (priority >= kNumPriorityLanes) {
-    return Status::InvalidArgument("priority out of range: " +
-                                   std::to_string(priority));
-  }
-  out->options.priority = static_cast<RequestPriority>(priority);
-  QSE_RETURN_IF_ERROR(r.ReadString(&out->options.tenant_id, kMaxWireTenantId));
   QSE_RETURN_IF_ERROR(r.ReadU64(&out->db_id));
   QSE_RETURN_IF_ERROR(r.ReadDoubleVec(&out->query, kMaxWireDims));
   return RequireExhausted(r);

@@ -10,8 +10,8 @@ namespace obs {
 
 /// Escapes one label VALUE per the Prometheus text format 0.0.4:
 /// backslash -> \\, double-quote -> \", newline -> \n.  Use when
-/// building labeled metric names from runtime strings (tenant ids,
-/// build metadata) so a hostile or accidental quote cannot break the
+/// building labeled metric names from runtime strings (such as build
+/// metadata) so a hostile or accidental quote cannot break the
 /// exposition.
 std::string EscapeLabelValue(const std::string& value);
 

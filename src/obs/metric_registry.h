@@ -175,7 +175,7 @@ std::vector<double> DefaultLatencyBoundariesNs();
 /// pointer, which stays valid for the registry's lifetime — resolve
 /// once at construction time and keep the raw pointer on the hot path.
 /// Metric names follow Prometheus conventions; labels are encoded in
-/// the name itself, e.g. `qse_server_lane_admitted_total{lane="high"}`.
+/// the name itself, e.g. `qse_build_info{version="...",commit="..."}`.
 class MetricRegistry {
  public:
   MetricRegistry() = default;

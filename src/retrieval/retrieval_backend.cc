@@ -1,18 +1,8 @@
 #include "src/retrieval/retrieval_backend.h"
 
-namespace qse {
+#include <string>
 
-const char* RequestPriorityName(RequestPriority priority) {
-  switch (priority) {
-    case RequestPriority::kHigh:
-      return "high";
-    case RequestPriority::kNormal:
-      return "normal";
-    case RequestPriority::kLow:
-      return "low";
-  }
-  return "invalid";
-}
+namespace qse {
 
 Status ValidateRetrievalOptions(const RetrievalOptions& options) {
   if (options.k == 0) return Status::InvalidArgument("k must be >= 1");
@@ -20,11 +10,6 @@ Status ValidateRetrievalOptions(const RetrievalOptions& options) {
     return Status::InvalidArgument(
         "p must be >= 1: a filter step that keeps no candidates cannot "
         "retrieve anything");
-  }
-  if (static_cast<size_t>(options.priority) >= kNumPriorityLanes) {
-    return Status::InvalidArgument(
-        "invalid priority enumerator: " +
-        std::to_string(static_cast<size_t>(options.priority)));
   }
   if (options.filter_precision != FilterPrecision::kExact64) {
     const int value = static_cast<int>(options.filter_precision);

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstddef>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/embedding/embedder.h"
@@ -27,24 +26,6 @@ class QualityMonitor;
 /// sleeping.
 using RetrievalClock = MonotonicClock;
 
-/// Admission priority of one request.  Lanes are strict: the serving
-/// layer dequeues kHigh before kNormal before kLow, and sheds kLow first
-/// under overflow.  The backends themselves ignore priority (it does not
-/// change results), but validate it so a mis-cast enum fails loudly at
-/// every layer.
-enum class RequestPriority {
-  kHigh = 0,
-  kNormal = 1,
-  kLow = 2,
-};
-
-/// Number of admission lanes (one per RequestPriority enumerator).
-inline constexpr size_t kNumPriorityLanes = 3;
-
-/// Stable lower-case lane name ("high", "normal", "low") for stats and
-/// bench output; "invalid" for out-of-range values.
-const char* RequestPriorityName(RequestPriority priority);
-
 /// Per-request options: the one envelope every query surface consumes —
 /// direct engine calls, batched calls, and the async server.
 struct RetrievalOptions {
@@ -60,11 +41,6 @@ struct RetrievalOptions {
   /// When true the response's shard_stats is filled with per-shard scan
   /// and candidate counters.
   bool want_stats = false;
-  /// Admission lane in the async server; ignored by direct engine calls.
-  RequestPriority priority = RequestPriority::kNormal;
-  /// Tenant for per-tenant admission quotas in the async server; ""
-  /// means anonymous.  Ignored by direct engine calls.
-  std::string tenant_id;
   /// Absolute completion deadline, enforced by the async server: a
   /// request past it is answered with kDeadlineExceeded — checked when
   /// it leaves the admission queue and again just before the backend
@@ -97,7 +73,7 @@ struct RetrievalOptions {
 
   /// True when two requests are guaranteed identical backend results for
   /// the same dx, so a batcher may run them as one RetrieveBatch call.
-  /// priority/tenant/deadline shape admission, num_threads shapes
+  /// deadline shapes admission, num_threads shapes
   /// execution, audit_monitor only observes; none of them change
   /// results.  filter_precision has one valid value.
   bool SameResultKey(const RetrievalOptions& other) const {
@@ -109,7 +85,6 @@ struct RetrievalOptions {
 /// server, so validation behavior cannot drift between surfaces:
 ///  * k == 0 or p == 0 is InvalidArgument (a filter that keeps nothing
 ///    is a caller bug, not a degenerate retrieval);
-///  * an out-of-range priority enumerator is InvalidArgument;
 ///  * a filter_precision other than kExact64 is InvalidArgument.
 /// Database emptiness is a backend-state concern checked by the engines
 /// (FailedPrecondition), not here.
@@ -181,7 +156,7 @@ struct ScanCandidatesResult {
 
 /// The serving-facing face of a retrieval engine: the filter-and-refine
 /// query API plus incremental mutation, shared by RetrievalEngine and
-/// the decorators stacked on it (remote, hedged, durable) so examples,
+/// the decorators stacked on it (remote, durable) so examples,
 /// evaluation drivers and the serving layer swap one for the other
 /// behind a single interface.
 ///

@@ -42,8 +42,8 @@ size_t HashShardOf(size_t db_id, size_t num_shards);
 ///
 /// A shard is either a local EmbeddedDatabase (owned, or borrowed by the
 /// single-shard constructor) with its id -> row index, or a
-/// RetrievalBackend reached through ScanCandidates (a remote server, a
-/// hedged replica set, or another engine).  Every query runs one path:
+/// RetrievalBackend reached through ScanCandidates (a remote server or
+/// another engine).  Every query runs one path:
 /// embed once, scan every shard (one pinned snapshot per local shard),
 /// merge the per-shard top-p lists under the (score, id) order, refine
 /// the merged top p once, audit against the pinned snapshots.  Every row
@@ -90,12 +90,11 @@ class RetrievalEngine : public RetrievalBackend {
                   ShardedEngineOptions options = {});
 
   /// Composes over pre-built shard backends — the multi-node topology:
-  /// each backend is typically a RemoteRetrievalBackend (or a
-  /// HedgedReplicaBackend over several) and the scan step calls its
-  /// ScanCandidates.  shard_backends[s] serves shard s and must hold the
-  /// ids HashShardOf routes to s.  options.num_shards is taken from the
-  /// backend count.  Quality audits are skipped: the pinned snapshots
-  /// live in the backends.
+  /// each backend is typically a RemoteRetrievalBackend and the scan
+  /// step calls its ScanCandidates.  shard_backends[s] serves shard s
+  /// and must hold the ids HashShardOf routes to s.  options.num_shards
+  /// is taken from the backend count.  Quality audits are skipped: the
+  /// pinned snapshots live in the backends.
   RetrievalEngine(const Embedder* embedder,
                   std::vector<std::shared_ptr<RetrievalBackend>> shard_backends,
                   ShardedEngineOptions options = {});

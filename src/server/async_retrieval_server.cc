@@ -1,11 +1,9 @@
 #include "src/server/async_retrieval_server.h"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 #include <utility>
 
-#include "src/obs/exposition.h"
 #include "src/obs/quality_monitor.h"
 #include "src/util/logging.h"
 
@@ -17,24 +15,6 @@ AsyncServerOptions Sanitize(AsyncServerOptions o) {
   if (o.max_batch == 0) o.max_batch = 1;
   if (o.num_workers == 0) o.num_workers = 1;
   return o;
-}
-
-/// Occupancy slots one quota buys: its share of the capacity, at least
-/// one slot so a configured tenant is never locked out entirely.
-size_t QuotaSlots(double share, size_t capacity) {
-  double slots = std::floor(share * static_cast<double>(capacity));
-  if (slots < 1.0) return 1;
-  if (slots > static_cast<double>(capacity)) return capacity;
-  return static_cast<size_t>(slots);
-}
-
-std::vector<size_t> TenantLimits(const AsyncServerOptions& options) {
-  std::vector<size_t> limits;
-  limits.reserve(options.tenant_quotas.size());
-  for (const TenantQuota& q : options.tenant_quotas) {
-    limits.push_back(QuotaSlots(q.share, options.queue_capacity));
-  }
-  return limits;
 }
 
 /// Integer boundaries 1..max_batch: every batch size gets its own
@@ -56,12 +36,6 @@ bool CheckServerStatsInvariant(const ServerStats& stats) {
       stats.completed + stats.expired + stats.cancelled + stats.shed) {
     return false;
   }
-  for (const LaneStats& lane : stats.lanes) {
-    if (lane.admitted !=
-        lane.completed + lane.expired + lane.cancelled + lane.shed) {
-      return false;
-    }
-  }
   return true;
 }
 
@@ -69,8 +43,7 @@ AsyncRetrievalServer::AsyncRetrievalServer(const RetrievalBackend* backend,
                                            AsyncServerOptions options)
     : backend_(backend),
       options_(Sanitize(options)),
-      tenant_limits_(TenantLimits(options_)),
-      queue_(options_.queue_capacity, tenant_limits_),
+      queue_(options_.queue_capacity),
       // One pending batch per worker: backlog accumulates in the bounded
       // admission queue (where overflow is observable), not in an elastic
       // dispatch buffer.
@@ -83,45 +56,12 @@ AsyncRetrievalServer::AsyncRetrievalServer(const RetrievalBackend* backend,
       submitted_(registry_->GetCounter("qse_server_submitted_total")),
       admitted_(registry_->GetCounter("qse_server_admitted_total")),
       rejected_(registry_->GetCounter("qse_server_rejected_total")),
-      shed_(registry_->GetCounter("qse_server_shed_total")),
       expired_(registry_->GetCounter("qse_server_expired_total")),
       cancelled_(registry_->GetCounter("qse_server_cancelled_total")),
       completed_(registry_->GetCounter("qse_server_completed_total")),
-      unknown_tenant_rejected_(
-          registry_->GetCounter("qse_server_unknown_tenant_rejected_total")),
       queue_depth_(registry_->GetGauge("qse_server_queue_depth")),
       batch_size_hist_(registry_->GetHistogram(
           "qse_server_batch_size", BatchSizeBoundaries(options_.max_batch))) {
-  for (size_t l = 0; l < kNumPriorityLanes; ++l) {
-    const std::string label =
-        "{" +
-        obs::PromLabel("lane",
-                       RequestPriorityName(static_cast<RequestPriority>(l))) +
-        "}";
-    lane_counters_[l] = LaneCounters{
-        registry_->GetCounter("qse_server_lane_submitted_total" + label),
-        registry_->GetCounter("qse_server_lane_admitted_total" + label),
-        registry_->GetCounter("qse_server_lane_shed_total" + label),
-        registry_->GetCounter("qse_server_lane_expired_total" + label),
-        registry_->GetCounter("qse_server_lane_cancelled_total" + label),
-        registry_->GetCounter("qse_server_lane_completed_total" + label),
-        registry_->GetGauge("qse_server_lane_queue_depth" + label)};
-  }
-  tenant_counters_.reserve(options_.tenant_quotas.size());
-  for (size_t slot = 0; slot < options_.tenant_quotas.size(); ++slot) {
-    const TenantQuota& q = options_.tenant_quotas[slot];
-    bool inserted = tenant_slots_.emplace(q.tenant_id, slot).second;
-    QSE_CHECK_MSG(inserted, "duplicate tenant quota: '" << q.tenant_id
-                                                        << "'");
-    // Tenant ids are caller-supplied: escape them so a quote or newline
-    // in an id cannot corrupt the exposition.
-    const std::string label = "{" + obs::PromLabel("tenant", q.tenant_id) + "}";
-    tenant_counters_.push_back(TenantCounters{
-        registry_->GetCounter("qse_server_tenant_submitted_total" + label),
-        registry_->GetCounter("qse_server_tenant_admitted_total" + label),
-        registry_->GetCounter("qse_server_tenant_rejected_total" + label),
-        registry_->GetCounter("qse_server_tenant_shed_total" + label)});
-  }
   batcher_ = std::thread(&AsyncRetrievalServer::BatcherLoop, this);
   workers_.reserve(options_.num_workers);
   for (size_t w = 0; w < options_.num_workers; ++w) {
@@ -185,25 +125,7 @@ Future<StatusOr<RetrievalResponse>> AsyncRetrievalServer::Submit(
       request.options.audit_monitor == nullptr) {
     request.options.audit_monitor = options_.quality_monitor;
   }
-  const size_t lane = static_cast<size_t>(request.options.priority);
-  size_t tenant_slot = kNoTenantSlot;
-  if (!tenant_slots_.empty()) {
-    auto it = tenant_slots_.find(request.options.tenant_id);
-    if (it == tenant_slots_.end()) {
-      rejected_->Increment();
-      unknown_tenant_rejected_->Increment();
-      promise.Set(Status::InvalidArgument("unknown tenant: '" +
-                                          request.options.tenant_id + "'"));
-      return future;
-    }
-    tenant_slot = it->second;
-  }
-  lane_counters_[lane].submitted->Increment();
-  if (tenant_slot != kNoTenantSlot) {
-    tenant_counters_[tenant_slot].submitted->Increment();
-  }
-
-  Request r{std::move(request), lane, tenant_slot, promise};
+  Request r{std::move(request), promise};
   // Stamp the admit span before the push moves `r` into the queue.  The
   // span stays on a rejected request's trace too; nobody reads it — a
   // rejection never returns a response.
@@ -214,33 +136,19 @@ Future<StatusOr<RetrievalResponse>> AsyncRetrievalServer::Submit(
   // The refusal reason comes from under the queue lock: a full-queue
   // rejection racing Shutdown still reports load shedding (retryable),
   // not shutdown (terminal).
-  auto outcome = queue_.TryPush(std::move(r), lane, tenant_slot);
-  switch (outcome.result) {
-    case AdmitResult::kAdmitted:
-    case AdmitResult::kAdmittedEvicting:
+  switch (queue_.TryPushWithReason(std::move(r))) {
+    case QueuePushResult::kAccepted:
       break;
-    case AdmitResult::kQueueFull:
+    case QueuePushResult::kFull:
       rejected_->Increment();
       promise.Set(Status::ResourceExhausted("admission queue full"));
       return future;
-    case AdmitResult::kTenantOverQuota:
-      rejected_->Increment();
-      tenant_counters_[tenant_slot].rejected->Increment();
-      promise.Set(Status::ResourceExhausted(
-          "tenant '" + options_.tenant_quotas[tenant_slot].tenant_id +
-          "' over admission quota"));
-      return future;
-    case AdmitResult::kClosed:
+    case QueuePushResult::kClosed:
       rejected_->Increment();
       promise.Set(Status::FailedPrecondition("server is shut down"));
       return future;
   }
   admitted_->Increment();
-  lane_counters_[lane].admitted->Increment();
-  if (tenant_slot != kNoTenantSlot) {
-    tenant_counters_[tenant_slot].admitted->Increment();
-  }
-  if (outcome.evicted.has_value()) CompleteShed(&*outcome.evicted);
   return future;
 }
 
@@ -259,9 +167,8 @@ void AsyncRetrievalServer::Shutdown(DrainMode mode) {
   for (std::thread& w : workers_) {
     if (w.joinable()) w.join();
   }
-  // A Submit racing this shutdown may still hold an unset promise (its
-  // own rejection, or a victim its push evicted between TryPush and
-  // CompleteShed); wait it out so every future is ready on return.
+  // A Submit racing this shutdown may still hold the unset promise of
+  // its own rejection; wait it out so every future is ready on return.
   while (active_submits_.load(std::memory_order_acquire) != 0) {
     std::this_thread::yield();
   }
@@ -274,19 +181,8 @@ void AsyncRetrievalServer::Shutdown(DrainMode mode) {
 
 void AsyncRetrievalServer::CompleteCancelled(Request* r) {
   cancelled_->Increment();
-  lane_counters_[r->lane].cancelled->Increment();
   r->promise.Set(Status::FailedPrecondition("server shut down before the "
                                             "request was executed"));
-}
-
-void AsyncRetrievalServer::CompleteShed(Request* r) {
-  shed_->Increment();
-  lane_counters_[r->lane].shed->Increment();
-  if (r->tenant_slot != kNoTenantSlot) {
-    tenant_counters_[r->tenant_slot].shed->Increment();
-  }
-  r->promise.Set(Status::ResourceExhausted(
-      "shed from the admission queue by a higher-priority arrival"));
 }
 
 bool AsyncRetrievalServer::AdmitToBatch(Request r, Batch* batch,
@@ -303,7 +199,6 @@ bool AsyncRetrievalServer::AdmitToBatch(Request r, Batch* batch,
   // admission queue must not take a batch slot.
   if (now > r.req.options.deadline) {
     expired_->Increment();
-    lane_counters_[r.lane].expired->Increment();
     r.promise.Set(
         Status::DeadlineExceeded("deadline expired in the admission queue"));
     return false;
@@ -390,7 +285,6 @@ void AsyncRetrievalServer::ExecuteBatch(Batch batch) {
       CompleteCancelled(&r);
     } else if (now > r.req.options.deadline) {
       expired_->Increment();
-      lane_counters_[r.lane].expired->Increment();
       r.promise.Set(Status::DeadlineExceeded(
           "deadline expired before the refine step"));
     } else {
@@ -432,7 +326,6 @@ void AsyncRetrievalServer::ExecuteBatch(Batch batch) {
       req.options.num_threads = options_.retrieve_threads;
       StatusOr<RetrievalResponse> result = backend_->Retrieve(req);
       completed_->Increment();
-      lane_counters_[r.lane].completed->Increment();
       obs::TraceMark(trace, "execute", exec_start);
       // The whole request, Submit to completion: the denominator the
       // span-coverage acceptance gate divides by.
@@ -451,7 +344,6 @@ void AsyncRetrievalServer::ExecuteBatch(Batch batch) {
         backend_->RetrieveBatch(queries, exec);
     for (size_t i = 0; i < group.size(); ++i) {
       completed_->Increment();
-      lane_counters_[live[group[i]].lane].completed->Increment();
       if (results.ok()) {
         live[group[i]].promise.Set(std::move((*results)[i]));
       } else {
@@ -466,35 +358,10 @@ ServerStats AsyncRetrievalServer::stats() const {
   s.submitted = submitted_->Value();
   s.admitted = admitted_->Value();
   s.rejected = rejected_->Value();
-  s.shed = shed_->Value();
   s.expired = expired_->Value();
   s.cancelled = cancelled_->Value();
   s.completed = completed_->Value();
   s.queue_depth = queue_.size();
-  s.unknown_tenant_rejected = unknown_tenant_rejected_->Value();
-  std::array<size_t, kNumPriorityLanes> depths = queue_.lane_sizes();
-  for (size_t l = 0; l < kNumPriorityLanes; ++l) {
-    const LaneCounters& c = lane_counters_[l];
-    s.lanes[l].submitted = c.submitted->Value();
-    s.lanes[l].admitted = c.admitted->Value();
-    s.lanes[l].shed = c.shed->Value();
-    s.lanes[l].expired = c.expired->Value();
-    s.lanes[l].cancelled = c.cancelled->Value();
-    s.lanes[l].completed = c.completed->Value();
-    s.lanes[l].queue_depth = depths[l];
-  }
-  s.tenants.reserve(tenant_counters_.size());
-  for (size_t slot = 0; slot < tenant_counters_.size(); ++slot) {
-    const TenantCounters& c = tenant_counters_[slot];
-    TenantStats t;
-    t.tenant_id = options_.tenant_quotas[slot].tenant_id;
-    t.limit = tenant_limits_[slot];
-    t.submitted = c.submitted->Value();
-    t.admitted = c.admitted->Value();
-    t.rejected = c.rejected->Value();
-    t.shed = c.shed->Value();
-    s.tenants.push_back(std::move(t));
-  }
   // The batch-size histogram has one exact bucket per size 1..max_batch.
   obs::HistogramSnapshot batches = batch_size_hist_->Snapshot();
   s.batch_size_histogram.assign(options_.max_batch, 0);
@@ -507,10 +374,6 @@ ServerStats AsyncRetrievalServer::stats() const {
 
 obs::MetricRegistry& AsyncRetrievalServer::metrics() const {
   queue_depth_->Set(static_cast<int64_t>(queue_.size()));
-  std::array<size_t, kNumPriorityLanes> depths = queue_.lane_sizes();
-  for (size_t l = 0; l < kNumPriorityLanes; ++l) {
-    lane_counters_[l].queue_depth->Set(static_cast<int64_t>(depths[l]));
-  }
   return *registry_;
 }
 

@@ -1,42 +1,27 @@
 #ifndef QSE_SERVER_ASYNC_RETRIEVAL_SERVER_H_
 #define QSE_SERVER_ASYNC_RETRIEVAL_SERVER_H_
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <memory>
-#include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "src/obs/metric_registry.h"
 #include "src/obs/trace.h"
 #include "src/retrieval/retrieval_backend.h"
-#include "src/server/admission_queue.h"
 #include "src/util/bounded_queue.h"
 #include "src/util/future.h"
 #include "src/util/statusor.h"
 
 namespace qse {
 
-/// One tenant's share of the admission queue.  A tenant may occupy at
-/// most max(1, floor(share * queue_capacity)) slots at once; a Submit
-/// beyond that is refused with kResourceExhausted while other tenants
-/// still admit.
-struct TenantQuota {
-  std::string tenant_id;
-  double share = 1.0;
-};
-
 struct AsyncServerOptions {
-  /// Admission queue bound, shared by all priority lanes.  A Submit that
-  /// finds it full either sheds a strictly lower-priority queued request
-  /// (which is answered kResourceExhausted) or is itself rejected with
-  /// kResourceExhausted — load shedding, not unbounded buffering.  A
-  /// handful of further requests beyond this live in the batcher/worker
-  /// pipeline.
+  /// Admission queue bound.  A Submit that finds the FIFO full is
+  /// rejected with kResourceExhausted — load shedding, not unbounded
+  /// buffering.  A handful of further requests beyond this live in the
+  /// batcher/worker pipeline.
   size_t queue_capacity = 1024;
   /// Largest micro-batch the batcher will coalesce (also the resolution
   /// of the batch-size histogram).
@@ -57,12 +42,6 @@ struct AsyncServerOptions {
   /// 0 = hardware concurrency.  Keep num_workers * retrieve_threads near
   /// the core count to avoid oversubscription.
   size_t retrieve_threads = 0;
-  /// Per-tenant admission quotas.  Empty (default): tenant_id is ignored
-  /// and nothing is tenant-limited.  Non-empty: listed tenants are
-  /// capped at their share of queue_capacity, and a request from an
-  /// unlisted tenant is rejected with kInvalidArgument ("" is a tenant
-  /// like any other — list it to admit anonymous traffic).
-  std::vector<TenantQuota> tenant_quotas;
   /// Trace every Nth valid Submit that does not already carry a trace
   /// (0 = never): the sampled request gets a RequestTrace recording
   /// admit/queue/batch/execute spans plus the backend's per-stage
@@ -85,32 +64,6 @@ struct AsyncServerOptions {
   obs::QualityMonitor* quality_monitor = nullptr;
 };
 
-/// Per-priority-lane counter slice of ServerStats.
-///
-/// Lane invariant (once all futures are ready, e.g. after Shutdown):
-///   admitted == completed + expired + cancelled + shed
-struct LaneStats {
-  size_t submitted = 0;  ///< Valid submits carrying this priority.
-  size_t admitted = 0;   ///< Entered this admission lane.
-  size_t shed = 0;       ///< Evicted from the queue by a higher-priority
-                         ///< arrival (answered kResourceExhausted).
-  size_t expired = 0;    ///< Answered kDeadlineExceeded.
-  size_t cancelled = 0;  ///< Answered at Shutdown(kCancel) without
-                         ///< reaching the backend.
-  size_t completed = 0;  ///< Backend answered.
-  size_t queue_depth = 0;  ///< Momentary lane length.
-};
-
-/// Per-tenant counter slice of ServerStats (quota-configured servers).
-struct TenantStats {
-  std::string tenant_id;
-  size_t limit = 0;      ///< Occupancy slots (share * queue_capacity).
-  size_t submitted = 0;  ///< Valid submits naming this tenant.
-  size_t admitted = 0;
-  size_t rejected = 0;  ///< Refused over-quota with kResourceExhausted.
-  size_t shed = 0;      ///< Admitted, then evicted by priority shedding.
-};
-
 /// Counter snapshot from AsyncRetrievalServer::stats().
 ///
 /// Invariants (once all futures are ready, e.g. after Shutdown):
@@ -119,23 +72,17 @@ struct TenantStats {
 struct ServerStats {
   size_t submitted = 0;  ///< All Submit calls.
   size_t admitted = 0;   ///< Entered the admission queue.
-  size_t rejected = 0;   ///< Never queued: overflow, over-quota, invalid
-                         ///< options, unknown tenant, or submitted after
-                         ///< shutdown.
-  size_t shed = 0;      ///< Admitted, then evicted by a higher-priority
-                        ///< arrival under overflow.
+  size_t rejected = 0;   ///< Never queued: overflow, invalid options, or
+                         ///< submitted after shutdown.
+  /// Always 0: the FIFO admission queue never evicts an admitted
+  /// request.  Kept only because perfbench's serve_churn still reads it.
+  size_t shed = 0;
   size_t expired = 0;   ///< Answered kDeadlineExceeded at dequeue or
                         ///< just before refine.
   size_t cancelled = 0;  ///< Answered at Shutdown(kCancel) without
                          ///< reaching the backend.
   size_t completed = 0;  ///< Backend answered (OK or a backend error).
   size_t queue_depth = 0;  ///< Momentary admission-queue length.
-  /// Of `rejected`, submits naming a tenant absent from tenant_quotas.
-  size_t unknown_tenant_rejected = 0;
-  /// Indexed by RequestPriority (kHigh = 0, kNormal = 1, kLow = 2).
-  std::array<LaneStats, kNumPriorityLanes> lanes;
-  /// One entry per configured TenantQuota, in configuration order.
-  std::vector<TenantStats> tenants;
   /// batch_size_histogram[i] = dispatched micro-batches of size i + 1.
   std::vector<size_t> batch_size_histogram;
 };
@@ -144,7 +91,6 @@ struct ServerStats {
 /// snapshot (every submitted future ready, e.g. after Shutdown):
 ///   submitted == admitted + rejected
 ///   admitted  == completed + expired + cancelled + shed
-/// and, per lane, admitted == completed + expired + cancelled + shed.
 /// The one place the invariant is spelled out: tests assert it, and a
 /// debug build QSE_DCHECKs it at the end of Shutdown.
 bool CheckServerStatsInvariant(const ServerStats& stats);
@@ -153,16 +99,13 @@ bool CheckServerStatsInvariant(const ServerStats& stats);
 /// over any number of shards, or a decorator on one) behind a
 /// Submit -> Future pipeline.
 ///
-///   submitters -> bounded multi-lane admission queue -> batcher thread
+///   submitters -> bounded FIFO admission queue -> batcher thread
 ///   -> bounded batch queue -> worker pool -> RetrieveBatch -> promise
 ///   completion
 ///
-/// Admission is strict-priority with per-tenant quotas: the batcher
-/// always dequeues kHigh before kNormal before kLow, an overflowing
-/// queue sheds the lowest-priority queued work first (never the
-/// incoming request, unless nothing below it is queued), and a tenant
-/// over its configured share of queue_capacity is refused while other
-/// tenants still admit.
+/// Admission is one FIFO: the batcher dequeues in arrival order, and a
+/// Submit that finds the queue full is itself rejected; nothing already
+/// admitted is ever evicted.
 ///
 /// The batcher coalesces queued requests into adaptive micro-batches: it
 /// keeps growing a batch while the queue is non-empty (up to max_batch),
@@ -174,10 +117,9 @@ bool CheckServerStatsInvariant(const ServerStats& stats);
 /// result is bit-identical to a direct RetrievalBackend::Retrieve.
 ///
 /// Every submitted request's future becomes ready exactly once, whatever
-/// happens: backend result, kResourceExhausted (admission overflow,
-/// priority shed, or tenant over quota), kDeadlineExceeded (expired in
-/// queue or just before refine), kInvalidArgument (bad options or
-/// unknown tenant), or kFailedPrecondition (shutdown).
+/// happens: backend result, kResourceExhausted (admission overflow),
+/// kDeadlineExceeded (expired in queue or just before refine),
+/// kInvalidArgument (bad options), or kFailedPrecondition (shutdown).
 ///
 /// Thread-safety: Submit/Retrieve/stats are safe from any thread.
 /// Shutdown is idempotent but must not race itself from two threads.  The
@@ -210,7 +152,7 @@ class AsyncRetrievalServer {
   AsyncRetrievalServer& operator=(const AsyncRetrievalServer&) = delete;
 
   /// Enqueues one retrieval.  Never blocks: on overflow (or invalid
-  /// options, over-quota tenant, or after shutdown) the returned future
+  /// options, or after shutdown) the returned future
   /// is already ready with the rejection status.  `request.dx` may be
   /// invoked on a worker thread any time before the future is ready;
   /// captured state must outlive that.
@@ -236,7 +178,7 @@ class AsyncRetrievalServer {
 
   ServerStats stats() const;
   /// The registry holding this server's metrics (the injected one or
-  /// the private default), with the momentary queue-depth gauges
+  /// the private default), with the momentary queue-depth gauge
   /// refreshed — ready for PrometheusText / MetricsJson export.
   obs::MetricRegistry& metrics() const;
   const RetrievalBackend& backend() const { return *backend_; }
@@ -245,8 +187,6 @@ class AsyncRetrievalServer {
  private:
   struct Request {
     RetrievalRequest req;
-    size_t lane = static_cast<size_t>(RequestPriority::kNormal);
-    size_t tenant_slot = kNoTenantSlot;
     Promise<StatusOr<RetrievalResponse>> promise;
     /// Trace stamps (ns since the request's trace epoch), carried along
     /// the pipeline so each stage's span starts where the previous one
@@ -268,28 +208,20 @@ class AsyncRetrievalServer {
   /// promise.
   void ExecuteBatch(Batch batch);
   void CompleteCancelled(Request* r);
-  /// Completes an eviction victim with kResourceExhausted and counts the
-  /// shed against its lane and tenant.
-  void CompleteShed(Request* r);
 
   const RetrievalBackend* backend_;
   /// Non-null iff constructed over a mutable backend; the Insert/Remove
   /// forwarding target.
   RetrievalBackend* mutable_backend_ = nullptr;
   AsyncServerOptions options_;
-  std::unordered_map<std::string, size_t> tenant_slots_;  // id -> slot
-  /// tenant_limits_[slot] — the one place quota shares become slots;
-  /// both the queue's enforcement and TenantStats::limit read it.
-  std::vector<size_t> tenant_limits_;
-  PriorityAdmissionQueue<Request> queue_;  // admission (MPSC)
-  BoundedQueue<Batch> dispatch_;           // batcher -> workers (SPMC)
+  BoundedQueue<Request> queue_;    // admission (MPSC)
+  BoundedQueue<Batch> dispatch_;   // batcher -> workers (SPMC)
   std::atomic<bool> shutdown_{false};
   std::atomic<bool> cancel_{false};
   /// Submit calls currently executing.  Shutdown waits for this to hit
-  /// zero before returning: a Submit may still be completing a promise
-  /// it owns — its own rejection, or a victim evicted by its push —
-  /// after the queue has drained, and "every submitted future is ready"
-  /// must cover those too.
+  /// zero before returning: a Submit may still be completing its own
+  /// rejection after the queue has drained, and "every submitted future
+  /// is ready" must cover that too.
   std::atomic<size_t> active_submits_{0};
   /// Submit ticks behind trace_every_n sampling.  Separate from the
   /// submitted counter: reading a striped Counter sums all its stripes,
@@ -308,33 +240,11 @@ class AsyncRetrievalServer {
   obs::Counter* submitted_;
   obs::Counter* admitted_;
   obs::Counter* rejected_;
-  obs::Counter* shed_;
   obs::Counter* expired_;
   obs::Counter* cancelled_;
   obs::Counter* completed_;
-  obs::Counter* unknown_tenant_rejected_;
   obs::Gauge* queue_depth_;
   obs::Histogram* batch_size_hist_;
-
-  struct LaneCounters {
-    obs::Counter* submitted;
-    obs::Counter* admitted;
-    obs::Counter* shed;
-    obs::Counter* expired;
-    obs::Counter* cancelled;
-    obs::Counter* completed;
-    obs::Gauge* queue_depth;
-  };
-  std::array<LaneCounters, kNumPriorityLanes> lane_counters_;
-
-  struct TenantCounters {
-    obs::Counter* submitted;
-    obs::Counter* admitted;
-    obs::Counter* rejected;
-    obs::Counter* shed;
-  };
-  /// Indexed by tenant slot (configuration order of tenant_quotas).
-  std::vector<TenantCounters> tenant_counters_;
 
   std::thread batcher_;
   std::vector<std::thread> workers_;

@@ -2,10 +2,10 @@
 // request must come back bit-identical to a direct
 // RetrievalBackend::Retrieve — over both engines, multiple worker counts
 // and batch shapes, and randomized multi-threaded submit interleavings —
-// and every rejected/shed/expired/cancelled request must surface the
-// right status code.  Nothing is ever silently dropped.  Admission is
-// strict-priority (high dequeues first, low sheds first) with per-tenant
-// quotas, asserted deterministically below.
+// and every rejected/expired/cancelled request must surface the right
+// status code.  Nothing is ever silently dropped.  Admission is one FIFO
+// queue (arrival order in, the incoming request refused when full),
+// asserted deterministically below.
 #include "src/server/async_retrieval_server.h"
 
 #include <gtest/gtest.h>
@@ -156,9 +156,8 @@ TEST(AsyncServerParityTest, RandomizedInterleavingsOverBothEngines) {
         AsyncRetrievalServer server(b.backend, options);
 
         // 3 submitter threads, each submitting every query at a shuffled
-        // (query, p) order with jittered pacing and a rotating priority:
-        // the admission queue sees a different interleaving every
-        // config, and lanes must not change any result.
+        // (query, p) order with jittered pacing: the admission queue
+        // sees a different interleaving every config.
         struct Expectation {
           size_t query_id;
           size_t p;
@@ -179,10 +178,8 @@ TEST(AsyncServerParityTest, RandomizedInterleavingsOverBothEngines) {
             for (size_t i = work.size(); i > 1; --i) {
               std::swap(work[i - 1], work[rng.UniformInt(0, i - 1)]);
             }
-            size_t seq = 0;
             for (const auto& [query_id, p] : work) {
               RetrievalOptions ro(k, p);
-              ro.priority = static_cast<RequestPriority>(seq++ % 3);
               auto future = server.Submit({s.QueryDx(query_id), ro});
               {
                 std::lock_guard<std::mutex> lock(mu);
@@ -219,13 +216,6 @@ TEST(AsyncServerParityTest, RandomizedInterleavingsOverBothEngines) {
         EXPECT_EQ(stats.shed, 0u);
         EXPECT_EQ(stats.expired, 0u);
         EXPECT_EQ(stats.cancelled, 0u);
-        size_t lane_submitted = 0, lane_completed = 0;
-        for (const LaneStats& lane : stats.lanes) {
-          lane_submitted += lane.submitted;
-          lane_completed += lane.completed;
-        }
-        EXPECT_EQ(lane_submitted, pending.size());
-        EXPECT_EQ(lane_completed, pending.size());
       }
     }
   }
@@ -244,8 +234,8 @@ TEST(AsyncServerParityTest, BlockingRetrieveMatchesBackend) {
 
 TEST(AsyncServerParityTest, MixedOptionsInOneBurstStayExact) {
   // Requests with different (k, p, want_stats) coalesce into the same
-  // micro-batch but must execute as separate backend groups; priority
-  // and deadline do not split groups (they don't change results).
+  // micro-batch but must execute as separate backend groups; the
+  // deadline does not split groups (it does not change results).
   ServingStack s;
   AsyncServerOptions options;
   options.max_batch = 16;
@@ -261,7 +251,6 @@ TEST(AsyncServerParityTest, MixedOptionsInOneBurstStayExact) {
   for (size_t query_id : s.query_ids) {
     RetrievalOptions ro(1 + i % 3, 5 + 7 * (i % 2));
     ro.want_stats = i % 4 == 0;
-    ro.priority = static_cast<RequestPriority>(i % 3);
     ro.deadline = RetrievalOptions::DeadlineIn(10s);
     cases.push_back({query_id, ro, server.Submit({s.QueryDx(query_id), ro})});
     ++i;
@@ -300,8 +289,7 @@ TEST(AsyncServerTest, OverflowRejectsWithResourceExhausted) {
   RetrievalOptions ro(1, 5);
   // First request pins the single worker inside the backend; the pipeline
   // (batcher + dispatch slot) and then the 2-slot admission queue fill up
-  // behind it.  Same-priority traffic cannot shed itself, so overflow
-  // refuses the incoming request.
+  // behind it.  Overflow refuses the incoming request.
   auto gated =
       server.Submit({gate.Gated(s.QueryDx(s.query_ids[0])), ro});
   std::vector<Future<StatusOr<RetrievalResponse>>> rest;
@@ -338,189 +326,51 @@ TEST(AsyncServerTest, OverflowRejectsWithResourceExhausted) {
   ServerStats stats = server.stats();
   EXPECT_EQ(stats.submitted, stats.admitted + stats.rejected);
   EXPECT_EQ(stats.admitted, stats.completed);
-  EXPECT_EQ(stats.shed, 0u);  // Same-priority overflow never evicts.
+  EXPECT_EQ(stats.shed, 0u);  // A full FIFO never evicts.
 }
 
-// --- Priority lanes -----------------------------------------------------
-
-TEST(AsyncServerPriorityTest, HighLaneDequeuesFirst) {
-  ServingStack s;
-  AsyncServerOptions options;
-  options.queue_capacity = 64;
-  options.max_batch = 1;  // One request per batch: pop order observable.
-  options.num_workers = 1;
-  AsyncRetrievalServer server(&s.mono, options);
-  RetrievalOptions base(1, 5);
-  PinnedPipeline pinned(&server, s, base);
-
-  // With the pipeline pinned, queue a mixed burst: low first so FIFO
-  // order alone would serve it first, then high, then normal.
-  std::mutex mu;
-  std::vector<size_t> completion_lanes;
-  auto tracked = [&](RequestPriority priority) {
-    RetrievalOptions ro = base;
-    ro.priority = priority;
-    server.Submit({s.QueryDx(s.query_ids[2]), ro})
-        .OnReady([&mu, &completion_lanes,
-                  priority](const StatusOr<RetrievalResponse>& r) {
-          ASSERT_TRUE(r.ok()) << r.status();
-          std::lock_guard<std::mutex> lock(mu);
-          completion_lanes.push_back(static_cast<size_t>(priority));
-        });
-  };
-  for (size_t i = 0; i < 6; ++i) tracked(RequestPriority::kLow);
-  for (size_t i = 0; i < 4; ++i) tracked(RequestPriority::kHigh);
-  for (size_t i = 0; i < 2; ++i) tracked(RequestPriority::kNormal);
-
-  pinned.gate.Release();
-  server.Shutdown(AsyncRetrievalServer::DrainMode::kDrain);
-
-  // Strict priority: every high completes before every normal, every
-  // normal before every low — despite the lows being submitted first.
-  std::vector<size_t> expected = {0, 0, 0, 0, 1, 1, 2, 2, 2, 2, 2, 2};
-  EXPECT_EQ(completion_lanes, expected);
-  ServerStats stats = server.stats();
-  EXPECT_EQ(stats.lanes[0].completed, 4u);
-  EXPECT_EQ(stats.lanes[1].completed, 2u + 3u);  // + gated and plugs.
-  EXPECT_EQ(stats.lanes[2].completed, 6u);
-  EXPECT_EQ(stats.shed, 0u);
-}
-
-TEST(AsyncServerPriorityTest, OverflowShedsLowestLaneFirst) {
+TEST(AsyncServerTest, FullQueueRefusesArrivalsAndServesInArrivalOrder) {
   ServingStack s;
   AsyncServerOptions options;
   options.queue_capacity = 4;
-  options.max_batch = 1;
+  options.max_batch = 1;  // One request per batch: pop order observable.
   options.num_workers = 1;
   AsyncRetrievalServer server(&s.mono, options);
-  RetrievalOptions base(1, 5);
-  PinnedPipeline pinned(&server, s, base);
+  RetrievalOptions ro(1, 5);
+  PinnedPipeline pinned(&server, s, ro);
 
-  RetrievalOptions low = base;
-  low.priority = RequestPriority::kLow;
-  RetrievalOptions high = base;
-  high.priority = RequestPriority::kHigh;
-
-  // Fill the 4-slot queue with low-priority work.
-  std::vector<Future<StatusOr<RetrievalResponse>>> lows;
+  // With the pipeline pinned, fill the 4-slot queue; each request
+  // records its submission index when it completes.
+  std::mutex mu;
+  std::vector<size_t> completion_order;
+  std::vector<Future<StatusOr<RetrievalResponse>>> queued;
   for (size_t i = 0; i < 4; ++i) {
-    lows.push_back(server.Submit({s.QueryDx(s.query_ids[2]), low}));
+    queued.push_back(server.Submit({s.QueryDx(s.query_ids[2]), ro}));
+    queued.back().OnReady(
+        [&mu, &completion_order, i](const StatusOr<RetrievalResponse>& r) {
+          ASSERT_TRUE(r.ok()) << r.status();
+          std::lock_guard<std::mutex> lock(mu);
+          completion_order.push_back(i);
+        });
   }
-  for (const auto& f : lows) EXPECT_FALSE(f.ready());
+  for (const auto& f : queued) EXPECT_FALSE(f.ready());
 
-  // High arrivals evict lows youngest-first — the victim is always the
-  // most recent admission, the one with the least queueing sunk into it.
-  // One high at a time pins the order: the first sheds lows[3] and only
-  // lows[3]; the second sheds lows[2].
-  std::vector<Future<StatusOr<RetrievalResponse>>> highs;
-  highs.push_back(server.Submit({s.QueryDx(s.query_ids[3]), high}));
-  ASSERT_TRUE(lows[3].ready());
-  EXPECT_FALSE(lows[2].ready());
-  highs.push_back(server.Submit({s.QueryDx(s.query_ids[3]), high}));
-  ASSERT_TRUE(lows[2].ready());
-  EXPECT_EQ(lows[3].Get().status().code(), StatusCode::kResourceExhausted);
-  EXPECT_NE(lows[3].Get().status().message().find("shed"),
-            std::string::npos);
-  EXPECT_FALSE(lows[0].ready());
-  EXPECT_FALSE(lows[1].ready());
-
-  // Two more highs evict the remaining lows; a fifth finds nothing
-  // below it and is refused itself (a different message: not shed).
-  for (size_t i = 0; i < 2; ++i) {
-    highs.push_back(server.Submit({s.QueryDx(s.query_ids[3]), high}));
-  }
-  auto refused = server.Submit({s.QueryDx(s.query_ids[3]), high});
+  // The fifth arrival is refused; nothing queued is displaced.
+  auto refused = server.Submit({s.QueryDx(s.query_ids[3]), ro});
   ASSERT_TRUE(refused.ready());
   EXPECT_EQ(refused.Get().status().code(), StatusCode::kResourceExhausted);
   EXPECT_NE(refused.Get().status().message().find("queue full"),
             std::string::npos);
-
-  ServerStats mid = server.stats();
-  EXPECT_EQ(mid.shed, 4u);
-  EXPECT_EQ(mid.lanes[2].shed, 4u);
-  EXPECT_EQ(mid.lanes[0].shed, 0u);
-  EXPECT_EQ(mid.rejected, 1u);
+  for (const auto& f : queued) EXPECT_FALSE(f.ready());
+  EXPECT_EQ(server.stats().rejected, 1u);
 
   pinned.gate.Release();
   server.Shutdown(AsyncRetrievalServer::DrainMode::kDrain);
-  for (const auto& f : highs) EXPECT_TRUE(f.Get().ok());
+  EXPECT_EQ(completion_order, (std::vector<size_t>{0, 1, 2, 3}));
   ServerStats stats = server.stats();
   EXPECT_TRUE(CheckServerStatsInvariant(stats));
-  EXPECT_EQ(stats.lanes[0].queue_depth, 0u);
-}
-
-// --- Tenant quotas ------------------------------------------------------
-
-TEST(AsyncServerTenantTest, OverQuotaTenantRejectedWhileOthersAdmit) {
-  ServingStack s;
-  AsyncServerOptions options;
-  options.queue_capacity = 16;
-  options.max_batch = 1;
-  options.num_workers = 1;
-  options.tenant_quotas = {{"alpha", 0.5}, {"beta", 0.125}};
-  AsyncRetrievalServer server(&s.mono, options);
-  RetrievalOptions alpha(1, 5);
-  alpha.tenant_id = "alpha";
-  PinnedPipeline pinned(&server, s, alpha);
-
-  RetrievalOptions beta(1, 5);
-  beta.tenant_id = "beta";
-  // beta's share: floor(0.125 * 16) = 2 queue slots.
-  std::vector<Future<StatusOr<RetrievalResponse>>> betas;
-  for (size_t i = 0; i < 4; ++i) {
-    betas.push_back(server.Submit({s.QueryDx(s.query_ids[2]), beta}));
-  }
-  EXPECT_FALSE(betas[0].ready());
-  EXPECT_FALSE(betas[1].ready());
-  for (size_t i : {2u, 3u}) {
-    ASSERT_TRUE(betas[i].ready()) << i;
-    EXPECT_EQ(betas[i].Get().status().code(),
-              StatusCode::kResourceExhausted);
-    EXPECT_NE(betas[i].Get().status().message().find("quota"),
-              std::string::npos);
-  }
-
-  // alpha (and the quota-free queue) still admits while beta is capped.
-  std::vector<Future<StatusOr<RetrievalResponse>>> alphas;
-  for (size_t i = 0; i < 3; ++i) {
-    alphas.push_back(server.Submit({s.QueryDx(s.query_ids[3]), alpha}));
-  }
-  for (const auto& f : alphas) EXPECT_FALSE(f.ready());
-
-  ServerStats mid = server.stats();
-  ASSERT_EQ(mid.tenants.size(), 2u);
-  EXPECT_EQ(mid.tenants[0].tenant_id, "alpha");
-  EXPECT_EQ(mid.tenants[1].tenant_id, "beta");
-  EXPECT_EQ(mid.tenants[1].limit, 2u);
-  EXPECT_EQ(mid.tenants[1].admitted, 2u);
-  EXPECT_EQ(mid.tenants[1].rejected, 2u);
-  EXPECT_EQ(mid.tenants[0].rejected, 0u);
-
-  pinned.gate.Release();
-  server.Shutdown(AsyncRetrievalServer::DrainMode::kDrain);
-  for (const auto& f : alphas) EXPECT_TRUE(f.Get().ok());
-  EXPECT_TRUE(betas[0].Get().ok());
-  EXPECT_TRUE(betas[1].Get().ok());
-}
-
-TEST(AsyncServerTenantTest, QuotaFreesAsTenantWorkDrains) {
-  // A tenant refused at its cap admits again once its queued work is
-  // served: the quota caps occupancy, not lifetime request count.
-  ServingStack s;
-  AsyncServerOptions options;
-  options.queue_capacity = 8;
-  options.tenant_quotas = {{"solo", 0.125}};  // 1 slot.
-  AsyncRetrievalServer server(&s.mono, options);
-  RetrievalOptions solo(1, 5);
-  solo.tenant_id = "solo";
-  for (size_t round = 0; round < 3; ++round) {
-    auto r = server.Retrieve({s.QueryDx(s.query_ids[round]), solo});
-    ASSERT_TRUE(r.ok()) << "round " << round << ": " << r.status();
-  }
-  ServerStats stats = server.stats();
-  ASSERT_EQ(stats.tenants.size(), 1u);
-  EXPECT_EQ(stats.tenants[0].admitted, 3u);
-  EXPECT_EQ(stats.tenants[0].rejected, 0u);
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_EQ(stats.queue_depth, 0u);
 }
 
 // --- Deadlines ----------------------------------------------------------
@@ -538,7 +388,6 @@ TEST(AsyncServerTest, ExpiredInQueueGetsDeadlineExceededAtDequeue) {
             std::string::npos);
   server.Shutdown(AsyncRetrievalServer::DrainMode::kDrain);
   EXPECT_EQ(server.stats().expired, 1u);
-  EXPECT_EQ(server.stats().lanes[1].expired, 1u);  // kNormal lane.
   EXPECT_EQ(server.stats().completed, 0u);
 }
 
@@ -738,9 +587,6 @@ TEST(AsyncServerTest, CancelAnswersQueuedWorkWithoutExecutingIt) {
   ServerStats stats = server.stats();
   EXPECT_EQ(stats.cancelled, queued.size());
   EXPECT_EQ(stats.completed, 1u);
-  // The lane breakdown sees the cancellations too (all traffic kNormal).
-  EXPECT_EQ(stats.lanes[1].cancelled, queued.size());
-  EXPECT_EQ(stats.lanes[1].completed, 1u);
   EXPECT_TRUE(CheckServerStatsInvariant(stats));
 }
 
@@ -801,12 +647,6 @@ TEST(AsyncServerTest, StatsInvariantsHoldAfterMixedTraffic) {
   EXPECT_EQ(stats.rejected, 1u);   // The invalid submit.
   EXPECT_EQ(stats.expired, 2u);    // i = 2 and i = 5.
   EXPECT_EQ(stats.queue_depth, 0u);
-  // The lane breakdown tiles the global counters (all traffic kNormal).
-  EXPECT_EQ(stats.lanes[1].submitted, futures.size() - 1);
-  EXPECT_EQ(stats.lanes[1].expired, 2u);
-  EXPECT_EQ(stats.lanes[1].completed, stats.completed);
-  EXPECT_EQ(stats.lanes[0].submitted, 0u);
-  EXPECT_EQ(stats.lanes[2].submitted, 0u);
 }
 
 }  // namespace

@@ -1,12 +1,10 @@
 // One parameterized option-validation suite for every query surface —
 // the engine over one shard and over three, and the async server over
-// both (with and without tenant quotas) — replacing the per-class copies
-// that used to drift.  Every surface must agree: k = 0, p = 0, an
-// out-of-range priority and any filter precision but exact64 are
-// InvalidArgument; an empty database is
-// FailedPrecondition; an oversized p is clamped to the database size;
-// tenant_id is ignored everywhere except a quota-configured server,
-// which rejects unknown tenants.  The remote client and the wire decoder
+// both — replacing the per-class copies that used to drift.  Every
+// surface must agree: k = 0, p = 0 and any filter precision but exact64
+// are InvalidArgument; an empty database is FailedPrecondition; an
+// oversized p is clamped to the database size.  The remote client and
+// the wire decoder
 // refuse reduced precisions too (RemoteSurfaceRejectsReducedPrecision,
 // and WireCodecTest for a version-2 frame).
 #include <gtest/gtest.h>
@@ -30,7 +28,6 @@ enum class Surface {
   kSharded,
   kServerMono,
   kServerSharded,
-  kServerWithQuotas,
 };
 
 std::string SurfaceName(const ::testing::TestParamInfo<Surface>& info) {
@@ -43,8 +40,6 @@ std::string SurfaceName(const ::testing::TestParamInfo<Surface>& info) {
       return "ServerMono";
     case Surface::kServerSharded:
       return "ServerSharded";
-    case Surface::kServerWithQuotas:
-      return "ServerWithQuotas";
   }
   return "Unknown";
 }
@@ -65,12 +60,8 @@ class RequestValidationTest : public ::testing::TestWithParam<Surface> {
         empty_mono_(&model_, &scorer_, &empty_db_, {}),
         sharded_(&model_, &scorer_, db_, db_ids_, ShardOptions()),
         empty_sharded_(&model_, &scorer_, ShardOptions()) {
-    AsyncServerOptions quota_options;
-    quota_options.tenant_quotas = {{"", 0.5}, {"known", 0.5}};
     server_mono_ = std::make_unique<AsyncRetrievalServer>(&mono_);
     server_sharded_ = std::make_unique<AsyncRetrievalServer>(&sharded_);
-    server_quotas_ =
-        std::make_unique<AsyncRetrievalServer>(&mono_, quota_options);
     server_empty_ = std::make_unique<AsyncRetrievalServer>(&empty_mono_);
   }
 
@@ -96,14 +87,12 @@ class RequestValidationTest : public ::testing::TestWithParam<Surface> {
         return server_mono_->Retrieve(request);
       case Surface::kServerSharded:
         return server_sharded_->Retrieve(request);
-      case Surface::kServerWithQuotas:
-        return server_quotas_->Retrieve(request);
     }
     return Status::Internal("unreachable");
   }
 
   /// The same request against an EMPTY database behind the same kind of
-  /// surface (quota config is irrelevant to emptiness).
+  /// surface.
   StatusOr<RetrievalResponse> CallEmpty(const RetrievalRequest& request) {
     switch (GetParam()) {
       case Surface::kMono:
@@ -112,7 +101,6 @@ class RequestValidationTest : public ::testing::TestWithParam<Surface> {
         return empty_sharded_.Retrieve(request);
       case Surface::kServerMono:
       case Surface::kServerSharded:
-      case Surface::kServerWithQuotas:
         return server_empty_->Retrieve(request);
     }
     return Status::Internal("unreachable");
@@ -135,9 +123,6 @@ class RequestValidationTest : public ::testing::TestWithParam<Surface> {
         break;
       case Surface::kServerSharded:
         server = server_sharded_.get();
-        break;
-      case Surface::kServerWithQuotas:
-        server = server_quotas_.get();
         break;
     }
     std::vector<Future<StatusOr<RetrievalResponse>>> futures;
@@ -165,7 +150,6 @@ class RequestValidationTest : public ::testing::TestWithParam<Surface> {
   RetrievalEngine empty_sharded_;
   std::unique_ptr<AsyncRetrievalServer> server_mono_;
   std::unique_ptr<AsyncRetrievalServer> server_sharded_;
-  std::unique_ptr<AsyncRetrievalServer> server_quotas_;
   std::unique_ptr<AsyncRetrievalServer> server_empty_;
 };
 
@@ -177,14 +161,6 @@ TEST_P(RequestValidationTest, KZeroIsInvalidArgument) {
 
 TEST_P(RequestValidationTest, PZeroIsInvalidArgument) {
   auto r = Call({QueryDx(40), RetrievalOptions(1, 0)});
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_P(RequestValidationTest, OutOfRangePriorityIsInvalidArgument) {
-  RetrievalOptions ro(1, 5);
-  ro.priority = static_cast<RequestPriority>(7);
-  auto r = Call({QueryDx(40), ro});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
@@ -205,28 +181,6 @@ TEST_P(RequestValidationTest, OversizedPIsClampedToDatabaseSize) {
   EXPECT_EQ(huge->neighbors[0].score, full->neighbors[0].score);
 }
 
-TEST_P(RequestValidationTest, UnknownTenantOnlyRejectedUnderQuotas) {
-  RetrievalOptions ro(1, 5);
-  ro.tenant_id = "nobody-configured-this";
-  auto r = Call({QueryDx(40), ro});
-  if (GetParam() == Surface::kServerWithQuotas) {
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(r.status().message().find("unknown tenant"),
-              std::string::npos);
-  } else {
-    // Engines and quota-less servers ignore tenancy entirely.
-    EXPECT_TRUE(r.ok()) << r.status();
-  }
-}
-
-TEST_P(RequestValidationTest, KnownTenantAdmitsUnderQuotas) {
-  RetrievalOptions ro(1, 5);
-  ro.tenant_id = "known";
-  auto r = Call({QueryDx(40), ro});
-  EXPECT_TRUE(r.ok()) << r.status();
-}
-
 TEST_P(RequestValidationTest, BatchValidationMatchesSingle) {
   const std::vector<DxToDatabaseFn> burst = {QueryDx(40), QueryDx(41),
                                              QueryDx(42)};
@@ -236,9 +190,9 @@ TEST_P(RequestValidationTest, BatchValidationMatchesSingle) {
   auto bad_p = CallBatch(burst, RetrievalOptions(1, 0));
   ASSERT_FALSE(bad_p.ok());
   EXPECT_EQ(bad_p.status().code(), StatusCode::kInvalidArgument);
-  RetrievalOptions bad_priority(1, 5);
-  bad_priority.priority = static_cast<RequestPriority>(9);
-  auto bad = CallBatch(burst, bad_priority);
+  RetrievalOptions bad_precision(1, 5);
+  bad_precision.filter_precision = FilterPrecision::kFilter8;
+  auto bad = CallBatch(burst, bad_precision);
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
   auto good = CallBatch(burst, RetrievalOptions(2, 10));
@@ -339,8 +293,7 @@ TEST(RequestValidationWireTest, RemoteSurfaceRejectsReducedPrecision) {
 INSTANTIATE_TEST_SUITE_P(AllSurfaces, RequestValidationTest,
                          ::testing::Values(Surface::kMono, Surface::kSharded,
                                            Surface::kServerMono,
-                                           Surface::kServerSharded,
-                                           Surface::kServerWithQuotas),
+                                           Surface::kServerSharded),
                          SurfaceName);
 
 }  // namespace

@@ -572,7 +572,7 @@ TEST(ShardedRetrievalEngineTest, BackendInterfaceServesBothEngines) {
 }
 
 // Parameter validation (k = 0, p = 0, empty database, oversized p,
-// invalid priority) lives in the cross-surface parameterized suite:
+// invalid filter precision) lives in the cross-surface parameterized suite:
 // tests/request_validation_test.cc.
 
 struct EngineFixture {

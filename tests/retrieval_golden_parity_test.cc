@@ -203,11 +203,8 @@ TEST(GoldenParityTest, AsyncServerMatchesPreRedesignOnBothEngines) {
     AsyncRetrievalServer server(backend, options);
     std::vector<Future<StatusOr<RetrievalResponse>>> futures;
     for (const GoldenCase& c : kGoldenCases) {
-      RetrievalOptions ro(c.k, c.p);
-      // Exercise the lanes while at it: priority must never change
-      // results.
-      ro.priority = static_cast<RequestPriority>(c.query_id % 3);
-      futures.push_back(server.Submit({s.QueryDx(c.query_id), ro}));
+      futures.push_back(
+          server.Submit({s.QueryDx(c.query_id), RetrievalOptions(c.k, c.p)}));
     }
     server.Shutdown(AsyncRetrievalServer::DrainMode::kDrain);
     size_t i = 0;

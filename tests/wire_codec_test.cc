@@ -30,8 +30,6 @@ WireRequest MakeRequest() {
   request.options.p = 99;
   request.options.num_threads = 3;
   request.options.want_stats = true;
-  request.options.priority = RequestPriority::kLow;
-  request.options.tenant_id = "tenant-42";
   request.db_id = 0xDEADBEEFull;
   request.query = {0.1, -2.5, 1e300, -0.0,
                    std::numeric_limits<double>::denorm_min()};
@@ -65,10 +63,8 @@ TEST(WireCodecTest, RequestRoundTripIsExact) {
   EXPECT_EQ(got.options.p, want.options.p);
   EXPECT_EQ(got.options.num_threads, want.options.num_threads);
   EXPECT_EQ(got.options.want_stats, want.options.want_stats);
-  EXPECT_EQ(got.options.priority, want.options.priority);
   // No precision crosses the wire: the exact scan is the only one.
   EXPECT_EQ(got.options.filter_precision, FilterPrecision::kExact64);
-  EXPECT_EQ(got.options.tenant_id, want.options.tenant_id);
   EXPECT_EQ(got.db_id, want.db_id);
   ASSERT_EQ(got.query.size(), want.query.size());
   for (size_t i = 0; i < want.query.size(); ++i) {
@@ -196,6 +192,14 @@ TEST(WireCodecTest, BadMagicAndVersionAreInvalidArgument) {
   EXPECT_EQ(DecodeRequest(bad_version, &out).code(),
             StatusCode::kInvalidArgument);
 
+  // Version 3 still carried a priority byte and a tenant string; a peer
+  // speaking it is refused by version, whatever its body holds.
+  std::string version_three = payload;
+  version_three[4] = 3;
+  version_three[5] = 0;
+  EXPECT_EQ(DecodeRequest(version_three, &out).code(),
+            StatusCode::kInvalidArgument);
+
   std::string bad_op = payload;
   bad_op[6] = 77;  // u16 tag follows the version
   EXPECT_EQ(DecodeRequest(bad_op, &out).code(), StatusCode::kInvalidArgument);
@@ -211,15 +215,15 @@ TEST(WireCodecTest, BadMagicAndVersionAreInvalidArgument) {
 TEST(WireCodecTest, OutOfRangeEnumsAreInvalidArgument) {
   // Patch encoded enum bytes past their ranges; offsets derived by
   // re-encoding with a sentinel is brittle, so rebuild by hand instead:
-  // preamble(8) + budget(8) + want_trace(1) + k/p/threads(24) = 41, then
-  // want_stats, priority.
+  // preamble(8) + budget(8) = 16 is want_trace; + want_trace(1) +
+  // k/p/threads(24) = 41 is want_stats, followed by the u64 db_id.
   std::string payload = EncodeRequest(MakeRequest());
   WireRequest out;
   std::string bad = payload;
-  bad[41] = 2;  // want_stats flag
+  bad[16] = 2;  // want_trace flag
   EXPECT_EQ(DecodeRequest(bad, &out).code(), StatusCode::kInvalidArgument);
   bad = payload;
-  bad[42] = static_cast<char>(kNumPriorityLanes);
+  bad[41] = 2;  // want_stats flag
   EXPECT_EQ(DecodeRequest(bad, &out).code(), StatusCode::kInvalidArgument);
 
   std::string response = EncodeResponse(MakeResponse());
@@ -231,7 +235,7 @@ TEST(WireCodecTest, OutOfRangeEnumsAreInvalidArgument) {
 
 TEST(WireCodecTest, VersionTwoFrameNamingAReducedPrecisionIsInvalidArgument) {
   // Version 2 carried a filter-precision byte after the priority; a peer
-  // still speaking it cannot smuggle kFilter8 into a version-3 server.
+  // still speaking it cannot smuggle kFilter8 into a version-4 server.
   std::ostringstream out;
   BinaryWriter w(&out);
   w.WriteU32(kWireMagic);
@@ -269,8 +273,6 @@ TEST(WireCodecTest, OversizedLengthPrefixesNeverAllocate) {
   w.WriteU64(1);  // p
   w.WriteU64(0);  // num_threads
   w.WriteU8(0);   // want_stats
-  w.WriteU8(0);   // priority
-  w.WriteString("");
   w.WriteU64(0);            // db_id
   w.WriteU64(1ull << 60);   // query length prefix, then nothing
   WireRequest req;
@@ -305,12 +307,8 @@ TEST(WireCodecTest, FieldCapsAreEnforcedEvenWhenBytesMatch) {
   w.WriteU64(1);
   w.WriteU64(0);
   w.WriteU8(0);
-  w.WriteU8(0);
-  w.WriteU8(0);
-  std::string big_tenant(kMaxWireTenantId + 1, 't');
-  w.WriteString(big_tenant);
   w.WriteU64(0);
-  w.WriteDoubleVec({});
+  w.WriteDoubleVec(std::vector<double>(kMaxWireDims + 1, 0.5));
   WireRequest req;
   EXPECT_EQ(DecodeRequest(out.str(), &req).code(), StatusCode::kDataLoss);
 }

@@ -11,7 +11,10 @@ tree (or, with --change, another archived revision).  For every workload
 and seed the tool runs `perfbench/run.py --trace 0` --pairs times per
 side, alternating which side goes first, and prints each end-to-end
 metric (BENCHMARK.json) as median [q1, q3] per side with the change's
-relative shift and its win count, in CHANGES.md's table format.
+relative shift and its win count, in CHANGES.md's table format.  Above
+the table it prints each side's median 1-minute load average, read just
+before every run: a busy host moves every metric, and this says how
+busy it was.
 
 --aa runs two archive copies of --base against each other: the layout
 and host noise any verdict has to clear.  --record appends one row per
@@ -19,8 +22,8 @@ workload, seed and pair of sides to BENCH_<workload>.json at the repo
 root: the commits, a host fingerprint (CPU model, nproc, the tier
 perfbench reports as host.simd_level, the compiler from the build's
 CMakeCache.txt), the pair count, and per metric the median and
-quartiles of both sides with the win count, plus the per-layer metrics
-of one --trace 1 run per side.
+quartiles of both sides with the win count, each side's median load
+average, plus the per-layer metrics of one --trace 1 run per side.
 """
 import argparse
 import datetime
@@ -203,14 +206,24 @@ def main():
     for workload in args.workload:
         for seed in args.seed:
             runs = []
+            loads = {base: [], change: []}
             for i in range(args.pairs):
                 order = (base, change) if i % 2 == 0 else (change, base)
-                got = {side: run_once(side, workload, seed, args.seconds,
-                                      False) for side in order}
+                got = {}
+                for side in order:
+                    loads[side].append(os.getloadavg()[0])
+                    got[side] = run_once(side, workload, seed, args.seconds,
+                                         False)
                 runs.append((got[base], got[change]))
                 print("# %s seed %d pair %d/%d done" %
                       (workload, seed, i + 1, args.pairs), file=sys.stderr)
             summary = summarize(runs, specs)
+            load = {"base": statistics.median(loads[base]),
+                    "change": statistics.median(loads[change])}
+            print("load average (1 min) before each run, median: "
+                  "%s %.2f, %s %.2f" %
+                  ("copy A" if args.aa else "parent", load["base"],
+                   "copy B" if args.aa else "change", load["change"]))
             print("| workload (seed, pairs) | metric | %s | %s |" %
                   ("copy A" if args.aa else "parent",
                    "copy B" if args.aa else "change"))
@@ -232,6 +245,7 @@ def main():
                 "host": host_fingerprint(change, traced[change]),
                 "workload": workload, "seed": seed,
                 "seconds": args.seconds, "pairs": args.pairs,
+                "load_1m": load,
                 "end_to_end": summary, "per_layer": layers,
             }
             path = os.path.join(ROOT, "BENCH_%s.json" % workload)

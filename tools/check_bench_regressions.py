@@ -165,16 +165,15 @@ def audit_sampling_tail_bound():
 
 
 def remote_overhead_bound():
-    """Max allowed p99 ratio, the hedged multi-process remote cluster vs
+    """Max allowed p99 ratio, the multi-process remote cluster vs
     in-process direct sharded serving.
 
     Remote serving pays two loopback RPCs (framing, serialization, one
-    kernel round trip each) plus the hedge-delay waits its degraded
-    replica forces, on top of the same scan the in-process engine runs —
-    a constant-factor tax, not a scaling change.  This is a blowup
-    guard: it catches a hedging or transport regression that turns
+    kernel round trip each) on top of the same scan the in-process
+    engine runs — a constant-factor tax, not a scaling change.  This is
+    a blowup guard: it catches a transport regression that turns
     milliseconds into hundreds, while staying insensitive to how
-    contended the host is (smaller hosts time-share four extra server
+    contended the host is (smaller hosts time-share two extra server
     processes, so the tax grows as cores shrink)."""
     cores = os.cpu_count() or 1
     if cores >= 4:
@@ -298,17 +297,6 @@ RULES = [
         "background mutation vs mutation-free closed loop (p99 tail)",
         "p99",
     ),
-    # Strict-priority admission: under the saturating mixed-priority
-    # burst, completed high-lane requests must see a clearly lower p99
-    # sojourn than the low lane they preempt.  Queueing-order driven, so
-    # the bound holds on any core count.
-    (
-        "SL_Lanes/mono/high",
-        "SL_Lanes/mono/low",
-        0.90,
-        "priority lanes: high-lane p99 under saturation vs low lane",
-        "p99",
-    ),
     # Quality auditing: sampling 1-in-16 responses into background
     # exact-kNN audits must not buy drift visibility with a serving-tail
     # blowup.
@@ -319,26 +307,14 @@ RULES = [
         "quality audits (1/16) vs audit-free adaptive loop (p99 tail)",
         "p99",
     ),
-    # The hedged-read acceptance gate: over the degraded multi-process
-    # cluster (one replica injects a 40ms delay on every 32nd scan),
-    # hedging must measurably cut the p99 that the no-hedging arm eats
-    # in full.  The injected delay dwarfs host noise on any core count,
-    # so the bound is flat.
-    (
-        "SL_Remote/cluster/hedged",
-        "SL_Remote/cluster/nohedge",
-        0.90,
-        "hedged reads vs no-hedging over the degraded cluster (p99 tail)",
-        "p99",
-    ),
     # Crossing a process boundary is a constant-factor tax, not a
     # blowup: the remote cluster's tail must stay within a bounded
     # multiple of in-process sharded serving.
     (
-        "SL_Remote/cluster/hedged",
+        "SL_Remote/cluster",
         "SL_Closed/sharded/direct",
         remote_overhead_bound,
-        "remote hedged cluster vs in-process sharded serving (p99 tail)",
+        "remote cluster vs in-process sharded serving (p99 tail)",
         "p99",
     ),
     # Durability: write-ahead logging must price mutations, not the
@@ -430,15 +406,6 @@ FLOOR_RULES = [
         1,
         "control run: background audits completed under load",
     ),
-    # Hedging must actually race and win against the injected-delay
-    # replica — a hedge path that silently stopped firing would pass the
-    # ratio rule on a healthy-enough cluster.
-    (
-        "SL_Remote/cluster/hedged",
-        "hedge_wins",
-        1,
-        "hedged cluster run: at least one hedge won its race",
-    ),
     # Warm restart must actually replay a WAL tail over the snapshot —
     # a recovery that found nothing to replay exercised only half the
     # path (the bench appends tail records after its last snapshot to
@@ -487,21 +454,13 @@ CEILING_RULES = [
         0,
         "p = n verify run: zero served-vs-exact mismatches",
     ),
-    # The multi-node acceptance pair: the composed remote cluster must
-    # answer bit-identically to the in-process sharded engine, and a
-    # SIGKILLed replica must be invisible to callers (failover, not
-    # failures).
+    # The multi-node acceptance gate: the composed remote cluster must
+    # answer bit-identically to the in-process sharded engine.
     (
         "SL_Remote/parity",
         "parity_mismatches",
         0,
         "remote cluster bit-identical to in-process sharded engine",
-    ),
-    (
-        "SL_Remote/cluster/killed",
-        "failed_requests",
-        0,
-        "replica kill: zero caller-visible request failures",
     ),
     # The durability acceptance pair: the engine recovered from
     # snapshot + WAL replay answers bit-identically to the live engine
@@ -560,12 +519,9 @@ METRIC_FLOORS = [
     ("gauges", "qse_build_info*", 1,
      "build identity gauge registered at startup"),
     # The remote cluster's client-side instruments (server-side twins
-    # live in the child processes and are not exported here).  Replica
-    # series carry labels-in-name, so prefix-match.
+    # live in the child processes and are not exported here).
     ("counters", "qse_remote_rpcs_total", 1,
      "remote RPCs issued by the cluster phases"),
-    ("counters", "qse_replica_attempts_total*", 1,
-     "hedged replica attempt accounting"),
     ("histograms", "qse_remote_rpc_latency_ns", 1,
      "remote RPC latency recorded"),
     # The durability subsystem's instruments, bumped by SL_Recover.
@@ -722,7 +678,7 @@ def main():
             continue
         if num <= 0 or den <= 0:
             # A zero metric is a broken benchmark, not a passing ratio —
-            # e.g. a lane that completed nothing emits p99 = 0.  Fail
+            # e.g. a run that completed nothing emits p99 = 0.  Fail
             # loudly instead of dividing by zero or silently passing.
             msg = (f"DEGENERATE  {label}: {metric} of {numerator} = {num}, "
                    f"{denominator} = {den} (must be > 0)")
