@@ -29,8 +29,8 @@ struct TransportOptions {
 /// Error taxonomy (StatusFromErrno):
 ///   * kUnavailable      — the peer is gone or unreachable (connection
 ///                         refused / reset, broken pipe, clean EOF at a
-///                         frame boundary).  Retryable against another
-///                         replica.
+///                         frame boundary).  Retryable on a fresh
+///                         connection.
 ///   * kDeadlineExceeded — a connect/read/write timeout fired.
 ///   * kDataLoss         — the byte stream violated its own framing
 ///                         (EOF mid-frame, implausible length prefix).
