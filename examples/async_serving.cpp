@@ -5,10 +5,11 @@
 // FIFO admission queue refuses overload with kResourceExhausted,
 // per-request deadlines turn late answers into kDeadlineExceeded
 // (checked at dequeue and again before the refine step — never silently
-// dropped), and a batcher thread coalesces concurrent
-// submitters into adaptive micro-batches that RetrieveBatch spreads
-// across cores.  Results for admitted, non-expired requests are
-// bit-identical to calling the backend directly.
+// dropped), and each worker pops straight from that queue, coalesces
+// concurrent submitters into an adaptive micro-batch and executes it
+// itself — RetrieveBatch spreads the batch across cores.  Results for
+// admitted, non-expired requests are bit-identical to calling the
+// backend directly.
 //
 // Everything rides on one envelope: RetrievalRequest{dx,
 // RetrievalOptions{k, p, deadline, want_stats}}.

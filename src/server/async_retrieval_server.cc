@@ -44,10 +44,6 @@ AsyncRetrievalServer::AsyncRetrievalServer(const RetrievalBackend* backend,
     : backend_(backend),
       options_(Sanitize(options)),
       queue_(options_.queue_capacity),
-      // One pending batch per worker: backlog accumulates in the bounded
-      // admission queue (where overflow is observable), not in an elastic
-      // dispatch buffer.
-      dispatch_(options_.num_workers),
       owned_registry_(options_.registry == nullptr
                           ? std::make_unique<obs::MetricRegistry>()
                           : nullptr),
@@ -62,7 +58,6 @@ AsyncRetrievalServer::AsyncRetrievalServer(const RetrievalBackend* backend,
       queue_depth_(registry_->GetGauge("qse_server_queue_depth")),
       batch_size_hist_(registry_->GetHistogram(
           "qse_server_batch_size", BatchSizeBoundaries(options_.max_batch))) {
-  batcher_ = std::thread(&AsyncRetrievalServer::BatcherLoop, this);
   workers_.reserve(options_.num_workers);
   for (size_t w = 0; w < options_.num_workers; ++w) {
     workers_.emplace_back(&AsyncRetrievalServer::WorkerLoop, this);
@@ -162,8 +157,7 @@ void AsyncRetrievalServer::Shutdown(DrainMode mode) {
   if (mode == DrainMode::kCancel) {
     cancel_.store(true, std::memory_order_relaxed);
   }
-  queue_.Close();  // New submits fail; the batcher drains what is queued.
-  if (batcher_.joinable()) batcher_.join();
+  queue_.Close();  // New submits fail; the workers drain what is queued.
   for (std::thread& w : workers_) {
     if (w.joinable()) w.join();
   }
@@ -207,7 +201,7 @@ bool AsyncRetrievalServer::AdmitToBatch(Request r, Batch* batch,
   return true;
 }
 
-void AsyncRetrievalServer::BatcherLoop() {
+void AsyncRetrievalServer::WorkerLoop() {
   for (;;) {
     std::optional<Request> first = queue_.Pop();
     if (!first.has_value()) break;  // Closed and fully drained.
@@ -223,7 +217,8 @@ void AsyncRetrievalServer::BatcherLoop() {
     // With no window this stops the moment the queue is empty (idle =>
     // singleton batches at single-query latency; backlog => full
     // batches); with a window it also waits out the remaining time for
-    // stragglers.
+    // stragglers.  The queue lock is held only inside each pop, so the
+    // other workers keep dequeuing while this one forms its batch.
     while (!batch.empty() && batch.size() < options_.max_batch) {
       std::optional<Request> next;
       if (options_.max_batch_delay.count() == 0) {
@@ -246,41 +241,25 @@ void AsyncRetrievalServer::BatcherLoop() {
         static_cast<double>(std::min(batch.size(), options_.max_batch)));
     for (Request& r : batch) {
       if (r.req.trace != nullptr) {
-        r.dispatch_ns = obs::TraceNowNs(r.req.trace.get());
         obs::TraceMark(r.req.trace.get(), "batch_form", r.dequeue_ns,
                        {obs::TraceArg{"batch_size",
                                       static_cast<int64_t>(batch.size()),
                                       nullptr}});
       }
     }
-    if (!dispatch_.Push(std::move(batch))) {
-      // Only possible after the dispatch queue is closed, which this
-      // thread does below — defensive: never drop promises.
-      for (Request& r : batch) CompleteCancelled(&r);
-    }
-  }
-  dispatch_.Close();  // Workers drain remaining batches, then exit.
-}
-
-void AsyncRetrievalServer::WorkerLoop() {
-  for (;;) {
-    std::optional<Batch> batch = dispatch_.Pop();
-    if (!batch.has_value()) break;
-    ExecuteBatch(std::move(*batch));
+    ExecuteBatch(std::move(batch));
   }
 }
 
 void AsyncRetrievalServer::ExecuteBatch(Batch batch) {
   // Deadline check #2, before refine: the last gate before the backend
-  // spends exact distances.  A request that expired while its batch sat
-  // in the dispatch queue is answered late-but-honestly, not served.
+  // spends exact distances.  A request that expired while its worker
+  // held the batching window open is answered late-but-honestly, not
+  // served.
   RetrievalClock::time_point now = RetrievalClock::now();
   Batch live;
   live.reserve(batch.size());
   for (Request& r : batch) {
-    if (r.req.trace != nullptr) {
-      obs::TraceMark(r.req.trace.get(), "dispatch_wait", r.dispatch_ns);
-    }
     if (cancel_.load(std::memory_order_relaxed)) {
       CompleteCancelled(&r);
     } else if (now > r.req.options.deadline) {

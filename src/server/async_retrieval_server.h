@@ -20,22 +20,23 @@ namespace qse {
 struct AsyncServerOptions {
   /// Admission queue bound.  A Submit that finds the FIFO full is
   /// rejected with kResourceExhausted — load shedding, not unbounded
-  /// buffering.  A handful of further requests beyond this live in the
-  /// batcher/worker pipeline.
+  /// buffering.  Beyond this, only the batches the workers hold (at most
+  /// num_workers * max_batch requests) are out of the queue.
   size_t queue_capacity = 1024;
-  /// Largest micro-batch the batcher will coalesce (also the resolution
-  /// of the batch-size histogram).
+  /// Largest micro-batch a worker will coalesce (also the resolution of
+  /// the batch-size histogram).
   size_t max_batch = 64;
   /// Batching window measured from the first request of a batch: with 0
-  /// (default) the batcher dispatches as soon as the queue is momentarily
+  /// (default) a worker executes as soon as the queue is momentarily
   /// empty — an idle system answers at ~single-query latency, a loaded
   /// one grows batches naturally from backlog.  A positive window keeps
   /// the batch open up to this long waiting for more arrivals, trading
   /// idle latency for larger batches under light open-loop load.
   std::chrono::microseconds max_batch_delay{0};
-  /// Worker threads executing dispatched batches (0 means 1).  More
-  /// workers pipeline batches; within one batch, parallelism comes from
-  /// RetrieveBatch itself.
+  /// Worker threads (0 means 1), the server's only threads: each pops
+  /// from the admission queue, forms its own batch and executes it, so
+  /// up to num_workers batches run at once; within one batch,
+  /// parallelism comes from RetrieveBatch itself.
   size_t num_workers = 1;
   /// num_threads the server substitutes into each executed batch's
   /// options (a request does not choose the server's parallelism);
@@ -83,7 +84,7 @@ struct ServerStats {
                          ///< reaching the backend.
   size_t completed = 0;  ///< Backend answered (OK or a backend error).
   size_t queue_depth = 0;  ///< Momentary admission-queue length.
-  /// batch_size_histogram[i] = dispatched micro-batches of size i + 1.
+  /// batch_size_histogram[i] = executed micro-batches of size i + 1.
   std::vector<size_t> batch_size_histogram;
 };
 
@@ -99,18 +100,18 @@ bool CheckServerStatsInvariant(const ServerStats& stats);
 /// over any number of shards, or a decorator on one) behind a
 /// Submit -> Future pipeline.
 ///
-///   submitters -> bounded FIFO admission queue -> batcher thread
-///   -> bounded batch queue -> worker pool -> RetrieveBatch -> promise
-///   completion
+///   submitters -> bounded FIFO admission queue -> num_workers workers,
+///   each: form a batch -> RetrieveBatch -> promise completion
 ///
-/// Admission is one FIFO: the batcher dequeues in arrival order, and a
-/// Submit that finds the queue full is itself rejected; nothing already
-/// admitted is ever evicted.
+/// Admission is one FIFO: workers dequeue in arrival order, and a Submit
+/// that finds the queue full is itself rejected; nothing already
+/// admitted is ever evicted.  There is no hand-off between dequeue and
+/// execution: the worker that pops a batch's first request runs it.
 ///
-/// The batcher coalesces queued requests into adaptive micro-batches: it
-/// keeps growing a batch while the queue is non-empty (up to max_batch),
+/// Each worker coalesces queued requests into an adaptive micro-batch: it
+/// keeps growing the batch while the queue is non-empty (up to max_batch),
 /// capped by the max_batch_delay window, so batch size tracks load — an
-/// idle server dispatches singletons immediately, a saturated one ships
+/// idle server executes singletons immediately, a saturated one runs
 /// full batches.  Requests in one micro-batch that share a result key
 /// (RetrievalOptions::SameResultKey: equal k, p and want_stats) run as a
 /// single RetrieveBatch call; each admitted, non-expired request's
@@ -193,11 +194,11 @@ class AsyncRetrievalServer {
     /// ended.  Unused (0) for untraced requests.
     uint64_t queue_start_ns = 0;
     uint64_t dequeue_ns = 0;
-    uint64_t dispatch_ns = 0;
   };
   using Batch = std::vector<Request>;
 
-  void BatcherLoop();
+  /// Pops a batch's first request, grows the batch from the admission
+  /// queue, executes it; until the queue is closed and drained.
   void WorkerLoop();
   /// Deadline/cancel gate when a request leaves the admission queue:
   /// appends it to `batch` or completes its promise.  Returns whether it
@@ -214,8 +215,7 @@ class AsyncRetrievalServer {
   /// forwarding target.
   RetrievalBackend* mutable_backend_ = nullptr;
   AsyncServerOptions options_;
-  BoundedQueue<Request> queue_;    // admission (MPSC)
-  BoundedQueue<Batch> dispatch_;   // batcher -> workers (SPMC)
+  BoundedQueue<Request> queue_;  // admission: submitters -> workers
   std::atomic<bool> shutdown_{false};
   std::atomic<bool> cancel_{false};
   /// Submit calls currently executing.  Shutdown waits for this to hit
@@ -246,7 +246,6 @@ class AsyncRetrievalServer {
   obs::Gauge* queue_depth_;
   obs::Histogram* batch_size_hist_;
 
-  std::thread batcher_;
   std::vector<std::thread> workers_;
 };
 

@@ -20,10 +20,9 @@ enum class QueuePushResult {
   kClosed,
 };
 
-/// Bounded blocking FIFO queue — the admission and dispatch primitive of
-/// the async serving layer.  Safe for any number of producers and
-/// consumers; the server uses it MPSC (many submitters, one batcher) and
-/// SPMC (one batcher, many workers).
+/// Bounded blocking FIFO queue — the admission primitive of the async
+/// serving layer.  Safe for any number of producers and consumers; the
+/// server uses it MPMC (many submitters, many workers).
 ///
 /// Close() makes the queue drainable-but-terminal: pushes fail, pops keep
 /// returning queued items and then nullopt, and every blocked thread is

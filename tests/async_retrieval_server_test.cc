@@ -110,26 +110,19 @@ struct WorkerGate {
   }
 };
 
-/// Pins the single worker with a gated request and then stuffs the
-/// batcher + dispatch pipeline with `plugs` sacrificial requests, so
+/// Pins the single worker inside the backend with a gated request: the
+/// worker is the whole pipeline between admission and execution, so
 /// every subsequent Submit stays in the admission queue until the gate
-/// releases.  Requires max_batch = 1 and num_workers = 1.  Waits until
-/// the admission queue is observably empty again.
+/// releases.  Requires num_workers = 1.  Returns once the gated request
+/// is inside the backend and the admission queue is observably empty.
 struct PinnedPipeline {
   WorkerGate gate;
   Future<StatusOr<RetrievalResponse>> gated;
-  std::vector<Future<StatusOr<RetrievalResponse>>> plugs;
 
   PinnedPipeline(AsyncRetrievalServer* server, const ServingStack& s,
-                 RetrievalOptions options, size_t num_plugs = 2) {
+                 RetrievalOptions options) {
     gated = server->Submit({gate.Gated(s.QueryDx(s.query_ids[0])), options});
     while (gate.entered.load() == 0) std::this_thread::sleep_for(1ms);
-    for (size_t i = 0; i < num_plugs; ++i) {
-      plugs.push_back(server->Submit({s.QueryDx(s.query_ids[1]), options}));
-    }
-    // The batcher parks one plug in the dispatch queue and holds the
-    // other in hand, blocked; wait until the admission queue drains so
-    // later submits deterministically queue behind the pinned pipeline.
     while (server->stats().queue_depth > 0) std::this_thread::sleep_for(1ms);
   }
 };
@@ -287,16 +280,16 @@ TEST(AsyncServerTest, OverflowRejectsWithResourceExhausted) {
 
   WorkerGate gate;
   RetrievalOptions ro(1, 5);
-  // First request pins the single worker inside the backend; the pipeline
-  // (batcher + dispatch slot) and then the 2-slot admission queue fill up
-  // behind it.  Overflow refuses the incoming request.
+  // First request pins the single worker inside the backend; the 2-slot
+  // admission queue fills up behind it.  Overflow refuses the incoming
+  // request.
   auto gated =
       server.Submit({gate.Gated(s.QueryDx(s.query_ids[0])), ro});
   std::vector<Future<StatusOr<RetrievalResponse>>> rest;
   const size_t kExtra = 12;
   for (size_t i = 0; i < kExtra; ++i) {
     rest.push_back(server.Submit({s.QueryDx(s.query_ids[1]), ro}));
-    std::this_thread::sleep_for(2ms);  // Let the batcher drain what it can.
+    std::this_thread::sleep_for(2ms);  // Let the worker pop what it can.
   }
   size_t rejected = 0;
   for (const auto& f : rest) {
@@ -339,7 +332,7 @@ TEST(AsyncServerTest, FullQueueRefusesArrivalsAndServesInArrivalOrder) {
   RetrievalOptions ro(1, 5);
   PinnedPipeline pinned(&server, s, ro);
 
-  // With the pipeline pinned, fill the 4-slot queue; each request
+  // With the worker pinned, fill the 4-slot queue; each request
   // records its submission index when it completes.
   std::mutex mu;
   std::vector<size_t> completion_order;
@@ -392,36 +385,29 @@ TEST(AsyncServerTest, ExpiredInQueueGetsDeadlineExceededAtDequeue) {
 }
 
 TEST(AsyncServerTest, ExpiredInDispatchGetsDeadlineExceededBeforeRefine) {
-  // Deadlines read MonotonicClock, so a fake clock expires the request
-  // by decree instead of a 450ms real sleep: the worker stays pinned,
-  // virtual time jumps past the deadline, and the pre-refine check
-  // fires no matter how slow or fast the host is.  max_batch_delay is 0
-  // here — the batcher never waits on real time — so faking the clock
-  // cannot stall the pipeline.
+  // A request that passes the dequeue gate and then expires while its
+  // worker holds the batching window open must be answered by the
+  // pre-refine gate.  Deadlines read MonotonicClock, so a fake clock
+  // expires the request by decree instead of a real sleep.  The window is
+  // long in real time; the second request fills the max_batch = 2 batch,
+  // which closes the window at once, so nothing waits it out.
   ScopedFakeClock fake;
   ServingStack s;
   AsyncServerOptions options;
-  options.max_batch = 1;
+  options.max_batch = 2;
+  options.max_batch_delay = 10s;
   options.num_workers = 1;
   options.queue_capacity = 16;
   AsyncRetrievalServer server(&s.mono, options);
-
-  WorkerGate gate;
-  RetrievalOptions slow(1, 5);
-  auto gated = server.Submit({gate.Gated(s.QueryDx(s.query_ids[0])), slow});
-  // Wait until the worker is actually inside the backend, so the next
-  // request is dequeued immediately and then waits in the dispatch
-  // pipeline behind the pinned worker.
-  while (gate.entered.load() == 0) std::this_thread::sleep_for(1ms);
 
   RetrievalOptions tight(1, 5);
   tight.deadline = RetrievalClock::now() + 200ms;
   RetrievalRequest doomed_req{s.QueryDx(s.query_ids[1]), tight};
 #ifndef QSE_DISABLE_TRACING
-  // A pre-attached trace makes the pipeline position observable: the
-  // batcher stamps "batch_form" only after the dequeue-time deadline
-  // check passed, so waiting for that span leaves no race between the
-  // dequeue check and the clock advance below.
+  // A pre-attached trace makes the worker's position observable: it
+  // reads the clock for the dequeue-time deadline check before it
+  // stamps "queue", so once that span exists, advancing the clock below
+  // can only expire the request at the pre-refine gate.
   auto trace = std::make_shared<obs::RequestTrace>();
   doomed_req.trace = trace;
 #endif
@@ -429,28 +415,86 @@ TEST(AsyncServerTest, ExpiredInDispatchGetsDeadlineExceededBeforeRefine) {
 #ifndef QSE_DISABLE_TRACING
   auto past_dequeue_check = [&] {
     for (const obs::TraceSpan& span : trace->spans()) {
-      if (std::string(span.name) == "batch_form") return true;
+      if (std::string(span.name) == "queue") return true;
     }
     return false;
   };
   while (!past_dequeue_check()) std::this_thread::sleep_for(1ms);
 #else
   // Tracing compiled out: wait for the admission queue to drain, then
-  // give the batcher a real-time moment to run the dequeue check it
+  // give the worker a real-time moment to run the dequeue check it
   // performs right after popping.
   while (server.stats().queue_depth != 0) std::this_thread::sleep_for(1ms);
   std::this_thread::sleep_for(50ms);
 #endif
-  fake.clock().Advance(400ms);  // Deadline passes while pipelined.
-  gate.Release();
+  fake.clock().Advance(400ms);  // Deadline passes inside the window.
+  auto filler =
+      server.Submit({s.QueryDx(s.query_ids[0]), RetrievalOptions(1, 5)});
 
   const auto& got = doomed.Get();
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_NE(got.status().message().find("refine"), std::string::npos);
-  ASSERT_TRUE(gated.Get().ok());
+  ASSERT_TRUE(filler.Get().ok());
   server.Shutdown(AsyncRetrievalServer::DrainMode::kDrain);
   EXPECT_EQ(server.stats().expired, 1u);
+  EXPECT_EQ(server.stats().completed, 1u);
+}
+
+TEST(AsyncServerTest, PinnedWorkerDoesNotStallTheOther) {
+  // Every worker pops from the admission queue itself, so one worker
+  // that is busy — inside the backend, or holding a batching window
+  // open — must not keep the others, or Submit, from the queue.
+  ServingStack s;
+  RetrievalOptions ro(1, 5);
+  {
+    AsyncServerOptions options;
+    options.num_workers = 2;
+    AsyncRetrievalServer server(&s.mono, options);
+    WorkerGate gate;
+    auto gated = server.Submit({gate.Gated(s.QueryDx(s.query_ids[0])), ro});
+    while (gate.entered.load() == 0) std::this_thread::sleep_for(1ms);
+    auto other = server.Submit({s.QueryDx(s.query_ids[1]), ro});
+    EXPECT_TRUE(other.WaitFor(30s))
+        << "the free worker must serve while the other is pinned";
+    gate.Release();
+    ASSERT_TRUE(gated.Get().ok());
+    ASSERT_TRUE(other.Get().ok());
+  }
+  {
+    // One worker holds a 60 s batching window open with the first
+    // request.  Each of the next two either fills that worker's
+    // max_batch = 2 batch or goes to the other worker, so whichever way
+    // they split, one batch fills and two requests are answered at once.
+    // A worker that kept the queue lock for its window would hold both
+    // Submits for the whole 60 s.
+    AsyncServerOptions options;
+    options.num_workers = 2;
+    options.max_batch = 2;
+    options.max_batch_delay = 60s;
+    AsyncRetrievalServer server(&s.mono, options);
+    std::vector<Future<StatusOr<RetrievalResponse>>> futures;
+    futures.push_back(server.Submit({s.QueryDx(s.query_ids[0]), ro}));
+    while (server.stats().queue_depth != 0) std::this_thread::sleep_for(1ms);
+    const auto start = std::chrono::steady_clock::now();
+    for (size_t i = 1; i <= 2; ++i) {
+      futures.push_back(server.Submit({s.QueryDx(s.query_ids[i]), ro}));
+    }
+    auto answered = [&] {
+      return std::count_if(futures.begin(), futures.end(),
+                           [](const auto& f) { return f.ready(); });
+    };
+    while (answered() < 2 && std::chrono::steady_clock::now() - start < 30s) {
+      std::this_thread::sleep_for(1ms);
+    }
+    EXPECT_GE(answered(), 2) << "a held batching window must not stall "
+                                "the queue";
+    EXPECT_LT(std::chrono::steady_clock::now() - start, 30s);
+    // Closing the queue ends any window still open; the drain serves the
+    // rest.
+    server.Shutdown(AsyncRetrievalServer::DrainMode::kDrain);
+    for (const auto& f : futures) ASSERT_TRUE(f.Get().ok());
+  }
 }
 
 // --- Adaptive micro-batching -------------------------------------------

@@ -395,7 +395,11 @@ TEST(RetrievalServerTest, TraceSpansAreGraftedAcrossTheWire) {
   request.trace = std::make_shared<obs::RequestTrace>();
   auto result = remote.Retrieve(request);
   ASSERT_TRUE(result.ok()) << result.status().message();
-
+#ifdef QSE_DISABLE_TRACING
+  // Recording is compiled out on both ends: nothing is stamped or
+  // grafted, and the trace comes back empty.
+  EXPECT_TRUE(request.trace->spans().empty());
+#else
   bool saw_rpc = false, saw_remote = false;
   uint64_t rpc_start = 0, rpc_end = 0;
   for (const obs::TraceSpan& span : request.trace->spans()) {
@@ -415,6 +419,7 @@ TEST(RetrievalServerTest, TraceSpansAreGraftedAcrossTheWire) {
     }
   }
   EXPECT_TRUE(saw_remote);
+#endif  // QSE_DISABLE_TRACING
 }
 
 }  // namespace

@@ -22,8 +22,10 @@ workload, seed and pair of sides to BENCH_<workload>.json at the repo
 root: the commits, a host fingerprint (CPU model, nproc, the tier
 perfbench reports as host.simd_level, the compiler from the build's
 CMakeCache.txt), the pair count, and per metric the median and
-quartiles of both sides with the win count, each side's median load
-average, plus the per-layer metrics of one --trace 1 run per side.
+quartiles of both sides with the win count, each side's per-pair
+values in pair order (so a verdict resting on one outlying pair can be
+checked later), each side's median load average, plus the per-layer
+metrics of one --trace 1 run per side.
 """
 import argparse
 import datetime
@@ -95,8 +97,9 @@ def quartiles(values):
 
 
 def summarize(runs, specs):
-    """Per end-to-end metric: both sides' quartiles and the change's wins
-    (pairs where it is strictly better, by the metric's direction)."""
+    """Per end-to-end metric: both sides' quartiles and per-pair values,
+    and the change's wins (pairs where it is strictly better, by the
+    metric's direction)."""
     out = {}
     for spec in specs:
         name = spec["name"]
@@ -108,8 +111,10 @@ def summarize(runs, specs):
         bm, bq1, bq3 = quartiles(base)
         cm, cq1, cq3 = quartiles(change)
         out[name] = {"unit": spec["unit"], "better": spec["better"],
-                     "base": {"median": bm, "q1": bq1, "q3": bq3},
-                     "change": {"median": cm, "q1": cq1, "q3": cq3},
+                     "base": {"median": bm, "q1": bq1, "q3": bq3,
+                              "values": base},
+                     "change": {"median": cm, "q1": cq1, "q3": cq3,
+                                "values": change},
                      "wins": wins, "pairs": len(runs)}
     return out
 
