@@ -239,14 +239,6 @@ void AsyncRetrievalServer::WorkerLoop() {
 
     batch_size_hist_->Record(
         static_cast<double>(std::min(batch.size(), options_.max_batch)));
-    for (Request& r : batch) {
-      if (r.req.trace != nullptr) {
-        obs::TraceMark(r.req.trace.get(), "batch_form", r.dequeue_ns,
-                       {obs::TraceArg{"batch_size",
-                                      static_cast<int64_t>(batch.size()),
-                                      nullptr}});
-      }
-    }
     ExecuteBatch(std::move(batch));
   }
 }
@@ -260,6 +252,14 @@ void AsyncRetrievalServer::ExecuteBatch(Batch batch) {
   Batch live;
   live.reserve(batch.size());
   for (Request& r : batch) {
+    // batch_form ends at this gate, not in WorkerLoop, so the span also
+    // covers the hand-over into ExecuteBatch.
+    if (r.req.trace != nullptr) {
+      obs::TraceMark(r.req.trace.get(), "batch_form", r.dequeue_ns,
+                     {obs::TraceArg{"batch_size",
+                                    static_cast<int64_t>(batch.size()),
+                                    nullptr}});
+    }
     if (cancel_.load(std::memory_order_relaxed)) {
       CompleteCancelled(&r);
     } else if (now > r.req.options.deadline) {

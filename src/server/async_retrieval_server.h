@@ -204,9 +204,9 @@ class AsyncRetrievalServer {
   /// appends it to `batch` or completes its promise.  Returns whether it
   /// joined the batch.
   bool AdmitToBatch(Request r, Batch* batch, RetrievalClock::time_point now);
-  /// Re-gates each request (the check "before refine"), groups survivors
-  /// by result key, runs RetrieveBatch per group, completes every
-  /// promise.
+  /// Closes each traced request's batch_form span, re-gates each request
+  /// (the check "before refine"), groups survivors by result key, runs
+  /// RetrieveBatch per group, completes every promise.
   void ExecuteBatch(Batch batch);
   void CompleteCancelled(Request* r);
 
