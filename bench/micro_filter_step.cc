@@ -16,6 +16,7 @@
 //   * the seed's scalar scan against the dispatched exact scan and the
 //     int8-prescreened weighted-L1 scan at n = 1M, d = 256.
 //   * the prescreen's integer block kernel alone, in ns per row.
+//   * the whole prescreened scan at the shard shapes perfbench serves.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -465,6 +466,66 @@ void BM_PrescreenKernel(benchmark::State& state) {
                                   benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_PrescreenKernel)->Arg(16)->Arg(24)->Arg(55)->Arg(130);
+
+// --- The prescreened scan at perfbench's shard shapes. -----------------
+//
+// One WeightedL1TopP(prescreen = true) call per iteration on an
+// L2-sized shard: d / rows / p = 16 / 10k / 100 (remote_wire), 24 / 20k
+// / 50 (serve_churn) and 55 / 50k / 100 (scan_sharded), with weights in
+// [0, 1) or signed ([-0.5, 1) with one forced negative, the trained
+// models' usual case).  Here the
+// int8 kernel is no longer the whole cost: pass 1's selections of S_p
+// and pass 2's float64 reads are a visible share.  Iterations cycle over
+// kScanQueries queries, each near a different row, so selection code
+// sees fresh scores, as a served scan does, rather than one score vector
+// its branches have learnt.  Args: d, rows, p, signed.
+
+constexpr size_t kScanQueries = 64;
+
+void BM_PrescreenedScan(benchmark::State& state) {
+  const size_t d = static_cast<size_t>(state.range(0));
+  const size_t n = static_cast<size_t>(state.range(1));
+  const size_t p = static_cast<size_t>(state.range(2));
+  const bool signed_weights = state.range(3) != 0;
+  EmbeddedDatabase db = MakeSoaDb(n, d, 1);
+  db.RebuildPrescreenMatrix();
+  const EmbeddedDatabase::View view = db;
+  Rng rng(5);
+  std::vector<Vector> queries(kScanQueries), weights(kScanQueries);
+  for (size_t i = 0; i < kScanQueries; ++i) {
+    queries[i] = db.RowVector(rng.Index(n));
+    for (double& v : queries[i]) v += rng.Uniform(-0.05, 0.05);
+    weights[i].resize(d);
+    for (double& v : weights[i]) {
+      v = rng.Uniform(signed_weights ? -0.5 : 0.0, 1.0);
+    }
+    if (signed_weights) weights[i][0] = -std::fabs(weights[i][0]) - 0.1;
+  }
+  const simd::KernelTable* k = simd::ActiveKernels();
+  FilterScanStats stats;
+  size_t read = 0;
+  size_t i = 0;
+  for (auto _ : state) {
+    std::vector<ScoredIndex> out =
+        WeightedL1TopP(queries[i], weights[i], view, p, /*prescreen=*/true,
+                       k, &stats);
+    benchmark::DoNotOptimize(out.data());
+    read += stats.rows_visited - stats.rows_prescreened;
+    i = (i + 1) % kScanQueries;
+  }
+  // Mean float64 rows read per scan (pass 2's share of the work).
+  state.counters["f64_rows"] = static_cast<double>(read) /
+                               static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_PrescreenedScan)
+    ->ArgNames({"d", "rows", "p", "signed"})
+    ->Args({16, 10000, 100, 0})
+    ->Args({16, 10000, 100, 1})
+    ->Args({24, 20000, 50, 0})
+    ->Args({24, 20000, 50, 1})
+    ->Args({55, 50000, 100, 0})
+    ->Args({55, 50000, 100, 1})
+    ->Unit(benchmark::kMicrosecond);
 
 // --- A_i(q) evaluation cost (unchanged from the seed). ------------------
 

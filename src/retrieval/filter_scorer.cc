@@ -70,17 +70,23 @@ inline void PrefetchF64Row(const double* row, size_t d) {
 /// query's `pre` (QuantizeI8Prescreen, finite margin).
 ///
 /// Pass 1 streams the int8 matrix kPrescreenBlockRows rows per kernel
-/// call and collects, in row order, every row with S <= τ, τ = S_p +
-/// Slack() for S_p the p-th smallest S collected so far (no bound until
-/// the first selection).  Each call compares against τ as it stood when
+/// call and collects, in row order, every row with S <= τ, τ = U + Slack()
+/// for U an upper bound on the p-th smallest S collected so far (no bound
+/// until the first one).  Each call compares against τ as it stood when
 /// the call began; a stale τ only grows the set.  Once the set holds
-/// twice what the last selection left (at least 2p), nth_element finds
-/// S_p, τ tightens and the set drops the rows above it, so the final S_p
-/// and τ are exact: they are those of the whole matrix, because a row
-/// ever dropped scored above a τ no lower than the final one.  The p
-/// rows with the smallest S all score at most σ * S_p + m exactly, so
-/// every row left out scores strictly more than the final p-th best
-/// exact score, whatever its id.
+/// twice what the last tightening left (at least 2p), one radix
+/// histogram of its S gives U (KthSmallestUpperBound, within a 128th of
+/// the set's S range of the p-th smallest), τ tightens and the set drops
+/// the rows above it.  After the last block an exact radix select
+/// (SelectKthSmallest) gives S_p, and τ = S_p + Slack() drops the rest.
+/// Neither selection branches on a score, so fresh scores cost no
+/// per-row mispredictions.  The final S_p and τ are exact: they are those of the
+/// whole matrix, because a row ever dropped scored above a τ no lower
+/// than the final one, so the collected set is every row with S <= the
+/// final τ, in row order, however τ got there.  The p rows with the
+/// smallest S all score at most σ * S_p + m exactly, so every row left
+/// out scores strictly more than the final p-th best exact score,
+/// whatever its id.
 ///
 /// Pass 2 reads float64 rows only for collected rows: the p best by
 /// (S, row) first, so the running threshold t starts near its final
@@ -108,16 +114,10 @@ std::vector<ScoredIndex> PrescreenedTopPScan(
   // them; each call may append up to kPrescreenBlockRows.
   std::vector<uint32_t> rows;
   std::vector<int32_t> scores;
-  std::vector<int32_t> scratch;
   size_t count = 0;
   int32_t tau = INT32_MAX;
-  // Tightens τ to the set's p-th smallest S plus the slack, drops the
-  // rows above it, and returns that S.
-  auto select = [&]() {
-    scratch.assign(scores.begin(), scores.begin() + count);
-    std::nth_element(scratch.begin(), scratch.begin() + (keep - 1),
-                     scratch.end());
-    const int32_t s_p = scratch[keep - 1];
+  // Sets τ to s_p plus the slack and drops the rows above it.
+  auto tighten = [&](int32_t s_p) {
     tau = static_cast<int32_t>(std::min<int64_t>(
         INT32_MAX, slack == INT64_MAX ? INT64_MAX : s_p + slack));
     size_t kept = 0;
@@ -127,7 +127,6 @@ std::vector<ScoredIndex> PrescreenedTopPScan(
       kept += scores[i] <= tau;
     }
     count = kept;
-    return s_p;
   };
   size_t select_at = 2 * keep;
   for (size_t first = 0; first < n; first += kPrescreenBlockRows) {
@@ -144,32 +143,36 @@ std::vector<ScoredIndex> PrescreenedTopPScan(
     }
     count += got;
     if (count >= select_at) {
-      select();
+      tighten(KthSmallestUpperBound(scores.data(), count, keep));
       select_at = std::max(2 * keep, 2 * count);
     }
   }
   // Every row of the final p best has S <= every τ, so count >= keep.
-  const int32_t s_p = select();
+  const int32_t s_p = SelectKthSmallest(scores.data(), count, keep);
+  tighten(s_p);
 
-  // Pass 2, in reading order: the `keep` best by (S, row) — every row
-  // below S_p, then the first rows at S_p — never dismissed (the
-  // threshold stays +inf until they fill the heap), then the other
+  // Pass 2, in reading order: the `keep` best by (S, row) — the rows
+  // below S_p and the first rows at S_p, in row order — never dismissed
+  // (the threshold stays +inf until they fill the heap), then the other
   // collected rows.  The order is known up front, so each float64 row is
   // prefetched a few reads ahead.
   using RowScore = std::pair<int32_t, size_t>;  // (S, row)
-  std::vector<RowScore> order;
-  order.reserve(count);
+  std::vector<RowScore> order(count);
   const size_t ties =
       keep - static_cast<size_t>(std::count_if(
                  scores.begin(), scores.begin() + count,
                  [s_p](int32_t s) { return s < s_p; }));
-  for (bool best : {true, false}) {
-    size_t tied = 0;  // rows at S_p seen so far
-    for (size_t i = 0; i < count; ++i) {
-      const bool in_best =
-          scores[i] < s_p || (scores[i] == s_p && tied++ < ties);
-      if (in_best == best) order.push_back({scores[i], rows[i]});
-    }
+  // One pass placing each row in its half, without branching on S.
+  size_t tied = 0;          // rows at S_p seen so far
+  size_t next_best = 0;     // order[0, keep): the `keep` best
+  size_t next_rest = keep;  // order[keep, count): the others
+  for (size_t i = 0; i < count; ++i) {
+    const int32_t s = scores[i];
+    tied += s == s_p;
+    const bool in_best = (s < s_p) | ((s == s_p) & (tied <= ties));
+    order[in_best ? next_best : next_rest] = {s, rows[i]};
+    next_best += in_best;
+    next_rest += !in_best;
   }
   BoundedTopK top(keep);
   size_t read = 0;

@@ -25,13 +25,14 @@ enum class QueuePushResult {
 /// server uses it MPMC (many submitters, many workers).
 ///
 /// Close() makes the queue drainable-but-terminal: pushes fail, pops keep
-/// returning queued items and then nullopt, and every blocked thread is
+/// returning queued items and then nullopt, and every blocked pop is
 /// woken.  This is what makes graceful shutdown deterministic — nothing
 /// queued is ever silently dropped.
 ///
+/// Pushes never block: a full queue refuses (the server sheds that load).
 /// Failed pushes do not consume the value: `v` is only moved from when
-/// TryPush/Push return true, so the caller can still complete the
-/// request's promise with an overload/shutdown status.
+/// TryPush accepts it, so the caller can still complete the request's
+/// promise with an overload/shutdown status.
 template <typename T>
 class BoundedQueue {
  public:
@@ -58,30 +59,17 @@ class BoundedQueue {
     return QueuePushResult::kAccepted;
   }
 
-  /// Blocks until there is space or the queue closes; false when closed.
-  bool Push(T&& v) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      not_full_.wait(lock,
-                     [this] { return closed_ || items_.size() < capacity_; });
-      if (closed_) return false;
-      items_.push_back(std::move(v));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
   /// Non-blocking pop; nullopt when momentarily empty.
   std::optional<T> TryPop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    return PopLocked(&lock);
+    std::lock_guard<std::mutex> lock(mu_);
+    return PopLocked();
   }
 
   /// Blocks until an item arrives; nullopt only once closed and drained.
   std::optional<T> Pop() {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait(lock, [this] { return closed_ || !items_.empty(); });
-    return PopLocked(&lock);
+    return PopLocked();
   }
 
   /// Blocks up to `timeout` (non-positive behaves like TryPop); nullopt on
@@ -91,17 +79,16 @@ class BoundedQueue {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait_for(lock, timeout,
                         [this] { return closed_ || !items_.empty(); });
-    return PopLocked(&lock);
+    return PopLocked();
   }
 
-  /// Rejects future pushes, lets pops drain, wakes all blocked threads.
+  /// Rejects future pushes, lets pops drain, wakes all blocked pops.
   void Close() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       closed_ = true;
     }
     not_empty_.notify_all();
-    not_full_.notify_all();
   }
 
   bool closed() const {
@@ -118,18 +105,15 @@ class BoundedQueue {
   size_t capacity() const { return capacity_; }
 
  private:
-  std::optional<T> PopLocked(std::unique_lock<std::mutex>* lock) {
+  std::optional<T> PopLocked() {
     if (items_.empty()) return std::nullopt;
     T v = std::move(items_.front());
     items_.pop_front();
-    lock->unlock();
-    not_full_.notify_one();
     return v;
   }
 
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
-  std::condition_variable not_full_;
   std::deque<T> items_;
   const size_t capacity_;
   bool closed_ = false;

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -28,6 +29,23 @@ struct ScoredIndex {
 /// nth_element.
 std::vector<ScoredIndex> SmallestK(const std::vector<double>& scores,
                                    size_t k);
+
+/// The k-th smallest of v[0..n), 1 <= k <= n: the value std::nth_element
+/// would place at index k - 1.  `v` is left as it is.
+///
+/// An MSD radix select with no data-dependent branch per element: each
+/// level builds a 256-bucket histogram over the live [min, max] range,
+/// finds the bucket holding the k-th value and compacts that bucket
+/// alone, and at most 16 values are ranked by counting.  Comparison-based
+/// selection mispredicts about every other branch on values it has not
+/// seen before, which is the prescreened scan's case (filter_scorer.cc).
+int32_t SelectKthSmallest(const int32_t* v, size_t n, size_t k);
+
+/// An upper bound on SelectKthSmallest(v, n, k) from its first histogram
+/// alone: the largest value the bucket holding the k-th smallest admits,
+/// capped at max(v).  It exceeds the k-th smallest by less than
+/// (max(v) - min(v)) / 128, and by nothing when that range is under 256.
+int32_t KthSmallestUpperBound(const int32_t* v, size_t n, size_t k);
 
 /// Returns indices of `scores` sorted by ascending score (full argsort with
 /// deterministic tie-breaking by index).

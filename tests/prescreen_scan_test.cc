@@ -9,7 +9,9 @@
 // reference on every tier.  The PrescreenEngineTest cases check that
 // every RetrievalEngine shard builds and keeps the int8 matrix, however
 // it was filled, and how the prescreen shows in the engine's metric and
-// trace span, and in composed and remote scans.
+// trace span, and in composed and remote scans.  The PrescreenSelectTest
+// cases check the first pass's selection and bound against
+// std::nth_element.
 #include <algorithm>
 #include <atomic>
 #include <climits>
@@ -902,6 +904,88 @@ TEST(PrescreenScanTest, GateShapeCandidatesBitIdentical) {
     ScanResult pre = Scan(q, w, view, kP, true, tier.table);
     ExpectSameScan(Scan(q, w, view, kP, false, tier.table), pre, "gate");
     EXPECT_GT(pre.stats.rows_prescreened, kN / 2);
+  }
+}
+
+// --- Pass 1's selection of S_p. ----------------------------------------
+
+/// For k = 1, a middle k and n: SelectKthSmallest(v, k) is
+/// std::nth_element's value at k - 1, and KthSmallestUpperBound(v, k) is
+/// no lower, no higher than max(v), within (max - min) / 128 of it and
+/// equal to it when max - min < 256.  Neither changes v.
+void ExpectSelectsAsNthElement(const std::vector<int32_t>& v,
+                               const std::string& where) {
+  const size_t n = v.size();
+  const auto [lo, hi] = std::minmax_element(v.begin(), v.end());
+  const int64_t range = int64_t{*hi} - *lo;
+  const std::vector<int32_t> before = v;
+  for (size_t k : {size_t{1}, (n + 1) / 2, n}) {
+    std::vector<int32_t> sorted = v;
+    std::nth_element(sorted.begin(), sorted.begin() + (k - 1), sorted.end());
+    const int32_t kth = sorted[k - 1];
+    const std::string at = where + " n=" + std::to_string(n) +
+                           " k=" + std::to_string(k);
+    EXPECT_EQ(SelectKthSmallest(v.data(), n, k), kth) << at;
+    const int64_t over = int64_t{KthSmallestUpperBound(v.data(), n, k)} - kth;
+    EXPECT_GE(over, 0) << at;
+    EXPECT_LE(over, int64_t{*hi} - kth) << at;
+    if (range < 256) {
+      EXPECT_EQ(over, 0) << at;
+    } else {
+      EXPECT_LT(over * 128, range) << at;
+    }
+  }
+  EXPECT_EQ(v, before) << where;
+}
+
+TEST(PrescreenSelectTest, MatchesNthElementOnEdgeInputs) {
+  // Sizes around the counting cutoff (16) and the histogram width (256);
+  // value sets that need no shift, a full 32-bit range, ties and the
+  // int32 extremes.
+  Rng rng(2600);
+  auto full_range = [&rng] {
+    return static_cast<int32_t>(rng.UniformInt(INT32_MIN, INT32_MAX));
+  };
+  for (size_t n : {1, 2, 16, 17, 256, 257, 5000}) {
+    std::vector<int32_t> v(n);
+    for (int32_t& s : v) s = full_range();
+    ExpectSelectsAsNthElement(v, "full range");
+
+    // Negative S: sums of signed coefficients times |q - x|, as the int8
+    // kernel scores rows under signed weights.
+    for (int32_t& s : v) {
+      s = 0;
+      for (int j = 0; j < 16; ++j) {
+        const int64_t diff = rng.UniformInt(0, 254);
+        s += static_cast<int32_t>(rng.UniformInt(-1000, 1000) * diff);
+      }
+    }
+    ExpectSelectsAsNthElement(v, "signed coefficients");
+
+    // A range under 256: one level, no shift.
+    for (int32_t& s : v) s = static_cast<int32_t>(rng.UniformInt(-90, 150));
+    ExpectSelectsAsNthElement(v, "range under 256");
+
+    std::fill(v.begin(), v.end(), -7);
+    ExpectSelectsAsNthElement(v, "all equal");
+
+    // Three values, so every k lands inside a run of ties.
+    for (int32_t& s : v) s = static_cast<int32_t>(rng.Index(3)) * 40000 - 1;
+    ExpectSelectsAsNthElement(v, "heavy ties");
+
+    // Ties at the k-th value inside a wide range: a block of equal
+    // values around the middle rank.
+    for (int32_t& s : v) s = full_range();
+    for (size_t i = 0; i < n; i += 3) v[i] = 123456;
+    ExpectSelectsAsNthElement(v, "ties in a wide range");
+
+    // The int32 extremes among ordinary values.
+    for (int32_t& s : v) s = static_cast<int32_t>(rng.UniformInt(-5000, 5000));
+    for (size_t i = 0; i < n; i += 4) v[i] = i % 8 == 0 ? INT32_MIN : INT32_MAX;
+    ExpectSelectsAsNthElement(v, "extremes");
+    v.assign(n, INT32_MAX);
+    v[0] = INT32_MIN;
+    ExpectSelectsAsNthElement(v, "max with one min");
   }
 }
 
