@@ -473,12 +473,12 @@ BENCHMARK(BM_PrescreenKernel)->Arg(16)->Arg(24)->Arg(55)->Arg(130);
 // L2-sized shard: d / rows / p = 16 / 10k / 100 (remote_wire), 24 / 20k
 // / 50 (serve_churn) and 55 / 50k / 100 (scan_sharded), with weights in
 // [0, 1) or signed ([-0.5, 1) with one forced negative, the trained
-// models' usual case).  Here the
-// int8 kernel is no longer the whole cost: pass 1's selections of S_p
-// and pass 2's float64 reads are a visible share.  Iterations cycle over
-// kScanQueries queries, each near a different row, so selection code
-// sees fresh scores, as a served scan does, rather than one score vector
-// its branches have learnt.  Args: d, rows, p, signed.
+// models' usual case).  Here the int8 kernel is no longer the whole
+// cost: pass 1's selections of S_p and pass 2's float64 reads are a
+// visible share.  Iterations cycle over kScanQueries queries, each near
+// a different row, so selection code sees fresh scores, as a served
+// scan does, rather than one score vector its branches have learnt.
+// Args: d, rows, p, signed.
 
 constexpr size_t kScanQueries = 64;
 

@@ -80,12 +80,12 @@ inline void PrefetchF64Row(const double* row, size_t d) {
 /// the rows above it.  After the last block an exact radix select
 /// (SelectKthSmallest) gives S_p, and τ = S_p + Slack() drops the rest.
 /// Neither selection branches on a score, so fresh scores cost no
-/// per-row mispredictions.  The final S_p and τ are exact: they are those of the
-/// whole matrix, because a row ever dropped scored above a τ no lower
-/// than the final one, so the collected set is every row with S <= the
-/// final τ, in row order, however τ got there.  The p rows with the
-/// smallest S all score at most σ * S_p + m exactly, so every row left
-/// out scores strictly more than the final p-th best exact score,
+/// per-row mispredictions.  The final S_p and τ are exact: they are
+/// those of the whole matrix, because a row ever dropped scored above a
+/// τ no lower than the final one, so the collected set is every row with
+/// S <= the final τ, in row order, however τ got there.  The p rows with
+/// the smallest S all score at most σ * S_p + m exactly, so every row
+/// left out scores strictly more than the final p-th best exact score,
 /// whatever its id.
 ///
 /// Pass 2 reads float64 rows only for collected rows: the p best by

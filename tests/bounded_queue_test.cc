@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <memory>
 #include <mutex>
@@ -96,15 +95,12 @@ TEST(BoundedQueueTest, CloseDrainsThenTerminates) {
 
 TEST(BoundedQueueTest, CloseWakesBlockedPop) {
   BoundedQueue<int> q(1);
-  std::atomic<bool> woken{false};
   std::thread blocked_pop([&] {
     EXPECT_FALSE(q.Pop().has_value());  // Woken by Close, reports drained.
-    woken.store(true);
   });
   std::this_thread::sleep_for(10ms);
   q.Close();
   blocked_pop.join();
-  EXPECT_TRUE(woken.load());
 }
 
 TEST(BoundedQueueTest, ManyProducersManyConsumersDeliverEachItemOnce) {
