@@ -3,13 +3,13 @@
 // Backs the paper's Sec. 8 observation: "with embeddings of up to 1,000
 // dimensions, the filter step always takes negligible time; retrieval
 // time is dominated by the few exact distance computations" — and checks
-// that the engine's layout and batching decisions actually buy time:
+// that the engine's layout decisions actually buy time:
 //
 //   * AoS vs SoA: the old rows-of-vectors layout (one heap allocation per
 //     row) against the flat row-major EmbeddedDatabase scan, same kernel,
 //     at up to n = 100k, d = 256.
 //   * full scan + SmallestK vs the fused early-abandon ScoreTopP pass.
-//   * one-query-at-a-time Retrieve vs thread-parallel RetrieveBatch.
+//   * one-query-at-a-time Retrieve over a 32-query loop.
 //   * the monolithic single-query scan vs the sharded scatter/gather
 //     engine (S shards x 1 query): does sharding speed up ONE query, not
 //     just a batch?
@@ -252,23 +252,6 @@ void BM_RetrieveSingleLoop(benchmark::State& state) {
                           static_cast<int64_t>(q));
 }
 BENCHMARK(BM_RetrieveSingleLoop)
-    ->Args({100000, 64, 32})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_RetrieveBatchParallel(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  size_t d = static_cast<size_t>(state.range(1));
-  size_t q = static_cast<size_t>(state.range(2));
-  EngineFixture f(n, d, q);
-  for (auto _ : state) {
-    auto r = f.engine->RetrieveBatch(f.queries, RetrievalOptions(10, 100));
-    QSE_CHECK(r.ok());
-    benchmark::DoNotOptimize(r.value());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(q));
-}
-BENCHMARK(BM_RetrieveBatchParallel)
     ->Args({100000, 64, 32})
     ->Unit(benchmark::kMillisecond);
 

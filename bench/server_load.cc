@@ -1,16 +1,13 @@
-// Load generator for the async serving front end: how does adaptive
-// micro-batching behave under traffic, against one-request-per-call
-// serving and against the caller-batched ceiling?
+// Load generator for the async serving front end: how does the server
+// behave under traffic, against clients calling the backend directly?
 //
 // Two generators over both backends (monolithic + sharded):
 //
 //  * Closed loop: C client threads, each submits one request and blocks
 //    on its future before the next (classic concurrency-limited load).
-//    Modes: "async_adaptive" (micro-batching server), "async_b1" (same
-//    server, max_batch = 1 — one-request-per-call serving), "direct"
-//    (clients call backend->Retrieve themselves, no server at all), and
-//    a "caller_batch" reference (one RetrieveBatch over everything — the
-//    pre-async serving mode, the throughput ceiling).
+//    Modes: "async" (the server, one worker per core, each popping one
+//    request and calling Retrieve) and "direct" (clients call
+//    backend->Retrieve themselves, no server at all).
 //
 //  * Open loop: requests arrive on a Poisson process at an offered QPS
 //    regardless of completions (the arrival pattern a public endpoint
@@ -21,8 +18,8 @@
 // Output: a human table plus a google-benchmark-shaped JSON artifact
 // (bench_results/server_load.json by default, --out to override) with
 // p50/p95/p99 tail latency per configuration;
-// tools/check_bench_regressions.py gates on the adaptive-vs-b1 mean and
-// p99 ratios, among others.
+// tools/check_bench_regressions.py gates p99 ratios against the untraced
+// "async" closed loop, among others.
 //
 // Run: ./build/bench/server_load [--n=20000] [--clients=8]
 //        [--requests=2000] [--open_seconds=1.0] [--out=path.json]
@@ -240,24 +237,17 @@ RunResult RunOpenLoop(AsyncRetrievalServer* server, size_t k, size_t p,
 
 void Report(const std::string& name, const RunResult& r,
             std::vector<BenchJsonEntry>* json,
-            std::vector<std::pair<std::string, double>> extra_fields = {},
-            bool has_percentiles = true) {
-  if (has_percentiles) {
-    std::printf(
-        "%-36s %9.0f qps   mean %8.1f us   p50 %8.1f  p95 %8.1f  p99 %8.1f "
-        "us   completed %6zu  shed %5zu  expired %5zu\n",
-        name.c_str(), r.qps, r.mean_ns / 1e3, r.percentiles.p50 / 1e3,
-        r.percentiles.p95 / 1e3, r.percentiles.p99 / 1e3, r.completed,
-        r.rejected, r.expired);
-  } else {
-    std::printf("%-36s %9.0f qps   mean %8.1f us (amortized)   "
-                "completed %6zu\n",
-                name.c_str(), r.qps, r.mean_ns / 1e3, r.completed);
-  }
+            std::vector<std::pair<std::string, double>> extra_fields = {}) {
+  std::printf(
+      "%-36s %9.0f qps   mean %8.1f us   p50 %8.1f  p95 %8.1f  p99 %8.1f "
+      "us   completed %6zu  shed %5zu  expired %5zu\n",
+      name.c_str(), r.qps, r.mean_ns / 1e3, r.percentiles.p50 / 1e3,
+      r.percentiles.p95 / 1e3, r.percentiles.p99 / 1e3, r.completed,
+      r.rejected, r.expired);
   BenchJsonEntry entry;
   entry.name = name;
   entry.real_time_ns = r.mean_ns;
-  if (has_percentiles) entry.AddPercentiles(r.percentiles);
+  entry.AddPercentiles(r.percentiles);
   entry.extras.emplace_back("qps", r.qps);
   entry.extras.emplace_back("completed", static_cast<double>(r.completed));
   entry.extras.emplace_back("shed", static_cast<double>(r.rejected));
@@ -400,7 +390,6 @@ int main(int argc, char** argv) {
   const size_t p = flags.GetSize("p", 200);
   const size_t clients = flags.GetSize("clients", 8);
   const size_t requests = flags.GetSize("requests", 2000);
-  const size_t max_batch = flags.GetSize("max_batch", 64);
   const double open_seconds = flags.GetDouble("open_seconds", 1.0);
   std::string out = flags.GetString("out", "");
   if (out.empty()) {
@@ -416,7 +405,7 @@ int main(int argc, char** argv) {
   const RetrievalOptions base_options(k, p);
 
   std::vector<BenchJsonEntry> json;
-  double adaptive_capacity_qps = 0;
+  double async_capacity_qps = 0;
 
   struct Backend {
     const char* name;
@@ -428,29 +417,6 @@ int main(int argc, char** argv) {
   for (const Backend& b : backends) {
     std::printf("--- backend: %s ---\n", b.name);
 
-    // Caller-batched ceiling: the pre-async serving mode, one big
-    // RetrieveBatch across all cores.
-    {
-      Timer t;
-      size_t done = 0;
-      while (done < requests) {
-        size_t chunk = std::min(requests - done, stack.queries.size());
-        std::vector<DxToDatabaseFn> batch(stack.queries.begin(),
-                                          stack.queries.begin() + chunk);
-        auto r = b.backend->RetrieveBatch(batch, base_options);
-        QSE_CHECK_MSG(r.ok(), r.status().ToString());
-        done += chunk;
-      }
-      double seconds = t.Seconds();
-      RunResult res;
-      res.seconds = seconds;
-      res.completed = requests;
-      res.qps = requests / seconds;
-      res.mean_ns = seconds / requests * 1e9;  // Amortized, not sojourn.
-      Report(std::string("SL_CallerBatch/") + b.name, res, &json, {},
-             /*has_percentiles=*/false);
-    }
-
     // Closed loop, direct: clients call the backend themselves.
     {
       RunResult res = RunClosedLoop(
@@ -461,14 +427,12 @@ int main(int argc, char** argv) {
       Report(std::string("SL_Closed/") + b.name + "/direct", res, &json);
     }
 
-    // Closed loop through the server: one-request-per-call (max_batch=1)
-    // vs adaptive micro-batching, same worker layout.
-    for (bool adaptive : {false, true}) {
+    // Closed loop through the server: one worker per core, each popping
+    // one request and calling Retrieve.
+    {
       AsyncServerOptions options;
       options.queue_capacity = 4096;
-      options.max_batch = adaptive ? max_batch : 1;
-      options.num_workers = 1;
-      options.retrieve_threads = 0;  // Batch parallelism = the core count.
+      options.num_workers = DefaultParallelism();
       AsyncRetrievalServer server(b.backend, options);
       RunResult res = RunClosedLoop(
           clients, requests, stack.queries, [&](const DxToDatabaseFn& dx) {
@@ -480,35 +444,21 @@ int main(int argc, char** argv) {
             QSE_CHECK_MSG(r.ok(), r.status().ToString());
           });
       server.Shutdown(AsyncRetrievalServer::DrainMode::kDrain);
-      ServerStats stats = server.stats();
-      double mean_batch = 0;
-      size_t batches = 0, weighted = 0;
-      for (size_t i = 0; i < stats.batch_size_histogram.size(); ++i) {
-        batches += stats.batch_size_histogram[i];
-        weighted += (i + 1) * stats.batch_size_histogram[i];
-      }
-      if (batches > 0) mean_batch = double(weighted) / double(batches);
-      Report(std::string("SL_Closed/") + b.name +
-                 (adaptive ? "/async_adaptive" : "/async_b1"),
-             res, &json, {{"mean_batch", mean_batch}});
-      if (adaptive && std::string(b.name) == "mono") {
-        adaptive_capacity_qps = res.qps;
-      }
+      Report(std::string("SL_Closed/") + b.name + "/async", res, &json);
+      if (std::string(b.name) == "mono") async_capacity_qps = res.qps;
     }
 
-    // Observability overhead: the identical adaptive configuration with
+    // Observability overhead: the identical async configuration with
     // 1-in-64 trace sampling and metrics flowing into the global
     // registry (the exported snapshot below).  The regression gate
-    // compares this run's p99 against the untraced adaptive run —
+    // compares this run's p99 against the untraced async run —
     // sampling must not buy visibility with a tail blowup.  With
     // QSE_DISABLE_TRACING the sampling block compiles out and this
     // measures the bare instrumented server.
     if (std::string(b.name) == "mono") {
       AsyncServerOptions options;
       options.queue_capacity = 4096;
-      options.max_batch = max_batch;
-      options.num_workers = 1;
-      options.retrieve_threads = 0;
+      options.num_workers = DefaultParallelism();
       options.trace_every_n = 64;
       options.registry = &obs::MetricRegistry::Global();
       AsyncRetrievalServer server(b.backend, options);
@@ -526,15 +476,14 @@ int main(int argc, char** argv) {
   }
 
   // Open loop over the monolithic backend: sweep offered load as
-  // fractions of the measured adaptive closed-loop capacity, with a
+  // fractions of the measured async closed-loop capacity, with a
   // deadline so overload sheds instead of queueing without bound.
-  std::printf("--- open loop (mono, adaptive, deadline 50ms) ---\n");
+  std::printf("--- open loop (mono, async, deadline 50ms) ---\n");
   for (double fraction : {0.5, 0.9, 1.2}) {
-    double offered = std::max(adaptive_capacity_qps * fraction, 50.0);
+    double offered = std::max(async_capacity_qps * fraction, 50.0);
     AsyncServerOptions options;
     options.queue_capacity = 1024;
-    options.max_batch = max_batch;
-    options.num_workers = 1;
+    options.num_workers = DefaultParallelism();
     AsyncRetrievalServer server(stack.mono.get(), options);
     RunResult res =
         RunOpenLoop(&server, k, p, stack.queries, offered, open_seconds,
@@ -547,8 +496,8 @@ int main(int argc, char** argv) {
     Report(name, res, &json, {{"offered_qps", offered}});
   }
 
-  // Mutation under load: the same closed-loop adaptive configuration as
-  // SL_Closed/mono/async_adaptive, with a background thread removing and
+  // Mutation under load: the same closed-loop configuration as
+  // SL_Closed/mono/async, with a background thread removing and
   // re-inserting database objects through the server at a fixed rate —
   // the epoch/RCU concurrent-mutation path.  The regression gate
   // compares this run's p99 against the mutation-free closed loop:
@@ -556,14 +505,12 @@ int main(int argc, char** argv) {
   {
     const auto mutate_interval = std::chrono::microseconds(
         flags.GetSize("mutate_interval_us", 5000));
-    std::printf("--- mutation under load (mono, adaptive, one remove+insert "
+    std::printf("--- mutation under load (mono, async, one remove+insert "
                 "per %lld us) ---\n",
                 static_cast<long long>(mutate_interval.count()));
     AsyncServerOptions options;
     options.queue_capacity = 4096;
-    options.max_batch = max_batch;
-    options.num_workers = 1;
-    options.retrieve_threads = 0;
+    options.num_workers = DefaultParallelism();
     AsyncRetrievalServer server(stack.mono.get(), options);
 
     std::atomic<bool> stop{false};
@@ -599,7 +546,7 @@ int main(int argc, char** argv) {
     server.Shutdown(AsyncRetrievalServer::DrainMode::kDrain);
     QSE_CHECK_MSG(stack.mono->size() == n,
                   "mutation loop did not restore the database");
-    Report("SL_Mutate/mono/async_adaptive", res, &json,
+    Report("SL_Mutate/mono/async", res, &json,
            {{"mutations", static_cast<double>(mutations.load())}});
   }
 
@@ -752,10 +699,10 @@ int main(int argc, char** argv) {
 
   // --- SL_Drift: background quality auditing + drift detection ------
   //
-  // (a) Control: the adaptive closed loop again, now with a
+  // (a) Control: the async closed loop again, now with a
   // QualityMonitor sampling 1-in-16 completed responses into background
   // exact-kNN audits.  Gates: audit overhead keeps p99 within a small
-  // factor of the audit-free adaptive run, ZERO false drift alarms on
+  // factor of the audit-free async run, ZERO false drift alarms on
   // this stationary workload, and the shed ratio stays bounded.  The
   // monitor publishes into the global registry, so the exported
   // server_load_metrics.{json,prom} carry the qse_quality_* series.
@@ -767,9 +714,7 @@ int main(int argc, char** argv) {
     obs::QualityMonitor monitor(qopts);
     AsyncServerOptions options;
     options.queue_capacity = 4096;
-    options.max_batch = max_batch;
-    options.num_workers = 1;
-    options.retrieve_threads = 0;
+    options.num_workers = DefaultParallelism();
     options.quality_monitor = &monitor;
     AsyncRetrievalServer server(stack.mono.get(), options);
     RunResult res = RunClosedLoop(
@@ -936,9 +881,7 @@ int main(int argc, char** argv) {
     const auto run_mutating_loop = [&](RetrievalBackend* backend) {
       AsyncServerOptions options;
       options.queue_capacity = 4096;
-      options.max_batch = max_batch;
-      options.num_workers = 1;
-      options.retrieve_threads = 0;
+      options.num_workers = DefaultParallelism();
       AsyncRetrievalServer server(backend, options);
       std::atomic<bool> stop{false};
       std::thread mutator([&] {

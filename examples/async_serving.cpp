@@ -1,15 +1,14 @@
 // Async serving: the request-queue front end over RetrievalBackend.
 //
-// The engines answer caller-driven batches; nothing shapes *traffic*.
-// AsyncRetrievalServer owns a backend behind Submit -> Future: a bounded
-// FIFO admission queue refuses overload with kResourceExhausted,
-// per-request deadlines turn late answers into kDeadlineExceeded
-// (checked at dequeue and again before the refine step — never silently
-// dropped), and each worker pops straight from that queue, coalesces
-// concurrent submitters into an adaptive micro-batch and executes it
-// itself — RetrieveBatch spreads the batch across cores.  Results for
+// The engines answer one caller's query at a time; nothing shapes
+// *traffic*.  AsyncRetrievalServer owns a backend behind Submit ->
+// Future: a bounded FIFO admission queue refuses overload with
+// kResourceExhausted, per-request deadlines turn late answers into
+// kDeadlineExceeded (checked when a request leaves the queue — never
+// silently dropped), and each of num_workers workers pops one request
+// at a time and runs it through the backend's Retrieve.  Results for
 // admitted, non-expired requests are bit-identical to calling the
-// backend directly.
+// backend directly; the example exits 1 if any is not.
 //
 // Everything rides on one envelope: RetrievalRequest{dx,
 // RetrievalOptions{k, p, deadline, want_stats}}.
@@ -28,6 +27,7 @@
 #include "src/retrieval/filter_refine.h"
 #include "src/retrieval/retrieval_engine.h"
 #include "src/server/async_retrieval_server.h"
+#include "src/util/parallel.h"
 #include "src/util/random.h"
 
 int main() {
@@ -51,7 +51,12 @@ int main() {
   FastMapModel model = BuildFastMap(oracle, db_ids, fm);
   EmbeddedDatabase embedded = EmbedDatabase(model, oracle, db_ids);
   L2Scorer scorer;
-  RetrievalEngine backend(&model, &scorer, embedded, db_ids, {});
+  // The server's workers supply the parallelism, so each request scans
+  // its shards serially.
+  ShardedEngineOptions shards;
+  shards.num_shards = 4;
+  shards.scatter_threads = 1;
+  RetrievalEngine backend(&model, &scorer, embedded, db_ids, shards);
 
   auto query_dx = [&oracle, n](size_t q) -> DxToDatabaseFn {
     size_t query_id = n + q;
@@ -60,15 +65,14 @@ int main() {
     };
   };
 
-  // --- The server: bounded admission, micro-batches up to 32, one
-  // worker driving RetrieveBatch across all cores.
+  // --- The server: bounded admission, one worker per core.
   AsyncServerOptions options;
   options.queue_capacity = 256;
-  options.max_batch = 32;
+  options.num_workers = DefaultParallelism();
   AsyncRetrievalServer server(&backend, options);
 
-  // --- A burst of concurrent submitters; futures resolve as batches
-  // complete.  OnReady shows the callback API.
+  // --- A burst of concurrent submitters; futures resolve as the
+  // workers complete them.  OnReady shows the callback API.
   std::printf("submitting %zu queries from 4 threads...\n", num_queries);
   std::atomic<size_t> callbacks{0};
   std::vector<Future<StatusOr<RetrievalResponse>>> futures(num_queries);
@@ -77,7 +81,7 @@ int main() {
     submitters.emplace_back([&, t] {
       for (size_t q = t; q < num_queries; q += 4) {
         RetrievalOptions ro(k, p);
-        ro.deadline = RetrievalOptions::DeadlineIn(500ms);
+        ro.deadline = RetrievalOptions::DeadlineIn(5s);
         futures[q] = server.Submit({query_dx(q), ro});
         futures[q].OnReady(
             [&callbacks](const StatusOr<RetrievalResponse>&) {
@@ -93,9 +97,8 @@ int main() {
   for (size_t q = 0; q < num_queries; ++q) {
     const StatusOr<RetrievalResponse>& got = futures[q].Get();
     auto want = backend.Retrieve({query_dx(q), RetrievalOptions(k, p)});
-    if (got.ok() && want.ok() &&
-        got->neighbors[0].index == want->neighbors[0].index &&
-        got->neighbors[0].score == want->neighbors[0].score) {
+    if (got.ok() && want.ok() && got->neighbors == want->neighbors &&
+        got->exact_distances == want->exact_distances) {
       ++identical;
     }
   }
@@ -111,21 +114,12 @@ int main() {
   std::printf("expired request -> %s\n",
               late.Get().status().ToString().c_str());
 
-  // --- Stats: admission counters and the micro-batch size histogram
-  // (the adaptivity signal: idle traffic batches at 1, bursts
-  // coalesce).
+  // --- Stats: admission counters.
   ServerStats stats = server.stats();
   std::printf("stats: submitted %zu, admitted %zu, completed %zu, "
               "rejected %zu, expired %zu\n",
               stats.submitted, stats.admitted, stats.completed,
               stats.rejected, stats.expired);
-  std::printf("batch sizes:");
-  for (size_t i = 0; i < stats.batch_size_histogram.size(); ++i) {
-    if (stats.batch_size_histogram[i] > 0) {
-      std::printf(" %zux%zu", stats.batch_size_histogram[i], i + 1);
-    }
-  }
-  std::printf("  (count x size)\n");
 
   // --- Graceful shutdown: drains admitted work, then rejects new
   // submits with FAILED_PRECONDITION.
@@ -133,5 +127,5 @@ int main() {
   auto after = server.Submit({query_dx(0), tight});
   std::printf("submit after shutdown -> %s\n",
               after.Get().status().ToString().c_str());
-  return 0;
+  return identical == num_queries ? 0 : 1;
 }

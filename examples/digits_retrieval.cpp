@@ -96,27 +96,18 @@ int main() {
   }
 
   // --- 1-NN classification over all queries via filter-and-refine.
-  // Classify all queries in one thread-parallel batch.
-  std::vector<DxToDatabaseFn> queries;
-  for (size_t q = kDbSize; q < kDbSize + kNumQueries; ++q) {
-    queries.push_back([&oracle, q](size_t id) {
-      return oracle.Distance(q, id);
-    });
-  }
-  auto batch_or = retriever.RetrieveBatch(queries, RetrievalOptions(1, 40));
-  if (!batch_or.ok()) {
-    std::fprintf(stderr, "retrieval failed: %s\n",
-                 batch_or.status().ToString().c_str());
-    return 1;
-  }
   size_t correct = 0, total_cost = 0;
-  std::vector<RetrievalResponse> results = std::move(batch_or).value();
-  for (size_t qi = 0; qi < results.size(); ++qi) {
-    const RetrievalResponse& r = results[qi];
-    total_cost += r.exact_distances;
-    if (labels[db_ids[r.neighbors[0].index]] == labels[kDbSize + qi]) {
-      ++correct;
+  for (size_t q = kDbSize; q < kDbSize + kNumQueries; ++q) {
+    auto r = retriever.Retrieve(
+        {[&oracle, q](size_t id) { return oracle.Distance(q, id); },
+         RetrievalOptions(1, 40)});
+    if (!r.ok()) {
+      std::fprintf(stderr, "retrieval failed: %s\n",
+                   r.status().ToString().c_str());
+      return 1;
     }
+    total_cost += r->exact_distances;
+    if (labels[db_ids[r->neighbors[0].index]] == labels[q]) ++correct;
   }
   std::printf("\n1-NN classification: %zu/%zu correct (%.1f%%), avg %zu "
               "exact distances per query (brute force: %zu)\n",

@@ -4,8 +4,8 @@
 //   1. Wrap your objects + distance measure in an ObjectOracle.
 //   2. TrainBoostMap -> QuerySensitiveEmbedding (the paper's F_out/D_out).
 //   3. EmbedDatabase once offline (parallel across cores).
-//   4. RetrievalEngine answers query batches with a handful of exact
-//      distance computations per query instead of a full scan.
+//   4. RetrievalEngine answers each query with a handful of exact
+//      distance computations instead of a full scan.
 //
 // Build: cmake --build build && ./build/examples/quickstart
 #include <cstdio>
@@ -63,9 +63,8 @@ int main() {
   QseEmbedderAdapter embedder(&model);
   EmbeddedDatabase embedded = EmbedDatabase(embedder, oracle, db_ids);
 
-  // --- 4. Online: batched filter-and-refine retrieval for unseen
-  // queries.  RetrieveBatch fans the queries out across all cores; each
-  // query still costs only an embedding plus p exact distances.
+  // --- 4. Online: filter-and-refine retrieval for unseen queries.  Each
+  // query costs only an embedding plus p exact distances.
   QuerySensitiveScorer scorer(&model);
   RetrievalEngine engine(&embedder, &scorer, &embedded, db_ids);
 
@@ -76,15 +75,15 @@ int main() {
       return oracle.Distance(query_id, id);
     });
   }
-  auto batch = engine.RetrieveBatch(queries, RetrievalOptions(k, p));
-  if (!batch.ok()) {
-    std::fprintf(stderr, "retrieval failed: %s\n",
-                 batch.status().ToString().c_str());
-    return 1;
-  }
   size_t correct = 0, total_cost = 0;
-  for (size_t qi = 0; qi < batch->size(); ++qi) {
-    const RetrievalResponse& result = (*batch)[qi];
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    auto retrieved = engine.Retrieve({queries[qi], RetrievalOptions(k, p)});
+    if (!retrieved.ok()) {
+      std::fprintf(stderr, "retrieval failed: %s\n",
+                   retrieved.status().ToString().c_str());
+      return 1;
+    }
+    const RetrievalResponse& result = *retrieved;
     total_cost += result.exact_distances;
     // Compare against brute force.
     auto exact = ExactKnn(oracle, 1900 + qi, db_ids, k);

@@ -31,17 +31,17 @@ namespace {
 std::pair<std::vector<size_t>, size_t> Serve(
     const qse::RetrievalBackend& backend,
     const std::vector<qse::DxToDatabaseFn>& queries, size_t k, size_t p) {
-  auto batch = backend.RetrieveBatch(queries, qse::RetrievalOptions(k, p));
-  if (!batch.ok()) {
-    std::fprintf(stderr, "retrieval failed: %s\n",
-                 batch.status().ToString().c_str());
-    std::exit(1);
-  }
   std::vector<size_t> best;
   size_t cost = 0;
-  for (const qse::RetrievalResponse& r : *batch) {
-    best.push_back(r.neighbors[0].index);
-    cost += r.exact_distances;
+  for (const qse::DxToDatabaseFn& dx : queries) {
+    auto r = backend.Retrieve({dx, qse::RetrievalOptions(k, p)});
+    if (!r.ok()) {
+      std::fprintf(stderr, "retrieval failed: %s\n",
+                   r.status().ToString().c_str());
+      std::exit(1);
+    }
+    best.push_back(r->neighbors[0].index);
+    cost += r->exact_distances;
   }
   return {std::move(best), cost};
 }
@@ -105,7 +105,7 @@ int main() {
               "%s (%zu exact distances)\n",
               agree, mono_best.size(),
               mono_cost == sharded_cost ? "yes" : "NO", sharded_cost);
-  std::printf("batch of %zu queries: monolithic %.1f ms, sharded %.1f ms\n",
+  std::printf("%zu queries: monolithic %.1f ms, sharded %.1f ms\n",
               num_queries, ms_mono, ms_sharded);
 
   // --- Per-shard scan stats: the load-balancing signal.  A shard that

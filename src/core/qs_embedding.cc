@@ -81,7 +81,7 @@ void QuerySensitiveEmbedding::RebuildCoordinates() {
   }
 }
 
-Vector QuerySensitiveEmbedding::Embed(const QueryDistanceFn& dx,
+Vector QuerySensitiveEmbedding::Embed(const DxToDatabaseFn& dx,
                                       size_t* num_exact) const {
   // Deduplicate exact-distance evaluations across coordinates; the same
   // reference object may appear in several coordinates (Sec. 7.1).

@@ -1,22 +1,16 @@
 #ifndef QSE_CORE_QS_EMBEDDING_H_
 #define QSE_CORE_QS_EMBEDDING_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "src/core/adaboost.h"
 #include "src/core/training_context.h"
 #include "src/distance/distance.h"
+#include "src/embedding/embedder.h"
 #include "src/util/statusor.h"
 
 namespace qse {
-
-/// Resolves DX(x, o) from the object being embedded to the database object
-/// with id `o`.  This is the only thing the model needs to embed an
-/// arbitrary (possibly previously unseen) object — the "embedding step" of
-/// filter-and-refine retrieval (Sec. 8).
-using QueryDistanceFn = std::function<double(size_t db_id)>;
 
 /// The trained output of the paper's algorithm (Sec. 5.4): a
 /// d-dimensional embedding F_out = (F_1, ..., F_d) together with the
@@ -78,7 +72,7 @@ class QuerySensitiveEmbedding {
   /// the coordinates' reference/pivot objects (Sec. 7: "computing F_out(x)
   /// requires computing at most 2d distances DX").  If `num_exact` is
   /// non-null it receives that count.
-  Vector Embed(const QueryDistanceFn& dx, size_t* num_exact = nullptr) const;
+  Vector Embed(const DxToDatabaseFn& dx, size_t* num_exact = nullptr) const;
 
   /// Exact-distance cost of Embed (the number of unique database objects
   /// referenced); this is the per-query embedding cost of the paper's

@@ -8,9 +8,10 @@
 
 namespace qse {
 
-/// Resolves DX(x, o) from the object being embedded to database object
-/// `o`.  (Duplicated signature with core/qs_embedding.h so the baseline
-/// embedding methods do not depend on the core library.)
+/// Resolves DX(x, o) from the object being embedded to the database
+/// object with id `o`.  This is the only thing a model needs to embed an
+/// arbitrary (possibly previously unseen) object — the "embedding step"
+/// of filter-and-refine retrieval (Sec. 8).
 using DxToDatabaseFn = std::function<double(size_t db_id)>;
 
 /// Common interface of every embedding method in the repo (BoostMap

@@ -236,12 +236,6 @@ StatusOr<RetrievalResponse> RemoteRetrievalBackend::Retrieve(
   return pipeline_->Retrieve(request);
 }
 
-StatusOr<std::vector<RetrievalResponse>> RemoteRetrievalBackend::RetrieveBatch(
-    const std::vector<DxToDatabaseFn>& queries,
-    const RetrievalOptions& options) const {
-  return pipeline_->RetrieveBatch(queries, options);
-}
-
 StatusOr<RetrievalResponse> RemoteRetrievalBackend::RetrieveRaw(
     const std::vector<double>& raw_query,
     const RetrievalOptions& options) const {

@@ -69,10 +69,6 @@ class RemoteRetrievalBackend : public RetrievalBackend {
   StatusOr<RetrievalResponse> Retrieve(
       const RetrievalRequest& request) const override;
 
-  StatusOr<std::vector<RetrievalResponse>> RetrieveBatch(
-      const std::vector<DxToDatabaseFn>& queries,
-      const RetrievalOptions& options) const override;
-
   /// Ships the embedded query; returns the remote backend's top-p.
   StatusOr<ScanCandidatesResult> ScanCandidates(
       const Vector& embedded_query,

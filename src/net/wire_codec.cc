@@ -53,7 +53,6 @@ std::string EncodeRequest(const WireRequest& request) {
   w.WriteU8(request.want_trace ? 1 : 0);
   w.WriteU64(request.options.k);
   w.WriteU64(request.options.p);
-  w.WriteU64(request.options.num_threads);
   w.WriteU8(request.options.want_stats ? 1 : 0);
   w.WriteU64(request.db_id);
   w.WriteDoubleVec(request.query);
@@ -76,13 +75,11 @@ Status DecodeRequest(const std::string& payload, WireRequest* out) {
     return Status::InvalidArgument("want_trace flag out of range");
   }
   out->want_trace = want_trace != 0;
-  uint64_t k = 0, p = 0, num_threads = 0;
+  uint64_t k = 0, p = 0;
   QSE_RETURN_IF_ERROR(r.ReadU64(&k));
   QSE_RETURN_IF_ERROR(r.ReadU64(&p));
-  QSE_RETURN_IF_ERROR(r.ReadU64(&num_threads));
   out->options.k = static_cast<size_t>(k);
   out->options.p = static_cast<size_t>(p);
-  out->options.num_threads = static_cast<size_t>(num_threads);
   uint8_t want_stats = 0;
   QSE_RETURN_IF_ERROR(r.ReadU8(&want_stats));
   if (want_stats > 1) {

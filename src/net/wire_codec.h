@@ -12,15 +12,16 @@
 namespace qse {
 namespace net {
 
-/// The QSE wire protocol, version 4.  Version 2 added the kScan
+/// The QSE wire protocol, version 5.  Version 2 added the kScan
 /// response's rows_prescreened counter; version 3 dropped the request's
 /// filter-precision byte, because the exact scan is the only one: a
 /// decoded request is always kExact64, and a sender validates its
 /// options first (RemoteRetrievalBackend rejects a reduced precision as
 /// InvalidArgument before anything is sent).  Version 4 dropped the
 /// request's priority byte and tenant string, because admission is one
-/// FIFO queue.  A frame of any older version is refused as an
-/// unsupported version.
+/// FIFO queue.  Version 5 dropped the request's u64 num_threads, because
+/// a request no longer picks its execution parallelism.  A frame of any
+/// older version is refused as an unsupported version.
 ///
 /// Every message travels as one length-prefixed frame
 /// (`[u32 length][payload]`, Socket::SendFrame/RecvFrame) whose payload
@@ -43,7 +44,7 @@ namespace net {
 /// enums) is kInvalidArgument.  A decoder never crashes and never
 /// allocates more than the frame it was handed.
 inline constexpr uint32_t kWireMagic = 0x57455351u;  // "QSEW" little-endian
-inline constexpr uint16_t kWireVersion = 4;
+inline constexpr uint16_t kWireVersion = 5;
 
 /// Frames a conforming peer may send; anything larger is a framing error
 /// (kDataLoss) and the connection is dropped without allocating.

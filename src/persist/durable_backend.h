@@ -48,11 +48,6 @@ class DurableBackend : public RetrievalBackend {
       const RetrievalRequest& request) const override {
     return inner_->Retrieve(request);
   }
-  StatusOr<std::vector<RetrievalResponse>> RetrieveBatch(
-      const std::vector<DxToDatabaseFn>& queries,
-      const RetrievalOptions& options) const override {
-    return inner_->RetrieveBatch(queries, options);
-  }
   StatusOr<ScanCandidatesResult> ScanCandidates(
       const Vector& embedded_query,
       const RetrievalOptions& options) const override {

@@ -6,7 +6,7 @@
 //
 //   embedded_database.h  - flat SoA storage of the embedded vectors
 //   filter_scorer.h      - the filter step's scan kernels
-//   retrieval_engine.h   - the batched filter-and-refine pipeline
+//   retrieval_engine.h   - the filter-and-refine pipeline
 //
 // plus EmbedDatabase() below, the offline preprocessing step that fills
 // the database.

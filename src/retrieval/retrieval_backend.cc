@@ -1,6 +1,7 @@
 #include "src/retrieval/retrieval_backend.h"
 
 #include <string>
+#include <utility>
 
 namespace qse {
 
@@ -22,6 +23,20 @@ Status ValidateRetrievalOptions(const RetrievalOptions& options) {
         "scan is lossless)");
   }
   return Status::OK();
+}
+
+StatusOr<std::vector<RetrievalResponse>> RetrievalBackend::RetrieveBatch(
+    const std::vector<DxToDatabaseFn>& queries,
+    const RetrievalOptions& options) const {
+  QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
+  std::vector<RetrievalResponse> results;
+  results.reserve(queries.size());
+  for (const DxToDatabaseFn& dx : queries) {
+    StatusOr<RetrievalResponse> r = Retrieve({dx, options});
+    QSE_RETURN_IF_ERROR(r.status());
+    results.push_back(std::move(r).value());
+  }
+  return results;
 }
 
 }  // namespace qse

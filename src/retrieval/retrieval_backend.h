@@ -27,25 +27,20 @@ class QualityMonitor;
 using RetrievalClock = MonotonicClock;
 
 /// Per-request options: the one envelope every query surface consumes —
-/// direct engine calls, batched calls, and the async server.
+/// direct engine calls, remote calls, and the async server.
 struct RetrievalOptions {
   /// Neighbors to return.
   size_t k = 1;
   /// Filter candidates to refine with exact distances; the paper's p.
   size_t p = 1;
-  /// Threads for RetrieveBatch's across-query fan-out; 0 means hardware
-  /// concurrency.  Ignored by single-query Retrieve.  The async server
-  /// substitutes its own retrieve_threads policy: a request does not get
-  /// to choose the server's parallelism.
-  size_t num_threads = 0;
   /// When true the response's shard_stats is filled with per-shard scan
   /// and candidate counters.
   bool want_stats = false;
   /// Absolute completion deadline, enforced by the async server: a
-  /// request past it is answered with kDeadlineExceeded — checked when
-  /// it leaves the admission queue and again just before the backend
-  /// spends exact distances on it — never silently dropped or served
-  /// late.  Direct engine calls do not check it.  Default: no deadline.
+  /// request past it when it leaves the admission queue is answered
+  /// with kDeadlineExceeded, never silently dropped or served late.  A
+  /// remote call also sends the remaining budget with its RPC.  Direct
+  /// engine calls do not check it.  Default: no deadline.
   RetrievalClock::time_point deadline = RetrievalClock::time_point::max();
   /// The filter scan's precision.  kExact64, the only scan there is, is
   /// the one valid value: the reduced enumerators name removed lossy
@@ -69,15 +64,6 @@ struct RetrievalOptions {
       std::chrono::duration<Rep, Period> budget) {
     return RetrievalClock::now() +
            std::chrono::duration_cast<RetrievalClock::duration>(budget);
-  }
-
-  /// True when two requests are guaranteed identical backend results for
-  /// the same dx, so a batcher may run them as one RetrieveBatch call.
-  /// deadline shapes admission, num_threads shapes
-  /// execution, audit_monitor only observes; none of them change
-  /// results.  filter_precision has one valid value.
-  bool SameResultKey(const RetrievalOptions& other) const {
-    return k == other.k && p == other.p && want_stats == other.want_stats;
   }
 };
 
@@ -164,11 +150,9 @@ struct ScanCandidatesResult {
 ///  * Retrieve validates options via ValidateRetrievalOptions and
 ///    returns FailedPrecondition on an empty database; p is clamped to
 ///    size().
-///  * RetrieveBatch(queries, options)[i] is bit-identical to
-///    Retrieve({queries[i], options}), whatever options.num_threads is.
 ///  * Insert fails with InvalidArgument on a duplicate id, Remove with
 ///    NotFound on an unknown one.
-///  * Retrieve/RetrieveBatch are const and safe to call concurrently.
+///  * Retrieve is const and safe to call concurrently.
 ///    Insert/Remove are serialized internally and may run concurrently
 ///    with retrievals: every retrieval serves one epoch-pinned snapshot
 ///    of the database, consistent with some serializable prefix of the
@@ -183,12 +167,13 @@ class RetrievalBackend {
   virtual StatusOr<RetrievalResponse> Retrieve(
       const RetrievalRequest& request) const = 0;
 
-  /// Retrieves a batch of queries sharing one options envelope, in
-  /// parallel across options.num_threads workers; results[i] corresponds
-  /// to queries[i].
+  /// Validates `options` once, then Retrieves each query in turn;
+  /// results[i] corresponds to queries[i], and the first failure fails
+  /// the batch.  Kept only because perfbench still overrides it; ROADMAP
+  /// item 5 deletes it.
   virtual StatusOr<std::vector<RetrievalResponse>> RetrieveBatch(
       const std::vector<DxToDatabaseFn>& queries,
-      const RetrievalOptions& options) const = 0;
+      const RetrievalOptions& options) const;
 
   /// Embeds a new object via `dx` and adds it under `db_id`.
   virtual Status Insert(size_t db_id, const DxToDatabaseFn& dx) = 0;

@@ -202,7 +202,7 @@ void RetrievalEngine::RebuildIdIndex() {
 }
 
 Status RetrievalEngine::Scan(
-    const Vector& fq, const RetrievalOptions& options, size_t scatter_threads,
+    const Vector& fq, const RetrievalOptions& options,
     obs::RequestTrace* trace, std::vector<ScanCandidatesResult>* scans,
     std::vector<EmbeddedDatabase::Snapshot>* pins) const {
   const size_t num_shards = shards_.size();
@@ -264,7 +264,7 @@ Status RetrievalEngine::Scan(
                            simd::SimdLevelName(simd::ActiveSimdLevel())},
              obs::TraceArg{"composed", shard.backend != nullptr, nullptr}});
       },
-      scatter_threads);
+      scatter_threads_);
   QSE_RETURN_IF_ERROR(first_error);
   for (std::optional<EmbeddedDatabase::Snapshot>& snap : pinned) {
     pins->push_back(std::move(*snap));
@@ -272,11 +272,11 @@ Status RetrievalEngine::Scan(
   return Status::OK();
 }
 
-StatusOr<RetrievalResponse> RetrievalEngine::RetrieveOne(
-    const DxToDatabaseFn& dx, const RetrievalOptions& options,
-    size_t scatter_threads,
-    const std::shared_ptr<obs::RequestTrace>& trace_ptr) const {
-  obs::RequestTrace* trace = trace_ptr.get();
+StatusOr<RetrievalResponse> RetrievalEngine::Retrieve(
+    const RetrievalRequest& request) const {
+  const DxToDatabaseFn& dx = request.dx;
+  const RetrievalOptions& options = request.options;
+  obs::RequestTrace* trace = request.trace.get();
   QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
   // Fast-fail on an empty local database before spending embedding
   // distances on `dx` (cheap atomic peeks; the pinned snapshots re-check
@@ -306,8 +306,8 @@ StatusOr<RetrievalResponse> RetrievalEngine::RetrieveOne(
   std::vector<ScanCandidatesResult> scans;
   std::vector<EmbeddedDatabase::Snapshot> pins;
   stage_start = MonotonicClock::now();
-  Status scanned = Scan(fq, options, scatter_threads, trace, &scans,
-                        keep_pins ? &pins : nullptr);
+  Status scanned =
+      Scan(fq, options, trace, &scans, keep_pins ? &pins : nullptr);
   scan_ns_->Record(NsSince(stage_start));
   QSE_RETURN_IF_ERROR(scanned);
   size_t total_rows = 0;
@@ -374,54 +374,11 @@ StatusOr<RetrievalResponse> RetrievalEngine::RetrieveOne(
       audit.served.push_back({nb.index, nb.score});
     }
     audit.snapshots = std::move(pins);
-    audit.trace = trace_ptr;
+    audit.trace = request.trace;
     options.audit_monitor->SubmitAudit(std::move(audit));
   }
+  response.trace = request.trace;
   return response;
-}
-
-StatusOr<RetrievalResponse> RetrievalEngine::Retrieve(
-    const RetrievalRequest& request) const {
-  StatusOr<RetrievalResponse> result = RetrieveOne(
-      request.dx, request.options, scatter_threads_, request.trace);
-  if (result.ok()) result.value().trace = request.trace;
-  return result;
-}
-
-StatusOr<std::vector<RetrievalResponse>> RetrievalEngine::RetrieveBatch(
-    const std::vector<DxToDatabaseFn>& queries,
-    const RetrievalOptions& options) const {
-  // Validate once up front so a bad parameter fails the whole batch
-  // instead of every entry failing identically in parallel.
-  QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
-  if (local_ && size() == 0) {
-    return Status::FailedPrecondition("embedded database is empty");
-  }
-
-  std::vector<RetrievalResponse> results(queries.size());
-  // Parameters were validated above, but a concurrent mutation stream
-  // can still empty the database mid-batch; collect the first such
-  // failure and fail the batch honestly instead of crashing.
-  std::mutex error_mu;
-  Status first_error = Status::OK();
-  // Grain 2: one item is a whole retrieval, expensive enough to
-  // parallelize even a handful of queries.  Each query scans its shards
-  // serially: one level of parallelism, never nested.
-  ParallelForGrain(
-      0, queries.size(), 2,
-      [&](size_t i) {
-        StatusOr<RetrievalResponse> r = RetrieveOne(
-            queries[i], options, /*scatter_threads=*/1, /*trace=*/{});
-        if (!r.ok()) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (first_error.ok()) first_error = r.status();
-          return;
-        }
-        results[i] = std::move(r).value();
-      },
-      options.num_threads);
-  QSE_RETURN_IF_ERROR(first_error);
-  return results;
 }
 
 StatusOr<ScanCandidatesResult> RetrievalEngine::ScanCandidates(
@@ -438,8 +395,8 @@ StatusOr<ScanCandidatesResult> RetrievalEngine::ScanCandidates(
   // shard — decides whether overall emptiness is FailedPrecondition.
   std::vector<ScanCandidatesResult> scans;
   MonotonicClock::time_point stage_start = MonotonicClock::now();
-  QSE_RETURN_IF_ERROR(Scan(embedded_query, options, scatter_threads_,
-                           /*trace=*/nullptr, &scans, /*pins=*/nullptr));
+  QSE_RETURN_IF_ERROR(Scan(embedded_query, options, /*trace=*/nullptr,
+                           &scans, /*pins=*/nullptr));
   scan_ns_->Record(NsSince(stage_start));
 
   ScanCandidatesResult result;

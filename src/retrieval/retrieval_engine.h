@@ -21,10 +21,9 @@ namespace qse {
 struct ShardedEngineOptions {
   /// Number of shards S.  0 means one shard per hardware core.
   size_t num_shards = 0;
-  /// Threads used to scatter ONE query's filter scan across shards
-  /// (Retrieve).  0 means hardware concurrency.  RetrieveBatch ignores
-  /// this and parallelizes across queries instead, scanning each query's
-  /// shards serially — one level of parallelism, never nested.
+  /// Threads used to scatter one query's filter scan across shards.  0
+  /// means hardware concurrency.  An async server's num_workers run
+  /// queries in parallel on top of this.
   size_t scatter_threads = 0;
 };
 
@@ -38,7 +37,7 @@ size_t HashShardOf(size_t db_id, size_t num_shards);
 /// The retrieval engine: the three-step filter-and-refine pipeline of
 /// Sec. 8 (embed the query, keep the p most similar vectors, re-rank
 /// those p by exact distance) over S >= 1 shards of the embedded
-/// database, served batched and thread-parallel.
+/// database, each query's shard scans thread-parallel.
 ///
 /// A shard is either a local EmbeddedDatabase (owned, or borrowed by the
 /// single-shard constructor) with its id -> row index, or a
@@ -56,7 +55,7 @@ size_t HashShardOf(size_t db_id, size_t num_shards);
 /// shard, Remove drops a row via the database's swap-with-last.  The
 /// destination shard alone decides duplicate / not-found.
 ///
-/// Thread-safety: Retrieve/RetrieveBatch are const and safe to call
+/// Thread-safety: Retrieve is const and safe to call
 /// concurrently as long as the embedder, scorer and `dx` callbacks are.
 /// Insert/Remove are serialized internally and may run concurrently with
 /// retrievals: each retrieval pins one epoch snapshot per local shard
@@ -106,13 +105,6 @@ class RetrievalEngine : public RetrievalBackend {
   /// force, as in the paper).  want_stats reports one entry per shard.
   StatusOr<RetrievalResponse> Retrieve(
       const RetrievalRequest& request) const override;
-
-  /// Retrieves a batch of queries in parallel across queries (each
-  /// query's shards scan serially).  results[i] is bit-identical to
-  /// Retrieve({queries[i], options}), whatever options.num_threads is.
-  StatusOr<std::vector<RetrievalResponse>> RetrieveBatch(
-      const std::vector<DxToDatabaseFn>& queries,
-      const RetrievalOptions& options) const override;
 
   /// Embeds a new object (<= 2d exact distances via `dx`) and adds it to
   /// shard HashShardOf(db_id, S).  InvalidArgument when the id is
@@ -184,22 +176,13 @@ class RetrievalEngine : public RetrievalBackend {
   void AddOwnedShards(size_t num_shards, size_t dims);
 
   /// The scan step: every shard's (score, id)-sorted top p and row
-  /// counts, scanned on `scatter_threads`.  A non-null `pins` keeps each
-  /// local shard's snapshot for a quality audit.
+  /// counts, scanned on scatter_threads_.  A non-null `trace` gets one
+  /// shard_scan span per shard; a non-null `pins` keeps each local
+  /// shard's snapshot for a quality audit.
   Status Scan(const Vector& fq, const RetrievalOptions& options,
-              size_t scatter_threads, obs::RequestTrace* trace,
+              obs::RequestTrace* trace,
               std::vector<ScanCandidatesResult>* scans,
               std::vector<EmbeddedDatabase::Snapshot>* pins) const;
-
-  /// The pipeline behind Retrieve and RetrieveBatch, taking the envelope
-  /// pieces by reference so the batch loop never copies a query functor
-  /// or the options per query.  A non-null `trace` gets embed / per-shard
-  /// shard_scan / merge / refine spans.  Shared ownership so a sampled
-  /// quality audit can carry the trace along.
-  StatusOr<RetrievalResponse> RetrieveOne(
-      const DxToDatabaseFn& dx, const RetrievalOptions& options,
-      size_t scatter_threads,
-      const std::shared_ptr<obs::RequestTrace>& trace) const;
 
   /// Adds an embedded row to its shard; caller holds mutation_mu_.
   Status AppendLocked(Shard& shard, size_t db_id, const Vector& row);

@@ -1,6 +1,5 @@
 #include "src/server/async_retrieval_server.h"
 
-#include <algorithm>
 #include <optional>
 #include <utility>
 
@@ -12,20 +11,8 @@ namespace qse {
 namespace {
 
 AsyncServerOptions Sanitize(AsyncServerOptions o) {
-  if (o.max_batch == 0) o.max_batch = 1;
   if (o.num_workers == 0) o.num_workers = 1;
   return o;
-}
-
-/// Integer boundaries 1..max_batch: every batch size gets its own
-/// bucket, so the exported histogram is exact, not interpolated.
-std::vector<double> BatchSizeBoundaries(size_t max_batch) {
-  std::vector<double> boundaries;
-  boundaries.reserve(max_batch);
-  for (size_t b = 1; b <= max_batch; ++b) {
-    boundaries.push_back(static_cast<double>(b));
-  }
-  return boundaries;
 }
 
 }  // namespace
@@ -55,9 +42,7 @@ AsyncRetrievalServer::AsyncRetrievalServer(const RetrievalBackend* backend,
       expired_(registry_->GetCounter("qse_server_expired_total")),
       cancelled_(registry_->GetCounter("qse_server_cancelled_total")),
       completed_(registry_->GetCounter("qse_server_completed_total")),
-      queue_depth_(registry_->GetGauge("qse_server_queue_depth")),
-      batch_size_hist_(registry_->GetHistogram(
-          "qse_server_batch_size", BatchSizeBoundaries(options_.max_batch))) {
+      queue_depth_(registry_->GetGauge("qse_server_queue_depth")) {
   workers_.reserve(options_.num_workers);
   for (size_t w = 0; w < options_.num_workers; ++w) {
     workers_.emplace_back(&AsyncRetrievalServer::WorkerLoop, this);
@@ -179,157 +164,38 @@ void AsyncRetrievalServer::CompleteCancelled(Request* r) {
                                             "request was executed"));
 }
 
-bool AsyncRetrievalServer::AdmitToBatch(Request r, Batch* batch,
-                                        RetrievalClock::time_point now) {
-  if (r.req.trace != nullptr) {
-    r.dequeue_ns = obs::TraceNowNs(r.req.trace.get());
-    obs::TraceMark(r.req.trace.get(), "queue", r.queue_start_ns);
+void AsyncRetrievalServer::WorkerLoop() {
+  for (;;) {
+    std::optional<Request> r = queue_.Pop();
+    if (!r.has_value()) break;  // Closed and fully drained.
+    Execute(std::move(*r));
   }
+}
+
+void AsyncRetrievalServer::Execute(Request r) {
+  obs::RequestTrace* trace = r.req.trace.get();
+  obs::TraceMark(trace, "queue", r.queue_start_ns);
   if (cancel_.load(std::memory_order_relaxed)) {
     CompleteCancelled(&r);
-    return false;
+    return;
   }
-  // Deadline check #1, at dequeue: a request that died waiting in the
-  // admission queue must not take a batch slot.
-  if (now > r.req.options.deadline) {
+  // The one deadline gate: a request that died waiting in the admission
+  // queue is answered late-but-honestly, never served.  Nothing sits
+  // between this gate and the backend call.
+  if (RetrievalClock::now() > r.req.options.deadline) {
     expired_->Increment();
     r.promise.Set(
         Status::DeadlineExceeded("deadline expired in the admission queue"));
-    return false;
+    return;
   }
-  batch->push_back(std::move(r));
-  return true;
-}
-
-void AsyncRetrievalServer::WorkerLoop() {
-  for (;;) {
-    std::optional<Request> first = queue_.Pop();
-    if (!first.has_value()) break;  // Closed and fully drained.
-
-    Batch batch;
-    // The batching window opens when the batch's first request is
-    // dequeued, so the first arrival bounds its own extra latency.
-    RetrievalClock::time_point window_end =
-        RetrievalClock::now() + options_.max_batch_delay;
-    AdmitToBatch(std::move(*first), &batch, RetrievalClock::now());
-
-    // Adaptive growth: keep coalescing while requests are available.
-    // With no window this stops the moment the queue is empty (idle =>
-    // singleton batches at single-query latency; backlog => full
-    // batches); with a window it also waits out the remaining time for
-    // stragglers.  The queue lock is held only inside each pop, so the
-    // other workers keep dequeuing while this one forms its batch.
-    while (!batch.empty() && batch.size() < options_.max_batch) {
-      std::optional<Request> next;
-      if (options_.max_batch_delay.count() == 0) {
-        next = queue_.TryPop();
-      } else {
-        auto remaining = window_end - RetrievalClock::now();
-        if (remaining.count() <= 0) {
-          next = queue_.TryPop();
-          if (!next.has_value()) break;
-        } else {
-          next = queue_.PopFor(remaining);
-        }
-      }
-      if (!next.has_value()) break;
-      AdmitToBatch(std::move(*next), &batch, RetrievalClock::now());
-    }
-    if (batch.empty()) continue;  // Everything expired or cancelled.
-
-    batch_size_hist_->Record(
-        static_cast<double>(std::min(batch.size(), options_.max_batch)));
-    ExecuteBatch(std::move(batch));
-  }
-}
-
-void AsyncRetrievalServer::ExecuteBatch(Batch batch) {
-  // Deadline check #2, before refine: the last gate before the backend
-  // spends exact distances.  A request that expired while its worker
-  // held the batching window open is answered late-but-honestly, not
-  // served.
-  RetrievalClock::time_point now = RetrievalClock::now();
-  Batch live;
-  live.reserve(batch.size());
-  for (Request& r : batch) {
-    // batch_form ends at this gate, not in WorkerLoop, so the span also
-    // covers the hand-over into ExecuteBatch.
-    if (r.req.trace != nullptr) {
-      obs::TraceMark(r.req.trace.get(), "batch_form", r.dequeue_ns,
-                     {obs::TraceArg{"batch_size",
-                                    static_cast<int64_t>(batch.size()),
-                                    nullptr}});
-    }
-    if (cancel_.load(std::memory_order_relaxed)) {
-      CompleteCancelled(&r);
-    } else if (now > r.req.options.deadline) {
-      expired_->Increment();
-      r.promise.Set(Status::DeadlineExceeded(
-          "deadline expired before the refine step"));
-    } else {
-      live.push_back(std::move(r));
-    }
-  }
-
-  // All requests sharing a result key — adjacent or not — execute as one
-  // RetrieveBatch call; results[i] is bit-identical to
-  // Retrieve(requests[i]) by the backend contract.  Group count is tiny
-  // (bounded by max_batch), so a linear group scan beats hashing.
-  // Traced requests get singleton groups: they go through the backend's
-  // single-request path, the only one that records per-stage spans —
-  // with identical results, again by the backend contract.
-  std::vector<std::vector<size_t>> groups;
-  for (size_t t = 0; t < live.size(); ++t) {
-    std::vector<size_t>* group = nullptr;
-    if (live[t].req.trace == nullptr) {
-      for (std::vector<size_t>& g : groups) {
-        if (live[g[0]].req.trace == nullptr &&
-            live[g[0]].req.options.SameResultKey(live[t].req.options)) {
-          group = &g;
-          break;
-        }
-      }
-    }
-    if (group == nullptr) {
-      groups.emplace_back();
-      group = &groups.back();
-    }
-    group->push_back(t);
-  }
-  for (const std::vector<size_t>& group : groups) {
-    if (group.size() == 1 && live[group[0]].req.trace != nullptr) {
-      Request& r = live[group[0]];
-      obs::RequestTrace* trace = r.req.trace.get();
-      uint64_t exec_start = obs::TraceNowNs(trace);
-      RetrievalRequest req = std::move(r.req);
-      req.options.num_threads = options_.retrieve_threads;
-      StatusOr<RetrievalResponse> result = backend_->Retrieve(req);
-      completed_->Increment();
-      obs::TraceMark(trace, "execute", exec_start);
-      // The whole request, Submit to completion: the denominator the
-      // span-coverage acceptance gate divides by.
-      obs::TraceMark(trace, "request", 0);
-      r.promise.Set(std::move(result));
-      continue;
-    }
-    std::vector<DxToDatabaseFn> queries;
-    queries.reserve(group.size());
-    for (size_t t : group) queries.push_back(std::move(live[t].req.dx));
-    // The server's worker policy, not the request, decides execution
-    // parallelism; num_threads does not affect results.
-    RetrievalOptions exec = live[group[0]].req.options;
-    exec.num_threads = options_.retrieve_threads;
-    StatusOr<std::vector<RetrievalResponse>> results =
-        backend_->RetrieveBatch(queries, exec);
-    for (size_t i = 0; i < group.size(); ++i) {
-      completed_->Increment();
-      if (results.ok()) {
-        live[group[i]].promise.Set(std::move((*results)[i]));
-      } else {
-        live[group[i]].promise.Set(results.status());
-      }
-    }
-  }
+  uint64_t exec_start = obs::TraceNowNs(trace);
+  StatusOr<RetrievalResponse> result = backend_->Retrieve(r.req);
+  completed_->Increment();
+  obs::TraceMark(trace, "execute", exec_start);
+  // The whole request, Submit to completion: the denominator the
+  // span-coverage acceptance gate divides by.
+  obs::TraceMark(trace, "request", 0);
+  r.promise.Set(std::move(result));
 }
 
 ServerStats AsyncRetrievalServer::stats() const {
@@ -341,13 +207,7 @@ ServerStats AsyncRetrievalServer::stats() const {
   s.cancelled = cancelled_->Value();
   s.completed = completed_->Value();
   s.queue_depth = queue_.size();
-  // The batch-size histogram has one exact bucket per size 1..max_batch.
-  obs::HistogramSnapshot batches = batch_size_hist_->Snapshot();
-  s.batch_size_histogram.assign(options_.max_batch, 0);
-  for (size_t b = 0; b < options_.max_batch && b < batches.bucket_counts.size();
-       ++b) {
-    s.batch_size_histogram[b] = batches.bucket_counts[b];
-  }
+  s.batch_size_histogram = {s.completed};
   return s;
 }
 

@@ -2,7 +2,6 @@
 #define QSE_SERVER_ASYNC_RETRIEVAL_SERVER_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <memory>
 #include <thread>
@@ -20,36 +19,25 @@ namespace qse {
 struct AsyncServerOptions {
   /// Admission queue bound.  A Submit that finds the FIFO full is
   /// rejected with kResourceExhausted — load shedding, not unbounded
-  /// buffering.  Beyond this, only the batches the workers hold (at most
-  /// num_workers * max_batch requests) are out of the queue.
+  /// buffering.  Beyond this, only the requests the workers are
+  /// executing (at most num_workers) are out of the queue.
   size_t queue_capacity = 1024;
-  /// Largest micro-batch a worker will coalesce (also the resolution of
-  /// the batch-size histogram).
-  size_t max_batch = 64;
-  /// Batching window measured from the first request of a batch: with 0
-  /// (default) a worker executes as soon as the queue is momentarily
-  /// empty — an idle system answers at ~single-query latency, a loaded
-  /// one grows batches naturally from backlog.  A positive window keeps
-  /// the batch open up to this long waiting for more arrivals, trading
-  /// idle latency for larger batches under light open-loop load.
-  std::chrono::microseconds max_batch_delay{0};
-  /// Worker threads (0 means 1), the server's only threads: each pops
-  /// from the admission queue, forms its own batch and executes it, so
-  /// up to num_workers batches run at once; within one batch,
-  /// parallelism comes from RetrieveBatch itself.
+  /// Worker threads (0 means 1), the server's only threads and its
+  /// parallelism: each pops one request from the admission queue and
+  /// runs it through RetrievalBackend::Retrieve, so up to num_workers
+  /// requests execute at once.  A sharded engine's scatter_threads fans
+  /// each request's filter scan out on top of this; keep num_workers *
+  /// scatter_threads near the core count to avoid oversubscription.
   size_t num_workers = 1;
-  /// num_threads the server substitutes into each executed batch's
-  /// options (a request does not choose the server's parallelism);
-  /// 0 = hardware concurrency.  Keep num_workers * retrieve_threads near
-  /// the core count to avoid oversubscription.
+  /// Ignored.  Kept only because perfbench's serve_churn still sets it;
+  /// ROADMAP item 5 deletes it.
   size_t retrieve_threads = 0;
   /// Trace every Nth valid Submit that does not already carry a trace
   /// (0 = never): the sampled request gets a RequestTrace recording
-  /// admit/queue/batch/execute spans plus the backend's per-stage
-  /// spans, returned on RetrievalResponse::trace.  Sampled requests run
-  /// as singleton backend calls (bit-identical results by the backend
-  /// contract), so keep N large under load.  No-op when the library is
-  /// built with QSE_DISABLE_TRACING.
+  /// admit/queue/execute spans plus the backend's per-stage spans,
+  /// returned on RetrievalResponse::trace.  Sampled requests take the
+  /// same backend path as every other request.  No-op when the library
+  /// is built with QSE_DISABLE_TRACING.
   size_t trace_every_n = 0;
   /// Registry receiving the server's metrics.  Null (default): the
   /// server owns a private registry, exposed via metrics() — private
@@ -78,13 +66,14 @@ struct ServerStats {
   /// Always 0: the FIFO admission queue never evicts an admitted
   /// request.  Kept only because perfbench's serve_churn still reads it.
   size_t shed = 0;
-  size_t expired = 0;   ///< Answered kDeadlineExceeded at dequeue or
-                        ///< just before refine.
+  size_t expired = 0;   ///< Answered kDeadlineExceeded at dequeue.
   size_t cancelled = 0;  ///< Answered at Shutdown(kCancel) without
                          ///< reaching the backend.
   size_t completed = 0;  ///< Backend answered (OK or a backend error).
   size_t queue_depth = 0;  ///< Momentary admission-queue length.
-  /// batch_size_histogram[i] = executed micro-batches of size i + 1.
+  /// Always {completed}: every executed request is its own batch.  Kept
+  /// only because perfbench's serve_churn still reads it; ROADMAP item 5
+  /// deletes it.
   std::vector<size_t> batch_size_histogram;
 };
 
@@ -101,25 +90,17 @@ bool CheckServerStatsInvariant(const ServerStats& stats);
 /// Submit -> Future pipeline.
 ///
 ///   submitters -> bounded FIFO admission queue -> num_workers workers,
-///   each: form a batch -> RetrieveBatch -> promise completion
+///   each: pop one request -> Retrieve -> promise completion
 ///
 /// Admission is one FIFO: workers dequeue in arrival order, and a Submit
 /// that finds the queue full is itself rejected; nothing already
 /// admitted is ever evicted.  There is no hand-off between dequeue and
-/// execution: the worker that pops a batch's first request runs it.
-///
-/// Each worker coalesces queued requests into an adaptive micro-batch: it
-/// keeps growing the batch while the queue is non-empty (up to max_batch),
-/// capped by the max_batch_delay window, so batch size tracks load — an
-/// idle server executes singletons immediately, a saturated one runs
-/// full batches.  Requests in one micro-batch that share a result key
-/// (RetrievalOptions::SameResultKey: equal k, p and want_stats) run as a
-/// single RetrieveBatch call; each admitted, non-expired request's
-/// result is bit-identical to a direct RetrievalBackend::Retrieve.
+/// execution: the worker that pops a request runs it, and the result is
+/// the backend's own Retrieve result, bit-identical to a direct call.
 ///
 /// Every submitted request's future becomes ready exactly once, whatever
 /// happens: backend result, kResourceExhausted (admission overflow),
-/// kDeadlineExceeded (expired in queue or just before refine),
+/// kDeadlineExceeded (expired in the admission queue),
 /// kInvalidArgument (bad options), or kFailedPrecondition (shutdown).
 ///
 /// Thread-safety: Submit/Retrieve/stats are safe from any thread.
@@ -135,7 +116,7 @@ class AsyncRetrievalServer {
   enum class DrainMode {
     kDrain,   ///< Execute everything already admitted, then stop.
     kCancel,  ///< Answer everything not yet executing with
-              ///< kFailedPrecondition, then stop.  In-flight batches
+              ///< kFailedPrecondition, then stop.  In-flight requests
               ///< still finish normally.
   };
 
@@ -189,25 +170,17 @@ class AsyncRetrievalServer {
   struct Request {
     RetrievalRequest req;
     Promise<StatusOr<RetrievalResponse>> promise;
-    /// Trace stamps (ns since the request's trace epoch), carried along
-    /// the pipeline so each stage's span starts where the previous one
-    /// ended.  Unused (0) for untraced requests.
+    /// Trace stamp (ns since the request's trace epoch) at admission,
+    /// where the queue span starts.  Unused (0) for untraced requests.
     uint64_t queue_start_ns = 0;
-    uint64_t dequeue_ns = 0;
   };
-  using Batch = std::vector<Request>;
 
-  /// Pops a batch's first request, grows the batch from the admission
-  /// queue, executes it; until the queue is closed and drained.
+  /// Pops one request at a time and executes it, until the queue is
+  /// closed and drained.
   void WorkerLoop();
-  /// Deadline/cancel gate when a request leaves the admission queue:
-  /// appends it to `batch` or completes its promise.  Returns whether it
-  /// joined the batch.
-  bool AdmitToBatch(Request r, Batch* batch, RetrievalClock::time_point now);
-  /// Closes each traced request's batch_form span, re-gates each request
-  /// (the check "before refine"), groups survivors by result key, runs
-  /// RetrieveBatch per group, completes every promise.
-  void ExecuteBatch(Batch batch);
+  /// The dequeue gate (cancel, then deadline), then Retrieve; completes
+  /// the request's promise either way.
+  void Execute(Request r);
   void CompleteCancelled(Request* r);
 
   const RetrievalBackend* backend_;
@@ -244,7 +217,6 @@ class AsyncRetrievalServer {
   obs::Counter* cancelled_;
   obs::Counter* completed_;
   obs::Gauge* queue_depth_;
-  obs::Histogram* batch_size_hist_;
 
   std::vector<std::thread> workers_;
 };

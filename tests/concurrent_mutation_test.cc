@@ -513,9 +513,7 @@ void RunServerStress(size_t shards) {
   Stack stack(shards);
   AsyncServerOptions options;
   options.queue_capacity = 1024;
-  options.max_batch = 16;
   options.num_workers = 2;
-  options.retrieve_threads = 2;
   AsyncRetrievalServer server(&stack.engine, options);
 
   StressSurface surface;

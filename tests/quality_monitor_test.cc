@@ -173,7 +173,7 @@ void ExpectPerfectAuditsAtPEqualsN(size_t shards, size_t n, size_t queries,
   qopts.sample_every_n = 1;
   qopts.registry = &registry;
   QualityMonitor monitor(qopts);
-  RetrievalOptions options = test::Opts(5, n);
+  RetrievalOptions options = RetrievalOptions(5, n);
   options.audit_monitor = &monitor;
   for (size_t q = n; q < n + queries; ++q) {
     auto r = engine.Retrieve({stack.Query(q), options});
@@ -208,7 +208,7 @@ TEST(QualityMonitorTest, AttachingMonitorDoesNotChangeResults) {
   qopts.sample_every_n = 1;
   qopts.registry = &registry;
   QualityMonitor monitor(qopts);
-  RetrievalOptions plain = test::Opts(5, 20);
+  RetrievalOptions plain = RetrievalOptions(5, 20);
   RetrievalOptions audited = plain;
   audited.audit_monitor = &monitor;
   for (size_t q = kN; q < kN + 6; ++q) {
@@ -234,7 +234,7 @@ TEST(QualityMonitorTest, NarrowFilterShowsUpInQualityMetrics) {
   qopts.window = 64;
   qopts.registry = &registry;
   QualityMonitor monitor(qopts);
-  RetrievalOptions options = test::Opts(10, 10);
+  RetrievalOptions options = RetrievalOptions(10, 10);
   options.audit_monitor = &monitor;
   for (size_t q = kN; q < kN + 24; ++q) {
     auto r = stack.mono->Retrieve({stack.Query(q), options});
@@ -346,7 +346,7 @@ TEST(QualityMonitorTest, ServerOffersMonitorToEveryRequest) {
   AsyncRetrievalServer server(stack.mono.get(), options);
   std::vector<Future<StatusOr<RetrievalResponse>>> futures;
   for (size_t q = kN; q < kN + 16; ++q) {
-    futures.push_back(server.Submit({stack.Query(q), test::Opts(5, kN)}));
+    futures.push_back(server.Submit({stack.Query(q), RetrievalOptions(5, kN)}));
   }
   for (auto& f : futures) ASSERT_TRUE(f.Get().ok());
   server.Shutdown(AsyncRetrievalServer::DrainMode::kDrain);
@@ -386,7 +386,7 @@ TEST(QualityDriftTest, FrozenEmbeddingAlarmsOnAbruptDrift) {
   qopts.window = 8;
   qopts.registry = &registry;
   QualityMonitor monitor(qopts);
-  RetrievalOptions options = test::Opts(5, 25);
+  RetrievalOptions options = RetrievalOptions(5, 25);
   options.audit_monitor = &monitor;
 
   double recall_before = 0.0;
@@ -446,7 +446,7 @@ TEST(QualityMonitorConcurrencyTest, AuditsRaceMutationsSafely) {
   std::vector<std::thread> queriers;
   for (int t = 0; t < 2; ++t) {
     queriers.emplace_back([&, t] {
-      RetrievalOptions options = test::Opts(5, kN);
+      RetrievalOptions options = RetrievalOptions(5, kN);
       options.audit_monitor = &monitor;
       for (size_t i = 0; i < 60; ++i) {
         size_t q = kN + (t * 60 + i) % 16;

@@ -107,8 +107,8 @@ class RequestValidationTest : public ::testing::TestWithParam<Surface> {
   }
 
   /// A batch through the parameterized surface: RetrieveBatch on the
-  /// engines; on the servers, one burst of submits (which the server
-  /// batches internally) failing like a batch on the first error.
+  /// engines; on the servers, one burst of submits failing like a batch
+  /// on the first error.
   StatusOr<std::vector<RetrievalResponse>> CallBatch(
       const std::vector<DxToDatabaseFn>& queries,
       const RetrievalOptions& options) {

@@ -1,6 +1,6 @@
 // Tests of RetrievalEngine: early-abandon ScoreTopP equivalence with the
 // full scan; bit-identical results across shard counts, scatter threads
-// and RetrieveBatch for all three filter scorers (same database ids,
+// and the RetrieveBatch loop for all three filter scorers (same database ids,
 // scores and cost accounting, ties included); stateless routing; and
 // incremental Insert/Remove.
 #include "src/retrieval/retrieval_engine.h"
@@ -172,7 +172,7 @@ void ExpectParityAcrossShardCounts(const Stack& s, const Embedder& embedder,
           ExpectSameResult(*want, *got, context.c_str());
         }
         // Batch parity: each entry bit-identical to its single Retrieve.
-        auto batch = sharded.RetrieveBatch(queries, test::Opts(k, p, threads));
+        auto batch = sharded.RetrieveBatch(queries, RetrievalOptions(k, p));
         ASSERT_TRUE(batch.ok());
         ASSERT_EQ(batch->size(), queries.size());
         for (size_t qi = 0; qi < queries.size(); ++qi) {
@@ -219,7 +219,7 @@ TEST(ShardedParityTest, L1ScorerWithLipschitz) {
 }
 
 /// Checks RetrieveBatch == per-query Retrieve on a single-shard engine
-/// for one embedder/scorer pair, across batch thread counts.
+/// for one embedder/scorer pair.
 void ExpectBatchMatchesSingle(const Stack& s, const Embedder& embedder,
                               const FilterScorer& scorer, size_t k,
                               size_t p) {
@@ -236,15 +236,12 @@ void ExpectBatchMatchesSingle(const Stack& s, const Embedder& embedder,
     singles.push_back(std::move(r).value());
   }
 
-  for (size_t threads : {1u, 2u, 4u, 8u}) {
-    auto batch = engine.RetrieveBatch(queries, test::Opts(k, p, threads));
-    ASSERT_TRUE(batch.ok()) << batch.status();
-    ASSERT_EQ(batch->size(), singles.size());
-    for (size_t qi = 0; qi < singles.size(); ++qi) {
-      std::string context =
-          "threads=" + std::to_string(threads) + " qi=" + std::to_string(qi);
-      ExpectSameResult(singles[qi], (*batch)[qi], context.c_str());
-    }
+  auto batch = engine.RetrieveBatch(queries, RetrievalOptions(k, p));
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  ASSERT_EQ(batch->size(), singles.size());
+  for (size_t qi = 0; qi < singles.size(); ++qi) {
+    std::string context = "qi=" + std::to_string(qi);
+    ExpectSameResult(singles[qi], (*batch)[qi], context.c_str());
   }
 }
 

@@ -152,19 +152,15 @@ TEST(GoldenParityTest, RetrieveBatchMatchesPreRedesignOnBothEngines) {
         expected.push_back(&c);
       }
       ASSERT_EQ(queries.size(), GoldenStack::kQueries);
-      for (size_t threads : {1u, 4u}) {
-        RetrievalOptions options(k, p);
-        options.num_threads = threads;
-        auto mono = s.mono.RetrieveBatch(queries, options);
-        auto sharded = s.sharded.RetrieveBatch(queries, options);
-        ASSERT_TRUE(mono.ok() && sharded.ok());
-        for (size_t i = 0; i < expected.size(); ++i) {
-          std::string context = "batch threads=" + std::to_string(threads) +
-                                " q=" + std::to_string(expected[i]->query_id);
-          ExpectMatchesGolden((*mono)[i], *expected[i], "mono " + context);
-          ExpectMatchesGolden((*sharded)[i], *expected[i],
-                              "sharded " + context);
-        }
+      auto mono = s.mono.RetrieveBatch(queries, RetrievalOptions(k, p));
+      auto sharded = s.sharded.RetrieveBatch(queries, RetrievalOptions(k, p));
+      ASSERT_TRUE(mono.ok() && sharded.ok());
+      for (size_t i = 0; i < expected.size(); ++i) {
+        std::string context =
+            "batch q=" + std::to_string(expected[i]->query_id);
+        ExpectMatchesGolden((*mono)[i], *expected[i], "mono " + context);
+        ExpectMatchesGolden((*sharded)[i], *expected[i],
+                            "sharded " + context);
       }
     }
   }
@@ -198,8 +194,7 @@ TEST(GoldenParityTest, AsyncServerMatchesPreRedesignOnBothEngines) {
   const RetrievalBackend* backends[] = {&s.mono, &s.sharded};
   for (const RetrievalBackend* backend : backends) {
     AsyncServerOptions options;
-    options.max_batch = 8;
-    options.retrieve_threads = 2;
+    options.num_workers = 2;
     AsyncRetrievalServer server(backend, options);
     std::vector<Future<StatusOr<RetrievalResponse>>> futures;
     for (const GoldenCase& c : kGoldenCases) {

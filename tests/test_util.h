@@ -25,13 +25,6 @@
 namespace qse {
 namespace test {
 
-/// Shorthand for the common k/p/num_threads envelope in tests.
-inline RetrievalOptions Opts(size_t k, size_t p, size_t num_threads = 0) {
-  RetrievalOptions options(k, p);
-  options.num_threads = num_threads;
-  return options;
-}
-
 /// Uniform random points in the unit square under L2 — the toy space of
 /// the paper's Fig. 1, used across the core test suites.
 inline ObjectOracle<Vector> MakePlaneOracle(size_t n, uint64_t seed) {

@@ -249,7 +249,7 @@ TEST(EndToEndTraceTest, SampledShardedServerRequestCoversItsWallClock) {
   std::vector<TraceSpan> spans = got.value().trace->spans();
   // Server pipeline stages...
   for (const char* name :
-       {"admit", "queue", "batch_form", "execute", "request"}) {
+       {"admit", "queue", "execute", "request"}) {
     EXPECT_TRUE(HasSpan(spans, name)) << "missing span: " << name;
   }
   // ...and engine stages, including one scan span per shard.

@@ -28,7 +28,6 @@ WireRequest MakeRequest() {
   request.want_trace = true;
   request.options.k = 7;
   request.options.p = 99;
-  request.options.num_threads = 3;
   request.options.want_stats = true;
   request.db_id = 0xDEADBEEFull;
   request.query = {0.1, -2.5, 1e300, -0.0,
@@ -61,7 +60,6 @@ TEST(WireCodecTest, RequestRoundTripIsExact) {
   EXPECT_EQ(got.want_trace, want.want_trace);
   EXPECT_EQ(got.options.k, want.options.k);
   EXPECT_EQ(got.options.p, want.options.p);
-  EXPECT_EQ(got.options.num_threads, want.options.num_threads);
   EXPECT_EQ(got.options.want_stats, want.options.want_stats);
   // No precision crosses the wire: the exact scan is the only one.
   EXPECT_EQ(got.options.filter_precision, FilterPrecision::kExact64);
@@ -192,12 +190,12 @@ TEST(WireCodecTest, BadMagicAndVersionAreInvalidArgument) {
   EXPECT_EQ(DecodeRequest(bad_version, &out).code(),
             StatusCode::kInvalidArgument);
 
-  // Version 3 still carried a priority byte and a tenant string; a peer
-  // speaking it is refused by version, whatever its body holds.
-  std::string version_three = payload;
-  version_three[4] = 3;
-  version_three[5] = 0;
-  EXPECT_EQ(DecodeRequest(version_three, &out).code(),
+  // Version 4 still carried a u64 num_threads; a peer speaking it is
+  // refused by version, whatever its body holds.
+  std::string version_four = payload;
+  version_four[4] = 4;
+  version_four[5] = 0;
+  EXPECT_EQ(DecodeRequest(version_four, &out).code(),
             StatusCode::kInvalidArgument);
 
   std::string bad_op = payload;
@@ -216,14 +214,14 @@ TEST(WireCodecTest, OutOfRangeEnumsAreInvalidArgument) {
   // Patch encoded enum bytes past their ranges; offsets derived by
   // re-encoding with a sentinel is brittle, so rebuild by hand instead:
   // preamble(8) + budget(8) = 16 is want_trace; + want_trace(1) +
-  // k/p/threads(24) = 41 is want_stats, followed by the u64 db_id.
+  // k/p(16) = 33 is want_stats, followed by the u64 db_id.
   std::string payload = EncodeRequest(MakeRequest());
   WireRequest out;
   std::string bad = payload;
   bad[16] = 2;  // want_trace flag
   EXPECT_EQ(DecodeRequest(bad, &out).code(), StatusCode::kInvalidArgument);
   bad = payload;
-  bad[41] = 2;  // want_stats flag
+  bad[33] = 2;  // want_stats flag
   EXPECT_EQ(DecodeRequest(bad, &out).code(), StatusCode::kInvalidArgument);
 
   std::string response = EncodeResponse(MakeResponse());
@@ -235,7 +233,7 @@ TEST(WireCodecTest, OutOfRangeEnumsAreInvalidArgument) {
 
 TEST(WireCodecTest, VersionTwoFrameNamingAReducedPrecisionIsInvalidArgument) {
   // Version 2 carried a filter-precision byte after the priority; a peer
-  // still speaking it cannot smuggle kFilter8 into a version-4 server.
+  // still speaking it cannot smuggle kFilter8 into a version-5 server.
   std::ostringstream out;
   BinaryWriter w(&out);
   w.WriteU32(kWireMagic);
@@ -271,7 +269,6 @@ TEST(WireCodecTest, OversizedLengthPrefixesNeverAllocate) {
   w.WriteU8(0);   // want_trace
   w.WriteU64(1);  // k
   w.WriteU64(1);  // p
-  w.WriteU64(0);  // num_threads
   w.WriteU8(0);   // want_stats
   w.WriteU64(0);            // db_id
   w.WriteU64(1ull << 60);   // query length prefix, then nothing
@@ -305,7 +302,6 @@ TEST(WireCodecTest, FieldCapsAreEnforcedEvenWhenBytesMatch) {
   w.WriteU8(0);
   w.WriteU64(1);
   w.WriteU64(1);
-  w.WriteU64(0);
   w.WriteU8(0);
   w.WriteU64(0);
   w.WriteDoubleVec(std::vector<double>(kMaxWireDims + 1, 0.5));

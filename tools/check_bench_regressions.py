@@ -11,7 +11,7 @@ as a CI artifact so absolute history is still inspectable.
 
 Rules gate on a metric: "real_time" (the mean) by default, or a tail
 percentile ("p50"/"p95"/"p99") when the benchmark emits one — the async
-serving rules gate p99 so a batching change cannot buy mean throughput
+serving rules gate p99 so a serving change cannot buy mean throughput
 with a tail-latency blowup.
 
 Usage: check_bench_regressions.py <benchmark_json> [more_json...] [--strict]
@@ -76,24 +76,6 @@ def sharded_speedup_bound():
     return 1.30
 
 
-def micro_batching_bound():
-    """Max allowed mean-latency ratio, adaptive micro-batching vs
-    one-request-per-call serving (closed loop, same worker layout).
-
-    Batching parallelizes each dispatched batch across cores via
-    RetrieveBatch, so with >= 4 cores it must be a real win (the measured
-    gap is ~Cx; demand a lax 1.2x).  On 2-3 cores demand "not slower";
-    on one core batching only amortizes dispatch overhead, so allow
-    noise-level slack.
-    """
-    cores = os.cpu_count() or 1
-    if cores >= 4:
-        return 0.85
-    if cores >= 2:
-        return 1.05
-    return 1.15
-
-
 def mutation_tail_bound():
     """Max allowed p99 ratio, closed-loop serving with a background
     Insert/Remove stream vs the same configuration mutation-free.
@@ -113,7 +95,7 @@ def mutation_tail_bound():
 
 
 def trace_sampling_tail_bound():
-    """Max allowed p99 ratio, the adaptive closed loop with 1-in-64
+    """Max allowed p99 ratio, the async closed loop with 1-in-64
     trace sampling vs the identical untraced configuration (same run,
     same binary).
 
@@ -148,7 +130,7 @@ def tracing_overhead_bound():
 
 
 def audit_sampling_tail_bound():
-    """Max allowed p99 ratio, the adaptive closed loop with 1-in-16
+    """Max allowed p99 ratio, the async closed loop with 1-in-16
     quality-audit sampling vs the identical audit-free configuration.
 
     The hot path pays one relaxed fetch_add per response plus, on
@@ -202,19 +184,6 @@ def wal_tail_bound():
     return 3.0
 
 
-def micro_batching_tail_bound():
-    """Max allowed p99 ratio for the same pair.  Under closed-loop load,
-    coalescing strictly reduces queueing, so the tail must not regress
-    either — but p99 is the noisiest statistic, so every tier gets extra
-    headroom over the mean bound."""
-    cores = os.cpu_count() or 1
-    if cores >= 4:
-        return 1.00
-    if cores >= 2:
-        return 1.20
-    return 1.35
-
-
 # (numerator benchmark, denominator benchmark, max allowed ratio, label,
 #  metric).  Ratios are metric(numerator) / metric(denominator); a rule
 # fails when the ratio exceeds the bound.  The bound may be a callable
@@ -259,40 +228,22 @@ RULES = [
         "sharded S=8 single-query speedup vs monolithic",
         "real_time",
     ),
-    # The async serving acceptance gate: adaptive micro-batching must
-    # sustain higher closed-loop throughput (= lower mean latency at
-    # equal concurrency) than one-request-per-call serving...
-    (
-        "SL_Closed/mono/async_adaptive",
-        "SL_Closed/mono/async_b1",
-        micro_batching_bound,
-        "adaptive micro-batching vs one-request-per-call (mean)",
-        "real_time",
-    ),
-    # ...without trading the tail away for it.
-    (
-        "SL_Closed/mono/async_adaptive",
-        "SL_Closed/mono/async_b1",
-        micro_batching_tail_bound,
-        "adaptive micro-batching vs one-request-per-call (p99 tail)",
-        "p99",
-    ),
-    # Observability: the adaptive closed loop with 1-in-64 trace
-    # sampling vs the identical untraced configuration — sampling must
-    # not buy visibility with a tail blowup.
+    # Observability: the async closed loop with 1-in-64 trace sampling
+    # vs the identical untraced configuration — sampling must not buy
+    # visibility with a tail blowup.
     (
         "SL_Closed/mono/async_traced",
-        "SL_Closed/mono/async_adaptive",
+        "SL_Closed/mono/async",
         trace_sampling_tail_bound,
-        "trace sampling (1/64) vs untraced adaptive loop (p99 tail)",
+        "trace sampling (1/64) vs untraced async loop (p99 tail)",
         "p99",
     ),
     # Concurrent mutation: a background Insert/Remove stream through the
     # server (epoch/RCU path) must not blow the closed-loop query tail
     # relative to the identical mutation-free configuration.
     (
-        "SL_Mutate/mono/async_adaptive",
-        "SL_Closed/mono/async_adaptive",
+        "SL_Mutate/mono/async",
+        "SL_Closed/mono/async",
         mutation_tail_bound,
         "background mutation vs mutation-free closed loop (p99 tail)",
         "p99",
@@ -302,9 +253,9 @@ RULES = [
     # blowup.
     (
         "SL_Drift/mono/control",
-        "SL_Closed/mono/async_adaptive",
+        "SL_Closed/mono/async",
         audit_sampling_tail_bound,
-        "quality audits (1/16) vs audit-free adaptive loop (p99 tail)",
+        "quality audits (1/16) vs audit-free async loop (p99 tail)",
         "p99",
     ),
     # Crossing a process boundary is a constant-factor tax, not a
@@ -499,8 +450,6 @@ METRIC_FLOORS = [
      "server admission accounting (submitted)"),
     ("counters", "qse_server_completed_total", 1,
      "server admission accounting (completed)"),
-    ("histograms", "qse_server_batch_size", 1,
-     "server batch-size histogram populated"),
     ("histograms", "qse_engine_scan_latency_ns", 1,
      "scan stage latency recorded"),
     ("histograms", "qse_engine_merge_latency_ns", 1,
@@ -545,8 +494,7 @@ METRIC_FLOORS = [
 # (instrumented vs -DQSE_DISABLE_TRACING): metrics/span sites compiled
 # to dead branches must leave the serving tail within the budget.
 OVERHEAD_PAIR_BENCHMARKS = [
-    "SL_Closed/mono/async_adaptive",
-    "SL_Closed/mono/async_b1",
+    "SL_Closed/mono/async",
 ]
 
 
