@@ -32,7 +32,7 @@ StatusOr<std::vector<RetrievalResponse>> RetrievalBackend::RetrieveBatch(
   std::vector<RetrievalResponse> results;
   results.reserve(queries.size());
   for (const DxToDatabaseFn& dx : queries) {
-    StatusOr<RetrievalResponse> r = Retrieve({dx, options});
+    StatusOr<RetrievalResponse> r = Retrieve({dx, options, nullptr});
     QSE_RETURN_IF_ERROR(r.status());
     results.push_back(std::move(r).value());
   }
