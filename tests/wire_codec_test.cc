@@ -109,6 +109,75 @@ TEST(WireCodecTest, ResponseRoundTripIsExact) {
   }
 }
 
+std::string ToHex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (unsigned char c : bytes) {
+    hex += kDigits[c >> 4];
+    hex += kDigits[c & 0xF];
+  }
+  return hex;
+}
+
+TEST(WireCodecTest, VersionFiveBytesArePinned) {
+  // The exact v5 layout, field by field: any change to the bytes a peer
+  // sees must bump kWireVersion, and this fixture makes that visible.
+  WireRequest request;
+  request.op = WireOp::kScan;
+  request.deadline_budget_ns = 0x0102030405060708ull;
+  request.want_trace = true;
+  request.options.k = 3;
+  request.options.p = 40;
+  request.options.want_stats = false;
+  request.db_id = 9;
+  request.query = {1.5, -0.25};
+  EXPECT_EQ(ToHex(EncodeRequest(request)),
+            "51534557" "0500" "0100"    // magic, version, op kScan
+            "0807060504030201"          // deadline_budget_ns
+            "01"                        // want_trace
+            "0300000000000000"          // k
+            "2800000000000000"          // p
+            "00"                        // want_stats
+            "0900000000000000"          // db_id
+            "0200000000000000"          // query: 2 doubles
+            "000000000000f83f" "000000000000d0bf");
+
+  WireResponse response;
+  response.code = StatusCode::kNotFound;
+  response.message = "partial";
+  response.exact_distances = 5;
+  response.embedding_distances = 6;
+  response.rows = 100;
+  response.rows_pruned = 60;
+  response.rows_prescreened = 30;
+  response.db_size = 200;
+  response.neighbors = {{17, 0.5}, {4, 2.0}};
+  response.shard_stats = {{100, 2}};
+  response.spans = {{"scan", 10, 250, 7}};
+  EXPECT_EQ(ToHex(EncodeResponse(response)),
+            "51534557" "0500" "0080"    // magic, version, kResponseTag
+            "02"                        // code
+            "0700000000000000"          // message "partial"
+            "7061727469616c"
+            "0500000000000000"          // exact_distances
+            "0600000000000000"          // embedding_distances
+            "6400000000000000"          // rows
+            "3c00000000000000"          // rows_pruned
+            "1e00000000000000"          // rows_prescreened
+            "c800000000000000"          // db_size
+            "0200000000000000"          // 2 neighbours: (id, score)
+            "1100000000000000" "000000000000e03f"
+            "0400000000000000" "0000000000000040"
+            "0100000000000000"          // 1 shard stat: (rows, candidates)
+            "6400000000000000" "0200000000000000"
+            "0100000000000000"          // 1 span
+            "0400000000000000"          // name "scan"
+            "7363616e"
+            "0a00000000000000"          // start_ns
+            "fa00000000000000"          // dur_ns
+            "07000000");                // tid
+}
+
 TEST(WireCodecTest, EmptyEnvelopesRoundTrip) {
   // The OK-empty scan result (empty remote shard) and an error response
   // with no payload both matter for the serving contract.
