@@ -79,12 +79,21 @@ void RetrievalServer::Stop() {
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
     for (const auto& conn : live_conns_) conn->ShutdownBoth();
-    threads.swap(conn_threads_);
+    for (auto& [id, t] : conn_threads_) threads.push_back(std::move(t));
+    conn_threads_.clear();
   }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  for (std::thread& t : threads) t.join();
+  JoinFinished();
   listener_.Close();
+}
+
+void RetrievalServer::JoinFinished() {
+  std::vector<std::thread> finished;
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    finished.swap(finished_threads_);
+  }
+  for (std::thread& t : finished) t.join();
 }
 
 void RetrievalServer::AcceptLoop() {
@@ -95,11 +104,14 @@ void RetrievalServer::AcceptLoop() {
       // the acceptor is done.
       return;
     }
+    JoinFinished();
     auto conn = std::make_shared<Socket>(std::move(accepted).value());
     std::lock_guard<std::mutex> lock(conn_mu_);
     if (stopping_.load(std::memory_order_acquire)) return;
     live_conns_.insert(conn);
-    conn_threads_.emplace_back([this, conn] { ServeConnection(conn); });
+    std::thread handler([this, conn] { ServeConnection(conn); });
+    const std::thread::id id = handler.get_id();
+    conn_threads_.emplace(id, std::move(handler));
   }
 }
 
@@ -125,6 +137,13 @@ void RetrievalServer::ServeConnection(std::shared_ptr<Socket> conn) {
   conn->ShutdownBoth();
   std::lock_guard<std::mutex> lock(conn_mu_);
   live_conns_.erase(conn);
+  // The acceptor registered this thread under conn_mu_ before this point
+  // could take it.  Stop may already have taken it out to join it.
+  auto self = conn_threads_.find(std::this_thread::get_id());
+  if (self != conn_threads_.end()) {
+    finished_threads_.push_back(std::move(self->second));
+    conn_threads_.erase(self);
+  }
 }
 
 WireResponse RetrievalServer::Handle(const WireRequest& request) {

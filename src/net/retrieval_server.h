@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -97,12 +98,19 @@ class RetrievalServer {
   std::atomic<bool> stopping_{false};
   std::atomic<size_t> scan_count_{0};
 
+  /// Joins the handler threads that have exited so far.
+  void JoinFinished();
+
   /// Live connections, so Stop can ShutdownBoth each socket and wake
-  /// threads blocked in RecvFrame; handler threads themselves are
-  /// collected under the same mutex and joined by Stop.
+  /// threads blocked in RecvFrame.  Each handler thread sits in
+  /// conn_threads_ (keyed by its id) while it serves; on exit it moves
+  /// itself to finished_threads_, which the acceptor joins at the next
+  /// connection and Stop joins at the end, so a closed connection does
+  /// not keep its thread's stack mapped.
   std::mutex conn_mu_;
   std::unordered_set<std::shared_ptr<Socket>> live_conns_;
-  std::vector<std::thread> conn_threads_;
+  std::unordered_map<std::thread::id, std::thread> conn_threads_;
+  std::vector<std::thread> finished_threads_;
 
   obs::Counter* requests_total_;
   obs::Counter* errors_total_;

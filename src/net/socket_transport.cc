@@ -9,8 +9,10 @@
 #include <string.h>
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -18,17 +20,19 @@ namespace qse {
 namespace net {
 namespace {
 
-Status SetTimeoutOpt(int fd, int opt, std::chrono::nanoseconds timeout) {
-  // 0 would mean "block forever" to the kernel; clamp to the smallest
-  // representable timeout instead so a spent deadline still errors out.
-  if (timeout.count() <= 0) timeout = std::chrono::microseconds(1);
+/// A timeout in the kernel's microsecond resolution.  0 would mean
+/// "block forever" to the kernel; clamp to the smallest representable
+/// timeout instead so a spent deadline still errors out.
+int64_t TimeoutMicros(std::chrono::nanoseconds timeout) {
+  const int64_t us =
+      std::chrono::duration_cast<std::chrono::microseconds>(timeout).count();
+  return us < 1 ? 1 : us;
+}
+
+Status SetTimeoutOpt(int fd, int opt, int64_t us) {
   struct timeval tv;
-  tv.tv_sec = static_cast<time_t>(
-      std::chrono::duration_cast<std::chrono::seconds>(timeout).count());
-  tv.tv_usec = static_cast<suseconds_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(timeout).count() %
-      1000000);
-  if (tv.tv_sec == 0 && tv.tv_usec == 0) tv.tv_usec = 1;
+  tv.tv_sec = static_cast<time_t>(us / 1000000);
+  tv.tv_usec = static_cast<suseconds_t>(us % 1000000);
   if (setsockopt(fd, SOL_SOCKET, opt, &tv, sizeof(tv)) != 0) {
     return StatusFromErrno("setsockopt", errno);
   }
@@ -74,7 +78,12 @@ Socket& Socket::operator=(Socket&& other) noexcept {
     Close();
     fd_ = other.fd_;
     options_ = other.options_;
+    read_timeout_us_ = other.read_timeout_us_;
+    read_buf_ = std::move(other.read_buf_);
+    read_begin_ = other.read_begin_;
+    read_end_ = other.read_end_;
     other.fd_ = -1;
+    other.read_begin_ = other.read_end_ = 0;
   }
   return *this;
 }
@@ -117,12 +126,17 @@ StatusOr<Socket> Socket::Connect(const std::string& host, uint16_t port,
     if (soerr != 0) return StatusFromErrno("connect", soerr);
   }
   QSE_RETURN_IF_ERROR(SetNonBlocking(fd, false));
-
-  QSE_RETURN_IF_ERROR(SetTimeoutOpt(fd, SO_RCVTIMEO, options.read_timeout));
-  QSE_RETURN_IF_ERROR(SetTimeoutOpt(fd, SO_SNDTIMEO, options.write_timeout));
-  int one = 1;
-  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  QSE_RETURN_IF_ERROR(sock.Configure());
   return sock;
+}
+
+Status Socket::Configure() {
+  QSE_RETURN_IF_ERROR(InstallReadTimeout(options_.read_timeout));
+  QSE_RETURN_IF_ERROR(SetTimeoutOpt(fd_, SO_SNDTIMEO,
+                                    TimeoutMicros(options_.write_timeout)));
+  int one = 1;
+  setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return Status::OK();
 }
 
 Status Socket::SendFrame(const std::string& payload) {
@@ -132,33 +146,74 @@ Status Socket::SendFrame(const std::string& payload) {
                                    std::to_string(payload.size()) + " bytes");
   }
   uint32_t len = static_cast<uint32_t>(payload.size());
-  QSE_RETURN_IF_ERROR(SendAll(&len, sizeof(len)));
-  return SendAll(payload.data(), payload.size());
+  struct iovec iov[2];
+  iov[0].iov_base = &len;
+  iov[0].iov_len = sizeof(len);
+  iov[1].iov_base = const_cast<char*>(payload.data());
+  iov[1].iov_len = payload.size();
+  struct msghdr msg;
+  std::memset(&msg, 0, sizeof(msg));
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 2;
+  while (msg.msg_iovlen > 0) {
+    // MSG_NOSIGNAL: a dead peer yields EPIPE, not a process-killing
+    // SIGPIPE — mandatory in a multi-shard client where peers die.
+    ssize_t r = sendmsg(fd_, &msg, MSG_NOSIGNAL);
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      return StatusFromErrno("sendmsg", errno);
+    }
+    // Partial send: skip the entries sent in full, trim the next one.
+    size_t sent = static_cast<size_t>(r);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + sent;
+      msg.msg_iov->iov_len -= sent;
+    }
+  }
+  return Status::OK();
 }
 
 StatusOr<std::string> Socket::RecvFrame() {
   if (fd_ < 0) return Status::Unavailable("socket is closed");
   uint32_t len = 0;
-  QSE_RETURN_IF_ERROR(RecvAll(&len, sizeof(len), /*at_frame_start=*/true));
+  QSE_RETURN_IF_ERROR(Fill(sizeof(len)));
+  std::memcpy(&len, read_buf_.get() + read_begin_, sizeof(len));
+  read_begin_ += sizeof(len);
   if (len > options_.max_frame_bytes) {
     return Status::DataLoss("incoming frame claims " + std::to_string(len) +
                             " bytes, cap is " +
                             std::to_string(options_.max_frame_bytes));
   }
   std::string payload(len, '\0');
-  if (len > 0) {
-    QSE_RETURN_IF_ERROR(RecvAll(&payload[0], len, /*at_frame_start=*/false));
+  const size_t from_buffer = std::min<size_t>(len, buffered());
+  std::memcpy(&payload[0], read_buf_.get() + read_begin_, from_buffer);
+  read_begin_ += from_buffer;
+  if (from_buffer < len) {
+    QSE_RETURN_IF_ERROR(RecvAll(&payload[from_buffer], len - from_buffer));
   }
   return payload;
 }
 
 Status Socket::SetReadTimeout(std::chrono::nanoseconds timeout) {
   if (fd_ < 0) return Status::Unavailable("socket is closed");
-  return SetTimeoutOpt(fd_, SO_RCVTIMEO, timeout);
+  return InstallReadTimeout(timeout);
+}
+
+Status Socket::InstallReadTimeout(std::chrono::nanoseconds timeout) {
+  const int64_t us = TimeoutMicros(timeout);
+  if (us == read_timeout_us_) return Status::OK();
+  QSE_RETURN_IF_ERROR(SetTimeoutOpt(fd_, SO_RCVTIMEO, us));
+  read_timeout_us_ = us;
+  return Status::OK();
 }
 
 bool Socket::StaleWhileIdle() const {
-  if (fd_ < 0) return true;
+  if (fd_ < 0 || buffered() > 0) return true;
   struct pollfd pfd;
   pfd.fd = fd_;
   pfd.events = POLLIN;
@@ -178,27 +233,16 @@ void Socket::Close() {
   }
 }
 
-Status Socket::SendAll(const void* data, size_t n) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  size_t sent = 0;
-  while (sent < n) {
-    // MSG_NOSIGNAL: a dead peer yields EPIPE, not a process-killing
-    // SIGPIPE — mandatory in a multi-shard client where peers die.
-    ssize_t r = send(fd_, p + sent, n - sent, MSG_NOSIGNAL);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return StatusFromErrno("send", errno);
-    }
-    sent += static_cast<size_t>(r);
-  }
-  return Status::OK();
-}
-
-Status Socket::RecvAll(void* data, size_t n, bool at_frame_start) {
-  uint8_t* p = static_cast<uint8_t*>(data);
-  size_t got = 0;
-  while (got < n) {
-    ssize_t r = recv(fd_, p + got, n - got, 0);
+Status Socket::Fill(size_t n) {
+  if (read_buf_ == nullptr) read_buf_.reset(new char[kReadBufferBytes]);
+  if (buffered() >= n) return Status::OK();
+  // Slide the unread tail to the front so one recv can take the most.
+  std::memmove(read_buf_.get(), read_buf_.get() + read_begin_, buffered());
+  read_end_ = buffered();
+  read_begin_ = 0;
+  while (read_end_ < n) {
+    ssize_t r =
+        recv(fd_, read_buf_.get() + read_end_, kReadBufferBytes - read_end_, 0);
     if (r < 0) {
       if (errno == EINTR) continue;
       return StatusFromErrno("recv", errno);
@@ -206,9 +250,27 @@ Status Socket::RecvAll(void* data, size_t n, bool at_frame_start) {
     if (r == 0) {
       // Clean FIN.  Between frames that's a normal close; inside a
       // frame the stream lied about its own length.
-      if (at_frame_start && got == 0) {
+      if (read_end_ == 0) {
         return Status::Unavailable("peer closed connection");
       }
+      return Status::DataLoss("peer closed mid-frame (" +
+                              std::to_string(read_end_) + " of " +
+                              std::to_string(n) + " bytes)");
+    }
+    read_end_ += static_cast<size_t>(r);
+  }
+  return Status::OK();
+}
+
+Status Socket::RecvAll(char* data, size_t n) {
+  size_t got = 0;
+  while (got < n) {
+    ssize_t r = recv(fd_, data + got, n - got, 0);
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      return StatusFromErrno("recv", errno);
+    }
+    if (r == 0) {
       return Status::DataLoss("peer closed mid-frame (" + std::to_string(got) +
                               " of " + std::to_string(n) + " bytes)");
     }
@@ -285,13 +347,7 @@ StatusOr<Socket> ServerSocket::Accept() {
       return StatusFromErrno("accept", errno);
     }
     Socket sock(conn, options_);
-    Status status = SetTimeoutOpt(conn, SO_RCVTIMEO, options_.read_timeout);
-    if (status.ok()) {
-      status = SetTimeoutOpt(conn, SO_SNDTIMEO, options_.write_timeout);
-    }
-    if (!status.ok()) return status;
-    int one = 1;
-    setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    QSE_RETURN_IF_ERROR(sock.Configure());
     return sock;
   }
   return Status::Unavailable("listener shut down");

@@ -60,26 +60,33 @@ class Socket {
 
   bool valid() const { return fd_ >= 0; }
 
-  /// Writes `[u32 length][payload]`.  InvalidArgument when the payload
-  /// exceeds max_frame_bytes.
+  /// Writes `[u32 length][payload]` with one sendmsg over a two-entry
+  /// iovec (no copy of the payload), so a frame leaves as one segment;
+  /// a partial send is finished before returning.  InvalidArgument when
+  /// the payload exceeds max_frame_bytes.
   Status SendFrame(const std::string& payload);
 
-  /// Reads one complete frame payload.  A clean EOF before any header
-  /// byte is kUnavailable (the peer closed between frames, the normal
-  /// shutdown path); EOF anywhere inside a frame is kDataLoss.  A length
-  /// prefix beyond max_frame_bytes is kDataLoss, detected before any
-  /// allocation.
+  /// Reads one complete frame payload.  Reads go through a per-socket
+  /// buffer of kReadBufferBytes, so a queued frame that fits costs one
+  /// recv; the remainder of a larger frame is read straight into the
+  /// payload.  Bytes past the frame stay buffered for the next call.  A
+  /// clean EOF before any header byte is kUnavailable (the peer closed
+  /// between frames, the normal shutdown path); EOF anywhere inside a
+  /// frame is kDataLoss.  A length prefix beyond max_frame_bytes is
+  /// kDataLoss, detected before any allocation.
   StatusOr<std::string> RecvFrame();
 
   /// Overrides the read timeout for subsequent reads — how per-request
-  /// deadline budgets bound the wait for a response.
+  /// deadline budgets bound the wait for a response.  A no-op (no
+  /// syscall) when the value equals the one installed last.
   Status SetReadTimeout(std::chrono::nanoseconds timeout);
 
-  /// True when the connection is readable (or errored) while it should
-  /// be idle — how the connection pool detects a peer that died between
-  /// requests.  In this request/response protocol a healthy idle
-  /// connection is never readable (the peer only speaks when spoken to),
-  /// so pending bytes, EOF or RST all mean: do not reuse.  Non-blocking.
+  /// True when the connection holds unread bytes (in the read buffer or
+  /// the kernel) or has errored while it should be idle — how the
+  /// connection pool detects a peer that died between requests.  In
+  /// this request/response protocol a healthy idle connection is never
+  /// readable (the peer only speaks when spoken to), so pending bytes,
+  /// EOF or RST all mean: do not reuse.  Non-blocking.
   bool StaleWhileIdle() const;
 
   /// Half-closes both directions without releasing the fd: a thread
@@ -92,16 +99,36 @@ class Socket {
 
  private:
   friend class ServerSocket;
+  /// Read buffer size: larger than any scan request or 100-candidate
+  /// response the serving stack sends, small enough to keep per socket.
+  static constexpr size_t kReadBufferBytes = 8192;
+
   Socket(int fd, const TransportOptions& options)
       : fd_(fd), options_(options) {}
 
-  Status SendAll(const void* data, size_t n);
-  /// Reads exactly n bytes.  `at_frame_start` selects the clean-EOF
-  /// status (kUnavailable vs kDataLoss).
-  Status RecvAll(void* data, size_t n, bool at_frame_start);
+  /// Installs the read and write timeouts and TCP_NODELAY on a freshly
+  /// connected or accepted socket.
+  Status Configure();
+  /// Installs SO_RCVTIMEO unless `timeout` is already installed.
+  Status InstallReadTimeout(std::chrono::nanoseconds timeout);
+  /// Buffers at least n bytes (n <= kReadBufferBytes) at a frame start:
+  /// EOF with nothing buffered is a clean close (kUnavailable), EOF after
+  /// a partial frame is kDataLoss.
+  Status Fill(size_t n);
+  /// Reads exactly n bytes past the buffer, straight into `data`.
+  Status RecvAll(char* data, size_t n);
+  size_t buffered() const { return read_end_ - read_begin_; }
 
   int fd_ = -1;
   TransportOptions options_;
+  /// The SO_RCVTIMEO value last installed, in microseconds (the kernel's
+  /// resolution); -1 before the first install.
+  int64_t read_timeout_us_ = -1;
+  /// Bytes [read_begin_, read_end_) of read_buf_ are received but not
+  /// yet returned.  Allocated on the first RecvFrame.
+  std::unique_ptr<char[]> read_buf_;
+  size_t read_begin_ = 0;
+  size_t read_end_ = 0;
 };
 
 /// A listening socket.  Accept blocks (in a poll loop) until a peer

@@ -1,6 +1,6 @@
 #include "src/net/wire_codec.h"
 
-#include <sstream>
+#include <utility>
 
 #include "src/util/serialize.h"
 
@@ -8,12 +8,38 @@ namespace qse {
 namespace net {
 namespace {
 
-/// Writes the shared preamble.
-void WritePreamble(BinaryWriter* w, uint16_t tag) {
-  w->WriteU32(kWireMagic);
-  w->WriteU16(kWireVersion);
-  w->WriteU16(tag);
-}
+/// Appends fields to one payload string, in BinaryWriter's layout (raw
+/// host-order bytes, u64 length prefixes), without a stream per field.
+class PayloadWriter {
+ public:
+  explicit PayloadWriter(size_t size) { out_.reserve(size); }
+
+  template <typename T>
+  void Put(T v) {
+    out_.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  }
+  void PutString(const std::string& s) {
+    Put<uint64_t>(s.size());
+    out_.append(s);
+  }
+  void PutDoubleVec(const std::vector<double>& v) {
+    Put<uint64_t>(v.size());
+    out_.append(reinterpret_cast<const char*>(v.data()),
+                v.size() * sizeof(double));
+  }
+  /// The shared preamble.
+  void PutPreamble(uint16_t tag) {
+    Put<uint32_t>(kWireMagic);
+    Put<uint16_t>(kWireVersion);
+    Put<uint16_t>(tag);
+  }
+  std::string Take() { return std::move(out_); }
+
+ private:
+  std::string out_;
+};
+
+constexpr size_t kPreambleBytes = 8;
 
 /// Checks magic and version, returns the tag.  Bad magic / version are
 /// kInvalidArgument: the frame arrived intact (framing said so), its
@@ -46,17 +72,16 @@ Status RequireExhausted(const ByteReader& r) {
 }  // namespace
 
 std::string EncodeRequest(const WireRequest& request) {
-  std::ostringstream out;
-  BinaryWriter w(&out);
-  WritePreamble(&w, static_cast<uint16_t>(request.op));
-  w.WriteU64(request.deadline_budget_ns);
-  w.WriteU8(request.want_trace ? 1 : 0);
-  w.WriteU64(request.options.k);
-  w.WriteU64(request.options.p);
-  w.WriteU8(request.options.want_stats ? 1 : 0);
-  w.WriteU64(request.db_id);
-  w.WriteDoubleVec(request.query);
-  return out.str();
+  PayloadWriter w(kPreambleBytes + 42 + 8 * request.query.size());
+  w.PutPreamble(static_cast<uint16_t>(request.op));
+  w.Put<uint64_t>(request.deadline_budget_ns);
+  w.Put<uint8_t>(request.want_trace ? 1 : 0);
+  w.Put<uint64_t>(request.options.k);
+  w.Put<uint64_t>(request.options.p);
+  w.Put<uint8_t>(request.options.want_stats ? 1 : 0);
+  w.Put<uint64_t>(request.db_id);
+  w.PutDoubleVec(request.query);
+  return w.Take();
 }
 
 Status DecodeRequest(const std::string& payload, WireRequest* out) {
@@ -92,35 +117,38 @@ Status DecodeRequest(const std::string& payload, WireRequest* out) {
 }
 
 std::string EncodeResponse(const WireResponse& response) {
-  std::ostringstream out;
-  BinaryWriter w(&out);
-  WritePreamble(&w, kResponseTag);
-  w.WriteU8(static_cast<uint8_t>(response.code));
-  w.WriteString(response.message);
-  w.WriteU64(response.exact_distances);
-  w.WriteU64(response.embedding_distances);
-  w.WriteU64(response.rows);
-  w.WriteU64(response.rows_pruned);
-  w.WriteU64(response.rows_prescreened);
-  w.WriteU64(response.db_size);
-  w.WriteU64(response.neighbors.size());
+  size_t size = kPreambleBytes + 81 + response.message.size() +
+                16 * response.neighbors.size() +
+                16 * response.shard_stats.size();
+  for (const WireSpan& s : response.spans) size += 28 + s.name.size();
+  PayloadWriter w(size);
+  w.PutPreamble(kResponseTag);
+  w.Put<uint8_t>(static_cast<uint8_t>(response.code));
+  w.PutString(response.message);
+  w.Put<uint64_t>(response.exact_distances);
+  w.Put<uint64_t>(response.embedding_distances);
+  w.Put<uint64_t>(response.rows);
+  w.Put<uint64_t>(response.rows_pruned);
+  w.Put<uint64_t>(response.rows_prescreened);
+  w.Put<uint64_t>(response.db_size);
+  w.Put<uint64_t>(response.neighbors.size());
   for (const ScoredIndex& n : response.neighbors) {
-    w.WriteU64(n.index);
-    w.WriteDouble(n.score);
+    w.Put<uint64_t>(n.index);
+    w.Put<double>(n.score);
   }
-  w.WriteU64(response.shard_stats.size());
+  w.Put<uint64_t>(response.shard_stats.size());
   for (const ShardScanStats& s : response.shard_stats) {
-    w.WriteU64(s.rows);
-    w.WriteU64(s.candidates);
+    w.Put<uint64_t>(s.rows);
+    w.Put<uint64_t>(s.candidates);
   }
-  w.WriteU64(response.spans.size());
+  w.Put<uint64_t>(response.spans.size());
   for (const WireSpan& s : response.spans) {
-    w.WriteString(s.name);
-    w.WriteU64(s.start_ns);
-    w.WriteU64(s.dur_ns);
-    w.WriteU32(s.tid);
+    w.PutString(s.name);
+    w.Put<uint64_t>(s.start_ns);
+    w.Put<uint64_t>(s.dur_ns);
+    w.Put<uint32_t>(s.tid);
   }
-  return out.str();
+  return w.Take();
 }
 
 Status DecodeResponse(const std::string& payload, WireResponse* out) {

@@ -1,7 +1,6 @@
 #ifndef QSE_UTIL_BOUNDED_QUEUE_H_
 #define QSE_UTIL_BOUNDED_QUEUE_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -59,27 +58,14 @@ class BoundedQueue {
     return QueuePushResult::kAccepted;
   }
 
-  /// Non-blocking pop; nullopt when momentarily empty.
-  std::optional<T> TryPop() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return PopLocked();
-  }
-
   /// Blocks until an item arrives; nullopt only once closed and drained.
   std::optional<T> Pop() {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait(lock, [this] { return closed_ || !items_.empty(); });
-    return PopLocked();
-  }
-
-  /// Blocks up to `timeout` (non-positive behaves like TryPop); nullopt on
-  /// timeout or once closed and drained.
-  template <typename Rep, typename Period>
-  std::optional<T> PopFor(std::chrono::duration<Rep, Period> timeout) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait_for(lock, timeout,
-                        [this] { return closed_ || !items_.empty(); });
-    return PopLocked();
+    if (items_.empty()) return std::nullopt;
+    T v = std::move(items_.front());
+    items_.pop_front();
+    return v;
   }
 
   /// Rejects future pushes, lets pops drain, wakes all blocked pops.
@@ -105,13 +91,6 @@ class BoundedQueue {
   size_t capacity() const { return capacity_; }
 
  private:
-  std::optional<T> PopLocked() {
-    if (items_.empty()) return std::nullopt;
-    T v = std::move(items_.front());
-    items_.pop_front();
-    return v;
-  }
-
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
   std::deque<T> items_;

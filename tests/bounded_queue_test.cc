@@ -55,20 +55,6 @@ TEST(BoundedQueueTest, ZeroCapacityIsClampedToOne) {
   EXPECT_FALSE(q.TryPush(8));
 }
 
-TEST(BoundedQueueTest, TryPopOnEmptyReturnsNullopt) {
-  BoundedQueue<int> q(2);
-  EXPECT_FALSE(q.TryPop().has_value());
-}
-
-TEST(BoundedQueueTest, PopForTimesOut) {
-  BoundedQueue<int> q(2);
-  auto t0 = std::chrono::steady_clock::now();
-  EXPECT_FALSE(q.PopFor(20ms).has_value());
-  EXPECT_GE(std::chrono::steady_clock::now() - t0, 15ms);
-  // Non-positive timeout behaves like TryPop.
-  EXPECT_FALSE(q.PopFor(-1ms).has_value());
-}
-
 TEST(BoundedQueueTest, PopBlocksUntilPush) {
   BoundedQueue<int> q(2);
   std::thread producer([&] {
@@ -90,7 +76,6 @@ TEST(BoundedQueueTest, CloseDrainsThenTerminates) {
   EXPECT_EQ(q.Pop(), 1);
   EXPECT_EQ(q.Pop(), 2);
   EXPECT_FALSE(q.Pop().has_value());
-  EXPECT_FALSE(q.PopFor(1ms).has_value());
 }
 
 TEST(BoundedQueueTest, CloseWakesBlockedPop) {

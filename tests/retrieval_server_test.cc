@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -380,6 +381,46 @@ TEST(RetrievalServerTest, StopUnblocksClientsAndClientsReportUnavailable) {
       {stack.QueryDx(stack.query_ids[0]), RetrievalOptions(1, 5)});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+}
+
+/// This process's virtual size in KiB, from /proc/self/status.
+size_t VmSizeKib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoul(line.substr(7));
+  }
+  return 0;
+}
+
+TEST(RetrievalServerTest, ClosedConnectionsReleaseTheirHandlerThreads) {
+  // Every client-side RPC failure drops its socket, so a long-running
+  // server sees a steady stream of short connections.  Each one's
+  // handler thread must be joined once it exits, not at Stop: an
+  // unjoined thread keeps its stack mapped (~8 MiB of VmSize each).
+  Stack stack(30, 1, 51);
+  RetrievalServer server(stack.engine.get(), ServerOptions());
+  ASSERT_TRUE(server.Start(0).ok());
+  WireRequest info;
+  info.op = WireOp::kInfo;
+  const std::string payload = EncodeRequest(info);
+  const size_t before_kib = VmSizeKib();
+  ASSERT_GT(before_kib, 0u);
+  constexpr int kCycles = 250;
+  for (int i = 0; i < kCycles; ++i) {
+    auto sock = Socket::Connect("127.0.0.1", server.port(), FastTransport());
+    ASSERT_TRUE(sock.ok()) << sock.status().message();
+    // One round trip, so the server has spawned this connection's
+    // handler before the client hangs up.
+    ASSERT_TRUE(sock.value().SendFrame(payload).ok());
+    ASSERT_TRUE(sock.value().RecvFrame().ok());
+  }
+  const int64_t growth_mib = (static_cast<int64_t>(VmSizeKib()) -
+                              static_cast<int64_t>(before_kib)) /
+                             1024;
+  // Unjoined, 250 handler stacks would add ~2 GiB.
+  EXPECT_LT(growth_mib, 256) << "VmSize grew " << growth_mib << " MiB over "
+                              << kCycles << " connections";
 }
 
 TEST(RetrievalServerTest, TraceSpansAreGraftedAcrossTheWire) {

@@ -1,7 +1,8 @@
-// Socket transport tests: framing round trips, the EOF taxonomy (clean
-// close vs mid-frame), oversized frames refused before allocation, read
-// timeouts, connection refusal, and listener shutdown from another
-// thread.
+// Socket transport tests: framing round trips however the peer splits
+// its frames into sends, the EOF taxonomy (clean close vs mid-frame),
+// oversized frames refused before allocation, read timeouts, buffered
+// bytes counting as a non-idle socket, connection refusal, and listener
+// shutdown from another thread.
 #include "src/net/socket_transport.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <arpa/inet.h>
 #include <errno.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <string.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -80,21 +82,107 @@ TEST(SocketTransportTest, CleanCloseBetweenFramesIsUnavailable) {
   EXPECT_EQ(frame.status().code(), StatusCode::kUnavailable);
 }
 
-/// Writes raw bytes to a loopback port, bypassing Socket's framing —
-/// how a test impersonates a peer that violates the protocol.
-void RawWriteAndClose(uint16_t port, const std::string& bytes) {
+/// A raw TCP connection to a loopback port, bypassing Socket's framing —
+/// how a test impersonates a peer that violates the protocol or splits
+/// its frames differently.  -1 on failure.
+int RawConnect(uint16_t port) {
   int fd = socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
+  if (fd < 0) return -1;
   struct sockaddr_in addr;
   memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(
-      connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)),
-      0);
+  if (connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    close(fd);
+    return -1;
+  }
+  int one = 1;
+  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return fd;
+}
+
+void RawWriteAndClose(uint16_t port, const std::string& bytes) {
+  int fd = RawConnect(port);
+  ASSERT_GE(fd, 0);
   ASSERT_EQ(send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(bytes.size()));
+  close(fd);
+}
+
+/// `[u32 length][payload]`, as SendFrame writes it.
+std::string Framed(const std::string& payload) {
+  uint32_t len = static_cast<uint32_t>(payload.size());
+  return std::string(reinterpret_cast<const char*>(&len), sizeof(len)) +
+         payload;
+}
+
+TEST(SocketTransportTest, TwoFramesInOneSendComeBackAsTwo) {
+  auto listener = ServerSocket::Listen(0, FastOptions());
+  ASSERT_TRUE(listener.ok());
+  const std::string bytes = Framed("first") + Framed("second frame");
+  std::thread peer([port = listener.value().port(), bytes] {
+    RawWriteAndClose(port, bytes);
+  });
+  auto accepted = listener.value().Accept();
+  ASSERT_TRUE(accepted.ok());
+  auto f1 = accepted.value().RecvFrame();
+  auto f2 = accepted.value().RecvFrame();
+  ASSERT_TRUE(f1.ok() && f2.ok());
+  EXPECT_EQ(f1.value(), "first");
+  EXPECT_EQ(f2.value(), "second frame");
+  // Then the peer's FIN, cleanly at a frame boundary.
+  auto eof = accepted.value().RecvFrame();
+  ASSERT_FALSE(eof.ok());
+  EXPECT_EQ(eof.status().code(), StatusCode::kUnavailable);
+  peer.join();
+}
+
+TEST(SocketTransportTest, FrameSentOneBytePerSendReassembles) {
+  auto listener = ServerSocket::Listen(0, FastOptions());
+  ASSERT_TRUE(listener.ok());
+  const std::string bytes = Framed("dribbled payload");
+  std::thread peer([port = listener.value().port(), bytes] {
+    int fd = RawConnect(port);
+    ASSERT_GE(fd, 0);
+    for (char c : bytes) {
+      ASSERT_EQ(send(fd, &c, 1, MSG_NOSIGNAL), 1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    close(fd);
+  });
+  auto accepted = listener.value().Accept();
+  ASSERT_TRUE(accepted.ok());
+  auto frame = accepted.value().RecvFrame();
+  ASSERT_TRUE(frame.ok()) << frame.status().message();
+  EXPECT_EQ(frame.value(), "dribbled payload");
+  peer.join();
+}
+
+TEST(SocketTransportTest, BytesBufferedPastAFrameReadAsStale) {
+  // Both frames arrive in one segment, so the first RecvFrame's read
+  // takes the second frame into the socket's buffer too: the kernel
+  // queue is empty, but the connection is not idle.
+  auto listener = ServerSocket::Listen(0, FastOptions());
+  ASSERT_TRUE(listener.ok());
+  int fd = RawConnect(listener.value().port());
+  ASSERT_GE(fd, 0);
+  auto accepted = listener.value().Accept();
+  ASSERT_TRUE(accepted.ok());
+  Socket& sock = accepted.value();
+  EXPECT_FALSE(sock.StaleWhileIdle());
+  const std::string bytes = Framed("one") + Framed("two");
+  ASSERT_EQ(send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+  auto first = sock.RecvFrame();
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first.value(), "one");
+  EXPECT_TRUE(sock.StaleWhileIdle());
+  auto second = sock.RecvFrame();
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second.value(), "two");
+  EXPECT_FALSE(sock.StaleWhileIdle());  // drained, peer still connected
   close(fd);
 }
 
@@ -173,6 +261,22 @@ TEST(SocketTransportTest, ReadTimeoutIsDeadlineExceeded) {
   auto frame = pair.server_side.RecvFrame();  // nobody will write
   ASSERT_FALSE(frame.ok());
   EXPECT_EQ(frame.status().code(), StatusCode::kDeadlineExceeded);
+}
+
+TEST(SocketTransportTest, LoweredReadTimeoutFiresAfterARepeatedValue) {
+  // Re-setting the installed timeout is skipped; a later, lower value
+  // must still reach the kernel and bound the wait.
+  Pair pair = MakePair();
+  ASSERT_TRUE(pair.server_side.SetReadTimeout(FastOptions().read_timeout).ok());
+  ASSERT_TRUE(pair.server_side.SetReadTimeout(FastOptions().read_timeout).ok());
+  ASSERT_TRUE(
+      pair.server_side.SetReadTimeout(std::chrono::milliseconds(40)).ok());
+  const auto start = std::chrono::steady_clock::now();
+  auto frame = pair.server_side.RecvFrame();  // nobody will write
+  const auto waited = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(frame.ok());
+  EXPECT_EQ(frame.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_LT(waited, std::chrono::milliseconds(300));
 }
 
 TEST(SocketTransportTest, ConnectionRefusedIsUnavailable) {
