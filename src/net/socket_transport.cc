@@ -131,7 +131,7 @@ StatusOr<Socket> Socket::Connect(const std::string& host, uint16_t port,
 }
 
 Status Socket::Configure() {
-  QSE_RETURN_IF_ERROR(InstallReadTimeout(options_.read_timeout));
+  QSE_RETURN_IF_ERROR(SetReadTimeout(options_.read_timeout));
   QSE_RETURN_IF_ERROR(SetTimeoutOpt(fd_, SO_SNDTIMEO,
                                     TimeoutMicros(options_.write_timeout)));
   int one = 1;
@@ -201,10 +201,6 @@ StatusOr<std::string> Socket::RecvFrame() {
 
 Status Socket::SetReadTimeout(std::chrono::nanoseconds timeout) {
   if (fd_ < 0) return Status::Unavailable("socket is closed");
-  return InstallReadTimeout(timeout);
-}
-
-Status Socket::InstallReadTimeout(std::chrono::nanoseconds timeout) {
   const int64_t us = TimeoutMicros(timeout);
   if (us == read_timeout_us_) return Status::OK();
   QSE_RETURN_IF_ERROR(SetTimeoutOpt(fd_, SO_RCVTIMEO, us));

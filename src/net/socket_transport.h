@@ -109,8 +109,6 @@ class Socket {
   /// Installs the read and write timeouts and TCP_NODELAY on a freshly
   /// connected or accepted socket.
   Status Configure();
-  /// Installs SO_RCVTIMEO unless `timeout` is already installed.
-  Status InstallReadTimeout(std::chrono::nanoseconds timeout);
   /// Buffers at least n bytes (n <= kReadBufferBytes) at a frame start:
   /// EOF with nothing buffered is a clean close (kUnavailable), EOF after
   /// a partial frame is kDataLoss.

@@ -72,6 +72,8 @@ Status RequireExhausted(const ByteReader& r) {
 }  // namespace
 
 std::string EncodeRequest(const WireRequest& request) {
+  // Reserved to the exact size: the preamble, 42 bytes of fixed fields,
+  // then the query.
   PayloadWriter w(kPreambleBytes + 42 + 8 * request.query.size());
   w.PutPreamble(static_cast<uint16_t>(request.op));
   w.Put<uint64_t>(request.deadline_budget_ns);
@@ -117,6 +119,8 @@ Status DecodeRequest(const std::string& payload, WireRequest* out) {
 }
 
 std::string EncodeResponse(const WireResponse& response) {
+  // Reserved to the exact size: the preamble, 81 bytes of fixed fields
+  // and counts, then the message and the repeated groups.
   size_t size = kPreambleBytes + 81 + response.message.size() +
                 16 * response.neighbors.size() +
                 16 * response.shard_stats.size();
