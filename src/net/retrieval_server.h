@@ -89,6 +89,8 @@ class RetrievalServer {
   void ServeConnection(std::shared_ptr<Socket> conn);
   /// Executes one decoded request against the backend.
   WireResponse Handle(const WireRequest& request);
+  /// Joins the handler threads that have exited so far.
+  void JoinFinished();
 
   RetrievalBackend* backend_;
   RetrievalServerOptions options_;
@@ -97,9 +99,6 @@ class RetrievalServer {
   std::thread acceptor_;
   std::atomic<bool> stopping_{false};
   std::atomic<size_t> scan_count_{0};
-
-  /// Joins the handler threads that have exited so far.
-  void JoinFinished();
 
   /// Live connections, so Stop can ShutdownBoth each socket and wake
   /// threads blocked in RecvFrame.  Each handler thread sits in
