@@ -1,16 +1,12 @@
 #include "bench/harness.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <iomanip>
 #include <sstream>
 
 #include "src/data/digit_generator.h"
-#include "src/obs/exposition.h"
 #include "src/data/timeseries_generator.h"
 #include "src/distance/dtw.h"
 #include "src/matching/shape_context_distance.h"
@@ -275,78 +271,9 @@ MethodLadder RunFastMap(const Workload& workload, const GroundTruth& gt,
   return result;
 }
 
-namespace {
-
-/// Writes `content` to `path` whole; shared by the metric exporters.
-Status WriteTextFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open " + path);
-  out << content;
-  out.flush();
-  if (!out) return Status::IOError("failed writing " + path);
-  return Status::OK();
-}
-
-}  // namespace
-
-Status WriteMetricsJson(const std::string& path,
-                        const obs::MetricRegistry& registry) {
-  return WriteTextFile(path, obs::MetricsJson(registry));
-}
-
-Status WriteMetricsPrometheus(const std::string& path,
-                              const obs::MetricRegistry& registry) {
-  return WriteTextFile(path, obs::PrometheusText(registry));
-}
-
 std::string ResultsPath(const std::string& stem) {
   std::filesystem::create_directories("bench_results");
   return "bench_results/" + stem + ".csv";
-}
-
-LatencyPercentiles ComputeLatencyPercentiles(std::vector<double> latencies) {
-  LatencyPercentiles p;
-  if (latencies.empty()) return p;
-  // One sort, three nearest-rank reads (same definition as
-  // QuantileNearestRank: smallest v with >= ceil(q * n) samples <= v).
-  std::sort(latencies.begin(), latencies.end());
-  auto rank = [&](double q) {
-    size_t r = static_cast<size_t>(std::ceil(q * latencies.size()));
-    return latencies[std::max<size_t>(r, 1) - 1];
-  };
-  p.p50 = rank(0.50);
-  p.p95 = rank(0.95);
-  p.p99 = rank(0.99);
-  return p;
-}
-
-void BenchJsonEntry::AddPercentiles(const LatencyPercentiles& p) {
-  extras.emplace_back("p50", p.p50);
-  extras.emplace_back("p95", p.p95);
-  extras.emplace_back("p99", p.p99);
-}
-
-Status WriteBenchJson(const std::string& path,
-                      const std::vector<BenchJsonEntry>& entries) {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open " + path);
-  out << "{\n  \"benchmarks\": [\n";
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const BenchJsonEntry& e = entries[i];
-    out << "    {\n"
-        << "      \"name\": \"" << e.name << "\",\n"
-        << "      \"run_type\": \"iteration\",\n"
-        << "      \"real_time\": " << std::setprecision(17) << e.real_time_ns
-        << ",\n      \"time_unit\": \"ns\"";
-    for (const auto& [key, value] : e.extras) {
-      out << ",\n      \"" << key << "\": " << value;
-    }
-    out << "\n    }" << (i + 1 < entries.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  out.flush();
-  if (!out) return Status::IOError("failed writing " + path);
-  return Status::OK();
 }
 
 void WriteSeriesCsv(const std::string& stem,

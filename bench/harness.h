@@ -7,7 +7,6 @@
 
 #include "src/core/trainer.h"
 #include "src/data/dataset.h"
-#include "src/obs/metric_registry.h"
 #include "src/data/distance_cache.h"
 #include "src/distance/series.h"
 #include "src/embedding/fastmap.h"
@@ -119,48 +118,6 @@ void ReportAccuracyTable(const std::string& title, const std::string& stem,
 
 /// Ensures bench_results/ exists and returns the full path for a stem.
 std::string ResultsPath(const std::string& stem);
-
-/// Tail-latency summary of one measured configuration.  Computed with the
-/// nearest-rank quantile (same definition as util/stats.h's
-/// QuantileNearestRank), so p99 is an actual observed sample, not an
-/// interpolation.
-struct LatencyPercentiles {
-  double p50 = 0;
-  double p95 = 0;
-  double p99 = 0;
-};
-
-/// Percentiles of a latency sample (any unit; empty input -> zeros).
-LatencyPercentiles ComputeLatencyPercentiles(std::vector<double> latencies);
-
-/// One benchmark line of a google-benchmark-compatible JSON document:
-/// `real_time_ns` mirrors google-benchmark's "real_time" (mean), and
-/// `extras` carries additional metrics — p50/p95/p99 tail latency, qps —
-/// so tools/check_bench_regressions.py can gate on tails, not just means.
-struct BenchJsonEntry {
-  std::string name;
-  double real_time_ns = 0;
-  std::vector<std::pair<std::string, double>> extras;
-
-  /// Attaches p50/p95/p99 (in nanoseconds) to this entry.
-  void AddPercentiles(const LatencyPercentiles& p);
-};
-
-/// Writes `{"benchmarks": [...]}` in the google-benchmark JSON shape read
-/// by tools/check_bench_regressions.py and the CI artifact tooling.
-Status WriteBenchJson(const std::string& path,
-                      const std::vector<BenchJsonEntry>& entries);
-
-/// Writes a metric-registry snapshot as the obs::MetricsJson document
-/// ({"counters":...,"gauges":...,"histograms":...}) — the CI metrics
-/// artifact tools/check_bench_regressions.py applies presence floors to.
-Status WriteMetricsJson(const std::string& path,
-                        const obs::MetricRegistry& registry);
-
-/// Writes the same snapshot in Prometheus text exposition (0.0.4), the
-/// scrape-shaped twin of WriteMetricsJson for dashboards and diffing.
-Status WriteMetricsPrometheus(const std::string& path,
-                              const obs::MetricRegistry& registry);
 
 /// Writes the full k = 1..kmax cost series (one column per method) for a
 /// fixed accuracy — the machine-readable form of one panel of Fig. 4/5.

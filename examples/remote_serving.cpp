@@ -15,9 +15,9 @@
 //
 // This example wires the full topology inside one process — two
 // RetrievalServers on ephemeral ports with real sockets between them —
-// so it runs anywhere without fork/exec.  The multi-process version of
-// the same topology (child servers spawned via fork/exec) is the
-// SL_Remote scenario in bench/server_load.cc.
+// so it runs anywhere without fork/exec.  perfbench's remote_wire
+// workload measures the same topology: a sharded router over two
+// loopback RetrievalServers.
 //
 // Build: cmake --build build && ./build/examples/remote_serving
 #include <chrono>

@@ -14,49 +14,41 @@ namespace obs {
 
 PageHinkleyDetector::PageHinkleyDetector(PageHinkleyOptions options)
     : options_(options) {
-  QSE_CHECK_MSG(options_.lambda > 0 && options_.mean_window > 0,
-                "PageHinkleyDetector needs lambda > 0 and mean_window > 0");
+  QSE_CHECK_MSG(options_.lambda_sd > 0,
+                "PageHinkleyDetector needs lambda_sd > 0");
 }
 
-void PageHinkleyDetector::Reset() {
+void PageHinkleyDetector::Rebaseline() {
   n_ = 0;
   mean_ = 0.0;
+  m2_ = 0.0;
   mh_ = 0.0;
   max_mh_ = 0.0;
-  alarmed_ = false;
-  healthy_streak_ = 0;
 }
 
 bool PageHinkleyDetector::Update(double x) {
   ++n_;
-  // Running mean with a capped effective count: adapts to a sustained
-  // shift with time constant ~mean_window instead of remembering the
-  // whole pre-shift history forever.
-  const double weight =
-      static_cast<double>(std::min(n_, options_.mean_window));
-  mean_ += (x - mean_) / weight;
-  mh_ += x - mean_ + options_.delta;
+  const double deviation = x - mean_;
+  mean_ += deviation / static_cast<double>(n_);
+  m2_ += deviation * (x - mean_);
+  const double sd = std::sqrt(m2_ / static_cast<double>(n_));
+  const double z = sd > 0 ? (x - mean_) / sd : 0.0;
+  mh_ += z + options_.delta_sd;
   max_mh_ = std::max(max_mh_, mh_);
+  if (n_ < options_.min_samples) return false;
 
-  if (!alarmed_) {
-    if (n_ >= options_.min_samples && max_mh_ - mh_ > options_.lambda) {
-      alarmed_ = true;
-      healthy_streak_ = 0;
-      return true;
-    }
-    return false;
+  if (max_mh_ - mh_ > options_.lambda_sd) {
+    // Learn the new level from the next sample on.  A trip while already
+    // alarmed means the level is still falling: the alarm stays up.
+    Rebaseline();
+    if (alarmed_) return false;
+    alarmed_ = true;
+    return true;
   }
-  // Alarmed: hysteresis.  A sample back within delta of the
-  // (re-converging) mean is healthy; clear_after of them in a row
-  // clears the alarm and re-baselines the whole detector.
-  if (x + options_.delta >= mean_) {
-    ++healthy_streak_;
-    if (healthy_streak_ >= options_.clear_after) {
-      Reset();
-      return true;
-    }
-  } else {
-    healthy_streak_ = 0;
+  if (alarmed_ && n_ >= options_.clear_after) {
+    alarmed_ = false;
+    Rebaseline();
+    return true;
   }
   return false;
 }
@@ -242,13 +234,14 @@ void QualityMonitor::ProcessAudit(AuditTask& task) {
 
   // Drift detection on per-audit recall.
   uint64_t mark_start = TraceNowNs(task.trace.get());
+  const double baseline = detector_.mean();  // Update re-baselines on alarm.
   if (detector_.Update(recall)) {
     if (detector_.alarmed()) {
       drift_alarm_->Set(1);
       drift_alarms_->Increment();
       QSE_LOG_WARN("quality drift alarm RAISED: windowed recall@k "
-                   << recall_gauge_->Value() << ", detector mean "
-                   << detector_.mean() << " after "
+                   << recall_gauge_->Value() << ", detector baseline "
+                   << baseline << " after "
                    << audits_completed_->Value() + 1 << " audits");
       TraceMark(task.trace.get(), "quality_drift_alarm", mark_start);
     } else {

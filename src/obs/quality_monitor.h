@@ -17,36 +17,42 @@ namespace qse {
 namespace obs {
 
 /// Page-Hinkley change detector for a DOWNWARD shift in the mean of a
-/// bounded quality signal (per-audit recall).  Classic cumulative test:
-/// feed x_t, accumulate m_t += x_t - mean_t + delta against a running
-/// mean, track M_t = max m_t, and alarm once the gap M_t - m_t exceeds
-/// lambda — i.e. the signal has run persistently below its own mean by
-/// more than the delta tolerance.  The running mean uses a capped sample
-/// count (mean_window), so after a sustained shift it re-converges to
-/// the new level and the gap stops growing; hysteresis then clears the
-/// alarm after clear_after consecutive samples back within delta of the
-/// (re-converged) mean, and clearing resets ALL state — the detector
-/// re-baselines at the new level, so a recurrent shift alarms again.
+/// noisy quality signal (per-audit recall), in the signal's own noise
+/// units.  Each sample x_t is standardised against the running mean and
+/// spread of every sample since the last (re)baseline, z_t = (x_t -
+/// mean_t) / sd_t, with x_t itself included in both, so |z_t| <=
+/// sqrt(n - 1) and a noiseless history still gives finite steps.  The
+/// cumulative test then accumulates m_t += z_t + delta_sd, tracks M_t =
+/// max m_t, and alarms once the gap M_t - m_t exceeds lambda_sd: the
+/// signal has run below its own mean by more than delta_sd standard
+/// deviations per sample, for long enough to sum past lambda_sd.
+///
+/// On an alarm the detector re-baselines (mean, spread and the cumulative
+/// test restart from the next sample) so it learns the new level.  The
+/// alarm stays raised while the re-baselined test keeps tripping (the
+/// level is still falling) and clears after clear_after samples in which
+/// it does not; clearing re-baselines again, so a recurrent shift
+/// alarms again.
 ///
 /// Detects *change*, not low absolute quality: a database that always
 /// had 0.6 recall never alarms; one that degrades 0.9 -> 0.6 does.
 /// Not thread-safe — the QualityMonitor feeds it from its single audit
 /// worker.
 struct PageHinkleyOptions {
-  /// Tolerated per-sample slack below the running mean; dips smaller
-  /// than this never accumulate toward an alarm.
-  double delta = 0.01;
-  /// Alarm threshold on the cumulative gap.  With recall in [0, 1] a
-  /// drop of size D alarms after about lambda / D degraded samples.
-  double lambda = 1.0;
-  /// Samples before the test is armed (warmup for the running mean).
+  /// Tolerated per-sample slack below the running mean, in standard
+  /// deviations of the input.  A shift smaller than this never
+  /// accumulates toward an alarm.
+  double delta_sd = 0.25;
+  /// Alarm threshold on the cumulative gap, in standard deviations of
+  /// the input.  A shift of D standard deviations alarms after about
+  /// lambda_sd / (D - delta_sd) samples; a stationary signal crosses it
+  /// about once per exp(2 * delta_sd * lambda_sd) / (2 * delta_sd^2)
+  /// samples (tens of millions at the defaults, for Gaussian noise).
+  double lambda_sd = 30.0;
+  /// Samples after each (re)baseline before the test is armed.
   size_t min_samples = 16;
-  /// Consecutive healthy samples (within delta of the mean) that clear
-  /// an active alarm.
+  /// Samples without a further drop that clear an active alarm.
   size_t clear_after = 32;
-  /// Cap on the running mean's effective sample count — its adaptation
-  /// time constant after a shift.
-  size_t mean_window = 32;
 };
 
 class PageHinkleyDetector {
@@ -58,20 +64,21 @@ class PageHinkleyDetector {
   bool Update(double x);
 
   bool alarmed() const { return alarmed_; }
-  /// Samples since construction or the last clear (re-baseline).
+  /// Samples since construction or the last re-baseline.
   size_t samples() const { return n_; }
   double mean() const { return mean_; }
 
  private:
-  void Reset();
+  /// Restarts the mean, spread and cumulative test; keeps alarmed_.
+  void Rebaseline();
 
   PageHinkleyOptions options_;
   size_t n_ = 0;
   double mean_ = 0.0;
+  double m2_ = 0.0;  // Sum of squared deviations from mean_ (Welford).
   double mh_ = 0.0;
   double max_mh_ = 0.0;
   bool alarmed_ = false;
-  size_t healthy_streak_ = 0;
 };
 
 /// The serving path's answer for one sampled query, in database-id

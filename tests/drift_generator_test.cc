@@ -1,4 +1,4 @@
-// Tests for the drifting distance oracle behind the SL_Drift scenarios:
+// Tests for the drifting distance oracle behind the drift suites:
 // the DriftFactor schedule algebra, seed determinism, the step clock's
 // effect on distances, and position/distance consistency.
 #include "src/data/drift_generator.h"
@@ -7,7 +7,7 @@
 
 #include <cmath>
 
-#include "bench/drift_scenarios.h"
+#include "tests/test_util.h"
 
 namespace qse {
 namespace {
@@ -20,7 +20,7 @@ TEST(DriftFactorTest, NoneIsAlwaysZero) {
 }
 
 TEST(DriftFactorTest, AbruptStepsFromZeroToOneAtOnset) {
-  DriftSchedule schedule = bench::AbruptDrift(/*onset=*/10);
+  DriftSchedule schedule = test::AbruptDrift(/*onset=*/10);
   EXPECT_EQ(DriftFactor(schedule, 0), 0.0);
   EXPECT_EQ(DriftFactor(schedule, 9), 0.0);
   EXPECT_EQ(DriftFactor(schedule, 10), 1.0);
@@ -28,7 +28,7 @@ TEST(DriftFactorTest, AbruptStepsFromZeroToOneAtOnset) {
 }
 
 TEST(DriftFactorTest, GradualRampsLinearlyAndSaturates) {
-  DriftSchedule schedule = bench::GradualDrift(/*onset=*/10, /*ramp=*/5);
+  DriftSchedule schedule = test::GradualDrift(/*onset=*/10, /*ramp=*/5);
   EXPECT_EQ(DriftFactor(schedule, 9), 0.0);
   EXPECT_DOUBLE_EQ(DriftFactor(schedule, 10), 0.2);
   EXPECT_DOUBLE_EQ(DriftFactor(schedule, 12), 0.6);
@@ -37,7 +37,7 @@ TEST(DriftFactorTest, GradualRampsLinearlyAndSaturates) {
 }
 
 TEST(DriftFactorTest, RecurrentAlternatesDriftedAndCleanBlocks) {
-  DriftSchedule schedule = bench::RecurrentDrift(/*onset=*/4, /*period=*/3);
+  DriftSchedule schedule = test::RecurrentDrift(/*onset=*/4, /*period=*/3);
   EXPECT_EQ(DriftFactor(schedule, 3), 0.0);  // pre-onset
   for (size_t s = 4; s < 7; ++s) EXPECT_EQ(DriftFactor(schedule, s), 1.0);
   for (size_t s = 7; s < 10; ++s) EXPECT_EQ(DriftFactor(schedule, s), 0.0);
@@ -45,9 +45,9 @@ TEST(DriftFactorTest, RecurrentAlternatesDriftedAndCleanBlocks) {
 }
 
 TEST(DriftingPointOracleTest, SameSeedIsDeterministic) {
-  DriftingPointOracle a(20, 3, bench::AbruptDrift(5), 99);
-  DriftingPointOracle b(20, 3, bench::AbruptDrift(5), 99);
-  DriftingPointOracle c(20, 3, bench::AbruptDrift(5), 100);
+  DriftingPointOracle a(20, 3, test::AbruptDrift(5), 99);
+  DriftingPointOracle b(20, 3, test::AbruptDrift(5), 99);
+  DriftingPointOracle c(20, 3, test::AbruptDrift(5), 100);
   a.SetStep(7);
   b.SetStep(7);
   c.SetStep(7);
@@ -62,7 +62,7 @@ TEST(DriftingPointOracleTest, SameSeedIsDeterministic) {
 }
 
 TEST(DriftingPointOracleTest, DistancesFrozenUntilOnsetThenChange) {
-  DriftingPointOracle oracle(30, 2, bench::AbruptDrift(8, 0.35), 7);
+  DriftingPointOracle oracle(30, 2, test::AbruptDrift(8, 0.35), 7);
   std::vector<double> at_zero;
   for (size_t i = 0; i < 30; ++i) at_zero.push_back(oracle.Distance(0, i));
   oracle.SetStep(7);  // last clean step
@@ -80,7 +80,7 @@ TEST(DriftingPointOracleTest, DistancesFrozenUntilOnsetThenChange) {
 }
 
 TEST(DriftingPointOracleTest, MetricBasicsHoldWhileDrifted) {
-  DriftingPointOracle oracle(25, 4, bench::AbruptDrift(0, 0.5), 21);
+  DriftingPointOracle oracle(25, 4, test::AbruptDrift(0, 0.5), 21);
   oracle.SetStep(3);
   for (size_t i = 0; i < 25; ++i) {
     EXPECT_EQ(oracle.Distance(i, i), 0.0);
@@ -92,7 +92,7 @@ TEST(DriftingPointOracleTest, MetricBasicsHoldWhileDrifted) {
 }
 
 TEST(DriftingPointOracleTest, DistanceMatchesDisplacedPositions) {
-  DriftingPointOracle oracle(10, 3, bench::GradualDrift(2, 10, 0.4), 5);
+  DriftingPointOracle oracle(10, 3, test::GradualDrift(2, 10, 0.4), 5);
   oracle.SetStep(6);  // mid-ramp: factor 0.5, displacement 0.2
   EXPECT_DOUBLE_EQ(oracle.CurrentDisplacement(), 0.2);
   for (size_t i = 0; i < 10; ++i) {
@@ -109,7 +109,7 @@ TEST(DriftingPointOracleTest, DistanceMatchesDisplacedPositions) {
 }
 
 TEST(DriftingPointOracleTest, RecurrentReturnsExactlyToBaseGeometry) {
-  DriftingPointOracle oracle(15, 2, bench::RecurrentDrift(4, 4, 0.3), 3);
+  DriftingPointOracle oracle(15, 2, test::RecurrentDrift(4, 4, 0.3), 3);
   std::vector<double> clean;
   for (size_t i = 0; i < 15; ++i) clean.push_back(oracle.Distance(1, i));
   oracle.SetStep(5);  // drifted block

@@ -16,6 +16,7 @@
 #include "src/core/training_context.h"
 #include "src/core/weak_classifier.h"
 #include "src/data/dataset.h"
+#include "src/data/drift_generator.h"
 #include "src/distance/lp.h"
 #include "src/retrieval/embedded_database.h"
 #include "src/retrieval/retrieval_backend.h"
@@ -118,6 +119,35 @@ inline void ExpectDbsIdentical(const EmbeddedDatabase& a,
   EXPECT_TRUE(SameBytes(va.data(), vb.data(), cells * sizeof(double)));
   EXPECT_TRUE(SameBytes(va.ids(), vb.ids(), va.size() * sizeof(size_t)));
   EXPECT_EQ(va.has_i8(), vb.has_i8());
+}
+
+/// The drift scenarios the drift suites share.  `onset` is in workload
+/// steps; magnitudes are in point-coordinate units over [0,1]^d, where
+/// 0.35 costs a frozen embedding a large recall fraction.
+inline DriftSchedule AbruptDrift(size_t onset, double magnitude = 0.35) {
+  DriftSchedule s;
+  s.kind = DriftKind::kAbrupt;
+  s.onset = onset;
+  s.magnitude = magnitude;
+  return s;
+}
+
+/// Linear ramp over `ramp` steps from `onset`.
+inline DriftSchedule GradualDrift(size_t onset, size_t ramp,
+                                  double magnitude = 0.35) {
+  DriftSchedule s = AbruptDrift(onset, magnitude);
+  s.kind = DriftKind::kGradual;
+  s.ramp = ramp;
+  return s;
+}
+
+/// Drifted and clean blocks of `period` steps, alternating from `onset`.
+inline DriftSchedule RecurrentDrift(size_t onset, size_t period,
+                                    double magnitude = 0.35) {
+  DriftSchedule s = AbruptDrift(onset, magnitude);
+  s.kind = DriftKind::kRecurrent;
+  s.period = period;
+  return s;
 }
 
 }  // namespace test

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -281,6 +282,37 @@ TEST(EndToEndTraceTest, SampledShardedServerRequestCoversItsWallClock) {
         << name;
   }
 
+  server.Shutdown(AsyncRetrievalServer::DrainMode::kDrain);
+#endif  // QSE_DISABLE_TRACING
+}
+
+TEST(EndToEndTraceTest, SampledRequestRecordsOneSpanPerStage) {
+#ifdef QSE_DISABLE_TRACING
+  GTEST_SKIP() << "tracing compiled out (QSE_DISABLE_TRACING)";
+#else
+  // What sampling costs a request, in spans: one per server and engine
+  // stage, one scan span per shard, and nothing per row or candidate.
+  TraceStack s;
+  AsyncServerOptions options;
+  options.trace_every_n = 1;
+  AsyncRetrievalServer server(&s.sharded, options);
+  std::map<std::string, size_t> want;
+  for (const char* stage :
+       {"admit", "queue", "execute", "request", "embed", "merge", "refine"}) {
+    want[stage] = 1;
+  }
+  want["shard_scan"] = s.sharded.num_shards();
+  for (size_t p : {size_t{3}, size_t{10}, size_t{60}}) {
+    auto got =
+        server.Retrieve({s.QueryDx(s.query_ids[2]), RetrievalOptions(3, p)});
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_NE(got.value().trace, nullptr);
+    std::map<std::string, size_t> per_stage;
+    for (const TraceSpan& span : got.value().trace->spans()) {
+      ++per_stage[span.name];
+    }
+    EXPECT_EQ(per_stage, want) << "p = " << p;
+  }
   server.Shutdown(AsyncRetrievalServer::DrainMode::kDrain);
 #endif  // QSE_DISABLE_TRACING
 }
