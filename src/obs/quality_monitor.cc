@@ -26,13 +26,21 @@ void PageHinkleyDetector::Rebaseline() {
   max_mh_ = 0.0;
 }
 
+namespace {
+// Winsorising bound on a standardised sample.  A tiny running spread
+// (perfect audits with a rare miss) otherwise standardises one miss to
+// tens of standard deviations, enough to pass lambda_sd on its own.
+constexpr double kMaxAbsZ = 3.0;
+}  // namespace
+
 bool PageHinkleyDetector::Update(double x) {
   ++n_;
   const double deviation = x - mean_;
   mean_ += deviation / static_cast<double>(n_);
   m2_ += deviation * (x - mean_);
   const double sd = std::sqrt(m2_ / static_cast<double>(n_));
-  const double z = sd > 0 ? (x - mean_) / sd : 0.0;
+  const double z =
+      sd > 0 ? std::clamp((x - mean_) / sd, -kMaxAbsZ, kMaxAbsZ) : 0.0;
   mh_ += z + options_.delta_sd;
   max_mh_ = std::max(max_mh_, mh_);
   if (n_ < options_.min_samples) return false;

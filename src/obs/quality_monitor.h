@@ -20,12 +20,16 @@ namespace obs {
 /// noisy quality signal (per-audit recall), in the signal's own noise
 /// units.  Each sample x_t is standardised against the running mean and
 /// spread of every sample since the last (re)baseline, z_t = (x_t -
-/// mean_t) / sd_t, with x_t itself included in both, so |z_t| <=
-/// sqrt(n - 1) and a noiseless history still gives finite steps.  The
-/// cumulative test then accumulates m_t += z_t + delta_sd, tracks M_t =
-/// max m_t, and alarms once the gap M_t - m_t exceeds lambda_sd: the
-/// signal has run below its own mean by more than delta_sd standard
-/// deviations per sample, for long enough to sum past lambda_sd.
+/// mean_t) / sd_t, with x_t itself included in both, and winsorised to
+/// [-3, 3].  The cumulative test then accumulates m_t += z_t + delta_sd,
+/// tracks M_t = max m_t, and alarms once the gap M_t - m_t exceeds
+/// lambda_sd: the signal has run below its own mean by more than
+/// delta_sd standard deviations per sample, for long enough to sum past
+/// lambda_sd.  The winsorising caps one sample's step at 3 - delta_sd,
+/// so an alarm takes at least lambda_sd / (3 - delta_sd) low samples
+/// (11 at the defaults): one miss among perfect audits, whose tiny
+/// spread would standardise it to tens of standard deviations, cannot
+/// alarm on its own.
 ///
 /// On an alarm the detector re-baselines (mean, spread and the cumulative
 /// test restart from the next sample) so it learns the new level.  The
@@ -45,9 +49,12 @@ struct PageHinkleyOptions {
   double delta_sd = 0.25;
   /// Alarm threshold on the cumulative gap, in standard deviations of
   /// the input.  A shift of D standard deviations alarms after about
-  /// lambda_sd / (D - delta_sd) samples; a stationary signal crosses it
-  /// about once per exp(2 * delta_sd * lambda_sd) / (2 * delta_sd^2)
-  /// samples (tens of millions at the defaults, for Gaussian noise).
+  /// lambda_sd / (min(D, 3) - delta_sd) samples.  A stationary Gaussian
+  /// signal crosses it about once per exp(2 * delta_sd * lambda_sd) /
+  /// (2 * delta_sd^2) samples (tens of millions at the defaults).  For
+  /// any stationary input, however skewed, the winsorised steps drift
+  /// upward by at least delta_sd - (sqrt(10) - 3) / 2 ~ delta_sd - 0.08
+  /// per sample on average (Scarf's bound on a unit-variance tail past 3).
   double lambda_sd = 30.0;
   /// Samples after each (re)baseline before the test is armed.
   size_t min_samples = 16;

@@ -58,6 +58,39 @@ TEST(PageHinkleyTest, StationarySignalNeverAlarms) {
       }
     }
   }
+  // A healthy high-recall filter: perfect audits with a rare miss.  The
+  // running spread is tiny, so a miss standardises to tens of standard
+  // deviations; no single sample may carry the test past lambda_sd.
+  struct RareMiss {
+    double miss_rate, miss_recall;
+  };
+  for (const RareMiss& miss : {RareMiss{0.001, 0.9}, RareMiss{0.001, 0.99},
+                               RareMiss{0.001, 0.0}, RareMiss{0.02, 0.9}}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      Rng rng(seed);
+      PageHinkleyDetector detector;
+      for (int i = 0; i < 20000; ++i) {
+        detector.Update(rng.Uniform() < miss.miss_rate ? miss.miss_recall
+                                                        : 1.0);
+        ASSERT_FALSE(detector.alarmed())
+            << "miss rate " << miss.miss_rate << " miss recall "
+            << miss.miss_recall << " seed " << seed << " sample " << i;
+      }
+    }
+  }
+  // After b identical samples the next differing one standardises to
+  // -sqrt(b) however small the difference: one 0.9 (or one total miss)
+  // after thousands of perfect audits must not alarm on its own.
+  for (double miss : {0.9, 0.0}) {
+    PageHinkleyDetector detector;
+    for (int i = 0; i < 5000; ++i) detector.Update(1.0);
+    detector.Update(miss);
+    EXPECT_FALSE(detector.alarmed()) << "one miss at " << miss;
+    for (int i = 0; i < 5000; ++i) {
+      detector.Update(1.0);
+      ASSERT_FALSE(detector.alarmed()) << "one miss at " << miss;
+    }
+  }
 }
 
 TEST(PageHinkleyTest, NoisyDropAlarmsWithinBoundOnEveryDriftKind) {
@@ -121,17 +154,18 @@ TEST(PageHinkleyTest, AbruptDropAlarmsWithinExpectedLatency) {
     ASSERT_FALSE(detector.alarmed());
   }
   // After b noiseless samples, the i-th sample of a new level standardises
-  // to exactly -sqrt(b / i): the gap passes lambda_sd on the 4th sample.
-  // Update must return true exactly once, on the raising sample.
+  // to exactly -sqrt(b / i), winsorised to -3 for every i <= 14: the gap
+  // grows by 3 - delta_sd = 2.75 a sample and passes lambda_sd on the
+  // 11th.  Update must return true exactly once, on the raising sample.
   int state_changes = 0;
   int samples_to_alarm = 0;
-  for (int i = 0; i < 10 && !detector.alarmed(); ++i) {
+  for (int i = 0; i < 16 && !detector.alarmed(); ++i) {
     if (detector.Update(0.55)) ++state_changes;
     ++samples_to_alarm;
   }
   EXPECT_TRUE(detector.alarmed());
   EXPECT_EQ(state_changes, 1);
-  EXPECT_LE(samples_to_alarm, 5);
+  EXPECT_EQ(samples_to_alarm, 11);
 }
 
 TEST(PageHinkleyTest, GradualRampAlarmsBeforeBottomingOut) {
