@@ -19,7 +19,7 @@ uint64_t NsSince(MonotonicClock::time_point start) {
 }
 
 bool IsReadOp(WireOp op) {
-  return op == WireOp::kScan || op == WireOp::kRetrieve || op == WireOp::kInfo;
+  return op == WireOp::kScan || op == WireOp::kInfo;
 }
 
 /// Transport faults where a second attempt over a fresh connection can
@@ -234,26 +234,6 @@ StatusOr<ScanCandidatesResult> RemoteRetrievalBackend::TracedScanCandidates(
 StatusOr<RetrievalResponse> RemoteRetrievalBackend::Retrieve(
     const RetrievalRequest& request) const {
   return pipeline_->Retrieve(request);
-}
-
-StatusOr<RetrievalResponse> RemoteRetrievalBackend::RetrieveRaw(
-    const std::vector<double>& raw_query,
-    const RetrievalOptions& options) const {
-  QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
-  WireRequest request;
-  request.op = WireOp::kRetrieve;
-  request.options = options;
-  request.options.audit_monitor = nullptr;
-  request.query = raw_query;
-  auto call = Call(std::move(request));
-  QSE_RETURN_IF_ERROR(call.status());
-  WireResponse& wire = call.value();
-  RetrievalResponse result;
-  result.neighbors = std::move(wire.neighbors);
-  result.exact_distances = static_cast<size_t>(wire.exact_distances);
-  result.embedding_distances = static_cast<size_t>(wire.embedding_distances);
-  result.shard_stats = std::move(wire.shard_stats);
-  return result;
 }
 
 Status RemoteRetrievalBackend::Insert(size_t db_id, const DxToDatabaseFn& dx) {

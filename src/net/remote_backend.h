@@ -22,8 +22,8 @@ namespace net {
 
 struct RemoteBackendOptions {
   TransportOptions transport;
-  /// Idempotent read RPCs (kScan / kRetrieve / kInfo) are retried once
-  /// on kUnavailable / kDataLoss over a fresh connection — a dropped
+  /// Idempotent read RPCs (kScan / kInfo) are retried once on
+  /// kUnavailable / kDataLoss over a fresh connection — a dropped
   /// connection between requests is routine, not an error.  Mutations
   /// are never retried (a duplicate Insert is not idempotent).
   bool retry_reads = true;
@@ -83,14 +83,6 @@ class RemoteRetrievalBackend : public RetrievalBackend {
   Status Insert(size_t db_id, const DxToDatabaseFn& dx) override;
   Status InsertEmbedded(size_t db_id, const Vector& embedded_row) override;
   Status Remove(size_t db_id) override;
-
-  /// Remote full retrieval (kRetrieve) for servers configured with a
-  /// RawQueryResolver: ships the RAW query, embedding and refine both
-  /// run server-side.  Not part of the scatter path — a convenience for
-  /// thin clients that cannot evaluate dx themselves.
-  StatusOr<RetrievalResponse> RetrieveRaw(
-      const std::vector<double>& raw_query,
-      const RetrievalOptions& options) const;
 
   /// Remote size via kInfo; 0 when the peer is unreachable (size() has
   /// no error channel — used for load hints, not correctness).

@@ -197,28 +197,6 @@ WireResponse RetrievalServer::Handle(const WireRequest& request) {
       }
       break;
     }
-    case WireOp::kRetrieve: {
-      if (!options_.raw_query_resolver) {
-        status = Status::FailedPrecondition(
-            "server has no raw-query resolver; use kScan");
-        break;
-      }
-      RetrievalRequest rpc;
-      rpc.dx = options_.raw_query_resolver(request.query);
-      rpc.options = options;
-      rpc.trace = trace;
-      auto retrieved = backend_->Retrieve(rpc);
-      if (retrieved.ok()) {
-        RetrievalResponse result = std::move(retrieved).value();
-        response.neighbors = std::move(result.neighbors);
-        response.exact_distances = result.exact_distances;
-        response.embedding_distances = result.embedding_distances;
-        response.shard_stats = std::move(result.shard_stats);
-      } else {
-        status = retrieved.status();
-      }
-      break;
-    }
     case WireOp::kInsert:
       status = backend_->InsertEmbedded(static_cast<size_t>(request.db_id),
                                         request.query);

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -22,19 +21,8 @@
 namespace qse {
 namespace net {
 
-/// Builds a DxToDatabaseFn from a raw query vector that arrived over the
-/// wire — the server-side counterpart of the dx closure that cannot
-/// cross a process boundary.  Only needed for WireOp::kRetrieve; kScan
-/// (the path the distributed engine uses) ships pre-embedded queries and
-/// needs no resolver.
-using RawQueryResolver =
-    std::function<DxToDatabaseFn(const std::vector<double>& raw_query)>;
-
 struct RetrievalServerOptions {
   TransportOptions transport;
-  /// Resolves kRetrieve raw queries; kRetrieve fails with
-  /// FailedPrecondition when unset.
-  RawQueryResolver raw_query_resolver;
   /// Fault injection for tests and examples: every Nth kScan (per
   /// server, 0 = never) sleeps debug_delay before scanning — a
   /// deterministic slow server for the wire deadline tests.
@@ -51,7 +39,6 @@ struct RetrievalServerOptions {
 /// Request handling:
 ///  * kScan     -> backend->ScanCandidates (candidates already carry
 ///                 database ids).
-///  * kRetrieve -> options.raw_query_resolver + backend->Retrieve.
 ///  * kInsert   -> backend->InsertEmbedded (the row was embedded
 ///                 client-side).
 ///  * kRemove   -> backend->Remove.

@@ -72,15 +72,14 @@ Status RequireExhausted(const ByteReader& r) {
 }  // namespace
 
 std::string EncodeRequest(const WireRequest& request) {
-  // Reserved to the exact size: the preamble, 42 bytes of fixed fields,
+  // Reserved to the exact size: the preamble, 41 bytes of fixed fields,
   // then the query.
-  PayloadWriter w(kPreambleBytes + 42 + 8 * request.query.size());
+  PayloadWriter w(kPreambleBytes + 41 + 8 * request.query.size());
   w.PutPreamble(static_cast<uint16_t>(request.op));
   w.Put<uint64_t>(request.deadline_budget_ns);
   w.Put<uint8_t>(request.want_trace ? 1 : 0);
   w.Put<uint64_t>(request.options.k);
   w.Put<uint64_t>(request.options.p);
-  w.Put<uint8_t>(request.options.want_stats ? 1 : 0);
   w.Put<uint64_t>(request.db_id);
   w.PutDoubleVec(request.query);
   return w.Take();
@@ -90,9 +89,15 @@ Status DecodeRequest(const std::string& payload, WireRequest* out) {
   ByteReader r(payload);
   uint16_t tag = 0;
   QSE_RETURN_IF_ERROR(ReadPreamble(&r, &tag));
-  if (tag < static_cast<uint16_t>(WireOp::kScan) ||
-      tag > static_cast<uint16_t>(WireOp::kInfo)) {
-    return Status::InvalidArgument("unknown wire op " + std::to_string(tag));
+  switch (static_cast<WireOp>(tag)) {
+    case WireOp::kScan:
+    case WireOp::kInsert:
+    case WireOp::kRemove:
+    case WireOp::kInfo:
+      break;
+    default:
+      return Status::InvalidArgument("unknown wire op " +
+                                     std::to_string(tag));
   }
   out->op = static_cast<WireOp>(tag);
   QSE_RETURN_IF_ERROR(r.ReadU64(&out->deadline_budget_ns));
@@ -107,30 +112,21 @@ Status DecodeRequest(const std::string& payload, WireRequest* out) {
   QSE_RETURN_IF_ERROR(r.ReadU64(&p));
   out->options.k = static_cast<size_t>(k);
   out->options.p = static_cast<size_t>(p);
-  uint8_t want_stats = 0;
-  QSE_RETURN_IF_ERROR(r.ReadU8(&want_stats));
-  if (want_stats > 1) {
-    return Status::InvalidArgument("want_stats flag out of range");
-  }
-  out->options.want_stats = want_stats != 0;
   QSE_RETURN_IF_ERROR(r.ReadU64(&out->db_id));
   QSE_RETURN_IF_ERROR(r.ReadDoubleVec(&out->query, kMaxWireDims));
   return RequireExhausted(r);
 }
 
 std::string EncodeResponse(const WireResponse& response) {
-  // Reserved to the exact size: the preamble, 81 bytes of fixed fields
+  // Reserved to the exact size: the preamble, 57 bytes of fixed fields
   // and counts, then the message and the repeated groups.
-  size_t size = kPreambleBytes + 81 + response.message.size() +
-                16 * response.neighbors.size() +
-                16 * response.shard_stats.size();
+  size_t size = kPreambleBytes + 57 + response.message.size() +
+                16 * response.neighbors.size();
   for (const WireSpan& s : response.spans) size += 28 + s.name.size();
   PayloadWriter w(size);
   w.PutPreamble(kResponseTag);
   w.Put<uint8_t>(static_cast<uint8_t>(response.code));
   w.PutString(response.message);
-  w.Put<uint64_t>(response.exact_distances);
-  w.Put<uint64_t>(response.embedding_distances);
   w.Put<uint64_t>(response.rows);
   w.Put<uint64_t>(response.rows_pruned);
   w.Put<uint64_t>(response.rows_prescreened);
@@ -139,11 +135,6 @@ std::string EncodeResponse(const WireResponse& response) {
   for (const ScoredIndex& n : response.neighbors) {
     w.Put<uint64_t>(n.index);
     w.Put<double>(n.score);
-  }
-  w.Put<uint64_t>(response.shard_stats.size());
-  for (const ShardScanStats& s : response.shard_stats) {
-    w.Put<uint64_t>(s.rows);
-    w.Put<uint64_t>(s.candidates);
   }
   w.Put<uint64_t>(response.spans.size());
   for (const WireSpan& s : response.spans) {
@@ -171,8 +162,6 @@ Status DecodeResponse(const std::string& payload, WireResponse* out) {
   }
   out->code = static_cast<StatusCode>(code);
   QSE_RETURN_IF_ERROR(r.ReadString(&out->message, kMaxWireMessage));
-  QSE_RETURN_IF_ERROR(r.ReadU64(&out->exact_distances));
-  QSE_RETURN_IF_ERROR(r.ReadU64(&out->embedding_distances));
   QSE_RETURN_IF_ERROR(r.ReadU64(&out->rows));
   QSE_RETURN_IF_ERROR(r.ReadU64(&out->rows_pruned));
   QSE_RETURN_IF_ERROR(r.ReadU64(&out->rows_prescreened));
@@ -195,22 +184,6 @@ Status DecodeResponse(const std::string& payload, WireResponse* out) {
     QSE_RETURN_IF_ERROR(r.ReadU64(&index));
     QSE_RETURN_IF_ERROR(r.ReadDouble(&score));
     out->neighbors.push_back({static_cast<size_t>(index), score});
-  }
-
-  uint64_t num_stats = 0;
-  QSE_RETURN_IF_ERROR(r.ReadU64(&num_stats));
-  if (num_stats > kMaxWireShardStats || num_stats > r.remaining() / 16) {
-    return Status::DataLoss("shard stat count implausible: " +
-                            std::to_string(num_stats));
-  }
-  out->shard_stats.clear();
-  out->shard_stats.reserve(num_stats);
-  for (uint64_t i = 0; i < num_stats; ++i) {
-    uint64_t rows = 0, candidates = 0;
-    QSE_RETURN_IF_ERROR(r.ReadU64(&rows));
-    QSE_RETURN_IF_ERROR(r.ReadU64(&candidates));
-    out->shard_stats.push_back(
-        {static_cast<size_t>(rows), static_cast<size_t>(candidates)});
   }
 
   uint64_t num_spans = 0;

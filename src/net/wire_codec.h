@@ -12,7 +12,7 @@
 namespace qse {
 namespace net {
 
-/// The QSE wire protocol, version 5.  Version 2 added the kScan
+/// The QSE wire protocol, version 6.  Version 2 added the kScan
 /// response's rows_prescreened counter; version 3 dropped the request's
 /// filter-precision byte, because the exact scan is the only one: a
 /// decoded request is always kExact64, and a sender validates its
@@ -20,8 +20,12 @@ namespace net {
 /// InvalidArgument before anything is sent).  Version 4 dropped the
 /// request's priority byte and tenant string, because admission is one
 /// FIFO queue.  Version 5 dropped the request's u64 num_threads, because
-/// a request no longer picks its execution parallelism.  A frame of any
-/// older version is refused as an unsupported version.
+/// a request no longer picks its execution parallelism.  Version 6
+/// dropped the server-side retrieval op (tag 2, now an unknown op), the
+/// response fields only it filled (exact and embedding distance counts,
+/// per-shard stats) and the request's want_stats byte: a remote read is
+/// a kScan refined by the client.  A frame of any older version is
+/// refused as an unsupported version.
 ///
 /// Every message travels as one length-prefixed frame
 /// (`[u32 length][payload]`, Socket::SendFrame/RecvFrame) whose payload
@@ -44,7 +48,7 @@ namespace net {
 /// enums) is kInvalidArgument.  A decoder never crashes and never
 /// allocates more than the frame it was handed.
 inline constexpr uint32_t kWireMagic = 0x57455351u;  // "QSEW" little-endian
-inline constexpr uint16_t kWireVersion = 5;
+inline constexpr uint16_t kWireVersion = 6;
 
 /// Frames a conforming peer may send; anything larger is a framing error
 /// (kDataLoss) and the connection is dropped without allocating.
@@ -55,12 +59,12 @@ inline constexpr uint32_t kMaxFrameBytes = 64u << 20;
 /// balloon memory).
 inline constexpr uint64_t kMaxWireDims = 1u << 20;
 inline constexpr uint64_t kMaxWireNeighbors = 1u << 22;
-inline constexpr uint64_t kMaxWireShardStats = 1u << 16;
 inline constexpr uint64_t kMaxWireSpans = 8192;
 inline constexpr uint64_t kMaxWireSpanName = 256;
 inline constexpr uint64_t kMaxWireMessage = 1u << 16;
 
-/// Request operations.
+/// Request operations.  Tag 2 named a removed server-side retrieval and
+/// decodes as an unknown op.
 enum class WireOp : uint16_t {
   /// Filter-only scan of the server's backend: `query` is the EMBEDDED
   /// query, the response carries the backend's top-p as (db id, filter
@@ -68,10 +72,6 @@ enum class WireOp : uint16_t {
   /// cannot cross the wire — so a scatter over kScan shards is
   /// bit-identical to an in-process engine over the same shards.
   kScan = 1,
-  /// Full server-side retrieval: `query` is a RAW query vector the
-  /// server resolves to a dx via its configured RawQueryResolver.
-  /// FailedPrecondition when the server has none.
-  kRetrieve = 2,
   /// Insert `query` (an EMBEDDED row) under `db_id`.
   kInsert = 3,
   /// Remove `db_id`.
@@ -87,9 +87,9 @@ inline constexpr uint16_t kResponseTag = 0x8000;
 /// (absolute monotonic times mean nothing to another process); the
 /// REMAINING budget does, and the decoder re-anchors it: DecodeRequest
 /// leaves options.deadline untouched, and RetrievalServer sets it to
-/// arrival + deadline_budget_ns.  options.filter_precision does not cross
-/// either (always kExact64).  options.audit_monitor never crosses
-/// (client-side only).
+/// arrival + deadline_budget_ns.  Of the options only k and p cross:
+/// filter_precision is always kExact64, want_stats is the client's to
+/// fill from the scan's rows, and audit_monitor is client-side only.
 struct WireRequest {
   WireOp op = WireOp::kScan;
   /// Remaining deadline budget at send time, 0 = no deadline.  The
@@ -103,7 +103,7 @@ struct WireRequest {
   RetrievalOptions options;
   /// kInsert / kRemove target.
   uint64_t db_id = 0;
-  /// kScan: embedded query; kRetrieve: raw query; kInsert: embedded row.
+  /// kScan: embedded query; kInsert: embedded row.
   std::vector<double> query;
 };
 
@@ -124,12 +124,8 @@ struct WireSpan {
 struct WireResponse {
   StatusCode code = StatusCode::kOk;
   std::string message;
-  /// kRetrieve: refined top-k.  kScan: the filter top-p candidates.
+  /// kScan: the filter top-p candidates.
   std::vector<ScoredIndex> neighbors;
-  uint64_t exact_distances = 0;
-  uint64_t embedding_distances = 0;
-  /// kRetrieve with want_stats.
-  std::vector<ShardScanStats> shard_stats;
   /// kScan accounting (ScanCandidatesResult::rows / rows_pruned /
   /// rows_prescreened).
   uint64_t rows = 0;

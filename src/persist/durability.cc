@@ -165,8 +165,6 @@ Status DurabilityManager::LogRemove(uint64_t db_id) {
   return Status::OK();
 }
 
-Status DurabilityManager::SyncWal() { return wal_->Sync(); }
-
 bool DurabilityManager::WantsSnapshot() const {
   return options_.snapshot_every_records > 0 &&
          records_since_snapshot_ >= options_.snapshot_every_records;

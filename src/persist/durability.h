@@ -109,9 +109,6 @@ class DurabilityManager {
   Status LogInsert(uint64_t db_id, const std::vector<double>& embedded_row);
   Status LogRemove(uint64_t db_id);
 
-  /// Forces the WAL to disk regardless of policy (checkpoint points).
-  Status SyncWal();
-
   /// Sequence number of the last logged (or compacted-away) record.
   uint64_t last_seq() const { return wal_->last_seq(); }
 

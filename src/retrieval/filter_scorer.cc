@@ -207,22 +207,6 @@ void CheckExact(FilterPrecision precision) {
                                     << " is not a scan; only exact64 is");
 }
 
-/// The unpruned fallback's selection: the p best of a full score vector,
-/// by (score, database id).
-std::vector<ScoredIndex> TopPOfScores(const std::vector<double>& scores,
-                                      const EmbeddedDatabase::View& db,
-                                      size_t p, FilterScanStats* scan_stats) {
-  BoundedTopK top(std::min(p, scores.size()));
-  size_t pruned = 0;
-  for (size_t i = 0; i < scores.size(); ++i) {
-    pruned += !OfferRow(&top, db, i, scores[i]);
-  }
-  if (scan_stats != nullptr) {
-    *scan_stats = FilterScanStats{scores.size(), pruned};
-  }
-  return top.TakeSortedAscending();
-}
-
 std::vector<int8_t> QuantizeQuery(const double* q, const float* scales,
                                   size_t d) {
   std::vector<int8_t> out(d);
@@ -231,15 +215,6 @@ std::vector<int8_t> QuantizeQuery(const double* q, const float* scales,
 }
 
 }  // namespace
-
-std::vector<ScoredIndex> FilterScorer::ScoreTopP(
-    const Vector& embedded_query, const EmbeddedDatabase::View& db, size_t p,
-    FilterPrecision precision, FilterScanStats* scan_stats) const {
-  CheckExact(precision);
-  std::vector<double> scores;
-  Score(embedded_query, db, &scores);
-  return TopPOfScores(scores, db, p, scan_stats);
-}
 
 void QuerySensitiveScorer::Score(const Vector& embedded_query,
                                  const EmbeddedDatabase::View& db,
@@ -321,30 +296,6 @@ std::vector<ScoredIndex> L2Scorer::ScoreTopP(const Vector& embedded_query,
   return TopPScan(db, p, [q, k](const double* x, size_t dd, double t) {
     return k->l2_f64(q, x, dd, t);
   }, scan_stats);
-}
-
-void L1Scorer::Score(const Vector& embedded_query,
-                     const EmbeddedDatabase::View& db,
-                     std::vector<double>* scores) const {
-  const size_t d = db.dims();
-  QSE_CHECK(embedded_query.size() == d);
-  scores->resize(db.size());
-  for (size_t i = 0; i < db.size(); ++i) {
-    (*scores)[i] = L1DistanceSpan(embedded_query.data(), db.row(i), d);
-  }
-}
-
-std::vector<ScoredIndex> L1Scorer::ScoreTopP(const Vector& embedded_query,
-                                             const EmbeddedDatabase::View& db,
-                                             size_t p,
-                                             FilterPrecision precision,
-                                             FilterScanStats* scan_stats)
-    const {
-  CheckExact(precision);
-  // Unit weights: 1.0 * |q_j - x_j| is exact, so wl1_f64 returns l1_f64's
-  // bits and the L1 scan is the weighted-L1 scan, prescreen included.
-  return WeightedL1TopP(embedded_query, Vector(db.dims(), 1.0), db, p,
-                        db.has_i8(), simd::ActiveKernels(), scan_stats);
 }
 
 }  // namespace qse

@@ -37,7 +37,7 @@ inline constexpr size_t kPrescreenBlockRows = 256;
 
 /// Scores an embedded query against every database row; the filter step's
 /// ranking function.  Implementations: the query-sensitive D_out for
-/// BoostMap models, plain L2 for FastMap, plain L1 for Lipschitz.
+/// BoostMap models and plain L2 for FastMap.
 ///
 /// Scorers consume an EmbeddedDatabase::View — an immutable (rows, count)
 /// view of one published database version.  The engines pass their
@@ -62,15 +62,15 @@ class FilterScorer {
   /// computed as one blocked streaming pass over the flat buffer with
   /// early-abandon pruning: a row is dropped as soon as its partial sum
   /// exceeds the running p-th-best threshold.  Abandon needs
-  /// non-negative per-dimension terms.  The L1 and L2 terms always are;
-  /// the query-sensitive scorer checks A_i(q) once per query and, when
-  /// any weight is negative, scores every row in full instead (the same
+  /// non-negative per-dimension terms.  The L2 terms always are; the
+  /// query-sensitive scorer checks A_i(q) once per query and, when any
+  /// weight is negative, scores every row in full instead (the same
   /// streaming pass with abandon off).
   ///
-  /// The weighted-L1 scans (the query-sensitive scorer, and the L1
-  /// scorer with unit weights) of a view that carries the int8 matrix —
-  /// every local database does, at any size — run in two passes, the
-  /// VA-file's near-optimal search (Weber, Schek & Blott, VLDB 1998).
+  /// The query-sensitive scorer's weighted-L1 scan of a view that
+  /// carries the int8 matrix — every local database does, at any size —
+  /// runs in two passes, the VA-file's near-optimal search (Weber,
+  /// Schek & Blott, VLDB 1998).
   /// Pass 1 scores every row's int8 row exactly in integers
   /// (KernelTable::prescreen_i8 under QuantizeI8Prescreen's
   /// coefficients, filter_precision.h), one block of rows per kernel
@@ -92,15 +92,12 @@ class FilterScorer {
   /// FilterPrecision); anything else aborts.  The engines reject other
   /// values as InvalidArgument before they scan.
   ///
-  /// The base implementation is the unpruned fallback (full Score then
-  /// selection); subclasses override with the fused dispatched kernels.
-  ///
   /// A non-null `scan_stats` is filled with the scan's row counters
   /// (overwritten, not accumulated); null skips the bookkeeping.
   virtual std::vector<ScoredIndex> ScoreTopP(
       const Vector& embedded_query, const EmbeddedDatabase::View& db,
       size_t p, FilterPrecision precision = FilterPrecision::kExact64,
-      FilterScanStats* scan_stats = nullptr) const;
+      FilterScanStats* scan_stats = nullptr) const = 0;
 };
 
 /// Weighted-L1 scorer with query-sensitive weights A_i(q) from a model
@@ -136,17 +133,6 @@ std::vector<ScoredIndex> WeightedL1TopP(const Vector& embedded_query,
 /// Unweighted L2 scorer (FastMap's native metric); scores are squared
 /// Euclidean distances (monotone in L2, sqrt-free).
 class L2Scorer : public FilterScorer {
- public:
-  void Score(const Vector& embedded_query, const EmbeddedDatabase::View& db,
-             std::vector<double>* scores) const override;
-  std::vector<ScoredIndex> ScoreTopP(
-      const Vector& embedded_query, const EmbeddedDatabase::View& db,
-      size_t p, FilterPrecision precision = FilterPrecision::kExact64,
-      FilterScanStats* scan_stats = nullptr) const override;
-};
-
-/// Unweighted L1 scorer (Lipschitz embeddings).
-class L1Scorer : public FilterScorer {
  public:
   void Score(const Vector& embedded_query, const EmbeddedDatabase::View& db,
              std::vector<double>* scores) const override;

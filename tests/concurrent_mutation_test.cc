@@ -36,12 +36,10 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -69,32 +67,9 @@ using test::kLineDims;
 using test::LineEmbedder;
 using test::MakeDx;
 using test::Mix64;
+using test::StressScale;
+using test::StressSeed;
 using test::XOf;
-
-// --- scale / seed knobs --------------------------------------------------
-
-size_t StressScale() {
-  if (const char* env = std::getenv("QSE_STRESS_ITERS")) {
-    long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<size_t>(v);
-  }
-  return 1;
-}
-
-uint64_t StressSeed() {
-  if (const char* env = std::getenv("QSE_STRESS_SEED")) {
-    return std::strtoull(env, nullptr, 10);
-  }
-  std::random_device rd;
-  return (static_cast<uint64_t>(rd()) << 32) | rd();
-}
-
-/// Every stress test logs its seed up front (stdout survives even a
-/// crash) and scopes it into any gtest failure message.
-#define QSE_LOG_STRESS_SEED(seed)                                       \
-  std::printf("[ stress ] rerun with QSE_STRESS_SEED=%llu\n",           \
-              static_cast<unsigned long long>(seed));                   \
-  SCOPED_TRACE(::testing::Message() << "QSE_STRESS_SEED=" << (seed))
 
 // --- mutation history ----------------------------------------------------
 

@@ -1,4 +1,4 @@
-#include "src/data/drift_generator.h"
+#include "tests/drift_generator.h"
 
 #include <algorithm>
 #include <cmath>

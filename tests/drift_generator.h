@@ -1,5 +1,5 @@
-#ifndef QSE_DATA_DRIFT_GENERATOR_H_
-#define QSE_DATA_DRIFT_GENERATOR_H_
+#ifndef QSE_TESTS_DRIFT_GENERATOR_H_
+#define QSE_TESTS_DRIFT_GENERATOR_H_
 
 #include <atomic>
 #include <cstddef>
@@ -96,6 +96,38 @@ class DriftingPointOracle : public DistanceOracle {
   std::atomic<size_t> step_{0};
 };
 
+namespace test {
+
+/// The drift scenarios the drift suites share.  `onset` is in workload
+/// steps; magnitudes are in point-coordinate units over [0,1]^d, where
+/// 0.35 costs a frozen embedding a large recall fraction.
+inline DriftSchedule AbruptDrift(size_t onset, double magnitude = 0.35) {
+  DriftSchedule s;
+  s.kind = DriftKind::kAbrupt;
+  s.onset = onset;
+  s.magnitude = magnitude;
+  return s;
+}
+
+/// Linear ramp over `ramp` steps from `onset`.
+inline DriftSchedule GradualDrift(size_t onset, size_t ramp,
+                                  double magnitude = 0.35) {
+  DriftSchedule s = AbruptDrift(onset, magnitude);
+  s.kind = DriftKind::kGradual;
+  s.ramp = ramp;
+  return s;
+}
+
+/// Drifted and clean blocks of `period` steps, alternating from `onset`.
+inline DriftSchedule RecurrentDrift(size_t onset, size_t period,
+                                    double magnitude = 0.35) {
+  DriftSchedule s = AbruptDrift(onset, magnitude);
+  s.kind = DriftKind::kRecurrent;
+  s.period = period;
+  return s;
+}
+
+}  // namespace test
 }  // namespace qse
 
-#endif  // QSE_DATA_DRIFT_GENERATOR_H_
+#endif  // QSE_TESTS_DRIFT_GENERATOR_H_

@@ -1,7 +1,7 @@
 // Tests for the drifting distance oracle behind the drift suites:
 // the DriftFactor schedule algebra, seed determinism, the step clock's
 // effect on distances, and position/distance consistency.
-#include "src/data/drift_generator.h"
+#include "tests/drift_generator.h"
 
 #include <gtest/gtest.h>
 

@@ -1,4 +1,4 @@
-// Serialization round-trips for the baseline embedding models (the core
+// Serialization round-trips for the FastMap baseline (the core
 // QuerySensitiveEmbedding round-trip lives in qs_embedding_test.cc).
 #include <cstdio>
 #include <fstream>
@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "src/embedding/fastmap.h"
-#include "src/embedding/lipschitz.h"
 #include "tests/test_util.h"
 
 namespace qse {
@@ -49,44 +48,6 @@ TEST(FastMapIoTest, LoadRejectsWrongMagic) {
   auto loaded = FastMapModel::Load(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
-  std::remove(path.c_str());
-}
-
-TEST(LipschitzIoTest, SaveLoadRoundTrip) {
-  LipschitzOptions options;
-  options.dims = 5;
-  LipschitzModel model = BuildLipschitz(test::Iota(40), options);
-  std::string path = testing::TempDir() + "/qse_lipschitz_test.bin";
-  ASSERT_TRUE(model.Save(path).ok());
-  auto loaded = LipschitzModel::Load(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->sets(), model.sets());
-  std::remove(path.c_str());
-}
-
-TEST(LipschitzIoTest, LoadMissingFails) {
-  auto loaded = LipschitzModel::Load("/nonexistent/lp.bin");
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
-}
-
-TEST(LipschitzIoTest, LoadRejectsTruncated) {
-  LipschitzOptions options;
-  options.dims = 3;
-  LipschitzModel model = BuildLipschitz(test::Iota(20), options);
-  std::string path = testing::TempDir() + "/qse_lipschitz_trunc.bin";
-  ASSERT_TRUE(model.Save(path).ok());
-  // Truncate the file.
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::string contents((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(contents.data(),
-              static_cast<std::streamsize>(contents.size() / 2));
-  }
-  auto loaded = LipschitzModel::Load(path);
-  EXPECT_FALSE(loaded.ok());
   std::remove(path.c_str());
 }
 

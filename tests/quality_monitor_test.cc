@@ -15,12 +15,12 @@
 #include <thread>
 #include <vector>
 
-#include "src/data/drift_generator.h"
 #include "src/embedding/fastmap.h"
 #include "src/retrieval/filter_refine.h"
 #include "src/retrieval/retrieval_engine.h"
 #include "src/server/async_retrieval_server.h"
 #include "src/util/random.h"
+#include "tests/drift_generator.h"
 #include "tests/test_util.h"
 
 namespace qse {

@@ -5,10 +5,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <mutex>
 #include <numeric>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -16,7 +19,6 @@
 #include "src/core/training_context.h"
 #include "src/core/weak_classifier.h"
 #include "src/data/dataset.h"
-#include "src/data/drift_generator.h"
 #include "src/distance/lp.h"
 #include "src/retrieval/embedded_database.h"
 #include "src/retrieval/retrieval_backend.h"
@@ -121,36 +123,34 @@ inline void ExpectDbsIdentical(const EmbeddedDatabase& a,
   EXPECT_EQ(va.has_i8(), vb.has_i8());
 }
 
-/// The drift scenarios the drift suites share.  `onset` is in workload
-/// steps; magnitudes are in point-coordinate units over [0,1]^d, where
-/// 0.35 costs a frozen embedding a large recall fraction.
-inline DriftSchedule AbruptDrift(size_t onset, double magnitude = 0.35) {
-  DriftSchedule s;
-  s.kind = DriftKind::kAbrupt;
-  s.onset = onset;
-  s.magnitude = magnitude;
-  return s;
+/// The randomized suites' scale: QSE_STRESS_ITERS multiplies their op,
+/// query and sequence counts (default 1; CI's stress steps raise it).
+inline size_t StressScale() {
+  if (const char* env = std::getenv("QSE_STRESS_ITERS")) {
+    long v = std::strtol(env, nullptr, 10);
+    if (v > 0) return static_cast<size_t>(v);
+  }
+  return 1;
 }
 
-/// Linear ramp over `ramp` steps from `onset`.
-inline DriftSchedule GradualDrift(size_t onset, size_t ramp,
-                                  double magnitude = 0.35) {
-  DriftSchedule s = AbruptDrift(onset, magnitude);
-  s.kind = DriftKind::kGradual;
-  s.ramp = ramp;
-  return s;
-}
-
-/// Drifted and clean blocks of `period` steps, alternating from `onset`.
-inline DriftSchedule RecurrentDrift(size_t onset, size_t period,
-                                    double magnitude = 0.35) {
-  DriftSchedule s = AbruptDrift(onset, magnitude);
-  s.kind = DriftKind::kRecurrent;
-  s.period = period;
-  return s;
+/// The randomized suites' master seed: QSE_STRESS_SEED when set, else
+/// fresh per run (logged by QSE_LOG_STRESS_SEED, so a failure reruns).
+inline uint64_t StressSeed() {
+  if (const char* env = std::getenv("QSE_STRESS_SEED")) {
+    return std::strtoull(env, nullptr, 10);
+  }
+  std::random_device rd;
+  return (static_cast<uint64_t>(rd()) << 32) | rd();
 }
 
 }  // namespace test
 }  // namespace qse
+
+/// Every randomized test logs its seed up front (stdout survives even a
+/// crash) and scopes it into any gtest failure message.
+#define QSE_LOG_STRESS_SEED(seed)                                       \
+  std::printf("[ stress ] rerun with QSE_STRESS_SEED=%llu\n",           \
+              static_cast<unsigned long long>(seed));                   \
+  SCOPED_TRACE(::testing::Message() << "QSE_STRESS_SEED=" << (seed))
 
 #endif  // QSE_TESTS_TEST_UTIL_H_

@@ -1,5 +1,5 @@
 // Wire codec tests: envelope round-trip fidelity (bit-identical doubles,
-// empty and want_stats edge cases) plus fuzz-ish robustness — truncation
+// empty envelopes) plus fuzz-ish robustness — truncation
 // at every byte boundary, oversized length prefixes, version/magic
 // mismatch, and seeded random garbage must yield kInvalidArgument or
 // kDataLoss, never a crash and never an allocation beyond the frame.
@@ -28,7 +28,6 @@ WireRequest MakeRequest() {
   request.want_trace = true;
   request.options.k = 7;
   request.options.p = 99;
-  request.options.want_stats = true;
   request.db_id = 0xDEADBEEFull;
   request.query = {0.1, -2.5, 1e300, -0.0,
                    std::numeric_limits<double>::denorm_min()};
@@ -39,9 +38,6 @@ WireResponse MakeResponse() {
   WireResponse response;
   response.code = StatusCode::kOk;
   response.neighbors = {{41, 0.125}, {7, 0.25}, {1ull << 40, 1e-300}};
-  response.exact_distances = 123;
-  response.embedding_distances = 17;
-  response.shard_stats = {{100, 3}, {50, 0}};
   response.rows = 150;
   response.rows_pruned = 31;
   response.rows_prescreened = 29;
@@ -60,7 +56,6 @@ TEST(WireCodecTest, RequestRoundTripIsExact) {
   EXPECT_EQ(got.want_trace, want.want_trace);
   EXPECT_EQ(got.options.k, want.options.k);
   EXPECT_EQ(got.options.p, want.options.p);
-  EXPECT_EQ(got.options.want_stats, want.options.want_stats);
   // No precision crosses the wire: the exact scan is the only one.
   EXPECT_EQ(got.options.filter_precision, FilterPrecision::kExact64);
   EXPECT_EQ(got.db_id, want.db_id);
@@ -89,13 +84,6 @@ TEST(WireCodecTest, ResponseRoundTripIsExact) {
     std::memcpy(&got_bits, &got.neighbors[i].score, 8);
     EXPECT_EQ(got_bits, want_bits) << "neighbor " << i;
   }
-  EXPECT_EQ(got.exact_distances, want.exact_distances);
-  EXPECT_EQ(got.embedding_distances, want.embedding_distances);
-  ASSERT_EQ(got.shard_stats.size(), want.shard_stats.size());
-  for (size_t i = 0; i < want.shard_stats.size(); ++i) {
-    EXPECT_EQ(got.shard_stats[i].rows, want.shard_stats[i].rows);
-    EXPECT_EQ(got.shard_stats[i].candidates, want.shard_stats[i].candidates);
-  }
   EXPECT_EQ(got.rows, want.rows);
   EXPECT_EQ(got.rows_pruned, want.rows_pruned);
   EXPECT_EQ(got.rows_prescreened, want.rows_prescreened);
@@ -119,8 +107,8 @@ std::string ToHex(const std::string& bytes) {
   return hex;
 }
 
-TEST(WireCodecTest, VersionFiveBytesArePinned) {
-  // The exact v5 layout, field by field: any change to the bytes a peer
+TEST(WireCodecTest, VersionSixBytesArePinned) {
+  // The exact v6 layout, field by field: any change to the bytes a peer
   // sees must bump kWireVersion, and this fixture makes that visible.
   WireRequest request;
   request.op = WireOp::kScan;
@@ -128,16 +116,14 @@ TEST(WireCodecTest, VersionFiveBytesArePinned) {
   request.want_trace = true;
   request.options.k = 3;
   request.options.p = 40;
-  request.options.want_stats = false;
   request.db_id = 9;
   request.query = {1.5, -0.25};
   EXPECT_EQ(ToHex(EncodeRequest(request)),
-            "51534557" "0500" "0100"    // magic, version, op kScan
+            "51534557" "0600" "0100"    // magic, version, op kScan
             "0807060504030201"          // deadline_budget_ns
             "01"                        // want_trace
             "0300000000000000"          // k
             "2800000000000000"          // p
-            "00"                        // want_stats
             "0900000000000000"          // db_id
             "0200000000000000"          // query: 2 doubles
             "000000000000f83f" "000000000000d0bf");
@@ -145,22 +131,17 @@ TEST(WireCodecTest, VersionFiveBytesArePinned) {
   WireResponse response;
   response.code = StatusCode::kNotFound;
   response.message = "partial";
-  response.exact_distances = 5;
-  response.embedding_distances = 6;
   response.rows = 100;
   response.rows_pruned = 60;
   response.rows_prescreened = 30;
   response.db_size = 200;
   response.neighbors = {{17, 0.5}, {4, 2.0}};
-  response.shard_stats = {{100, 2}};
   response.spans = {{"scan", 10, 250, 7}};
   EXPECT_EQ(ToHex(EncodeResponse(response)),
-            "51534557" "0500" "0080"    // magic, version, kResponseTag
+            "51534557" "0600" "0080"    // magic, version, kResponseTag
             "02"                        // code
             "0700000000000000"          // message "partial"
             "7061727469616c"
-            "0500000000000000"          // exact_distances
-            "0600000000000000"          // embedding_distances
             "6400000000000000"          // rows
             "3c00000000000000"          // rows_pruned
             "1e00000000000000"          // rows_prescreened
@@ -168,8 +149,6 @@ TEST(WireCodecTest, VersionFiveBytesArePinned) {
             "0200000000000000"          // 2 neighbours: (id, score)
             "1100000000000000" "000000000000e03f"
             "0400000000000000" "0000000000000040"
-            "0100000000000000"          // 1 shard stat: (rows, candidates)
-            "6400000000000000" "0200000000000000"
             "0100000000000000"          // 1 span
             "0400000000000000"          // name "scan"
             "7363616e"
@@ -186,7 +165,6 @@ TEST(WireCodecTest, EmptyEnvelopesRoundTrip) {
   ASSERT_TRUE(DecodeResponse(EncodeResponse(empty), &got).ok());
   EXPECT_EQ(got.code, StatusCode::kOk);
   EXPECT_TRUE(got.neighbors.empty());
-  EXPECT_TRUE(got.shard_stats.empty());
   EXPECT_TRUE(got.spans.empty());
   EXPECT_EQ(got.rows, 0u);
 
@@ -259,17 +237,24 @@ TEST(WireCodecTest, BadMagicAndVersionAreInvalidArgument) {
   EXPECT_EQ(DecodeRequest(bad_version, &out).code(),
             StatusCode::kInvalidArgument);
 
-  // Version 4 still carried a u64 num_threads; a peer speaking it is
-  // refused by version, whatever its body holds.
-  std::string version_four = payload;
-  version_four[4] = 4;
-  version_four[5] = 0;
-  EXPECT_EQ(DecodeRequest(version_four, &out).code(),
+  // Version 5 still carried a want_stats byte and a server-side
+  // retrieval op; a peer speaking it is refused by version, whatever its
+  // body holds.
+  std::string version_five = payload;
+  version_five[4] = 5;
+  version_five[5] = 0;
+  EXPECT_EQ(DecodeRequest(version_five, &out).code(),
             StatusCode::kInvalidArgument);
 
   std::string bad_op = payload;
   bad_op[6] = 77;  // u16 tag follows the version
   EXPECT_EQ(DecodeRequest(bad_op, &out).code(), StatusCode::kInvalidArgument);
+  // Tag 2 named the removed server-side retrieval: an unknown op now.
+  bad_op[6] = 2;
+  Status retrieve = DecodeRequest(bad_op, &out);
+  EXPECT_EQ(retrieve.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(retrieve.message().find("unknown wire op 2"), std::string::npos)
+      << retrieve;
 
   // A response frame handed to the request decoder (and vice versa).
   WireResponse rout;
@@ -282,15 +267,11 @@ TEST(WireCodecTest, BadMagicAndVersionAreInvalidArgument) {
 TEST(WireCodecTest, OutOfRangeEnumsAreInvalidArgument) {
   // Patch encoded enum bytes past their ranges; offsets derived by
   // re-encoding with a sentinel is brittle, so rebuild by hand instead:
-  // preamble(8) + budget(8) = 16 is want_trace; + want_trace(1) +
-  // k/p(16) = 33 is want_stats, followed by the u64 db_id.
+  // preamble(8) + budget(8) = 16 is want_trace.
   std::string payload = EncodeRequest(MakeRequest());
   WireRequest out;
   std::string bad = payload;
   bad[16] = 2;  // want_trace flag
-  EXPECT_EQ(DecodeRequest(bad, &out).code(), StatusCode::kInvalidArgument);
-  bad = payload;
-  bad[33] = 2;  // want_stats flag
   EXPECT_EQ(DecodeRequest(bad, &out).code(), StatusCode::kInvalidArgument);
 
   std::string response = EncodeResponse(MakeResponse());
@@ -302,7 +283,7 @@ TEST(WireCodecTest, OutOfRangeEnumsAreInvalidArgument) {
 
 TEST(WireCodecTest, VersionTwoFrameNamingAReducedPrecisionIsInvalidArgument) {
   // Version 2 carried a filter-precision byte after the priority; a peer
-  // still speaking it cannot smuggle kFilter8 into a version-5 server.
+  // still speaking it cannot smuggle kFilter8 into a version-6 server.
   std::ostringstream out;
   BinaryWriter w(&out);
   w.WriteU32(kWireMagic);
@@ -338,7 +319,6 @@ TEST(WireCodecTest, OversizedLengthPrefixesNeverAllocate) {
   w.WriteU8(0);   // want_trace
   w.WriteU64(1);  // k
   w.WriteU64(1);  // p
-  w.WriteU8(0);   // want_stats
   w.WriteU64(0);            // db_id
   w.WriteU64(1ull << 60);   // query length prefix, then nothing
   WireRequest req;
@@ -352,7 +332,7 @@ TEST(WireCodecTest, OversizedLengthPrefixesNeverAllocate) {
   rw.WriteU16(kResponseTag);
   rw.WriteU8(0);  // kOk
   rw.WriteString("");
-  for (int i = 0; i < 6; ++i) rw.WriteU64(0);  // counters
+  for (int i = 0; i < 4; ++i) rw.WriteU64(0);  // counters
   rw.WriteU64(1ull << 59);                     // neighbor count
   WireResponse wr;
   EXPECT_EQ(DecodeResponse(resp.str(), &wr).code(), StatusCode::kDataLoss);
@@ -371,7 +351,6 @@ TEST(WireCodecTest, FieldCapsAreEnforcedEvenWhenBytesMatch) {
   w.WriteU8(0);
   w.WriteU64(1);
   w.WriteU64(1);
-  w.WriteU8(0);
   w.WriteU64(0);
   w.WriteDoubleVec(std::vector<double>(kMaxWireDims + 1, 0.5));
   WireRequest req;
