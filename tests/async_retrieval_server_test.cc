@@ -1,19 +1,22 @@
-// Tests of the async serving front end: every rejected/expired/cancelled
-// request must surface the right status code, and nothing is ever
-// silently dropped.  That admitted requests come back exactly as the
-// brute force answers them is the retrieval oracle's check
-// (retrieval_oracle_test.cc), and under racing mutation the concurrent
-// stress suite's.  Admission is one FIFO queue (arrival order in, the
-// incoming request refused when full), asserted deterministically below.
+// Tests of the async serving front end: every admitted, non-expired
+// request must come back bit-identical to a direct
+// RetrievalBackend::Retrieve — over both engines, multiple worker counts
+// and randomized multi-threaded submit interleavings —
+// and every rejected/expired/cancelled request must surface the right
+// status code.  Nothing is ever silently dropped.  Admission is one FIFO
+// queue (arrival order in, the incoming request refused when full),
+// asserted deterministically below.
 #include "src/server/async_retrieval_server.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +24,7 @@
 #include "src/embedding/fastmap.h"
 #include "src/retrieval/filter_refine.h"
 #include "src/retrieval/retrieval_engine.h"
+#include "src/util/random.h"
 #include "tests/test_util.h"
 
 namespace qse {
@@ -123,6 +127,99 @@ struct PinnedPipeline {
   }
 };
 
+// --- The tentpole guarantee: bit-identical to direct Retrieve ----------
+
+TEST(AsyncServerParityTest, RandomizedInterleavingsOverBothEngines) {
+  ServingStack s;
+  const size_t k = 3;
+  struct Backend {
+    const char* name;
+    const RetrievalBackend* backend;
+  };
+  const Backend backends[] = {{"mono", &s.mono}, {"sharded", &s.sharded}};
+
+  for (const Backend& b : backends) {
+    for (size_t num_workers : {1u, 2u, 4u}) {
+      AsyncServerOptions options;
+      options.num_workers = num_workers;
+      options.queue_capacity = 256;
+      AsyncRetrievalServer server(b.backend, options);
+
+      // 3 submitter threads, each submitting every query at a shuffled
+      // (query, p) order with jittered pacing: the admission queue
+      // sees a different interleaving every config.
+      struct Expectation {
+        size_t query_id;
+        size_t p;
+        Future<StatusOr<RetrievalResponse>> future;
+      };
+      std::mutex mu;
+      std::vector<Expectation> pending;
+      std::vector<std::thread> submitters;
+      for (size_t t = 0; t < 3; ++t) {
+        submitters.emplace_back([&, t] {
+          Rng rng(1000 * num_workers + t);
+          std::vector<std::pair<size_t, size_t>> work;
+          for (size_t query_id : s.query_ids) {
+            for (size_t p : {size_t{1}, size_t{7}, s.db_ids.size()}) {
+              work.emplace_back(query_id, p);
+            }
+          }
+          for (size_t i = work.size(); i > 1; --i) {
+            std::swap(work[i - 1], work[rng.UniformInt(0, i - 1)]);
+          }
+          for (const auto& [query_id, p] : work) {
+            RetrievalOptions ro(k, p);
+            auto future = server.Submit({s.QueryDx(query_id), ro});
+            {
+              std::lock_guard<std::mutex> lock(mu);
+              pending.push_back({query_id, p, std::move(future)});
+            }
+            if (rng.UniformInt(0, 3) == 0) {
+              std::this_thread::sleep_for(
+                  std::chrono::microseconds(rng.UniformInt(0, 200)));
+            }
+          }
+        });
+      }
+      for (auto& t : submitters) t.join();
+      server.Shutdown(AsyncRetrievalServer::DrainMode::kDrain);
+
+      for (const Expectation& e : pending) {
+        auto want = b.backend->Retrieve(
+            {s.QueryDx(e.query_id), RetrievalOptions(k, e.p)});
+        ASSERT_TRUE(want.ok());
+        const StatusOr<RetrievalResponse>& got = e.future.Get();
+        ASSERT_TRUE(got.ok()) << got.status();
+        ExpectSameResult(*want, *got,
+                         std::string(b.name) +
+                             " workers=" + std::to_string(num_workers) +
+                             " q=" + std::to_string(e.query_id) +
+                             " p=" + std::to_string(e.p));
+      }
+      ServerStats stats = server.stats();
+      EXPECT_EQ(stats.submitted, pending.size());
+      EXPECT_EQ(stats.admitted, pending.size());
+      EXPECT_EQ(stats.completed, pending.size());
+      EXPECT_EQ(stats.rejected, 0u);
+      EXPECT_EQ(stats.shed, 0u);
+      EXPECT_EQ(stats.expired, 0u);
+      EXPECT_EQ(stats.cancelled, 0u);
+    }
+  }
+}
+
+TEST(AsyncServerParityTest, BlockingRetrieveMatchesBackend) {
+  ServingStack s;
+  AsyncRetrievalServer server(&s.mono);
+  auto want =
+      s.mono.Retrieve({s.QueryDx(s.query_ids[0]), RetrievalOptions(2, 10)});
+  auto got =
+      server.Retrieve({s.QueryDx(s.query_ids[0]), RetrievalOptions(2, 10)});
+  ASSERT_TRUE(want.ok() && got.ok());
+  ExpectSameResult(*want, *got, "blocking");
+}
+
 /// Forwards reads to `inner`'s Retrieve but refuses RetrieveBatch: a
 /// server that batched any request would surface the refusal.
 class RetrieveOnlyBackend : public RetrievalBackend {
@@ -187,6 +284,48 @@ TEST(AsyncServerTest, EveryRequestRunsThroughRetrieve) {
   EXPECT_EQ(stats.completed, futures.size());
   EXPECT_EQ(stats.batch_size_histogram, std::vector<size_t>{stats.completed});
   EXPECT_TRUE(CheckServerStatsInvariant(stats));
+}
+
+TEST(AsyncServerParityTest, MixedOptionsInOneBurstStayExact) {
+  // Requests with different (k, p, want_stats, deadline) in one burst,
+  // spread over two workers, each come back exactly as a direct
+  // Retrieve with the same options.
+  ServingStack s;
+  AsyncServerOptions options;
+  options.num_workers = 2;
+  AsyncRetrievalServer server(&s.sharded, options);
+  struct Case {
+    size_t query_id;
+    RetrievalOptions ro;
+    Future<StatusOr<RetrievalResponse>> future;
+  };
+  std::vector<Case> cases;
+  size_t i = 0;
+  for (size_t query_id : s.query_ids) {
+    RetrievalOptions ro(1 + i % 3, 5 + 7 * (i % 2));
+    ro.want_stats = i % 4 == 0;
+    ro.deadline = RetrievalOptions::DeadlineIn(10s);
+    cases.push_back({query_id, ro, server.Submit({s.QueryDx(query_id), ro})});
+    ++i;
+  }
+  for (Case& c : cases) {
+    auto want = s.sharded.Retrieve({s.QueryDx(c.query_id), c.ro});
+    ASSERT_TRUE(want.ok());
+    const auto& got = c.future.Get();
+    ASSERT_TRUE(got.ok()) << got.status();
+    ExpectSameResult(*want, *got, "mixed q=" + std::to_string(c.query_id));
+    ASSERT_EQ(got->shard_stats.size(), want->shard_stats.size());
+    for (size_t sh = 0; sh < got->shard_stats.size(); ++sh) {
+      EXPECT_EQ(got->shard_stats[sh].rows, want->shard_stats[sh].rows);
+      EXPECT_EQ(got->shard_stats[sh].candidates,
+                want->shard_stats[sh].candidates);
+    }
+    if (c.ro.want_stats) {
+      EXPECT_EQ(got->shard_stats.size(), s.sharded.num_shards());
+    } else {
+      EXPECT_TRUE(got->shard_stats.empty());
+    }
+  }
 }
 
 // --- Admission control --------------------------------------------------

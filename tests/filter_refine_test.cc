@@ -92,6 +92,40 @@ TEST(EmbedDatabaseTest, ParallelEmbeddingMatchesSerial) {
   EXPECT_EQ(serial.data(), parallel.data());
 }
 
+TEST(FilterRefineTest, FullCandidateSetIsExact) {
+  // With p = |db| the refine step sees every object: results must equal
+  // brute-force exact k-NN regardless of embedding quality.
+  Pipeline p = MakePipeline(11);
+  QseEmbedderAdapter adapter(&p.model);
+  QuerySensitiveScorer scorer(&p.model);
+  RetrievalEngine retriever(&adapter, &scorer, &p.db, p.db_ids);
+  for (size_t query_id = 70; query_id < 75; ++query_id) {
+    auto dx = [&](size_t id) { return p.oracle.Distance(query_id, id); };
+    auto result =
+        retriever.Retrieve({dx, RetrievalOptions(5, p.db_ids.size())});
+    ASSERT_TRUE(result.ok()) << result.status();
+    auto exact = ExactKnn(p.oracle, query_id, p.db_ids, 5);
+    ASSERT_EQ(result->neighbors.size(), 5u);
+    for (size_t i = 0; i < 5; ++i) {
+      EXPECT_EQ(result->neighbors[i].index, exact[i].index);
+      EXPECT_DOUBLE_EQ(result->neighbors[i].score, exact[i].score);
+    }
+  }
+}
+
+TEST(FilterRefineTest, CostAccounting) {
+  Pipeline p = MakePipeline(12);
+  QseEmbedderAdapter adapter(&p.model);
+  QuerySensitiveScorer scorer(&p.model);
+  RetrievalEngine retriever(&adapter, &scorer, &p.db, p.db_ids);
+  auto dx = [&](size_t id) { return p.oracle.Distance(70, id); };
+  auto result = retriever.Retrieve({dx, RetrievalOptions(3, 17)});
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->embedding_distances, p.model.EmbeddingCost());
+  EXPECT_EQ(result->exact_distances, result->embedding_distances + 17);
+  EXPECT_EQ(result->neighbors.size(), 3u);
+}
+
 TEST(FilterRefineTest, LargerPImprovesOrKeepsAccuracy) {
   Pipeline p = MakePipeline(13);
   QseEmbedderAdapter adapter(&p.model);
@@ -117,9 +151,8 @@ TEST(FilterRefineTest, LargerPImprovesOrKeepsAccuracy) {
   EXPECT_GE(hits_large, 13u);  // p = half the db on easy 2D data.
 }
 
-// p = 0 validation for this pipeline lives in the cross-surface
-// parameterized suite, tests/request_validation_test.cc; exactness at
-// p >= n, cost accounting and p clamping in retrieval_oracle_test.cc.
+// p = 0 / oversized-p validation for this pipeline lives in the
+// cross-surface parameterized suite: tests/request_validation_test.cc.
 
 TEST(ScorerTest, L2ScorerMatchesSquaredEuclidean) {
   EmbeddedDatabase db = EmbeddedDatabase::FromRows({{0, 0}, {1, 1}, {3, 4}});

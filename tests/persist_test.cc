@@ -1,11 +1,8 @@
 // Unit and integration tests for the durability subsystem: WAL framing
-// and sequence discipline, DurabilityManager recovery cycles (compaction,
-// repeatability, strict repair, the int8 matrix after recovery), and the
-// DurableBackend decorator's apply-then-log contract.  That a recovered
-// engine answers exactly as the brute force does, from WAL alone or
-// snapshot plus tail, is the retrieval oracle's check
-// (retrieval_oracle_test.cc); the crash-kill half lives in
-// crash_recover_test.cc, byte-level corruption in wal_fuzz_test.cc.
+// and sequence discipline, DurabilityManager recovery cycles (WAL-only,
+// snapshot + tail, compaction), and the DurableBackend decorator's
+// apply-then-log contract.  The crash-kill half lives in
+// crash_recover_test.cc; byte-level corruption in wal_fuzz_test.cc.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
@@ -36,6 +33,7 @@ using test::FreshDir;
 using test::kLineDims;
 using test::LineEmbedder;
 using test::MakeDx;
+using test::ShardDbs;
 using test::XOf;
 
 uint64_t FileSize(const std::string& path) {
@@ -262,6 +260,33 @@ TEST(Persist, FreshDirectoryOpensEmpty) {
   EXPECT_EQ(0u, manager.value()->last_seq());
 }
 
+TEST(Persist, WalOnlyRecoveryMatchesLiveState) {
+  const DurabilityOptions opts = Opts(FreshDir("persist_wal_only"));
+  MonoStack live;
+  {
+    StatusOr<std::unique_ptr<DurabilityManager>> manager =
+        DurabilityManager::Open(opts);
+    ASSERT_TRUE(manager.ok());
+    DurableBackend durable(&live.engine, &live.embedder,
+                           manager.value().get(), {&live.db});
+    for (size_t id = 0; id < 40; ++id) {
+      ASSERT_TRUE(durable.Insert(id, DxOfObject(id)).ok());
+    }
+    for (size_t id = 0; id < 40; id += 5) {
+      ASSERT_TRUE(durable.Remove(id).ok());
+    }
+    EXPECT_EQ(48u, manager.value()->last_seq());
+  }
+  MonoStack recovered;
+  uint64_t replayed = 0;
+  auto manager = RecoverMono(opts, &recovered, &replayed);
+  ASSERT_NE(nullptr, manager);
+  EXPECT_FALSE(manager->recovery().loaded_snapshot);
+  EXPECT_EQ(48u, replayed);
+  EXPECT_EQ(48u, manager->last_seq());  // Sequence continues, not restarts.
+  ExpectDbsIdentical(live.db, recovered.db, "wal-only recovery");
+}
+
 TEST(Persist, AutoSnapshotCompactsWalAndRecovers) {
   DurabilityOptions opts = Opts(FreshDir("persist_auto_snapshot"));
   opts.snapshot_every_records = 10;
@@ -293,6 +318,46 @@ TEST(Persist, AutoSnapshotCompactsWalAndRecovers) {
   EXPECT_EQ(tail->records.size(), replayed);
   EXPECT_EQ(38u, manager->last_seq());
   ExpectDbsIdentical(live.db, recovered.db, "snapshot + tail recovery");
+}
+
+/// An explicit snapshot, then a WAL tail past it, recovered into a fresh
+/// engine of `shards` shards.
+void ExpectSnapshotThenTailRecovers(size_t shards) {
+  const DurabilityOptions opts = Opts(FreshDir("persist_explicit_snapshot"));
+  LineEmbedder embedder;
+  L2Scorer scorer;
+  const ShardedEngineOptions layout{shards, 1};
+  RetrievalEngine live(&embedder, &scorer, layout);
+  {
+    StatusOr<std::unique_ptr<DurabilityManager>> manager =
+        DurabilityManager::Open(opts);
+    ASSERT_TRUE(manager.ok());
+    std::vector<EmbeddedDatabase*> dbs = ShardDbs(&live);
+    DurableBackend durable(&live, &embedder, manager.value().get(),
+                           {dbs.begin(), dbs.end()});
+    for (size_t id = 0; id < 20; ++id) {
+      ASSERT_TRUE(durable.Insert(id, DxOfObject(id)).ok());
+    }
+    ASSERT_TRUE(durable.WriteSnapshotNow().ok());
+    for (size_t id = 20; id < 29; ++id) {
+      ASSERT_TRUE(durable.Insert(id, DxOfObject(id)).ok());
+    }
+    ASSERT_TRUE(durable.Remove(0).ok());
+  }
+  RetrievalEngine recovered(&embedder, &scorer, layout);
+  StatusOr<std::unique_ptr<DurabilityManager>> manager =
+      DurabilityManager::Open(opts);
+  ASSERT_TRUE(manager.ok());
+  ASSERT_TRUE(manager.value()->InstallSnapshot(ShardDbs(&recovered)).ok());
+  recovered.RebuildIdIndex();
+  StatusOr<uint64_t> replayed = manager.value()->Replay(&recovered);
+  ASSERT_TRUE(replayed.ok()) << replayed.status();
+  EXPECT_EQ(20u, manager.value()->recovery().snapshot_cut_seq);
+  EXPECT_EQ(10u, replayed.value());  // 9 inserts + 1 remove past the cut.
+  for (size_t s = 0; s < shards; ++s) {
+    ExpectDbsIdentical(live.db(s), recovered.db(s),
+                       "shard " + std::to_string(s));
+  }
 }
 
 TEST(Persist, RecoveryAfterRequantizingInsertMatchesLiveBitForBit) {
@@ -377,6 +442,12 @@ TEST(Persist, RecoveryAfterRequantizingInsertMatchesLiveBitForBit) {
   }
   EXPECT_GT(prescreened, 0u);
 }
+
+TEST(Persist, ExplicitSnapshotThenTailRecovers) {
+  ExpectSnapshotThenTailRecovers(1);
+}
+
+TEST(Persist, ShardedRecoveryRoundTrip) { ExpectSnapshotThenTailRecovers(3); }
 
 TEST(Persist, RecoveryIsRepeatable) {
   const DurabilityOptions opts = Opts(FreshDir("persist_repeatable"));

@@ -2,11 +2,11 @@
 // the engine over one shard and over three, and the async server over
 // both — replacing the per-class copies that used to drift.  Every
 // surface must agree: k = 0, p = 0 and any filter precision but exact64
-// are InvalidArgument; an empty database is FailedPrecondition.  The
-// remote client and the wire decoder refuse reduced precisions too
-// (RemoteSurfaceRejectsReducedPrecision, and WireCodecTest for a
-// version-2 frame).  p clamping and want_stats are checked against the
-// brute force in retrieval_oracle_test.cc.
+// are InvalidArgument; an empty database is FailedPrecondition; an
+// oversized p is clamped to the database size.  The remote client and
+// the wire decoder
+// refuse reduced precisions too (RemoteSurfaceRejectsReducedPrecision,
+// and WireCodecTest for a version-2 frame).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -171,6 +171,16 @@ TEST_P(RequestValidationTest, EmptyDatabaseIsFailedPrecondition) {
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 }
 
+TEST_P(RequestValidationTest, OversizedPIsClampedToDatabaseSize) {
+  auto huge = Call({QueryDx(41), RetrievalOptions(1, 1000000)});
+  auto full = Call({QueryDx(41), RetrievalOptions(1, db_ids_.size())});
+  ASSERT_TRUE(huge.ok() && full.ok());
+  EXPECT_EQ(huge->exact_distances, full->exact_distances);
+  ASSERT_FALSE(huge->neighbors.empty());
+  EXPECT_EQ(huge->neighbors[0].index, full->neighbors[0].index);
+  EXPECT_EQ(huge->neighbors[0].score, full->neighbors[0].score);
+}
+
 TEST_P(RequestValidationTest, BatchValidationMatchesSingle) {
   const std::vector<DxToDatabaseFn> burst = {QueryDx(40), QueryDx(41),
                                              QueryDx(42)};
@@ -224,6 +234,29 @@ TEST_P(RequestValidationTest, ReducedPrecisionWithoutShadowsFailsCleanly) {
     ASSERT_FALSE(batch.ok());
     EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
   }
+}
+
+TEST_P(RequestValidationTest, WantStatsReportsIdenticalTotalsEverywhere) {
+  // Satellite of the redesign: stats are a response field with one shape
+  // — shard_stats rows sum to the database size and candidates sum to
+  // the clamped p on every surface.
+  RetrievalOptions ro(2, 15);
+  ro.want_stats = true;
+  auto r = Call({QueryDx(42), ro});
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_FALSE(r->shard_stats.empty());
+  size_t rows = 0, candidates = 0;
+  for (const ShardScanStats& s : r->shard_stats) {
+    rows += s.rows;
+    candidates += s.candidates;
+  }
+  EXPECT_EQ(rows, db_ids_.size());
+  EXPECT_EQ(candidates, std::min<size_t>(15, db_ids_.size()));
+
+  // Without want_stats the field stays empty — no silent cost.
+  auto quiet = Call({QueryDx(42), RetrievalOptions(2, 15)});
+  ASSERT_TRUE(quiet.ok());
+  EXPECT_TRUE(quiet->shard_stats.empty());
 }
 
 TEST(RequestValidationWireTest, RemoteSurfaceRejectsReducedPrecision) {

@@ -1,9 +1,9 @@
 // End-to-end tests of the multi-node serving tier: a RetrievalServer
-// over a real engine and a RemoteRetrievalBackend speaking to it over
-// loopback TCP — deadlines, errors, malformed frames, shutdown, handler
-// threads and traces.  That a composed engine over remote shards answers
-// exactly as the brute force does is the retrieval oracle's check
-// (retrieval_oracle_test.cc).
+// over a real engine, a RemoteRetrievalBackend speaking to it over
+// loopback TCP, and the composed RetrievalEngine scattering over
+// remote shards.  The headline contract: remote results are
+// bit-identical to in-process results at equal p (and, under random
+// mutation, to the brute force in retrieval_oracle_test.cc).
 #include "src/net/retrieval_server.h"
 
 #include <gtest/gtest.h>
@@ -25,7 +25,7 @@ namespace net {
 namespace {
 
 /// A full local stack: oracle, embedder, database, engine — the thing a
-/// shard server wraps.
+/// shard server wraps and the reference the tests compare against.
 struct Stack {
   ObjectOracle<Vector> oracle;
   std::vector<size_t> db_ids;
@@ -73,6 +73,132 @@ RemoteBackendOptions ClientOptions() {
   RemoteBackendOptions options;
   options.transport = FastTransport();
   return options;
+}
+
+TEST(RetrievalServerTest, RemoteRetrieveMatchesLocalBitForBit) {
+  Stack stack(60, 6, 41);
+  RetrievalServer server(stack.engine.get(), ServerOptions());
+  ASSERT_TRUE(server.Start(0).ok());
+  RemoteRetrievalBackend remote(&stack.model, "127.0.0.1", server.port(),
+                                ClientOptions());
+
+  for (size_t p : {size_t{1}, size_t{10}, size_t{60}}) {
+    for (size_t query_id : stack.query_ids) {
+      RetrievalOptions options(3, p);
+      options.want_stats = true;
+      auto want = stack.engine->Retrieve({stack.QueryDx(query_id), options});
+      auto got = remote.Retrieve({stack.QueryDx(query_id), options});
+      ASSERT_TRUE(want.ok() && got.ok())
+          << want.status().message() << got.status().message();
+      EXPECT_EQ(want->neighbors, got->neighbors);
+      EXPECT_EQ(want->exact_distances, got->exact_distances);
+      EXPECT_EQ(want->embedding_distances, got->embedding_distances);
+      ASSERT_EQ(got->shard_stats.size(), 1u);
+      EXPECT_EQ(got->shard_stats[0].rows, stack.db_ids.size());
+    }
+  }
+  server.Stop();
+}
+
+TEST(RetrievalServerTest, ComposedShardedEngineMatchesInProcessSharded) {
+  // The tentpole acceptance shape in miniature: 2 remote shards behind
+  // one composed sharded engine, against the same 2-shard in-process
+  // engine; results must be bit-identical at equal p.
+  Stack stack(80, 8, 42);
+  const size_t kShards = 2;
+
+  // Partition by the same hash the sharded engine uses, preserving
+  // ascending id order inside each shard.
+  std::vector<std::vector<size_t>> shard_ids(kShards);
+  for (size_t id : stack.db_ids) {
+    shard_ids[HashShardOf(id, kShards)].push_back(id);
+  }
+
+  std::vector<std::unique_ptr<EmbeddedDatabase>> shard_dbs;
+  std::vector<std::unique_ptr<RetrievalEngine>> shard_engines;
+  std::vector<std::unique_ptr<RetrievalServer>> servers;
+  std::vector<std::shared_ptr<RetrievalBackend>> remotes;
+  for (size_t s = 0; s < kShards; ++s) {
+    shard_dbs.push_back(std::make_unique<EmbeddedDatabase>(
+        EmbedDatabase(stack.model, stack.oracle, shard_ids[s])));
+    shard_engines.push_back(std::make_unique<RetrievalEngine>(
+        &stack.model, &stack.scorer, shard_dbs.back().get(), shard_ids[s]));
+    servers.push_back(std::make_unique<RetrievalServer>(
+        shard_engines.back().get(), ServerOptions()));
+    ASSERT_TRUE(servers.back()->Start(0).ok());
+    remotes.push_back(std::make_shared<RemoteRetrievalBackend>(
+        &stack.model, "127.0.0.1", servers.back()->port(), ClientOptions()));
+  }
+
+  ShardedEngineOptions in_process_options;
+  in_process_options.num_shards = kShards;
+  RetrievalEngine in_process(&stack.model, &stack.scorer, stack.db,
+                             stack.db_ids, in_process_options);
+  RetrievalEngine composed(&stack.model, remotes);
+  ASSERT_EQ(composed.size(), in_process.size());
+
+  for (size_t p : {size_t{1}, size_t{7}, size_t{80}}) {
+    for (size_t query_id : stack.query_ids) {
+      RetrievalOptions options(3, p);
+      options.want_stats = true;
+      auto want = in_process.Retrieve({stack.QueryDx(query_id), options});
+      auto got = composed.Retrieve({stack.QueryDx(query_id), options});
+      ASSERT_TRUE(want.ok() && got.ok())
+          << want.status().message() << got.status().message();
+      EXPECT_EQ(want->neighbors, got->neighbors);
+      EXPECT_EQ(want->exact_distances, got->exact_distances);
+      ASSERT_EQ(want->shard_stats.size(), got->shard_stats.size());
+      for (size_t s = 0; s < kShards; ++s) {
+        EXPECT_EQ(want->shard_stats[s].rows, got->shard_stats[s].rows);
+        EXPECT_EQ(want->shard_stats[s].candidates,
+                  got->shard_stats[s].candidates);
+      }
+    }
+  }
+
+  // Mutations route through the composed engine to the right remote
+  // shard and show up in subsequent retrievals.
+  const size_t new_id = stack.db_ids.size() + stack.query_ids.size() + 7;
+  // dx for the new object: reuse a database point's distances (the
+  // oracle has no object new_id, so insert a copy of object 0).
+  auto new_dx = [&stack](size_t id) { return stack.oracle.Distance(0, id); };
+  ASSERT_TRUE(composed.Insert(new_id, new_dx).ok());
+  ASSERT_TRUE(in_process.Insert(new_id, new_dx).ok());
+  EXPECT_EQ(composed.size(), in_process.size());
+  auto want = in_process.Retrieve({stack.QueryDx(stack.query_ids[0]),
+                                   RetrievalOptions(2, 20)});
+  auto got = composed.Retrieve({stack.QueryDx(stack.query_ids[0]),
+                                RetrievalOptions(2, 20)});
+  ASSERT_TRUE(want.ok() && got.ok());
+  EXPECT_EQ(want->neighbors, got->neighbors);
+  ASSERT_TRUE(composed.Remove(new_id).ok());
+  ASSERT_TRUE(in_process.Remove(new_id).ok());
+  EXPECT_EQ(composed.size(), in_process.size());
+}
+
+TEST(RetrievalServerTest, EmptyShardContributesNothing) {
+  // One populated shard plus one empty shard: scatter succeeds and the
+  // empty shard reports zero rows (OK-empty contract).
+  Stack stack(30, 2, 43);
+  EmbeddedDatabase empty_db(stack.model.dims());
+  RetrievalEngine empty_engine(&stack.model, &stack.scorer, &empty_db, {});
+  RetrievalServer empty_server(&empty_engine, ServerOptions());
+  ASSERT_TRUE(empty_server.Start(0).ok());
+  auto remote_empty = std::make_shared<RemoteRetrievalBackend>(
+      &stack.model, "127.0.0.1", empty_server.port(), ClientOptions());
+
+  auto scan = remote_empty->ScanCandidates(Vector(stack.model.dims(), 0.0),
+                                           RetrievalOptions(1, 5));
+  ASSERT_TRUE(scan.ok()) << scan.status().message();
+  EXPECT_TRUE(scan->candidates.empty());
+  EXPECT_EQ(scan->rows, 0u);
+
+  // A standalone remote Retrieve against the empty database keeps the
+  // engines' FailedPrecondition contract.
+  auto retrieve = remote_empty->Retrieve(
+      {stack.QueryDx(stack.query_ids[0]), RetrievalOptions(1, 5)});
+  ASSERT_FALSE(retrieve.ok());
+  EXPECT_EQ(retrieve.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(RetrievalServerTest, DeadlinesAreHonoredEndToEnd) {
