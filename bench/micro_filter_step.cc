@@ -432,7 +432,7 @@ void BM_PrescreenKernel(benchmark::State& state) {
   const simd::KernelTable* k = simd::ActiveKernels();
   std::vector<uint32_t> emitted(n);
   std::vector<int32_t> scores(n);
-  k->prescreen_i8(q.data(), rows.data(), n, c.data(), d, INT32_MAX,
+  k->prescreen_i8(q.data(), rows.data(), n, n, c.data(), d, INT32_MAX,
                   emitted.data(), scores.data());
   std::nth_element(scores.begin(), scores.begin() + n / 10, scores.end());
   const int32_t bound = scores[n / 10];
@@ -441,7 +441,8 @@ void BM_PrescreenKernel(benchmark::State& state) {
       const size_t rows_here = std::min(kPrescreenBlockRows, n - first);
       benchmark::DoNotOptimize(k->prescreen_i8(
           q.data(), rows.data() + EmbeddedDatabase::I8Offset(first, 0, d),
-          rows_here, c.data(), d, bound, emitted.data(), scores.data()));
+          rows_here, n - first, c.data(), d, bound, emitted.data(),
+          scores.data()));
     }
     benchmark::ClobberMemory();
   }
@@ -461,7 +462,9 @@ BENCHMARK(BM_PrescreenKernel)->Arg(16)->Arg(24)->Arg(55)->Arg(130);
 // [0, 1) or signed ([-0.5, 1) with one forced negative, the trained
 // models' usual case).  Here the int8 kernel is no longer the whole
 // cost: pass 1's selections of S_p and pass 2's float64 reads are a
-// visible share.  Iterations cycle over kScanQueries queries, each near
+// visible share.  Two signed d = 55 rows at 200k and 800k rows (11 and
+// 44 MB of int8, 88 and 352 MB of float64) stream from L3 and DRAM, so
+// they time the scan's prefetching rather than its arithmetic.  Iterations cycle over kScanQueries queries, each near
 // a different row, so selection code sees fresh scores, as a served
 // scan does, rather than one score vector its branches have learnt.
 // Args: d, rows, p, signed.
@@ -511,6 +514,8 @@ BENCHMARK(BM_PrescreenedScan)
     ->Args({24, 20000, 50, 1})
     ->Args({55, 50000, 100, 0})
     ->Args({55, 50000, 100, 1})
+    ->Args({55, 200000, 100, 1})
+    ->Args({55, 800000, 100, 1})
     ->Unit(benchmark::kMicrosecond);
 
 // --- A_i(q) evaluation cost (unchanged from the seed). ------------------

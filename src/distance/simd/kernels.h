@@ -30,6 +30,13 @@ inline constexpr size_t kAbandonBlock = 64;
 inline constexpr size_t kI8BlockRows = 16;
 inline constexpr size_t kI8GroupDims = 4;
 
+/// How far ahead of the block it scores every tier's prescreen entry
+/// prefetches the int8 matrix, in blocks (d = 55: 7 KB).  A DRAM-resident
+/// shard streams from memory at about one and a half times the
+/// L2-resident kernel's time per row without it; the hardware
+/// prefetcher alone does not keep up with the kernel.
+inline constexpr size_t kI8PrefetchBlocks = 8;
+
 /// One ISA's kernel table: three float64 filter-scan kernels, the int8
 /// prescreen block kernel of the exact weighted-L1 scan, and the cDTW
 /// kernel, each under its own contract below.  The float64 kernels
@@ -65,7 +72,8 @@ struct KernelTable {
                     size_t d, double abandon);
 
   /// The int8 prescreen of an exact weighted-L1 scan over the n rows of
-  /// d bytes stored at `blocks` in the blocked layout (kI8BlockRows):
+  /// d bytes stored at `blocks` in the blocked layout (kI8BlockRows),
+  /// the first n of `stored` >= n rows the buffer holds from `blocks` on:
   /// for every row r < n the kernel computes
   ///
   ///     S_r = sum_j c[j] * |q[j] - x_r[j]|
@@ -82,15 +90,20 @@ struct KernelTable {
   /// masks, and the scalar tier loops over live rows, so no tier reads a
   /// slot at or past n.  A writer may therefore fill those slots while
   /// the kernel runs, and whatever they hold is never emitted.  Bytes of
-  /// the padding dims [d, d4) are read but weigh nothing.
+  /// the padding dims [d, d4) are read but weigh nothing.  While scoring
+  /// a block, every tier prefetches the block kI8PrefetchBlocks further
+  /// on if it lies within the `stored` rows' whole blocks, so a caller
+  /// that scans a matrix a few blocks per call keeps the stream ahead
+  /// across calls; a prefetch reads nothing and forms no pointer past
+  /// the buffer.
   ///
   /// Precondition: every q and row byte lies in [-127, 127] (the int8
   /// matrix's range) and sum_j |c[j]| * 254 <= INT32_MAX, so no partial
   /// sum in any order can overflow int32.  QuantizeI8Prescreen
   /// (filter_precision.h) quantizes coefficients under that cap.
   size_t (*prescreen_i8)(const int8_t* q, const int8_t* blocks, size_t n,
-                         const int16_t* c, size_t d, int32_t bound,
-                         uint32_t* rows, int32_t* scores);
+                         size_t stored, const int16_t* c, size_t d,
+                         int32_t bound, uint32_t* rows, int32_t* scores);
 
   /// Constrained DTW under an L1 ground cost between point-major series
   /// a (n points) and b (m points) of `dims` coordinates each, n, m >= 1,

@@ -173,10 +173,12 @@ inline __m256i AddGroup(__m256i acc, __m256i xb, const PrescreenGroup& g) {
 /// The prescreen entry, a 16-row block as two 8-row halves of ymm
 /// lanes.  Whole blocks load plainly; the last, partial block loads
 /// each half with vpmaskmovd under its live rows, so no slot at or past
-/// n is read.
+/// n is read.  Each group of a whole block prefetches its line of the
+/// block kI8PrefetchBlocks ahead; a partial last block prefetches
+/// nothing.
 size_t PrescreenI8(const int8_t* q, const int8_t* blocks, size_t n,
-                   const int16_t* c, size_t d, int32_t bound, uint32_t* rows,
-                   int32_t* scores) {
+                   size_t stored, const int16_t* c, size_t d, int32_t bound,
+                   uint32_t* rows, int32_t* scores) {
   const PrescreenGroups ops(q, c, d);
   const size_t block_bytes = kI8BlockRows * kI8GroupDims * ops.size();
   const __m256i bound_v = _mm256_set1_epi32(bound);
@@ -185,9 +187,11 @@ size_t PrescreenI8(const int8_t* q, const int8_t* blocks, size_t n,
   size_t count = 0;
   size_t first = 0;
   for (; first + kI8BlockRows <= n; first += kI8BlockRows) {
+    const int8_t* ahead = I8BlockAhead(blocks, first, stored, block_bytes);
     __m256i lo = _mm256_setzero_si256();
     __m256i hi = _mm256_setzero_si256();
     for (size_t g = 0; g < ops.size(); ++g) {
+      PrefetchI8Group(ahead, g);
       const __m256i* x = reinterpret_cast<const __m256i*>(blocks + 64 * g);
       lo = AddGroup(lo, _mm256_loadu_si256(x), ops[g]);
       hi = AddGroup(hi, _mm256_loadu_si256(x + 1), ops[g]);

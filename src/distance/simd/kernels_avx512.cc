@@ -138,10 +138,11 @@ double Wl1F64(const double* q, const double* x, const double* w, size_t d,
 /// each adding one row's two products to that row's int32 lane.  Every
 /// load is row-masked, so the last block's slots at or past n are never
 /// read (and load as zeros, which the live mask then drops).  The rows
-/// within the bound leave through a compress and a masked store.
+/// within the bound leave through a compress and a masked store.  Each
+/// group prefetches its line of the block kI8PrefetchBlocks ahead.
 size_t PrescreenI8(const int8_t* q, const int8_t* blocks, size_t n,
-                   const int16_t* c, size_t d, int32_t bound, uint32_t* rows,
-                   int32_t* scores) {
+                   size_t stored, const int16_t* c, size_t d, int32_t bound,
+                   uint32_t* rows, int32_t* scores) {
   const PrescreenGroups ops(q, c, d);
   const size_t block_bytes = kI8BlockRows * kI8GroupDims * ops.size();
   const __m512i low_bytes = _mm512_set1_epi16(0x00ff);
@@ -154,8 +155,10 @@ size_t PrescreenI8(const int8_t* q, const int8_t* blocks, size_t n,
     const __mmask16 live =
         left >= kI8BlockRows ? __mmask16{0xffff}
                              : static_cast<__mmask16>((1u << left) - 1);
+    const int8_t* ahead = I8BlockAhead(blocks, first, stored, block_bytes);
     __m512i acc = _mm512_setzero_si512();
     for (size_t g = 0; g < ops.size(); ++g) {
+      PrefetchI8Group(ahead, g);
       const __m512i xb = _mm512_maskz_loadu_epi32(live, blocks + 64 * g);
       const __m512i qb = _mm512_set1_epi32(ops[g].q);
       const __m512i diff =

@@ -154,17 +154,18 @@ double Wl1F64(const double* q, const double* x, const double* w, size_t d,
 /// byte of a 64-byte group (row b / 4, dim 4g + b % 4) against the
 /// group's query bytes and coefficients repeated for every row, so the
 /// loop runs straight along each group, over the bytes of live rows
-/// only; each row's four lanes then add up to its sum.  The caller's cap
-/// on sum_j |c[j]| * 254 keeps every partial sum inside int32.
+/// only; each row's four lanes then add up to its sum, and each group
+/// prefetches its line of the block kI8PrefetchBlocks ahead.  The
+/// caller's cap on sum_j |c[j]| * 254 keeps every partial sum inside
+/// int32.
 size_t PrescreenI8(const int8_t* q, const int8_t* blocks, size_t n,
-                   const int16_t* c, size_t d, int32_t bound, uint32_t* rows,
-                   int32_t* scores) {
-  constexpr size_t kGroupBytes = kI8BlockRows * kI8GroupDims;
+                   size_t stored, const int16_t* c, size_t d, int32_t bound,
+                   uint32_t* rows, int32_t* scores) {
   const size_t groups = (d + kI8GroupDims - 1) / kI8GroupDims;
-  std::vector<int8_t> qx(groups * kGroupBytes);
-  std::vector<int16_t> cx(groups * kGroupBytes);
+  std::vector<int8_t> qx(groups * kI8GroupBytes);
+  std::vector<int16_t> cx(groups * kI8GroupBytes);
   for (size_t b = 0; b < qx.size(); ++b) {
-    const size_t j = b / kGroupBytes * kI8GroupDims + b % kI8GroupDims;
+    const size_t j = b / kI8GroupBytes * kI8GroupDims + b % kI8GroupDims;
     qx[b] = j < d ? q[j] : int8_t{0};
     cx[b] = j < d ? c[j] : int16_t{0};
   }
@@ -172,11 +173,14 @@ size_t PrescreenI8(const int8_t* q, const int8_t* blocks, size_t n,
   for (size_t first = 0; first < n; first += kI8BlockRows) {
     const size_t live_bytes =
         std::min(kI8BlockRows, n - first) * kI8GroupDims;
-    int32_t lane[kGroupBytes] = {};
+    const int8_t* ahead =
+        I8BlockAhead(blocks, first, stored, groups * kI8GroupBytes);
+    int32_t lane[kI8GroupBytes] = {};
     for (size_t g = 0; g < groups; ++g) {
-      const int8_t* x = blocks + g * kGroupBytes;
-      const int8_t* qg = qx.data() + g * kGroupBytes;
-      const int16_t* cg = cx.data() + g * kGroupBytes;
+      PrefetchI8Group(ahead, g);
+      const int8_t* x = blocks + g * kI8GroupBytes;
+      const int8_t* qg = qx.data() + g * kI8GroupBytes;
+      const int16_t* cg = cx.data() + g * kI8GroupBytes;
       for (size_t b = 0; b < live_bytes; ++b) {
         const int32_t diff = static_cast<int32_t>(qg[b]) - x[b];
         lane[b] += cg[b] * (diff < 0 ? -diff : diff);
@@ -189,7 +193,7 @@ size_t PrescreenI8(const int8_t* q, const int8_t* blocks, size_t n,
       scores[count] = sum;
       ++count;
     }
-    blocks += groups * kGroupBytes;
+    blocks += groups * kI8GroupBytes;
   }
   return count;
 }

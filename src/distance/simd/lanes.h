@@ -6,7 +6,8 @@
 // ISA materializes its accumulator lanes into a plain array and reduces
 // through exactly this expression, so the final rounding sequence cannot
 // differ between scalar, AVX2 and AVX-512 builds.  Also the per-group
-// operands the vector tiers' int8 prescreen broadcasts.
+// operands the vector tiers' int8 prescreen broadcasts, and the int8
+// stream's prefetch that every tier's prescreen runs.
 
 #include <cstddef>
 #include <cstdint>
@@ -78,6 +79,24 @@ class PrescreenGroups {
   PrescreenGroup stack_[kStackGroups];
   std::vector<PrescreenGroup> heap_;
 };
+
+/// Bytes of one 4-dim group of a block: one cache line.
+inline constexpr size_t kI8GroupBytes = kI8BlockRows * kI8GroupDims;
+
+/// The block kI8PrefetchBlocks past the one holding rows [first,
+/// first + kI8BlockRows) at `block`, or null when it lies past the
+/// whole blocks of the `stored` rows (kernels.h).
+inline const int8_t* I8BlockAhead(const int8_t* block, size_t first,
+                                  size_t stored, size_t block_bytes) {
+  return first + kI8PrefetchBlocks * kI8BlockRows < stored
+             ? block + kI8PrefetchBlocks * block_bytes
+             : nullptr;
+}
+
+/// Prefetches group g of the block ahead into L1, if there is one.
+inline void PrefetchI8Group(const int8_t* ahead, size_t g) {
+  if (ahead != nullptr) __builtin_prefetch(ahead + kI8GroupBytes * g, 0, 3);
+}
 
 }  // namespace simd
 }  // namespace qse

@@ -53,16 +53,18 @@ std::vector<ScoredIndex> TopPScan(const EmbeddedDatabase::View& db, size_t p,
 }
 
 /// The prescreened scan's second pass reads a few hundred float64 rows
-/// scattered over a DRAM-resident matrix, each a cold miss; its reading
-/// order is known before the first read, so rows are fetched this many
-/// reads ahead.
-constexpr size_t kF64PrefetchRowsAhead = 4;
+/// scattered over a DRAM-resident matrix, each a cold miss, and most of
+/// the rows it collects are dismissed unread.  A cursor running ahead of
+/// the reads prefetches the rows the current cut keeps, this many ahead.
+constexpr size_t kF64PrefetchRowsAhead = 8;
 
-inline void PrefetchF64Row(const double* row, size_t d) {
-  const char* bytes = reinterpret_cast<const char*>(row);
-  const size_t len = d * sizeof(double);
+/// Prefetches row i of the view: its float64 values and its id.
+inline void PrefetchRow(const EmbeddedDatabase::View& db, size_t i) {
+  const char* bytes = reinterpret_cast<const char*>(db.row(i));
+  const size_t len = db.dims() * sizeof(double);
   for (size_t b = 0; b < len; b += 64) __builtin_prefetch(bytes + b, 0, 0);
   if (len > 0) __builtin_prefetch(bytes + len - 1, 0, 0);
+  __builtin_prefetch(db.ids() + i, 0, 0);
 }
 
 /// An exact scan in two passes over the view's int8 matrix, scored
@@ -70,7 +72,8 @@ inline void PrefetchF64Row(const double* row, size_t d) {
 /// query's `pre` (QuantizeI8Prescreen, finite margin).
 ///
 /// Pass 1 streams the int8 matrix kPrescreenBlockRows rows per kernel
-/// call and collects, in row order, every row with S <= τ, τ = U + Slack()
+/// call, each call prefetching ahead through the rest of the matrix
+/// (simd::kI8PrefetchBlocks), and collects, in row order, every row with S <= τ, τ = U + Slack()
 /// for U an upper bound on the p-th smallest S collected so far (no bound
 /// until the first one).  Each call compares against τ as it stood when
 /// the call began; a stale τ only grows the set.  Once the set holds
@@ -94,7 +97,10 @@ inline void PrefetchF64Row(const double* row, size_t d) {
 /// S > Cut(t) (its exact score then exceeds t).  Every row the plain
 /// scan would keep is offered, and the top p by (score, id) of a set
 /// does not depend on offer order, so ids and score bits match
-/// TopPScan's.
+/// TopPScan's.  A cursor ahead of the reads prefetches the float64 row
+/// and id of the next kF64PrefetchRowsAhead entries the cut of the time
+/// keeps; it only prefetches, so every dismissal is decided as without
+/// it.
 template <typename ExactFn>
 std::vector<ScoredIndex> PrescreenedTopPScan(
     const EmbeddedDatabase::View& db, size_t p, const int8_t* qq,
@@ -137,7 +143,8 @@ std::vector<ScoredIndex> PrescreenedTopPScan(
     }
     const size_t got = k->prescreen_i8(
         qq, db.data_i8() + EmbeddedDatabase::I8Offset(first, 0, d), block,
-        pre.coeffs.data(), d, tau, rows.data() + count, scores.data() + count);
+        n - first, pre.coeffs.data(), d, tau, rows.data() + count,
+        scores.data() + count);
     for (size_t i = count; i < count + got; ++i) {
       rows[i] += static_cast<uint32_t>(first);
     }
@@ -154,8 +161,7 @@ std::vector<ScoredIndex> PrescreenedTopPScan(
   // Pass 2, in reading order: the `keep` best by (S, row) — the rows
   // below S_p and the first rows at S_p, in row order — never dismissed
   // (the threshold stays +inf until they fill the heap), then the other
-  // collected rows.  The order is known up front, so each float64 row is
-  // prefetched a few reads ahead.
+  // collected rows.
   using RowScore = std::pair<int32_t, size_t>;  // (S, row)
   std::vector<RowScore> order(count);
   const size_t ties =
@@ -180,17 +186,27 @@ std::vector<ScoredIndex> PrescreenedTopPScan(
   // The cut only moves when an Offer is accepted; cache it.
   double cached_threshold = top.threshold();
   int64_t cut = pre.Cut(cached_threshold);
-  for (size_t i = 0; i < order.size(); ++i) {
-    if (i + kF64PrefetchRowsAhead < order.size()) {
-      PrefetchF64Row(db.row(order[i + kF64PrefetchRowsAhead].second), d);
+  // The prefetch cursor: order[ahead] is the next entry it examines, and
+  // `in_flight` entries of order[i, ahead) carry kFetched on their row,
+  // the ones it prefetched (rows fit in 32 bits, checked above).
+  constexpr size_t kFetched = size_t{1} << 63;
+  size_t ahead = 0;
+  size_t in_flight = 0;
+  for (size_t i = 0; i < count; ++i) {
+    for (; in_flight < kF64PrefetchRowsAhead && ahead < count; ++ahead) {
+      if (order[ahead].first > cut) continue;
+      PrefetchRow(db, order[ahead].second);
+      order[ahead].second |= kFetched;
+      ++in_flight;
     }
+    in_flight -= (order[i].second & kFetched) != 0;
     const double t = top.threshold();
     if (t != cached_threshold) {
       cached_threshold = t;
       cut = pre.Cut(t);
     }
     if (order[i].first > cut) continue;
-    const size_t row = order[i].second;
+    const size_t row = order[i].second & ~kFetched;
     ++read;
     accepted += OfferRow(&top, db, row, exact_row(db.row(row), d, t));
   }

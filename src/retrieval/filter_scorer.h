@@ -78,7 +78,13 @@ class FilterScorer {
   /// of the p-th smallest one.  Pass 2 reads float64 rows for those
   /// alone: the p best int8 rows first, then the rest, each skipped
   /// unread when its int8 score minus the margin exceeds the running
-  /// threshold.  Every skipped row's exact score provably exceeds the
+  /// threshold.  Both passes hide DRAM latency with software prefetch:
+  /// the pass-1 kernel prefetches the int8 stream a fixed number of
+  /// blocks ahead (simd::kI8PrefetchBlocks) across its calls, and a
+  /// pass-2 cursor prefetches the float64 row and id of the next few
+  /// rows the current cut keeps, so rows it will dismiss are not
+  /// fetched.  Prefetching decides nothing.  Every skipped row's exact
+  /// score provably exceeds the
   /// final p-th best, for either sign of the weights, so candidates,
   /// scores and ids stay bit-identical to the plain scan's.  The stats
   /// count rows whose float64 row was never read as rows_prescreened;

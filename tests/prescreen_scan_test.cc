@@ -160,7 +160,7 @@ Emitted Emit(const simd::KernelTable* k, const int8_t* q,
   Emitted out;
   out.rows.assign(n, 0);
   out.scores.assign(n, 0);
-  const size_t got = k->prescreen_i8(q, blocks, n, c, d, bound,
+  const size_t got = k->prescreen_i8(q, blocks, n, n, c, d, bound,
                                      out.rows.data(), out.scores.data());
   out.rows.resize(got);
   out.scores.resize(got);
@@ -743,6 +743,52 @@ TEST(PrescreenKernelTest, NeverReadsSlotsPastTheLastRow) {
             << simd::SimdLevelName(tier.level) << " " << where;
       }
       ASAN_UNPOISON_MEMORY_REGION(blocks.data(), blocks.size());
+    }
+  }
+}
+
+TEST(PrescreenKernelTest, CallsThatPrefetchAheadEmitWhatOneCallDoes) {
+  // The scan calls a tier's entry kPrescreenBlockRows rows at a time
+  // with the rest of the matrix as `stored`, so each call prefetches
+  // into the next; split that way, over a buffer of exactly the matrix's
+  // whole blocks, the calls emit what one call over all rows does.
+  for (size_t d : {size_t{3}, size_t{55}}) {
+    for (size_t n : {size_t{100}, size_t{256}, size_t{300}, size_t{1029}}) {
+      const std::string where =
+          "d=" + std::to_string(d) + " n=" + std::to_string(n);
+      Rng rng(2200 + 7 * d + n);
+      const std::vector<int8_t> q = RandomBytes(d, &rng);
+      const std::vector<int8_t> rows = RandomBytes(n * d, &rng);
+      const std::vector<int16_t> c = RandomCoeffs(d, &rng);
+      const std::vector<int8_t> blocks = Blocked(rows, n, d);
+      ASSERT_EQ(blocks.size(), EmbeddedDatabase::I8Bytes(n, d));
+      for (const Tier& tier : RunnableTiers()) {
+        const Emitted whole =
+            Emit(tier.table, q.data(), blocks.data(), n, c.data(), d,
+                 INT32_MAX);
+        Emitted split;
+        split.rows.resize(n);
+        split.scores.resize(n);
+        size_t count = 0;
+        for (size_t first = 0; first < n; first += kPrescreenBlockRows) {
+          const size_t got = tier.table->prescreen_i8(
+              q.data(), blocks.data() + EmbeddedDatabase::I8Offset(first, 0, d),
+              std::min(kPrescreenBlockRows, n - first), n - first, c.data(), d,
+              INT32_MAX, split.rows.data() + count,
+              split.scores.data() + count);
+          for (size_t i = count; i < count + got; ++i) {
+            split.rows[i] += static_cast<uint32_t>(first);
+          }
+          count += got;
+        }
+        EXPECT_EQ(count, n) << simd::SimdLevelName(tier.level) << " " << where;
+        split.rows.resize(count);
+        split.scores.resize(count);
+        EXPECT_EQ(split.rows, whole.rows)
+            << simd::SimdLevelName(tier.level) << " " << where;
+        EXPECT_EQ(split.scores, whole.scores)
+            << simd::SimdLevelName(tier.level) << " " << where;
+      }
     }
   }
 }

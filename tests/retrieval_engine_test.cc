@@ -153,125 +153,6 @@ void ExpectSameResult(const RetrievalResponse& expected,
   EXPECT_EQ(expected.neighbors, got.neighbors) << context;
 }
 
-/// Full parity sweep of one embedder/scorer pair: shard counts x scatter
-/// thread counts x p values, Retrieve and RetrieveBatch.
-void ExpectParityAcrossShardCounts(const Stack& s, const Embedder& embedder,
-                                   const FilterScorer& scorer, size_t k) {
-  EmbeddedDatabase db = EmbedDatabase(embedder, s.oracle, s.db_ids);
-  RetrievalEngine mono(&embedder, &scorer, &db, s.db_ids);
-
-  std::vector<DxToDatabaseFn> queries;
-  for (size_t query_id : s.query_ids) queries.push_back(QueryDx(s, query_id));
-
-  for (size_t num_shards : {1u, 2u, 7u}) {
-    for (size_t threads : {1u, 2u, 4u}) {
-      ShardedEngineOptions options;
-      options.num_shards = num_shards;
-      options.scatter_threads = threads;
-      RetrievalEngine sharded(&embedder, &scorer, db, s.db_ids, options);
-      ASSERT_EQ(sharded.size(), mono.size());
-      ASSERT_EQ(sharded.num_shards(), num_shards);
-
-      for (size_t p : {size_t{1}, size_t{5}, size_t{20}, s.db_ids.size()}) {
-        for (size_t qi = 0; qi < queries.size(); ++qi) {
-          auto want = mono.Retrieve({queries[qi], RetrievalOptions(k, p)});
-          auto got = sharded.Retrieve({queries[qi], RetrievalOptions(k, p)});
-          ASSERT_TRUE(want.ok() && got.ok());
-          std::string context = "S=" + std::to_string(num_shards) +
-                                " threads=" + std::to_string(threads) +
-                                " p=" + std::to_string(p) +
-                                " q=" + std::to_string(qi);
-          ExpectSameResult(*want, *got, context.c_str());
-        }
-        // Batch parity: each entry bit-identical to its single Retrieve.
-        auto batch = sharded.RetrieveBatch(queries, RetrievalOptions(k, p));
-        ASSERT_TRUE(batch.ok());
-        ASSERT_EQ(batch->size(), queries.size());
-        for (size_t qi = 0; qi < queries.size(); ++qi) {
-          auto want = mono.Retrieve({queries[qi], RetrievalOptions(k, p)});
-          ASSERT_TRUE(want.ok());
-          ExpectSameResult(*want, (*batch)[qi], "batch");
-        }
-      }
-    }
-  }
-}
-
-TEST(ShardedParityTest, L2ScorerWithFastMap) {
-  Stack s = MakeStack(70, 8, 31);
-  FastMapOptions options;
-  options.dims = 3;
-  FastMapModel model = BuildFastMap(s.oracle, s.db_ids, options);
-  L2Scorer scorer;
-  ExpectParityAcrossShardCounts(s, model, scorer, 3);
-}
-
-TEST(ShardedParityTest, QuerySensitiveScorer) {
-  Stack s = MakeStack(60, 6, 32);
-  BoostMapConfig config;
-  config.num_triples = 500;
-  config.k1 = 3;
-  config.boost.rounds = 16;
-  config.boost.embeddings_per_round = 12;
-  std::vector<size_t> sample(s.db_ids.begin(), s.db_ids.begin() + 25);
-  auto artifacts = TrainBoostMap(s.oracle, sample, sample, config);
-  ASSERT_TRUE(artifacts.ok());
-  QseEmbedderAdapter adapter(&artifacts->model);
-  QuerySensitiveScorer scorer(&artifacts->model);
-  ExpectParityAcrossShardCounts(s, adapter, scorer, 3);
-}
-
-/// Checks RetrieveBatch == per-query Retrieve on a single-shard engine
-/// for one embedder/scorer pair.
-void ExpectBatchMatchesSingle(const Stack& s, const Embedder& embedder,
-                              const FilterScorer& scorer, size_t k,
-                              size_t p) {
-  EmbeddedDatabase db = EmbedDatabase(embedder, s.oracle, s.db_ids);
-  RetrievalEngine engine(&embedder, &scorer, &db, s.db_ids);
-
-  std::vector<DxToDatabaseFn> queries;
-  for (size_t query_id : s.query_ids) queries.push_back(QueryDx(s, query_id));
-
-  std::vector<RetrievalResponse> singles;
-  for (const auto& dx : queries) {
-    auto r = engine.Retrieve({dx, RetrievalOptions(k, p)});
-    ASSERT_TRUE(r.ok()) << r.status();
-    singles.push_back(std::move(r).value());
-  }
-
-  auto batch = engine.RetrieveBatch(queries, RetrievalOptions(k, p));
-  ASSERT_TRUE(batch.ok()) << batch.status();
-  ASSERT_EQ(batch->size(), singles.size());
-  for (size_t qi = 0; qi < singles.size(); ++qi) {
-    std::string context = "qi=" + std::to_string(qi);
-    ExpectSameResult(singles[qi], (*batch)[qi], context.c_str());
-  }
-}
-
-TEST(RetrieveBatchParityTest, QuerySensitiveScorer) {
-  Stack s = MakeStack(80, 12, 11);
-  BoostMapConfig config;
-  config.num_triples = 600;
-  config.k1 = 3;
-  config.boost.rounds = 16;
-  config.boost.embeddings_per_round = 12;
-  std::vector<size_t> sample(s.db_ids.begin(), s.db_ids.begin() + 30);
-  auto artifacts = TrainBoostMap(s.oracle, sample, sample, config);
-  ASSERT_TRUE(artifacts.ok());
-  QseEmbedderAdapter adapter(&artifacts->model);
-  QuerySensitiveScorer scorer(&artifacts->model);
-  ExpectBatchMatchesSingle(s, adapter, scorer, 3, 15);
-}
-
-TEST(RetrieveBatchParityTest, L2ScorerWithFastMap) {
-  Stack s = MakeStack(70, 10, 12);
-  FastMapOptions options;
-  options.dims = 3;
-  FastMapModel model = BuildFastMap(s.oracle, s.db_ids, options);
-  L2Scorer scorer;
-  ExpectBatchMatchesSingle(s, model, scorer, 2, 12);
-}
-
 TEST(ShardedParityTest, ExactUnderTiedFilterScores) {
   // Duplicated rows force exact filter-score ties, which every shard
   // count must break the same way: by database id.
