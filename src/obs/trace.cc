@@ -14,16 +14,20 @@ void RequestTrace::AddSpan(TraceSpan span) {
   spans_.push_back(std::move(span));
 }
 
-void RequestTrace::CloseSpan(const char* name, uint64_t start_ns,
-                             std::vector<TraceArg> args) {
+void RequestTrace::RecordSpan(const char* name, uint64_t start_ns,
+                              uint64_t end_ns, std::vector<TraceArg> args) {
   TraceSpan span;
   span.name = name;
   span.start_ns = start_ns;
-  uint64_t now = NowNs();
-  span.dur_ns = now >= start_ns ? now - start_ns : 0;
+  span.dur_ns = end_ns >= start_ns ? end_ns - start_ns : 0;
   span.tid = ThisThreadId();
   span.args = std::move(args);
   AddSpan(std::move(span));
+}
+
+void RequestTrace::CloseSpan(const char* name, uint64_t start_ns,
+                             std::vector<TraceArg> args) {
+  RecordSpan(name, start_ns, NowNs(), std::move(args));
 }
 
 std::vector<TraceSpan> RequestTrace::spans() const {

@@ -53,6 +53,10 @@ class RequestTrace {
 
   void AddSpan(TraceSpan span);
 
+  /// A span from start_ns to end_ns on the calling thread.
+  void RecordSpan(const char* name, uint64_t start_ns, uint64_t end_ns,
+                  std::vector<TraceArg> args = {});
+
   /// Convenience: a span from start_ns to now on the calling thread.
   void CloseSpan(const char* name, uint64_t start_ns,
                  std::vector<TraceArg> args = {});
@@ -104,6 +108,7 @@ class ScopedSpan {
 
 inline void TraceMark(RequestTrace*, const char*, uint64_t,
                       std::vector<TraceArg> = {}) {}
+inline void TraceMarkUntil(RequestTrace*, const char*, uint64_t, uint64_t) {}
 #else
 /// RAII span: stamps start at construction, closes at destruction.  A
 /// null trace makes every operation a no-op, so untraced requests pay
@@ -142,6 +147,14 @@ class ScopedSpan {
 inline void TraceMark(RequestTrace* trace, const char* name,
                       uint64_t start_ns, std::vector<TraceArg> args = {}) {
   if (trace != nullptr) trace->CloseSpan(name, start_ns, std::move(args));
+}
+
+/// Records a span with an explicit end, for adjacent stages that share
+/// one boundary stamp: the stages then tile the request, and recording
+/// one span costs the time of the stage that follows it, not a gap.
+inline void TraceMarkUntil(RequestTrace* trace, const char* name,
+                           uint64_t start_ns, uint64_t end_ns) {
+  if (trace != nullptr) trace->RecordSpan(name, start_ns, end_ns);
 }
 
 /// Null-safe "time since this trace's epoch" for stamping span starts;
