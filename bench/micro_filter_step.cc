@@ -464,9 +464,10 @@ BENCHMARK(BM_PrescreenKernel)->Arg(16)->Arg(24)->Arg(55)->Arg(130);
 // cost: pass 1's selections of S_p and pass 2's float64 reads are a
 // visible share.  Two signed d = 55 rows at 200k and 800k rows (11 and
 // 44 MB of int8, 88 and 352 MB of float64) stream from L3 and DRAM, so
-// they time the scan's prefetching rather than its arithmetic.  Iterations cycle over kScanQueries queries, each near
-// a different row, so selection code sees fresh scores, as a served
-// scan does, rather than one score vector its branches have learnt.
+// they time the scan's prefetching rather than its arithmetic.
+// Iterations cycle over kScanQueries queries, each near a different
+// row, so selection code sees fresh scores, as a served scan does,
+// rather than one score vector its branches have learnt.
 // Args: d, rows, p, signed.
 
 constexpr size_t kScanQueries = 64;

@@ -174,8 +174,8 @@ inline __m256i AddGroup(__m256i acc, __m256i xb, const PrescreenGroup& g) {
 /// lanes.  Whole blocks load plainly; the last, partial block loads
 /// each half with vpmaskmovd under its live rows, so no slot at or past
 /// n is read.  Each group of a whole block prefetches its line of the
-/// block kI8PrefetchBlocks ahead; a partial last block prefetches
-/// nothing.
+/// block kI8PrefetchBlocks ahead (I8BlockAhead); a partial last block
+/// prefetches nothing.
 size_t PrescreenI8(const int8_t* q, const int8_t* blocks, size_t n,
                    size_t stored, const int16_t* c, size_t d, int32_t bound,
                    uint32_t* rows, int32_t* scores) {

@@ -72,18 +72,19 @@ inline void PrefetchRow(const EmbeddedDatabase::View& db, size_t i) {
 /// query's `pre` (QuantizeI8Prescreen, finite margin).
 ///
 /// Pass 1 streams the int8 matrix kPrescreenBlockRows rows per kernel
-/// call, each call prefetching ahead through the rest of the matrix
-/// (simd::kI8PrefetchBlocks), and collects, in row order, every row with S <= τ, τ = U + Slack()
-/// for U an upper bound on the p-th smallest S collected so far (no bound
-/// until the first one).  Each call compares against τ as it stood when
-/// the call began; a stale τ only grows the set.  Once the set holds
-/// twice what the last tightening left (at least 2p), one radix
-/// histogram of its S gives U (KthSmallestUpperBound, within a 128th of
-/// the set's S range of the p-th smallest), τ tightens and the set drops
-/// the rows above it.  After the last block an exact radix select
-/// (SelectKthSmallest) gives S_p, and τ = S_p + Slack() drops the rest.
-/// Neither selection branches on a score, so fresh scores cost no
-/// per-row mispredictions.  The final S_p and τ are exact: they are
+/// call, each call prefetching ahead into the rest of the matrix
+/// (simd::kI8PrefetchBlocks), and collects, in row order, every row with
+/// S <= τ, τ = U + Slack() for U an upper bound on the p-th smallest S
+/// collected so far (no bound until the first one).  Each call compares
+/// against τ as it stood when the call began; a stale τ only grows the
+/// set.  Once the set holds twice what the last tightening left (at
+/// least 2p), one radix histogram of its S gives U
+/// (KthSmallestUpperBound, within a 128th of the set's S range of the
+/// p-th smallest), τ tightens and the set drops the rows above it.
+/// After the last block an exact radix select (SelectKthSmallest) gives
+/// S_p, and τ = S_p + Slack() drops the rest.  Neither selection
+/// branches on a score, so fresh scores cost no per-row mispredictions.
+/// The final S_p and τ are exact: they are
 /// those of the whole matrix, because a row ever dropped scored above a
 /// τ no lower than the final one, so the collected set is every row with
 /// S <= the final τ, in row order, however τ got there.  The p rows with

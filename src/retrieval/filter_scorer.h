@@ -82,8 +82,8 @@ class FilterScorer {
   /// the pass-1 kernel prefetches the int8 stream a fixed number of
   /// blocks ahead (simd::kI8PrefetchBlocks) across its calls, and a
   /// pass-2 cursor prefetches the float64 row and id of the next few
-  /// rows the current cut keeps, so rows it will dismiss are not
-  /// fetched.  Prefetching decides nothing.  Every skipped row's exact
+  /// rows the current cut keeps, so most rows the cut dismisses are
+  /// never fetched.  Prefetching decides nothing.  Every skipped row's exact
   /// score provably exceeds the
   /// final p-th best, for either sign of the weights, so candidates,
   /// scores and ids stay bit-identical to the plain scan's.  The stats
