@@ -92,10 +92,14 @@ BENCHMARK(BM_EditDistance)->Arg(64)->Arg(256);
 // Args: the lengths of the two series.  Equal lengths whose 10% band
 // fits the active tier's registers (AVX-512: 96 and 256; AVX2: 96) take
 // the wavefront kernel; 500 samples and 96 vs 80 take the row DP.
+// Args: length of a, length of b (resampled when they differ), dims.
+// Dims 1 and 2 run the wavefront's specialised copies, others the
+// runtime-dims one.
 void BM_ConstrainedDtw(benchmark::State& state) {
   TimeSeriesGeneratorParams params;
   params.base_length = static_cast<size_t>(state.range(0));
   params.fixed_length = true;
+  params.dims = static_cast<size_t>(state.range(2));
   TimeSeriesGenerator gen(params, 6);
   Series a = gen.MakeVariant(0), b = gen.MakeVariant(1);
   if (state.range(1) != state.range(0)) {
@@ -107,10 +111,12 @@ void BM_ConstrainedDtw(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ConstrainedDtw)
-    ->Args({96, 96})
-    ->Args({256, 256})
-    ->Args({500, 500})
-    ->Args({96, 80});
+    ->Args({96, 96, 2})
+    ->Args({96, 96, 1})
+    ->Args({96, 96, 5})
+    ->Args({256, 256, 2})
+    ->Args({500, 500, 2})
+    ->Args({96, 80, 2});
 
 void BM_LbKeogh(benchmark::State& state) {
   TimeSeriesGeneratorParams params;

@@ -129,6 +129,16 @@ struct KernelTable {
   ///    (0, 0) = 0, are +inf;
   ///  * no FMA (there is no multiply to contract, and the kernel TUs
   ///    compile with -ffp-contract=off regardless).
+  ///
+  /// The vector tiers keep the first two rules literally only when a
+  /// sample is NaN or +-inf.  When every sample of both series is finite
+  /// (checked once per call), every cost is a sum of |x - y| >= +0, +inf
+  /// when a difference overflows but never NaN, so every cell is +inf or
+  /// a float >= +0 and never NaN or -0.  Over such values min returns the
+  /// same bits in any operand order, and best + cost with best == +inf is
+  /// +inf, the value the skip leaves.  Those calls take a min order and a
+  /// masked add that skip the +inf test (wavefront.h), with the same
+  /// result bits.
   double (*cdtw_f64)(const double* a, size_t n, const double* b, size_t m,
                      size_t dims, long window);
 };

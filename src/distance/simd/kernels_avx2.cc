@@ -258,6 +258,25 @@ struct Avx2Wave {
                                    _mm256_cmp_pd(best, inf, _CMP_NEQ_UQ));
     return _mm256_blendv_pd(inf, _mm256_add_pd(best, cost), keep);
   }
+  // The blend picks +inf costs outside `valid` before `best` arrives, and
+  // +inf + best is +inf for any best the finite sweep can hold.
+  static Vec AddIn(Vec best, Vec cost, unsigned valid, Vec inf) {
+    const __m256i bits = _mm256_set_epi64x(8, 4, 2, 1);
+    const __m256i in_band = _mm256_cmpeq_epi64(
+        _mm256_and_si256(_mm256_set1_epi64x(valid), bits), bits);
+    return _mm256_add_pd(
+        best, _mm256_blendv_pd(inf, cost, _mm256_castsi256_pd(in_band)));
+  }
+  // [x0 y0 x1 y1], [x2 y2 x3 y3] -> [x0 x2 x1 x3], [y0 y2 y1 y3], then
+  // one lane permute each into point order or its reverse.
+  template <bool kReversed>
+  static void Planar2(const double* p, Vec* x, Vec* y) {
+    const Vec lo = Load(p);
+    const Vec hi = Load(p + kLanes);
+    constexpr int kOrder = kReversed ? 0x27 : 0xd8;
+    *x = _mm256_permute4x64_pd(_mm256_unpacklo_pd(lo, hi), kOrder);
+    *y = _mm256_permute4x64_pd(_mm256_unpackhi_pd(lo, hi), kOrder);
+  }
 };
 
 const KernelTable kAvx2Table = {

@@ -211,6 +211,20 @@ struct Avx512Wave {
                           _mm512_cmp_pd_mask(best, inf, _CMP_NEQ_UQ);
     return _mm512_mask_blend_pd(keep, inf, _mm512_add_pd(best, cost));
   }
+  static Vec AddIn(Vec best, Vec cost, unsigned valid, Vec inf) {
+    return _mm512_mask_add_pd(inf, static_cast<__mmask8>(valid), best, cost);
+  }
+  template <bool kReversed>
+  static void Planar2(const double* p, Vec* x, Vec* y) {
+    const Vec lo = Load(p);
+    const Vec hi = Load(p + kLanes);
+    const __m512i even =
+        kReversed ? _mm512_set_epi64(0, 2, 4, 6, 8, 10, 12, 14)
+                  : _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0);
+    const __m512i odd = _mm512_add_epi64(even, _mm512_set1_epi64(1));
+    *x = _mm512_permutex2var_pd(lo, even, hi);
+    *y = _mm512_permutex2var_pd(lo, odd, hi);
+  }
 };
 
 const KernelTable kAvx512Table = {

@@ -30,7 +30,11 @@ inline constexpr size_t kWavePlanarCells = 1024;
 ///   FromBelow(below, v): lane t takes v[t - 1], lane 0 below's last;
 ///   FromAbove(v, above): lane t takes v[t + 1], the last lane above[0];
 ///   Finish(best, cost, valid, inf): best + cost in the lanes whose bit
-///     is set in `valid` and where best != +inf, `inf` everywhere else.
+///     is set in `valid` and where best != +inf, `inf` everywhere else;
+///   AddIn(best, cost, valid, inf): best + cost in the lanes whose bit is
+///     set in `valid`, `inf` elsewhere (exact where best + inf = inf);
+///   Planar2<kReversed>(p, x, y): the kLanes two-dim points at p split
+///     into their x and y coordinates, in point order or reversed.
 ///
 /// Geometry.  The DP runs over anti-diagonals s = i + j.  The band
 /// |i - j| <= w (w = window + 1; equal lengths put the row DP's band
@@ -45,7 +49,18 @@ inline constexpr size_t kWavePlanarCells = 1024;
 /// chain through every cell.  a is copied planar and b planar and
 /// reversed, so the samples of consecutive lanes load contiguously;
 /// both copies are zero-padded for lanes outside the matrix, whose
-/// cells Finish masks to +inf.
+/// cells Finish (or AddIn) masks to +inf.
+///
+/// Two sweeps.  Any sample NaN or +-inf: every cell runs the row DP's
+/// operations in its order (kernels.h), through Finish.  Every sample
+/// finite: then every cost is a sum of |x - y| >= +0 (an overflowing
+/// difference is +inf, never NaN), so every cell is +inf or a float
+/// >= +0, never NaN or -0.  Min over such values is one value in any
+/// order, and +inf + cost is +inf, the row DP's skip.  So the finite
+/// sweep folds min(diag, the in-place neighbour) while the shift is in
+/// flight and adds the cost in one masked op: the same bits, with only a
+/// min and an add waiting on the shift, where the exact-order sweep can
+/// wait on two mins and then a compare and a blend.
 template <typename Isa>
 struct Wavefront {
   using Vec = typename Isa::Vec;
@@ -103,34 +118,154 @@ struct Wavefront {
   /// One diagonal from the previous two, d2 (s - 2) and d1 (s - 1); on
   /// return d2 holds s - 1 and d1 holds s.  kUpShifted: L advanced, so up
   /// is d1 a lane down and left is d1 in place; otherwise up is d1 in
-  /// place and left is d1 a lane up.
-  template <int R, size_t Dims, bool kUpShifted>
+  /// place and left is d1 a lane up.  kFinite: every sample is finite
+  /// (the sweep's contract, above), so min runs in any order and +inf
+  /// absorbs any cost.
+  template <int R, size_t Dims, bool kUpShifted, bool kFinite>
   static void Step(Vec (&d2)[R], Vec (&d1)[R], const double* pa,
                    const double* pb, long stride, size_t dims,
                    uint64_t valid) {
     const Vec inf = Isa::Splat(kInf);
     Vec cur[R];
     for (int r = 0; r < R; ++r) {
-      Vec up, left;
+      const Vec cost =
+          Cost<Dims>(pa + kLanes * r, pb + kLanes * r, stride, dims);
+      const unsigned in_band = static_cast<unsigned>(valid >> (kLanes * r));
+      Vec shifted;
       if constexpr (kUpShifted) {
-        up = Isa::FromBelow(r == 0 ? inf : d1[r - 1], d1[r]);
-        left = d1[r];
+        shifted = Isa::FromBelow(r == 0 ? inf : d1[r - 1], d1[r]);
       } else {
-        up = d1[r];
-        left = Isa::FromAbove(d1[r], r + 1 < R ? d1[r + 1] : inf);
+        shifted = Isa::FromAbove(d1[r], r + 1 < R ? d1[r + 1] : inf);
       }
-      // The row DP's order: std::min(std::min(diag, up), left), and
-      // std::min(x, y) is the vector Min(y, x).
-      Vec best = Isa::Min(up, d2[r]);
-      best = Isa::Min(left, best);
-      cur[r] = Isa::Finish(
-          best, Cost<Dims>(pa + kLanes * r, pb + kLanes * r, stride, dims),
-          static_cast<unsigned>(valid >> (kLanes * r)), inf);
+      if constexpr (kFinite) {
+        // diag and the in-place neighbour are ready a diagonal early, so
+        // only one min waits on the shift.
+        const Vec best = Isa::Min(shifted, Isa::Min(d1[r], d2[r]));
+        cur[r] = Isa::AddIn(best, cost, in_band, inf);
+      } else {
+        const Vec up = kUpShifted ? shifted : d1[r];
+        const Vec left = kUpShifted ? d1[r] : shifted;
+        // The row DP's order: std::min(std::min(diag, up), left), and
+        // std::min(x, y) is the vector Min(y, x).
+        Vec best = Isa::Min(up, d2[r]);
+        best = Isa::Min(left, best);
+        cur[r] = Isa::Finish(best, cost, in_band, inf);
+      }
     }
     for (int r = 0; r < R; ++r) {
       d2[r] = d1[r];
       d1[r] = cur[r];
     }
+  }
+
+  /// Copies a planar and b planar and reversed into `ap` / `bp` (rows
+  /// `stride` apart, samples from kPad on) and zeroes the pads.  Dims ==
+  /// 0: runtime `dims`.
+  template <size_t Dims>
+  static void CopyPlanar(const double* a, const double* b, long n,
+                         size_t dims, long stride, double* ap, double* bp) {
+    const size_t nd = Dims == 0 ? dims : Dims;
+    for (size_t d = 0; d < nd; ++d) {
+      double* pa = ap + d * static_cast<size_t>(stride);
+      double* pb = bp + d * static_cast<size_t>(stride);
+      for (long t = 0; t < kPad; ++t) {
+        pa[t] = 0.0;
+        pb[t] = 0.0;
+        pa[kPad + n + t] = 0.0;
+        pb[kPad + n + t] = 0.0;
+      }
+    }
+    if constexpr (Dims == 2) {
+      if (n >= kLanes) {
+        // kLanes points a vector, the last block overlapping the one
+        // before it when kLanes does not divide n.
+        for (long u = 0;; u += kLanes) {
+          if (u > n - kLanes) u = n - kLanes;
+          Vec x, y;
+          Isa::template Planar2<false>(a + 2 * u, &x, &y);
+          Isa::Store(ap + kPad + u, x);
+          Isa::Store(ap + stride + kPad + u, y);
+          Isa::template Planar2<true>(b + 2 * (n - kLanes - u), &x, &y);
+          Isa::Store(bp + kPad + u, x);
+          Isa::Store(bp + stride + kPad + u, y);
+          if (u == n - kLanes) return;
+        }
+      }
+    }
+    // One dim at a time, so the stores run contiguously (and dims 1
+    // vectorizes).
+    for (size_t d = 0; d < nd; ++d) {
+      double* pa = ap + d * static_cast<size_t>(stride) + kPad;
+      double* pb = bp + d * static_cast<size_t>(stride) + kPad;
+      for (long u = 0; u < n; ++u) {
+        pa[u] = a[static_cast<size_t>(u) * nd + d];
+        pb[u] = b[static_cast<size_t>(n - 1 - u) * nd + d];
+      }
+    }
+  }
+
+  /// Whether all `len` doubles of a and of b are finite: x - x is +0 for
+  /// a finite x and NaN otherwise, and a NaN survives every later add.
+  /// The last vector overlaps the one before it when kLanes does not
+  /// divide `len`; shorter inputs go sample by sample.
+  static bool AllFinite(const double* a, const double* b, size_t len) {
+    if (len < static_cast<size_t>(kLanes)) {
+      double z = 0.0;
+      for (size_t i = 0; i < len; ++i) z += (a[i] - a[i]) + (b[i] - b[i]);
+      return z == 0.0;
+    }
+    Vec za = Isa::Splat(0.0);
+    Vec zb = za;
+    for (size_t i = 0; i + kLanes < len; i += kLanes) {
+      za = Isa::Add(za, Isa::AbsDiff(Isa::Load(a + i), Isa::Load(a + i)));
+      zb = Isa::Add(zb, Isa::AbsDiff(Isa::Load(b + i), Isa::Load(b + i)));
+    }
+    const size_t last = len - kLanes;
+    za = Isa::Add(za, Isa::AbsDiff(Isa::Load(a + last), Isa::Load(a + last)));
+    zb = Isa::Add(zb, Isa::AbsDiff(Isa::Load(b + last), Isa::Load(b + last)));
+    double z[kLanes];
+    Isa::Store(z, Isa::Add(za, zb));
+    double sum = 0.0;
+    for (long t = 0; t < kLanes; ++t) sum += z[t];
+    return sum == 0.0;
+  }
+
+  /// Diagonals 2 .. 2n.  Those in [w + 2, 2n - w] touch no edge of the
+  /// matrix: all of rows L(s) = (s - w + 1) / 2 .. (s + w) / 2 are in
+  /// the band, so `valid` is lanes 0..w when s + w is even and 0..w - 1
+  /// when it is odd.  The others work out their rows in full.
+  template <int R, size_t Dims, bool kFinite>
+  static void Sweep(Vec (&d2)[R], Vec (&d1)[R], const double* ap,
+                    const double* bp, long n, size_t dims, long w,
+                    long stride) {
+    // Diagonal s with lane 0 on row lo = L(s).
+    auto diagonal = [&](long s, long lo, uint64_t valid) {
+      const double* pa = ap + kPad + (lo - 1);
+      const double* pb = bp + kPad + (n - s + lo);
+      if ((s + w) % 2 == 0) {
+        Step<R, Dims, true, kFinite>(d2, d1, pa, pb, stride, dims, valid);
+      } else {
+        Step<R, Dims, false, kFinite>(d2, d1, pa, pb, stride, dims, valid);
+      }
+    };
+    auto edge = [&](long s) {
+      const long lo = s - w >= 0 ? (s - w + 1) / 2 : (s - w) / 2;
+      long ilo = s - n > 1 ? s - n : 1;
+      if (lo > ilo) ilo = lo;
+      long ihi = s - 1 < n ? s - 1 : n;
+      if ((s + w) / 2 < ihi) ihi = (s + w) / 2;
+      diagonal(s, lo,
+               ((uint64_t{2} << (ihi - lo)) - 1) &
+                   ~((uint64_t{1} << (ilo - lo)) - 1));
+    };
+    long s = 2;
+    for (; s <= 2 * n && s < w + 2; ++s) edge(s);
+    const uint64_t even = (uint64_t{2} << w) - 1;
+    const uint64_t odd = (uint64_t{1} << w) - 1;
+    for (; s <= 2 * n - w; ++s) {
+      diagonal(s, (s - w + 1) / 2, (s + w) % 2 == 0 ? even : odd);
+    }
+    for (; s <= 2 * n; ++s) edge(s);
   }
 
   template <int R, size_t Dims>
@@ -140,16 +275,8 @@ struct Wavefront {
     const long stride = n + 2 * kPad;
     double ap[kWavePlanarCells];
     double bp[kWavePlanarCells];
-    for (size_t d = 0; d < dims; ++d) {
-      double* pa = ap + d * static_cast<size_t>(stride);
-      double* pb = bp + d * static_cast<size_t>(stride);
-      for (long t = 0; t < stride; ++t) {
-        const bool in = t >= kPad && t < kPad + n;
-        const size_t u = static_cast<size_t>(t - kPad);
-        pa[t] = in ? a[u * dims + d] : 0.0;
-        pb[t] = in ? b[(static_cast<size_t>(n) - 1 - u) * dims + d] : 0.0;
-      }
-    }
+    CopyPlanar<Dims>(a, b, n, dims, stride, ap, bp);
+    const bool finite = AllFinite(a, b, static_cast<size_t>(n) * dims);
 
     // Diagonal 0 holds only the virtual start (0, 0) = 0, at lane w / 2;
     // diagonal 1 is all +inf.
@@ -163,22 +290,10 @@ struct Wavefront {
       d2[r] = Isa::Load(lanes + kLanes * r);
       d1[r] = Isa::Splat(kInf);
     }
-    for (long s = 2; s <= 2 * n; ++s) {
-      const long lo = s - w >= 0 ? (s - w + 1) / 2 : (s - w) / 2;  // L(s)
-      // Rows of diagonal s inside the matrix and the band.
-      long ilo = s - n > 1 ? s - n : 1;
-      if (lo > ilo) ilo = lo;
-      long ihi = s - 1 < n ? s - 1 : n;
-      if ((s + w) / 2 < ihi) ihi = (s + w) / 2;
-      const uint64_t valid = ((uint64_t{2} << (ihi - lo)) - 1) &
-                             ~((uint64_t{1} << (ilo - lo)) - 1);
-      const double* pa = ap + kPad + (lo - 1);
-      const double* pb = bp + kPad + (n - s + lo);
-      if ((s + w) % 2 == 0) {
-        Step<R, Dims, true>(d2, d1, pa, pb, stride, dims, valid);
-      } else {
-        Step<R, Dims, false>(d2, d1, pa, pb, stride, dims, valid);
-      }
+    if (finite) {
+      Sweep<R, Dims, true>(d2, d1, ap, bp, n, dims, w, stride);
+    } else {
+      Sweep<R, Dims, false>(d2, d1, ap, bp, n, dims, w, stride);
     }
     // Row n of diagonal 2n is lane w / 2 again.
     for (int r = 0; r < R; ++r) Isa::Store(lanes + kLanes * r, d1[r]);

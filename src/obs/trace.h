@@ -108,7 +108,12 @@ class ScopedSpan {
 
 inline void TraceMark(RequestTrace*, const char*, uint64_t,
                       std::vector<TraceArg> = {}) {}
-inline void TraceMarkUntil(RequestTrace*, const char*, uint64_t, uint64_t) {}
+inline void TraceMarkUntil(RequestTrace*, const char*, uint64_t, uint64_t,
+                           std::vector<TraceArg> = {}) {}
+inline uint64_t TraceNsAt(const RequestTrace*, MonotonicClock::time_point) {
+  return 0;
+}
+inline void TraceAddSpan(RequestTrace*, TraceSpan) {}
 #else
 /// RAII span: stamps start at construction, closes at destruction.  A
 /// null trace makes every operation a no-op, so untraced requests pay
@@ -153,8 +158,29 @@ inline void TraceMark(RequestTrace* trace, const char* name,
 /// one boundary stamp: the stages then tile the request, and recording
 /// one span costs the time of the stage that follows it, not a gap.
 inline void TraceMarkUntil(RequestTrace* trace, const char* name,
-                           uint64_t start_ns, uint64_t end_ns) {
-  if (trace != nullptr) trace->RecordSpan(name, start_ns, end_ns);
+                           uint64_t start_ns, uint64_t end_ns,
+                           std::vector<TraceArg> args = {}) {
+  if (trace != nullptr) {
+    trace->RecordSpan(name, start_ns, end_ns, std::move(args));
+  }
+}
+
+/// Records a span built in full, for spans stamped on one thread and
+/// recorded on another (the span keeps its own tid).
+inline void TraceAddSpan(RequestTrace* trace, TraceSpan span) {
+  if (trace != nullptr) trace->AddSpan(std::move(span));
+}
+
+/// `t` in `trace`'s time base (0 before its epoch), for a boundary
+/// stamped once for a stage histogram and a span alike; 0 for untraced
+/// requests, which read no clock for it.
+inline uint64_t TraceNsAt(const RequestTrace* trace,
+                          MonotonicClock::time_point t) {
+  if (trace == nullptr || t < trace->epoch()) return 0;
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t -
+                                                           trace->epoch())
+          .count());
 }
 
 /// Null-safe "time since this trace's epoch" for stamping span starts;

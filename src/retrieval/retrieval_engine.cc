@@ -13,11 +13,11 @@
 namespace qse {
 namespace {
 
-/// Nanoseconds elapsed since `start` (histogram-record helper).
-double NsSince(MonotonicClock::time_point start) {
+/// Nanoseconds from `start` to `end` (histogram-record helper).
+double NsBetween(MonotonicClock::time_point start,
+                 MonotonicClock::time_point end) {
   return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          MonotonicClock::now() - start)
+      std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
           .count());
 }
 
@@ -203,12 +203,21 @@ void RetrievalEngine::RebuildIdIndex() {
 
 Status RetrievalEngine::Scan(
     const Vector& fq, const RetrievalOptions& options,
-    obs::RequestTrace* trace, std::vector<ScanCandidatesResult>* scans,
+    obs::RequestTrace* trace, uint64_t* trace_ns,
+    std::vector<ScanCandidatesResult>* scans,
     std::vector<EmbeddedDatabase::Snapshot>* pins) const {
   const size_t num_shards = shards_.size();
   scans->assign(num_shards, {});
   std::vector<std::optional<EmbeddedDatabase::Snapshot>> pinned(
       pins != nullptr ? num_shards : 0);
+  // A traced scan stamps where each shard's scan ends and on which
+  // thread; the spans are recorded after the join.
+  struct ShardEnd {
+    uint64_t ns = 0;
+    uint32_t tid = 0;
+    bool done = false;
+  };
+  std::vector<ShardEnd> ends(trace != nullptr ? num_shards : 0);
   // Shard scans can fail (a remote peer down mid fan-out); collect the
   // first failure and fail the query honestly.
   std::mutex error_mu;
@@ -224,7 +233,6 @@ Status RetrievalEngine::Scan(
       [&](size_t s) {
         const Shard& shard = shards_[s];
         ScanCandidatesResult& scan = (*scans)[s];
-        uint64_t span_start = obs::TraceNowNs(trace);
         if (shard.backend != nullptr) {
           // The backend counts the rows it scans where its scan runs.
           StatusOr<ScanCandidatesResult> remote =
@@ -251,20 +259,58 @@ Status RetrievalEngine::Scan(
           // View it exposes.
           if (pins != nullptr) pinned[s].emplace(std::move(snap));
         }
-        obs::TraceMark(
-            trace, "shard_scan", span_start,
-            {obs::TraceArg{"shard", static_cast<int64_t>(s), nullptr},
-             obs::TraceArg{"rows", static_cast<int64_t>(scan.rows), nullptr},
-             obs::TraceArg{"rows_pruned",
-                           static_cast<int64_t>(scan.rows_pruned), nullptr},
-             obs::TraceArg{"prescreened",
-                           static_cast<int64_t>(scan.rows_prescreened),
-                           nullptr},
-             obs::TraceArg{"simd", 0,
-                           simd::SimdLevelName(simd::ActiveSimdLevel())},
-             obs::TraceArg{"composed", shard.backend != nullptr, nullptr}});
+        if (trace != nullptr) {
+          ends[s] = {obs::TraceNowNs(trace), obs::RequestTrace::ThisThreadId(),
+                     true};
+        }
       },
       scatter_threads_);
+  if (trace != nullptr) {
+    // Each thread's shard spans tile its share of the scan: a span starts
+    // where the same thread's previous one ended, the first at the
+    // scan's start.  *trace_ns becomes the last end, the merge's start.
+    std::vector<size_t> order;
+    for (size_t s = 0; s < num_shards; ++s) {
+      if (ends[s].done) order.push_back(s);
+    }
+    std::sort(order.begin(), order.end(), [&](size_t x, size_t y) {
+      return ends[x].ns < ends[y].ns;
+    });
+    const uint64_t scan_start = *trace_ns;
+    std::vector<std::pair<uint32_t, uint64_t>> thread_ends;
+    for (size_t s : order) {
+      uint64_t start = scan_start;
+      auto it = std::find_if(
+          thread_ends.begin(), thread_ends.end(),
+          [&](const auto& te) { return te.first == ends[s].tid; });
+      if (it == thread_ends.end()) {
+        thread_ends.emplace_back(ends[s].tid, ends[s].ns);
+      } else {
+        start = it->second;
+        it->second = ends[s].ns;
+      }
+      const ScanCandidatesResult& scan = (*scans)[s];
+      obs::TraceSpan span;
+      span.name = "shard_scan";
+      span.start_ns = start;
+      span.dur_ns = ends[s].ns > start ? ends[s].ns - start : 0;
+      span.tid = ends[s].tid;
+      span.args = {
+          obs::TraceArg{"shard", static_cast<int64_t>(s), nullptr},
+          obs::TraceArg{"rows", static_cast<int64_t>(scan.rows), nullptr},
+          obs::TraceArg{"rows_pruned",
+                        static_cast<int64_t>(scan.rows_pruned), nullptr},
+          obs::TraceArg{"prescreened",
+                        static_cast<int64_t>(scan.rows_prescreened),
+                        nullptr},
+          obs::TraceArg{"simd", 0,
+                        simd::SimdLevelName(simd::ActiveSimdLevel())},
+          obs::TraceArg{"composed", shards_[s].backend != nullptr,
+                        nullptr}};
+      obs::TraceAddSpan(trace, std::move(span));
+      *trace_ns = std::max(*trace_ns, ends[s].ns);
+    }
+  }
   QSE_RETURN_IF_ERROR(first_error);
   for (std::optional<EmbeddedDatabase::Snapshot>& snap : pinned) {
     pins->push_back(std::move(*snap));
@@ -287,15 +333,20 @@ StatusOr<RetrievalResponse> RetrievalEngine::Retrieve(
   }
 
   RetrievalResponse response;
+  // Each stage boundary is one clock read, shared by the stage
+  // histograms and a sampled request's spans, so the spans of embed,
+  // the shard scans, merge and refine meet end to start.
   // Embedding step: once per query, shared by every shard's scan, and
   // before any snapshot pin — it only talks to `dx`, and shorter pins
   // let mutations reclaim retired versions sooner.
   size_t embed_cost = 0;
-  uint64_t span_start = obs::TraceNowNs(trace);
-  MonotonicClock::time_point stage_start = MonotonicClock::now();
+  const MonotonicClock::time_point embed_start = MonotonicClock::now();
   Vector fq = embedder_->Embed(dx, &embed_cost);
-  embed_ns_->Record(NsSince(stage_start));
-  obs::TraceMark(trace, "embed", span_start);
+  const MonotonicClock::time_point scan_start = MonotonicClock::now();
+  embed_ns_->Record(NsBetween(embed_start, scan_start));
+  uint64_t stage_ns = obs::TraceNsAt(trace, scan_start);
+  obs::TraceMarkUntil(trace, "embed", obs::TraceNsAt(trace, embed_start),
+                      stage_ns);
   response.embedding_distances = embed_cost;
 
   // Scan: each shard keeps its local top p (the global top p could in
@@ -305,10 +356,10 @@ StatusOr<RetrievalResponse> RetrievalEngine::Retrieve(
   const bool keep_pins = local_ && options.audit_monitor != nullptr;
   std::vector<ScanCandidatesResult> scans;
   std::vector<EmbeddedDatabase::Snapshot> pins;
-  stage_start = MonotonicClock::now();
-  Status scanned =
-      Scan(fq, options, trace, &scans, keep_pins ? &pins : nullptr);
-  scan_ns_->Record(NsSince(stage_start));
+  Status scanned = Scan(fq, options, trace, &stage_ns, &scans,
+                        keep_pins ? &pins : nullptr);
+  const MonotonicClock::time_point merge_start = MonotonicClock::now();
+  scan_ns_->Record(NsBetween(scan_start, merge_start));
   QSE_RETURN_IF_ERROR(scanned);
   size_t total_rows = 0;
   for (const ScanCandidatesResult& scan : scans) total_rows += scan.rows;
@@ -318,15 +369,9 @@ StatusOr<RetrievalResponse> RetrievalEngine::Retrieve(
   std::vector<std::vector<ScoredIndex>> per_shard = TakeCandidateLists(&scans);
 
   // Merge: k-way heap merge down to the global top p under (score, id).
-  span_start = obs::TraceNowNs(trace);
-  stage_start = MonotonicClock::now();
+  // Its span starts where the last shard scan ended, so it also holds
+  // the join, the hand-over of the candidate lists and the shard stats.
   std::vector<ScoredIndex> candidates = MergeSortedTopK(per_shard, options.p);
-  merge_ns_->Record(NsSince(stage_start));
-  obs::TraceMark(trace, "merge", span_start,
-                 {obs::TraceArg{"candidates",
-                                static_cast<int64_t>(candidates.size()),
-                                nullptr}});
-
   if (options.want_stats) {
     // The merged top p is a prefix of the (score, id) order and ids are
     // disjoint across shards, so shard s contributed exactly the entries
@@ -340,10 +385,15 @@ StatusOr<RetrievalResponse> RetrievalEngine::Retrieve(
       }
     }
   }
+  const MonotonicClock::time_point refine_start = MonotonicClock::now();
+  merge_ns_->Record(NsBetween(merge_start, refine_start));
+  const uint64_t refine_ns = obs::TraceNsAt(trace, refine_start);
+  obs::TraceMarkUntil(trace, "merge", stage_ns, refine_ns,
+                      {obs::TraceArg{"candidates",
+                                     static_cast<int64_t>(candidates.size()),
+                                     nullptr}});
 
   // Refine: exact distances on the merged p only.
-  span_start = obs::TraceNowNs(trace);
-  stage_start = MonotonicClock::now();
   std::vector<ScoredIndex> refined;
   refined.reserve(candidates.size());
   for (const ScoredIndex& c : candidates) {
@@ -351,11 +401,13 @@ StatusOr<RetrievalResponse> RetrievalEngine::Retrieve(
   }
   std::sort(refined.begin(), refined.end());
   if (refined.size() > options.k) refined.resize(options.k);
-  refine_ns_->Record(NsSince(stage_start));
-  obs::TraceMark(trace, "refine", span_start,
-                 {obs::TraceArg{"candidates",
-                                static_cast<int64_t>(candidates.size()),
-                                nullptr}});
+  const MonotonicClock::time_point refine_end = MonotonicClock::now();
+  refine_ns_->Record(NsBetween(refine_start, refine_end));
+  obs::TraceMarkUntil(trace, "refine", refine_ns,
+                      obs::TraceNsAt(trace, refine_end),
+                      {obs::TraceArg{"candidates",
+                                     static_cast<int64_t>(candidates.size()),
+                                     nullptr}});
   response.neighbors = std::move(refined);
   response.exact_distances = embed_cost + candidates.size();
   retrievals_total_->Increment();
@@ -394,10 +446,11 @@ StatusOr<ScanCandidatesResult> RetrievalEngine::ScanCandidates(
   // contributes nothing, and the gathering caller — who can see every
   // shard — decides whether overall emptiness is FailedPrecondition.
   std::vector<ScanCandidatesResult> scans;
-  MonotonicClock::time_point stage_start = MonotonicClock::now();
+  uint64_t unused_ns = 0;
+  const MonotonicClock::time_point stage_start = MonotonicClock::now();
   QSE_RETURN_IF_ERROR(Scan(embedded_query, options, /*trace=*/nullptr,
-                           &scans, /*pins=*/nullptr));
-  scan_ns_->Record(NsSince(stage_start));
+                           &unused_ns, &scans, /*pins=*/nullptr));
+  scan_ns_->Record(NsBetween(stage_start, MonotonicClock::now()));
 
   ScanCandidatesResult result;
   for (const ScanCandidatesResult& scan : scans) {

@@ -177,10 +177,12 @@ class RetrievalEngine : public RetrievalBackend {
 
   /// The scan step: every shard's (score, id)-sorted top p and row
   /// counts, scanned on scatter_threads_.  A non-null `trace` gets one
-  /// shard_scan span per shard; a non-null `pins` keeps each local
-  /// shard's snapshot for a quality audit.
+  /// shard_scan span per shard, the spans of each thread tiling from
+  /// `*trace_ns` (the scan's start on entry, the last span's end on
+  /// return); a non-null `pins` keeps each local shard's snapshot for a
+  /// quality audit.
   Status Scan(const Vector& fq, const RetrievalOptions& options,
-              obs::RequestTrace* trace,
+              obs::RequestTrace* trace, uint64_t* trace_ns,
               std::vector<ScanCandidatesResult>* scans,
               std::vector<EmbeddedDatabase::Snapshot>* pins) const;
 

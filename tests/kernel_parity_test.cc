@@ -246,6 +246,98 @@ TEST(KernelParityTest, CdtwNonFiniteSamplesBitIdenticalOnEveryTier) {
   }
 }
 
+// The vector tiers take a reordered sweep when every sample is finite and
+// the exact-order one otherwise (kernels.h).  At refine's shape (96
+// samples, the window ConstrainedDtw(..., 0.1) gives them), one
+// non-finite coordinate at either end of either series, or anywhere in
+// it, must switch sweeps without changing a bit.  Dims 3 and 5 run the
+// runtime-dims copy, 1 and 2 the specialised ones.
+//
+// A lone non-finite sample gives the same bits on either sweep (both min
+// orders keep a NaN diagonal and drop a NaN up or left), so the second
+// half pairs them: +inf in a's point p - 1 makes every cell of rows >= p
+// +inf, and NaN in b's point p then lands a NaN cost on cell (p + 1,
+// p + 1) of the main diagonal.  The row DP skips it and returns +inf; a
+// call the finite check let through would add it and return NaN.
+TEST(KernelParityTest, CdtwOneNonFiniteSampleAtRefineShapeOnEveryTier) {
+  const double kNonFinite[] = {std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN()};
+  const size_t n = 96;
+  const long window = 10;
+  for (const Tier& tier : RunnableTiers()) {
+    SCOPED_TRACE(SimdLevelName(tier.level));
+    Rng rng(0x6000);
+    for (size_t dims : {1, 2, 3, 5}) {
+      const Series a = test::RandomSeries(&rng, dims, n);
+      const Series b = test::RandomSeries(&rng, dims, n);
+      const size_t len = n * dims;
+      for (size_t at : {size_t{0}, len - 1, rng.Index(len)}) {
+        for (double v : kNonFinite) {
+          for (bool in_a : {true, false}) {
+            Series x = a;
+            Series y = b;
+            (in_a ? x : y).values()[at] = v;
+            EXPECT_TRUE(CdtwMatchesReference(tier.table, x, y, window))
+                << dims << "-D, " << v << " at " << at << " of "
+                << (in_a ? "a" : "b");
+          }
+        }
+      }
+      for (size_t p : {size_t{1}, n - 1, 1 + rng.Index(n - 1)}) {
+        for (bool inf_in_a : {true, false}) {
+          Series x = a;
+          Series y = b;
+          (inf_in_a ? x : y).values()[(p - 1) * dims] = kInf64;
+          (inf_in_a ? y : x).values()[p * dims + dims - 1] =
+              std::numeric_limits<double>::quiet_NaN();
+          EXPECT_EQ(test::ReferenceCdtw(x, y, window), kInf64);
+          EXPECT_TRUE(CdtwMatchesReference(tier.table, x, y, window))
+              << dims << "-D, +inf at point " << p - 1 << " and NaN at "
+              << p << ", +inf in " << (inf_in_a ? "a" : "b");
+        }
+      }
+    }
+  }
+}
+
+// Finite samples whose difference overflows: the cost is +inf with no
+// NaN anywhere, so the finite sweep runs and must add +inf costs exactly
+// as the row DP does, including when every path is +inf.
+TEST(KernelParityTest, CdtwOverflowingFiniteDifferencesOnEveryTier) {
+  const double kHuge = 1e308;
+  for (const Tier& tier : RunnableTiers()) {
+    SCOPED_TRACE(SimdLevelName(tier.level));
+    Rng rng(0x7000);
+    for (size_t dims : {1, 2, 3, 5}) {
+      for (size_t n : {size_t{17}, size_t{96}}) {
+        for (int rep = 0; rep < 8; ++rep) {
+          Series a = test::RandomSeries(&rng, dims, n);
+          Series b = test::RandomSeries(&rng, dims, n);
+          for (size_t k = 1 + rng.Index(4); k > 0; --k) {
+            const size_t at = rng.Index(n * dims);
+            const double sign = rng.Index(2) == 0 ? 1.0 : -1.0;
+            a.values()[at] = sign * kHuge;
+            b.values()[rng.Index(2) == 0 ? at : rng.Index(n * dims)] =
+                -sign * kHuge;
+          }
+          for (long window : {0L, 2L, 10L, 14L}) {
+            EXPECT_TRUE(CdtwMatchesReference(tier.table, a, b, window))
+                << dims << "-D, length " << n << ", window " << window;
+          }
+        }
+        // Every cost +inf: the distance is +inf on every path.
+        Series a(dims, std::vector<double>(n * dims, kHuge));
+        Series b(dims, std::vector<double>(n * dims, -kHuge));
+        EXPECT_TRUE(CdtwMatchesReference(tier.table, a, b, 10));
+        EXPECT_EQ(tier.table->cdtw_f64(a.values().data(), n,
+                                       b.values().data(), n, dims, 10),
+                  kInf64);
+      }
+    }
+  }
+}
+
 // --- Dispatch resolution ------------------------------------------------
 
 TEST(SimdDispatchTest, ActiveKernelsMatchActiveLevel) {

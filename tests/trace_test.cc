@@ -286,6 +286,48 @@ TEST(EndToEndTraceTest, SampledShardedServerRequestCoversItsWallClock) {
 #endif  // QSE_DISABLE_TRACING
 }
 
+TEST(EndToEndTraceTest, EngineStageSpansTileTheEngine) {
+#ifdef QSE_DISABLE_TRACING
+  GTEST_SKIP() << "tracing compiled out (QSE_DISABLE_TRACING)";
+#else
+  // The engine's stages alone, without the server's spans around them:
+  // embed, every shard_scan, merge and refine must cover the interval
+  // from embed's start to refine's end, with serial and with parallel
+  // shard scans.  The stages share their boundary stamps, so a gap means
+  // a stage stopped meeting its neighbour, not a slow host.
+  TraceStack s;
+  for (size_t threads : {size_t{1}, size_t{3}}) {
+    SCOPED_TRACE(threads);
+    ShardedEngineOptions options = TraceStack::ShardOptions();
+    options.scatter_threads = threads;
+    RetrievalEngine engine(&s.model, &s.scorer, s.db, s.db_ids, options);
+    RetrievalRequest request;
+    request.dx = s.QueryDx(s.query_ids[1]);
+    request.options = RetrievalOptions(3, 10);
+    request.trace = std::make_shared<RequestTrace>();
+    auto got = engine.Retrieve(request);
+    ASSERT_TRUE(got.ok()) << got.status();
+
+    std::vector<TraceSpan> stages;
+    for (const TraceSpan& span : request.trace->spans()) {
+      for (const char* name : {"embed", "shard_scan", "merge", "refine"}) {
+        if (name == std::string(span.name)) stages.push_back(span);
+      }
+    }
+    ASSERT_EQ(stages.size(), 3 + engine.num_shards());
+    uint64_t lo = UINT64_MAX;
+    uint64_t hi = 0;
+    for (const TraceSpan& span : stages) {
+      lo = std::min(lo, span.start_ns);
+      hi = std::max(hi, span.start_ns + span.dur_ns);
+    }
+    ASSERT_GT(hi, lo);
+    stages.push_back(MakeSpan("engine", lo, hi - lo));
+    EXPECT_GE(SpanCoverage(stages, "engine"), 0.95);
+  }
+#endif  // QSE_DISABLE_TRACING
+}
+
 TEST(EndToEndTraceTest, SampledRequestRecordsOneSpanPerStage) {
 #ifdef QSE_DISABLE_TRACING
   GTEST_SKIP() << "tracing compiled out (QSE_DISABLE_TRACING)";

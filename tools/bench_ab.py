@@ -25,7 +25,9 @@ CMakeCache.txt), the pair count, and per metric the median and
 quartiles of both sides with the win count, each side's per-pair
 values in pair order (so a verdict resting on one outlying pair can be
 checked later), each side's median load average, plus the per-layer
-metrics of one --trace 1 run per side.
+metrics of min(5, --pairs) alternated --trace 1 runs per side, stored
+like the end-to-end ones as median, quartiles and per-run values (one
+traced run swings a layer by +-20%).
 """
 import argparse
 import datetime
@@ -116,6 +118,20 @@ def summarize(runs, specs):
                      "change": {"median": cm, "q1": cq1, "q3": cq3,
                                 "values": change},
                      "wins": wins, "pairs": len(runs)}
+    return out
+
+
+def layer_summary(reports):
+    """Per per-layer metric (a dotted name) of one side's traced runs:
+    median, quartiles and the values in run order."""
+    out = {}
+    for name in reports[0]["metrics"]:
+        if "." not in name:
+            continue
+        values = [r["metrics"][name]["value"] for r in reports
+                  if name in r["metrics"]]
+        med, q1, q3 = quartiles(values)
+        out[name] = {"median": med, "q1": q1, "q3": q3, "values": values}
     return out
 
 
@@ -236,20 +252,26 @@ def main():
             print("\n".join(table_rows(workload, seed, summary)))
             if not args.record:
                 continue
-            traced = {side: run_once(side, workload, seed, args.seconds, True)
-                      for side in (base, change)}
-            layers = {label: {k: v["value"] for k, v in
-                              traced[side]["metrics"].items()
-                              if "." in k}
+            traced_pairs = min(5, args.pairs)
+            traced = {base: [], change: []}
+            for i in range(traced_pairs):
+                order = (base, change) if i % 2 == 0 else (change, base)
+                for side in order:
+                    traced[side].append(run_once(side, workload, seed,
+                                                 args.seconds, True))
+                print("# %s seed %d traced pair %d/%d done" %
+                      (workload, seed, i + 1, traced_pairs), file=sys.stderr)
+            layers = {label: layer_summary(traced[side])
                       for label, side in (("base", base), ("change", change))}
             row = {
                 "date": datetime.datetime.now(datetime.timezone.utc)
                         .strftime("%Y-%m-%dT%H:%M:%SZ"),
                 "kind": "aa" if args.aa else "ab",
                 "commit": change_sha, "parent": base_sha,
-                "host": host_fingerprint(change, traced[change]),
+                "host": host_fingerprint(change, traced[change][0]),
                 "workload": workload, "seed": seed,
                 "seconds": args.seconds, "pairs": args.pairs,
+                "traced_pairs": traced_pairs,
                 "load_1m": load,
                 "end_to_end": summary, "per_layer": layers,
             }
