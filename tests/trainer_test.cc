@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <string>
+
+#include "src/data/timeseries_generator.h"
+#include "src/distance/dtw.h"
+#include "src/distance/lp.h"
 #include "tests/test_util.h"
 
 namespace qse {
@@ -108,6 +115,139 @@ TEST(TrainerTest, PreprocessingCostIsQuadraticScale) {
   ASSERT_TRUE(result.ok());
   size_t expected = 10 * 9 / 2 + 10 * 20 + 20 * 19 / 2;
   EXPECT_EQ(result->preprocessing_distances, expected);
+}
+
+// Golden pins of trained Se-QS models.  C and Xtr are one sample, as in
+// the paper and perfbench, so both the shared training context and the
+// weak-learner search are pinned.  A trainer change that moves any bit
+// of a chosen round fails here, before it can move Table 1 unseen.
+
+// The bits of one trained round: its 1D embedding (type and local
+// candidate ids) and its weak classifier's interval and weight.
+struct RoundPin {
+  int type;
+  uint32_t c1, c2;
+  uint64_t lo, hi, alpha;
+};
+
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
+
+// One pin per line in the initializer form of the tables below, so a
+// mismatch prints as a line diff and a deliberate retrain can be pasted.
+std::string Format(const std::vector<RoundPin>& pins) {
+  std::string out;
+  char line[128];
+  for (const RoundPin& p : pins) {
+    std::snprintf(line, sizeof line,
+                  "{%d, %u, %u, 0x%016llx, 0x%016llx, 0x%016llx},\n", p.type,
+                  p.c1, p.c2, static_cast<unsigned long long>(p.lo),
+                  static_cast<unsigned long long>(p.hi),
+                  static_cast<unsigned long long>(p.alpha));
+    out += line;
+  }
+  return out;
+}
+
+std::string TrainedPins(const DistanceOracle& oracle,
+                        const BoostMapConfig& config) {
+  const std::vector<size_t> sample = test::Iota(oracle.size());
+  auto result = TrainBoostMap(oracle, sample, sample, config);
+  EXPECT_TRUE(result.ok()) << result.status();
+  if (!result.ok()) return "";
+  std::vector<RoundPin> pins;
+  for (const RoundInfo& info : result->history) {
+    const WeakClassifier& wc = info.chosen;
+    pins.push_back({static_cast<int>(wc.spec.type), wc.spec.c1, wc.spec.c2,
+                    Bits(wc.lo), Bits(wc.hi), Bits(wc.alpha)});
+  }
+  return Format(pins);
+}
+
+BoostMapConfig GoldenConfig() {
+  BoostMapConfig config;
+  config.sampling = TripleSampling::kSelective;
+  config.num_triples = 800;
+  config.k1 = 3;
+  config.boost.rounds = 10;
+  config.boost.embeddings_per_round = 12;
+  config.boost.pivot_fraction = 0.5;
+  return config;
+}
+
+ObjectOracle<Vector> GoldenL1Oracle() {
+  Rng rng(101);
+  std::vector<Vector> points(48, Vector(6));
+  for (Vector& p : points) {
+    for (double& x : p) x = rng.Uniform(0, 1);
+  }
+  return ObjectOracle<Vector>(std::move(points), L1Distance);
+}
+
+const std::vector<RoundPin> kL1ZBoundPins = {
+    {1, 42, 6, 0xfff0000000000000, 0x7ff0000000000000, 0x3ff379f4e20fdc59},
+    {1, 27, 15, 0xfff0000000000000, 0x7ff0000000000000, 0x3ff6d3380c3e9f3b},
+    {1, 20, 40, 0xfff0000000000000, 0x7ff0000000000000, 0x3ff03ff5f2fabba9},
+    {1, 16, 36, 0xfff0000000000000, 0x3ff22361c1f8461d, 0x3fef6a7992496fc0},
+    {1, 37, 47, 0x3fd0838bfea7a876, 0x7ff0000000000000, 0x3ff34d0f29284c44},
+    {0, 12, 0, 0xfff0000000000000, 0x3fffc7fe6bb02cc0, 0x4009207ebcc9446c},
+    {1, 37, 20, 0xfff0000000000000, 0x7ff0000000000000, 0x3feba7a2114332fd},
+    {1, 37, 47, 0xfff0000000000000, 0xbfe77ab3a40f2a38, 0x3feb5c7877533610},
+    {1, 17, 35, 0x3febcb6a49b115d0, 0x7ff0000000000000, 0x3ff6920fdeb814ed},
+    {1, 2, 26, 0xfff0000000000000, 0x7ff0000000000000, 0x3ff4747e9638a4e0},
+};
+
+const std::vector<RoundPin> kL1CorrelationPins = {
+    {1, 42, 6, 0xfff0000000000000, 0x7ff0000000000000, 0x3ff379f4e20fdc59},
+    {1, 27, 15, 0xfff0000000000000, 0x7ff0000000000000, 0x3ff6d3380c3e9f3b},
+    {1, 20, 40, 0xfff0000000000000, 0x7ff0000000000000, 0x3ff03ff5f2fabba9},
+    {0, 10, 0, 0xfff0000000000000, 0x7ff0000000000000, 0x3fe833853897f6b2},
+    {1, 37, 47, 0xfff0000000000000, 0x7ff0000000000000, 0x3fe1348cba7136b0},
+    {0, 44, 0, 0xfff0000000000000, 0x7ff0000000000000, 0x3ff0d676826f7e7d},
+    {1, 37, 20, 0xfff0000000000000, 0x7ff0000000000000, 0x3fed671349ecfdf3},
+    {1, 46, 5, 0xfff0000000000000, 0x7ff0000000000000, 0x3ff07f9aec74a5aa},
+    {1, 12, 8, 0xfff0000000000000, 0x7ff0000000000000, 0x3fea17832091412c},
+    {1, 2, 26, 0xfff0000000000000, 0x7ff0000000000000, 0x3ff1e9fb0ccb1062},
+};
+
+const std::vector<RoundPin> kCdtwPins = {
+    {0, 10, 0, 0xfff0000000000000, 0x7ff0000000000000, 0x3fe2608f467856f6},
+    {1, 20, 21, 0xfff0000000000000, 0x7ff0000000000000, 0x3fcbbf89ccc253e1},
+    {0, 1, 0, 0xfff0000000000000, 0x4043ab39df07bcca, 0x3fc6b5be0113b5a9},
+    {1, 0, 35, 0xfff0000000000000, 0x7ff0000000000000, 0x3fb2da12c2a53d1e},
+    {1, 18, 2, 0x40267531bf9b1dfc, 0x402ca855dedd4e62, 0xbfd93470451e2536},
+    {1, 18, 2, 0xfff0000000000000, 0x7ff0000000000000, 0x3fcc7fd784f2cb88},
+    {0, 28, 0, 0x4040018992a5a232, 0x4048c24faa5b939b, 0x3fdafff534cfdce0},
+    {1, 18, 2, 0x402a87fb72fadebe, 0x7ff0000000000000, 0x3fe8a8a102776d7d},
+};
+
+TEST(TrainerTest, GoldenL1ModelsUnderBothIntervalCriteria) {
+  auto oracle = GoldenL1Oracle();
+  BoostMapConfig config = GoldenConfig();
+  config.boost.interval_selection = AdaBoostOptions::IntervalSelection::kZBound;
+  EXPECT_EQ(TrainedPins(oracle, config), Format(kL1ZBoundPins));
+  config.boost.interval_selection =
+      AdaBoostOptions::IntervalSelection::kCorrelation;
+  EXPECT_EQ(TrainedPins(oracle, config), Format(kL1CorrelationPins));
+}
+
+TEST(TrainerTest, GoldenCdtwModel) {
+  TimeSeriesGeneratorParams params;
+  params.num_seeds = 8;
+  params.base_length = 32;
+  params.fixed_length = true;
+  TimeSeriesGenerator gen(params, 5);
+  ObjectOracle<Series> oracle(gen.Generate(36),
+                              [](const Series& a, const Series& b) {
+                                return ConstrainedDtw(a, b, 0.1);
+                              });
+  BoostMapConfig config = GoldenConfig();
+  config.num_triples = 600;
+  config.boost.rounds = 8;
+  EXPECT_EQ(TrainedPins(oracle, config), Format(kCdtwPins));
 }
 
 }  // namespace
