@@ -135,10 +135,28 @@ AdaBoostResult TrainAdaBoost(const TrainingContext& ctx,
   std::vector<double> w(t, 1.0 / static_cast<double>(t));
   std::vector<double> ensemble_margin(t, 0.0);  // y_i * H(q_i,a_i,b_i).
 
+  // The triples grouped by query object, once per training (CSR: object
+  // o's triples are by_query[query_start[o] .. query_start[o + 1]), in
+  // triple-index order), and the objects that are the query of some
+  // triple.  A candidate then orders these objects, not the triples.
+  std::vector<uint32_t> query_start(nt + 1, 0), by_query(t);
+  for (const Triple& tr : triples) ++query_start[tr.q + 1];
+  std::vector<uint32_t> query_objects;
+  for (uint32_t o = 0; o < nt; ++o) {
+    if (query_start[o + 1] > 0) query_objects.push_back(o);
+    query_start[o + 1] += query_start[o];
+  }
+  {
+    std::vector<uint32_t> next(query_start.begin(), query_start.end() - 1);
+    for (size_t i = 0; i < t; ++i) {
+      by_query[next[triples[i].q]++] = static_cast<uint32_t>(i);
+    }
+  }
+
   // Scratch buffers reused across rounds.
   std::vector<double> values(nt);
-  std::vector<double> proj_q(t), margin(t);  // F(q_i), y_i * F̃_i.
-  std::vector<uint32_t> order(t);
+  std::vector<double> margin(t);       // y_i * F̃_i.
+  std::vector<double> sorted_proj(t);  // F(q_i) in the scoring order.
   std::vector<double> prefix_w(t + 1), prefix_r(t + 1);
   std::vector<size_t> cuts;
 
@@ -161,7 +179,6 @@ AdaBoostResult TrainAdaBoost(const TrainingContext& ctx,
         double fq = values[tr.q];
         double ga = std::fabs(fq - values[tr.a]);
         double gb = std::fabs(fq - values[tr.b]);
-        proj_q[i] = fq;
         margin[i] = static_cast<double>(tr.y) * (gb - ga);
         max_abs = std::max(max_abs, std::fabs(margin[i]));
       }
@@ -180,17 +197,24 @@ AdaBoostResult TrainAdaBoost(const TrainingContext& ctx,
       }
 
       // Query-sensitive: score every interval of a quantile grid over the
-      // query projections, in O(1) each via prefix sums.
-      for (size_t i = 0; i < t; ++i) order[i] = static_cast<uint32_t>(i);
-      std::sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
-        return proj_q[x] < proj_q[y];
-      });
+      // query projections, in O(1) each via prefix sums.  The triples are
+      // taken by projection, then query object, then triple index: sort
+      // the query objects, then emit each one's triples.
+      std::sort(query_objects.begin(), query_objects.end(),
+                [&](uint32_t x, uint32_t y) {
+                  return values[x] < values[y] ||
+                         (values[x] == values[y] && x < y);
+                });
       prefix_w[0] = 0.0;
       prefix_r[0] = 0.0;
-      for (size_t i = 0; i < t; ++i) {
-        uint32_t idx = order[i];
-        prefix_w[i + 1] = prefix_w[i] + w[idx];
-        prefix_r[i + 1] = prefix_r[i] + w[idx] * margin[idx] * inv_scale;
+      size_t i = 0;
+      for (uint32_t o : query_objects) {
+        for (uint32_t k = query_start[o]; k < query_start[o + 1]; ++k, ++i) {
+          uint32_t idx = by_query[k];
+          sorted_proj[i] = values[o];
+          prefix_w[i + 1] = prefix_w[i] + w[idx];
+          prefix_r[i + 1] = prefix_r[i] + w[idx] * margin[idx] * inv_scale;
+        }
       }
 
       // Cut positions: quantiles of the sorted projections, snapped to
@@ -201,8 +225,7 @@ AdaBoostResult TrainAdaBoost(const TrainingContext& ctx,
       const size_t grid = std::max<size_t>(2, options.interval_grid);
       for (size_t g = 1; g < grid; ++g) {
         size_t pos = g * t / grid;
-        while (pos > 0 && pos < t &&
-               proj_q[order[pos - 1]] == proj_q[order[pos]]) {
+        while (pos > 0 && pos < t && sorted_proj[pos - 1] == sorted_proj[pos]) {
           ++pos;
         }
         if (pos > cuts.back() && pos < t) cuts.push_back(pos);
@@ -231,14 +254,12 @@ AdaBoostResult TrainAdaBoost(const TrainingContext& ctx,
             zb = w_out + std::sqrt(std::max(0.0, w_in * w_in - r * r));
           }
           if (zb >= best.z_bound) continue;
-          double lo = cuts[u] == 0
-                          ? -kInf
-                          : 0.5 * (proj_q[order[cuts[u] - 1]] +
-                                   proj_q[order[cuts[u]]]);
-          double hi = cuts[v] == t
-                          ? kInf
-                          : 0.5 * (proj_q[order[cuts[v] - 1]] +
-                                   proj_q[order[cuts[v]]]);
+          double lo = cuts[u] == 0 ? -kInf
+                                   : 0.5 * (sorted_proj[cuts[u] - 1] +
+                                            sorted_proj[cuts[u]]);
+          double hi = cuts[v] == t ? kInf
+                                   : 0.5 * (sorted_proj[cuts[v] - 1] +
+                                            sorted_proj[cuts[v]]);
           best = {spec, lo, hi, zb};
         }
       }

@@ -104,7 +104,13 @@ struct AdaBoostResult {
 ///     candidate set (reference and pivot types, Sec. 5.3),
 ///  2. for each, scores every interval V of a quantile grid over the
 ///     query projections F(q_i) using the Schapire-Singer bound
-///     Z <= W_out + sqrt(W_in^2 - r^2) computed in O(1) from prefix sums,
+///     Z <= W_out + sqrt(W_in^2 - r^2) computed in O(1) from prefix sums.
+///     The prefix sums run over the triples in a canonical order: by
+///     F(q_i), then query object q_i, then triple index.  The triples are
+///     grouped by query object once per training, so a candidate sorts
+///     only the distinct query objects (O(nt log nt + t), not O(t log t)).
+///     Cut positions and the interval bounds depend only on where the
+///     runs of equal F(q_i) lie, not on the order inside a run,
 ///  3. picks the overall best (F, V), then minimizes the exact
 ///     Z_j(Q̃, α) = Σ_i w_i exp(-α y_i Q̃(q_i,a_i,b_i))  (Eq. 8)
 ///     over α by safeguarded bisection on dZ/dα,

@@ -18,7 +18,6 @@ TrainingContext TrainingContext::Build(const DistanceOracle& oracle,
   const size_t nt = ctx.train_ids_.size();
   ctx.cand_cand_ = Matrix(nc, nc);
   ctx.cand_train_ = Matrix(nc, nt);
-  ctx.train_train_ = Matrix(nt, nt);
 
   // Candidate-candidate distances (needed by pivot embeddings, Eq. 2).
   // DX may be mildly asymmetric; we evaluate the (i, j) order and mirror,
@@ -33,6 +32,13 @@ TrainingContext TrainingContext::Build(const DistanceOracle& oracle,
     }
   });
 
+  // When C and Xtr are one sample (the paper's setting), every value
+  // below is an ordered DX call the candidate matrix already made: all of
+  // train_train, and cand_train's upper triangle DX(c_i, c_j), i < j.
+  // Only cand_train's strict lower triangle, DX(c_i, c_j) with i > j,
+  // calls DX again, so an asymmetric DX still gets its own order.
+  const bool shared = ctx.candidate_ids_ == ctx.train_ids_;
+
   // Candidate-to-training-object distances.  When a candidate and a
   // training object are the same database object the distance is 0 by
   // definition.
@@ -40,11 +46,18 @@ TrainingContext TrainingContext::Build(const DistanceOracle& oracle,
     for (size_t j = 0; j < nt; ++j) {
       size_t ci = ctx.candidate_ids_[i];
       size_t tj = ctx.train_ids_[j];
-      ctx.cand_train_(i, j) = ci == tj ? 0.0 : oracle.Distance(ci, tj);
+      ctx.cand_train_(i, j) = ci == tj             ? 0.0
+                              : shared && j > i ? ctx.cand_cand_(i, j)
+                                                : oracle.Distance(ci, tj);
     }
   });
 
   // Training-object pairwise distances (triple labels + Sec. 6 sampler).
+  if (shared) {
+    ctx.train_train_ = ctx.cand_cand_;
+    return ctx;
+  }
+  ctx.train_train_ = Matrix(nt, nt);
   ParallelFor(0, nt, [&](size_t i) {
     for (size_t j = i; j < nt; ++j) {
       double d = i == j

@@ -22,7 +22,10 @@ class TrainingContext {
  public:
   /// Evaluates all required distance matrices through `oracle`.  This is
   /// the "one-time preprocessing cost" of Sec. 7 — quadratic in |C| and
-  /// |Xtr|.
+  /// |Xtr|.  CandCand and TrainTrain hold DX(x_i, x_j) for i < j,
+  /// mirrored; CandTrain holds DX(c, o) in that order.  When
+  /// `candidate_ids == train_ids` the matrices share their values, and
+  /// Build makes n(n - 1) DX calls for n = |C| instead of 2n(n - 1).
   static TrainingContext Build(const DistanceOracle& oracle,
                                std::vector<size_t> candidate_ids,
                                std::vector<size_t> train_ids);

@@ -209,17 +209,6 @@ TEST(AsyncServerParityTest, RandomizedInterleavingsOverBothEngines) {
   }
 }
 
-TEST(AsyncServerParityTest, BlockingRetrieveMatchesBackend) {
-  ServingStack s;
-  AsyncRetrievalServer server(&s.mono);
-  auto want =
-      s.mono.Retrieve({s.QueryDx(s.query_ids[0]), RetrievalOptions(2, 10)});
-  auto got =
-      server.Retrieve({s.QueryDx(s.query_ids[0]), RetrievalOptions(2, 10)});
-  ASSERT_TRUE(want.ok() && got.ok());
-  ExpectSameResult(*want, *got, "blocking");
-}
-
 /// Forwards reads to `inner`'s Retrieve but refuses RetrieveBatch: a
 /// server that batched any request would surface the refusal.
 class RetrieveOnlyBackend : public RetrievalBackend {

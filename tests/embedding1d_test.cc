@@ -1,5 +1,6 @@
 #include "src/core/embedding1d.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -42,6 +43,36 @@ TEST(TrainingContextTest, SharedObjectBetweenCandAndTrainIsZero) {
   TrainingContext ctx =
       TrainingContext::Build(oracle, {0, 1, 2}, {2, 3, 4, 5});
   EXPECT_DOUBLE_EQ(ctx.CandTrain(2, 0), 0.0);
+}
+
+TEST(TrainingContextTest, SharedSampleCallsEachOrderedDistanceOnce) {
+  // C == Xtr over a deliberately asymmetric DX: DX(i, j) != DX(j, i), so
+  // a value copied from the wrong ordered call shows.  The symmetric
+  // matrices hold the call on (lower local index, higher local index),
+  // mirrored; CandTrain holds the call on (candidate, training object).
+  // Every value is finite and never -0, so == compares bits.
+  FunctionOracle asymmetric(16, [](size_t i, size_t j) {
+    return std::fabs(std::sin(0.7 * static_cast<double>(i)) -
+                     std::cos(0.3 * static_cast<double>(j))) +
+           0.01 * static_cast<double>(i);
+  });
+  CountingOracle counting(&asymmetric);
+  const std::vector<size_t> ids = {9, 2, 14, 5, 11, 0, 7};
+  const size_t n = ids.size();
+  TrainingContext ctx = TrainingContext::Build(counting, ids, ids);
+  EXPECT_EQ(counting.count(), n * (n - 1));
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      SCOPED_TRACE(testing::Message() << "i=" << i << " j=" << j);
+      double ordered = i == j ? 0.0 : asymmetric.Distance(ids[i], ids[j]);
+      double mirrored = i == j ? 0.0
+                               : asymmetric.Distance(ids[std::min(i, j)],
+                                                     ids[std::max(i, j)]);
+      EXPECT_EQ(ctx.CandTrain(i, j), ordered);
+      EXPECT_EQ(ctx.CandCand(i, j), mirrored);
+      EXPECT_EQ(ctx.TrainTrain(i, j), mirrored);
+    }
+  }
 }
 
 TEST(TrainingContextTest, CandidateDbIdsPreserved) {

@@ -113,19 +113,6 @@ TEST(FilterRefineTest, FullCandidateSetIsExact) {
   }
 }
 
-TEST(FilterRefineTest, CostAccounting) {
-  Pipeline p = MakePipeline(12);
-  QseEmbedderAdapter adapter(&p.model);
-  QuerySensitiveScorer scorer(&p.model);
-  RetrievalEngine retriever(&adapter, &scorer, &p.db, p.db_ids);
-  auto dx = [&](size_t id) { return p.oracle.Distance(70, id); };
-  auto result = retriever.Retrieve({dx, RetrievalOptions(3, 17)});
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->embedding_distances, p.model.EmbeddingCost());
-  EXPECT_EQ(result->exact_distances, result->embedding_distances + 17);
-  EXPECT_EQ(result->neighbors.size(), 3u);
-}
-
 TEST(FilterRefineTest, LargerPImprovesOrKeepsAccuracy) {
   Pipeline p = MakePipeline(13);
   QseEmbedderAdapter adapter(&p.model);

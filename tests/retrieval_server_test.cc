@@ -75,31 +75,6 @@ RemoteBackendOptions ClientOptions() {
   return options;
 }
 
-TEST(RetrievalServerTest, RemoteRetrieveMatchesLocalBitForBit) {
-  Stack stack(60, 6, 41);
-  RetrievalServer server(stack.engine.get(), ServerOptions());
-  ASSERT_TRUE(server.Start(0).ok());
-  RemoteRetrievalBackend remote(&stack.model, "127.0.0.1", server.port(),
-                                ClientOptions());
-
-  for (size_t p : {size_t{1}, size_t{10}, size_t{60}}) {
-    for (size_t query_id : stack.query_ids) {
-      RetrievalOptions options(3, p);
-      options.want_stats = true;
-      auto want = stack.engine->Retrieve({stack.QueryDx(query_id), options});
-      auto got = remote.Retrieve({stack.QueryDx(query_id), options});
-      ASSERT_TRUE(want.ok() && got.ok())
-          << want.status().message() << got.status().message();
-      EXPECT_EQ(want->neighbors, got->neighbors);
-      EXPECT_EQ(want->exact_distances, got->exact_distances);
-      EXPECT_EQ(want->embedding_distances, got->embedding_distances);
-      ASSERT_EQ(got->shard_stats.size(), 1u);
-      EXPECT_EQ(got->shard_stats[0].rows, stack.db_ids.size());
-    }
-  }
-  server.Stop();
-}
-
 TEST(RetrievalServerTest, ComposedShardedEngineMatchesInProcessSharded) {
   // The tentpole acceptance shape in miniature: 2 remote shards behind
   // one composed sharded engine, against the same 2-shard in-process

@@ -17,7 +17,11 @@ before every run: a busy host moves every metric, and this says how
 busy it was.
 
 --aa runs two archive copies of --base against each other: the layout
-and host noise any verdict has to clear.  --record appends one row per
+and host noise any verdict has to clear.  Copy A builds with the default
+flags; copy B, in its own directory so CMake configures it fresh, with
+CXXFLAGS=-falign-functions=64, so the two sides differ in code layout
+and the shift between them is a layout spread, not just the noise of one
+layout.  --record appends one row per
 workload, seed and pair of sides to BENCH_<workload>.json at the repo
 root: the commits, a host fingerprint (CPU model, nproc, the tier
 perfbench reports as host.simd_level, the compiler from the build's
@@ -40,6 +44,8 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# Copy B's build flags in an A/A run: a second code layout of one source.
+AA_LAYOUT_FLAGS = "-falign-functions=64"
 
 
 def git(*args):
@@ -62,11 +68,16 @@ def archive(rev, dest):
     return dest
 
 
-def build(side):
-    """Builds perfbench in `side` with its own run.py; exits on failure."""
+def build(side, cxxflags=None):
+    """Builds perfbench in `side` with its own run.py; exits on failure.
+    `cxxflags` reaches CMake through CXXFLAGS, which it reads only when it
+    first configures a build directory."""
     code = ("import sys; sys.path.insert(0, 'perfbench'); import run; "
             "sys.exit(0 if run.build() else 1)")
-    if subprocess.run([sys.executable, "-c", code], cwd=side,
+    env = dict(os.environ)
+    if cxxflags:
+        env["CXXFLAGS"] = cxxflags
+    if subprocess.run([sys.executable, "-c", code], cwd=side, env=env,
                       stdout=subprocess.DEVNULL,
                       stderr=subprocess.DEVNULL).returncode != 0:
         sys.exit("bench_ab: perfbench build failed in " + side)
@@ -195,7 +206,8 @@ def main():
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--aa", action="store_true",
-                        help="two archive copies of --base (A/A)")
+                        help="two archive copies of --base (A/A), copy B "
+                             "built with " + AA_LAYOUT_FLAGS)
     parser.add_argument("--record", action="store_true",
                         help="append rows to BENCH_<workload>.json")
     parser.add_argument("--workdir", default=None,
@@ -208,9 +220,12 @@ def main():
     workdir = args.workdir or tempfile.mkdtemp(prefix="qse-bench-ab-")
     base_sha = git("rev-parse", args.base)
     base = archive(base_sha, os.path.join(workdir, base_sha[:12] + "-a"))
+    change_flags = None
     if args.aa:
         change_sha = base_sha
-        change = archive(base_sha, os.path.join(workdir, base_sha[:12] + "-b"))
+        change_flags = AA_LAYOUT_FLAGS
+        change = archive(base_sha, os.path.join(workdir,
+                                                base_sha[:12] + "-b-align64"))
     elif args.change:
         change_sha = git("rev-parse", args.change)
         change = archive(change_sha, os.path.join(workdir, change_sha[:12]))
@@ -219,8 +234,8 @@ def main():
         if git("status", "--porcelain", "--untracked-files=no"):
             change_sha += "+worktree"
         change = ROOT
-    for side in (base, change):
-        build(side)
+    build(base)
+    build(change, change_flags)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         specs = json.load(f)["end_to_end"]
@@ -267,6 +282,7 @@ def main():
                 "date": datetime.datetime.now(datetime.timezone.utc)
                         .strftime("%Y-%m-%dT%H:%M:%SZ"),
                 "kind": "aa" if args.aa else "ab",
+                "cxxflags": {"base": None, "change": change_flags},
                 "commit": change_sha, "parent": base_sha,
                 "host": host_fingerprint(change, traced[change][0]),
                 "workload": workload, "seed": seed,
