@@ -135,10 +135,10 @@ AdaBoostResult TrainAdaBoost(const TrainingContext& ctx,
   std::vector<double> w(t, 1.0 / static_cast<double>(t));
   std::vector<double> ensemble_margin(t, 0.0);  // y_i * H(q_i,a_i,b_i).
 
-  // The triples grouped by query object, once per training (CSR: object
-  // o's triples are by_query[query_start[o] .. query_start[o + 1]), in
-  // triple-index order), and the objects that are the query of some
-  // triple.  A candidate then orders these objects, not the triples.
+  // The triples grouped by query object once per training, in CSR form:
+  // object o's triples are by_query[query_start[o], query_start[o + 1]),
+  // in triple-index order.  query_objects lists the objects that are the
+  // query of some triple; a candidate orders these, not the triples.
   std::vector<uint32_t> query_start(nt + 1, 0), by_query(t);
   for (const Triple& tr : triples) ++query_start[tr.q + 1];
   std::vector<uint32_t> query_objects;
@@ -254,12 +254,14 @@ AdaBoostResult TrainAdaBoost(const TrainingContext& ctx,
             zb = w_out + std::sqrt(std::max(0.0, w_in * w_in - r * r));
           }
           if (zb >= best.z_bound) continue;
-          double lo = cuts[u] == 0 ? -kInf
-                                   : 0.5 * (sorted_proj[cuts[u] - 1] +
-                                            sorted_proj[cuts[u]]);
-          double hi = cuts[v] == t ? kInf
-                                   : 0.5 * (sorted_proj[cuts[v] - 1] +
-                                            sorted_proj[cuts[v]]);
+          double lo = cuts[u] == 0
+                          ? -kInf
+                          : 0.5 * (sorted_proj[cuts[u] - 1] +
+                                   sorted_proj[cuts[u]]);
+          double hi = cuts[v] == t
+                          ? kInf
+                          : 0.5 * (sorted_proj[cuts[v] - 1] +
+                                   sorted_proj[cuts[v]]);
           best = {spec, lo, hi, zb};
         }
       }

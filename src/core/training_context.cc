@@ -46,9 +46,13 @@ TrainingContext TrainingContext::Build(const DistanceOracle& oracle,
     for (size_t j = 0; j < nt; ++j) {
       size_t ci = ctx.candidate_ids_[i];
       size_t tj = ctx.train_ids_[j];
-      ctx.cand_train_(i, j) = ci == tj             ? 0.0
-                              : shared && j > i ? ctx.cand_cand_(i, j)
-                                                : oracle.Distance(ci, tj);
+      if (ci == tj) {
+        ctx.cand_train_(i, j) = 0.0;
+      } else if (shared && j > i) {
+        ctx.cand_train_(i, j) = ctx.cand_cand_(i, j);
+      } else {
+        ctx.cand_train_(i, j) = oracle.Distance(ci, tj);
+      }
     }
   });
 

@@ -64,10 +64,12 @@ TEST(TrainingContextTest, SharedSampleCallsEachOrderedDistanceOnce) {
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j < n; ++j) {
       SCOPED_TRACE(testing::Message() << "i=" << i << " j=" << j);
-      double ordered = i == j ? 0.0 : asymmetric.Distance(ids[i], ids[j]);
-      double mirrored = i == j ? 0.0
-                               : asymmetric.Distance(ids[std::min(i, j)],
-                                                     ids[std::max(i, j)]);
+      double ordered = 0.0, mirrored = 0.0;
+      if (i != j) {
+        ordered = asymmetric.Distance(ids[i], ids[j]);
+        mirrored =
+            asymmetric.Distance(ids[std::min(i, j)], ids[std::max(i, j)]);
+      }
       EXPECT_EQ(ctx.CandTrain(i, j), ordered);
       EXPECT_EQ(ctx.CandCand(i, j), mirrored);
       EXPECT_EQ(ctx.TrainTrain(i, j), mirrored);
