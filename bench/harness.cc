@@ -237,6 +237,7 @@ MethodLadder RunBoostMapVariant(const Workload& workload,
                         << timer.Seconds() << "s");
   MethodLadder ladder = EvaluateQseLadder(workload, gt, name,
                                           artifacts->model);
+  ladder.preprocessing_distances = artifacts->preprocessing_distances;
   QSE_LOG(workload.name << ": evaluated " << name << " ladder in "
                         << timer.Seconds() << "s total");
   return ladder;

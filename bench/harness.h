@@ -87,6 +87,9 @@ struct TrainingScale {
 struct MethodLadder {
   std::string name;
   std::vector<LadderPoint> ladder;
+  /// DX calls training made for its precomputed matrices (BoostMap
+  /// variants; 0 for FastMap).
+  size_t preprocessing_distances = 0;
 };
 
 /// Doubling prefix ladder {1, 2, 4, ..., max}.

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <unordered_map>
 
@@ -14,6 +13,8 @@ namespace qse {
 
 namespace {
 constexpr uint32_t kModelMagic = 0x51534D31;  // "QSM1"
+/// One saved round: type, two ids, pivot distance, lo, hi and alpha.
+constexpr size_t kStoredRoundBytes = 3 * 4 + 4 * 8;
 }  // namespace
 
 double QuerySensitiveEmbedding::Coordinate::Value(double d1, double d2) const {
@@ -160,9 +161,7 @@ QuerySensitiveEmbedding QuerySensitiveEmbedding::Prefix(size_t j) const {
 }
 
 Status QuerySensitiveEmbedding::Save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open for writing: " + path);
-  BinaryWriter w(&out);
+  ByteWriter w(16 + rounds_.size() * kStoredRoundBytes);
   w.WriteU32(kModelMagic);
   w.WriteU32(query_sensitive_ ? 1 : 0);
   w.WriteU64(rounds_.size());
@@ -175,15 +174,14 @@ Status QuerySensitiveEmbedding::Save(const std::string& path) const {
     w.WriteDouble(r.hi);
     w.WriteDouble(r.alpha);
   }
-  if (!out) return Status::IOError("write failed: " + path);
-  return Status::OK();
+  return WriteFileBytes(path, w.bytes());
 }
 
 StatusOr<QuerySensitiveEmbedding> QuerySensitiveEmbedding::Load(
     const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("model file not found: " + path);
-  BinaryReader r(&in);
+  StatusOr<std::string> bytes = ReadFileBytes(path);
+  QSE_RETURN_IF_ERROR(bytes.status());
+  ByteReader r(bytes.value());
   uint32_t magic = 0;
   QSE_RETURN_IF_ERROR(r.ReadU32(&magic));
   if (magic != kModelMagic) {
@@ -193,12 +191,11 @@ StatusOr<QuerySensitiveEmbedding> QuerySensitiveEmbedding::Load(
   QSE_RETURN_IF_ERROR(r.ReadU32(&qs));
   uint64_t n = 0;
   QSE_RETURN_IF_ERROR(r.ReadU64(&n));
-  if (n > (1ull << 24)) return Status::IOError("round count implausible");
+  QSE_RETURN_IF_ERROR(r.CheckCount(n, kStoredRoundBytes, 1ull << 24));
   QuerySensitiveEmbedding model;
   model.query_sensitive_ = qs != 0;
   model.rounds_.resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    StoredRound& sr = model.rounds_[i];
+  for (StoredRound& sr : model.rounds_) {
     uint32_t type = 0;
     QSE_RETURN_IF_ERROR(r.ReadU32(&type));
     sr.type = type == 0 ? Embedding1DSpec::Type::kReference
@@ -210,6 +207,7 @@ StatusOr<QuerySensitiveEmbedding> QuerySensitiveEmbedding::Load(
     QSE_RETURN_IF_ERROR(r.ReadDouble(&sr.hi));
     QSE_RETURN_IF_ERROR(r.ReadDouble(&sr.alpha));
   }
+  QSE_RETURN_IF_ERROR(r.RequireExhausted());
   model.RebuildCoordinates();
   return model;
 }

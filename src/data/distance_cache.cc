@@ -1,7 +1,5 @@
 #include "src/data/distance_cache.h"
 
-#include <fstream>
-
 #include "src/util/serialize.h"
 
 namespace qse {
@@ -30,26 +28,25 @@ double CachingOracle::Distance(size_t i, size_t j) const {
 }
 
 Status CachingOracle::Save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open for writing: " + path);
-  std::lock_guard<std::mutex> lock(mu_);
-  BinaryWriter w(&out);
-  w.WriteU32(kCacheMagic);
-  w.WriteString(fingerprint_);
-  w.WriteU64(size());
-  w.WriteU64(cache_.size());
-  for (const auto& [key, value] : cache_) {
-    w.WriteU64(key);
-    w.WriteDouble(value);
+  ByteWriter w;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    w.WriteU32(kCacheMagic);
+    w.WriteString(fingerprint_);
+    w.WriteU64(size());
+    w.WriteU64(cache_.size());
+    for (const auto& [key, value] : cache_) {
+      w.WriteU64(key);
+      w.WriteDouble(value);
+    }
   }
-  if (!out) return Status::IOError("write failed: " + path);
-  return Status::OK();
+  return WriteFileBytes(path, w.bytes());
 }
 
 Status CachingOracle::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cache file not found: " + path);
-  BinaryReader r(&in);
+  StatusOr<std::string> bytes = ReadFileBytes(path);
+  QSE_RETURN_IF_ERROR(bytes.status());
+  ByteReader r(bytes.value());
   uint32_t magic = 0;
   QSE_RETURN_IF_ERROR(r.ReadU32(&magic));
   if (magic != kCacheMagic) {
@@ -69,6 +66,12 @@ Status CachingOracle::Load(const std::string& path) {
   }
   uint64_t pairs = 0;
   QSE_RETURN_IF_ERROR(r.ReadU64(&pairs));
+  // Every (key, value) pair is 16 bytes, and they end the file: check
+  // both before reserving or inserting anything.
+  QSE_RETURN_IF_ERROR(r.CheckCount(pairs, 16));
+  if (r.remaining() != pairs * 16) {
+    return Status::DataLoss("cache file has trailing bytes after its pairs");
+  }
   std::lock_guard<std::mutex> lock(mu_);
   cache_.reserve(cache_.size() + pairs);
   for (uint64_t k = 0; k < pairs; ++k) {

@@ -34,23 +34,4 @@ double KlDivergence(const Vector& p, const Vector& q, double epsilon) {
   return kl < 0.0 ? 0.0 : kl;  // Guard tiny negative rounding artifacts.
 }
 
-double SymmetricKlDivergence(const Vector& p, const Vector& q,
-                             double epsilon) {
-  return KlDivergence(p, q, epsilon) + KlDivergence(q, p, epsilon);
-}
-
-double JensenShannonDivergence(const Vector& p, const Vector& q) {
-  assert(p.size() == q.size());
-  Vector pn = NormalizeSmoothed(p, 1e-12);
-  Vector qn = NormalizeSmoothed(q, 1e-12);
-  Vector m(p.size());
-  for (size_t i = 0; i < m.size(); ++i) m[i] = 0.5 * (pn[i] + qn[i]);
-  double js = 0.0;
-  for (size_t i = 0; i < m.size(); ++i) {
-    if (pn[i] > 0) js += 0.5 * pn[i] * std::log(pn[i] / m[i]);
-    if (qn[i] > 0) js += 0.5 * qn[i] * std::log(qn[i] / m[i]);
-  }
-  return js < 0.0 ? 0.0 : js;
-}
-
 }  // namespace qse

@@ -12,14 +12,6 @@ namespace qse {
 /// measures the paper's introduction names as motivating this work.
 double KlDivergence(const Vector& p, const Vector& q, double epsilon = 1e-10);
 
-/// Symmetrized KL: KL(p||q) + KL(q||p).  Still non-metric (no triangle
-/// inequality) but symmetric; convenient as a DX for tests and examples.
-double SymmetricKlDivergence(const Vector& p, const Vector& q,
-                             double epsilon = 1e-10);
-
-/// Jensen-Shannon divergence; bounded, symmetric smoothing of KL.
-double JensenShannonDivergence(const Vector& p, const Vector& q);
-
 }  // namespace qse
 
 #endif  // QSE_DISTANCE_KL_DIVERGENCE_H_

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <fstream>
 #include <unordered_map>
 
 #include "src/util/logging.h"
@@ -146,9 +145,7 @@ constexpr uint32_t kFastMapMagic = 0x51464D31;  // "QFM1"
 }  // namespace
 
 Status FastMapModel::Save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open for writing: " + path);
-  BinaryWriter w(&out);
+  ByteWriter w;
   w.WriteU32(kFastMapMagic);
   w.WriteU64(levels_.size());
   for (const Level& lv : levels_) {
@@ -158,14 +155,13 @@ Status FastMapModel::Save(const std::string& path) const {
     w.WriteDoubleVec(lv.coords_a);
     w.WriteDoubleVec(lv.coords_b);
   }
-  if (!out) return Status::IOError("write failed: " + path);
-  return Status::OK();
+  return WriteFileBytes(path, w.bytes());
 }
 
 StatusOr<FastMapModel> FastMapModel::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("model file not found: " + path);
-  BinaryReader r(&in);
+  StatusOr<std::string> bytes = ReadFileBytes(path);
+  QSE_RETURN_IF_ERROR(bytes.status());
+  ByteReader r(bytes.value());
   uint32_t magic = 0;
   QSE_RETURN_IF_ERROR(r.ReadU32(&magic));
   if (magic != kFastMapMagic) {
@@ -173,15 +169,17 @@ StatusOr<FastMapModel> FastMapModel::Load(const std::string& path) {
   }
   uint64_t n = 0;
   QSE_RETURN_IF_ERROR(r.ReadU64(&n));
-  if (n > (1ull << 20)) return Status::IOError("level count implausible");
+  // A level is at least its pivots, distance and two vector counts.
+  QSE_RETURN_IF_ERROR(r.CheckCount(n, 32, 1ull << 20));
   std::vector<Level> levels(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    QSE_RETURN_IF_ERROR(r.ReadU32(&levels[i].pivot_a));
-    QSE_RETURN_IF_ERROR(r.ReadU32(&levels[i].pivot_b));
-    QSE_RETURN_IF_ERROR(r.ReadDouble(&levels[i].dist_ab));
-    QSE_RETURN_IF_ERROR(r.ReadDoubleVec(&levels[i].coords_a));
-    QSE_RETURN_IF_ERROR(r.ReadDoubleVec(&levels[i].coords_b));
+  for (Level& lv : levels) {
+    QSE_RETURN_IF_ERROR(r.ReadU32(&lv.pivot_a));
+    QSE_RETURN_IF_ERROR(r.ReadU32(&lv.pivot_b));
+    QSE_RETURN_IF_ERROR(r.ReadDouble(&lv.dist_ab));
+    QSE_RETURN_IF_ERROR(r.ReadDoubleVec(&lv.coords_a));
+    QSE_RETURN_IF_ERROR(r.ReadDoubleVec(&lv.coords_b));
   }
+  QSE_RETURN_IF_ERROR(r.RequireExhausted());
   return FastMapModel(std::move(levels));
 }
 

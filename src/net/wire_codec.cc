@@ -8,36 +8,12 @@ namespace qse {
 namespace net {
 namespace {
 
-/// Appends fields to one payload string, in BinaryWriter's layout (raw
-/// host-order bytes, u64 length prefixes), without a stream per field.
-class PayloadWriter {
- public:
-  explicit PayloadWriter(size_t size) { out_.reserve(size); }
-
-  template <typename T>
-  void Put(T v) {
-    out_.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  }
-  void PutString(const std::string& s) {
-    Put<uint64_t>(s.size());
-    out_.append(s);
-  }
-  void PutDoubleVec(const std::vector<double>& v) {
-    Put<uint64_t>(v.size());
-    out_.append(reinterpret_cast<const char*>(v.data()),
-                v.size() * sizeof(double));
-  }
-  /// The shared preamble.
-  void PutPreamble(uint16_t tag) {
-    Put<uint32_t>(kWireMagic);
-    Put<uint16_t>(kWireVersion);
-    Put<uint16_t>(tag);
-  }
-  std::string Take() { return std::move(out_); }
-
- private:
-  std::string out_;
-};
+/// The shared preamble.
+void WritePreamble(ByteWriter* w, uint16_t tag) {
+  w->WriteU32(kWireMagic);
+  w->WriteU16(kWireVersion);
+  w->WriteU16(tag);
+}
 
 constexpr size_t kPreambleBytes = 8;
 
@@ -60,28 +36,19 @@ Status ReadPreamble(ByteReader* r, uint16_t* tag) {
   return r->ReadU16(tag);
 }
 
-/// A well-formed frame ends exactly where its fields do.
-Status RequireExhausted(const ByteReader& r) {
-  if (!r.exhausted()) {
-    return Status::DataLoss(std::to_string(r.remaining()) +
-                            " trailing bytes in frame");
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 std::string EncodeRequest(const WireRequest& request) {
   // Reserved to the exact size: the preamble, 41 bytes of fixed fields,
   // then the query.
-  PayloadWriter w(kPreambleBytes + 41 + 8 * request.query.size());
-  w.PutPreamble(static_cast<uint16_t>(request.op));
-  w.Put<uint64_t>(request.deadline_budget_ns);
-  w.Put<uint8_t>(request.want_trace ? 1 : 0);
-  w.Put<uint64_t>(request.options.k);
-  w.Put<uint64_t>(request.options.p);
-  w.Put<uint64_t>(request.db_id);
-  w.PutDoubleVec(request.query);
+  ByteWriter w(kPreambleBytes + 41 + 8 * request.query.size());
+  WritePreamble(&w, static_cast<uint16_t>(request.op));
+  w.WriteU64(request.deadline_budget_ns);
+  w.WriteU8(request.want_trace ? 1 : 0);
+  w.WriteU64(request.options.k);
+  w.WriteU64(request.options.p);
+  w.WriteU64(request.db_id);
+  w.WriteDoubleVec(request.query);
   return w.Take();
 }
 
@@ -114,7 +81,7 @@ Status DecodeRequest(const std::string& payload, WireRequest* out) {
   out->options.p = static_cast<size_t>(p);
   QSE_RETURN_IF_ERROR(r.ReadU64(&out->db_id));
   QSE_RETURN_IF_ERROR(r.ReadDoubleVec(&out->query, kMaxWireDims));
-  return RequireExhausted(r);
+  return r.RequireExhausted();
 }
 
 std::string EncodeResponse(const WireResponse& response) {
@@ -123,25 +90,25 @@ std::string EncodeResponse(const WireResponse& response) {
   size_t size = kPreambleBytes + 57 + response.message.size() +
                 16 * response.neighbors.size();
   for (const WireSpan& s : response.spans) size += 28 + s.name.size();
-  PayloadWriter w(size);
-  w.PutPreamble(kResponseTag);
-  w.Put<uint8_t>(static_cast<uint8_t>(response.code));
-  w.PutString(response.message);
-  w.Put<uint64_t>(response.rows);
-  w.Put<uint64_t>(response.rows_pruned);
-  w.Put<uint64_t>(response.rows_prescreened);
-  w.Put<uint64_t>(response.db_size);
-  w.Put<uint64_t>(response.neighbors.size());
+  ByteWriter w(size);
+  WritePreamble(&w, kResponseTag);
+  w.WriteU8(static_cast<uint8_t>(response.code));
+  w.WriteString(response.message);
+  w.WriteU64(response.rows);
+  w.WriteU64(response.rows_pruned);
+  w.WriteU64(response.rows_prescreened);
+  w.WriteU64(response.db_size);
+  w.WriteU64(response.neighbors.size());
   for (const ScoredIndex& n : response.neighbors) {
-    w.Put<uint64_t>(n.index);
-    w.Put<double>(n.score);
+    w.WriteU64(n.index);
+    w.WriteDouble(n.score);
   }
-  w.Put<uint64_t>(response.spans.size());
+  w.WriteU64(response.spans.size());
   for (const WireSpan& s : response.spans) {
-    w.PutString(s.name);
-    w.Put<uint64_t>(s.start_ns);
-    w.Put<uint64_t>(s.dur_ns);
-    w.Put<uint32_t>(s.tid);
+    w.WriteString(s.name);
+    w.WriteU64(s.start_ns);
+    w.WriteU64(s.dur_ns);
+    w.WriteU32(s.tid);
   }
   return w.Take();
 }
@@ -171,11 +138,7 @@ Status DecodeResponse(const std::string& payload, WireResponse* out) {
   // cap and the bytes still in the frame before reserving anything.
   uint64_t num_neighbors = 0;
   QSE_RETURN_IF_ERROR(r.ReadU64(&num_neighbors));
-  if (num_neighbors > kMaxWireNeighbors ||
-      num_neighbors > r.remaining() / 16) {
-    return Status::DataLoss("neighbor count implausible: " +
-                            std::to_string(num_neighbors));
-  }
+  QSE_RETURN_IF_ERROR(r.CheckCount(num_neighbors, 16, kMaxWireNeighbors));
   out->neighbors.clear();
   out->neighbors.reserve(num_neighbors);
   for (uint64_t i = 0; i < num_neighbors; ++i) {
@@ -189,10 +152,7 @@ Status DecodeResponse(const std::string& payload, WireResponse* out) {
   uint64_t num_spans = 0;
   QSE_RETURN_IF_ERROR(r.ReadU64(&num_spans));
   // A span is at least 28 bytes (8-byte name length + 8 + 8 + 4).
-  if (num_spans > kMaxWireSpans || num_spans > r.remaining() / 28) {
-    return Status::DataLoss("span count implausible: " +
-                            std::to_string(num_spans));
-  }
+  QSE_RETURN_IF_ERROR(r.CheckCount(num_spans, 28, kMaxWireSpans));
   out->spans.clear();
   out->spans.reserve(num_spans);
   for (uint64_t i = 0; i < num_spans; ++i) {
@@ -203,7 +163,7 @@ Status DecodeResponse(const std::string& payload, WireResponse* out) {
     QSE_RETURN_IF_ERROR(r.ReadU32(&span.tid));
     out->spans.push_back(std::move(span));
   }
-  return RequireExhausted(r);
+  return r.RequireExhausted();
 }
 
 }  // namespace net

@@ -8,8 +8,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "src/util/crc32.h"
 #include "src/util/serialize.h"
@@ -76,36 +74,35 @@ Status ValidateDb(const SnapshotContents::Db& db) {
 
 std::string EncodeSnapshot(uint64_t cut_seq, const std::string& model_blob,
                            const std::vector<EmbeddedDatabase::View>& dbs) {
-  std::ostringstream body;
-  BinaryWriter writer(&body);
-  writer.WriteU32(kSnapshotMagic);
-  writer.WriteU16(kSnapshotVersion);
-  writer.WriteU16(0);
-  writer.WriteU64(cut_seq);
-  writer.WriteString(model_blob);
-  writer.WriteU64(dbs.size());
+  // Reserved to the exact size: the header, the blob, then per db its
+  // shape, counts, rows and ids, then the CRC trailer.
+  size_t size = 16 + 8 + model_blob.size() + 8 + sizeof(uint32_t);
+  for (const EmbeddedDatabase::View& view : dbs) {
+    size += 32 + view.size() * (view.dims() + 1) * 8;
+  }
+  ByteWriter w(size);
+  w.WriteU32(kSnapshotMagic);
+  w.WriteU16(kSnapshotVersion);
+  w.WriteU16(0);
+  w.WriteU64(cut_seq);
+  w.WriteString(model_blob);
+  w.WriteU64(dbs.size());
   for (const EmbeddedDatabase::View& view : dbs) {
     const uint64_t rows = view.size();
     const uint64_t dims = view.dims();
     const uint64_t cells = rows * dims;
-    writer.WriteU64(dims);
-    writer.WriteU64(rows);
+    w.WriteU64(dims);
+    w.WriteU64(rows);
     // Vector fields are written as (u64 count + raw bytes) directly from
-    // the pinned buffers — the exact frame WriteDoubleVec/ReadDoubleVec
-    // use, without materializing an owning copy first.
-    writer.WriteU64(cells);
-    writer.WriteBytes(view.data(), cells * sizeof(double));
-    writer.WriteU64(rows);
-    writer.WriteBytes(view.ids(), rows * sizeof(uint64_t));
+    // the pinned buffers: the frame ReadDoubleVec/ReadU64Vec read,
+    // without materializing an owning copy first.
+    w.WriteU64(cells);
+    w.WriteBytes(view.data(), cells * sizeof(double));
+    w.WriteU64(rows);
+    w.WriteBytes(view.ids(), rows * sizeof(uint64_t));
   }
-  std::string payload = body.str();
-  const uint32_t crc = Crc32(payload);
-
-  std::ostringstream tail;
-  BinaryWriter crc_writer(&tail);
-  crc_writer.WriteU32(crc);
-  payload += tail.str();
-  return payload;
+  w.WriteU32(Crc32(w.bytes()));
+  return w.Take();
 }
 
 StatusOr<SnapshotContents> DecodeSnapshot(const std::string& bytes) {
@@ -138,11 +135,9 @@ StatusOr<SnapshotContents> DecodeSnapshot(const std::string& bytes) {
   QSE_RETURN_IF_ERROR(reader.ReadString(&contents.model_blob));
   uint64_t num_dbs = 0;
   QSE_RETURN_IF_ERROR(reader.ReadU64(&num_dbs));
-  // Each db costs at least its shape header; cap the count before
-  // reserving anything.
-  if (num_dbs > reader.remaining()) {
-    return Status::DataLoss("snapshot db count contradicts remaining bytes");
-  }
+  // Each db costs at least its shape and two counts; cap the count
+  // before reserving anything.
+  QSE_RETURN_IF_ERROR(reader.CheckCount(num_dbs, 32));
   contents.dbs.reserve(num_dbs);
   for (uint64_t d = 0; d < num_dbs; ++d) {
     SnapshotContents::Db db;
@@ -153,9 +148,7 @@ StatusOr<SnapshotContents> DecodeSnapshot(const std::string& bytes) {
     QSE_RETURN_IF_ERROR(ValidateDb(db));
     contents.dbs.push_back(std::move(db));
   }
-  if (!reader.exhausted()) {
-    return Status::DataLoss("snapshot payload has trailing bytes");
-  }
+  QSE_RETURN_IF_ERROR(reader.RequireExhausted());
   return contents;
 }
 
@@ -215,13 +208,9 @@ Status WriteSnapshotFile(const std::string& path, const std::string& bytes) {
 }
 
 StatusOr<SnapshotContents> ReadSnapshotFile(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file.is_open()) {
-    return Status::NotFound("no snapshot at " + path);
-  }
-  std::ostringstream into;
-  into << file.rdbuf();
-  return DecodeSnapshot(into.str());
+  StatusOr<std::string> bytes = ReadFileBytes(path);
+  QSE_RETURN_IF_ERROR(bytes.status());
+  return DecodeSnapshot(bytes.value());
 }
 
 namespace testing {

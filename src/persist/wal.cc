@@ -6,8 +6,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "src/obs/metric_registry.h"
 #include "src/util/crc32.h"
@@ -24,8 +22,8 @@ Status ErrnoStatus(const std::string& what, const std::string& path) {
 
 /// Decodes one record payload (the bytes the CRC already vouched for).
 /// Structural violations are kDataLoss, exactly like the wire codec.
-Status DecodeWalPayload(const std::string& payload, WalRecord* out) {
-  ByteReader reader(payload);
+Status DecodeWalPayload(const char* payload, size_t size, WalRecord* out) {
+  ByteReader reader(payload, size);
   uint16_t version = 0;
   uint16_t op = 0;
   QSE_RETURN_IF_ERROR(reader.ReadU16(&version));
@@ -48,40 +46,50 @@ Status DecodeWalPayload(const std::string& payload, WalRecord* out) {
     default:
       return Status::DataLoss("unknown WAL op " + std::to_string(op));
   }
-  if (!reader.exhausted()) {
-    return Status::DataLoss("WAL record payload has trailing bytes");
-  }
-  return Status::OK();
+  return reader.RequireExhausted();
+}
+
+/// The file header a fresh or compacted log starts with.
+std::string EncodeWalFileHeader(uint64_t base_seq) {
+  ByteWriter w(kWalFileHeaderBytes);
+  w.WriteU32(kWalFileMagic);
+  w.WriteU16(kWalVersion);
+  w.WriteU16(0);
+  w.WriteU64(base_seq);
+  return w.Take();
 }
 
 }  // namespace
 
 std::string EncodeWalRecord(const WalRecord& record) {
-  std::ostringstream body;
-  BinaryWriter writer(&body);
-  writer.WriteU16(kWalVersion);
-  writer.WriteU16(static_cast<uint16_t>(record.op));
-  writer.WriteU64(record.seq);
-  writer.WriteU64(record.db_id);
-  if (record.op == WalOp::kInsert) writer.WriteDoubleVec(record.row);
-  std::string payload = body.str();
-
-  std::ostringstream frame;
-  BinaryWriter header(&frame);
-  header.WriteU32(kWalRecordMagic);
-  header.WriteU32(static_cast<uint32_t>(payload.size()));
-  header.WriteU32(Crc32(payload));
-  header.WriteBytes(payload.data(), payload.size());
-  return frame.str();
+  const bool insert = record.op == WalOp::kInsert;
+  // The payload: version, op, seq and db_id, then an insert's row.
+  const size_t payload_size =
+      20 + (insert ? 8 + record.row.size() * sizeof(double) : 0);
+  ByteWriter w(kWalRecordHeaderBytes + payload_size);
+  w.WriteU32(kWalRecordMagic);
+  w.WriteU32(static_cast<uint32_t>(payload_size));
+  w.WriteU32(0);  // The payload's CRC, filled in once the payload is written.
+  w.WriteU16(kWalVersion);
+  w.WriteU16(static_cast<uint16_t>(record.op));
+  w.WriteU64(record.seq);
+  w.WriteU64(record.db_id);
+  if (insert) w.WriteDoubleVec(record.row);
+  std::string frame = w.Take();
+  const uint32_t crc =
+      Crc32(frame.data() + kWalRecordHeaderBytes, payload_size);
+  std::memcpy(&frame[kWalRecordHeaderBytes - sizeof(crc)], &crc, sizeof(crc));
+  return frame;
 }
 
 StatusOr<WalReadResult> ReadWal(const std::string& path) {
   WalReadResult result;
-  std::ifstream file(path, std::ios::binary);
-  if (!file.is_open()) return result;  // Missing file == empty log.
-  std::ostringstream into;
-  into << file.rdbuf();
-  std::string bytes = into.str();
+  StatusOr<std::string> file = ReadFileBytes(path);
+  if (file.status().code() == StatusCode::kNotFound) {
+    return result;  // Missing file == empty log.
+  }
+  QSE_RETURN_IF_ERROR(file.status());
+  const std::string& bytes = file.value();
   if (bytes.empty()) return result;  // Zero-byte file == empty log.
 
   // The header: without a valid one there is no prefix to repair to, so
@@ -140,15 +148,14 @@ StatusOr<WalReadResult> ReadWal(const std::string& path) {
                                             std::to_string(pos));
       break;
     }
-    std::string payload =
-        bytes.substr(pos + kWalRecordHeaderBytes, payload_len);
-    if (Crc32(payload) != crc) {
+    const char* payload = bytes.data() + pos + kWalRecordHeaderBytes;
+    if (Crc32(payload, static_cast<size_t>(payload_len)) != crc) {
       result.tail_status = Status::DataLoss("record CRC mismatch at offset " +
                                             std::to_string(pos));
       break;
     }
     WalRecord record;
-    Status decoded = DecodeWalPayload(payload, &record);
+    Status decoded = DecodeWalPayload(payload, payload_len, &record);
     if (!decoded.ok()) {
       result.tail_status = decoded;
       break;
@@ -199,14 +206,8 @@ StatusOr<std::unique_ptr<WalWriter>> WalWriter::Open(
   auto writer = std::unique_ptr<WalWriter>(
       new WalWriter(fd, path, policy, fsync_every_n, next_seq));
   if (offset == 0) {
-    std::ostringstream header;
-    BinaryWriter w(&header);
-    w.WriteU32(kWalFileMagic);
-    w.WriteU16(kWalVersion);
-    w.WriteU16(0);
-    w.WriteU64(base_seq);
-    std::string bytes = header.str();
-    QSE_RETURN_IF_ERROR(writer->WriteFully(bytes.data(), bytes.size()));
+    const std::string header = EncodeWalFileHeader(base_seq);
+    QSE_RETURN_IF_ERROR(writer->WriteFully(header.data(), header.size()));
     QSE_RETURN_IF_ERROR(writer->Sync());
   }
   return StatusOr<std::unique_ptr<WalWriter>>(std::move(writer));
@@ -275,14 +276,8 @@ Status WalWriter::Append(WalRecord* record) {
 Status WalWriter::ResetToBase(uint64_t base_seq) {
   if (::ftruncate(fd_, 0) != 0) return ErrnoStatus("truncate WAL", path_);
   if (::lseek(fd_, 0, SEEK_SET) < 0) return ErrnoStatus("seek WAL", path_);
-  std::ostringstream header;
-  BinaryWriter w(&header);
-  w.WriteU32(kWalFileMagic);
-  w.WriteU16(kWalVersion);
-  w.WriteU16(0);
-  w.WriteU64(base_seq);
-  std::string bytes = header.str();
-  QSE_RETURN_IF_ERROR(WriteFully(bytes.data(), bytes.size()));
+  const std::string header = EncodeWalFileHeader(base_seq);
+  QSE_RETURN_IF_ERROR(WriteFully(header.data(), header.size()));
   next_seq_ = base_seq + 1;
   unsynced_records_ = 0;
   // The compacted log must be durable before the caller deletes or

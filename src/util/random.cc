@@ -50,19 +50,4 @@ std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   return idx;
 }
 
-size_t Rng::Categorical(const std::vector<double>& weights) {
-  assert(!weights.empty());
-  double total = std::accumulate(weights.begin(), weights.end(), 0.0);
-  assert(total > 0.0);
-  double u = Uniform(0.0, total);
-  double acc = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (u < acc) return i;
-  }
-  return weights.size() - 1;  // Numerical edge: u == total.
-}
-
-Rng Rng::Fork() { return Rng(engine_()); }
-
 }  // namespace qse

@@ -44,14 +44,6 @@ class Rng {
     }
   }
 
-  /// Draws an index in [0, weights.size()) with probability proportional to
-  /// weights[i].  Weights must be non-negative with a positive sum.
-  size_t Categorical(const std::vector<double>& weights);
-
-  /// Derives an independent child generator; useful for giving each
-  /// component its own stream while keeping one master seed.
-  Rng Fork();
-
   std::mt19937_64& engine() { return engine_; }
 
  private:

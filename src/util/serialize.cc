@@ -1,108 +1,9 @@
 #include "src/util/serialize.h"
 
 #include <cstring>
-#include <limits>
+#include <fstream>
 
 namespace qse {
-
-void BinaryWriter::WriteU8(uint8_t v) {
-  out_->write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void BinaryWriter::WriteU16(uint16_t v) {
-  out_->write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void BinaryWriter::WriteU32(uint32_t v) {
-  out_->write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void BinaryWriter::WriteU64(uint64_t v) {
-  out_->write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void BinaryWriter::WriteI64(int64_t v) {
-  out_->write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void BinaryWriter::WriteDouble(double v) {
-  out_->write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void BinaryWriter::WriteString(const std::string& s) {
-  WriteU64(s.size());
-  out_->write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-void BinaryWriter::WriteDoubleVec(const std::vector<double>& v) {
-  WriteU64(v.size());
-  out_->write(reinterpret_cast<const char*>(v.data()),
-              static_cast<std::streamsize>(v.size() * sizeof(double)));
-}
-void BinaryWriter::WriteFloatVec(const std::vector<float>& v) {
-  WriteU64(v.size());
-  out_->write(reinterpret_cast<const char*>(v.data()),
-              static_cast<std::streamsize>(v.size() * sizeof(float)));
-}
-void BinaryWriter::WriteU32Vec(const std::vector<uint32_t>& v) {
-  WriteU64(v.size());
-  out_->write(reinterpret_cast<const char*>(v.data()),
-              static_cast<std::streamsize>(v.size() * sizeof(uint32_t)));
-}
-void BinaryWriter::WriteU64Vec(const std::vector<uint64_t>& v) {
-  WriteU64(v.size());
-  out_->write(reinterpret_cast<const char*>(v.data()),
-              static_cast<std::streamsize>(v.size() * sizeof(uint64_t)));
-}
-void BinaryWriter::WriteBytes(const void* data, size_t size) {
-  out_->write(static_cast<const char*>(data),
-              static_cast<std::streamsize>(size));
-}
-
-Status BinaryReader::ReadRaw(void* dst, size_t n) {
-  if (in_ == nullptr || !in_->good()) {
-    return Status::IOError("stream not readable");
-  }
-  in_->read(reinterpret_cast<char*>(dst), static_cast<std::streamsize>(n));
-  if (static_cast<size_t>(in_->gcount()) != n) {
-    return Status::IOError("truncated read");
-  }
-  return Status::OK();
-}
-
-Status BinaryReader::ReadU8(uint8_t* v) { return ReadRaw(v, sizeof(*v)); }
-Status BinaryReader::ReadU16(uint16_t* v) { return ReadRaw(v, sizeof(*v)); }
-Status BinaryReader::ReadU32(uint32_t* v) { return ReadRaw(v, sizeof(*v)); }
-Status BinaryReader::ReadU64(uint64_t* v) { return ReadRaw(v, sizeof(*v)); }
-Status BinaryReader::ReadI64(int64_t* v) { return ReadRaw(v, sizeof(*v)); }
-Status BinaryReader::ReadDouble(double* v) { return ReadRaw(v, sizeof(*v)); }
-
-Status BinaryReader::ReadString(std::string* s) {
-  uint64_t n = 0;
-  QSE_RETURN_IF_ERROR(ReadU64(&n));
-  if (n > (1ull << 32)) return Status::IOError("string length implausible");
-  s->resize(n);
-  return n == 0 ? Status::OK() : ReadRaw(s->data(), n);
-}
-
-namespace {
-constexpr uint64_t kMaxVecElems = 1ull << 33;
-}  // namespace
-
-Status BinaryReader::ReadDoubleVec(std::vector<double>* v) {
-  uint64_t n = 0;
-  QSE_RETURN_IF_ERROR(ReadU64(&n));
-  if (n > kMaxVecElems) return Status::IOError("vector length implausible");
-  v->resize(n);
-  return n == 0 ? Status::OK() : ReadRaw(v->data(), n * sizeof(double));
-}
-Status BinaryReader::ReadFloatVec(std::vector<float>* v) {
-  uint64_t n = 0;
-  QSE_RETURN_IF_ERROR(ReadU64(&n));
-  if (n > kMaxVecElems) return Status::IOError("vector length implausible");
-  v->resize(n);
-  return n == 0 ? Status::OK() : ReadRaw(v->data(), n * sizeof(float));
-}
-Status BinaryReader::ReadU32Vec(std::vector<uint32_t>* v) {
-  uint64_t n = 0;
-  QSE_RETURN_IF_ERROR(ReadU64(&n));
-  if (n > kMaxVecElems) return Status::IOError("vector length implausible");
-  v->resize(n);
-  return n == 0 ? Status::OK() : ReadRaw(v->data(), n * sizeof(uint32_t));
-}
 
 Status ByteReader::ReadRaw(void* dst, size_t n) {
   if (n > size_ - pos_) {
@@ -115,7 +16,7 @@ Status ByteReader::ReadRaw(void* dst, size_t n) {
 }
 
 Status ByteReader::CheckCount(uint64_t count, size_t elem_size,
-                              uint64_t max_elems) {
+                              uint64_t max_elems) const {
   // remaining() bounds the count unconditionally: the elements must be
   // physically present behind the prefix, so a hostile count can demand
   // at most the bytes the caller already holds.
@@ -133,11 +34,18 @@ Status ByteReader::CheckCount(uint64_t count, size_t elem_size,
   return Status::OK();
 }
 
+Status ByteReader::RequireExhausted() const {
+  if (remaining() != 0) {
+    return Status::DataLoss(std::to_string(remaining()) +
+                            " trailing bytes after the last field");
+  }
+  return Status::OK();
+}
+
 Status ByteReader::ReadU8(uint8_t* v) { return ReadRaw(v, sizeof(*v)); }
 Status ByteReader::ReadU16(uint16_t* v) { return ReadRaw(v, sizeof(*v)); }
 Status ByteReader::ReadU32(uint32_t* v) { return ReadRaw(v, sizeof(*v)); }
 Status ByteReader::ReadU64(uint64_t* v) { return ReadRaw(v, sizeof(*v)); }
-Status ByteReader::ReadI64(int64_t* v) { return ReadRaw(v, sizeof(*v)); }
 Status ByteReader::ReadDouble(double* v) { return ReadRaw(v, sizeof(*v)); }
 
 Status ByteReader::ReadString(std::string* s, uint64_t max_elems) {
@@ -156,20 +64,33 @@ Status ByteReader::ReadDoubleVec(std::vector<double>* v, uint64_t max_elems) {
   return n == 0 ? Status::OK() : ReadRaw(v->data(), n * sizeof(double));
 }
 
-Status ByteReader::ReadFloatVec(std::vector<float>* v, uint64_t max_elems) {
-  uint64_t n = 0;
-  QSE_RETURN_IF_ERROR(ReadU64(&n));
-  QSE_RETURN_IF_ERROR(CheckCount(n, sizeof(float), max_elems));
-  v->resize(n);
-  return n == 0 ? Status::OK() : ReadRaw(v->data(), n * sizeof(float));
-}
-
 Status ByteReader::ReadU64Vec(std::vector<uint64_t>* v, uint64_t max_elems) {
   uint64_t n = 0;
   QSE_RETURN_IF_ERROR(ReadU64(&n));
   QSE_RETURN_IF_ERROR(CheckCount(n, sizeof(uint64_t), max_elems));
   v->resize(n);
   return n == 0 ? Status::OK() : ReadRaw(v->data(), n * sizeof(uint64_t));
+}
+
+StatusOr<std::string> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in.is_open()) return Status::NotFound("cannot open " + path);
+  const std::streamoff size = in.tellg();
+  if (size < 0 || !in.seekg(0)) return Status::IOError("cannot size " + path);
+  std::string bytes(static_cast<size_t>(size), '\0');
+  if (!in.read(bytes.data(), size)) {
+    return Status::IOError("read failed: " + path);
+  }
+  return bytes;
+}
+
+Status WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) return Status::IOError("cannot open for writing: " + path);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.close();
+  if (!out) return Status::IOError("write failed: " + path);
+  return Status::OK();
 }
 
 }  // namespace qse

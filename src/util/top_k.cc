@@ -1,6 +1,5 @@
 #include "src/util/top_k.h"
 
-#include <cassert>
 #include <limits>
 
 #include "src/util/logging.h"
@@ -202,17 +201,6 @@ std::vector<ScoredIndex> MergeSortedTopK(
     }
   }
   return merged;
-}
-
-size_t RankOf(const std::vector<double>& scores, size_t target_index) {
-  assert(target_index < scores.size());
-  ScoredIndex target{target_index, scores[target_index]};
-  size_t rank = 1;
-  for (size_t i = 0; i < scores.size(); ++i) {
-    if (i == target_index) continue;
-    if (ScoredIndex{i, scores[i]} < target) ++rank;
-  }
-  return rank;
 }
 
 }  // namespace qse

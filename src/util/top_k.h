@@ -51,11 +51,6 @@ int32_t KthSmallestUpperBound(const int32_t* v, size_t n, size_t k);
 /// deterministic tie-breaking by index).
 std::vector<size_t> ArgsortAscending(const std::vector<double>& scores);
 
-/// Rank (1-based) that `target_index` would take when all entries are sorted
-/// ascending by (score, index).  Used by the evaluation protocol to compute
-/// the filter-step rank of a true nearest neighbor.
-size_t RankOf(const std::vector<double>& scores, size_t target_index);
-
 /// Merges several lists, each sorted ascending by (score, index), into the
 /// k smallest entries overall, sorted ascending.  The gather half of
 /// scatter/gather retrieval: per-shard top-p candidate lists funnel through

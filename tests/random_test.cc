@@ -122,31 +122,5 @@ TEST(RngTest, ShufflePreservesMultiset) {
   EXPECT_EQ(v, orig);
 }
 
-TEST(RngTest, CategoricalRespectsWeights) {
-  Rng rng(29);
-  std::vector<double> w = {0.0, 3.0, 1.0};
-  int counts[3] = {0, 0, 0};
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) ++counts[rng.Categorical(w)];
-  EXPECT_EQ(counts[0], 0);
-  EXPECT_NEAR(static_cast<double>(counts[1]) / n, 0.75, 0.03);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / n, 0.25, 0.03);
-}
-
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng a(31);
-  Rng child = a.Fork();
-  // The child stream should not mirror the parent stream.
-  bool differs = false;
-  Rng parent_copy(31);
-  parent_copy.Fork();
-  for (int i = 0; i < 10; ++i) {
-    if (child.UniformInt(0, 1 << 30) != a.UniformInt(0, 1 << 30)) {
-      differs = true;
-    }
-  }
-  EXPECT_TRUE(differs);
-}
-
 }  // namespace
 }  // namespace qse

@@ -104,15 +104,6 @@ TEST(TopKTest, ArgsortAscending) {
   EXPECT_EQ(order, (std::vector<size_t>{1, 2, 0}));
 }
 
-TEST(TopKTest, RankOfMatchesArgsortPosition) {
-  std::vector<double> scores = {0.5, 0.1, 0.9, 0.1, 0.3};
-  auto order = ArgsortAscending(scores);
-  for (size_t i = 0; i < scores.size(); ++i) {
-    size_t rank = RankOf(scores, i);
-    EXPECT_EQ(order[rank - 1], i);
-  }
-}
-
 TEST(MatrixTest, StorageAndAccess) {
   Matrix m(2, 3, 1.5);
   EXPECT_EQ(m.rows(), 2u);

@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -284,8 +283,7 @@ TEST(WireCodecTest, OutOfRangeEnumsAreInvalidArgument) {
 TEST(WireCodecTest, VersionTwoFrameNamingAReducedPrecisionIsInvalidArgument) {
   // Version 2 carried a filter-precision byte after the priority; a peer
   // still speaking it cannot smuggle kFilter8 into a version-6 server.
-  std::ostringstream out;
-  BinaryWriter w(&out);
+  ByteWriter w;
   w.WriteU32(kWireMagic);
   w.WriteU16(2);
   w.WriteU16(static_cast<uint16_t>(WireOp::kScan));
@@ -301,7 +299,7 @@ TEST(WireCodecTest, VersionTwoFrameNamingAReducedPrecisionIsInvalidArgument) {
   w.WriteU64(0);  // db_id
   w.WriteDoubleVec(std::vector<double>{0.5});
   WireRequest req;
-  Status status = DecodeRequest(out.str(), &req);
+  Status status = DecodeRequest(w.bytes(), &req);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("version"), std::string::npos) << status;
 }
@@ -310,8 +308,7 @@ TEST(WireCodecTest, OversizedLengthPrefixesNeverAllocate) {
   // A frame whose vector claims 2^60 doubles: the decoder must refuse
   // from the length prefix alone.  If it tried to allocate first, this
   // test would OOM rather than fail an expectation.
-  std::ostringstream out;
-  BinaryWriter w(&out);
+  ByteWriter w;
   w.WriteU32(kWireMagic);
   w.WriteU16(kWireVersion);
   w.WriteU16(static_cast<uint16_t>(WireOp::kScan));
@@ -322,11 +319,10 @@ TEST(WireCodecTest, OversizedLengthPrefixesNeverAllocate) {
   w.WriteU64(0);            // db_id
   w.WriteU64(1ull << 60);   // query length prefix, then nothing
   WireRequest req;
-  EXPECT_EQ(DecodeRequest(out.str(), &req).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeRequest(w.bytes(), &req).code(), StatusCode::kDataLoss);
 
   // Same for the response's neighbor count.
-  std::ostringstream resp;
-  BinaryWriter rw(&resp);
+  ByteWriter rw;
   rw.WriteU32(kWireMagic);
   rw.WriteU16(kWireVersion);
   rw.WriteU16(kResponseTag);
@@ -335,15 +331,14 @@ TEST(WireCodecTest, OversizedLengthPrefixesNeverAllocate) {
   for (int i = 0; i < 4; ++i) rw.WriteU64(0);  // counters
   rw.WriteU64(1ull << 59);                     // neighbor count
   WireResponse wr;
-  EXPECT_EQ(DecodeResponse(resp.str(), &wr).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeResponse(rw.bytes(), &wr).code(), StatusCode::kDataLoss);
 }
 
 TEST(WireCodecTest, FieldCapsAreEnforcedEvenWhenBytesMatch) {
   // A dimension count over kMaxWireDims whose byte length is honest is
   // still refused: plausibility caps bound decoded allocations by
   // policy, not only by frame size.
-  std::ostringstream out;
-  BinaryWriter w(&out);
+  ByteWriter w;
   w.WriteU32(kWireMagic);
   w.WriteU16(kWireVersion);
   w.WriteU16(static_cast<uint16_t>(WireOp::kScan));
@@ -354,7 +349,7 @@ TEST(WireCodecTest, FieldCapsAreEnforcedEvenWhenBytesMatch) {
   w.WriteU64(0);
   w.WriteDoubleVec(std::vector<double>(kMaxWireDims + 1, 0.5));
   WireRequest req;
-  EXPECT_EQ(DecodeRequest(out.str(), &req).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeRequest(w.bytes(), &req).code(), StatusCode::kDataLoss);
 }
 
 TEST(WireCodecTest, RandomGarbageNeverCrashes) {
@@ -406,13 +401,12 @@ TEST(WireCodecTest, MutatedValidFramesNeverCrash) {
 }
 
 TEST(ByteReaderTest, ScalarsAndBounds) {
-  std::ostringstream out;
-  BinaryWriter w(&out);
+  ByteWriter w;
   w.WriteU8(0xAB);
   w.WriteU16(0xCDEF);
   w.WriteU32(0x12345678);
   w.WriteU64(1ull << 50);
-  const std::string buf = out.str();
+  const std::string buf = w.bytes();
   ByteReader r(buf);
   uint8_t u8 = 0;
   uint16_t u16 = 0;
@@ -427,16 +421,15 @@ TEST(ByteReaderTest, ScalarsAndBounds) {
   EXPECT_EQ(u16, 0xCDEF);
   EXPECT_EQ(u32, 0x12345678u);
   EXPECT_EQ(u64, 1ull << 50);
-  EXPECT_TRUE(r.exhausted());
+  EXPECT_TRUE(r.RequireExhausted().ok());
   // One more read past the end: kDataLoss, not UB.
   EXPECT_EQ(r.ReadU8(&u8).code(), StatusCode::kDataLoss);
 }
 
 TEST(ByteReaderTest, LengthPrefixValidatedBeforeResize) {
-  std::ostringstream out;
-  BinaryWriter w(&out);
+  ByteWriter w;
   w.WriteU64(1ull << 61);  // claims more doubles than bytes exist
-  const std::string buf = out.str();
+  const std::string buf = w.bytes();
   ByteReader r(buf);
   std::vector<double> v;
   EXPECT_EQ(r.ReadDoubleVec(&v).code(), StatusCode::kDataLoss);
@@ -444,10 +437,9 @@ TEST(ByteReaderTest, LengthPrefixValidatedBeforeResize) {
 }
 
 TEST(ByteReaderTest, MaxElemsCapApplies) {
-  std::ostringstream out;
-  BinaryWriter w(&out);
+  ByteWriter w;
   w.WriteString("abcdefgh");
-  const std::string buf = out.str();
+  const std::string buf = w.bytes();
   ByteReader ok_reader(buf);
   std::string s;
   EXPECT_TRUE(ok_reader.ReadString(&s, 8).ok());
