@@ -53,8 +53,8 @@ int main(int argc, char** argv) {
 
   bench::ReportAccuracyTable(
       "Figure 6 — Quick vs Regular Se-QS vs FastMap (digits, Shape Context)",
-      "fig6_quick_training", methods, {1, 2, 5, 10, 20, 30, 40, 50}, 0.95,
-      workload.db_ids.size());
+      "fig6_quick_training", methods, {1, 2, 5, 10, 20, 30, 40, 50}, kmax,
+      0.95, workload.db_ids.size());
   bench::WriteSeriesCsv("fig6_quick_training_series", methods, kmax, 0.95,
                         workload.db_ids.size());
   std::printf(

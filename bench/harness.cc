@@ -319,17 +319,13 @@ std::vector<MethodLadder> RunAccuracyFigure(
                                        scale));
   workload.SaveCache();
 
-  std::vector<size_t> print_ks_clamped;
-  for (size_t k : print_ks) {
-    if (k <= kmax) print_ks_clamped.push_back(k);
-  }
   for (double accuracy : accuracies) {
     std::ostringstream panel;
     panel << stem << "_acc" << static_cast<int>(accuracy * 100);
     ReportAccuracyTable(
         workload.name + " — exact distances per query for " +
             std::to_string(static_cast<int>(accuracy * 100)) + "% accuracy",
-        panel.str(), methods, print_ks_clamped, accuracy,
+        panel.str(), methods, print_ks, kmax, accuracy,
         workload.db_ids.size());
     WriteSeriesCsv(panel.str() + "_series", methods, kmax, accuracy,
                    workload.db_ids.size());
@@ -339,12 +335,13 @@ std::vector<MethodLadder> RunAccuracyFigure(
 
 void ReportAccuracyTable(const std::string& title, const std::string& stem,
                          const std::vector<MethodLadder>& methods,
-                         const std::vector<size_t>& ks, double accuracy,
-                         size_t db_size) {
+                         const std::vector<size_t>& ks, size_t kmax,
+                         double accuracy, size_t db_size) {
   std::vector<std::string> header = {"k"};
   for (const MethodLadder& m : methods) header.push_back(m.name);
   Table table(header);
   for (size_t k : ks) {
+    if (k > kmax) continue;  // The ground truth holds only kmax neighbors.
     std::vector<std::string> row = {Table::Fmt(k)};
     for (const MethodLadder& m : methods) {
       row.push_back(Table::Fmt(OptimalCost(m.ladder, k, accuracy, db_size)));

@@ -111,13 +111,14 @@ MethodLadder RunFastMap(const Workload& workload, const GroundTruth& gt,
 /// through the workload's cache.
 GroundTruth ComputeWorkloadGroundTruth(const Workload& workload, size_t kmax);
 
-/// Emits one paper-style figure table: rows = k values, columns = methods,
-/// cells = optimal #exact distances at the given accuracy.  Also writes
-/// CSV to bench_results/<stem>.csv.
+/// Emits one paper-style figure table: rows = the k values of `ks` up to
+/// `kmax` (the ground truth's depth), columns = methods, cells = optimal
+/// #exact distances at the given accuracy.  Also writes CSV to
+/// bench_results/<stem>.csv.
 void ReportAccuracyTable(const std::string& title, const std::string& stem,
                          const std::vector<MethodLadder>& methods,
-                         const std::vector<size_t>& ks, double accuracy,
-                         size_t db_size);
+                         const std::vector<size_t>& ks, size_t kmax,
+                         double accuracy, size_t db_size);
 
 /// Ensures bench_results/ exists and returns the full path for a stem.
 std::string ResultsPath(const std::string& stem);

@@ -17,6 +17,8 @@
 //     int8-prescreened weighted-L1 scan at n = 1M, d = 256.
 //   * the prescreen's integer block kernel alone, in ns per row.
 //   * the whole prescreened scan at the shard shapes perfbench serves.
+//   * embedding one object at scan_sharded's shape, EmbedDatabase's
+//     per-row cost.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -26,6 +28,9 @@
 #include <memory>
 #include <vector>
 
+#include "src/core/qs_embedding.h"
+#include "src/data/dataset.h"
+#include "src/distance/lp.h"
 #include "src/distance/simd/dispatch.h"
 #include "src/distance/weighted_l1.h"
 #include "src/retrieval/filter_refine.h"
@@ -518,6 +523,41 @@ BENCHMARK(BM_PrescreenedScan)
     ->Args({55, 200000, 100, 1})
     ->Args({55, 800000, 100, 1})
     ->Unit(benchmark::kMicrosecond);
+
+// --- Embedding one object (EmbedDatabase's per-row cost). --------------
+
+void BM_EmbedObject(benchmark::State& state) {
+  // scan_sharded's shape: 55 reference coordinates, L1 DX over 16-dim
+  // points, each object embedded against the others as EmbedDatabase does.
+  constexpr size_t kDims = 55;
+  constexpr size_t kObjects = 256;
+  Rng rng(6);
+  std::vector<Vector> points(kObjects, Vector(16));
+  for (Vector& p : points) {
+    for (double& v : p) v = rng.Uniform(0, 1);
+  }
+  ObjectOracle<Vector> oracle(std::move(points), L1Distance);
+  std::vector<size_t> cand(kDims), train(kObjects - kDims);
+  for (size_t i = 0; i < cand.size(); ++i) cand[i] = i;
+  for (size_t i = 0; i < train.size(); ++i) train[i] = kDims + i;
+  TrainingContext ctx = TrainingContext::Build(oracle, cand, train);
+  std::vector<WeakClassifier> rounds(kDims);
+  for (size_t i = 0; i < kDims; ++i) {
+    rounds[i].spec.c1 = static_cast<uint32_t>(i);
+    rounds[i].alpha = 1.0;
+  }
+  QuerySensitiveEmbedding model =
+      QuerySensitiveEmbedding::FromTraining(ctx, rounds, true);
+  size_t self = 0;
+  for (auto _ : state) {
+    Vector row = model.Embed([&](size_t other) {
+      return self == other ? 0.0 : oracle.Distance(self, other);
+    });
+    benchmark::DoNotOptimize(row.data());
+    self = (self + 1) % kObjects;
+  }
+}
+BENCHMARK(BM_EmbedObject)->Unit(benchmark::kNanosecond);
 
 // --- A_i(q) evaluation cost (unchanged from the seed). ------------------
 

@@ -85,6 +85,8 @@ double MinimizeZ(const std::vector<double>& weights,
   constexpr double kBetaCap = 35.0;  // exp stays within double range.
   double d0 = dz_at(0.0);
   double lo_b, hi_b;
+  // Whether dZ(lo_b) < 0 is known; dZ(hi_b) < 0 is always known false.
+  bool lo_negative = true;
   if (d0 < 0.0) {
     lo_b = 0.0;
     hi_b = kBetaCap;
@@ -97,18 +99,23 @@ double MinimizeZ(const std::vector<double>& weights,
   } else if (d0 > 0.0) {
     lo_b = -kBetaCap;
     hi_b = 0.0;
-    if (dz_at(lo_b) > 0.0) {
+    double d_lo = dz_at(lo_b);
+    if (d_lo > 0.0) {
       if (z_min != nullptr) *z_min = z_at(lo_b);
       return lo_b * inv_scale;
     }
+    lo_negative = d_lo < 0.0;
   } else {
     if (z_min != nullptr) *z_min = z_at(0.0);
     return 0.0;
   }
   for (int iter = 0; iter < 64; ++iter) {
     double mid = 0.5 * (lo_b + hi_b);
+    // Settled: this step, and so every later one, leaves the bracket.
+    if (mid == hi_b || (mid == lo_b && lo_negative)) break;
     if (dz_at(mid) < 0.0) {
       lo_b = mid;
+      lo_negative = true;
     } else {
       hi_b = mid;
     }

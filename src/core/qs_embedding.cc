@@ -80,39 +80,28 @@ void QuerySensitiveEmbedding::RebuildCoordinates() {
     term.alpha = r.alpha;
     coords_[it->second].terms.push_back(term);
   }
+  // An object may define several coordinates (Sec. 7.1): dedup once here.
+  ids_ = DistinctIds();
+  for (const Coordinate& c : coords_) {
+    ids_.Use(c.db_id1);
+    if (c.type == Embedding1DSpec::Type::kPivot) ids_.Use(c.db_id2);
+  }
 }
 
 Vector QuerySensitiveEmbedding::Embed(const DxToDatabaseFn& dx,
                                       size_t* num_exact) const {
-  // Deduplicate exact-distance evaluations across coordinates; the same
-  // reference object may appear in several coordinates (Sec. 7.1).
-  std::unordered_map<uint32_t, double> dist_of;
-  auto lookup = [&](uint32_t db_id) {
-    auto it = dist_of.find(db_id);
-    if (it != dist_of.end()) return it->second;
-    double d = dx(db_id);
-    dist_of.emplace(db_id, d);
-    return d;
-  };
+  Vector dist = ids_.Distances(dx);
+  const uint32_t* slot = ids_.slots().data();
   Vector out(coords_.size());
   for (size_t i = 0; i < coords_.size(); ++i) {
     const Coordinate& c = coords_[i];
-    double d1 = lookup(c.db_id1);
-    double d2 = c.type == Embedding1DSpec::Type::kPivot ? lookup(c.db_id2)
-                                                        : 0.0;
+    double d1 = dist[*slot++];
+    double d2 =
+        c.type == Embedding1DSpec::Type::kPivot ? dist[*slot++] : 0.0;
     out[i] = c.Value(d1, d2);
   }
-  if (num_exact != nullptr) *num_exact = dist_of.size();
+  if (num_exact != nullptr) *num_exact = ids_.size();
   return out;
-}
-
-size_t QuerySensitiveEmbedding::EmbeddingCost() const {
-  std::unordered_map<uint32_t, bool> seen;
-  for (const Coordinate& c : coords_) {
-    seen.emplace(c.db_id1, true);
-    if (c.type == Embedding1DSpec::Type::kPivot) seen.emplace(c.db_id2, true);
-  }
-  return seen.size();
 }
 
 Vector QuerySensitiveEmbedding::QueryWeights(

@@ -70,14 +70,16 @@ class QuerySensitiveEmbedding {
 
   /// Embeds an object.  Calls `dx` once per *unique* database object among
   /// the coordinates' reference/pivot objects (Sec. 7: "computing F_out(x)
-  /// requires computing at most 2d distances DX").  If `num_exact` is
-  /// non-null it receives that count.
+  /// requires computing at most 2d distances DX"), in the order the
+  /// coordinates first name them.  Duplicate ids are removed once per
+  /// model, when its coordinates are built, not per call.  If `num_exact`
+  /// is non-null it receives that count.
   Vector Embed(const DxToDatabaseFn& dx, size_t* num_exact = nullptr) const;
 
   /// Exact-distance cost of Embed (the number of unique database objects
-  /// referenced); this is the per-query embedding cost of the paper's
-  /// cost model.
-  size_t EmbeddingCost() const;
+  /// referenced, counted once per model); this is the per-query embedding
+  /// cost of the paper's cost model.
+  size_t EmbeddingCost() const { return ids_.size(); }
 
   /// A_i(q) for an embedded query (Eq. 10).
   Vector QueryWeights(const Vector& embedded_query) const;
@@ -117,10 +119,13 @@ class QuerySensitiveEmbedding {
     double lo = 0, hi = 0, alpha = 0;
   };
 
+  /// Rebuilds coords_ and ids_ from rounds_.
   void RebuildCoordinates();
 
   std::vector<StoredRound> rounds_;
   std::vector<Coordinate> coords_;
+  /// Each coordinate's db_id1, then its db_id2 if a pivot, in order.
+  DistinctIds ids_;
   bool query_sensitive_ = true;
 };
 

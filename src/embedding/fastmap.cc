@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <unordered_map>
 
 #include "src/util/logging.h"
 #include "src/util/serialize.h"
@@ -95,48 +94,36 @@ FastMapModel BuildFastMap(const DistanceOracle& oracle,
   return FastMapModel(std::move(levels));
 }
 
+FastMapModel::FastMapModel(std::vector<Level> levels)
+    : levels_(std::move(levels)) {
+  for (const Level& lv : levels_) {
+    ids_.Use(lv.pivot_a);
+    ids_.Use(lv.pivot_b);
+  }
+}
+
 Vector FastMapModel::Embed(const DxToDatabaseFn& dx,
                            size_t* num_exact) const {
-  std::unordered_map<uint32_t, double> raw;  // Dedup raw pivot distances.
-  auto lookup = [&](uint32_t db_id) {
-    auto it = raw.find(db_id);
-    if (it != raw.end()) return it->second;
-    double d = dx(db_id);
-    raw.emplace(db_id, d);
-    return d;
-  };
-
+  Vector raw = ids_.Distances(dx);
+  const std::vector<uint32_t>& slots = ids_.slots();
   Vector coords;
   coords.reserve(levels_.size());
   for (const Level& lv : levels_) {
     size_t l = coords.size();
-    double da = lookup(lv.pivot_a);
-    double db = lookup(lv.pivot_b);
-    double da2 = ResidualSquared(da, coords, lv.coords_a, l);
-    double db2 = ResidualSquared(db, coords, lv.coords_b, l);
+    double da2 = ResidualSquared(raw[slots[2 * l]], coords, lv.coords_a, l);
+    double db2 =
+        ResidualSquared(raw[slots[2 * l + 1]], coords, lv.coords_b, l);
     double dab2 = lv.dist_ab * lv.dist_ab;
     coords.push_back((da2 + dab2 - db2) / (2.0 * lv.dist_ab));
   }
-  if (num_exact != nullptr) *num_exact = raw.size();
+  if (num_exact != nullptr) *num_exact = ids_.size();
   return coords;
-}
-
-size_t FastMapModel::EmbeddingCost() const {
-  std::unordered_map<uint32_t, bool> seen;
-  for (const Level& lv : levels_) {
-    seen.emplace(lv.pivot_a, true);
-    seen.emplace(lv.pivot_b, true);
-  }
-  return seen.size();
 }
 
 FastMapModel FastMapModel::Prefix(size_t d) const {
   size_t take = d < levels_.size() ? d : levels_.size();
   std::vector<Level> prefix(levels_.begin(),
                             levels_.begin() + static_cast<long>(take));
-  // Truncate the stored pivot coordinates to the prefix depth (they are
-  // only ever read up to the level index, so this is cosmetic but keeps
-  // the invariant coords_*.size() == level index).
   return FastMapModel(std::move(prefix));
 }
 

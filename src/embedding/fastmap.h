@@ -44,13 +44,16 @@ class FastMapModel : public Embedder {
   };
 
   FastMapModel() = default;
-  explicit FastMapModel(std::vector<Level> levels)
-      : levels_(std::move(levels)) {}
+  explicit FastMapModel(std::vector<Level> levels);
 
   size_t dims() const override { return levels_.size(); }
+  /// Calls `dx` once per distinct pivot, in the order the levels first
+  /// name them (a, then b, per level).  Duplicate pivots are removed once
+  /// per model, in the constructor, not per call.
   Vector Embed(const DxToDatabaseFn& dx,
                size_t* num_exact = nullptr) const override;
-  size_t EmbeddingCost() const override;
+  /// Number of distinct pivots, counted once per model.
+  size_t EmbeddingCost() const override { return ids_.size(); }
 
   /// The model truncated to its first `d` levels (FastMap's coordinates
   /// are naturally nested, so prefixes are exactly lower-dimensional
@@ -66,6 +69,8 @@ class FastMapModel : public Embedder {
 
  private:
   std::vector<Level> levels_;
+  /// The levels' pivot ids: a, then b, per level in order.
+  DistinctIds ids_;
 };
 
 /// Builds a FastMap model on a database sample.  `sample_ids` are the

@@ -101,7 +101,7 @@ std::string EncodeSnapshot(uint64_t cut_seq, const std::string& model_blob,
     w.WriteU64(rows);
     w.WriteBytes(view.ids(), rows * sizeof(uint64_t));
   }
-  w.WriteU32(Crc32(w.bytes()));
+  w.WriteU32(Crc32(w.bytes().data(), w.bytes().size()));
   return w.Take();
 }
 

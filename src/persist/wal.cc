@@ -149,7 +149,7 @@ StatusOr<WalReadResult> ReadWal(const std::string& path) {
       break;
     }
     const char* payload = bytes.data() + pos + kWalRecordHeaderBytes;
-    if (Crc32(payload, static_cast<size_t>(payload_len)) != crc) {
+    if (Crc32(payload, payload_len) != crc) {
       result.tail_status = Status::DataLoss("record CRC mismatch at offset " +
                                             std::to_string(pos));
       break;

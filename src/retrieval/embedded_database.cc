@@ -360,23 +360,6 @@ size_t EmbeddedDatabase::Append(const double* row, size_t id) {
   return n;
 }
 
-void EmbeddedDatabase::SetRow(size_t i, const Vector& row) {
-  QSE_CHECK(i < size());
-  QSE_CHECK_MSG(row.size() == dims_,
-                "row has " << row.size() << " dims, database has " << dims_);
-  Version* v = current();
-  std::copy(row.begin(), row.end(), v->data.data() + i * dims_);
-  if (!v->i8_valid.load(std::memory_order_relaxed)) return;
-  // Quiescent API, so rewriting the int8 matrix (and scales) in place is
-  // fine.
-  if (!RowFitsI8(v, row.data())) {
-    RequantizeI8(v, v->size.load(std::memory_order_relaxed),
-                 kRequantHeadroom);
-  } else {
-    FillI8Row(v, i);
-  }
-}
-
 void EmbeddedDatabase::AssignIds(const std::vector<size_t>& ids) {
   Version* v = current();
   QSE_CHECK_MSG(ids.size() == v->size.load(std::memory_order_relaxed),

@@ -50,9 +50,9 @@ namespace qse {
 ///
 /// Mutations (Append/SwapRemove) must be serialized by the caller (the
 /// engines hold a mutation mutex) but run concurrently with any number of
-/// snapshot readers.  The quiescent bulk-load API (Resize, SetRow,
-/// mutable_row, AssignIds, data(), row()) additionally requires that no
-/// reader is active, exactly like the pre-epoch contract.
+/// snapshot readers.  The quiescent bulk-load API (Resize, mutable_row,
+/// AssignIds, data(), row()) additionally requires that no reader is
+/// active, exactly like the pre-epoch contract.
 ///
 /// The int8 matrix: every version also carries a 64-byte-aligned int8
 /// symmetric-quantized copy of its rows with per-dimension scales, which
@@ -261,10 +261,6 @@ class EmbeddedDatabase {
   /// Vector.
   size_t Append(const double* row, size_t id);
   size_t Append(const double* row);
-
-  /// Overwrites row i.  Quiescent API (mutating a published row under a
-  /// live pin would tear a concurrent scan).
-  void SetRow(size_t i, const Vector& row);
 
   /// Installs `ids[i]` as the database id of row i (ids.size() must
   /// equal size()).  Quiescent API; engines call it at construction.

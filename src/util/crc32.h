@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace qse {
 
@@ -20,10 +19,6 @@ namespace qse {
 /// equals the CRC of the concatenation.  The default seed is the
 /// standard initial value.
 uint32_t Crc32(const void* data, size_t size, uint32_t seed = 0);
-
-inline uint32_t Crc32(const std::string& buf, uint32_t seed = 0) {
-  return Crc32(buf.data(), buf.size(), seed);
-}
 
 }  // namespace qse
 

@@ -40,13 +40,6 @@ TEST(EmbeddedDatabaseTest, FromRowsRoundTripsThroughRowVector) {
   }
 }
 
-TEST(EmbeddedDatabaseTest, SetRowOverwritesInPlace) {
-  EmbeddedDatabase db = EmbeddedDatabase::FromRows({{1, 1}, {2, 2}});
-  db.SetRow(0, {9, 8});
-  EXPECT_EQ(db.RowVector(0), (Vector{9, 8}));
-  EXPECT_EQ(db.RowVector(1), (Vector{2, 2}));
-}
-
 TEST(EmbeddedDatabaseTest, SwapRemoveMiddleMovesLastRow) {
   EmbeddedDatabase db =
       EmbeddedDatabase::FromRows({{0, 0}, {1, 1}, {2, 2}, {3, 3}});
@@ -119,7 +112,9 @@ TEST(EmbeddedDatabaseTest, ReserveGrowsCapacityOnce) {
 TEST(EmbeddedDatabaseTest, AppendAfterResizeKeepsData) {
   EmbeddedDatabase db(2);
   db.Resize(1);
-  db.SetRow(0, {1, 2});
+  db.mutable_row(0)[0] = 1;
+  db.mutable_row(0)[1] = 2;
+  db.RebuildPrescreenMatrix();
   EXPECT_EQ(db.Append({3, 4}), 1u);
   EXPECT_EQ(db.data(), (Aligned64Vector<double>{1, 2, 3, 4}));
 }
@@ -360,12 +355,8 @@ TEST(EmbeddedDatabaseTest, SwapRemoveMaintainsShadows) {
   ExpectShadowsConsistent(db.snapshot().view());
 }
 
-TEST(EmbeddedDatabaseTest, SetRowAndResizeMaintainShadows) {
+TEST(EmbeddedDatabaseTest, ResizeMaintainsShadows) {
   EmbeddedDatabase db = EmbeddedDatabase::FromRows({{0.5, 0.5}, {0.25, -0.5}});
-  db.SetRow(0, {0.125, 0.0625});
-  ExpectShadowsConsistent(db.snapshot().view());
-  db.SetRow(1, {50.0, 0.5});  // Out of range: requantization path.
-  ExpectShadowsConsistent(db.snapshot().view());
   db.Resize(5);  // Zero-filled rows must land in the int8 matrix too.
   ASSERT_EQ(db.size(), 5u);
   ExpectShadowsConsistent(db.snapshot().view());

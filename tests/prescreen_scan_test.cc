@@ -281,10 +281,9 @@ TEST(PrescreenScanTest, NonFiniteRowsQueryOrWeightsNeverPruneWrongly) {
           // appended after the int8 matrix exists (the re-quantizing
           // maintenance path).
           EmbeddedDatabase rows = MakeDb(kN, kD, 800);
-          Vector row = rows.RowVector(5);
-          row[3] = bad;
-          rows.SetRow(5, row);
-          row = rows.RowVector(9);
+          rows.mutable_row(5)[3] = bad;
+          rows.RebuildPrescreenMatrix();
+          Vector row = rows.RowVector(9);
           row[kD - 1] = bad;
           rows.Append(row, kN);
           const EmbeddedDatabase::View rows_view = rows;
