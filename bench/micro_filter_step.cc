@@ -19,6 +19,8 @@
 //   * the whole prescreened scan at the shard shapes perfbench serves.
 //   * embedding one object at scan_sharded's shape, EmbedDatabase's
 //     per-row cost.
+//   * one exact α fit (MinimizeZ) at remote_wire's shape, the largest
+//     cost of a boosting round.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -28,6 +30,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/core/adaboost.h"
 #include "src/core/qs_embedding.h"
 #include "src/data/dataset.h"
 #include "src/distance/lp.h"
@@ -558,6 +561,28 @@ void BM_EmbedObject(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EmbedObject)->Unit(benchmark::kNanosecond);
+
+// --- Exact α of one boosting round (Eq. 8). ------------------------------
+
+void BM_MinimizeZ(benchmark::State& state) {
+  // remote_wire's shape: ~4,700 active triples, weights a distribution,
+  // margins y_i Q̃_i of a weak classifier right on a bit over half the
+  // mass.  Each iteration fits α exactly, as TrainAdaBoost does per round.
+  constexpr size_t kActive = 4700;
+  Rng rng(8);
+  std::vector<double> w(kActive), margins(kActive);
+  double sum = 0.0;
+  for (size_t i = 0; i < kActive; ++i) {
+    sum += w[i] = rng.Uniform(0.5, 1.5);
+    margins[i] = rng.Uniform(-1.0, 1.0) + 0.15;
+  }
+  for (double& x : w) x *= 0.8 / sum;  // 0.2 of the mass is passive.
+  double z = 0.0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MinimizeZ(w, margins, 0.2, &z));
+  }
+}
+BENCHMARK(BM_MinimizeZ)->Unit(benchmark::kMicrosecond);
 
 // --- A_i(q) evaluation cost (unchanged from the seed). ------------------
 

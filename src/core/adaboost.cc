@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "src/util/logging.h"
+#include "src/util/top_k.h"
 
 namespace qse {
 
@@ -37,6 +38,55 @@ Embedding1DSpec SampleSpec(const TrainingContext& ctx, double pivot_fraction,
   return spec;
 }
 
+/// A candidate's scoring layout: the query objects ordered by (F, object),
+/// the quantile cuts in that order and the interval edge at each cut.  A
+/// reference embedding's layout depends on its candidate object alone.
+struct ProjectionLayout {
+  std::vector<uint32_t> order;   // Query objects by (F(o), o).
+  std::vector<uint32_t> cut_at;  // Objects before each cut: 0, ..., |order|.
+  std::vector<double> edge;      // Edge at each cut: -inf, ..., +inf.
+};
+
+/// Lays out the query objects under the projections `values`.  Cuts sit
+/// at the quantiles g t / grid of the triple sequence (each object's
+/// triples in turn), snapped forward to a change of projection so every
+/// scored range maps to a clean interval [lo, hi] of R.  One object's
+/// triples share a projection, so every cut falls between two objects.
+void BuildLayout(const double* values,
+                 const std::vector<uint32_t>& query_objects,
+                 const std::vector<uint32_t>& query_start, size_t grid,
+                 ProjectionLayout* layout) {
+  std::vector<uint32_t>& order = layout->order;
+  order = query_objects;
+  std::sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
+    return ValueThenIndexLess(values[x], x, values[y], y);
+  });
+  auto triples_of = [&](size_t k) {
+    return query_start[order[k] + 1] - query_start[order[k]];
+  };
+  auto same_projection = [&](size_t k) {
+    const double x = values[order[k - 1]], y = values[order[k]];
+    return x == y || (std::isnan(x) && std::isnan(y));
+  };
+  const size_t t = query_start.back();
+  const size_t nq = order.size();
+  layout->cut_at.assign(1, 0);
+  layout->edge.assign(1, -kInf);
+  size_t k = 0, end = 0, last_end = 0;  // order[0, k) holds end triples.
+  for (size_t g = 1; g < grid; ++g) {
+    const size_t pos = g * t / grid;
+    while (end < pos) end += triples_of(k++);
+    while (k > 0 && k < nq && same_projection(k)) end += triples_of(k++);
+    if (end > last_end && end < t) {
+      layout->cut_at.push_back(static_cast<uint32_t>(k));
+      layout->edge.push_back(0.5 * (values[order[k - 1]] + values[order[k]]));
+      last_end = end;
+    }
+  }
+  layout->cut_at.push_back(static_cast<uint32_t>(nq));
+  layout->edge.push_back(kInf);
+}
+
 /// A scored candidate weak classifier (before exact α fitting).
 struct ScoredCandidate {
   Embedding1DSpec spec;
@@ -51,46 +101,97 @@ double MinimizeZ(const std::vector<double>& weights,
                  const std::vector<double>& margins, double passive_mass,
                  double* z_min) {
   assert(weights.size() == margins.size());
+  const size_t n = margins.size();
   double total_active = 0.0;
   double max_abs = 0.0;
-  for (size_t i = 0; i < margins.size(); ++i) {
+  // The sign certificates below need w_i >= 0 and every s_i finite.
+  bool certify = true;
+  for (size_t i = 0; i < n; ++i) {
     total_active += weights[i];
     max_abs = std::max(max_abs, std::fabs(margins[i]));
+    certify = certify && weights[i] >= 0.0 && weights[i] < kInf &&
+              std::isfinite(margins[i]);
   }
   if (max_abs == 0.0 || weights.empty()) {
     if (z_min != nullptr) *z_min = passive_mass + total_active;
     return 0.0;
   }
   const double inv_scale = 1.0 / max_abs;
+  certify = certify && inv_scale < kInf;
 
   // Z(beta) with normalized margins s_i in [-1, 1]; alpha = beta / max_abs.
   auto z_at = [&](double beta) {
     double z = passive_mass;
-    for (size_t i = 0; i < margins.size(); ++i) {
+    for (size_t i = 0; i < n; ++i) {
       z += weights[i] * std::exp(-beta * margins[i] * inv_scale);
     }
     return z;
   };
-  auto dz_at = [&](double beta) {
-    double d = 0.0;
-    for (size_t i = 0; i < margins.size(); ++i) {
+  // One exact pass at beta: d is the rounded dZ/dbeta the bisection
+  // decides on; abs and slope share its exps.
+  struct Pass {
+    double d = 0.0;      // -sum t_i, rounded term by term.
+    double abs = 0.0;    // sum |t_i|.
+    double slope = 0.0;  // sum t_i s_i, d's derivative.
+  };
+  auto pass_at = [&](double beta) {
+    Pass p;
+    for (size_t i = 0; i < n; ++i) {
       double s = margins[i] * inv_scale;
-      d -= weights[i] * s * std::exp(-beta * s);
+      double t = weights[i] * s * std::exp(-beta * s);
+      p.d -= t;
+      p.abs += std::fabs(t);
+      p.slope += t * s;
     }
-    return d;
+    return p;
+  };
+
+  // Skipping passes without moving a bit.  Let s_i be the double
+  // margins[i] * inv_scale, t_i(b) = w_i s_i e^(-b s_i), g(b) = -sum t_i
+  // (the real value a pass rounds to d(b)), T(b) = sum |t_i|, u = 2^-53
+  // and gamma_k = k u / (1 - k u).
+  //  1. Error.  For |b| <= 35 a term's rounding is: the argument -b s_i
+  //     (a factor e^(35u) after the exp), exp itself (within 2 ulp, 4u)
+  //     and the two products (2u), all within gamma_42; each product may
+  //     underflow by 2^-1075 absolute, which the exp (< e^35.1 < 2^51)
+  //     scales to under 2^-1023.  The n - 1 subtractions add
+  //     gamma_(n-1) of sum |t|.
+  //     So |d(b) - g(b)| <= gamma_m T(b) + n 2^-1022 with m = n + 64.
+  //     p.abs is within gamma_m of T(b) as well, so
+  //     E(b) = 2 m u p.abs + n 2^-1020 bounds the error, with room left
+  //     for E's own two roundings.
+  //  2. Envelopes.  For w_i >= 0 the derivative of g -/+ gamma_m T is
+  //     sum w_i s_i^2 e^(-b s_i) (1 -/+ gamma_m sgn s_i) >= 0, so both are
+  //     non-decreasing in b.
+  //  3. Certificate.  If d(x) < -2E(x), then g(x) + gamma_m T(x) + n 2^-1022
+  //     < 0; by 2 that holds at every b <= x, and by 1 d(b) < 0 there.
+  //     Likewise d(x) > 2E(x) proves d(b) > 0 for every b >= x.
+  // So a midpoint at or left of neg_edge takes `d < 0`, one at or right
+  // of pos_edge takes `d >= 0`, exactly as its pass would decide.
+  double neg_edge = -kInf, pos_edge = kInf;
+  const double err_rel = static_cast<double>(n + 64) * 0x1p-52;
+  const double err_abs = static_cast<double>(n) * 0x1p-1020;
+  // Moves the edges by the pass at beta; returns its band 2E (or +inf).
+  auto certify_pass = [&](double beta, const Pass& p) {
+    if (!certify || !(p.abs < 0x1p1000)) return kInf;  // No overflow.
+    const double band = 2.0 * (err_rel * p.abs + err_abs);
+    if (p.d < -band) neg_edge = std::max(neg_edge, beta);
+    if (p.d > band) pos_edge = std::min(pos_edge, beta);
+    return band;
   };
 
   // Z is strictly convex in beta; locate the sign change of dZ/dbeta with
   // a capped bracket, then bisect.
   constexpr double kBetaCap = 35.0;  // exp stays within double range.
-  double d0 = dz_at(0.0);
+  const Pass p0 = pass_at(0.0);
+  const double d0 = p0.d;
   double lo_b, hi_b;
   // Whether dZ(lo_b) < 0 is known; dZ(hi_b) < 0 is always known false.
   bool lo_negative = true;
   if (d0 < 0.0) {
     lo_b = 0.0;
     hi_b = kBetaCap;
-    if (dz_at(hi_b) < 0.0) {
+    if (pass_at(hi_b).d < 0.0) {
       // Perfect (or near-perfect) classifier on the active mass: the cap
       // is the minimizer within our numeric budget.
       if (z_min != nullptr) *z_min = z_at(hi_b);
@@ -99,7 +200,7 @@ double MinimizeZ(const std::vector<double>& weights,
   } else if (d0 > 0.0) {
     lo_b = -kBetaCap;
     hi_b = 0.0;
-    double d_lo = dz_at(lo_b);
+    double d_lo = pass_at(lo_b).d;
     if (d_lo > 0.0) {
       if (z_min != nullptr) *z_min = z_at(lo_b);
       return lo_b * inv_scale;
@@ -109,11 +210,52 @@ double MinimizeZ(const std::vector<double>& weights,
     if (z_min != nullptr) *z_min = z_at(0.0);
     return 0.0;
   }
+
+  // Localise the sign change: safeguarded Newton steps from 0 inside the
+  // sign bracket [a, b] while each pass certifies its side; then, around
+  // the first pass x inside its own band, certify a point on each side,
+  // doubling the offset from 2 band / slope.
+  if (certify) {
+    constexpr int kNewtonSteps = 16;
+    constexpr int kCertifySteps = 8;
+    double a = lo_b, b = hi_b, x = 0.0;
+    Pass p = p0;
+    double band = certify_pass(x, p);
+    for (int step = 0; step < kNewtonSteps && std::fabs(p.d) > band;
+         ++step) {
+      double next = x - p.d / p.slope;
+      if (!(next > a && next < b)) next = 0.5 * (a + b);
+      x = next;
+      p = pass_at(x);
+      band = certify_pass(x, p);
+      (p.d < 0.0 ? a : b) = x;
+    }
+    if (std::fabs(p.d) <= band) {
+      const double width = 2.0 * band / p.slope;
+      double off = width;
+      for (int k = 0; k < kCertifySteps && x - off > lo_b && neg_edge < x - off;
+           ++k, off *= 2.0) {
+        certify_pass(x - off, pass_at(x - off));
+      }
+      off = width;
+      for (int k = 0; k < kCertifySteps && x + off < hi_b && pos_edge > x + off;
+           ++k, off *= 2.0) {
+        certify_pass(x + off, pass_at(x + off));
+      }
+    }
+  }
+
   for (int iter = 0; iter < 64; ++iter) {
     double mid = 0.5 * (lo_b + hi_b);
     // Settled: this step, and so every later one, leaves the bracket.
     if (mid == hi_b || (mid == lo_b && lo_negative)) break;
-    if (dz_at(mid) < 0.0) {
+    bool negative = mid <= neg_edge;
+    if (!negative && mid < pos_edge) {
+      const Pass p = pass_at(mid);
+      certify_pass(mid, p);
+      negative = p.d < 0.0;
+    }
+    if (negative) {
       lo_b = mid;
       lo_negative = true;
     } else {
@@ -160,12 +302,17 @@ AdaBoostResult TrainAdaBoost(const TrainingContext& ctx,
     }
   }
 
+  // Reference layouts are built on first use and kept: no round's
+  // weights change them.  A pivot's layout is rebuilt each time.
+  const size_t grid = std::max<size_t>(2, options.interval_grid);
+  std::vector<ProjectionLayout> reference_layouts(
+      options.query_sensitive ? ctx.num_candidates() : 0);
+  ProjectionLayout pivot_layout;
+
   // Scratch buffers reused across rounds.
   std::vector<double> values(nt);
-  std::vector<double> margin(t);       // y_i * F̃_i.
-  std::vector<double> sorted_proj(t);  // F(q_i) in the scoring order.
-  std::vector<double> prefix_w(t + 1), prefix_r(t + 1);
-  std::vector<size_t> cuts;
+  std::vector<double> margin(t);  // y_i * F̃_i.
+  std::vector<double> cut_w, cut_r;  // Prefix sums at the cuts.
 
   for (size_t round = 0; round < options.rounds; ++round) {
     ScoredCandidate best;
@@ -205,49 +352,42 @@ AdaBoostResult TrainAdaBoost(const TrainingContext& ctx,
 
       // Query-sensitive: score every interval of a quantile grid over the
       // query projections, in O(1) each via prefix sums.  The triples are
-      // taken by projection, then query object, then triple index: sort
-      // the query objects, then emit each one's triples.
-      std::sort(query_objects.begin(), query_objects.end(),
-                [&](uint32_t x, uint32_t y) {
-                  return values[x] < values[y] ||
-                         (values[x] == values[y] && x < y);
-                });
-      prefix_w[0] = 0.0;
-      prefix_r[0] = 0.0;
-      size_t i = 0;
-      for (uint32_t o : query_objects) {
-        for (uint32_t k = query_start[o]; k < query_start[o + 1]; ++k, ++i) {
-          uint32_t idx = by_query[k];
-          sorted_proj[i] = values[o];
-          prefix_w[i + 1] = prefix_w[i] + w[idx];
-          prefix_r[i + 1] = prefix_r[i] + w[idx] * margin[idx] * inv_scale;
+      // taken by projection, then query object, then triple index: walk
+      // the layout's objects, each one's triples in turn, and record the
+      // running sums at the cuts.
+      ProjectionLayout* layout = &pivot_layout;
+      if (spec.type == Embedding1DSpec::Type::kReference) {
+        layout = &reference_layouts[spec.c1];
+      }
+      if (layout == &pivot_layout || layout->cut_at.empty()) {
+        BuildLayout(values.data(), query_objects, query_start, grid, layout);
+      }
+      const size_t num_cuts = layout->cut_at.size();
+      cut_w.assign(num_cuts, 0.0);
+      cut_r.assign(num_cuts, 0.0);
+      double sum_w = 0.0, sum_r = 0.0;
+      for (size_t c = 1, k = 0; c < num_cuts; ++c) {
+        for (; k < layout->cut_at[c]; ++k) {
+          const uint32_t o = layout->order[k];
+          for (uint32_t j = query_start[o]; j < query_start[o + 1]; ++j) {
+            const uint32_t idx = by_query[j];
+            sum_w += w[idx];
+            sum_r += w[idx] * margin[idx] * inv_scale;
+          }
         }
+        cut_w[c] = sum_w;
+        cut_r[c] = sum_r;
       }
 
-      // Cut positions: quantiles of the sorted projections, snapped to
-      // value boundaries so every scored range maps to a clean interval
-      // [lo, hi] of R.
-      cuts.clear();
-      cuts.push_back(0);
-      const size_t grid = std::max<size_t>(2, options.interval_grid);
-      for (size_t g = 1; g < grid; ++g) {
-        size_t pos = g * t / grid;
-        while (pos > 0 && pos < t && sorted_proj[pos - 1] == sorted_proj[pos]) {
-          ++pos;
-        }
-        if (pos > cuts.back() && pos < t) cuts.push_back(pos);
-      }
-      cuts.push_back(t);
-
-      const double total_w = prefix_w[t];
+      const double total_w = cut_w.back();
       const bool by_correlation =
           options.interval_selection ==
           AdaBoostOptions::IntervalSelection::kCorrelation;
-      for (size_t u = 0; u + 1 < cuts.size(); ++u) {
-        for (size_t v = u + 1; v < cuts.size(); ++v) {
-          double w_in = prefix_w[cuts[v]] - prefix_w[cuts[u]];
+      for (size_t u = 0; u + 1 < num_cuts; ++u) {
+        for (size_t v = u + 1; v < num_cuts; ++v) {
+          double w_in = cut_w[v] - cut_w[u];
           if (w_in < options.min_split_mass * total_w) continue;
-          double r = prefix_r[cuts[v]] - prefix_r[cuts[u]];
+          double r = cut_r[v] - cut_r[u];
           // Both criteria are expressed as a Z bound so they compare on
           // one scale: kCorrelation uses Z <= sqrt(1 - r^2) (margins
           // outside V contribute 0 to r), kZBound the tighter two-part
@@ -260,16 +400,8 @@ AdaBoostResult TrainAdaBoost(const TrainingContext& ctx,
             double w_out = total_w - w_in;
             zb = w_out + std::sqrt(std::max(0.0, w_in * w_in - r * r));
           }
-          if (zb >= best.z_bound) continue;
-          double lo = cuts[u] == 0
-                          ? -kInf
-                          : 0.5 * (sorted_proj[cuts[u] - 1] +
-                                   sorted_proj[cuts[u]]);
-          double hi = cuts[v] == t
-                          ? kInf
-                          : 0.5 * (sorted_proj[cuts[v] - 1] +
-                                   sorted_proj[cuts[v]]);
-          best = {spec, lo, hi, zb};
+          if (!(zb < best.z_bound)) continue;  // A NaN bound never wins.
+          best = {spec, layout->edge[u], layout->edge[v], zb};
         }
       }
     }

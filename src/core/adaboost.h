@@ -110,10 +110,14 @@ struct AdaBoostResult {
 ///     grouped by query object once per training, so a candidate sorts
 ///     only the distinct query objects (O(nt log nt + t), not O(t log t)).
 ///     Cut positions and the interval bounds depend only on where the
-///     runs of equal F(q_i) lie, not on the order inside a run,
+///     runs of equal F(q_i) lie, not on the order inside a run.  For a
+///     reference embedding F^r they depend on r alone, so that order, its
+///     cuts and their bounds are built once per candidate object and
+///     reused by every round; a candidate then sums its weights at the
+///     cuts in one O(t) walk,
 ///  3. picks the overall best (F, V), then minimizes the exact
 ///     Z_j(Q̃, α) = Σ_i w_i exp(-α y_i Q̃(q_i,a_i,b_i))  (Eq. 8)
-///     over α by safeguarded bisection on dZ/dα,
+///     over α by bisection on dZ/dα (MinimizeZ),
 ///  4. re-weights triples per Eq. 6.
 AdaBoostResult TrainAdaBoost(const TrainingContext& ctx,
                              const std::vector<Triple>& triples,
@@ -123,6 +127,16 @@ AdaBoostResult TrainAdaBoost(const TrainingContext& ctx,
 /// s_i = y_i * Q̃_i restricted to accepted triples.  Exposed for tests.
 /// Returns the minimizing α (possibly negative) and sets *z_min to the
 /// attained total Z (including the rejected-triple mass `passive_mass`).
+///
+/// α is the result of a 64-step bisection on the rounded dZ/dβ over
+/// β = α max|s_i| in [-35, 35], as if every step ran an exact pass.  A
+/// step whose sign a rounding-error bound already proves takes it without
+/// the pass: a few Newton passes localise the root, and a pass far enough
+/// from zero certifies the sign of every step on its side.  About 25 of
+/// ~60 passes remain.  Weights that are negative or not finite, or
+/// margins that are not finite, run every pass.  The result is bit for
+/// bit that of the plain bisection (MinimizeZTest.MatchesPlainBisection-
+/// BitForBit).
 double MinimizeZ(const std::vector<double>& weights,
                  const std::vector<double>& margins, double passive_mass,
                  double* z_min);

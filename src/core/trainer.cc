@@ -1,9 +1,46 @@
 #include "src/core/trainer.h"
 
+#include <cmath>
+#include <string>
+
 #include "src/core/triple_sampler.h"
 #include "src/util/logging.h"
 
 namespace qse {
+
+namespace {
+
+/// InvalidArgument naming the first NaN distance of `ctx` (candidate
+/// pairs, then candidate-to-training, then training pairs, row by row),
+/// by database ids.  A NaN projection has no place in the order a weak
+/// learner sorts by.  +inf passes: variable-length cDTW can return it.
+Status CheckNoNaN(const TrainingContext& ctx) {
+  auto nan_at = [](size_t a, size_t b) {
+    return Status::InvalidArgument(
+        "DX(" + std::to_string(a) + ", " + std::to_string(b) +
+        ") is NaN; training needs every distance to be a number or +inf");
+  };
+  const std::vector<size_t>& cand = ctx.candidate_ids();
+  const std::vector<size_t>& train = ctx.train_ids();
+  for (size_t i = 0; i < cand.size(); ++i) {
+    for (size_t j = 0; j < cand.size(); ++j) {
+      if (std::isnan(ctx.CandCand(i, j))) return nan_at(cand[i], cand[j]);
+    }
+  }
+  for (size_t i = 0; i < cand.size(); ++i) {
+    for (size_t j = 0; j < train.size(); ++j) {
+      if (std::isnan(ctx.CandTrain(i, j))) return nan_at(cand[i], train[j]);
+    }
+  }
+  for (size_t i = 0; i < train.size(); ++i) {
+    for (size_t j = 0; j < train.size(); ++j) {
+      if (std::isnan(ctx.TrainTrain(i, j))) return nan_at(train[i], train[j]);
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 StatusOr<BoostMapArtifacts> TrainBoostMap(
     const DistanceOracle& oracle, const std::vector<size_t>& candidate_ids,
@@ -41,6 +78,8 @@ StatusOr<BoostMapArtifacts> TrainBoostMap(
   CountingOracle counting(&oracle);
   TrainingContext ctx =
       TrainingContext::Build(counting, candidate_ids, train_ids);
+  Status finite = CheckNoNaN(ctx);
+  if (!finite.ok()) return finite;
 
   Rng rng(config.sampling_seed);
   std::vector<Triple> triples =

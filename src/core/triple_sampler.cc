@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/util/logging.h"
+#include "src/util/top_k.h"
 
 namespace qse {
 
@@ -17,9 +18,7 @@ std::vector<std::vector<uint32_t>> NeighborOrdering(const Matrix& dist) {
       if (j != i) row.push_back(static_cast<uint32_t>(j));
     }
     std::sort(row.begin(), row.end(), [&](uint32_t a, uint32_t b) {
-      double da = dist(i, a), db = dist(i, b);
-      if (da != db) return da < db;
-      return a < b;
+      return ValueThenIndexLess(dist(i, a), a, dist(i, b), b);
     });
   }
   return order;

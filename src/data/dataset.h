@@ -1,6 +1,7 @@
 #ifndef QSE_DATA_DATASET_H_
 #define QSE_DATA_DATASET_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -57,23 +58,24 @@ class ObjectOracle : public DistanceOracle {
 
 /// Decorator that counts every exact-distance evaluation.  The paper's
 /// efficiency metric is precisely "number of exact distance computations
-/// per query" (Sec. 9); benches wrap their oracles in this.
+/// per query" (Sec. 9); benches wrap their oracles in this.  The count is
+/// atomic: TrainingContext::Build calls Distance from several threads.
 class CountingOracle : public DistanceOracle {
  public:
   explicit CountingOracle(const DistanceOracle* inner) : inner_(inner) {}
 
   size_t size() const override { return inner_->size(); }
   double Distance(size_t i, size_t j) const override {
-    ++count_;
+    count_.fetch_add(1, std::memory_order_relaxed);
     return inner_->Distance(i, j);
   }
 
-  uint64_t count() const { return count_; }
-  void ResetCount() { count_ = 0; }
+  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
+  void ResetCount() { count_.store(0, std::memory_order_relaxed); }
 
  private:
   const DistanceOracle* inner_;
-  mutable uint64_t count_ = 0;
+  mutable std::atomic<uint64_t> count_{0};
 };
 
 /// Oracle defined by a plain function; convenient in tests.

@@ -13,16 +13,6 @@ double Mean(const std::vector<double>& xs) {
   return sum / static_cast<double>(xs.size());
 }
 
-double Variance(const std::vector<double>& xs) {
-  if (xs.size() < 2) return 0.0;
-  double m = Mean(xs);
-  double acc = 0.0;
-  for (double x : xs) acc += (x - m) * (x - m);
-  return acc / static_cast<double>(xs.size() - 1);
-}
-
-double StdDev(const std::vector<double>& xs) { return std::sqrt(Variance(xs)); }
-
 double QuantileNearestRank(std::vector<double> xs, double q) {
   assert(!xs.empty());
   assert(q >= 0.0 && q <= 1.0);
@@ -33,10 +23,6 @@ double QuantileNearestRank(std::vector<double> xs, double q) {
   if (rank == 0) rank = 1;
   if (rank > xs.size()) rank = xs.size();
   return xs[rank - 1];
-}
-
-double Median(std::vector<double> xs) {
-  return QuantileNearestRank(std::move(xs), 0.5);
 }
 
 double Min(const std::vector<double>& xs) {
@@ -63,18 +49,6 @@ double PearsonCorrelation(const std::vector<double>& xs,
   }
   if (sxx <= 0.0 || syy <= 0.0) return 0.0;
   return sxy / std::sqrt(sxx * syy);
-}
-
-Summary Summarize(const std::vector<double>& xs) {
-  Summary s;
-  s.count = xs.size();
-  if (xs.empty()) return s;
-  s.mean = Mean(xs);
-  s.stddev = StdDev(xs);
-  s.min = Min(xs);
-  s.max = Max(xs);
-  s.median = Median(xs);
-  return s;
 }
 
 }  // namespace qse

@@ -1,19 +1,12 @@
 #ifndef QSE_UTIL_STATS_H_
 #define QSE_UTIL_STATS_H_
 
-#include <cstddef>
 #include <vector>
 
 namespace qse {
 
 /// Arithmetic mean; 0 for an empty input.
 double Mean(const std::vector<double>& xs);
-
-/// Unbiased sample variance (n - 1 denominator); 0 for fewer than 2 samples.
-double Variance(const std::vector<double>& xs);
-
-/// Sample standard deviation.
-double StdDev(const std::vector<double>& xs);
 
 /// q-quantile (q in [0, 1]) of `xs` using the nearest-rank (ceil) method:
 /// the smallest value v such that at least ceil(q * n) samples are <= v.
@@ -22,9 +15,6 @@ double StdDev(const std::vector<double>& xs);
 /// queries succeed.  Requires a non-empty input; does not modify `xs`.
 double QuantileNearestRank(std::vector<double> xs, double q);
 
-/// Median via QuantileNearestRank(xs, 0.5).
-double Median(std::vector<double> xs);
-
 /// Min / max of a non-empty vector.
 double Min(const std::vector<double>& xs);
 double Max(const std::vector<double>& xs);
@@ -32,18 +22,6 @@ double Max(const std::vector<double>& xs);
 /// Pearson correlation of two equal-length vectors (0 if degenerate).
 double PearsonCorrelation(const std::vector<double>& xs,
                           const std::vector<double>& ys);
-
-/// Five-number style summary used in experiment reports.
-struct Summary {
-  size_t count = 0;
-  double mean = 0;
-  double stddev = 0;
-  double min = 0;
-  double median = 0;
-  double max = 0;
-};
-
-Summary Summarize(const std::vector<double>& xs);
 
 }  // namespace qse
 

@@ -2,6 +2,7 @@
 #define QSE_UTIL_TOP_K_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -23,6 +24,16 @@ struct ScoredIndex {
     return a.index == b.index && a.score == b.score;
   }
 };
+
+/// Ascending (value, index) order with NaN after every number: a strict
+/// total order even on NaN values, so std::sort's result under it is
+/// unique (a plain `<` on the values makes std::sort undefined on NaN).
+inline bool ValueThenIndexLess(double va, size_t a, double vb, size_t b) {
+  const bool a_nan = std::isnan(va), b_nan = std::isnan(vb);
+  if (a_nan != b_nan) return b_nan;
+  if (!a_nan && va != vb) return va < vb;
+  return a < b;
+}
 
 /// Returns the k smallest (index, score) pairs of `scores`, sorted
 /// ascending.  k is clamped to scores.size().  O(n + k log k) via

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "src/data/timeseries_generator.h"
@@ -115,6 +117,72 @@ TEST(TrainerTest, PreprocessingCostIsQuadraticScale) {
   ASSERT_TRUE(result.ok());
   size_t expected = 10 * 9 / 2 + 10 * 20 + 20 * 19 / 2;
   EXPECT_EQ(result->preprocessing_distances, expected);
+}
+
+TEST(TrainerTest, SharedSampleCountIsExactAcrossThreads) {
+  // At |C| = |Xtr| = 300 TrainingContext::Build splits its rows over
+  // threads, and each thread counts through the one CountingOracle: the
+  // count must still be exactly n(n - 1), and race-free under TSan.
+  constexpr size_t n = 300;
+  auto oracle = test::MakePlaneOracle(n, 10);
+  BoostMapConfig config = SmallConfig();
+  config.boost.rounds = 2;
+  config.boost.embeddings_per_round = 4;
+  auto result = TrainBoostMap(oracle, test::Iota(n), test::Iota(n), config);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->preprocessing_distances, n * (n - 1));
+}
+
+TEST(TrainerTest, RejectsNaNDistancesNamingTheFirstPair) {
+  // NaN for DX(7, 3) only: candidate pairs are scanned first, row by
+  // row, so the first NaN met is the mirrored read at row 3.
+  auto plane = test::MakePlaneOracle(60, 11);
+  FunctionOracle oracle(60, [&](size_t i, size_t j) {
+    if ((i == 3 && j == 7) || (i == 7 && j == 3)) {
+      return std::numeric_limits<double>::quiet_NaN();
+    }
+    return plane.Distance(i, j);
+  });
+  auto result =
+      TrainBoostMap(oracle, test::Iota(20), test::Iota(40, 20), SmallConfig());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("DX(3, 7) is NaN"),
+            std::string::npos)
+      << result.status();
+}
+
+TEST(TrainerTest, InfinitePivotDistancesTrainDeterministically) {
+  // Candidates 0..9 lie at +inf from training objects 20..24.  A pivot
+  // pair among them projects those objects to inf - inf = NaN and the
+  // rest to numbers, so the weak learner sorts NaN projections; the
+  // order must be total for the result to be defined.
+  auto plane = test::MakePlaneOracle(60, 12);
+  FunctionOracle oracle(60, [&](size_t i, size_t j) {
+    const size_t c = std::min(i, j), o = std::max(i, j);
+    if (c < 10 && o >= 20 && o < 25) {
+      return std::numeric_limits<double>::infinity();
+    }
+    return plane.Distance(i, j);
+  });
+  BoostMapConfig config = SmallConfig();
+  config.boost.pivot_fraction = 0.9;
+  auto first =
+      TrainBoostMap(oracle, test::Iota(20), test::Iota(40, 20), config);
+  auto second =
+      TrainBoostMap(oracle, test::Iota(20), test::Iota(40, 20), config);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_TRUE(second.ok()) << second.status();
+  ASSERT_EQ(first->history.size(), second->history.size());
+  for (size_t r = 0; r < first->history.size(); ++r) {
+    const WeakClassifier& a = first->history[r].chosen;
+    const WeakClassifier& b = second->history[r].chosen;
+    EXPECT_TRUE(a.spec == b.spec) << "round " << r;
+    EXPECT_EQ(std::memcmp(&a.lo, &b.lo, sizeof a.lo), 0) << "round " << r;
+    EXPECT_EQ(std::memcmp(&a.hi, &b.hi, sizeof a.hi), 0) << "round " << r;
+    EXPECT_EQ(std::memcmp(&a.alpha, &b.alpha, sizeof a.alpha), 0)
+        << "round " << r;
+  }
 }
 
 // Golden pins of trained Se-QS models.  C and Xtr are one sample, as in
