@@ -132,11 +132,11 @@ AdaBoostResult TrainAdaBoost(const TrainingContext& ctx,
 /// β = α max|s_i| in [-35, 35], as if every step ran an exact pass.  A
 /// step whose sign a rounding-error bound already proves takes it without
 /// the pass: a few Newton passes localise the root, and a pass far enough
-/// from zero certifies the sign of every step on its side.  About 25 of
-/// ~60 passes remain.  Weights that are negative or not finite, or
-/// margins that are not finite, run every pass.  The result is bit for
-/// bit that of the plain bisection (MinimizeZTest.MatchesPlainBisection-
-/// BitForBit).
+/// from zero certifies the sign of every step on its side.  On
+/// perfbench's trainings ~26 of ~58 passes remain.  Weights that are
+/// negative or not finite, or margins that are not finite, run every
+/// pass.  The result is bit for bit that of the plain bisection
+/// (MinimizeZTest.MatchesPlainBisectionBitForBit).
 double MinimizeZ(const std::vector<double>& weights,
                  const std::vector<double>& margins, double passive_mass,
                  double* z_min);
