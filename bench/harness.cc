@@ -235,11 +235,12 @@ MethodLadder RunBoostMapVariant(const Workload& workload,
                         << artifacts->model.dims() << " dims, train_err "
                         << artifacts->final_training_error << ") in "
                         << timer.Seconds() << "s");
+  timer.Restart();
   MethodLadder ladder = EvaluateQseLadder(workload, gt, name,
                                           artifacts->model);
   ladder.preprocessing_distances = artifacts->preprocessing_distances;
   QSE_LOG(workload.name << ": evaluated " << name << " ladder in "
-                        << timer.Seconds() << "s total");
+                        << timer.Seconds() << "s");
   return ladder;
 }
 
@@ -256,6 +257,7 @@ MethodLadder RunFastMap(const Workload& workload, const GroundTruth& gt,
   FastMapModel model = BuildFastMap(*workload.oracle, sample, options);
   QSE_LOG(workload.name << ": built FastMap with " << model.dims()
                         << " dims in " << timer.Seconds() << "s");
+  timer.Restart();
   MethodLadder result;
   result.name = "FastMap";
   L2Scorer scorer;
@@ -268,7 +270,7 @@ MethodLadder RunFastMap(const Workload& workload, const GroundTruth& gt,
                             workload.db_ids, workload.query_ids, gt, d));
   }
   QSE_LOG(workload.name << ": evaluated FastMap ladder in "
-                        << timer.Seconds() << "s total");
+                        << timer.Seconds() << "s");
   return result;
 }
 

@@ -15,6 +15,18 @@ namespace {
 constexpr uint32_t kModelMagic = 0x51534D31;  // "QSM1"
 /// One saved round: type, two ids, pivot distance, lo, hi and alpha.
 constexpr size_t kStoredRoundBytes = 3 * 4 + 4 * 8;
+
+/// D_out(F(q), F(x)) (Eq. 11) under precomputed weights A_i(q).
+double WeightedDistance(const Vector& weights, const Vector& embedded_query,
+                        const Vector& embedded_x) {
+  assert(weights.size() == embedded_query.size());
+  assert(weights.size() == embedded_x.size());
+  double d = 0.0;
+  for (size_t i = 0; i < weights.size(); ++i) {
+    d += weights[i] * std::fabs(embedded_query[i] - embedded_x[i]);
+  }
+  return d;
+}
 }  // namespace
 
 double QuerySensitiveEmbedding::Coordinate::Value(double d1, double d2) const {
@@ -112,24 +124,6 @@ Vector QuerySensitiveEmbedding::QueryWeights(
     w[i] = coords_[i].Weight(embedded_query[i]);
   }
   return w;
-}
-
-double QuerySensitiveEmbedding::WeightedDistance(const Vector& weights,
-                                                 const Vector& embedded_query,
-                                                 const Vector& embedded_x) {
-  assert(weights.size() == embedded_query.size());
-  assert(weights.size() == embedded_x.size());
-  double d = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    d += weights[i] * std::fabs(embedded_query[i] - embedded_x[i]);
-  }
-  return d;
-}
-
-double QuerySensitiveEmbedding::QuerySensitiveDistance(
-    const Vector& embedded_query, const Vector& embedded_x) const {
-  return WeightedDistance(QueryWeights(embedded_query), embedded_query,
-                          embedded_x);
 }
 
 double QuerySensitiveEmbedding::TripleMargin(const Vector& fq,

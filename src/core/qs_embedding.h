@@ -84,18 +84,9 @@ class QuerySensitiveEmbedding {
   /// A_i(q) for an embedded query (Eq. 10).
   Vector QueryWeights(const Vector& embedded_query) const;
 
-  /// D_out(F(q), F(x)) (Eq. 11).  Asymmetric: the first argument must be
-  /// the query.
-  double QuerySensitiveDistance(const Vector& embedded_query,
-                                const Vector& embedded_x) const;
-
-  /// Same with precomputed weights (faster when scanning a database).
-  static double WeightedDistance(const Vector& weights,
-                                 const Vector& embedded_query,
-                                 const Vector& embedded_x);
-
-  /// H(q, a, b) = D_out(F(q), F(b)) - D_out(F(q), F(a)); positive when the
-  /// model predicts q closer to a (triple type 1).
+  /// H(q, a, b) = D_out(F(q), F(b)) - D_out(F(q), F(a)), where
+  /// D_out(F(q), F(x)) = sum_i A_i(q) |F_i(q) - F_i(x)| (Eq. 11); positive
+  /// when the model predicts q closer to a (triple type 1).
   double TripleMargin(const Vector& fq, const Vector& fa,
                       const Vector& fb) const;
 

@@ -32,11 +32,6 @@ struct WeakClassifier {
     double da = fq > fa ? fq - fa : fa - fq;
     return db - da;
   }
-
-  bool is_query_sensitive() const {
-    return lo != -std::numeric_limits<double>::infinity() ||
-           hi != std::numeric_limits<double>::infinity();
-  }
 };
 
 }  // namespace qse

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -44,13 +43,6 @@ class ObjectOracle : public DistanceOracle {
   const std::vector<T>& objects() const { return objects_; }
   const T& object(size_t i) const { return objects_[i]; }
 
-  /// Distance from an out-of-universe query object to database object j;
-  /// used to embed previously unseen queries (paper Sec. 8, embedding
-  /// step).
-  double DistanceToObject(const T& query, size_t j) const {
-    return distance_(query, objects_[j]);
-  }
-
  private:
   std::vector<T> objects_;
   DistanceFn<T> distance_;
@@ -71,25 +63,10 @@ class CountingOracle : public DistanceOracle {
   }
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  void ResetCount() { count_.store(0, std::memory_order_relaxed); }
 
  private:
   const DistanceOracle* inner_;
   mutable std::atomic<uint64_t> count_{0};
-};
-
-/// Oracle defined by a plain function; convenient in tests.
-class FunctionOracle : public DistanceOracle {
- public:
-  using Fn = std::function<double(size_t, size_t)>;
-  FunctionOracle(size_t n, Fn fn) : n_(n), fn_(std::move(fn)) {}
-
-  size_t size() const override { return n_; }
-  double Distance(size_t i, size_t j) const override { return fn_(i, j); }
-
- private:
-  size_t n_;
-  Fn fn_;
 };
 
 }  // namespace qse

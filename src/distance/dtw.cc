@@ -38,11 +38,6 @@ double ConstrainedDtw(const Series& a, const Series& b,
   return ConstrainedDtwWindow(a, b, window);
 }
 
-double Dtw(const Series& a, const Series& b) {
-  long window = static_cast<long>(std::max(a.length(), b.length()));
-  return ConstrainedDtwWindow(a, b, window);
-}
-
 DtwEnvelope BuildEnvelope(const Series& s, long window) {
   DtwEnvelope env;
   env.dims = s.dims();
@@ -75,15 +70,20 @@ DtwEnvelope BuildEnvelope(const Series& s, long window) {
 double LbKeogh(const DtwEnvelope& query_envelope, const Series& c) {
   QSE_CHECK(query_envelope.dims == c.dims());
   QSE_CHECK(query_envelope.length() == c.length());
+  const double* v = c.values().data();
+  const double* lower = query_envelope.lower.data();
+  const double* upper = query_envelope.upper.data();
+  const size_t total = c.values().size();
+  // Branch-free: at most one of a, b is positive when lower <= upper,
+  // so each step adds exactly the distance to the tube, as a branchy
+  // if/else-if would.  Compare-select rather than std::max(x, 0.0): a
+  // NaN x must add 0, and a sample outside an all-NaN window's
+  // inverted envelope (lower = +inf, upper = -inf) still adds +inf.
   double lb = 0.0;
-  size_t total = c.values().size();
   for (size_t i = 0; i < total; ++i) {
-    double v = c.values()[i];
-    if (v > query_envelope.upper[i]) {
-      lb += v - query_envelope.upper[i];
-    } else if (v < query_envelope.lower[i]) {
-      lb += query_envelope.lower[i] - v;
-    }
+    const double a = v[i] - upper[i];
+    const double b = lower[i] - v[i];
+    lb += (a > 0.0 ? a : 0.0) + (b > 0.0 ? b : 0.0);
   }
   return lb;
 }

@@ -30,10 +30,6 @@ double ConstrainedDtw(const Series& a, const Series& b,
 /// the active SIMD tier (simd/kernels.h), bit-identically on every tier.
 double ConstrainedDtwWindow(const Series& a, const Series& b, long window);
 
-/// Unconstrained DTW (window = max length); provided for tests and for
-/// band-sensitivity sweeps.
-double Dtw(const Series& a, const Series& b);
-
 /// Running min/max envelope of a series under a +-window band, per
 /// dimension; the ingredient of the LB_Keogh lower bound.
 struct DtwEnvelope {

@@ -1,8 +1,6 @@
 #include "src/distance/edit_distance.h"
 
 #include <algorithm>
-#include <cassert>
-#include <limits>
 #include <vector>
 
 namespace qse {
@@ -24,53 +22,6 @@ size_t EditDistance(const std::string& a, const std::string& b) {
     std::swap(prev, curr);
   }
   return prev[m];
-}
-
-double WeightedEditDistance(const std::string& a, const std::string& b,
-                            double insert_cost, double delete_cost,
-                            double substitute_cost) {
-  assert(insert_cost >= 0 && delete_cost >= 0 && substitute_cost >= 0);
-  const size_t n = a.size(), m = b.size();
-  std::vector<double> prev(m + 1), curr(m + 1);
-  for (size_t j = 0; j <= m; ++j) {
-    prev[j] = static_cast<double>(j) * insert_cost;
-  }
-  for (size_t i = 1; i <= n; ++i) {
-    curr[0] = static_cast<double>(i) * delete_cost;
-    for (size_t j = 1; j <= m; ++j) {
-      double sub =
-          prev[j - 1] + (a[i - 1] == b[j - 1] ? 0.0 : substitute_cost);
-      double del = prev[j] + delete_cost;
-      double ins = curr[j - 1] + insert_cost;
-      curr[j] = std::min({sub, del, ins});
-    }
-    std::swap(prev, curr);
-  }
-  return prev[m];
-}
-
-size_t BandedEditDistance(const std::string& a, const std::string& b,
-                          size_t band) {
-  const size_t n = a.size(), m = b.size();
-  const size_t kBig = std::numeric_limits<size_t>::max() / 2;
-  // Degenerate band: if the length difference exceeds the band there is no
-  // in-band alignment; report the cheapest out-of-band completion bound.
-  std::vector<size_t> prev(m + 1, kBig), curr(m + 1, kBig);
-  for (size_t j = 0; j <= std::min(m, band); ++j) prev[j] = j;
-  for (size_t i = 1; i <= n; ++i) {
-    std::fill(curr.begin(), curr.end(), kBig);
-    size_t jlo = i > band ? i - band : 0;
-    size_t jhi = std::min(m, i + band);
-    if (jlo == 0) curr[0] = i;
-    for (size_t j = std::max<size_t>(1, jlo); j <= jhi; ++j) {
-      size_t sub = prev[j - 1] + (a[i - 1] == b[j - 1] ? 0 : 1);
-      size_t del = prev[j] == kBig ? kBig : prev[j] + 1;
-      size_t ins = curr[j - 1] == kBig ? kBig : curr[j - 1] + 1;
-      curr[j] = std::min({sub, del, ins});
-    }
-    std::swap(prev, curr);
-  }
-  return std::min(prev[m], std::max(n, m));
 }
 
 }  // namespace qse

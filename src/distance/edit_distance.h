@@ -11,19 +11,6 @@ namespace qse {
 /// string-search example and tests.
 size_t EditDistance(const std::string& a, const std::string& b);
 
-/// Weighted edit distance with configurable operation costs.
-/// Costs must be non-negative.  With all costs = 1 this equals
-/// EditDistance.  Substituting a character by itself is free.
-double WeightedEditDistance(const std::string& a, const std::string& b,
-                            double insert_cost, double delete_cost,
-                            double substitute_cost);
-
-/// Banded edit distance: alignments are restricted to |i - j| <= band.
-/// Returns an upper bound on the true distance (equal when band is large
-/// enough, e.g. band >= |len(a) - len(b)| + true distance).
-size_t BandedEditDistance(const std::string& a, const std::string& b,
-                          size_t band);
-
 }  // namespace qse
 
 #endif  // QSE_DISTANCE_EDIT_DISTANCE_H_

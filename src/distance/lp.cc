@@ -1,6 +1,5 @@
 #include "src/distance/lp.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -32,52 +31,9 @@ double L1Distance(const Vector& a, const Vector& b) {
   return L1DistanceSpan(a.data(), b.data(), a.size());
 }
 
-double SquaredL2Distance(const Vector& a, const Vector& b) {
-  assert(a.size() == b.size());
-  return SquaredL2DistanceSpan(a.data(), b.data(), a.size());
-}
-
 double L2Distance(const Vector& a, const Vector& b) {
-  return std::sqrt(SquaredL2Distance(a, b));
-}
-
-double LInfDistance(const Vector& a, const Vector& b) {
   assert(a.size() == b.size());
-  // Four-lane discipline like the other kernels.  max carries no
-  // rounding, so lane order cannot change the result — the unroll is
-  // purely to break the serial compare dependence and open the loop to
-  // vectorization.
-  const size_t n = a.size();
-  double m0 = 0.0, m1 = 0.0, m2 = 0.0, m3 = 0.0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    m0 = std::max(m0, std::fabs(a[i] - b[i]));
-    m1 = std::max(m1, std::fabs(a[i + 1] - b[i + 1]));
-    m2 = std::max(m2, std::fabs(a[i + 2] - b[i + 2]));
-    m3 = std::max(m3, std::fabs(a[i + 3] - b[i + 3]));
-  }
-  for (; i < n; ++i) m0 = std::max(m0, std::fabs(a[i] - b[i]));
-  return std::max(std::max(m0, m1), std::max(m2, m3));
-}
-
-double LpDistance(const Vector& a, const Vector& b, double p) {
-  assert(a.size() == b.size());
-  assert(p >= 1.0);
-  // Four-lane accumulation with the (l0+l1)+(l2+l3) reduction of the
-  // other kernels.  std::pow dominates the cost, but the serial
-  // sum dependence used to stall even that; independent lanes let the
-  // pow calls pipeline.
-  const size_t n = a.size();
-  double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    l0 += std::pow(std::fabs(a[i] - b[i]), p);
-    l1 += std::pow(std::fabs(a[i + 1] - b[i + 1]), p);
-    l2 += std::pow(std::fabs(a[i + 2] - b[i + 2]), p);
-    l3 += std::pow(std::fabs(a[i + 3] - b[i + 3]), p);
-  }
-  for (; i < n; ++i) l0 += std::pow(std::fabs(a[i] - b[i]), p);
-  return std::pow((l0 + l1) + (l2 + l3), 1.0 / p);
+  return std::sqrt(SquaredL2DistanceSpan(a.data(), b.data(), a.size()));
 }
 
 }  // namespace qse

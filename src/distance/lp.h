@@ -13,9 +13,6 @@ double L1Distance(const Vector& a, const Vector& b);
 /// L2 (Euclidean) distance.
 double L2Distance(const Vector& a, const Vector& b);
 
-/// Squared Euclidean distance (avoids the sqrt; used in hot loops).
-double SquaredL2Distance(const Vector& a, const Vector& b);
-
 /// Span variants over raw contiguous buffers of n doubles — the kernels
 /// the SoA filter scan is built on (src/retrieval/filter_scorer.cc).
 /// Four-lane accumulation (see lp.cc); the Vector functions above
@@ -24,12 +21,6 @@ double SquaredL2Distance(const Vector& a, const Vector& b);
 /// DistanceFn<Vector> values.
 double L1DistanceSpan(const double* a, const double* b, size_t n);
 double SquaredL2DistanceSpan(const double* a, const double* b, size_t n);
-
-/// L-infinity (Chebyshev) distance.
-double LInfDistance(const Vector& a, const Vector& b);
-
-/// General Minkowski Lp distance for p >= 1.
-double LpDistance(const Vector& a, const Vector& b, double p);
 
 }  // namespace qse
 

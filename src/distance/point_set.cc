@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 namespace qse {
 
@@ -42,23 +41,6 @@ void PointSet::CenterAtOrigin() {
     p.x -= c.x;
     p.y -= c.y;
   }
-}
-
-double DirectedChamfer(const PointSet& a, const PointSet& b) {
-  assert(!a.empty() && !b.empty());
-  double total = 0.0;
-  for (const Point2& pa : a.points) {
-    double best = std::numeric_limits<double>::infinity();
-    for (const Point2& pb : b.points) {
-      best = std::min(best, PointDistance(pa, pb));
-    }
-    total += best;
-  }
-  return total / static_cast<double>(a.size());
-}
-
-double ChamferDistance(const PointSet& a, const PointSet& b) {
-  return DirectedChamfer(a, b) + DirectedChamfer(b, a);
 }
 
 }  // namespace qse

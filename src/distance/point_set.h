@@ -39,14 +39,6 @@ struct PointSet {
   void CenterAtOrigin();
 };
 
-/// Directed chamfer distance: mean over a of min_b ||a - b||.
-double DirectedChamfer(const PointSet& a, const PointSet& b);
-
-/// Symmetric chamfer distance [3]: DirectedChamfer(a,b) +
-/// DirectedChamfer(b,a).  Non-metric (fails the triangle inequality), cited
-/// by the paper as another common non-metric measure.
-double ChamferDistance(const PointSet& a, const PointSet& b);
-
 }  // namespace qse
 
 #endif  // QSE_DISTANCE_POINT_SET_H_

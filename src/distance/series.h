@@ -24,11 +24,6 @@ class Series {
     assert(values_.size() % dims_ == 0);
   }
 
-  /// Convenience constructor for 1-D series.
-  static Series FromValues(std::vector<double> values) {
-    return Series(1, std::move(values));
-  }
-
   size_t dims() const { return dims_; }
   size_t length() const { return dims_ == 0 ? 0 : values_.size() / dims_; }
   bool empty() const { return values_.empty(); }

@@ -98,14 +98,6 @@ const char* InternString(const std::string& s);
 /// Tracing compiled out: recording collapses to nothing, the types stay
 /// so call sites need no #ifdefs.
 inline uint64_t TraceNowNs(const RequestTrace*) { return 0; }
-class ScopedSpan {
- public:
-  ScopedSpan(RequestTrace*, const char*) {}
-  void AddArg(const char*, int64_t) {}
-  void AddArg(const char*, const char*) {}
-  ~ScopedSpan() = default;
-};
-
 inline void TraceMark(RequestTrace*, const char*, uint64_t,
                       std::vector<TraceArg> = {}) {}
 inline void TraceMarkUntil(RequestTrace*, const char*, uint64_t, uint64_t,
@@ -115,38 +107,6 @@ inline uint64_t TraceNsAt(const RequestTrace*, MonotonicClock::time_point) {
 }
 inline void TraceAddSpan(RequestTrace*, TraceSpan) {}
 #else
-/// RAII span: stamps start at construction, closes at destruction.  A
-/// null trace makes every operation a no-op, so untraced requests pay
-/// one branch per span site and nothing else.
-class ScopedSpan {
- public:
-  ScopedSpan(RequestTrace* trace, const char* name)
-      : trace_(trace), name_(name) {
-    if (trace_ != nullptr) start_ns_ = trace_->NowNs();
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  void AddArg(const char* key, int64_t value) {
-    if (trace_ != nullptr) args_.push_back(TraceArg{key, value, nullptr});
-  }
-  void AddArg(const char* key, const char* value) {
-    if (trace_ != nullptr) args_.push_back(TraceArg{key, 0, value});
-  }
-
-  ~ScopedSpan() {
-    if (trace_ != nullptr) {
-      trace_->CloseSpan(name_, start_ns_, std::move(args_));
-    }
-  }
-
- private:
-  RequestTrace* trace_;
-  const char* name_;
-  uint64_t start_ns_ = 0;
-  std::vector<TraceArg> args_;
-};
-
 /// Records a span with an explicit start (for intervals whose start was
 /// stamped earlier, e.g. queue wait measured from the admit timestamp).
 inline void TraceMark(RequestTrace* trace, const char* name,

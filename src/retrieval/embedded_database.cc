@@ -422,11 +422,4 @@ void EmbeddedDatabase::RestoreVersion(size_t rows, const double* data,
   epoch_.ReclaimDrained();
 }
 
-EmbeddedDatabase EmbeddedDatabase::FromRows(const std::vector<Vector>& rows) {
-  EmbeddedDatabase db(rows.empty() ? 0 : rows[0].size());
-  db.Reserve(rows.size());
-  for (const Vector& r : rows) db.Append(r);
-  return db;
-}
-
 }  // namespace qse

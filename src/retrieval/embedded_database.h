@@ -266,14 +266,15 @@ class EmbeddedDatabase {
   /// equal size()).  Quiescent API; engines call it at construction.
   void AssignIds(const std::vector<size_t>& ids);
 
-  /// Removes row i in O(d) by moving the last row into slot i and
-  /// shrinking.  Returns the former index of the row that now occupies
-  /// slot i (== i when removing the last row, i.e. nothing moved — that
-  /// case only shrinks the published count, no copy at all).  Callers
+  /// Removes row i by moving the last row into slot i and shrinking.
+  /// Returns the former index of the row that now occupies slot i (== i
+  /// when removing the last row, i.e. nothing moved — that case only
+  /// shrinks the published count, O(1), no copy at all).  Callers
   /// tracking row -> object-id mappings must apply the same swap; the
-  /// internal id column follows it automatically.  Interior removals
-  /// copy-on-write the version so concurrent pinned readers keep
-  /// scanning the old one.
+  /// internal id column follows it automatically.  An interior removal
+  /// copy-on-writes the whole version, O(n·d) (~2.5 ms at 20,000 × 24),
+  /// so concurrent pinned readers keep scanning the old one; ROADMAP
+  /// item 15 is to copy only the blocks that change.
   size_t SwapRemove(size_t i);
 
   /// Runs deferred reclamation for versions whose readers have drained.
@@ -296,11 +297,6 @@ class EmbeddedDatabase {
   /// without headroom, an overflowing insert re-fits them with it).
   /// Quiescent API.
   void RestoreVersion(size_t rows, const double* data, const size_t* ids);
-
-  /// Builds a flat database from rows-of-vectors (all rows must share one
-  /// dimensionality); row i gets id i.  Bridge from AoS call sites and
-  /// tests.
-  static EmbeddedDatabase FromRows(const std::vector<Vector>& rows);
 
  private:
   /// One published generation of the database.  `data`/`ids` never

@@ -35,20 +35,4 @@ double Max(const std::vector<double>& xs) {
   return *std::max_element(xs.begin(), xs.end());
 }
 
-double PearsonCorrelation(const std::vector<double>& xs,
-                          const std::vector<double>& ys) {
-  assert(xs.size() == ys.size());
-  if (xs.size() < 2) return 0.0;
-  double mx = Mean(xs), my = Mean(ys);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (size_t i = 0; i < xs.size(); ++i) {
-    double dx = xs[i] - mx, dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx <= 0.0 || syy <= 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
-
 }  // namespace qse

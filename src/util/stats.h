@@ -19,10 +19,6 @@ double QuantileNearestRank(std::vector<double> xs, double q);
 double Min(const std::vector<double>& xs);
 double Max(const std::vector<double>& xs);
 
-/// Pearson correlation of two equal-length vectors (0 if degenerate).
-double PearsonCorrelation(const std::vector<double>& xs,
-                          const std::vector<double>& ys);
-
 }  // namespace qse
 
 #endif  // QSE_UTIL_STATS_H_

@@ -61,9 +61,6 @@ class Status {
   static Status IOError(std::string msg) {
     return Status(StatusCode::kIOError, std::move(msg));
   }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
-  }
   static Status DeadlineExceeded(std::string msg) {
     return Status(StatusCode::kDeadlineExceeded, std::move(msg));
   }

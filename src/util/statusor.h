@@ -53,11 +53,6 @@ class StatusOr {
   const T* operator->() const { return &value(); }
   T* operator->() { return &value(); }
 
-  /// Returns the value if OK, else `fallback`.
-  T value_or(T fallback) const {
-    return ok() ? *value_ : std::move(fallback);
-  }
-
  private:
   Status status_;  // OK iff value_ holds a value.
   std::optional<T> value_;

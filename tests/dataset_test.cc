@@ -7,6 +7,7 @@
 
 #include "src/data/distance_cache.h"
 #include "src/distance/lp.h"
+#include "tests/test_util.h"
 
 namespace qse {
 namespace {
@@ -24,13 +25,6 @@ TEST(ObjectOracleTest, DistanceMatchesFunction) {
   EXPECT_DOUBLE_EQ(oracle.Distance(0, 3), std::sqrt(18.0));
 }
 
-TEST(ObjectOracleTest, ExternalQueryDistance) {
-  auto oracle = MakeVectorOracle();
-  Vector query = {0, 1};
-  EXPECT_DOUBLE_EQ(oracle.DistanceToObject(query, 0), 1.0);
-  EXPECT_DOUBLE_EQ(oracle.DistanceToObject(query, 2), 1.0);
-}
-
 TEST(CountingOracleTest, CountsEveryCall) {
   auto inner = MakeVectorOracle();
   CountingOracle counting(&inner);
@@ -39,12 +33,10 @@ TEST(CountingOracleTest, CountsEveryCall) {
   counting.Distance(0, 1);
   counting.Distance(2, 3);
   EXPECT_EQ(counting.count(), 3u);
-  counting.ResetCount();
-  EXPECT_EQ(counting.count(), 0u);
 }
 
 TEST(FunctionOracleTest, DelegatesToFunction) {
-  FunctionOracle oracle(5, [](size_t i, size_t j) {
+  test::FunctionOracle oracle(5, [](size_t i, size_t j) {
     return std::fabs(static_cast<double>(i) - static_cast<double>(j));
   });
   EXPECT_EQ(oracle.size(), 5u);

@@ -16,7 +16,13 @@
 namespace qse {
 namespace {
 
-Series S(std::vector<double> v) { return Series::FromValues(std::move(v)); }
+Series S(std::vector<double> v) { return Series(1, std::move(v)); }
+
+/// Unconstrained DTW: a window of max(n, m) spans every cell.
+double FullDtw(const Series& a, const Series& b) {
+  return ConstrainedDtwWindow(
+      a, b, static_cast<long>(std::max(a.length(), b.length())));
+}
 
 using test::RandomSeries;
 using test::ReferenceCdtw;
@@ -77,14 +83,14 @@ TEST(SeriesTest, ResampledPreservesEndpointsAndLength) {
 TEST(DtwTest, IdenticalSeriesHaveZeroDistance) {
   Series a = S({1, 2, 3, 2, 1});
   EXPECT_DOUBLE_EQ(ConstrainedDtw(a, a, 0.1), 0.0);
-  EXPECT_DOUBLE_EQ(Dtw(a, a), 0.0);
+  EXPECT_DOUBLE_EQ(FullDtw(a, a), 0.0);
 }
 
 TEST(DtwTest, KnownSmallExample) {
   // With a wide band, DTW({0,0,1},{0,1}) aligns 0-0, 0-0, 1-1 => cost 0.
-  EXPECT_DOUBLE_EQ(Dtw(S({0, 0, 1}), S({0, 1})), 0.0);
+  EXPECT_DOUBLE_EQ(FullDtw(S({0, 0, 1}), S({0, 1})), 0.0);
   // DTW({0,3},{0,0}) must pay |3| at the end point.
-  EXPECT_DOUBLE_EQ(Dtw(S({0, 3}), S({0, 0})), 3.0);
+  EXPECT_DOUBLE_EQ(FullDtw(S({0, 3}), S({0, 0})), 3.0);
 }
 
 TEST(DtwTest, SymmetricForEqualLengths) {
@@ -101,7 +107,7 @@ TEST(DtwTest, SymmetricForEqualLengths) {
 }
 
 TEST(DtwTest, EmptySeriesGivesInfinity) {
-  EXPECT_TRUE(std::isinf(Dtw(Series(), S({1, 2}))));
+  EXPECT_TRUE(std::isinf(FullDtw(Series(), S({1, 2}))));
 }
 
 TEST(DtwTest, ShiftedSpikeCheaperThanL1) {
@@ -147,7 +153,7 @@ TEST(DtwTest, MultiDimensionalUsesL1GroundCost) {
   Series a(2, {0, 0, 0, 0});
   Series b(2, {1, 2, 1, 2});
   // Both points differ by |1| + |2| = 3; best alignment is diagonal.
-  EXPECT_DOUBLE_EQ(Dtw(a, b), 6.0);
+  EXPECT_DOUBLE_EQ(FullDtw(a, b), 6.0);
 }
 
 TEST(DtwTest, VariableLengthsSupported) {
@@ -165,7 +171,7 @@ TEST(DtwTest, TriangleInequalityViolationExists) {
   Series a = S({0, 0, 0, 0});
   Series b = S({0, 2});
   Series c = S({2, 2, 2, 2});
-  double ab = Dtw(a, b), bc = Dtw(b, c), ac = Dtw(a, c);
+  double ab = FullDtw(a, b), bc = FullDtw(b, c), ac = FullDtw(a, c);
   EXPECT_GT(ac, ab + bc);
 }
 
@@ -297,8 +303,8 @@ TEST(DtwTest, HugeWindowEqualsUnconstrained) {
   Rng rng(12);
   Series a = RandomSeries(&rng, 2, 40);
   Series b = RandomSeries(&rng, 2, 23);
-  EXPECT_EQ(ConstrainedDtwWindow(a, b, LONG_MAX), Dtw(a, b));
-  EXPECT_EQ(ConstrainedDtwWindow(b, a, LONG_MAX), Dtw(b, a));
+  EXPECT_EQ(ConstrainedDtwWindow(a, b, LONG_MAX), FullDtw(a, b));
+  EXPECT_EQ(ConstrainedDtwWindow(b, a, LONG_MAX), FullDtw(b, a));
 }
 
 TEST(DtwDeathTest, MismatchedDimsAbort) {
@@ -392,6 +398,61 @@ TEST(LbKeoghTest, MultiDimensionalLowerBound) {
     Series c = gen.MakeVariant(i);
     EXPECT_LE(LbKeogh(env, c), ConstrainedDtwWindow(q, c, 4) + 1e-9);
   }
+}
+
+/// LbKeogh as a branchy loop: the reference it must match bit for bit.
+double BranchyLbKeogh(const DtwEnvelope& env, const Series& c) {
+  double lb = 0.0;
+  for (size_t i = 0; i < c.values().size(); ++i) {
+    double v = c.values()[i];
+    if (v > env.upper[i]) {
+      lb += v - env.upper[i];
+    } else if (v < env.lower[i]) {
+      lb += env.lower[i] - v;
+    }
+  }
+  return lb;
+}
+
+TEST(LbKeoghTest, MatchesBranchyLoopBitForBit) {
+  // Random series, some samples replaced by NaN or +-inf, and queries
+  // whose runs of NaN leave all-NaN windows (lower = +inf, upper = -inf).
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double specials[] = {kNaN, kInf, -kInf};
+  Rng rng(31);
+  size_t cases = 0, mismatches = 0;
+  for (size_t dims : {1, 2, 3}) {
+    for (size_t length : {1, 7, 96}) {
+      for (int trial = 0; trial < 40; ++trial) {
+        Series q = RandomSeries(&rng, dims, length);
+        Series c = RandomSeries(&rng, dims, length);
+        const int kind = trial % 4;  // finite, specials, NaN q, half-NaN q
+        if (kind == 1) {
+          for (double& x : c.values()) {
+            if (rng.Index(4) == 0) x = specials[rng.Index(3)];
+          }
+          for (double& x : q.values()) {
+            if (rng.Index(8) == 0) x = specials[rng.Index(3)];
+          }
+        } else if (kind >= 2) {
+          // All of q, or its first half, so finite windows border NaN ones.
+          std::vector<double>& qv = q.values();
+          const size_t run = kind == 2 ? qv.size() : qv.size() / 2;
+          std::fill(qv.begin(), qv.begin() + run, kNaN);
+          c.values()[rng.Index(c.values().size())] = kNaN;
+        }
+        for (long window : {0L, 1L, 10L}) {
+          DtwEnvelope env = BuildEnvelope(q, window);
+          ++cases;
+          if (!SameBits(LbKeogh(env, c), BranchyLbKeogh(env, c))) {
+            ++mismatches;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << cases << " envelope/series pairs";
 }
 
 }  // namespace

@@ -64,49 +64,5 @@ TEST(EditDistanceTest, BoundedByLongerLength) {
   }
 }
 
-TEST(WeightedEditDistanceTest, UnitCostsMatchPlain) {
-  EXPECT_DOUBLE_EQ(WeightedEditDistance("kitten", "sitting", 1, 1, 1), 3.0);
-}
-
-TEST(WeightedEditDistanceTest, ExpensiveSubstitutionPrefersInsertDelete) {
-  // With substitution cost 3 and insert+delete = 2, "a"->"b" costs 2.
-  EXPECT_DOUBLE_EQ(WeightedEditDistance("a", "b", 1, 1, 3), 2.0);
-}
-
-TEST(WeightedEditDistanceTest, AsymmetricCostsBreakSymmetry) {
-  // Insert cheap, delete expensive: growing is cheaper than shrinking.
-  double grow = WeightedEditDistance("ab", "abxy", 0.5, 5, 1);
-  double shrink = WeightedEditDistance("abxy", "ab", 0.5, 5, 1);
-  EXPECT_LT(grow, shrink);
-}
-
-TEST(BandedEditDistanceTest, LargeBandMatchesExact) {
-  Rng rng(9);
-  for (int trial = 0; trial < 30; ++trial) {
-    std::string a, b;
-    for (size_t i = 0; i < rng.Index(8) + 1; ++i) {
-      a += static_cast<char>('a' + rng.Index(3));
-    }
-    for (size_t i = 0; i < rng.Index(8) + 1; ++i) {
-      b += static_cast<char>('a' + rng.Index(3));
-    }
-    EXPECT_EQ(BandedEditDistance(a, b, 16), EditDistance(a, b));
-  }
-}
-
-TEST(BandedEditDistanceTest, IsUpperBound) {
-  Rng rng(13);
-  for (int trial = 0; trial < 30; ++trial) {
-    std::string a, b;
-    for (size_t i = 0; i < 10; ++i) {
-      a += static_cast<char>('a' + rng.Index(3));
-      b += static_cast<char>('a' + rng.Index(3));
-    }
-    for (size_t band : {0u, 1u, 2u, 4u}) {
-      EXPECT_GE(BandedEditDistance(a, b, band), EditDistance(a, b));
-    }
-  }
-}
-
 }  // namespace
 }  // namespace qse

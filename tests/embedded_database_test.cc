@@ -8,6 +8,7 @@
 
 #include "src/retrieval/filter_precision.h"
 #include "src/util/random.h"
+#include "tests/test_util.h"
 
 namespace qse {
 namespace {
@@ -32,7 +33,7 @@ TEST(EmbeddedDatabaseTest, AppendStoresRowsContiguously) {
 
 TEST(EmbeddedDatabaseTest, FromRowsRoundTripsThroughRowVector) {
   std::vector<Vector> rows = {{0.5, -1}, {2, 3}, {4, 5}};
-  EmbeddedDatabase db = EmbeddedDatabase::FromRows(rows);
+  EmbeddedDatabase db = test::FromRows(rows);
   ASSERT_EQ(db.size(), 3u);
   ASSERT_EQ(db.dims(), 2u);
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -42,7 +43,7 @@ TEST(EmbeddedDatabaseTest, FromRowsRoundTripsThroughRowVector) {
 
 TEST(EmbeddedDatabaseTest, SwapRemoveMiddleMovesLastRow) {
   EmbeddedDatabase db =
-      EmbeddedDatabase::FromRows({{0, 0}, {1, 1}, {2, 2}, {3, 3}});
+      test::FromRows({{0, 0}, {1, 1}, {2, 2}, {3, 3}});
   size_t moved_from = db.SwapRemove(1);
   EXPECT_EQ(moved_from, 3u);  // Former last row now lives at slot 1.
   EXPECT_EQ(db.size(), 3u);
@@ -51,7 +52,7 @@ TEST(EmbeddedDatabaseTest, SwapRemoveMiddleMovesLastRow) {
 }
 
 TEST(EmbeddedDatabaseTest, SwapRemoveLastMovesNothing) {
-  EmbeddedDatabase db = EmbeddedDatabase::FromRows({{0, 0}, {1, 1}});
+  EmbeddedDatabase db = test::FromRows({{0, 0}, {1, 1}});
   size_t moved_from = db.SwapRemove(1);
   EXPECT_EQ(moved_from, 1u);
   EXPECT_EQ(db.size(), 1u);
@@ -92,7 +93,7 @@ TEST(EmbeddedDatabaseTest, ReserveOnDimensionlessDatabaseIsSafeNoOp) {
   EXPECT_EQ(db.data().capacity(), 0u);
   EXPECT_TRUE(db.empty());
   // FromRows({}) funnels through the same path (dims 0, Reserve(0)).
-  EmbeddedDatabase empty = EmbeddedDatabase::FromRows({});
+  EmbeddedDatabase empty = test::FromRows({});
   EXPECT_EQ(empty.size(), 0u);
   EXPECT_EQ(empty.dims(), 0u);
 }
@@ -122,7 +123,7 @@ TEST(EmbeddedDatabaseTest, AppendAfterResizeKeepsData) {
 // --- Epoch snapshots: what pinned readers observe under mutation --------
 
 TEST(EmbeddedDatabaseTest, SnapshotIsImmuneToAppend) {
-  EmbeddedDatabase db = EmbeddedDatabase::FromRows({{1, 1}, {2, 2}});
+  EmbeddedDatabase db = test::FromRows({{1, 1}, {2, 2}});
   EmbeddedDatabase::Snapshot snap = db.snapshot();
   // Append enough to force a copy-on-write reallocation.
   for (int i = 0; i < 64; ++i) db.Append({9, 9});
@@ -136,7 +137,7 @@ TEST(EmbeddedDatabaseTest, SnapshotIsImmuneToAppend) {
 
 TEST(EmbeddedDatabaseTest, SnapshotIsImmuneToInteriorRemove) {
   EmbeddedDatabase db =
-      EmbeddedDatabase::FromRows({{0, 0}, {1, 1}, {2, 2}, {3, 3}});
+      test::FromRows({{0, 0}, {1, 1}, {2, 2}, {3, 3}});
   EmbeddedDatabase::Snapshot snap = db.snapshot();
   db.SwapRemove(1);  // Interior: swaps {3,3} into slot 1 via CoW.
   // The pinned reader still sees the pre-remove layout, untouched.
@@ -150,7 +151,7 @@ TEST(EmbeddedDatabaseTest, SnapshotIsImmuneToInteriorRemove) {
 
 TEST(EmbeddedDatabaseTest, SwapRemoveLastShortCircuitsWithoutCopy) {
   EmbeddedDatabase db =
-      EmbeddedDatabase::FromRows({{0, 0}, {1, 1}, {2, 2}});
+      test::FromRows({{0, 0}, {1, 1}, {2, 2}});
   const double* before = db.snapshot()->data();
   size_t moved_from = db.SwapRemove(2);
   EXPECT_EQ(moved_from, 2u);  // Nothing moved.
@@ -165,7 +166,7 @@ TEST(EmbeddedDatabaseTest, SwapRemoveLastShortCircuitsWithoutCopy) {
 }
 
 TEST(EmbeddedDatabaseTest, VacatedLastSlotIsNotRewrittenUnderAPin) {
-  EmbeddedDatabase db = EmbeddedDatabase::FromRows({{0, 0}, {1, 1}});
+  EmbeddedDatabase db = test::FromRows({{0, 0}, {1, 1}});
   db.Reserve(8);  // Plenty of capacity: only the pin forces the copy.
   EmbeddedDatabase::Snapshot snap = db.snapshot();
   ASSERT_EQ(snap->size(), 2u);
@@ -197,7 +198,7 @@ TEST(EmbeddedDatabaseTest, IdColumnFollowsMutations) {
 }
 
 TEST(EmbeddedDatabaseTest, CopyIsDeepAndIndependent) {
-  EmbeddedDatabase db = EmbeddedDatabase::FromRows({{1, 2}, {3, 4}});
+  EmbeddedDatabase db = test::FromRows({{1, 2}, {3, 4}});
   db.AssignIds({5, 6});
   EmbeddedDatabase copy = db;
   db.SwapRemove(0);
@@ -267,7 +268,7 @@ TEST(EmbeddedDatabaseTest, RowStorageStays64ByteAlignedAcrossGrowth) {
 }
 
 TEST(EmbeddedDatabaseTest, MutableRowLeavesInt8MatrixStale) {
-  EmbeddedDatabase db = EmbeddedDatabase::FromRows({{1, 2}, {3, 4}});
+  EmbeddedDatabase db = test::FromRows({{1, 2}, {3, 4}});
   EmbeddedDatabase::Snapshot before = db.snapshot();
   ASSERT_TRUE(before->has_i8());
   db.mutable_row(1)[0] = 50.0;
@@ -321,7 +322,7 @@ TEST(EmbeddedDatabaseTest, AppendMaintainsShadowsThroughGrowth) {
 }
 
 TEST(EmbeddedDatabaseTest, AppendOutOfRangeRequantizesWholeMatrix) {
-  EmbeddedDatabase db = EmbeddedDatabase::FromRows(
+  EmbeddedDatabase db = test::FromRows(
       {{0.5, -0.25}, {0.125, 0.75}, {-0.5, 0.5}});
   float scale_before;
   {
@@ -346,7 +347,7 @@ TEST(EmbeddedDatabaseTest, SwapRemoveMaintainsShadows) {
   for (Vector& r : rows) {
     for (double& v : r) v = rng.Uniform(-2.0, 2.0);
   }
-  EmbeddedDatabase db = EmbeddedDatabase::FromRows(rows);
+  EmbeddedDatabase db = test::FromRows(rows);
   db.SwapRemove(2);  // Interior: copy-on-write, int8 rows follow the swap.
   ASSERT_EQ(db.size(), 7u);
   ExpectShadowsConsistent(db.snapshot().view());
@@ -356,14 +357,14 @@ TEST(EmbeddedDatabaseTest, SwapRemoveMaintainsShadows) {
 }
 
 TEST(EmbeddedDatabaseTest, ResizeMaintainsShadows) {
-  EmbeddedDatabase db = EmbeddedDatabase::FromRows({{0.5, 0.5}, {0.25, -0.5}});
+  EmbeddedDatabase db = test::FromRows({{0.5, 0.5}, {0.25, -0.5}});
   db.Resize(5);  // Zero-filled rows must land in the int8 matrix too.
   ASSERT_EQ(db.size(), 5u);
   ExpectShadowsConsistent(db.snapshot().view());
 }
 
 TEST(EmbeddedDatabaseTest, PinnedShadowsAreImmuneToRequantization) {
-  EmbeddedDatabase db = EmbeddedDatabase::FromRows({{0.5, -0.5}, {0.25, 0.5}});
+  EmbeddedDatabase db = test::FromRows({{0.5, -0.5}, {0.25, 0.5}});
   EmbeddedDatabase::Snapshot snap = db.snapshot();
   float pinned_scale = snap->i8_scales()[0];
   int8_t pinned_q = I8At(snap.view(), 0, 0);
@@ -384,7 +385,7 @@ TEST(EmbeddedDatabaseTest, CopyCarriesShadowsBitForBit) {
   for (Vector& r : rows) {
     for (double& v : r) v = rng.Uniform(-1.0, 1.0);
   }
-  EmbeddedDatabase db = EmbeddedDatabase::FromRows(rows);
+  EmbeddedDatabase db = test::FromRows(rows);
   EmbeddedDatabase copy = db;
   EmbeddedDatabase::Snapshot a = db.snapshot();
   EmbeddedDatabase::Snapshot b = copy.snapshot();

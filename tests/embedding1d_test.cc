@@ -51,7 +51,7 @@ TEST(TrainingContextTest, SharedSampleCallsEachOrderedDistanceOnce) {
   // matrices hold the call on (lower local index, higher local index),
   // mirrored; CandTrain holds the call on (candidate, training object).
   // Every value is finite and never -0, so == compares bits.
-  FunctionOracle asymmetric(16, [](size_t i, size_t j) {
+  test::FunctionOracle asymmetric(16, [](size_t i, size_t j) {
     return std::fabs(std::sin(0.7 * static_cast<double>(i)) -
                      std::cos(0.3 * static_cast<double>(j))) +
            0.01 * static_cast<double>(i);

@@ -60,7 +60,7 @@ TEST(ExactKnnTest, ExternalQueryVariant) {
   Vector query = {0.5, 0.5};
   std::vector<size_t> db_ids = test::Iota(20);
   auto knn = ExactKnnExternal(
-      [&](size_t id) { return oracle.DistanceToObject(query, id); }, db_ids,
+      [&](size_t id) { return L2Distance(query, oracle.object(id)); }, db_ids,
       3);
   ASSERT_EQ(knn.size(), 3u);
   EXPECT_LE(knn[0].score, knn[1].score);
@@ -142,7 +142,7 @@ TEST(FilterRefineTest, LargerPImprovesOrKeepsAccuracy) {
 // cross-surface parameterized suite: tests/request_validation_test.cc.
 
 TEST(ScorerTest, L2ScorerMatchesSquaredEuclidean) {
-  EmbeddedDatabase db = EmbeddedDatabase::FromRows({{0, 0}, {1, 1}, {3, 4}});
+  EmbeddedDatabase db = test::FromRows({{0, 0}, {1, 1}, {3, 4}});
   L2Scorer scorer;
   std::vector<double> scores;
   scorer.Score({0, 0}, db, &scores);
@@ -154,7 +154,7 @@ TEST(ScorerTest, L2ScorerMatchesSquaredEuclidean) {
 
 TEST(ScorerTest, L1ScorerMatchesManhattan) {
   // The query-sensitive scorer over unit weights is the L1 scorer.
-  EmbeddedDatabase db = EmbeddedDatabase::FromRows({{0, 0}, {1, 1}, {3, 4}});
+  EmbeddedDatabase db = test::FromRows({{0, 0}, {1, 1}, {3, 4}});
   const ObjectOracle<Vector> oracle = test::MakePlaneOracle(3, 1);
   const QuerySensitiveEmbedding model =
       test::MakeFixedWeightModel(oracle, {1.0, 1.0});
@@ -173,7 +173,8 @@ TEST(ScorerTest, QuerySensitiveScorerMatchesModelDistance) {
   scorer.Score(fq, p.db, &scores);
   for (size_t i = 0; i < p.db.size(); ++i) {
     EXPECT_NEAR(scores[i],
-                p.model.QuerySensitiveDistance(fq, p.db.RowVector(i)), 1e-12);
+                test::QuerySensitiveDistance(p.model, fq, p.db.RowVector(i)),
+                1e-12);
   }
 }
 

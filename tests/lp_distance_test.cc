@@ -1,8 +1,5 @@
-#include <cmath>
-
 #include <gtest/gtest.h>
 
-#include "src/distance/kl_divergence.h"
 #include "src/distance/lp.h"
 #include "src/distance/point_set.h"
 #include "src/distance/weighted_l1.h"
@@ -15,19 +12,7 @@ TEST(LpTest, KnownValues) {
   Vector a = {0, 0}, b = {3, 4};
   EXPECT_DOUBLE_EQ(L1Distance(a, b), 7.0);
   EXPECT_DOUBLE_EQ(L2Distance(a, b), 5.0);
-  EXPECT_DOUBLE_EQ(SquaredL2Distance(a, b), 25.0);
-  EXPECT_DOUBLE_EQ(LInfDistance(a, b), 4.0);
-}
-
-TEST(LpTest, LpGeneralizes) {
-  Vector a = {0, 0}, b = {3, 4};
-  EXPECT_NEAR(LpDistance(a, b, 1.0), L1Distance(a, b), 1e-12);
-  EXPECT_NEAR(LpDistance(a, b, 2.0), L2Distance(a, b), 1e-12);
-}
-
-TEST(LpTest, LpConvergesToLInf) {
-  Vector a = {0, 0, 0}, b = {1, 2, 5};
-  EXPECT_NEAR(LpDistance(a, b, 64.0), LInfDistance(a, b), 0.2);
+  EXPECT_DOUBLE_EQ(SquaredL2DistanceSpan(a.data(), b.data(), a.size()), 25.0);
 }
 
 class LpMetricAxioms : public testing::TestWithParam<double> {};
@@ -41,7 +26,7 @@ TEST_P(LpMetricAxioms, SatisfiedOnRandomVectors) {
     return v;
   };
   auto dist = [&](const Vector& a, const Vector& b) {
-    return LpDistance(a, b, p);
+    return p == 1.0 ? L1Distance(a, b) : L2Distance(a, b);
   };
   for (int trial = 0; trial < 40; ++trial) {
     Vector a = random_vec(8), b = random_vec(8), c = random_vec(8);
@@ -56,7 +41,7 @@ TEST_P(LpMetricAxioms, SatisfiedOnRandomVectors) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllP, LpMetricAxioms,
-                         testing::Values(1.0, 1.5, 2.0, 3.0, 8.0));
+                         testing::Values(1.0, 2.0));
 
 TEST(WeightedL1Test, MatchesManualComputation) {
   Vector a = {1, 2, 3}, b = {2, 0, 3}, w = {0.5, 2.0, 10.0};
@@ -83,55 +68,6 @@ TEST(WeightedL1Test, ScalesLinearlyInWeights) {
   Vector w2 = {4.0, 6.0};
   EXPECT_NEAR(WeightedL1Distance(a, b, w2),
               2.0 * WeightedL1Distance(a, b, w), 1e-12);
-}
-
-TEST(KlTest, ZeroForIdenticalDistributions) {
-  Vector p = {0.25, 0.25, 0.5};
-  EXPECT_NEAR(KlDivergence(p, p), 0.0, 1e-9);
-}
-
-TEST(KlTest, PositiveForDifferentDistributions) {
-  EXPECT_GT(KlDivergence({0.9, 0.1}, {0.1, 0.9}), 0.1);
-}
-
-TEST(KlTest, AsymmetricInGeneral) {
-  Vector p = {0.8, 0.15, 0.05}, q = {0.2, 0.3, 0.5};
-  EXPECT_NE(KlDivergence(p, q), KlDivergence(q, p));
-}
-
-TEST(KlTest, HandlesUnnormalizedAndZeroBins) {
-  // Counts rather than probabilities, with a zero bin in q.
-  double v = KlDivergence({10, 5, 1}, {8, 0, 8});
-  EXPECT_TRUE(std::isfinite(v));
-  EXPECT_GT(v, 0.0);
-}
-
-TEST(ChamferTest, ZeroForIdenticalSets) {
-  PointSet a;
-  a.points = {{0, 0}, {1, 1}, {2, 0}};
-  EXPECT_DOUBLE_EQ(ChamferDistance(a, a), 0.0);
-}
-
-TEST(ChamferTest, DirectedIsAsymmetric) {
-  PointSet a, b;
-  a.points = {{0, 0}};
-  b.points = {{0, 0}, {10, 0}};
-  // Every point of a has a 0-distance match in b, but not vice versa.
-  EXPECT_DOUBLE_EQ(DirectedChamfer(a, b), 0.0);
-  EXPECT_GT(DirectedChamfer(b, a), 0.0);
-}
-
-TEST(ChamferTest, ViolatesTriangleInequality) {
-  // The paper cites chamfer distance as a common non-metric measure; this
-  // witnesses a concrete triangle violation.
-  PointSet a, b, c;
-  a.points = {{0, 0}, {2, 0}};
-  b.points = {{0, 0}, {2, 0}, {1, 0}};
-  c.points = {{1, 0}};
-  double ab = ChamferDistance(a, b);
-  double bc = ChamferDistance(b, c);
-  double ac = ChamferDistance(a, c);
-  EXPECT_GT(ac, ab + bc);
 }
 
 TEST(PointSetTest, CentroidAndNormalization) {

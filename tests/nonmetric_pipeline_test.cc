@@ -69,9 +69,8 @@ TEST(NonMetricPipelineTest, Proposition1HoldsUnderShapeContext) {
     size_t q = rng.Index(60), x = rng.Index(60), y = rng.Index(60);
     if (q == x || q == y || x == y) continue;
     Vector fq = embed(q), fx = embed(x), fy = embed(y);
-    Vector w = model.QueryWeights(fq);
-    double manual = QuerySensitiveEmbedding::WeightedDistance(w, fq, fy) -
-                    QuerySensitiveEmbedding::WeightedDistance(w, fq, fx);
+    double manual = test::QuerySensitiveDistance(model, fq, fy) -
+                    test::QuerySensitiveDistance(model, fq, fx);
     EXPECT_NEAR(model.TripleMargin(fq, fx, fy), manual, 1e-9);
   }
 }

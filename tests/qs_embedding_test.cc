@@ -233,7 +233,7 @@ TEST(QsEmbeddingTest, DistanceIsNonNegativeWithPositiveAlphas) {
     for (int trial = 0; trial < 10; ++trial) {
       Vector fq = EmbedTrainObject(t, rng.Index(35));
       Vector fx = EmbedTrainObject(t, rng.Index(35));
-      EXPECT_GE(t.model.QuerySensitiveDistance(fq, fx), 0.0);
+      EXPECT_GE(test::QuerySensitiveDistance(t.model, fq, fx), 0.0);
     }
   }
 }
@@ -241,7 +241,7 @@ TEST(QsEmbeddingTest, DistanceIsNonNegativeWithPositiveAlphas) {
 TEST(QsEmbeddingTest, SelfDistanceIsZero) {
   Trained t = TrainSmallModel(true, 111);
   Vector fq = EmbedTrainObject(t, 5);
-  EXPECT_DOUBLE_EQ(t.model.QuerySensitiveDistance(fq, fq), 0.0);
+  EXPECT_DOUBLE_EQ(test::QuerySensitiveDistance(t.model, fq, fq), 0.0);
 }
 
 }  // namespace

@@ -88,7 +88,7 @@ TEST(ScoreTopPTest, L1MatchesFullScanAcrossP) {
 TEST(ScoreTopPTest, ExactUnderTiedScores) {
   // Duplicated rows force exact score ties; the early-abandon pass must
   // break them by row index exactly like SmallestK.
-  EmbeddedDatabase db = EmbeddedDatabase::FromRows(
+  EmbeddedDatabase db = test::FromRows(
       {{1, 1}, {0, 0}, {1, 1}, {0, 0}, {2, 2}, {0, 0}});
   UnitWeightScorer unit(2);
   Vector q = {0, 0};
@@ -158,7 +158,7 @@ TEST(ShardedParityTest, ExactUnderTiedFilterScores) {
   // count must break the same way: by database id.
   std::vector<Vector> rows = {{0, 0}, {1, 1}, {0, 0}, {1, 1},
                               {0, 0}, {2, 2}, {1, 1}, {0, 0}};
-  EmbeddedDatabase db = EmbeddedDatabase::FromRows(rows);
+  EmbeddedDatabase db = test::FromRows(rows);
   std::vector<size_t> ids = test::Iota(rows.size());
 
   // An embedder that maps any query to the origin: every duplicate row
@@ -196,7 +196,7 @@ TEST(ShardedParityTest, TiesBreakByIdAfterRemoveScramblesRows) {
   // rows no longer ascend with ids.  Ids 0 and 3 tie at filter score 0;
   // every shard count must keep the same one, the smaller id.
   std::vector<Vector> rows = {{0, 0}, {5, 5}, {6, 6}, {0, 0}};
-  EmbeddedDatabase db = EmbeddedDatabase::FromRows(rows);
+  EmbeddedDatabase db = test::FromRows(rows);
   std::vector<size_t> ids = test::Iota(rows.size());
   struct OriginEmbedder : Embedder {
     size_t dims() const override { return 2; }
@@ -224,61 +224,8 @@ TEST(ShardedParityTest, TiesBreakByIdAfterRemoveScramblesRows) {
     ShardedEngineOptions options;
     options.num_shards = num_shards;
     RetrievalEngine sharded(&embedder, &scorer,
-                            EmbeddedDatabase::FromRows(rows), ids, options);
+                            test::FromRows(rows), ids, options);
     expect_id_zero(sharded, num_shards);
-  }
-}
-
-// --- Parity after interleaved Insert / Remove ---------------------------
-
-TEST(ShardedParityTest, InterleavedInsertRemoveKeepsParity) {
-  Stack s = MakeStack(60, 6, 34);
-  FastMapOptions fm;
-  fm.dims = 3;
-  FastMapModel model = BuildFastMap(s.oracle, s.db_ids, fm);
-  L2Scorer scorer;
-
-  // Both engines start from the first 40 objects.
-  std::vector<size_t> first(s.db_ids.begin(), s.db_ids.begin() + 40);
-  EmbeddedDatabase db = EmbedDatabase(model, s.oracle, first);
-  RetrievalEngine mono(&model, &scorer, &db, first);
-  ShardedEngineOptions options;
-  options.num_shards = 7;
-  RetrievalEngine sharded(&model, &scorer, db, first, options);
-
-  // Apply the same interleaved mutation sequence to both.
-  auto dx_for = [&](size_t id) {
-    return [&oracle = s.oracle, id](size_t o) {
-      return o == id ? 0.0 : oracle.Distance(id, o);
-    };
-  };
-  std::vector<std::pair<bool, size_t>> ops = {
-      {true, 40}, {true, 41}, {false, 5},  {true, 42}, {false, 41},
-      {false, 0}, {true, 43}, {true, 44},  {false, 39}, {true, 45},
-  };
-  for (const auto& [is_insert, id] : ops) {
-    if (is_insert) {
-      ASSERT_TRUE(mono.Insert(id, dx_for(id)).ok()) << id;
-      ASSERT_TRUE(sharded.Insert(id, dx_for(id)).ok()) << id;
-    } else {
-      ASSERT_TRUE(mono.Remove(id).ok()) << id;
-      ASSERT_TRUE(sharded.Remove(id).ok()) << id;
-    }
-    ASSERT_EQ(mono.size(), sharded.size());
-  }
-
-  // Parity holds although the single shard's row order is now
-  // scrambled: ties break by id, not row.
-  for (size_t query_id : s.query_ids) {
-    for (size_t p : {size_t{1}, size_t{7}, size_t{20}, mono.size()}) {
-      auto want = mono.Retrieve({QueryDx(s, query_id), RetrievalOptions(3, p)});
-      auto got =
-          sharded.Retrieve({QueryDx(s, query_id), RetrievalOptions(3, p)});
-      ASSERT_TRUE(want.ok() && got.ok());
-      std::string context =
-          "q=" + std::to_string(query_id) + " p=" + std::to_string(p);
-      ExpectSameResult(*want, *got, context.c_str());
-    }
   }
 }
 

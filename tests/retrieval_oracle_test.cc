@@ -30,7 +30,8 @@
 // tie and every tie must break by database id.  Two embedder / scorer
 // pairs run: a trained Se-QS model under QuerySensitiveScorer (signed
 // weights, the int8-prescreened scan) and FastMap under L2Scorer (the
-// plain scan).  Shard counts cycle through 1, 2, 3 and 7.
+// plain scan).  Shard counts cycle through 1, 2, 3 and 7 and scatter
+// threads through 1, 2 and 4, so every 12 sequences run each pairing.
 //
 // Scale knobs, shared with the concurrent stress suite:
 //   QSE_STRESS_ITERS  multiplies the number of sequences (default 1)
@@ -67,6 +68,7 @@ constexpr size_t kQueries = 24;  // query ids [kObjects, kObjects + kQueries)
 constexpr size_t kOpsPerSequence = 48;
 constexpr size_t kMaxK = 12;
 constexpr size_t kShardCounts[] = {1, 2, 3, 7};
+constexpr size_t kScatterThreads[] = {1, 2, 4};
 
 /// Points in the unit square under L2, with the duplicates that force
 /// ties (header comment).  Fixed: the models are trained on it once.
@@ -124,7 +126,7 @@ class BruteForce {
       rows.push_back(row);
     }
     std::vector<double> scores;
-    scorer_->Score(fq, EmbeddedDatabase::FromRows(rows), &scores);
+    scorer_->Score(fq, test::FromRows(rows), &scores);
     std::vector<ScoredIndex> filtered;
     for (size_t i = 0; i < ids.size(); ++i) {
       filtered.push_back({ids[i], scores[i]});
@@ -235,12 +237,13 @@ struct Tally {
 /// Every surface, replaying one random sequence over S shards.
 class Replay {
  public:
-  Replay(const Pair& pair, size_t num_shards, uint64_t seed, Tally* tally)
+  Replay(const Pair& pair, size_t num_shards, size_t scatter_threads,
+         uint64_t seed, Tally* tally)
       : pair_(pair),
         num_shards_(num_shards),
         rng_(seed),
         tally_(tally),
-        layout_{num_shards, static_cast<size_t>(1 + seed % 2)},
+        layout_{num_shards, scatter_threads},
         oracle_(pair.embedder, pair.scorer),
         mono_db_(pair.embedder->dims()),
         owned_(pair.embedder, pair.scorer, layout_),
@@ -352,7 +355,8 @@ class Replay {
     ++tally_->checks;
     if (diff.empty()) return;
     ++tally_->mismatches;
-    ADD_FAILURE() << surface << " (S=" << num_shards_ << ", step " << step_
+    ADD_FAILURE() << surface << " (S=" << num_shards_ << ", scatter "
+                  << layout_.scatter_threads << ", step " << step_
                   << "): " << diff;
   }
 
@@ -559,9 +563,10 @@ void RunOracle(const Pair& pair) {
   Tally tally;
   size_t i = 0;
   for (; i < 4 * test::StressScale() && tally.mismatches == 0; ++i) {
-    const size_t num_shards = kShardCounts[i % 4];
     SCOPED_TRACE(::testing::Message() << "sequence " << i);
-    Replay(pair, num_shards, test::Mix64(seed + i), &tally).Run();
+    Replay(pair, kShardCounts[i % 4], kScatterThreads[i % 3],
+           test::Mix64(seed + i), &tally)
+        .Run();
   }
   std::printf("[ oracle ] %zu sequences, %zu checks, %zu mismatches\n", i,
               tally.checks, tally.mismatches);

@@ -51,12 +51,6 @@ TEST(StatsTest, MedianMinMax) {
   EXPECT_DOUBLE_EQ(Max(xs), 3.0);
 }
 
-TEST(StatsTest, PearsonCorrelation) {
-  EXPECT_NEAR(PearsonCorrelation({1, 2, 3}, {2, 4, 6}), 1.0, 1e-12);
-  EXPECT_NEAR(PearsonCorrelation({1, 2, 3}, {6, 4, 2}), -1.0, 1e-12);
-  EXPECT_DOUBLE_EQ(PearsonCorrelation({1, 1, 1}, {2, 4, 6}), 0.0);
-}
-
 TEST(TopKTest, SmallestKReturnsSortedSmallest) {
   std::vector<double> scores = {5.0, 1.0, 4.0, 2.0, 3.0};
   auto top = SmallestK(scores, 3);

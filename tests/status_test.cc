@@ -25,7 +25,6 @@ TEST(StatusTest, FactoryConstructorsCarryCodeAndMessage) {
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(Status::Internal("x").code(), StatusCode::kInternal);
   EXPECT_EQ(Status::IOError("x").code(), StatusCode::kIOError);
-  EXPECT_EQ(Status::Unimplemented("x").code(), StatusCode::kUnimplemented);
   EXPECT_EQ(Status::DeadlineExceeded("x").code(),
             StatusCode::kDeadlineExceeded);
   EXPECT_EQ(Status::ResourceExhausted("x").code(),
@@ -52,7 +51,8 @@ TEST(StatusTest, EveryEnumeratorRoundTripsThroughFactoryAndName) {
        "FAILED_PRECONDITION"},
       {Status::Internal("m"), StatusCode::kInternal, "INTERNAL"},
       {Status::IOError("m"), StatusCode::kIOError, "IO_ERROR"},
-      {Status::Unimplemented("m"), StatusCode::kUnimplemented,
+      // No factory: only the wire decodes this code.
+      {Status(StatusCode::kUnimplemented, "m"), StatusCode::kUnimplemented,
        "UNIMPLEMENTED"},
       {Status::DeadlineExceeded("m"), StatusCode::kDeadlineExceeded,
        "DEADLINE_EXCEEDED"},
@@ -129,13 +129,6 @@ TEST(StatusOrTest, OkStatusWithoutValueBecomesInternal) {
   StatusOr<int> v = Status::OK();
   ASSERT_FALSE(v.ok());
   EXPECT_EQ(v.status().code(), StatusCode::kInternal);
-}
-
-TEST(StatusOrTest, ValueOrFallsBack) {
-  StatusOr<int> bad = Status::Internal("x");
-  EXPECT_EQ(bad.value_or(-1), -1);
-  StatusOr<int> good = 7;
-  EXPECT_EQ(good.value_or(-1), 7);
 }
 
 TEST(StatusOrTest, MoveOutValue) {

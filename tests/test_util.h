@@ -5,10 +5,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <mutex>
 #include <numeric>
 #include <random>
@@ -38,6 +40,39 @@ inline ObjectOracle<Vector> MakePlaneOracle(size_t n, uint64_t seed) {
     pts.push_back({rng.Uniform(0, 1), rng.Uniform(0, 1)});
   }
   return ObjectOracle<Vector>(std::move(pts), L2Distance);
+}
+
+/// Oracle defined by a plain function.
+class FunctionOracle : public DistanceOracle {
+ public:
+  using Fn = std::function<double(size_t, size_t)>;
+  FunctionOracle(size_t n, Fn fn) : n_(n), fn_(std::move(fn)) {}
+
+  size_t size() const override { return n_; }
+  double Distance(size_t i, size_t j) const override { return fn_(i, j); }
+
+ private:
+  size_t n_;
+  Fn fn_;
+};
+
+/// A flat database of `rows` (all of one dimensionality); row i gets id i.
+inline EmbeddedDatabase FromRows(const std::vector<Vector>& rows) {
+  EmbeddedDatabase db(rows.empty() ? 0 : rows[0].size());
+  db.Reserve(rows.size());
+  for (const Vector& r : rows) db.Append(r);
+  return db;
+}
+
+/// The paper's D_out(F(q), F(x)) = sum_i A_i(q) |F_i(q) - F_i(x)|
+/// (Eq. 11), summed in dimension order: the reference the scorers and
+/// TripleMargin are checked against.  Asymmetric: `fq` is the query.
+inline double QuerySensitiveDistance(const QuerySensitiveEmbedding& model,
+                                     const Vector& fq, const Vector& fx) {
+  const Vector w = model.QueryWeights(fq);
+  double d = 0.0;
+  for (size_t i = 0; i < w.size(); ++i) d += w[i] * std::fabs(fq[i] - fx[i]);
+  return d;
 }
 
 /// [0, n) as ids.

@@ -64,28 +64,12 @@ TEST(RequestTraceTest, ThisThreadIdIsSmallAndStable) {
 }
 
 #ifndef QSE_DISABLE_TRACING
-TEST(RequestTraceTest, ScopedSpanClosesOnDestruction) {
-  ScopedFakeClock fake;
-  RequestTrace trace;
-  {
-    ScopedSpan span(&trace, "scoped");
-    span.AddArg("n", int64_t{7});
-    fake.clock().Advance(2ms);
-  }
-  std::vector<TraceSpan> spans = trace.spans();
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_STREQ(spans[0].name, "scoped");
-  EXPECT_EQ(spans[0].dur_ns, 2000000u);
-  ASSERT_EQ(spans[0].args.size(), 1u);
-  EXPECT_EQ(spans[0].args[0].int_value, 7);
-}
-
 TEST(RequestTraceTest, NullTraceIsNoOpEverywhere) {
   // The untraced hot path: every helper must tolerate nullptr.
   EXPECT_EQ(TraceNowNs(nullptr), 0u);
   TraceMark(nullptr, "ignored", 0);
-  ScopedSpan span(nullptr, "ignored");
-  span.AddArg("k", int64_t{1});
+  TraceMarkUntil(nullptr, "ignored", 0, 1);
+  TraceAddSpan(nullptr, TraceSpan{});
 }
 #endif  // QSE_DISABLE_TRACING
 

@@ -137,7 +137,7 @@ TEST(TrainerTest, RejectsNaNDistancesNamingTheFirstPair) {
   // NaN for DX(7, 3) only: candidate pairs are scanned first, row by
   // row, so the first NaN met is the mirrored read at row 3.
   auto plane = test::MakePlaneOracle(60, 11);
-  FunctionOracle oracle(60, [&](size_t i, size_t j) {
+  test::FunctionOracle oracle(60, [&](size_t i, size_t j) {
     if ((i == 3 && j == 7) || (i == 7 && j == 3)) {
       return std::numeric_limits<double>::quiet_NaN();
     }
@@ -158,7 +158,7 @@ TEST(TrainerTest, InfinitePivotDistancesTrainDeterministically) {
   // rest to numbers, so the weak learner sorts NaN projections; the
   // order must be total for the result to be defined.
   auto plane = test::MakePlaneOracle(60, 12);
-  FunctionOracle oracle(60, [&](size_t i, size_t j) {
+  test::FunctionOracle oracle(60, [&](size_t i, size_t j) {
     const size_t c = std::min(i, j), o = std::max(i, j);
     if (c < 10 && o >= 20 && o < 25) {
       return std::numeric_limits<double>::infinity();
