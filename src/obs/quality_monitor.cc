@@ -144,14 +144,14 @@ void QualityMonitor::WorkerLoop() {
     if (!task.has_value()) return;  // closed and drained
     ProcessAudit(*task);
     // Snapshots die here, before the done_ bump: by the time Flush
-    // returns, every audited pin has been released.
+    // returns, every audited snapshot has been released.
     task.reset();
     done_.fetch_add(1, std::memory_order_release);
   }
 }
 
 void QualityMonitor::ProcessAudit(AuditTask& task) {
-  // Ground truth: exact DX to every row of the pinned views the serving
+  // Ground truth: exact DX to every row of the snapshots the serving
   // path scanned, sorted ascending by (score, id) — the deterministic
   // ordering the repo uses everywhere.
   std::vector<ScoredIndex> universe;

@@ -90,9 +90,9 @@ class PageHinkleyDetector {
 
 /// The serving path's answer for one sampled query, in database-id
 /// terms, plus everything needed to recompute the exact answer later:
-/// the query's exact-distance resolver and the epoch-pinned snapshots
-/// the serving path actually scanned.  Auditing against those pinned
-/// views (not the live database) makes the comparison exact under
+/// the query's exact-distance resolver and the database snapshots the
+/// serving path actually scanned.  Auditing against those snapshots
+/// (not the live database) makes the comparison exact under
 /// concurrent mutation — server and auditor score the same rows.
 struct AuditNeighbor {
   size_t db_id = 0;
@@ -106,9 +106,10 @@ struct AuditTask {
   size_t k = 0;
   /// Neighbors the serving path returned, in served order.
   std::vector<AuditNeighbor> served;
-  /// The pinned views the serving path used, one per engine shard.
-  /// Holding them delays version reclamation, which is why the audit
-  /// queue is bounded and sheds instead of growing.
+  /// The snapshots the serving path scanned, one per engine shard.
+  /// Each holds its database version's memory until the audit is done,
+  /// which is why the audit queue is bounded and sheds instead of
+  /// growing.  Holding them never delays a serving read.
   std::vector<EmbeddedDatabase::Snapshot> snapshots;
   /// The request's trace when it carried one; the drift alarm stamps a
   /// mark into it.
@@ -144,7 +145,7 @@ struct QualityMonitorOptions {
 
 /// Samples completed retrievals off the hot path and audits each one by
 /// re-running the query as exact brute-force kNN over the same
-/// epoch-pinned snapshot(s) the serving path used.  Publishes rolling
+/// database snapshot(s) the serving path used.  Publishes rolling
 /// quality instruments (qse_quality_recall_at_k, _rank_displacement,
 /// _score_error, audits_{sampled,completed,shed}_total) and feeds
 /// per-audit recall to a Page-Hinkley drift detector whose state drives

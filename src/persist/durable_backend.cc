@@ -51,15 +51,15 @@ Status DurableBackend::LogAppliedLocked(bool is_insert, size_t db_id,
 }
 
 Status DurableBackend::SnapshotLocked() {
-  // Pin every database at the current (mutation-quiet — we hold mu_)
-  // version; the pins keep the views alive while encode runs.
-  std::vector<EmbeddedDatabase::Snapshot> pins;
+  // Snapshot every database at the current (mutation-quiet — we hold
+  // mu_) version; the snapshots keep the views alive while encode runs.
+  std::vector<EmbeddedDatabase::Snapshot> snapshots;
   std::vector<EmbeddedDatabase::View> views;
-  pins.reserve(snapshot_dbs_.size());
+  snapshots.reserve(snapshot_dbs_.size());
   views.reserve(snapshot_dbs_.size());
   for (const EmbeddedDatabase* db : snapshot_dbs_) {
-    pins.push_back(db->snapshot());
-    views.push_back(pins.back().view());
+    snapshots.push_back(db->snapshot());
+    views.push_back(snapshots.back().view());
   }
   return manager_->WriteSnapshot(manager_->last_seq(), views);
 }

@@ -11,7 +11,7 @@ namespace qse {
 namespace persist {
 
 /// RetrievalBackend decorator that makes an engine's mutations durable:
-/// retrievals pass straight through (epoch-pinned snapshots need no help
+/// retrievals pass straight through (database snapshots need no help
 /// from this layer), mutations apply to the inner backend and are then
 /// logged to the WAL under one mutex, so the log is the exact successful
 /// mutation sequence in apply order — the property replay depends on.
@@ -29,11 +29,11 @@ namespace persist {
 ///
 /// Snapshots (auto via DurabilityOptions::snapshot_every_records, or
 /// WriteSnapshotNow) run under the same mutex: mutations stall for the
-/// snapshot's duration while retrievals continue against their pinned
-/// versions.  The cut-point is therefore exactly last_seq(), and the
-/// WAL truncation that follows the publish cannot race a concurrent
-/// append.  (ROADMAP: incremental snapshots move the encode off the
-/// mutation path.)
+/// snapshot's duration while retrievals continue against the versions
+/// their snapshots hold.  The cut-point is therefore exactly
+/// last_seq(), and the WAL truncation that follows the publish cannot
+/// race a concurrent append.  (ROADMAP: incremental snapshots move the
+/// encode off the mutation path.)
 class DurableBackend : public RetrievalBackend {
  public:
   /// All pointers are borrowed and must outlive the backend.

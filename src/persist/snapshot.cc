@@ -94,7 +94,7 @@ std::string EncodeSnapshot(uint64_t cut_seq, const std::string& model_blob,
     w.WriteU64(dims);
     w.WriteU64(rows);
     // Vector fields are written as (u64 count + raw bytes) directly from
-    // the pinned buffers: the frame ReadDoubleVec/ReadU64Vec read,
+    // the views' buffers: the frame ReadDoubleVec/ReadU64Vec read,
     // without materializing an owning copy first.
     w.WriteU64(cells);
     w.WriteBytes(view.data(), cells * sizeof(double));

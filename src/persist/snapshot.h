@@ -14,7 +14,7 @@ namespace persist {
 
 /// Compacted snapshots: a point-in-time image of the embedding model blob
 /// plus every shard's embedded matrix — float64 rows and ids, VERBATIM —
-/// taken from epoch-pinned views at a WAL sequence cut-point.  Restoring
+/// taken from database snapshots at a WAL sequence cut-point.  Restoring
 /// a snapshot and replaying the WAL records with seq > cut_seq
 /// reproduces the crashed process's answers bit-for-bit.  The int8
 /// matrix the scan prescreens on is a cache of the float64 rows and is
@@ -60,11 +60,11 @@ struct SnapshotContents {
   std::vector<Db> dbs;
 };
 
-/// Encodes (model blob, epoch-pinned db views) into snapshot bytes,
-/// trailing CRC included.  The views must all be alive (pinned or
-/// quiescent) for the duration of the call; nothing else is required —
-/// published versions are immutable, so encoding runs outside any
-/// mutation lock.
+/// Encodes (model blob, db views) into snapshot bytes, trailing CRC
+/// included.  The views must all be alive (their snapshots held, or the
+/// databases quiescent) for the duration of the call; nothing else is
+/// required — published versions are immutable, so encoding runs
+/// outside any mutation lock.
 std::string EncodeSnapshot(uint64_t cut_seq, const std::string& model_blob,
                            const std::vector<EmbeddedDatabase::View>& dbs);
 

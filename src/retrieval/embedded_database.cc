@@ -54,22 +54,15 @@ void MaybeAdviseHugePages(const void* p, size_t bytes) {
 EmbeddedDatabase::Version::Version(size_t dims, size_t capacity)
     : capacity_rows(capacity) {
   // Capacity is reserved up front and never exceeded, so data()/ids()
-  // pointers handed to pinned readers stay stable for the version's
-  // whole lifetime.  The int8 matrix follows the same discipline.
+  // pointers handed to snapshots stay stable for the version's whole
+  // lifetime.  The int8 matrix follows the same discipline.
   data.reserve(capacity * dims);
   ids.reserve(capacity);
   i8.reserve(I8Bytes(capacity, dims));
 }
 
-EmbeddedDatabase::EmbeddedDatabase(size_t dims) : dims_(dims) {
-  current_.store(NewVersion(0), std::memory_order_relaxed);
-}
-
-EmbeddedDatabase::~EmbeddedDatabase() {
-  delete current_.load(std::memory_order_relaxed);
-  // epoch_'s destructor drains retired versions (and checks that no
-  // reader is still pinned).
-}
+EmbeddedDatabase::EmbeddedDatabase(size_t dims)
+    : dims_(dims), current_(NewVersion(0)) {}
 
 EmbeddedDatabase::EmbeddedDatabase(const EmbeddedDatabase& other)
     : dims_(other.dims_) {
@@ -77,7 +70,7 @@ EmbeddedDatabase::EmbeddedDatabase(const EmbeddedDatabase& other)
   // prescreens exactly like its source.
   const Version* src = other.current();
   size_t n = src->size.load(std::memory_order_acquire);
-  current_.store(CopyVersion(src, n, n), std::memory_order_relaxed);
+  current_ = CopyVersion(src, n, n);
   rows_.store(n, std::memory_order_relaxed);
 }
 
@@ -88,14 +81,11 @@ EmbeddedDatabase& EmbeddedDatabase::operator=(const EmbeddedDatabase& other) {
 }
 
 EmbeddedDatabase::EmbeddedDatabase(EmbeddedDatabase&& other) noexcept
-    : dims_(other.dims_) {
-  current_.store(other.current_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-  rows_.store(other.rows_.load(std::memory_order_relaxed),
-              std::memory_order_relaxed);
-  // Leave the source valid (and destructible): fresh empty version.
-  // Versions it already retired stay in its own epoch manager.
-  other.current_.store(other.NewVersion(0), std::memory_order_relaxed);
+    : dims_(other.dims_),
+      current_(std::move(other.current_)),
+      rows_(other.rows_.load(std::memory_order_relaxed)) {
+  // Leave the source valid: a fresh empty version.
+  other.current_ = other.NewVersion(0);
   other.rows_.store(0, std::memory_order_relaxed);
 }
 
@@ -103,23 +93,22 @@ EmbeddedDatabase& EmbeddedDatabase::operator=(
     EmbeddedDatabase&& other) noexcept {
   if (this == &other) return *this;
   dims_ = other.dims_;
-  PublishAndRetire(other.current_.load(std::memory_order_relaxed));
+  Publish(std::move(other.current_));
   rows_.store(other.rows_.load(std::memory_order_relaxed),
               std::memory_order_relaxed);
-  other.current_.store(other.NewVersion(0), std::memory_order_relaxed);
+  other.current_ = other.NewVersion(0);
   other.rows_.store(0, std::memory_order_relaxed);
-  epoch_.ReclaimDrained();
   return *this;
 }
 
 EmbeddedDatabase::Snapshot EmbeddedDatabase::snapshot() const {
-  // Pin first, then load: a version observed after the pin cannot be
-  // reclaimed until the guard is released (see EpochManager's protocol
-  // note for why the writer cannot miss this pin and free early).
-  EpochManager::Guard guard = epoch_.Pin();
-  const Version* v = current();
-  size_t rows = v->size.load(std::memory_order_acquire);
-  return Snapshot(ViewOf(v, rows), std::move(guard));
+  std::shared_ptr<const Version> v;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    v = current_;
+  }
+  const View view = ViewOf(v.get(), v->size.load(std::memory_order_acquire));
+  return Snapshot(view, std::move(v));
 }
 
 EmbeddedDatabase::View EmbeddedDatabase::PeekView() const {
@@ -138,9 +127,9 @@ EmbeddedDatabase::View EmbeddedDatabase::ViewOf(const Version* v,
   return view;
 }
 
-EmbeddedDatabase::Version* EmbeddedDatabase::NewVersion(
+std::shared_ptr<EmbeddedDatabase::Version> EmbeddedDatabase::NewVersion(
     size_t capacity_rows) const {
-  Version* v = new Version(dims_, capacity_rows);
+  auto v = std::make_shared<Version>(dims_, capacity_rows);
   // No rows yet: every dimension is dead.
   v->i8_scale.assign(dims_, 0.0f);
   MaybeAdviseHugePages(v->data.data(),
@@ -148,9 +137,9 @@ EmbeddedDatabase::Version* EmbeddedDatabase::NewVersion(
   return v;
 }
 
-EmbeddedDatabase::Version* EmbeddedDatabase::CopyVersion(
+std::shared_ptr<EmbeddedDatabase::Version> EmbeddedDatabase::CopyVersion(
     const Version* v, size_t rows, size_t capacity_rows) const {
-  Version* next = NewVersion(capacity_rows);
+  std::shared_ptr<Version> next = NewVersion(capacity_rows);
   next->data.assign(v->data.data(), v->data.data() + rows * dims_);
   next->ids.assign(v->ids.begin(), v->ids.begin() + rows);
   if (v->i8_valid.load(std::memory_order_relaxed)) {
@@ -164,10 +153,13 @@ EmbeddedDatabase::Version* EmbeddedDatabase::CopyVersion(
   return next;
 }
 
-void EmbeddedDatabase::PublishAndRetire(Version* next) {
-  Version* old = current_.load(std::memory_order_relaxed);
-  current_.store(next, std::memory_order_seq_cst);
-  epoch_.Retire([old] { delete old; });
+void EmbeddedDatabase::Publish(std::shared_ptr<Version> next) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    current_.swap(next);
+  }
+  // `next` now holds the replaced version; dropping it here frees it
+  // unless a snapshot still holds it.
 }
 
 Vector EmbeddedDatabase::RowVector(size_t i) const {
@@ -257,26 +249,25 @@ void EmbeddedDatabase::Reserve(size_t rows) {
   if (dims_ == 0) return;
   Version* v = current();
   if (rows <= v->capacity_rows) return;
-  PublishAndRetire(
-      CopyVersion(v, v->size.load(std::memory_order_relaxed), rows));
+  Publish(CopyVersion(v, v->size.load(std::memory_order_relaxed), rows));
 }
 
 void EmbeddedDatabase::Resize(size_t rows) {
   Version* v = current();
   size_t n = v->size.load(std::memory_order_relaxed);
   if (rows > v->capacity_rows) {
-    Version* next = CopyVersion(v, n, rows);
+    std::shared_ptr<Version> next = CopyVersion(v, n, rows);
     next->data.resize(rows * dims_, 0.0);
     for (size_t i = n; i < rows; ++i) next->ids.push_back(i);
-    ResizeI8(next, n, rows);
+    ResizeI8(next.get(), n, rows);
     next->size.store(rows, std::memory_order_relaxed);
     next->high_water = rows;
-    PublishAndRetire(next);
+    Publish(std::move(next));
     rows_.store(rows, std::memory_order_release);
     return;
   }
   // Quiescent in-place resize within capacity: shrink, or grow into
-  // slots no pinned reader can be scanning (the API contract).
+  // slots no snapshot can be scanning (the API contract).
   v->data.resize(rows * dims_, 0.0);
   size_t old_ids = v->ids.size();
   v->ids.resize(rows);
@@ -310,7 +301,7 @@ size_t EmbeddedDatabase::Append(const double* row, size_t id) {
   const bool i8 = v->i8_valid.load(std::memory_order_relaxed);
   // In-place fast path: the target slot has never been published from
   // this version (n == high_water) and capacity remains.  A slot below
-  // high_water may still be visible to a reader pinned at the old count
+  // high_water may still be visible to a snapshot taken at the old count
   // — SwapRemove defers that physical reuse to a fresh version instead
   // of overwriting under the reader.  A row the int8 scales cannot
   // absorb takes the copy-on-write path below instead, because scales
@@ -335,27 +326,27 @@ size_t EmbeddedDatabase::Append(const double* row, size_t id) {
   // Copy-on-write: amortized doubling when full, the same capacity when
   // only a re-quantization or a reused slot forces the copy.  `row` may
   // point into the current version's own buffer (duplicating a row);
-  // that buffer stays intact until retirement, so the copy below is
-  // safe.
+  // that buffer stays intact until Publish replaces it, so the copy
+  // below is safe.
   size_t capacity = n < v->capacity_rows
                         ? v->capacity_rows
                         : std::max({v->capacity_rows * 2, n + 1,
                                     kMinCapacityRows});
-  Version* next = CopyVersion(v, n, capacity);
+  std::shared_ptr<Version> next = CopyVersion(v, n, capacity);
   next->data.resize((n + 1) * dims_);
   std::copy(row, row + dims_, next->data.data() + n * dims_);
   next->ids.push_back(id);
   if (!fits) {
     // The new row falls outside the quantization range: re-quantize the
     // whole matrix into the unpublished version with headroom.
-    RequantizeI8(next, n + 1, kRequantHeadroom);
+    RequantizeI8(next.get(), n + 1, kRequantHeadroom);
   } else if (i8) {
     next->i8.resize(I8Bytes(n + 1, dims_));
-    FillI8Row(next, n);
+    FillI8Row(next.get(), n);
   }
   next->size.store(n + 1, std::memory_order_relaxed);
   next->high_water = n + 1;
-  PublishAndRetire(next);
+  Publish(std::move(next));
   rows_.store(n + 1, std::memory_order_release);
   return n;
 }
@@ -375,7 +366,7 @@ size_t EmbeddedDatabase::SwapRemove(size_t i) {
   if (i == last) {
     // Removing the last row moves nothing: shrink the published count
     // and stop.  The vacated slot stays below high_water, so it is
-    // never rewritten in place while a reader pinned at the old count
+    // never rewritten in place while a snapshot taken at the old count
     // could still be scanning it.
     v->size.store(last, std::memory_order_release);
     v->data.resize(last * dims_);
@@ -387,11 +378,12 @@ size_t EmbeddedDatabase::SwapRemove(size_t i) {
     return last;
   }
   // Interior removal: copy-on-write with the last row moved into the
-  // gap — same layout an in-place swap would produce, but readers
-  // pinned on the old version keep scanning untouched memory.  Removal
+  // gap — same layout an in-place swap would produce, but snapshots of
+  // the old version keep scanning untouched memory.  Removal
   // never violates the scale invariant; scales may merely end up looser
   // than a fresh fit, which only widens the prescreen margin.
-  Version* next = CopyVersion(v, last, std::max(v->capacity_rows, last));
+  std::shared_ptr<Version> next =
+      CopyVersion(v, last, std::max(v->capacity_rows, last));
   std::copy(v->data.data() + last * dims_, v->data.data() + n * dims_,
             next->data.data() + i * dims_);
   next->ids[i] = v->ids[last];
@@ -404,22 +396,21 @@ size_t EmbeddedDatabase::SwapRemove(size_t i) {
                   next->i8.data() + I8Offset(i, j, dims_));
     }
   }
-  PublishAndRetire(next);
+  Publish(std::move(next));
   rows_.store(last, std::memory_order_release);
   return last;
 }
 
 void EmbeddedDatabase::RestoreVersion(size_t rows, const double* data,
                                       const size_t* ids) {
-  Version* next = NewVersion(rows);
+  std::shared_ptr<Version> next = NewVersion(rows);
   next->data.assign(data, data + rows * dims_);
   next->ids.assign(ids, ids + rows);
-  RequantizeI8(next, rows, kRequantHeadroom);
+  RequantizeI8(next.get(), rows, kRequantHeadroom);
   next->size.store(rows, std::memory_order_relaxed);
   next->high_water = rows;
-  PublishAndRetire(next);
+  Publish(std::move(next));
   rows_.store(rows, std::memory_order_release);
-  epoch_.ReclaimDrained();
 }
 
 }  // namespace qse

@@ -4,12 +4,13 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "src/distance/distance.h"
 #include "src/distance/simd/kernels.h"
 #include "src/util/aligned.h"
-#include "src/util/epoch.h"
 
 namespace qse {
 
@@ -24,24 +25,28 @@ namespace qse {
 /// stream through memory without chasing one heap pointer per row.  Rows
 /// are exposed as raw `const double*` views into the buffer.
 ///
-/// Concurrency model (epoch/RCU — ROADMAP "concurrent mutation"):
-/// the (rows, ids, row count) triple lives in an atomically published
-/// Version.  Readers take a snapshot() — an epoch-pinned, immutable view —
-/// and scan it without locks while mutations proceed:
+/// Concurrency model (reference-counted versions — ROADMAP "concurrent
+/// mutation"): the (rows, ids, row count) triple lives in a Version held
+/// by a std::shared_ptr.  Readers take a snapshot() — a reference to the
+/// current version plus its row count, an immutable view — and scan it
+/// without locks while mutations proceed:
 ///
 ///  * Append writes the new row into a never-published slot of the
-///    current version and then publishes the grown row count, so pinned
-///    readers either see the whole row or none of it.  When capacity is
-///    exhausted (or a freed slot would be reused under a live pin), the
-///    version is copied to a larger buffer and republished.
+///    current version and then publishes the grown row count, so held
+///    snapshots either see the whole row or none of it.  When capacity is
+///    exhausted (or a freed slot would be reused under a held snapshot),
+///    the version is copied to a larger buffer and republished.
 ///  * SwapRemove of an interior row copy-on-writes a new version with the
-///    last row moved into the gap — it never overwrites a row a pinned
-///    reader may be scanning.  Removing the last row just shrinks the
+///    last row moved into the gap — it never overwrites a row a held
+///    snapshot may be scanning.  Removing the last row just shrinks the
 ///    published count (O(1)); the vacated slot is not reused in place,
-///    so readers pinned at the old count still scan intact data.
-///  * Replaced versions are retired to an EpochManager; their memory is
-///    physically reused only after every reader pinned early enough to
-///    have seen them has unpinned.
+///    so snapshots taken at the old count still scan intact data.
+///  * A replaced version is freed by whoever drops its last reference:
+///    the publishing writer when no snapshot holds it, otherwise the
+///    last snapshot to go, never under the publish mutex.  That mutex
+///    guards only the copy or swap of the current pointer, so a reader
+///    waits at most for another copy or swap, never for a scan, an
+///    audit or the number of snapshots already held.
 ///
 /// Every (version, count) pair a snapshot can observe equals the database
 /// state after some prefix-closed sequence of the applied mutations — a
@@ -52,7 +57,7 @@ namespace qse {
 /// engines hold a mutation mutex) but run concurrently with any number of
 /// snapshot readers.  The quiescent bulk-load API (Resize, mutable_row,
 /// AssignIds, data(), row()) additionally requires that no reader is
-/// active, exactly like the pre-epoch contract.
+/// active.
 ///
 /// The int8 matrix: every version also carries a 64-byte-aligned int8
 /// symmetric-quantized copy of its rows with per-dimension scales, which
@@ -66,7 +71,7 @@ namespace qse {
 /// result depends on its bytes or scales, and snapshots do not store it.
 /// Every mutation path maintains it under the same publication rules as
 /// the float64 matrix — in-place Append writes the int8 row, into a slot
-/// of the last block that pinned readers never read (the kernel masks
+/// of the last block that held snapshots never read (the kernel masks
 /// rows at or past a view's count), before the release-store of the
 /// grown count; copy-on-write paths carry it into the new version.  The
 /// slots of the last block past the count hold whatever they held
@@ -88,6 +93,8 @@ namespace qse {
 /// the float64 rows.  RetrievalEngine rebuilds a borrowed stale database
 /// at construction, so every local shard prescreens.
 class EmbeddedDatabase {
+  struct Version;  // One published generation; defined below.
+
  public:
   /// Headroom an overflowing Append re-quantizes the int8 matrix with,
   /// so a drifting value distribution does not re-quantize on every
@@ -111,8 +118,8 @@ class EmbeddedDatabase {
   }
 
   /// Borrowed, immutable view of one published version.  Valid while the
-  /// originating Snapshot is alive, or — for unpinned peeks via the
-  /// implicit conversion — while the database is quiescent.
+  /// originating Snapshot is alive, or — for peeks via the implicit
+  /// conversion — while the database is quiescent.
   class View {
    public:
     View() = default;
@@ -154,27 +161,29 @@ class EmbeddedDatabase {
     bool has_i8_ = false;
   };
 
-  /// An epoch-pinned View: the rows, ids and count it exposes stay valid
-  /// and immutable until it is destroyed, whatever mutations land in the
-  /// meantime.  Movable; keep it only as long as the scan needs it —
-  /// retired versions cannot be reclaimed while pins are live.
+  /// A View that owns a reference to its version: the rows, ids and
+  /// count it exposes stay valid and immutable until it is destroyed,
+  /// whatever mutations land in the meantime, and even after the
+  /// database itself is gone.  A default-constructed Snapshot is an
+  /// empty view.  A replaced version's memory is held until its last
+  /// snapshot goes, so keep one only as long as the scan needs it.
   class Snapshot {
    public:
+    Snapshot() = default;
     const View& view() const { return view_; }
     const View* operator->() const { return &view_; }
 
    private:
     friend class EmbeddedDatabase;
-    Snapshot(View view, EpochManager::Guard guard)
-        : view_(view), guard_(std::move(guard)) {}
+    Snapshot(View view, std::shared_ptr<const Version> version)
+        : view_(view), version_(std::move(version)) {}
 
     View view_;
-    EpochManager::Guard guard_;
+    std::shared_ptr<const Version> version_;
   };
 
   EmbeddedDatabase() : EmbeddedDatabase(0) {}
   explicit EmbeddedDatabase(size_t dims);
-  ~EmbeddedDatabase();
 
   /// Copying deep-copies the current version (quiescent operation, used
   /// by tests to keep a pre-mutation reference).
@@ -183,19 +192,19 @@ class EmbeddedDatabase {
   EmbeddedDatabase(EmbeddedDatabase&& other) noexcept;
   EmbeddedDatabase& operator=(EmbeddedDatabase&& other) noexcept;
 
-  /// Pins the calling context and returns a consistent (rows, ids,
-  /// count) view.  Safe to call concurrently with mutations from any
-  /// thread; the view never changes underneath the caller.
+  /// A consistent (rows, ids, count) view of the current version.  Safe
+  /// to call concurrently with mutations from any thread; the view never
+  /// changes underneath the caller.
   Snapshot snapshot() const;
 
-  /// Unpinned peek at the current version, for quiescent callers
+  /// Unowned peek at the current version, for quiescent callers
   /// (evaluation drivers, tests, benches) that score a database nobody
   /// is mutating.
   operator View() const { return PeekView(); }
 
   /// Number of rows (database objects).  Safe to read concurrently with
   /// mutations — the count lives outside the versions, so this never
-  /// touches memory that deferred reclamation could free.  Under
+  /// touches a version a concurrent writer could be replacing.  Under
   /// concurrent mutation it is a momentary value; consistent reads go
   /// through snapshot().
   size_t size() const { return rows_.load(std::memory_order_acquire); }
@@ -250,7 +259,7 @@ class EmbeddedDatabase {
   /// Appends a row under database id `id` (`row.size()` must equal
   /// dims()).  Returns the new row's index.  O(d) amortized — the
   /// incremental insert of the dynamic dataset scenario — and safe
-  /// against concurrent pinned readers.
+  /// against concurrent snapshot readers.
   size_t Append(const Vector& row, size_t id);
   /// Appends a row with id defaulting to the new row's index (bulk-load
   /// call sites that assign real ids later via AssignIds).
@@ -273,17 +282,9 @@ class EmbeddedDatabase {
   /// tracking row -> object-id mappings must apply the same swap; the
   /// internal id column follows it automatically.  An interior removal
   /// copy-on-writes the whole version, O(n·d) (~2.5 ms at 20,000 × 24),
-  /// so concurrent pinned readers keep scanning the old one; ROADMAP
+  /// so concurrent snapshot readers keep scanning the old one; ROADMAP
   /// item 15 is to copy only the blocks that change.
   size_t SwapRemove(size_t i);
-
-  /// Runs deferred reclamation for versions whose readers have drained.
-  /// Mutations do this opportunistically; call directly to bound memory
-  /// during read-only phases.
-  void ReclaimDrained() const { epoch_.ReclaimDrained(); }
-
-  /// The epoch manager guarding this database's versions (tests).
-  EpochManager& epoch_manager() const { return epoch_; }
 
   /// Installs a complete version — `rows` float64 rows and their ids —
   /// replacing whatever the database held, and builds its int8 matrix
@@ -304,7 +305,7 @@ class EmbeddedDatabase {
   /// handed to readers stay valid for the version's lifetime; `size` is
   /// the published row count.  `high_water` is the largest row count
   /// ever published from this version: slots below it may be visible to
-  /// pinned readers and are never rewritten in place.
+  /// held snapshots and are never rewritten in place.
   struct Version {
     Version(size_t dims, size_t capacity_rows);
 
@@ -327,23 +328,23 @@ class EmbeddedDatabase {
     size_t capacity_rows = 0;
   };
 
-  Version* current() const {
-    return current_.load(std::memory_order_seq_cst);
-  }
+  /// The current version, unowned: for mutators (serialized, and the
+  /// only writers of current_) and quiescent callers.
+  Version* current() const { return current_.get(); }
   View PeekView() const;
   /// A View of `v` at `rows` rows, int8 pointers attached while fresh.
   View ViewOf(const Version* v, size_t rows) const;
 
   /// Allocates a version and huge-page-advises its buffer when large.
-  Version* NewVersion(size_t capacity_rows) const;
+  std::shared_ptr<Version> NewVersion(size_t capacity_rows) const;
   /// A version of `capacity_rows` holding the first `rows` rows and ids
   /// of `v`, its int8 matrix and scales too while fresh (stale stays
   /// stale); count and high water set to `rows`, unpublished.
-  Version* CopyVersion(const Version* v, size_t rows,
-                       size_t capacity_rows) const;
-  /// Publishes `next` and retires the previous version to the epoch
-  /// manager.
-  void PublishAndRetire(Version* next);
+  std::shared_ptr<Version> CopyVersion(const Version* v, size_t rows,
+                                       size_t capacity_rows) const;
+  /// Makes `next` current.  The replaced version is released after the
+  /// lock: freed here unless a snapshot still holds it.
+  void Publish(std::shared_ptr<Version> next);
 
   /// Whether `row` quantizes under v's scales within the half-step
   /// bound on every dimension (trivially true for a stale matrix).
@@ -365,13 +366,13 @@ class EmbeddedDatabase {
   void RequantizeI8(Version* v, size_t n, double headroom) const;
 
   size_t dims_ = 0;
-  std::atomic<Version*> current_{nullptr};
+  /// Guards only the copy (snapshot) and the swap (Publish) of current_.
+  mutable std::mutex mu_;
+  std::shared_ptr<Version> current_;
   /// Mirror of the current version's published row count, kept outside
   /// the versions so size()/empty() peeks are safe under concurrent
-  /// mutation (a version pointer chased without a pin could already be
-  /// reclaimed).
+  /// mutation without touching current_.
   std::atomic<size_t> rows_{0};
-  mutable EpochManager epoch_;
 };
 
 }  // namespace qse

@@ -41,7 +41,7 @@ inline constexpr size_t kPrescreenBlockRows = 256;
 ///
 /// Scorers consume an EmbeddedDatabase::View — an immutable (rows, count)
 /// view of one published database version.  The engines pass their
-/// epoch-pinned snapshot's view so scans stay consistent under concurrent
+/// snapshot's view so scans stay consistent under concurrent
 /// mutation; quiescent callers (tests, evaluation drivers, benches) can
 /// pass an EmbeddedDatabase directly via its implicit View conversion.
 class FilterScorer {

@@ -49,7 +49,7 @@ struct RetrievalOptions {
   /// When non-null, the backend offers 1-in-N completed responses to
   /// this monitor for background exact-kNN auditing (quality_monitor.h).
   /// Does not change results — the audit runs off the hot path against
-  /// the same pinned snapshot the response was served from.  The async
+  /// the same snapshot the response was served from.  The async
   /// server attaches its configured monitor here; direct engine callers
   /// may set it themselves.  Borrowed: must outlive the request.
   obs::QualityMonitor* audit_monitor = nullptr;
@@ -154,8 +154,8 @@ struct ScanCandidatesResult {
 ///    NotFound on an unknown one.
 ///  * Retrieve is const and safe to call concurrently.
 ///    Insert/Remove are serialized internally and may run concurrently
-///    with retrievals: every retrieval serves one epoch-pinned snapshot
-///    of the database, consistent with some serializable prefix of the
+///    with retrievals: every retrieval serves one snapshot of the
+///    database, consistent with some serializable prefix of the
 ///    applied mutations — it reflects every mutation that completed
 ///    before it started, no mutation that started after it finished,
 ///    and any subset of the ones in flight while it ran.

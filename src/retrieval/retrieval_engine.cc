@@ -1,7 +1,6 @@
 #include "src/retrieval/retrieval_engine.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "src/distance/simd/dispatch.h"
 #include "src/obs/quality_monitor.h"
@@ -205,11 +204,10 @@ Status RetrievalEngine::Scan(
     const Vector& fq, const RetrievalOptions& options,
     obs::RequestTrace* trace, uint64_t* trace_ns,
     std::vector<ScanCandidatesResult>* scans,
-    std::vector<EmbeddedDatabase::Snapshot>* pins) const {
+    std::vector<EmbeddedDatabase::Snapshot>* snapshots) const {
   const size_t num_shards = shards_.size();
   scans->assign(num_shards, {});
-  std::vector<std::optional<EmbeddedDatabase::Snapshot>> pinned(
-      pins != nullptr ? num_shards : 0);
+  if (snapshots != nullptr) snapshots->assign(num_shards, {});
   // A traced scan stamps where each shard's scan ends and on which
   // thread; the spans are recorded after the join.
   struct ShardEnd {
@@ -240,8 +238,8 @@ Status RetrievalEngine::Scan(
           if (!remote.ok()) return fail(remote.status());
           scan = std::move(remote).value();
         } else {
-          // Local shard: scan one pinned epoch snapshot so a concurrent
-          // mutation of the shard never tears the scan.
+          // Local shard: scan one snapshot so a concurrent mutation of
+          // the shard never tears the scan.
           EmbeddedDatabase::Snapshot snap = shard.db->snapshot();
           const EmbeddedDatabase::View& view = snap.view();
           FilterScanStats stats;
@@ -255,9 +253,7 @@ Status RetrievalEngine::Scan(
           filter_rows_visited_total_->Add(stats.rows_visited);
           filter_rows_pruned_total_->Add(stats.rows_pruned);
           filter_rows_prescreened_total_->Add(stats.rows_prescreened);
-          // `view` stays valid: moving a Snapshot moves its pin, not the
-          // View it exposes.
-          if (pins != nullptr) pinned[s].emplace(std::move(snap));
+          if (snapshots != nullptr) (*snapshots)[s] = std::move(snap);
         }
         if (trace != nullptr) {
           ends[s] = {obs::TraceNowNs(trace), obs::RequestTrace::ThisThreadId(),
@@ -311,11 +307,7 @@ Status RetrievalEngine::Scan(
       *trace_ns = std::max(*trace_ns, ends[s].ns);
     }
   }
-  QSE_RETURN_IF_ERROR(first_error);
-  for (std::optional<EmbeddedDatabase::Snapshot>& snap : pinned) {
-    pins->push_back(std::move(*snap));
-  }
-  return Status::OK();
+  return first_error;
 }
 
 StatusOr<RetrievalResponse> RetrievalEngine::Retrieve(
@@ -325,7 +317,7 @@ StatusOr<RetrievalResponse> RetrievalEngine::Retrieve(
   obs::RequestTrace* trace = request.trace.get();
   QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
   // Fast-fail on an empty local database before spending embedding
-  // distances on `dx` (cheap atomic peeks; the pinned snapshots re-check
+  // distances on `dx` (cheap atomic peeks; the scan's snapshots re-check
   // authoritatively under concurrent mutation).  Composed shards are
   // only asked by the scan itself.
   if (local_ && size() == 0) {
@@ -337,8 +329,8 @@ StatusOr<RetrievalResponse> RetrievalEngine::Retrieve(
   // histograms and a sampled request's spans, so the spans of embed,
   // the shard scans, merge and refine meet end to start.
   // Embedding step: once per query, shared by every shard's scan, and
-  // before any snapshot pin — it only talks to `dx`, and shorter pins
-  // let mutations reclaim retired versions sooner.
+  // before any snapshot is taken — it only talks to `dx`, and shorter
+  // holds let replaced versions be freed sooner.
   size_t embed_cost = 0;
   const MonotonicClock::time_point embed_start = MonotonicClock::now();
   Vector fq = embedder_->Embed(dx, &embed_cost);
@@ -351,13 +343,13 @@ StatusOr<RetrievalResponse> RetrievalEngine::Retrieve(
 
   // Scan: each shard keeps its local top p (the global top p could in
   // the worst case live entirely in one shard).  An attached monitor
-  // keeps the pinned snapshots: an audit must score the exact views
+  // keeps the scan's snapshots: an audit must score the exact views
   // this response was served from, not the live shards.
-  const bool keep_pins = local_ && options.audit_monitor != nullptr;
+  const bool keep_snapshots = local_ && options.audit_monitor != nullptr;
   std::vector<ScanCandidatesResult> scans;
-  std::vector<EmbeddedDatabase::Snapshot> pins;
+  std::vector<EmbeddedDatabase::Snapshot> snapshots;
   Status scanned = Scan(fq, options, trace, &stage_ns, &scans,
-                        keep_pins ? &pins : nullptr);
+                        keep_snapshots ? &snapshots : nullptr);
   const MonotonicClock::time_point merge_start = MonotonicClock::now();
   scan_ns_->Record(NsBetween(scan_start, merge_start));
   QSE_RETURN_IF_ERROR(scanned);
@@ -417,7 +409,7 @@ StatusOr<RetrievalResponse> RetrievalEngine::Retrieve(
   // monitor with the snapshots this response was served from, so the
   // background exact re-scan scores identical rows under concurrent
   // mutation.
-  if (keep_pins && options.audit_monitor->ShouldSample()) {
+  if (keep_snapshots && options.audit_monitor->ShouldSample()) {
     obs::AuditTask audit;
     audit.dx = dx;
     audit.k = options.k;
@@ -425,7 +417,7 @@ StatusOr<RetrievalResponse> RetrievalEngine::Retrieve(
     for (const ScoredIndex& nb : response.neighbors) {
       audit.served.push_back({nb.index, nb.score});
     }
-    audit.snapshots = std::move(pins);
+    audit.snapshots = std::move(snapshots);
     audit.trace = request.trace;
     options.audit_monitor->SubmitAudit(std::move(audit));
   }
@@ -449,7 +441,7 @@ StatusOr<ScanCandidatesResult> RetrievalEngine::ScanCandidates(
   uint64_t unused_ns = 0;
   const MonotonicClock::time_point stage_start = MonotonicClock::now();
   QSE_RETURN_IF_ERROR(Scan(embedded_query, options, /*trace=*/nullptr,
-                           &unused_ns, &scans, /*pins=*/nullptr));
+                           &unused_ns, &scans, /*snapshots=*/nullptr));
   scan_ns_->Record(NsBetween(stage_start, MonotonicClock::now()));
 
   ScanCandidatesResult result;

@@ -43,9 +43,9 @@ size_t HashShardOf(size_t db_id, size_t num_shards);
 /// single-shard constructor) with its id -> row index, or a
 /// RetrievalBackend reached through ScanCandidates (a remote server or
 /// another engine).  Every query runs one path:
-/// embed once, scan every shard (one pinned snapshot per local shard),
-/// merge the per-shard top-p lists under the (score, id) order, refine
-/// the merged top p once, audit against the pinned snapshots.  Every row
+/// embed once, scan every shard (one snapshot per local shard), merge
+/// the per-shard top-p lists under the (score, id) order, refine the
+/// merged top p once, audit against the scanned snapshots.  Every row
 /// is scored by the same kernel wherever it lives and every tie is
 /// broken by database id, so results are bit-identical across shard
 /// counts and topologies.  Neighbors are always database ids.
@@ -58,8 +58,8 @@ size_t HashShardOf(size_t db_id, size_t num_shards);
 /// Thread-safety: Retrieve is const and safe to call
 /// concurrently as long as the embedder, scorer and `dx` callbacks are.
 /// Insert/Remove are serialized internally and may run concurrently with
-/// retrievals: each retrieval pins one epoch snapshot per local shard
-/// and serves it consistently, while mutations publish new versions the
+/// retrievals: each retrieval holds one snapshot per local shard and
+/// serves it consistently, while mutations publish new versions the
 /// next retrieval picks up.  A retrieval observes every mutation that
 /// completed before it started, never one that started after it
 /// finished, and any subset of concurrent ones.
@@ -93,7 +93,7 @@ class RetrievalEngine : public RetrievalBackend {
   /// step calls its ScanCandidates.  shard_backends[s] serves shard s
   /// and must hold the ids HashShardOf routes to s.  options.num_shards
   /// is taken from the backend count.  Quality audits are skipped: the
-  /// pinned snapshots live in the backends.
+  /// scanned snapshots live in the backends.
   RetrievalEngine(const Embedder* embedder,
                   std::vector<std::shared_ptr<RetrievalBackend>> shard_backends,
                   ShardedEngineOptions options = {});
@@ -103,6 +103,14 @@ class RetrievalEngine : public RetrievalBackend {
   /// ValidateRetrievalOptions; an empty database is FailedPrecondition.
   /// p is clamped to the database size (p = n degenerates to brute
   /// force, as in the paper).  want_stats reports one entry per shard.
+  ///
+  /// An all-local engine refuses an empty database before embedding,
+  /// from the shards' row counts.  A composed engine embeds first and
+  /// learns emptiness from the scan: a composed shard's size() is a
+  /// kInfo round trip that reads an unreachable peer as 0, so a
+  /// pre-check would add S round trips to every read and would answer
+  /// FailedPrecondition where the truth is "peer down" (the scan
+  /// reports that as the peer's error).
   StatusOr<RetrievalResponse> Retrieve(
       const RetrievalRequest& request) const override;
 
@@ -179,12 +187,12 @@ class RetrievalEngine : public RetrievalBackend {
   /// counts, scanned on scatter_threads_.  A non-null `trace` gets one
   /// shard_scan span per shard, the spans of each thread tiling from
   /// `*trace_ns` (the scan's start on entry, the last span's end on
-  /// return); a non-null `pins` keeps each local shard's snapshot for a
-  /// quality audit.
+  /// return); a non-null `snapshots` keeps each local shard's snapshot
+  /// for a quality audit.
   Status Scan(const Vector& fq, const RetrievalOptions& options,
               obs::RequestTrace* trace, uint64_t* trace_ns,
               std::vector<ScanCandidatesResult>* scans,
-              std::vector<EmbeddedDatabase::Snapshot>* pins) const;
+              std::vector<EmbeddedDatabase::Snapshot>* snapshots) const;
 
   /// Adds an embedded row to its shard; caller holds mutation_mu_.
   Status AppendLocked(Shard& shard, size_t db_id, const Vector& row);
@@ -209,7 +217,7 @@ class RetrievalEngine : public RetrievalBackend {
   obs::Histogram* merge_ns_;
   obs::Histogram* refine_ns_;
   /// Serializes local-shard Insert/Remove against each other (retrievals
-  /// never take it — they pin snapshots instead).
+  /// never take it — they take snapshots instead).
   std::mutex mutation_mu_;
 };
 

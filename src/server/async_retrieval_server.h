@@ -107,7 +107,7 @@ bool CheckServerStatsInvariant(const ServerStats& stats);
 /// Shutdown is idempotent but must not race itself from two threads.  The
 /// backend must stay alive while the server is running.  Mutation under
 /// serving is supported: a server built over a mutable backend forwards
-/// Insert/Remove to it, and the engines' epoch snapshots keep every
+/// Insert/Remove to it, and the engines' database snapshots keep every
 /// concurrently executing retrieval consistent (RetrievalBackend's
 /// concurrency contract) — Submit traffic keeps flowing while the
 /// database changes.

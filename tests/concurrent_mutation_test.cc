@@ -1,4 +1,4 @@
-// Randomized stress suite for epoch-based concurrent mutation: mutator
+// Randomized stress suite for snapshot-based concurrent mutation: mutator
 // threads Insert/Remove while retriever threads query — over one shard
 // and three, batched and single-query, and through the async server — and
 // every response is checked for consistency with *some* serializable

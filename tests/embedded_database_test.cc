@@ -120,7 +120,31 @@ TEST(EmbeddedDatabaseTest, AppendAfterResizeKeepsData) {
   EXPECT_EQ(db.data(), (Aligned64Vector<double>{1, 2, 3, 4}));
 }
 
-// --- Epoch snapshots: what pinned readers observe under mutation --------
+// --- Snapshots: what held readers observe under mutation -----------------
+
+TEST(EmbeddedDatabaseTest, SnapshotOutlivesItsDatabase) {
+  // A snapshot owns its version: the database may go away, with a
+  // replaced version still held and a copy-on-write pending behind it,
+  // and the snapshot keeps reading its rows and ids.
+  EmbeddedDatabase::Snapshot old_snap;
+  EmbeddedDatabase::Snapshot snap;
+  {
+    EmbeddedDatabase db = test::FromRows({{1, 2}, {3, 4}, {5, 6}});
+    old_snap = db.snapshot();
+    db.SwapRemove(0);  // Interior: replaces the version old_snap holds.
+    snap = db.snapshot();
+    db.Append({7, 8}, 9);
+  }
+  ASSERT_EQ(old_snap->size(), 3u);
+  EXPECT_EQ(old_snap->row(0)[1], 2.0);
+  EXPECT_EQ(old_snap->id_of(2), 2u);
+  ASSERT_EQ(snap->size(), 2u);
+  EXPECT_EQ(snap->row(0)[0], 5.0);
+  EXPECT_EQ(snap->row(1)[1], 4.0);
+  EXPECT_EQ(snap->id_of(0), 2u);
+  ASSERT_TRUE(snap->has_i8());
+  EXPECT_NE(snap->data_i8(), nullptr);
+}
 
 TEST(EmbeddedDatabaseTest, SnapshotIsImmuneToAppend) {
   EmbeddedDatabase db = test::FromRows({{1, 1}, {2, 2}});

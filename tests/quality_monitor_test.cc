@@ -394,6 +394,71 @@ TEST(QualityMonitorTest, FullQueueShedsInsteadOfBlocking) {
   EXPECT_EQ(stats.shed, 2u);
 }
 
+TEST(QualityMonitorTest, FullAuditQueueDoesNotStallServing) {
+  // Every queued audit holds a snapshot of the database it audits.  A
+  // parked worker plus a full default-sized queue must leave the
+  // serving path free to take its own snapshot: requests never wait on
+  // audits.
+  MonitorStack stack(8, 1, 2, 31);
+  MetricRegistry registry;
+  QualityMonitorOptions qopts;
+  qopts.registry = &registry;
+  QualityMonitor monitor(qopts);
+
+  std::atomic<int> entered{0};
+  std::atomic<bool> release{false};
+  AuditTask parked;
+  parked.k = 1;
+  parked.served = {{0, 0.0}};
+  parked.snapshots.push_back(stack.db.snapshot());
+  parked.dx = [&](size_t) {
+    entered.fetch_add(1);
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return 0.0;
+  };
+  monitor.SubmitAudit(std::move(parked));
+  while (entered.load() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // The queue fill and the serving read run on a helper thread, so that
+  // a stalled snapshot() fails the bounded wait below instead of hanging
+  // the test; releasing the worker then lets the helper finish.
+  std::atomic<bool> served{false};
+  StatusOr<RetrievalResponse> response =
+      Status::Internal("serving read never ran");
+  std::thread helper([&] {
+    for (size_t i = 0; i < qopts.queue_capacity; ++i) {
+      AuditTask task;
+      task.k = 1;
+      task.served = {{0, 0.0}};
+      task.snapshots.push_back(stack.db.snapshot());
+      task.dx = [](size_t) { return 0.0; };
+      monitor.SubmitAudit(std::move(task));
+    }
+    response = stack.mono->Retrieve({stack.Query(8), RetrievalOptions(1, 4)});
+    served.store(true);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!served.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(served.load())
+      << "a serving read waited on " << qopts.queue_capacity
+      << " queued audits";
+  release.store(true);
+  helper.join();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->neighbors.size(), 1u);
+  monitor.Flush();
+  QualityMonitorStats stats = monitor.stats();
+  EXPECT_EQ(stats.completed, qopts.queue_capacity + 1);
+  EXPECT_EQ(stats.shed, 0u);
+}
+
 TEST(QualityMonitorTest, SubmitAfterShutdownShedsCleanly) {
   MonitorStack stack(8, 1, 2, 29);
   MetricRegistry registry;
